@@ -6,9 +6,10 @@
 
 use tricluster_bench::harness::bench;
 use tricluster_bench::nocache;
-use tricluster_core::bicluster::mine_biclusters;
+use tricluster_core::bicluster::mine_biclusters_profiled;
+use tricluster_core::obs::NullSink;
 use tricluster_core::params::RangeExtension;
-use tricluster_core::rangegraph::build_range_graph;
+use tricluster_core::rangegraph::build_range_graph_observed;
 use tricluster_core::{mine, MergeParams, Params};
 use tricluster_synth::{generate, SynthSpec};
 
@@ -37,8 +38,8 @@ fn bench_multigraph_vs_nocache() {
         .build()
         .unwrap();
     bench("ablation_multigraph/with_range_multigraph", || {
-        let rg = build_range_graph(&data.matrix, 0, &params);
-        mine_biclusters(&data.matrix, &rg, &params)
+        let rg = build_range_graph_observed(&data.matrix, 0, &params, &NullSink).0;
+        mine_biclusters_profiled(&data.matrix, &rg, &params, false).0
     });
     bench("ablation_multigraph/ranges_recomputed_per_node", || {
         nocache::mine_biclusters_nocache(&data.matrix, 0, &params)

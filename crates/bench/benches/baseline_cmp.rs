@@ -3,8 +3,9 @@
 
 use tricluster_baselines::pcluster;
 use tricluster_bench::harness::bench;
-use tricluster_core::bicluster::mine_biclusters;
-use tricluster_core::rangegraph::build_range_graph;
+use tricluster_core::bicluster::mine_biclusters_profiled;
+use tricluster_core::obs::NullSink;
+use tricluster_core::rangegraph::build_range_graph_observed;
 use tricluster_core::Params;
 use tricluster_matrix::Matrix2;
 use tricluster_microarray::yeast::{self, YeastSpec};
@@ -28,8 +29,8 @@ fn main() {
     let delta = (1.0 + yeast::PAPER_EPSILON).ln();
 
     bench("baseline_cmp/tricluster_slice", || {
-        let rg = build_range_graph(&ds.matrix, 0, &params);
-        mine_biclusters(&ds.matrix, &rg, &params)
+        let rg = build_range_graph_observed(&ds.matrix, 0, &params, &NullSink).0;
+        mine_biclusters_profiled(&ds.matrix, &rg, &params, false).0
     });
     bench("baseline_cmp/pcluster_slice", || {
         pcluster::mine_pclusters(

@@ -18,8 +18,9 @@ use tricluster_baselines::chengchurch::{self, CcParams};
 use tricluster_baselines::jiang::{self, JiangParams};
 use tricluster_baselines::pcluster;
 use tricluster_bench::full_scale;
-use tricluster_core::bicluster::mine_biclusters;
-use tricluster_core::rangegraph::build_range_graph;
+use tricluster_core::bicluster::mine_biclusters_profiled;
+use tricluster_core::obs::NullSink;
+use tricluster_core::rangegraph::build_range_graph_observed;
 use tricluster_core::Params;
 use tricluster_matrix::Matrix2;
 use tricluster_microarray::yeast::{self, YeastSpec};
@@ -55,8 +56,8 @@ fn main() {
     let mut pc_total = 0.0;
     for t in 0..slices {
         let t0 = Instant::now();
-        let rg = build_range_graph(&ds.matrix, t, &params);
-        let bcs = mine_biclusters(&ds.matrix, &rg, &params);
+        let rg = build_range_graph_observed(&ds.matrix, t, &params, &NullSink).0;
+        let bcs = mine_biclusters_profiled(&ds.matrix, &rg, &params, false).0;
         let tri_s = t0.elapsed().as_secs_f64();
 
         // pCluster input: the ln-transformed slice

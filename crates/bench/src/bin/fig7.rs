@@ -27,7 +27,7 @@ use std::sync::Arc;
 use tricluster_bench::{
     fig7_params, fig7_smoke_sweeps, fig7_sweeps, full_scale, measure, measure_with_observed,
 };
-use tricluster_core::obs::httpd::MetricsServer;
+use tricluster_core::obs::httpd::{scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::metrics::Registry;
@@ -72,7 +72,7 @@ fn main() {
     let metrics = metrics_addr.map(|addr| {
         let registry = Arc::new(Registry::new());
         registry.attach_progress(Arc::new(Progress::new()));
-        let server = match MetricsServer::serve(&addr, registry.clone()) {
+        let server = match HttpServer::serve(&addr, 0, scrape_handler(registry.clone())) {
             Ok(server) => server,
             Err(e) => {
                 eprintln!("cannot serve metrics on {addr}: {e}");

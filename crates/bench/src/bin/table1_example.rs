@@ -6,9 +6,10 @@
 //! cargo run --release -p tricluster-bench --bin table1_example
 //! ```
 
-use tricluster_core::rangegraph::build_range_graph;
+use tricluster_core::obs::NullSink;
+use tricluster_core::rangegraph::build_range_graph_observed;
 use tricluster_core::testdata::paper_table1;
-use tricluster_core::{mine, Params};
+use tricluster_core::{cluster_metrics_observed, mine, Params};
 
 fn main() {
     let m = paper_table1();
@@ -45,7 +46,7 @@ fn main() {
     }
 
     println!("\n== Figure 2: range multigraph at t0 (ε=0.01, mx=3) ==");
-    let rg = build_range_graph(&m, 0, &params);
+    let rg = build_range_graph_observed(&m, 0, &params, &NullSink).0;
     println!("{} samples, {} range edges", rg.n_samples(), rg.n_ranges());
     for a in 0..7 {
         for b in (a + 1)..7 {
@@ -84,5 +85,8 @@ fn main() {
     println!("               C2 = {{g0,g2,g6,g9}} x {{s1,s4,s6}} x {{t0,t1}},");
     println!("               C3 = {{g0,g7,g9}} x {{s1,s2,s4,s5}} x {{t0,t1}}");
 
-    println!("\n{}", result.metrics(&m));
+    println!(
+        "\n{}",
+        cluster_metrics_observed(&m, &result.triclusters, &NullSink)
+    );
 }

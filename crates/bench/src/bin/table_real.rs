@@ -17,7 +17,8 @@
 //! ```
 
 use tricluster_bench::full_scale;
-use tricluster_core::{mine, Params};
+use tricluster_core::obs::NullSink;
+use tricluster_core::{cluster_metrics_observed, mine, Params};
 use tricluster_microarray::yeast::{self, YeastSpec};
 
 fn main() {
@@ -46,7 +47,10 @@ fn main() {
         "# mined in {:.2} s (paper: 17.8 s on a 1.4 GHz Pentium-M)\n",
         elapsed.as_secs_f64()
     );
-    println!("{}", result.metrics(&ds.matrix));
+    println!(
+        "{}",
+        cluster_metrics_observed(&ds.matrix, &result.triclusters, &NullSink)
+    );
     println!("\n# per-cluster shapes:");
     for (i, c) in result.triclusters.iter().enumerate() {
         let (x, y, z) = c.shape();

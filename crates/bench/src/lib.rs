@@ -13,7 +13,7 @@ pub mod kernel;
 
 use std::time::{Duration, Instant};
 use tricluster_core::obs::{alloc, json::Json, EventSink, NullSink};
-use tricluster_core::{mine_observed, FanoutDecision, Params, Timings};
+use tricluster_core::{FanoutDecision, Params, Session, Timings};
 use tricluster_synth::{generate, recovery, SynthSpec};
 
 pub mod regress;
@@ -165,7 +165,9 @@ pub fn measure_with_observed(
     alloc::reset_peak();
     let before = alloc::snapshot();
     let start = Instant::now();
-    let result = mine_observed(&data.matrix, &params, sink).expect("bench inputs are valid");
+    let result = Session::new(params)
+        .run(&data.matrix, sink)
+        .expect("bench inputs are valid");
     let time = start.elapsed();
     let after = alloc::snapshot();
     let report = recovery::score(&data.truth, &result.triclusters, 0.5);
@@ -464,8 +466,9 @@ pub mod nocache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tricluster_core::bicluster::mine_biclusters;
-    use tricluster_core::rangegraph::build_range_graph;
+    use tricluster_core::bicluster::mine_biclusters_profiled;
+    use tricluster_core::obs::NullSink;
+    use tricluster_core::rangegraph::build_range_graph_observed;
     use tricluster_core::testdata::paper_table1;
 
     #[test]
@@ -530,8 +533,9 @@ mod tests {
             .build()
             .unwrap();
         for t in 0..2 {
-            let rg = build_range_graph(&m, t, &params);
-            let mut real: Vec<_> = mine_biclusters(&m, &rg, &params)
+            let rg = build_range_graph_observed(&m, t, &params, &NullSink).0;
+            let mut real: Vec<_> = mine_biclusters_profiled(&m, &rg, &params, false)
+                .0
                 .into_iter()
                 .map(|b| (b.genes.to_vec(), b.samples))
                 .collect();

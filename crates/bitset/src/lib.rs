@@ -358,7 +358,7 @@ impl BitSet {
     /// few blocks as possible. This is the miner's admission test
     /// (`|G(R) ∩ C.X| ≥ mx`), which usually succeeds early or fails with a
     /// near-empty intersection; either way most blocks are skipped. The
-    /// early exit runs at [`LANES`]-chunk granularity: cheap enough to keep
+    /// early exit runs at `LANES`-chunk granularity: cheap enough to keep
     /// the loop body vectorizable, fine enough that a hit in the first
     /// blocks still skips the rest of the scan.
     #[inline]

@@ -6,7 +6,7 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::sync::Arc;
 use std::time::Duration;
-use tricluster_core::obs::httpd::{http_get, http_get_retry, MetricsServer};
+use tricluster_core::obs::httpd::{http_get, http_get_retry, scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{
     content_hash, diff_reports, DiffTolerances, IndexEntry, Ledger, NewEntry,
@@ -14,11 +14,11 @@ use tricluster_core::obs::ledger::{
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
 use tricluster_core::obs::timeline::Timeline;
-use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink, Recorder, Tee};
+use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink};
 use tricluster_core::runreport;
 use tricluster_core::{
-    cluster_metrics_observed, mine_auto_observed, mine_shifting, Engine, FanoutMode, MergeParams,
-    MineError, MiningResult, Params, TenantCaps,
+    cluster_metrics_observed, mine_shifting, Engine, FanoutMode, MergeParams, MineError,
+    MiningResult, Params, Reported, Session, TenantCaps,
 };
 use tricluster_matrix::{io, Labels, Matrix3};
 use tricluster_synth::{generate, SynthSpec};
@@ -375,12 +375,16 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     }
     // Trace events stream to stderr as they happen (flushed per event so a
     // killed run keeps its tail); aggregate data comes out of the result's
-    // embedded report. Histogram collection costs bucket work on the DFS hot
-    // paths, so it is switched on only when some output will show it. The
-    // timeline and progress sinks are pure discovery vehicles: they record
-    // nothing through the event interface, the miner finds them via
+    // embedded report. A run that writes a report (`--report-json` file or
+    // `--ledger` archive) gets it from `Session::run_report`, which collects
+    // histograms and adds the metrics phase. Other runs skip both: histogram
+    // collection costs bucket work on the DFS hot paths, so it is switched
+    // on only when `--explain` or `-vv` will show it. The timeline and
+    // progress sinks are pure discovery vehicles: they record nothing
+    // through the event interface, the miner finds them via
     // `EventSink::timeline`/`EventSink::progress`.
-    let want_hists = report_json.is_some() || a.has("explain") || verbosity >= 2;
+    let writes_report = report_json.is_some() || ledger_dir.is_some();
+    let want_hists = !writes_report && (a.has("explain") || verbosity >= 2);
     let trace_sink;
     let timeline = (trace_out.is_some() || flame_out.is_some()).then(Timeline::new);
     // `--metrics-addr` implies progress gauges even without `--progress`:
@@ -402,7 +406,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     // serve thread, so the endpoint dies with the mine.
     let _metrics_server = match (&metrics_addr, &registry) {
         (Some(addr), Some(registry)) => {
-            let server = MetricsServer::serve(addr, registry.clone())
+            let server = HttpServer::serve(addr, 0, scrape_handler(registry.clone()))
                 .map_err(|e| CliError::Run(format!("cannot serve metrics on {addr}: {e}")))?;
             eprintln!("metrics: serving on {}", server.url());
             Some(server)
@@ -446,12 +450,22 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         )),
         _ => None,
     };
-    let result = if a.has("auto") {
-        mine_auto_observed(matrix, &params, sink)
+    // A one-shot run is a session with unlimited caps: identical code path
+    // to a daemon job, minus the clamping.
+    let mut session = engine.session(&params);
+    if a.has("auto") {
+        session = session.auto_transpose();
+    }
+    let run = if writes_report {
+        session.run_report(matrix, sink).map(
+            |Reported {
+                 result,
+                 metrics,
+                 doc,
+             }| (result, Some((metrics, doc))),
+        )
     } else {
-        // A one-shot run is a session with unlimited caps: identical code
-        // path to a daemon job, minus the clamping.
-        engine.session(&params).run(matrix, sink)
+        session.run(matrix, sink).map(|result| (result, None))
     };
     drop(ticker);
     // Write the trace before bailing on a mining error: a partial timeline
@@ -478,7 +492,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         ),
         _ => None,
     };
-    let result = result.map_err(CliError::from_mine)?;
+    let (result, reported) = run.map_err(CliError::from_mine)?;
     if let Some(status) = trace_status {
         status?;
     }
@@ -501,37 +515,12 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     if verbosity > 0 {
         print_verbose(&result, verbosity);
     }
-    // Metrics are computed once: observedly (so the report JSON carries the
-    // metrics span/counters) when any report consumer is present — the
-    // `--report-json` file or a `--ledger` archive — plainly otherwise.
-    let mut report = result.report.clone();
-    let met = if report_json.is_some() || ledger_dir.is_some() {
-        let rec = Recorder::new();
-        // Tee the metrics phase into the live registry too, so a final
-        // scrape (the server outlives the mine) sees `phase.metrics`.
-        let met = match &registry {
-            Some(r) => {
-                let tee = Tee(&rec, &**r);
-                cluster_metrics_observed(matrix, &result.triclusters, &tee)
-            }
-            None => cluster_metrics_observed(matrix, &result.triclusters, &rec),
-        };
-        report.merge(&rec.snapshot());
-        Some(met)
-    } else {
-        None
-    };
-    let doc = met
-        .as_ref()
-        .map(|m| runreport::report_to_json_v2(matrix, &result, &report, m));
-    if let Some(out_path) = &report_json {
-        let j = doc
-            .as_ref()
-            .expect("doc built whenever a report is written");
-        std::fs::write(out_path, j.render_pretty() + "\n")
+    let doc = reported.as_ref().map(|(_, doc)| doc);
+    if let (Some(out_path), Some(doc)) = (&report_json, doc) {
+        std::fs::write(out_path, doc.render_pretty() + "\n")
             .map_err(|e| CliError::Run(format!("cannot write {out_path}: {e}")))?;
     }
-    if let Some(dir) = &ledger_dir {
+    if let (Some(dir), Some(doc)) = (&ledger_dir, doc) {
         // The dataset hash covers the input bytes as given (computed once
         // at parse time by the engine), so two runs over the same file are
         // comparable even when labels differ in memory; the params hash
@@ -550,7 +539,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
                 label: Some(path.clone()),
                 dataset_hash,
                 params_hash,
-                report: doc.as_ref().expect("doc built whenever a ledger is open"),
+                report: doc,
                 trace: trace_doc.as_deref(),
                 flame: flame_doc.as_deref(),
             })
@@ -558,7 +547,10 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         eprintln!("run archived as {id} in {dir}");
     }
     if a.has("explain") {
-        print!("{}", runreport::explain_json(&report).render_pretty());
+        print!(
+            "{}",
+            runreport::explain_json(&result.report).render_pretty()
+        );
         return Ok(());
     }
     if a.has("csv") {
@@ -570,8 +562,11 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     for (i, c) in result.triclusters.iter().enumerate() {
         print_cluster(i, c, labels, a.has("names"));
     }
-    let met = met.unwrap_or_else(|| result.metrics(matrix));
-    println!("\n{met}");
+    let metrics = match reported {
+        Some((metrics, _)) => metrics,
+        None => cluster_metrics_observed(matrix, &result.triclusters, &NullSink),
+    };
+    println!("\n{metrics}");
     Ok(())
 }
 
@@ -1093,7 +1088,7 @@ fn print_verbose(result: &MiningResult, verbosity: u8) {
 /// Sink whose only job is to switch on histogram collection in the mining
 /// phases; the collected data still arrives through the result's embedded
 /// report, so everything else stays at the `NullSink` defaults.
-pub(crate) struct HistogramTap;
+struct HistogramTap;
 
 impl EventSink for HistogramTap {
     fn enabled(&self) -> bool {
@@ -1212,14 +1207,17 @@ pub fn demo(argv: &[String]) -> Result<(), CliError> {
         .min_times(2)
         .build()
         .unwrap();
-    let result = tricluster_core::mine(&m, &params)
+    let Reported {
+        result, metrics, ..
+    } = Session::new(params)
+        .run_report(&m, &NullSink)
         .expect("the built-in Table 1 fixture is finite and mines without budgets");
     println!("Table 1 running example (mx=my=3, mz=2, ε=0.01):\n");
     let labels = Labels::default_for(10, 7, 2);
     for (i, c) in result.triclusters.iter().enumerate() {
         print_cluster(i, c, &labels, true);
     }
-    println!("\n{}", result.metrics(&m));
+    println!("\n{metrics}");
     Ok(())
 }
 
@@ -2001,6 +1999,117 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Writes `m` as a stacked TSV into `dir` and returns its path.
+    fn tsv_into(dir: &std::path::Path, m: &Matrix3) -> String {
+        std::fs::create_dir_all(dir).unwrap();
+        let path = dir.join("data.tsv");
+        write_matrix(path.to_str().unwrap(), m).unwrap();
+        path.to_str().unwrap().to_string()
+    }
+
+    /// The input-determined sections of a v2 report (the same list the
+    /// bench determinism gate pins).
+    const REPORT_SECTIONS: &[&[&str]] = &[
+        &["matrix"],
+        &["clusters"],
+        &["truncated"],
+        &["metrics"],
+        &["report", "counters"],
+        &["histograms"],
+        &["search_space"],
+        &["memory", "matrix_bytes"],
+        &["memory", "rangegraph_peak_bytes"],
+        &["memory", "bicluster_bytes"],
+        &["memory", "tricluster_bytes"],
+    ];
+
+    /// A `--ledger` archive and a `--report-json` file of the same input
+    /// agree on every input-determined section, histograms included.
+    #[test]
+    fn ledger_report_matches_report_json_sections() {
+        let dir =
+            std::env::temp_dir().join(format!("tricluster-ledger-sections-{}", std::process::id()));
+        let data = tsv_into(&dir, &tricluster_core::testdata::paper_table1());
+        let ldir = dir.join("ledger").to_str().unwrap().to_string();
+        let out = dir.join("report.json").to_str().unwrap().to_string();
+        mine(&[data.clone(), "--ledger".into(), ldir.clone()]).unwrap();
+        mine(&[data, "--report-json".into(), out.clone()]).unwrap();
+        let ledger = Ledger::open(&ldir).unwrap();
+        let entries = ledger.list().unwrap();
+        assert_eq!(entries.len(), 1, "{entries:?}");
+        let archived = ledger.read_report(&entries[0].id).unwrap();
+        let written = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        for path in REPORT_SECTIONS {
+            let a = archived.get_path(path).map(Json::render);
+            let b = written.get_path(path).map(Json::render);
+            assert!(b.is_some(), "--report-json lacks section {path:?}");
+            assert_eq!(a, b, "section {path:?} differs between ledger and file");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `mine --auto --report-json` on a matrix whose largest axis is time:
+    /// the report is a valid v2 document in the input's coordinates and
+    /// describes exactly the clusters an in-process `mine_auto` finds.
+    #[test]
+    fn auto_report_json_matches_in_process_mine_auto() {
+        let dir = std::env::temp_dir().join(format!("tricluster-auto-test-{}", std::process::id()));
+        let twisted = tricluster_core::testdata::paper_table1().permuted([
+            tricluster_matrix::Axis::Sample,
+            tricluster_matrix::Axis::Time,
+            tricluster_matrix::Axis::Gene,
+        ]);
+        let data = tsv_into(&dir, &twisted);
+        let out = dir.join("report.json").to_str().unwrap().to_string();
+        mine(&[
+            data.clone(),
+            "--auto".into(),
+            "--report-json".into(),
+            out.clone(),
+        ])
+        .unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        runreport::validate_v2(&doc).unwrap();
+
+        let file = std::fs::File::open(&data).unwrap();
+        let (m, _) = io::read_stacked_tsv(std::io::BufReader::new(file)).unwrap();
+        assert_eq!(m.dims(), (7, 2, 10));
+        let params = mine_params_from(&parse_mine(&[&data])).unwrap();
+        let want = tricluster_core::mine_auto(&m, &params, &NullSink).unwrap();
+        let met = tricluster_core::cluster_metrics_observed(&m, &want.triclusters, &NullSink);
+        assert_eq!(want.triclusters.len(), 3, "the paper's C1-C3");
+        let u64_at = |path: &[&str]| doc.get_path(path).and_then(Json::as_u64);
+        let f64_at = |path: &[&str]| doc.get_path(path).and_then(Json::as_f64);
+        assert_eq!(
+            (
+                u64_at(&["matrix", "genes"]),
+                u64_at(&["matrix", "samples"]),
+                u64_at(&["matrix", "times"])
+            ),
+            (Some(7), Some(2), Some(10))
+        );
+        assert_eq!(u64_at(&["clusters"]), Some(want.triclusters.len() as u64));
+        assert_eq!(
+            u64_at(&["metrics", "element_sum"]),
+            Some(met.element_sum as u64)
+        );
+        assert_eq!(u64_at(&["metrics", "coverage"]), Some(met.coverage as u64));
+        assert_eq!(f64_at(&["metrics", "overlap"]), Some(met.overlap));
+        assert_eq!(
+            f64_at(&["metrics", "fluctuation_gene"]),
+            Some(met.fluctuation_gene)
+        );
+        assert_eq!(
+            f64_at(&["metrics", "fluctuation_sample"]),
+            Some(met.fluctuation_sample)
+        );
+        assert_eq!(
+            f64_at(&["metrics", "fluctuation_time"]),
+            Some(met.fluctuation_time)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// `runs` usage errors: missing subcommand, unknown subcommand, and a
     /// read command pointed at a directory that does not exist.
     #[test]
@@ -2162,20 +2271,7 @@ mod tests {
         .unwrap();
         let base = Json::parse(&std::fs::read_to_string(&base_path).unwrap()).unwrap();
         let met = Json::parse(&std::fs::read_to_string(&met_path).unwrap()).unwrap();
-        const SECTIONS: &[&[&str]] = &[
-            &["matrix"],
-            &["clusters"],
-            &["truncated"],
-            &["metrics"],
-            &["report", "counters"],
-            &["histograms"],
-            &["search_space"],
-            &["memory", "matrix_bytes"],
-            &["memory", "rangegraph_peak_bytes"],
-            &["memory", "bicluster_bytes"],
-            &["memory", "tricluster_bytes"],
-        ];
-        for path in SECTIONS {
+        for path in REPORT_SECTIONS {
             let a = base.get_path(path).map(|j| j.render());
             let b = met.get_path(path).map(|j| j.render());
             assert!(a.is_some(), "section {path:?} missing from baseline");
@@ -2191,7 +2287,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let progress = Arc::new(Progress::new());
         registry.attach_progress(progress);
-        let server = MetricsServer::serve("127.0.0.1:0", registry).unwrap();
+        let server = HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry)).unwrap();
         let url = server.url();
         let handle = std::thread::spawn(move || watch(&[url, "--interval".into(), "0.02".into()]));
         std::thread::sleep(Duration::from_millis(150));

@@ -59,7 +59,7 @@
 //! well-formed response without crossing job boundaries.
 
 use crate::args;
-use crate::commands::{mine_params_from, parse_bytes, CliError, HistogramTap};
+use crate::commands::{mine_params_from, parse_bytes, CliError};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,10 +75,7 @@ use tricluster_core::obs::progress::{Progress, ProgressSink};
 use tricluster_core::obs::service::ServiceRegistry;
 use tricluster_core::obs::timeline::{self, Timeline};
 use tricluster_core::obs::{EventSink, Fanout};
-use tricluster_core::runreport;
-use tricluster_core::{
-    cluster_metrics_observed, CancelHandle, Dataset, Engine, MineError, Params, TenantCaps,
-};
+use tricluster_core::{Dataset, Engine, Reported, Session, TenantCaps};
 
 /// Fault-injection sites of the serve layer, in request order. (The
 /// `serve.response.write` site lives in `obs::httpd`; the rest are here.)
@@ -197,7 +194,8 @@ struct Job {
     clamped: bool,
     state: JobState,
     cancelling: bool,
-    cancel: CancelHandle,
+    /// The clamped run built at admission; cancelling it trips the job.
+    session: Arc<Session>,
     progress: Arc<Progress>,
     /// Lifecycle instants (enqueued/started/finished/cancelled) plus the
     /// miner's own spans; archived as the job's Chrome trace.
@@ -205,7 +203,6 @@ struct Job {
     // Held only while queued/running; dropped with the job's completion
     // so finished jobs stop pinning their matrices.
     dataset: Option<Arc<Dataset>>,
-    params: Option<Params>,
     submitted: Instant,
     outcome: Option<Outcome>,
 }
@@ -389,7 +386,7 @@ impl Daemon {
 /// daemon drains and the queue is empty.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let (id, request_id, dataset, params, cancel, progress, tl, queue_wait) = {
+        let (id, request_id, dataset, session, progress, tl, queue_wait) = {
             let mut state = shared.lock();
             loop {
                 if let Some(&id) = state.queue.front() {
@@ -397,13 +394,11 @@ fn worker_loop(shared: &Arc<Shared>) {
                     let job = state.jobs.get_mut(&id).expect("queued job exists");
                     job.state = JobState::Running;
                     let dataset = job.dataset.clone().expect("queued job holds its dataset");
-                    let params = job.params.clone().expect("queued job holds its params");
                     break (
                         id,
                         job.request_id,
                         dataset,
-                        params,
-                        job.cancel.clone(),
+                        job.session.clone(),
                         job.progress.clone(),
                         job.timeline.clone(),
                         job.submitted.elapsed(),
@@ -424,9 +419,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // escaping the miner's own boundaries) is downgraded to a failed
         // record; the worker and every other job are untouched.
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(
-                shared, id, request_id, &tl, &dataset, &params, &cancel, &progress,
-            )
+            run_job(shared, id, request_id, &tl, &dataset, &session, &progress)
         }))
         .unwrap_or_else(|payload| Err(FailedJob::Panic(payload)));
         shared.service.observe(names::SV_RUN, started.elapsed());
@@ -466,19 +459,17 @@ enum FailedJob {
     Panic(Box<dyn std::any::Any + Send>),
 }
 
-/// Runs one admitted job end to end: mine, metrics, v2 report. The sink
-/// stack matches `mine --report-json` exactly (histograms on, progress
-/// gauges live), so the deterministic report sections are byte-identical
-/// to a one-shot run over the same dataset and params.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// Runs one admitted job end to end through [`Session::run_report`] — the
+/// same call a one-shot `mine` makes — with the progress gauges and the
+/// job's timeline as the sink, so the deterministic report sections are
+/// byte-identical to a one-shot run over the same dataset and params.
 fn run_job(
     shared: &Arc<Shared>,
     id: u64,
     request_id: u64,
     tl: &Arc<Timeline>,
     dataset: &Dataset,
-    params: &Params,
-    cancel: &CancelHandle,
+    session: &Session,
     progress: &Arc<Progress>,
 ) -> Result<(usize, Option<String>, Json), FailedJob> {
     if let Some(msg) = tricluster_failpoint::trigger("serve.job.spawn") {
@@ -487,16 +478,10 @@ fn run_job(
     let att = tl.attach("serve-worker");
     timeline::instant(names::T_SV_STARTED);
     let progress_sink = ProgressSink(progress.clone());
-    let hist = HistogramTap;
-    let sink = Fanout(vec![&hist as &dyn EventSink, &progress_sink, tl.as_ref()]);
-    progress.set_budgets(params.deadline, params.max_memory, params.max_candidates);
-    let result =
-        tricluster_core::mine_observed_cancellable(&dataset.matrix, params, &sink, cancel.clone())
-            .map_err(|e: MineError| FailedJob::Message(e.to_string()))?;
-    let mut report = result.report.clone();
-    let rec = tricluster_core::obs::Recorder::new();
-    let met = cluster_metrics_observed(&dataset.matrix, &result.triclusters, &rec);
-    report.merge(&rec.snapshot());
+    let sink = Fanout(vec![&progress_sink as &dyn EventSink, tl.as_ref()]);
+    let Reported { result, doc, .. } = session
+        .run_report(&dataset.matrix, &sink)
+        .map_err(|e| FailedJob::Message(e.to_string()))?;
     timeline::instant(names::T_SV_FINISHED);
     // Flush this thread's event ring before rendering the trace below.
     drop(att);
@@ -504,7 +489,7 @@ fn run_job(
     // produced it); it is NOT one of the deterministic sections, so a
     // served report still matches a one-shot `mine` byte-for-byte where
     // it counts.
-    let doc = runreport::report_to_json_v2(&dataset.matrix, &result, &report, &met).with(
+    let doc = doc.with(
         "serve",
         Json::obj()
             .with("request_id", Json::U64(request_id))
@@ -522,7 +507,7 @@ fn run_job(
             kind: "serve",
             label: Some(dataset.hash.clone()),
             dataset_hash: dataset.hash.clone(),
-            params_hash: content_hash(format!("{params:?}").as_bytes()),
+            params_hash: content_hash(format!("{:?}", session.params()).as_bytes()),
             report: &doc,
             trace: Some(&trace),
             flame: None,
@@ -559,7 +544,6 @@ fn finish_job(shared: &Arc<Shared>, id: u64, outcome: Outcome) {
     let released = job.matrix_bytes;
     let finished = job.state;
     job.dataset = None;
-    job.params = None;
     job.outcome = Some(outcome);
     state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
     evict_finished(&mut state);
@@ -957,7 +941,6 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     };
     let session = shared.engine.session(&requested);
     let clamped = session.was_clamped();
-    let params = session.params().clone();
     let (ng, ns, nt) = dataset.matrix.dims();
     let matrix_bytes = (ng * ns * nt * std::mem::size_of::<f64>()) as u64;
     // The job's timeline starts on the HTTP thread: the enqueued instant
@@ -1021,11 +1004,10 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         clamped,
         state: JobState::Queued,
         cancelling: false,
-        cancel: session.cancel_handle(),
+        session: Arc::new(session),
         progress: Arc::new(Progress::new()),
         timeline: tl,
         dataset: Some(dataset.clone()),
-        params: Some(params),
         submitted: Instant::now(),
         outcome: None,
     };
@@ -1072,7 +1054,6 @@ fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
             job.state = JobState::Cancelled;
             job.cancelling = true;
             job.dataset = None;
-            job.params = None;
             job.outcome = Some(Outcome {
                 clusters: 0,
                 truncation: Some("cancelled".into()),
@@ -1099,7 +1080,7 @@ fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
             // truncated (reason "cancelled") result. State flips (and the
             // cancelled counter bumps) when the worker finishes.
             job.cancelling = true;
-            job.cancel.cancel();
+            job.session.cancel();
             {
                 let _att = job.timeline.attach("serve-http");
                 timeline::instant(names::T_SV_CANCELLED);
@@ -1153,7 +1134,6 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
             if let Some(job) = state.jobs.get_mut(&id) {
                 job.state = JobState::Cancelled;
                 job.dataset = None;
-                job.params = None;
                 job.outcome = Some(Outcome {
                     clusters: 0,
                     truncation: Some("cancelled".into()),
@@ -1173,7 +1153,7 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
         for job in state.jobs.values_mut() {
             if job.state == JobState::Running {
                 job.cancelling = true;
-                job.cancel.cancel();
+                job.session.cancel();
                 let _att = job.timeline.attach("serve-http");
                 timeline::instant(names::T_SV_CANCELLED);
             }
@@ -1547,8 +1527,36 @@ mod tests {
         daemon.wait();
     }
 
+    /// A deeply nested request body is a 400, not a stack overflow: the
+    /// daemon keeps answering and still mines afterwards.
+    #[test]
+    fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
+        let _scenario = failpoint::scenario();
+        let daemon = Daemon::start(test_cfg()).unwrap();
+        let base = daemon.url();
+        let (status, body) = post_job(&base, &"[".repeat(200 << 10));
+        assert_eq!(status, 400, "{}", body.render());
+        assert_eq!(
+            body.get("error").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let detail = body.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains("nesting"), "{detail}");
+        let (status, text) = http_get(&format!("{base}/healthz")).unwrap();
+        assert_eq!(status, 200, "{text}");
+        let (status, accepted) = post_job(&base, &submit_body("after-deep", &[]));
+        assert_eq!(status, 202);
+        let doc = wait_finished(&base, accepted.get("id").unwrap().as_u64().unwrap());
+        assert_eq!(
+            doc.get_path(&["job", "state"]).and_then(Json::as_str),
+            Some("done")
+        );
+        shut_down(daemon);
+    }
+
     #[test]
     fn end_to_end_submit_status_report_and_cache() {
+        let _scenario = failpoint::scenario();
         let daemon = Daemon::start(test_cfg()).unwrap();
         let base = daemon.url();
         let (status, text) = http_get(&format!("{base}/healthz")).unwrap();
@@ -1620,6 +1628,7 @@ mod tests {
 
     #[test]
     fn admission_errors_are_machine_readable() {
+        let _scenario = failpoint::scenario();
         // Queue capacity zero: every submission sheds with reason queue_full.
         let daemon = Daemon::start(ServeConfig {
             queue_depth: 0,
@@ -1689,6 +1698,7 @@ mod tests {
 
     #[test]
     fn tenant_quotas_clamp_and_over_quota_jobs_fail_structurally() {
+        let _scenario = failpoint::scenario();
         let daemon = Daemon::start(ServeConfig {
             caps: TenantCaps {
                 max_candidates: Some(100),
@@ -1888,6 +1898,7 @@ mod tests {
     /// report byte-for-byte across every deterministic section.
     #[test]
     fn serve_reports_match_one_shot_mine_sections() {
+        let _scenario = failpoint::scenario();
         let dir = std::env::temp_dir().join(format!("tricluster-serve-det-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("table1.tsv");
@@ -1928,6 +1939,7 @@ mod tests {
 
     #[test]
     fn drain_finishes_queued_jobs_and_flushes_the_ledger() {
+        let _scenario = failpoint::scenario();
         let dir =
             std::env::temp_dir().join(format!("tricluster-serve-drain-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1993,6 +2005,7 @@ mod tests {
     /// jobs and expose counters, latency histograms, and cache gauges.
     #[test]
     fn metrics_endpoint_aggregates_across_jobs() {
+        let _scenario = failpoint::scenario();
         let daemon = Daemon::start(test_cfg()).unwrap();
         let base = daemon.url();
         for label in ["first", "second"] {
@@ -2074,6 +2087,7 @@ mod tests {
     /// entry, the archived Chrome trace, and the access-log record.
     #[test]
     fn request_ids_thread_through_report_ledger_trace_and_access_log() {
+        let _scenario = failpoint::scenario();
         let dir = std::env::temp_dir().join(format!("tricluster-serve-rid-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let access = dir.join("access.jsonl");

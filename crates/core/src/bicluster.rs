@@ -62,7 +62,7 @@ pub struct BiclusterStats {
     pub replaced: u64,
     /// Branch-local survivors dropped at the cross-branch merge because a
     /// cluster from an earlier branch subsumes them (see
-    /// [`mine_biclusters_workers`]).
+    /// `mine_biclusters_ctrl`).
     pub merge_subsumed: u64,
     /// Value distributions; `None` unless requested, so the default path
     /// never pays for bucket arithmetic.
@@ -109,48 +109,25 @@ impl BiclusterStats {
     }
 }
 
-/// Mines all maximal biclusters of time slice `t` from its range multigraph.
+/// Mines all maximal biclusters of one time slice from its range
+/// multigraph.
 ///
 /// Returned biclusters satisfy `|X| ≥ mx`, `|Y| ≥ my`, the `δ^x`/`δ^y`
-/// range thresholds (when set), and are mutually non-contained.
-pub fn mine_biclusters(m: &Matrix3, rg: &RangeGraph, params: &Params) -> Vec<Bicluster> {
-    mine_biclusters_with_budget(m, rg, params).0
-}
-
-/// Like [`mine_biclusters`], but also reports whether the search was cut
-/// short by [`Params::max_candidates`] (`true` = truncated: the result is
-/// sound but possibly incomplete).
-pub fn mine_biclusters_with_budget(
-    m: &Matrix3,
-    rg: &RangeGraph,
-    params: &Params,
-) -> (Vec<Bicluster>, bool) {
-    let (bcs, truncated, _) = mine_biclusters_observed(m, rg, params);
-    (bcs, truncated)
-}
-
-/// Like [`mine_biclusters_with_budget`], but also returns search statistics
-/// for the observability layer. The stats stay local to the call — no
-/// locking happens on the DFS hot path.
-pub fn mine_biclusters_observed(
-    m: &Matrix3,
-    rg: &RangeGraph,
-    params: &Params,
-) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_profiled(m, rg, params, false)
-}
-
-/// Like [`mine_biclusters_observed`], optionally collecting DFS shape
-/// histograms (depth, candidate-set size, fan-out) into the returned stats.
-/// Collection costs a few bucket increments per DFS node, so callers gate
-/// it on [`EventSink::wants_histograms`].
+/// range thresholds (when set), and are mutually non-contained. Also
+/// returns whether the search was cut short by [`Params::max_candidates`]
+/// (`true` = truncated: the result is sound but possibly incomplete) and
+/// the search statistics, which stay local to the call — no locking
+/// happens on the DFS hot path. `collect_hists` adds DFS shape histograms
+/// (depth, candidate-set size, fan-out) to the stats; collection costs a
+/// few bucket increments per DFS node, so callers gate it on
+/// [`EventSink::wants_histograms`].
 pub fn mine_biclusters_profiled(
     m: &Matrix3,
     rg: &RangeGraph,
     params: &Params,
     collect_hists: bool,
 ) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_workers(m, rg, params, collect_hists, 1)
+    mine_biclusters_ctrl(m, rg, params, collect_hists, 1, &RunCtrl::unbounded())
 }
 
 /// Everything one top-level branch produced, keyed by its seed sample.
@@ -205,8 +182,9 @@ fn run_branch<'a>(
     }
 }
 
-/// Like [`mine_biclusters_profiled`], distributing the top-level sample-seed
-/// branches of the set-enumeration tree over up to `workers` threads.
+/// [`mine_biclusters_profiled`] with the top-level sample-seed branches of
+/// the set-enumeration tree distributed over up to `workers` threads, under
+/// the run control of `ctrl`.
 ///
 /// Every thread count — including 1 — runs the *same* algorithm: each branch
 /// mines into a branch-local [`MaximalStore`], and the branch stores are
@@ -226,23 +204,13 @@ fn run_branch<'a>(
 /// the whole DFS, so branches run sequentially and thread the remaining
 /// budget in branch order — deterministic truncation, identical to the
 /// pre-parallel implementation.
-pub fn mine_biclusters_workers(
-    m: &Matrix3,
-    rg: &RangeGraph,
-    params: &Params,
-    collect_hists: bool,
-    workers: usize,
-) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_ctrl(m, rg, params, collect_hists, workers, &RunCtrl::unbounded())
-}
-
-/// Like [`mine_biclusters_workers`], under the run control of `ctrl`: the
-/// deadline is polled at every DFS node, and — when `ctrl` collects faults —
+///
+/// The deadline is polled at every DFS node, and — when `ctrl` collects faults —
 /// a panic inside one top-level branch downgrades to a
 /// [`WorkerFailure`](crate::WorkerFailure) costing only that branch's
 /// clusters. The surviving branches still merge in ascending seed order, so
 /// the output stays deterministic given the same set of survivors.
-pub fn mine_biclusters_ctrl(
+pub(crate) fn mine_biclusters_ctrl(
     m: &Matrix3,
     rg: &RangeGraph,
     params: &Params,
@@ -756,8 +724,9 @@ impl MaximalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rangegraph::build_range_graph;
+    use crate::rangegraph::build_range_graph_observed;
     use crate::testdata::paper_table1;
+    use tricluster_obs::NullSink;
 
     fn params(eps: f64, mx: usize, my: usize) -> Params {
         Params::builder()
@@ -769,9 +738,12 @@ mod tests {
             .unwrap()
     }
 
+    fn graph(m: &Matrix3, t: usize, p: &Params) -> RangeGraph {
+        build_range_graph_observed(m, t, p, &NullSink).0
+    }
+
     fn mine(m: &Matrix3, t: usize, p: &Params) -> Vec<Bicluster> {
-        let rg = build_range_graph(m, t, p);
-        mine_biclusters(m, &rg, p)
+        mine_biclusters_profiled(m, &graph(m, t, p), p, false).0
     }
 
     fn sorted_view(bcs: &[Bicluster]) -> Vec<(Vec<usize>, Vec<usize>)> {
@@ -927,8 +899,8 @@ mod tests {
     fn observed_stats_are_deterministic_and_consistent() {
         let m = paper_table1();
         let p = params(0.01, 3, 3);
-        let rg = build_range_graph(&m, 0, &p);
-        let (bcs, truncated, stats) = mine_biclusters_observed(&m, &rg, &p);
+        let rg = graph(&m, 0, &p);
+        let (bcs, truncated, stats) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert!(!truncated);
         assert_eq!(bcs.len(), 3);
         assert!(stats.nodes > 0);
@@ -938,7 +910,7 @@ mod tests {
             stats.recorded - stats.replaced - stats.merge_subsumed,
             bcs.len() as u64
         );
-        let (_, _, again) = mine_biclusters_observed(&m, &rg, &p);
+        let (_, _, again) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert_eq!(stats, again);
     }
 
@@ -947,16 +919,18 @@ mod tests {
         let m = paper_table1();
         // my=2 exercises cross-branch subsumption (C4 lives in branch s1)
         for p in [params(0.01, 3, 3), params(0.01, 3, 2)] {
-            let rg = build_range_graph(&m, 0, &p);
-            let (bcs1, tr1, st1) = mine_biclusters_workers(&m, &rg, &p, true, 1);
+            let rg = graph(&m, 0, &p);
+            let (bcs1, tr1, st1) =
+                mine_biclusters_ctrl(&m, &rg, &p, true, 1, &RunCtrl::unbounded());
             for workers in [2usize, 4, 8] {
-                let (bcs, tr, st) = mine_biclusters_workers(&m, &rg, &p, true, workers);
+                let (bcs, tr, st) =
+                    mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
                 assert_eq!(bcs, bcs1, "clusters differ at workers={workers}");
                 assert_eq!(tr, tr1);
                 assert_eq!(st, st1, "stats differ at workers={workers}");
             }
             // result-vector order itself is thread-invariant (not just the set)
-            let (plain, _, st_plain) = mine_biclusters_observed(&m, &rg, &p);
+            let (plain, _, st_plain) = mine_biclusters_profiled(&m, &rg, &p, false);
             assert_eq!(plain, bcs1);
             assert_eq!(
                 st_plain.recorded - st_plain.replaced - st_plain.merge_subsumed,
@@ -1011,8 +985,8 @@ mod tests {
             .max_candidates(5)
             .build()
             .unwrap();
-        let rg = build_range_graph(&m, 0, &p);
-        let (_, truncated, stats) = mine_biclusters_observed(&m, &rg, &p);
+        let rg = graph(&m, 0, &p);
+        let (_, truncated, stats) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert!(truncated);
         assert_eq!(stats.budget_spent, 5);
         assert_eq!(stats.nodes, 5);
@@ -1022,7 +996,7 @@ mod tests {
     fn profiled_hists_describe_the_dfs() {
         let m = paper_table1();
         let p = params(0.01, 3, 3);
-        let rg = build_range_graph(&m, 0, &p);
+        let rg = graph(&m, 0, &p);
         let (bcs, _, stats) = mine_biclusters_profiled(&m, &rg, &p, true);
         let h = stats.hists.as_ref().expect("collected");
         // one depth/candidate/fanout sample per DFS node
@@ -1035,7 +1009,7 @@ mod tests {
         // fanout sums to nodes - 1 (every non-root node has one parent edge)
         assert_eq!(h.fanout.sum(), u128::from(stats.nodes - 1));
         // hist collection must not change the mined clusters or scalars
-        let (plain_bcs, _, plain) = mine_biclusters_observed(&m, &rg, &p);
+        let (plain_bcs, _, plain) = mine_biclusters_profiled(&m, &rg, &p, false);
         assert_eq!(bcs, plain_bcs);
         assert_eq!(plain.nodes, stats.nodes);
         assert!(plain.hists.is_none());

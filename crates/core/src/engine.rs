@@ -8,23 +8,28 @@
 //! that is already in flight. [`Engine`] owns the first two ([`TenantCaps`]
 //! and a content-hash-keyed [`Dataset`] cache); [`Session`] owns the third
 //! (one prepared run with a [`CancelHandle`] that can be tripped from any
-//! thread). The CLI's `mine` command is a thin frontend over the same
-//! types, so a job mined through `tricluster serve` takes exactly the
-//! code path of a one-shot run — which is what makes the daemon's
-//! byte-determinism guarantee possible at all.
+//! thread). Every mining run goes through [`Session::run`], and every v2
+//! report is built by [`Session::run_report`]; the CLI's `mine` command and
+//! the `tricluster serve` daemon both call it, so a served job's report is
+//! a one-shot run's report by construction.
 
 use crate::cancel::CancelHandle;
 use crate::error::MineError;
-use crate::miner::{mine_observed_cancellable, MiningResult};
+use crate::fault::{fail_point, panic_message, RunCtrl};
+use crate::metrics::{cluster_metrics_observed, Metrics};
+use crate::miner::{mine_pipeline, unpermute_result, validate_input, MiningResult};
 use crate::params::Params;
+use crate::runreport::report_to_json_v2;
 use std::io::BufReader;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tricluster_matrix::io::{self, IoError};
-use tricluster_matrix::{Labels, Matrix3};
+use tricluster_matrix::{Axis, Labels, Matrix3};
+use tricluster_obs::json::Json;
 use tricluster_obs::ledger::content_hash;
-use tricluster_obs::EventSink;
+use tricluster_obs::{EventSink, Fanout, Recorder};
 
 /// Server-wide ceilings on what any single job may request.
 ///
@@ -102,6 +107,20 @@ pub struct Session {
     params: Params,
     clamped: bool,
     handle: CancelHandle,
+    auto_transpose: bool,
+}
+
+/// A finished run with its quality metrics and rendered report (see
+/// [`Session::run_report`]).
+#[derive(Debug)]
+pub struct Reported {
+    /// The run; its [`report`](MiningResult::report) includes the metrics
+    /// phase.
+    pub result: MiningResult,
+    /// The paper's quality metrics of the final clusters.
+    pub metrics: Metrics,
+    /// The `tricluster.report/v2` document.
+    pub doc: Json,
 }
 
 impl Session {
@@ -112,7 +131,16 @@ impl Session {
             params,
             clamped: false,
             handle: CancelHandle::new(),
+            auto_transpose: false,
         }
+    }
+
+    /// Makes the run mine the largest dimension as genes (the paper's
+    /// canonical transposition, per the symmetry Lemma 1) and map the
+    /// clusters back to the input's coordinates.
+    pub fn auto_transpose(mut self) -> Self {
+        self.auto_transpose = true;
+        self
     }
 
     /// The effective (post-clamp) parameters this session will run with.
@@ -136,15 +164,95 @@ impl Session {
     }
 
     /// Mines `m` on the calling thread, routing instrumentation through
-    /// `sink`. Exactly [`mine_observed`](crate::mine_observed) plus the
-    /// session's cancel handle.
+    /// `sink`.
+    ///
+    /// The sink receives trace events as they happen (from inside the
+    /// worker threads; it must be `Sync`) plus every counter and span of the
+    /// final [`MiningResult::report`]. Pass
+    /// [`NullSink`](tricluster_obs::NullSink) for zero-overhead mining — the
+    /// report is built from locally accumulated stats either way.
     ///
     /// # Errors
     ///
     /// The same typed [`MineError`]s as [`mine`](crate::mine);
     /// cancellation is *not* an error (it truncates the result).
     pub fn run(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<MiningResult, MineError> {
-        mine_observed_cancellable(m, &self.params, sink, self.handle.clone())
+        self.mine(m, sink, false)
+    }
+
+    /// Mines `m` with histogram collection on, computes the quality metrics
+    /// into the run report, and renders the v2 report document. The metrics
+    /// phase is published to `sink` too, so a live metrics registry sees it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Session::run`].
+    pub fn run_report(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<Reported, MineError> {
+        let mut result = self.mine(m, sink, true)?;
+        let rec = Recorder::new();
+        let metrics = cluster_metrics_observed(m, &result.triclusters, &Fanout(vec![&rec, sink]));
+        result.report.merge(&rec.snapshot());
+        let doc = report_to_json_v2(m, &result, &result.report, &metrics);
+        Ok(Reported {
+            result,
+            metrics,
+            doc,
+        })
+    }
+
+    fn mine(
+        &self,
+        m: &Matrix3,
+        sink: &dyn EventSink,
+        hists: bool,
+    ) -> Result<MiningResult, MineError> {
+        if self.auto_transpose {
+            let order = m.canonical_permutation();
+            if order != [Axis::Gene, Axis::Sample, Axis::Time] {
+                let result = self.mine_as_is(&m.permuted(order), sink, hists)?;
+                return Ok(unpermute_result(result, m, order));
+            }
+        }
+        self.mine_as_is(m, sink, hists)
+    }
+
+    fn mine_as_is(
+        &self,
+        m: &Matrix3,
+        sink: &dyn EventSink,
+        hists: bool,
+    ) -> Result<MiningResult, MineError> {
+        let params = &self.params;
+        validate_input(m, params)?;
+        let mut ctrl = RunCtrl::for_params_with_handle(params, self.handle.clone());
+        ctrl.progress = sink.progress();
+        ctrl.timeline = sink.timeline().cloned();
+        // The matrix itself is the first charge against the memory budget
+        // (validate_input guarantees it fits).
+        let (ng, ns, nt) = m.dims();
+        ctrl.token
+            .charge((ng * ns * nt * std::mem::size_of::<f64>()) as u64);
+        if let Some(p) = &ctrl.progress {
+            p.set_budgets(params.deadline, params.max_memory, params.max_candidates);
+            p.set_logical_bytes(ctrl.token.charged_bytes());
+        }
+        // Last line of defense: a panic that escapes every isolation boundary
+        // (or is raised on the coordinating thread itself) becomes a typed
+        // error instead of a process abort.
+        match catch_unwind(AssertUnwindSafe(|| {
+            if let Some(message) = fail_point("core.mine.entry") {
+                return Err(MineError::Fault {
+                    site: "core.mine.entry",
+                    message,
+                });
+            }
+            Ok(mine_pipeline(m, params, sink, &ctrl, hists))
+        })) {
+            Ok(result) => result,
+            Err(payload) => Err(MineError::Panic {
+                message: panic_message(payload),
+            }),
+        }
     }
 }
 
@@ -193,9 +301,8 @@ impl Engine {
     pub fn session(&self, params: &Params) -> Session {
         let (params, clamped) = self.caps.clamp(params);
         Session {
-            params,
             clamped,
-            handle: CancelHandle::new(),
+            ..Session::new(params)
         }
     }
 

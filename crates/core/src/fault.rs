@@ -1,7 +1,7 @@
 //! Worker panic isolation and fault-injection plumbing.
 //!
 //! The mining pipeline fans work out at slice, column-pair, and DFS-branch
-//! granularity. [`isolate`] wraps each such unit in `catch_unwind`: a panic
+//! granularity. `isolate` wraps each such unit in `catch_unwind`: a panic
 //! inside one unit is downgraded to a structured [`WorkerFailure`] and the
 //! deterministic merge of the surviving units proceeds. Standalone phase
 //! entry points (outside [`mine`](crate::mine)) use a *propagating* log, so
@@ -81,7 +81,7 @@ impl std::fmt::Display for WorkerFailure {
 
 /// Collector of [`WorkerFailure`]s, shared across worker threads.
 ///
-/// In *propagating* mode (standalone phase entry points) [`isolate`] runs
+/// In *propagating* mode (standalone phase entry points) `isolate` runs
 /// the unit bare, so panics behave exactly as before this layer existed.
 #[derive(Debug)]
 pub struct FaultLog {
@@ -136,7 +136,7 @@ impl FaultLog {
 /// Shared run control: the cancellation token plus the fault log. One per
 /// mining run, threaded by reference into every phase.
 #[derive(Debug)]
-pub struct RunCtrl {
+pub(crate) struct RunCtrl {
     /// Budgets and cooperative cancellation.
     pub token: CancelToken,
     /// Worker-failure collector.
@@ -153,7 +153,8 @@ pub struct RunCtrl {
 
 impl RunCtrl {
     /// No budgets, panics propagate — the behavior of the standalone phase
-    /// entry points ([`build_range_graph`](crate::rangegraph::build_range_graph)
+    /// entry points
+    /// ([`build_range_graph_observed`](crate::rangegraph::build_range_graph_observed)
     /// and friends).
     pub fn unbounded() -> Self {
         RunCtrl {
@@ -164,14 +165,8 @@ impl RunCtrl {
         }
     }
 
-    /// Budgets from `params`, failures collected — the behavior of
-    /// [`mine`](crate::mine).
-    pub fn for_params(params: &Params) -> Self {
-        RunCtrl::for_params_with_handle(params, crate::cancel::CancelHandle::new())
-    }
-
-    /// Like [`RunCtrl::for_params`], polling an external
-    /// [`CancelHandle`](crate::cancel::CancelHandle) alongside the budgets.
+    /// Budgets from `params`, failures collected, polling `handle` for
+    /// cancellation — the behavior of [`Session::run`](crate::Session::run).
     pub fn for_params_with_handle(params: &Params, handle: crate::cancel::CancelHandle) -> Self {
         RunCtrl {
             token: CancelToken::with_handle(params.deadline, params.max_memory, handle),

@@ -24,8 +24,9 @@
 //!    (thresholds `η`, `γ`).
 //! 5. [`metrics`] — the paper's cluster-quality metrics.
 //!
-//! The high-level entry point is [`mine`] (or [`Miner`] for reuse across
-//! runs):
+//! The high-level entry point is [`mine`]; a [`Session`] adds
+//! instrumentation, cancellation, and the v2 run report
+//! ([`Session::run_report`]):
 //!
 //! ```
 //! use tricluster_core::{mine, Params};
@@ -88,14 +89,11 @@ pub mod validate;
 pub use cancel::{resolve_truncation, CancelHandle, CancelToken, TruncationReason};
 pub use classify::{classify, ClusterType, Spreads};
 pub use cluster::{Bicluster, Tricluster};
-pub use engine::{Dataset, Engine, Session, TenantCaps};
+pub use engine::{Dataset, Engine, Reported, Session, TenantCaps};
 pub use error::MineError;
-pub use fault::{RunCtrl, WorkerFailure, FAILPOINTS};
-pub use metrics::{cluster_metrics, cluster_metrics_observed, Metrics};
-pub use miner::{
-    mine, mine_auto, mine_auto_observed, mine_observed, mine_observed_cancellable, FanoutDecision,
-    FanoutLevel, Miner, MiningResult, Timings,
-};
+pub use fault::{WorkerFailure, FAILPOINTS};
+pub use metrics::{cluster_metrics_observed, Metrics};
+pub use miner::{mine, mine_auto, FanoutDecision, FanoutLevel, MiningResult, Timings};
 pub use params::{FanoutMode, MergeParams, Params, ParamsBuilder, ParamsError};
 pub use shift::{mine_shifting, ShiftingCluster};
 

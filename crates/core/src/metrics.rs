@@ -13,7 +13,7 @@
 
 use crate::cluster::Tricluster;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, EventSink, NullSink, SpanTimer};
+use tricluster_obs::{names, EventSink, SpanTimer};
 
 /// The paper's five quality metrics (fluctuation reported per dimension).
 #[derive(Debug, Clone, PartialEq)]
@@ -49,13 +49,9 @@ impl std::fmt::Display for Metrics {
     }
 }
 
-/// Computes the metrics of `clusters` over the matrix they were mined from.
-pub fn cluster_metrics(m: &Matrix3, clusters: &[Tricluster]) -> Metrics {
-    cluster_metrics_observed(m, clusters, &NullSink)
-}
-
-/// Like [`cluster_metrics`], but times the computation as a
-/// `phase.metrics` span and publishes cell counters to `sink`.
+/// Computes the metrics of `clusters` over the matrix they were mined
+/// from, timing the computation as a `phase.metrics` span and publishing
+/// cell counters to `sink`.
 pub fn cluster_metrics_observed(
     m: &Matrix3,
     clusters: &[Tricluster],
@@ -172,6 +168,7 @@ fn average_fiber_variance(m: &Matrix3, clusters: &[Tricluster], dim: Fiber) -> f
 mod tests {
     use super::*;
     use tricluster_bitset::BitSet;
+    use tricluster_obs::NullSink;
 
     fn mk(g: &[usize], s: &[usize], t: &[usize]) -> Tricluster {
         Tricluster::new(
@@ -196,7 +193,7 @@ mod tests {
     #[test]
     fn empty_cluster_set() {
         let m = matrix();
-        let met = cluster_metrics(&m, &[]);
+        let met = cluster_metrics_observed(&m, &[], &NullSink);
         assert_eq!(met.cluster_count, 0);
         assert_eq!(met.element_sum, 0);
         assert_eq!(met.coverage, 0);
@@ -209,7 +206,7 @@ mod tests {
         let m = matrix();
         let a = mk(&[0, 1], &[0, 1], &[0]);
         let b = mk(&[2, 3], &[2, 3], &[1]);
-        let met = cluster_metrics(&m, &[a, b]);
+        let met = cluster_metrics_observed(&m, &[a, b], &NullSink);
         assert_eq!(met.cluster_count, 2);
         assert_eq!(met.element_sum, 8);
         assert_eq!(met.coverage, 8);
@@ -221,7 +218,7 @@ mod tests {
         let m = matrix();
         let a = mk(&[0, 1], &[0, 1], &[0]);
         let b = mk(&[0, 1], &[0, 1], &[0, 1]); // contains a
-        let met = cluster_metrics(&m, &[a, b]);
+        let met = cluster_metrics_observed(&m, &[a, b], &NullSink);
         assert_eq!(met.element_sum, 4 + 8);
         assert_eq!(met.coverage, 8);
         assert!((met.overlap - 0.5).abs() < 1e-12);
@@ -232,7 +229,7 @@ mod tests {
         let mut m = Matrix3::zeros(4, 2, 2);
         m.map_in_place(|_| 5.0);
         let c = mk(&[0, 1, 2], &[0, 1], &[0, 1]);
-        let met = cluster_metrics(&m, &[c]);
+        let met = cluster_metrics_observed(&m, &[c], &NullSink);
         assert_eq!(met.fluctuation_gene, 0.0);
         assert_eq!(met.fluctuation_sample, 0.0);
         assert_eq!(met.fluctuation_time, 0.0);
@@ -249,7 +246,7 @@ mod tests {
             }
         }
         let c = mk(&[0, 1], &[0, 1], &[0]);
-        let met = cluster_metrics(&m, &[c]);
+        let met = cluster_metrics_observed(&m, &[c], &NullSink);
         assert!((met.fluctuation_gene - (0.25 + 1.0) / 2.0).abs() < 1e-12);
         // sample fibers: gene 0: (0,0) var 0; gene 1: (1,2) var 0.25
         assert!((met.fluctuation_sample - 0.125).abs() < 1e-12);
@@ -276,7 +273,7 @@ mod tests {
     #[test]
     fn display_contains_all_rows() {
         let m = matrix();
-        let met = cluster_metrics(&m, &[mk(&[0, 1], &[0], &[0, 1])]);
+        let met = cluster_metrics_observed(&m, &[mk(&[0, 1], &[0], &[0, 1])], &NullSink);
         let s = met.to_string();
         for needle in [
             "Clusters#",

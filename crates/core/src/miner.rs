@@ -1,24 +1,24 @@
 //! High-level mining pipeline (paper §4).
 //!
-//! [`mine`] wires the four phases together: per-slice range multigraphs,
-//! per-slice bicluster mining (fanned out across threads — slices are
-//! independent), tricluster enumeration, and the optional merge/prune pass.
-//! [`mine_auto`] additionally applies the canonical transposition (largest
-//! dimension mined as genes, per the symmetry Lemma 1) and maps the results
-//! back to the caller's coordinates.
+//! The pipeline body wires the four phases together: per-slice range
+//! multigraphs, per-slice bicluster mining (fanned out across threads —
+//! slices are independent), tricluster enumeration, and the optional
+//! merge/prune pass. [`Session::run`] is the one path into it; [`mine`] is a
+//! one-shot session, and [`mine_auto`] a session that first applies the
+//! canonical transposition (largest dimension mined as genes, per the
+//! symmetry Lemma 1) and maps the results back to the caller's coordinates.
 
 use crate::bicluster::{mine_biclusters_ctrl, BiclusterStats};
 use crate::cancel::TruncationReason;
 use crate::cluster::{Bicluster, Tricluster};
+use crate::engine::Session;
 use crate::error::MineError;
-use crate::fault::{fail_point, fail_point_panic, isolate, panic_message, RunCtrl, WorkerFailure};
-use crate::metrics::{cluster_metrics, Metrics};
+use crate::fault::{fail_point_panic, isolate, RunCtrl, WorkerFailure};
 use crate::params::{FanoutMode, Params};
 use crate::prune::{merge_and_prune_observed, PruneStats};
 use crate::range::RatioRange;
 use crate::rangegraph::{build_range_graph_ctrl, RangeGraph, RangeGraphStats};
 use crate::tricluster::mine_triclusters_ctrl;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::{Axis, Matrix3};
@@ -136,51 +136,23 @@ impl Timings {
     }
 }
 
-impl MiningResult {
-    /// Computes the paper's quality metrics for the final clusters.
-    pub fn metrics(&self, m: &Matrix3) -> Metrics {
-        cluster_metrics(m, &self.triclusters)
-    }
-}
-
-/// Reusable mining facade. Currently stateless; exists so callers can hold
-/// a configured miner and to leave room for cross-run caching.
-#[derive(Debug, Clone)]
-pub struct Miner {
-    params: Params,
-}
-
-impl Miner {
-    /// Creates a miner with the given parameters.
-    pub fn new(params: Params) -> Self {
-        Miner { params }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// Runs the full pipeline on `m`.
-    pub fn mine(&self, m: &Matrix3) -> Result<MiningResult, MineError> {
-        mine(m, &self.params)
-    }
-}
-
 /// Internal sink wrapper: accumulates counters and spans into the run
 /// report while forwarding every signal (including trace events, which it
 /// does not buffer) to the caller's sink. Ensures each signal reaches the
-/// caller's sink exactly once.
+/// caller's sink exactly once. Histograms are collected when `hists` is set
+/// or the caller's sink wants them.
 struct ReportSink<'a> {
     report: std::sync::Mutex<RunReport>,
     inner: &'a dyn EventSink,
+    hists: bool,
 }
 
 impl<'a> ReportSink<'a> {
-    fn new(inner: &'a dyn EventSink) -> Self {
+    fn new(inner: &'a dyn EventSink, hists: bool) -> Self {
         ReportSink {
             report: std::sync::Mutex::new(RunReport::new()),
             inner,
+            hists,
         }
     }
 
@@ -205,7 +177,7 @@ impl EventSink for ReportSink<'_> {
         self.inner.event(event);
     }
     fn wants_histograms(&self) -> bool {
-        self.inner.wants_histograms()
+        self.hists || self.inner.wants_histograms()
     }
     fn histogram(&self, name: &'static str, hist: &Histogram) {
         self.report.lock().unwrap().add_histogram(name, hist);
@@ -332,7 +304,8 @@ fn mine_slice(
     }
 }
 
-/// Runs the full TriCluster pipeline on `m` with the given parameters.
+/// Runs the full TriCluster pipeline on `m` with the given parameters: a
+/// one-shot [`Session`] without instrumentation.
 ///
 /// The matrix is mined as-is (genes × samples × times); use [`mine_auto`]
 /// to let the library apply the paper's canonical transposition first.
@@ -345,12 +318,12 @@ fn mine_slice(
 /// every isolation boundary. Exhausting a run budget mid-flight is *not* an
 /// error: it yields `Ok` with [`MiningResult::truncation`] set.
 pub fn mine(m: &Matrix3, params: &Params) -> Result<MiningResult, MineError> {
-    mine_observed(m, params, &NullSink)
+    Session::new(params.clone()).run(m, &NullSink)
 }
 
-/// Validates the inputs [`mine`] is about to work on; all checks are
+/// Validates the inputs a run is about to work on; all checks are
 /// deterministic scans, so the same input always fails the same way.
-fn validate_input(m: &Matrix3, params: &Params) -> Result<(), MineError> {
+pub(crate) fn validate_input(m: &Matrix3, params: &Params) -> Result<(), MineError> {
     params.validate()?;
     let (ng, ns, nt) = m.dims();
     let mut finite = 0usize;
@@ -391,76 +364,19 @@ fn validate_input(m: &Matrix3, params: &Params) -> Result<(), MineError> {
     Ok(())
 }
 
-/// Like [`mine`], routing instrumentation through `sink`.
-///
-/// The sink receives trace events as they happen (from inside the worker
-/// threads; it must be `Sync`) plus every counter and span of the final
-/// [`MiningResult::report`]. Pass [`NullSink`] for zero-overhead mining —
-/// the report is built from locally accumulated stats either way.
-pub fn mine_observed(
-    m: &Matrix3,
-    params: &Params,
-    sink: &dyn EventSink,
-) -> Result<MiningResult, MineError> {
-    mine_observed_cancellable(m, params, sink, crate::cancel::CancelHandle::new())
-}
-
-/// Like [`mine_observed`], with an external [`CancelHandle`] wired into the
-/// run's [`CancelToken`]: tripping the handle from another thread winds the
-/// run down cooperatively into an `Ok` result truncated with
-/// [`TruncationReason::Cancelled`]. This is the entry point the
-/// [`Session`](crate::engine::Session) API builds on.
-///
-/// [`CancelHandle`]: crate::cancel::CancelHandle
-pub fn mine_observed_cancellable(
-    m: &Matrix3,
-    params: &Params,
-    sink: &dyn EventSink,
-    handle: crate::cancel::CancelHandle,
-) -> Result<MiningResult, MineError> {
-    validate_input(m, params)?;
-    let mut ctrl = RunCtrl::for_params_with_handle(params, handle);
-    ctrl.progress = sink.progress();
-    ctrl.timeline = sink.timeline().cloned();
-    // The matrix itself is the first charge against the memory budget
-    // (validate_input guarantees it fits).
-    let (ng, ns, nt) = m.dims();
-    ctrl.token
-        .charge((ng * ns * nt * std::mem::size_of::<f64>()) as u64);
-    if let Some(p) = &ctrl.progress {
-        p.set_budgets(params.deadline, params.max_memory, params.max_candidates);
-        p.set_logical_bytes(ctrl.token.charged_bytes());
-    }
-    // Last line of defense: a panic that escapes every isolation boundary
-    // (or is raised on the coordinating thread itself) becomes a typed
-    // error instead of a process abort.
-    match catch_unwind(AssertUnwindSafe(|| {
-        if let Some(message) = fail_point("core.mine.entry") {
-            return Err(MineError::Fault {
-                site: "core.mine.entry",
-                message,
-            });
-        }
-        Ok(mine_pipeline(m, params, sink, &ctrl))
-    })) {
-        Ok(result) => result,
-        Err(payload) => Err(MineError::Panic {
-            message: panic_message(payload),
-        }),
-    }
-}
-
 /// The pipeline body: phases 1–4 plus report assembly, under `ctrl`'s
-/// budgets and fault collection.
-fn mine_pipeline(
+/// budgets and fault collection. `hists` switches histogram collection on
+/// regardless of what `sink` asks for.
+pub(crate) fn mine_pipeline(
     m: &Matrix3,
     params: &Params,
     sink: &dyn EventSink,
     ctrl: &RunCtrl,
+    hists: bool,
 ) -> MiningResult {
     let n_times = m.n_times();
     let mut timings = Timings::default();
-    let report_sink = ReportSink::new(sink);
+    let report_sink = ReportSink::new(sink, hists);
     let sink = &report_sink;
     // Inert unless the binary installed obs' tracking allocator; phase
     // boundaries below credit allocator deltas to the phase that ran.
@@ -498,7 +414,7 @@ fn mine_pipeline(
     };
     let rg_workers = if intra { threads } else { 1 };
     // A global `max_candidates` budget must be spent in branch order, which
-    // serializes the DFS; see `mine_biclusters_workers`.
+    // serializes the DFS; see `mine_biclusters_ctrl`.
     let bc_workers = if intra && params.max_candidates.is_none() {
         threads
     } else {
@@ -777,32 +693,29 @@ fn mine_pipeline(
 /// Like [`mine`], but first permutes the matrix so the largest dimension is
 /// mined as genes (the paper always transposes this way, exploiting the
 /// symmetry Lemma 1), then maps the mined clusters back to the original
-/// coordinates.
-pub fn mine_auto(m: &Matrix3, params: &Params) -> Result<MiningResult, MineError> {
-    mine_auto_observed(m, params, &NullSink)
-}
-
-/// Like [`mine_auto`], routing instrumentation through `sink`
-/// (see [`mine_observed`]).
-pub fn mine_auto_observed(
+/// coordinates. Instrumentation goes through `sink`, as in [`Session::run`].
+pub fn mine_auto(
     m: &Matrix3,
     params: &Params,
     sink: &dyn EventSink,
 ) -> Result<MiningResult, MineError> {
-    let order = m.canonical_permutation();
-    if order == [Axis::Gene, Axis::Sample, Axis::Time] {
-        return mine_observed(m, params, sink);
-    }
-    let permuted = m.permuted(order);
-    let mut result = mine_observed(&permuted, params, sink)?;
+    Session::new(params.clone()).auto_transpose().run(m, sink)
+}
+
+/// Maps a result mined on `m.permuted(order)` back to `m`'s axes. The
+/// per-time biclusters and range counts refer to the permuted axes, so they
+/// are cleared rather than reported with misleading indices.
+pub(crate) fn unpermute_result(
+    mut result: MiningResult,
+    m: &Matrix3,
+    order: [Axis; 3],
+) -> MiningResult {
     let n = [m.n_genes(), m.n_samples(), m.n_times()];
     result.triclusters = result
         .triclusters
         .into_iter()
         .map(|c| unpermute_cluster(&c, order, n))
         .collect();
-    // per-time biclusters and range counts refer to the permuted axes;
-    // clear them rather than report misleading indices.
     result.per_time_biclusters = Vec::new();
     result.ranges_per_time = Vec::new();
     result.triclusters.sort_by(|a, b| {
@@ -812,7 +725,7 @@ pub fn mine_auto_observed(
             .then_with(|| a.samples.cmp(&b.samples))
             .then_with(|| a.times.cmp(&b.times))
     });
-    Ok(result)
+    result
 }
 
 /// Maps a cluster mined in permuted coordinates back to the original axes.
@@ -854,6 +767,13 @@ mod tests {
             .collect()
     }
 
+    /// Mines `m` through a recording sink (which turns histograms on).
+    fn recorded(m: &Matrix3, p: Params) -> MiningResult {
+        Session::new(p)
+            .run(m, &tricluster_obs::Recorder::new())
+            .unwrap()
+    }
+
     #[test]
     fn full_pipeline_on_paper_example() {
         let m = paper_table1();
@@ -871,7 +791,7 @@ mod tests {
     fn metrics_of_paper_example() {
         let m = paper_table1();
         let result = mine(&m, &params()).unwrap();
-        let met = result.metrics(&m);
+        let met = crate::metrics::cluster_metrics_observed(&m, &result.triclusters, &NullSink);
         assert_eq!(met.cluster_count, 3);
         // C1: 3*4*2=24, C2: 4*3*2=24, C3: 3*4*2=24 -> 72 cells;
         // overlaps: C2∩C3 share g0,g9 x s1,s4 x 2t = 8 cells;
@@ -901,21 +821,10 @@ mod tests {
     }
 
     #[test]
-    fn miner_facade_equivalent_to_mine() {
-        let m = paper_table1();
-        let miner = Miner::new(params());
-        assert_eq!(
-            view(&miner.mine(&m).unwrap().triclusters),
-            view(&mine(&m, &params()).unwrap().triclusters)
-        );
-        assert_eq!(miner.params().min_genes, 3);
-    }
-
-    #[test]
     fn mine_auto_matches_mine_on_canonical_input() {
         let m = paper_table1(); // 10 x 7 x 2 is already canonical
         assert_eq!(
-            view(&mine_auto(&m, &params()).unwrap().triclusters),
+            view(&mine_auto(&m, &params(), &NullSink).unwrap().triclusters),
             view(&mine(&m, &params()).unwrap().triclusters)
         );
     }
@@ -928,7 +837,7 @@ mod tests {
         assert_eq!(twisted.dims(), (2, 7, 10));
         // Mine with thresholds transposed accordingly: mined genes = orig
         // genes again after canonical permutation (largest dim = 10).
-        let result = mine_auto(&twisted, &params()).unwrap();
+        let result = mine_auto(&twisted, &params(), &NullSink).unwrap();
         // Clusters come back in *twisted* coordinates: genes axis of
         // `twisted` is original times, times axis is original genes.
         let mut got: Vec<_> = result
@@ -1081,8 +990,8 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let serial = mine_observed(&m, &mk(1), &tricluster_obs::Recorder::new()).unwrap();
-        let parallel = mine_observed(&m, &mk(4), &tricluster_obs::Recorder::new()).unwrap();
+        let serial = recorded(&m, mk(1));
+        let parallel = recorded(&m, mk(4));
         assert!(
             !serial.report.histograms.is_empty(),
             "recording sink must trigger histogram collection"
@@ -1137,12 +1046,7 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let baseline = mine_observed(
-            &m,
-            &mk(FanoutMode::Slice, 1),
-            &tricluster_obs::Recorder::new(),
-        )
-        .unwrap();
+        let baseline = recorded(&m, mk(FanoutMode::Slice, 1));
         assert_eq!(baseline.fanout.range_graph, FanoutLevel::Slice);
         assert_eq!(baseline.fanout.bicluster, FanoutLevel::Slice);
         for (mode, threads) in [
@@ -1152,8 +1056,7 @@ mod tests {
             (FanoutMode::Auto, 8), // 8 > 2 slices -> intra
             (FanoutMode::Slice, 8),
         ] {
-            let r =
-                mine_observed(&m, &mk(mode, threads), &tricluster_obs::Recorder::new()).unwrap();
+            let r = recorded(&m, mk(mode, threads));
             assert_eq!(
                 view(&r.triclusters),
                 view(&baseline.triclusters),
@@ -1221,7 +1124,7 @@ mod tests {
     fn observed_report_matches_external_recorder() {
         let m = paper_table1();
         let rec = tricluster_obs::Recorder::new();
-        let result = mine_observed(&m, &params(), &rec).unwrap();
+        let result = Session::new(params()).run(&m, &rec).unwrap();
         let external = rec.snapshot();
         assert_eq!(result.report.counter_map(), external.counter_map());
         let quiet = mine(&m, &params()).unwrap();
@@ -1229,11 +1132,11 @@ mod tests {
     }
 
     #[test]
-    fn mine_auto_observed_reports_through_permutation() {
+    fn mine_auto_reports_through_permutation() {
         let m = paper_table1();
         let twisted = m.permuted([Axis::Time, Axis::Sample, Axis::Gene]);
         let rec = tricluster_obs::Recorder::new();
-        let result = mine_auto_observed(&twisted, &params(), &rec).unwrap();
+        let result = mine_auto(&twisted, &params(), &rec).unwrap();
         assert!(!result.triclusters.is_empty());
         assert!(result.report.counter(tricluster_obs::names::TC_RECORDED) > 0);
         assert_eq!(

@@ -21,9 +21,9 @@
 use crate::cluster::Tricluster;
 use crate::params::MergeParams;
 use crate::span;
-use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram, NullSink};
+use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram};
 
-/// Statistics of one [`merge_and_prune`] run.
+/// Statistics of one [`merge_and_prune_observed`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Number of pairwise merges performed (rule 3).
@@ -37,17 +37,11 @@ pub struct PruneStats {
 /// Applies the three overlap rules and returns the surviving clusters along
 /// with statistics. The input order does not affect the result beyond ties
 /// broken by span size.
-pub fn merge_and_prune(
-    clusters: Vec<Tricluster>,
-    params: &MergeParams,
-) -> (Vec<Tricluster>, PruneStats) {
-    merge_and_prune_observed(clusters, params, &NullSink)
-}
-
-/// Like [`merge_and_prune`], but also publishes decision counters and emits
-/// one trace event per merge/delete decision ("prune.merge",
-/// "prune.delete.pairwise", "prune.delete.multicover") with the spans and
-/// fractions that drove it.
+///
+/// Decision counters are published to `sink`, with one trace event per
+/// merge/delete decision ("prune.merge", "prune.delete.pairwise",
+/// "prune.delete.multicover") carrying the spans and fractions that drove
+/// it.
 pub fn merge_and_prune_observed(
     clusters: Vec<Tricluster>,
     params: &MergeParams,
@@ -214,6 +208,10 @@ mod tests {
         MergeParams { eta, gamma }
     }
 
+    fn prune(clusters: Vec<Tricluster>, params: &MergeParams) -> (Vec<Tricluster>, PruneStats) {
+        merge_and_prune_observed(clusters, params, &tricluster_obs::NullSink)
+    }
+
     /// Figure 6(a): B barely pokes out of A -> delete B.
     #[test]
     fn rule1_deletes_sliver() {
@@ -221,7 +219,7 @@ mod tests {
         // B: 10 of its 12 cells inside A -> |B−A|/|B| = 2/12 ≈ 0.17 < 0.2
         let b = mk(&[0, 1, 2, 3, 4, 10], &[0, 1], &[0]);
         assert_eq!(span::difference_size(&b, &a), 2);
-        let (out, stats) = merge_and_prune(vec![a.clone(), b], &eta_gamma(0.2, 0.0));
+        let (out, stats) = prune(vec![a.clone(), b], &eta_gamma(0.2, 0.0));
         assert_eq!(out, vec![a]);
         assert_eq!(stats.deleted_pairwise, 1);
         assert_eq!(stats.merged, 0);
@@ -231,7 +229,7 @@ mod tests {
     fn rule1_keeps_substantial_overlap() {
         let a = mk(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], &[0, 1, 2, 3], &[0, 1]);
         let b = mk(&[0, 1, 10, 11], &[0, 1], &[0]); // half outside A
-        let (out, stats) = merge_and_prune(vec![a, b], &eta_gamma(0.2, 0.0));
+        let (out, stats) = prune(vec![a, b], &eta_gamma(0.2, 0.0));
         assert_eq!(out.len(), 2);
         assert_eq!(stats, PruneStats::default());
     }
@@ -245,7 +243,7 @@ mod tests {
         // each extended along times so rule 1 doesn't fire first
         let b1 = mk(&[0, 1, 2, 3, 4], &[0, 1], &[0, 1, 2]);
         let b2 = mk(&[5, 6, 7, 8], &[0, 1], &[0, 1, 2]);
-        let (out, stats) = merge_and_prune(
+        let (out, stats) = prune(
             vec![a.clone(), b1.clone(), b2.clone()],
             &eta_gamma(0.15, 0.0),
         );
@@ -262,7 +260,7 @@ mod tests {
         let a = mk(&[0, 1, 2, 3, 4, 5, 6, 7, 8], &[0, 1, 2], &[0, 1]);
         let b = mk(&[0, 1, 2, 3, 4, 5, 6, 7, 9], &[0, 1, 2], &[0, 1]);
         // bounding: 10 genes -> 60 cells; A=54, B=54, inter=48 -> extra=0
-        let (out, stats) = merge_and_prune(vec![a, b], &eta_gamma(0.0, 0.05));
+        let (out, stats) = prune(vec![a, b], &eta_gamma(0.0, 0.05));
         assert_eq!(stats.merged, 1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].genes.count(), 10);
@@ -272,7 +270,7 @@ mod tests {
     fn rule3_does_not_merge_distant_boxes() {
         let a = mk(&[0, 1], &[0], &[0]);
         let b = mk(&[10, 11], &[5], &[1]);
-        let (out, stats) = merge_and_prune(vec![a, b], &eta_gamma(0.0, 0.3));
+        let (out, stats) = prune(vec![a, b], &eta_gamma(0.0, 0.3));
         assert_eq!(out.len(), 2);
         assert_eq!(stats.merged, 0);
     }
@@ -283,7 +281,7 @@ mod tests {
         let a = mk(&[0, 1, 2, 3, 4, 5, 6, 7], &[0, 1], &[0]);
         let b = mk(&[0, 1, 2, 3, 4, 5, 6, 8], &[0, 1], &[0]);
         let c = mk(&[0, 1, 2, 3, 4, 5, 6, 9], &[0, 1], &[0]);
-        let (out, stats) = merge_and_prune(vec![a, b, c], &eta_gamma(0.0, 0.25));
+        let (out, stats) = prune(vec![a, b, c], &eta_gamma(0.0, 0.25));
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(stats.merged, 2);
         assert_eq!(out[0].genes.count(), 10);
@@ -293,14 +291,14 @@ mod tests {
     fn zero_thresholds_are_noop() {
         let a = mk(&[0, 1, 2], &[0, 1], &[0]);
         let b = mk(&[0, 1], &[0, 1], &[0, 1]);
-        let (out, stats) = merge_and_prune(vec![a, b], &eta_gamma(0.0, 0.0));
+        let (out, stats) = prune(vec![a, b], &eta_gamma(0.0, 0.0));
         assert_eq!(out.len(), 2);
         assert_eq!(stats, PruneStats::default());
     }
 
     #[test]
     fn empty_input() {
-        let (out, stats) = merge_and_prune(Vec::new(), &MergeParams::default());
+        let (out, stats) = prune(Vec::new(), &MergeParams::default());
         assert!(out.is_empty());
         assert_eq!(stats, PruneStats::default());
     }
@@ -337,7 +335,7 @@ mod tests {
     #[test]
     fn identical_twins_merge_or_delete() {
         let a = mk(&[0, 1, 2], &[0, 1], &[0]);
-        let (out, _) = merge_and_prune(vec![a.clone(), a.clone()], &eta_gamma(0.1, 0.1));
+        let (out, _) = prune(vec![a.clone(), a.clone()], &eta_gamma(0.1, 0.1));
         assert_eq!(out, vec![a]);
     }
 }

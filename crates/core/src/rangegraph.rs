@@ -17,7 +17,7 @@ use crate::range::{find_ranges_into, RangeKind, RangeScratch, RatioRange, SignGr
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tricluster_graph::MultiGraph;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram, NullSink};
+use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram};
 
 /// The range multigraph of one time slice.
 #[derive(Debug, Clone)]
@@ -116,26 +116,23 @@ impl RangeGraphStats {
     }
 }
 
-/// Builds the range multigraph for time slice `t` of `m`.
+/// Builds the range multigraph for time slice `t` of `m`, returning it with
+/// its per-slice statistics.
 ///
 /// For each ordered column pair `(a, b)` with `a < b`, the per-gene ratios
 /// `d_ga / d_gb` are partitioned into [sign groups](SignGroup), and each
 /// group's maximal valid ranges (plus extended/split/patched ranges,
-/// depending on [`Params::range_extension`]) become parallel edges.
-pub fn build_range_graph(m: &Matrix3, t: usize, params: &Params) -> RangeGraph {
-    build_range_graph_observed(m, t, params, &NullSink).0
-}
-
-/// Like [`build_range_graph`], but also returns per-slice statistics and
-/// routes trace events ("rangegraph.pair", one per edge-carrying column
-/// pair) through `sink`.
+/// depending on [`Params::range_extension`]) become parallel edges. Trace
+/// events ("rangegraph.pair", one per edge-carrying column pair) go to
+/// `sink`; histograms are collected when it
+/// [wants them](EventSink::wants_histograms).
 pub fn build_range_graph_observed(
     m: &Matrix3,
     t: usize,
     params: &Params,
     sink: &dyn EventSink,
 ) -> (RangeGraph, RangeGraphStats) {
-    build_range_graph_workers(m, t, params, sink, 1)
+    build_range_graph_ctrl(m, t, params, sink, 1, &RunCtrl::unbounded())
 }
 
 /// Column-major copy of one time slice: [`SliceColumns::col`]`(c)[g]` is
@@ -314,32 +311,22 @@ fn absorb_pair(
     }
 }
 
-/// Like [`build_range_graph_observed`], but distributes the column-pair
-/// sweep over up to `workers` threads.
+/// [`build_range_graph_observed`] over up to `workers` threads, under the
+/// run control of `ctrl`.
 ///
 /// Work items are single `(a, b)` pairs claimed from an atomic cursor; each
 /// worker owns a [`PairScratch`] so the hot path does no per-pair
 /// allocation. Computed ranges are merged on the calling thread in canonical
-/// pair order (see [`absorb_pair`]), so the output is byte-identical for
+/// pair order (see `absorb_pair`), so the output is byte-identical for
 /// every `workers` value.
-pub fn build_range_graph_workers(
-    m: &Matrix3,
-    t: usize,
-    params: &Params,
-    sink: &dyn EventSink,
-    workers: usize,
-) -> (RangeGraph, RangeGraphStats) {
-    build_range_graph_ctrl(m, t, params, sink, workers, &RunCtrl::unbounded())
-}
-
-/// Like [`build_range_graph_workers`], under the run control of `ctrl`: the
-/// deadline is polled before each pair, and — when `ctrl` collects faults —
-/// a panic while computing one pair downgrades to a
+///
+/// The deadline is polled before each pair, and — when `ctrl` collects
+/// faults — a panic while computing one pair downgrades to a
 /// [`WorkerFailure`](crate::WorkerFailure) that costs only that pair's
 /// edges. Skipped and failed pairs contribute nothing, which can only
 /// remove edges: every bicluster mined from the partial graph is still a
 /// bicluster of the complete one.
-pub fn build_range_graph_ctrl(
+pub(crate) fn build_range_graph_ctrl(
     m: &Matrix3,
     t: usize,
     params: &Params,
@@ -457,6 +444,12 @@ pub fn build_range_graph_ctrl(
 mod tests {
     use super::*;
     use crate::testdata::paper_table1;
+    use tricluster_obs::NullSink;
+
+    /// The range multigraph of slice 0.
+    fn graph(m: &Matrix3, p: &Params) -> RangeGraph {
+        build_range_graph_observed(m, 0, p, &NullSink).0
+    }
 
     fn default_params(eps: f64, mx: usize) -> Params {
         Params::builder()
@@ -473,7 +466,7 @@ mod tests {
     #[test]
     fn paper_fig2_s0_s6_range() {
         let m = paper_table1();
-        let rg = build_range_graph(&m, 0, &default_params(0.01, 3));
+        let rg = graph(&m, &default_params(0.01, 3));
         let ranges = rg.ranges_between(0, 6);
         assert_eq!(ranges.len(), 1, "{ranges:?}");
         assert_eq!(ranges[0].genes.to_vec(), vec![1, 4, 8]);
@@ -486,7 +479,7 @@ mod tests {
     #[test]
     fn paper_fig2_s0_s1_range() {
         let m = paper_table1();
-        let rg = build_range_graph(&m, 0, &default_params(0.01, 3));
+        let rg = graph(&m, &default_params(0.01, 3));
         let ranges = rg.ranges_between(0, 6);
         assert!(!ranges.is_empty());
         let r01 = rg.ranges_between(0, 1);
@@ -500,7 +493,7 @@ mod tests {
     #[test]
     fn paper_fig2_s1_s4_parallel_edges() {
         let m = paper_table1();
-        let rg = build_range_graph(&m, 0, &default_params(0.01, 3));
+        let rg = graph(&m, &default_params(0.01, 3));
         let ranges = rg.ranges_between(1, 4);
         assert_eq!(ranges.len(), 2, "{ranges:?}");
         let mut genesets: Vec<Vec<usize>> = ranges.iter().map(|r| r.genes.to_vec()).collect();
@@ -581,7 +574,7 @@ mod tests {
         let m = paper_table1();
         let p = default_params(0.1, 3);
         let rec1 = tricluster_obs::Recorder::new();
-        let (rg1, st1) = build_range_graph_workers(&m, 0, &p, &rec1, 1);
+        let (rg1, st1) = build_range_graph_ctrl(&m, 0, &p, &rec1, 1, &RunCtrl::unbounded());
         let ev1: Vec<String> = rec1
             .take_events()
             .iter()
@@ -589,7 +582,7 @@ mod tests {
             .collect();
         for workers in [2usize, 4, 8] {
             let rec = tricluster_obs::Recorder::new();
-            let (rg, st) = build_range_graph_workers(&m, 0, &p, &rec, workers);
+            let (rg, st) = build_range_graph_ctrl(&m, 0, &p, &rec, workers, &RunCtrl::unbounded());
             assert_eq!(st, st1, "stats differ at workers={workers}");
             assert_eq!(rg.n_ranges(), rg1.n_ranges());
             for a in 0..rg1.n_samples() {
@@ -610,7 +603,7 @@ mod tests {
     #[test]
     fn graph_has_no_edges_for_sparse_pairs() {
         let m = paper_table1();
-        let rg = build_range_graph(&m, 0, &default_params(0.01, 3));
+        let rg = graph(&m, &default_params(0.01, 3));
         // (s0, s3): s0 has values only for g1,g3,g4,g8; s3 only for g3,g4,g8
         // (two shared with s0's non-blank set after random fill the blanks
         // are random, here zero-filled cells are skipped by sign logic since
@@ -623,7 +616,6 @@ mod tests {
 
     #[test]
     fn negative_values_grouped_separately() {
-        use tricluster_matrix::Matrix3;
         // 4 genes, 2 samples, 1 time; two genes with ratio +2 and two genes
         // with ratio -2 ((+,-) pattern) — they must land on different edges.
         let mut m = Matrix3::zeros(4, 2, 1);
@@ -642,7 +634,7 @@ mod tests {
             .min_times(1)
             .build()
             .unwrap();
-        let rg = build_range_graph(&m, 0, &params);
+        let rg = graph(&m, &params);
         let ranges = rg.ranges_between(0, 1);
         assert_eq!(ranges.len(), 2, "{ranges:?}");
         let pos: Vec<_> = ranges
@@ -661,7 +653,6 @@ mod tests {
 
     #[test]
     fn mixed_pos_pos_and_neg_neg_share_positive_edge() {
-        use tricluster_matrix::Matrix3;
         // (+,+) and (−,−) both give positive ratios; the paper places no
         // sign constraint on positive ratios, so they share a range.
         let mut m = Matrix3::zeros(2, 2, 1);
@@ -676,7 +667,7 @@ mod tests {
             .min_times(1)
             .build()
             .unwrap();
-        let rg = build_range_graph(&m, 0, &params);
+        let rg = graph(&m, &params);
         let ranges = rg.ranges_between(0, 1);
         assert_eq!(ranges.len(), 1, "{ranges:?}");
         assert_eq!(ranges[0].genes.to_vec(), vec![0, 1]);

@@ -12,10 +12,11 @@
 
 use crate::classify::{classify, ClusterType};
 use crate::cluster::Tricluster;
-use crate::metrics::cluster_metrics;
+use crate::metrics::cluster_metrics_observed;
 use std::io::{self, BufRead, Write};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::{Labels, Matrix3};
+use tricluster_obs::NullSink;
 
 /// Writes a labeled, classified report of `clusters` to `w`.
 pub fn write_text<W: Write>(
@@ -41,7 +42,7 @@ pub fn write_text<W: Write>(
         writeln!(w, "  times:   {}", times.join(" "))?;
     }
     writeln!(w)?;
-    writeln!(w, "{}", cluster_metrics(m, clusters))?;
+    writeln!(w, "{}", cluster_metrics_observed(m, clusters, &NullSink))?;
     Ok(())
 }
 

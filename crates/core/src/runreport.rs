@@ -464,11 +464,11 @@ pub fn validate_v2(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::cluster_metrics;
-    use crate::miner::mine_observed;
+    use crate::engine::Session;
+    use crate::metrics::cluster_metrics_observed;
     use crate::params::Params;
     use crate::testdata::paper_table1;
-    use tricluster_obs::Recorder;
+    use tricluster_obs::{NullSink, Recorder};
 
     fn table1_doc(threads: usize) -> Json {
         let m = paper_table1();
@@ -478,8 +478,8 @@ mod tests {
             .threads(threads)
             .build()
             .unwrap();
-        let result = mine_observed(&m, &p, &Recorder::new()).unwrap();
-        let met = cluster_metrics(&m, &result.triclusters);
+        let result = Session::new(p).run(&m, &Recorder::new()).unwrap();
+        let met = cluster_metrics_observed(&m, &result.triclusters, &NullSink);
         report_to_json_v2(&m, &result, &result.report, &met)
     }
 
@@ -534,9 +534,9 @@ mod tests {
             .max_candidates(1)
             .build()
             .unwrap();
-        let result = mine_observed(&m, &p, &Recorder::new()).unwrap();
+        let result = Session::new(p).run(&m, &Recorder::new()).unwrap();
         assert!(result.truncated, "a 1-node budget must truncate Table 1");
-        let met = cluster_metrics(&m, &result.triclusters);
+        let met = cluster_metrics_observed(&m, &result.triclusters, &NullSink);
         let doc = report_to_json_v2(&m, &result, &result.report, &met);
         validate_v2(&doc).unwrap();
         assert_eq!(doc.get("truncated").unwrap().as_bool(), Some(true));
@@ -731,7 +731,7 @@ mod tests {
             .min_size(3, 3, 2)
             .build()
             .unwrap();
-        let result = mine_observed(&m, &p, &Recorder::new()).unwrap();
+        let result = Session::new(p).run(&m, &Recorder::new()).unwrap();
         let explain = explain_json(&result.report).render();
         for needle in ["search_space", "histograms", "memory", "nodes_expanded"] {
             assert!(explain.contains(needle), "missing {needle}");

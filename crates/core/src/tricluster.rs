@@ -87,37 +87,10 @@ impl TriclusterStats {
 
 /// Mines all maximal triclusters given the biclusters of every time slice
 /// (`per_time[t]` = biclusters of slice `t`).
-pub fn mine_triclusters(
-    m: &Matrix3,
-    per_time: &[Vec<Bicluster>],
-    params: &Params,
-) -> Vec<Tricluster> {
-    mine_triclusters_with_budget(m, per_time, params).0
-}
-
-/// Like [`mine_triclusters`], but also reports whether the search was cut
-/// short by [`Params::max_candidates`].
-pub fn mine_triclusters_with_budget(
-    m: &Matrix3,
-    per_time: &[Vec<Bicluster>],
-    params: &Params,
-) -> (Vec<Tricluster>, bool) {
-    let (cs, truncated, _) = mine_triclusters_observed(m, per_time, params);
-    (cs, truncated)
-}
-
-/// Like [`mine_triclusters_with_budget`], but also returns search
-/// statistics for the observability layer.
-pub fn mine_triclusters_observed(
-    m: &Matrix3,
-    per_time: &[Vec<Bicluster>],
-    params: &Params,
-) -> (Vec<Tricluster>, bool, TriclusterStats) {
-    mine_triclusters_profiled(m, per_time, params, false)
-}
-
-/// Like [`mine_triclusters_observed`], optionally collecting DFS shape
-/// histograms (depth, candidate-set size, fan-out) into the returned stats.
+///
+/// Also returns whether the search was cut short by
+/// [`Params::max_candidates`] and the search statistics; `collect_hists`
+/// adds DFS shape histograms (depth, candidate-set size, fan-out) to them.
 pub fn mine_triclusters_profiled(
     m: &Matrix3,
     per_time: &[Vec<Bicluster>],
@@ -130,7 +103,7 @@ pub fn mine_triclusters_profiled(
 /// Like [`mine_triclusters_profiled`], under the run control of `ctrl`: the
 /// deadline is polled at every DFS node, truncating the search exactly like
 /// an exhausted candidate budget.
-pub fn mine_triclusters_ctrl(
+pub(crate) fn mine_triclusters_ctrl(
     m: &Matrix3,
     per_time: &[Vec<Bicluster>],
     params: &Params,
@@ -376,9 +349,10 @@ pub fn insert_maximal_tricluster_counted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bicluster::mine_biclusters;
-    use crate::rangegraph::build_range_graph;
+    use crate::bicluster::mine_biclusters_profiled;
+    use crate::rangegraph::build_range_graph_observed;
     use crate::testdata::{paper_table1, paper_table1_expected};
+    use tricluster_obs::NullSink;
 
     fn params() -> Params {
         Params::builder()
@@ -390,14 +364,18 @@ mod tests {
             .unwrap()
     }
 
-    fn mine_all(m: &Matrix3, p: &Params) -> Vec<Tricluster> {
-        let per_time: Vec<Vec<Bicluster>> = (0..m.n_times())
+    /// The biclusters of every time slice.
+    fn per_slice(m: &Matrix3, p: &Params) -> Vec<Vec<Bicluster>> {
+        (0..m.n_times())
             .map(|t| {
-                let rg = build_range_graph(m, t, p);
-                mine_biclusters(m, &rg, p)
+                let rg = build_range_graph_observed(m, t, p, &NullSink).0;
+                mine_biclusters_profiled(m, &rg, p, false).0
             })
-            .collect();
-        mine_triclusters(m, &per_time, p)
+            .collect()
+    }
+
+    fn mine_all(m: &Matrix3, p: &Params) -> Vec<Tricluster> {
+        mine_triclusters_profiled(m, &per_slice(m, p), p, false).0
     }
 
     fn sorted_view(cs: &[Tricluster]) -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> {
@@ -513,20 +491,15 @@ mod tests {
     fn observed_stats_are_deterministic_and_consistent() {
         let m = paper_table1();
         let p = params();
-        let per_time: Vec<Vec<Bicluster>> = (0..m.n_times())
-            .map(|t| {
-                let rg = build_range_graph(&m, t, &p);
-                mine_biclusters(&m, &rg, &p)
-            })
-            .collect();
-        let (cs, truncated, stats) = mine_triclusters_observed(&m, &per_time, &p);
+        let per_time = per_slice(&m, &p);
+        let (cs, truncated, stats) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert!(!truncated);
         assert_eq!(cs.len(), 3);
         assert!(stats.nodes > 0);
         assert!(stats.extensions > 0);
         assert!(stats.coherence_checks > 0);
         assert_eq!(stats.recorded - stats.replaced, cs.len() as u64);
-        let (_, _, again) = mine_triclusters_observed(&m, &per_time, &p);
+        let (_, _, again) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert_eq!(stats, again);
     }
 
@@ -534,12 +507,7 @@ mod tests {
     fn profiled_hists_describe_the_dfs() {
         let m = paper_table1();
         let p = params();
-        let per_time: Vec<Vec<Bicluster>> = (0..m.n_times())
-            .map(|t| {
-                let rg = build_range_graph(&m, t, &p);
-                mine_biclusters(&m, &rg, &p)
-            })
-            .collect();
+        let per_time = per_slice(&m, &p);
         let (cs, _, stats) = mine_triclusters_profiled(&m, &per_time, &p, true);
         let h = stats.hists.as_ref().expect("collected");
         assert_eq!(h.depth.count(), stats.nodes);
@@ -547,7 +515,7 @@ mod tests {
         assert_eq!(h.fanout.sum(), u128::from(stats.nodes - 1));
         assert_eq!(h.candidate_set_size.max(), m.n_times() as u64);
         // collection changes neither the clusters nor the scalar stats
-        let (plain_cs, _, plain) = mine_triclusters_observed(&m, &per_time, &p);
+        let (plain_cs, _, plain) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert_eq!(cs, plain_cs);
         assert_eq!(plain.nodes, stats.nodes);
         assert!(plain.hists.is_none());
@@ -567,13 +535,8 @@ mod tests {
             m.set(g, 4, 1, v * 2.0);
         }
         let p = params();
-        let per_time: Vec<Vec<Bicluster>> = (0..m.n_times())
-            .map(|t| {
-                let rg = build_range_graph(&m, t, &p);
-                mine_biclusters(&m, &rg, &p)
-            })
-            .collect();
-        let (_, _, stats) = mine_triclusters_observed(&m, &per_time, &p);
+        let per_time = per_slice(&m, &p);
+        let (_, _, stats) = mine_triclusters_profiled(&m, &per_time, &p, false);
         assert!(stats.rejected_incoherent > 0);
     }
 
@@ -581,6 +544,6 @@ mod tests {
     #[should_panic(expected = "one bicluster set per time slice")]
     fn wrong_per_time_length_panics() {
         let m = paper_table1();
-        mine_triclusters(&m, &[], &params());
+        mine_triclusters_profiled(&m, &[], &params(), false);
     }
 }

@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use tricluster_bitset::BitSet;
+use tricluster_core::obs::NullSink;
 use tricluster_core::params::RangeExtension;
-use tricluster_core::prune::merge_and_prune;
+use tricluster_core::prune::merge_and_prune_observed;
 use tricluster_core::range::{find_ranges, RangeKind, SignGroup};
 use tricluster_core::validate::is_valid_cluster;
 use tricluster_core::{mine, span, MergeParams, Params, Tricluster};
@@ -153,7 +154,7 @@ proptest! {
         eta in 0.0f64..0.5,
         gamma in 0.0f64..0.3,
     ) {
-        let (out, _) = merge_and_prune(clusters, &MergeParams { eta, gamma });
+        let (out, _) = merge_and_prune_observed(clusters, &MergeParams { eta, gamma }, &NullSink);
         for (i, a) in out.iter().enumerate() {
             for (j, b) in out.iter().enumerate() {
                 if i != j {
@@ -172,7 +173,7 @@ proptest! {
         // can only grow (bounding clusters are supersets)
         let before: std::collections::HashSet<(usize, usize, usize)> =
             clusters.iter().flat_map(|c| c.cells()).collect();
-        let (out, _) = merge_and_prune(clusters, &MergeParams { eta: 0.0, gamma });
+        let (out, _) = merge_and_prune_observed(clusters, &MergeParams { eta: 0.0, gamma }, &NullSink);
         let after: std::collections::HashSet<(usize, usize, usize)> =
             out.iter().flat_map(|c| c.cells()).collect();
         prop_assert!(after.is_superset(&before));

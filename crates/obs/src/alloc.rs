@@ -218,10 +218,15 @@ impl PhaseAlloc {
 mod tests {
     use super::*;
 
+    /// The counters are process-global: tests that move them run one at a
+    /// time.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Drives the allocator directly (it is not installed globally in
     /// tests) and checks the counter arithmetic.
     #[test]
     fn counters_track_alloc_and_free() {
+        let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let a = TrackingAlloc::new();
         let layout = Layout::from_size_align(256, 8).unwrap();
         // SAFETY: paired alloc/dealloc with a valid layout.
@@ -262,6 +267,7 @@ mod tests {
     /// (other tests may run concurrently, so deltas are lower bounds).
     #[test]
     fn phase_alloc_attributes_deltas_to_phases() {
+        let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let a = TrackingAlloc::new();
         let layout = Layout::from_size_align(4096, 8).unwrap();
         // SAFETY: paired alloc/dealloc with a valid layout.

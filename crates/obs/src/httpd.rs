@@ -1,22 +1,18 @@
 //! Minimal std-only HTTP server for live metrics scrapes and the mining
 //! daemon.
 //!
-//! Two servers share one request parser ([`read_request`]):
+//! [`HttpServer`] is the one listener: an arbitrary `Request → Response`
+//! handler, one thread per connection (capped, overload answered with an
+//! inline 503), and per-connection `catch_unwind` so a panicking handler
+//! yields a 500 while the server keeps accepting. `tricluster serve` runs
+//! its router on it; `mine --metrics-addr` runs [`scrape_handler`], the
+//! read-only `/metrics`, `/progress`, `/healthz` endpoint of a single run.
 //!
-//! * [`MetricsServer`] — the read-only scrape endpoint attached to a
-//!   single run (`/metrics`, `/progress`, `/healthz`), serial
-//!   connections, dies with the run.
-//! * [`HttpServer`] — the generic listener `tricluster serve` builds on:
-//!   an arbitrary `Request → Response` handler, one thread per
-//!   connection (capped, overload answered with an inline 503), and
-//!   per-connection `catch_unwind` so a panicking handler yields a 500
-//!   while the daemon keeps accepting.
-//!
-//! The parser enforces the protocol-level robustness rules both servers
-//! rely on: the request head is capped (431 instead of unbounded
+//! The request parser (`read_request`) enforces the protocol-level
+//! robustness rules: the request head is capped (431 instead of unbounded
 //! buffering), bodies are read only up to a caller-set limit (413 past
 //! it), and only GET/POST/DELETE are admitted (405 otherwise). Dropping
-//! either server stops its accept thread deterministically (stop flag +
+//! the server stops its accept thread deterministically (stop flag +
 //! self-connect to unblock `accept`).
 //!
 //! [`http_get`] is the matching client: just enough HTTP/1.0 to scrape
@@ -127,7 +123,7 @@ fn reason(status: u16) -> &'static str {
 /// Reads and parses one request from `stream`.
 ///
 /// Protocol-level rejections come back as `Err(Response)` for the caller
-/// to write: 431 when the head outgrows [`MAX_REQUEST_BYTES`], 400 on a
+/// to write: 431 when the head outgrows `MAX_REQUEST_BYTES`, 400 on a
 /// malformed request line or `Content-Length`, 405 for any method other
 /// than GET/POST/DELETE, 413 when the declared body exceeds `max_body`.
 /// `Ok(None)` means the client closed before sending a full head.
@@ -199,67 +195,6 @@ fn find_head_end(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// A running scrape endpoint. Dropping it shuts the listener down and
-/// joins the serve thread.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving `registry`.
-    pub fn serve(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("metrics-httpd".into())
-            .spawn(move || {
-                // Connections are handled serially — scrapers poll at
-                // second granularity and every response is a point-in-time
-                // render, so there is nothing to win by handling them
-                // concurrently.
-                for conn in listener.incoming() {
-                    if thread_stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Ok(stream) = conn {
-                        // A failed scrape (timeout, closed pipe) only loses
-                        // that one response; the serve loop survives it.
-                        let _ = handle_scrape_conn(stream, &registry);
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The actually bound address (resolves a requested port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Scrape base URL, e.g. `http://127.0.0.1:37012`.
-    pub fn url(&self) -> String {
-        format!("http://{}", self.addr)
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = connect_back(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Unblocks a listener's `accept` with one throwaway connection; an
 /// unspecified bind address (0.0.0.0) is dialed back via loopback.
 fn connect_back(mut dial: SocketAddr) -> std::io::Result<TcpStream> {
@@ -269,17 +204,15 @@ fn connect_back(mut dial: SocketAddr) -> std::io::Result<TcpStream> {
     TcpStream::connect_timeout(&dial, IO_TIMEOUT)
 }
 
-fn handle_scrape_conn(mut stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = match read_request(&mut stream, 0) {
-        Ok(Some(request)) => request,
-        Ok(None) => return Ok(()),
-        Err(response) => return response.write_to(&mut stream),
-    };
-    let response = if request.method != "GET" {
-        Response::text(405, "scrape endpoints are GET-only\n")
-    } else {
+/// The read-only scrape endpoint of one run's `registry`: `GET /metrics`
+/// (OpenMetrics text), `GET /progress` (JSON gauge snapshot, 404 without
+/// attached gauges), and `GET /healthz`. Serve it with `max_body` 0 — the
+/// routes take no body.
+pub fn scrape_handler(registry: Arc<Registry>) -> Handler {
+    Arc::new(move |request: Request| {
+        if request.method != "GET" {
+            return Response::text(405, "scrape endpoints are GET-only\n");
+        }
         match request.path.as_str() {
             "/metrics" => Response {
                 status: 200,
@@ -293,8 +226,7 @@ fn handle_scrape_conn(mut stream: TcpStream, registry: &Registry) -> std::io::Re
             "/healthz" => Response::text(200, "ok\n"),
             _ => Response::text(404, "unknown path; try /metrics, /progress, or /healthz\n"),
         }
-    };
-    response.write_to(&mut stream)
+    })
 }
 
 /// A shareable `Request → Response` handler.
@@ -302,9 +234,9 @@ pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
 /// A generic HTTP/1.0 listener for long-lived daemons.
 ///
-/// Each accepted connection is parsed ([`read_request`]) and handled on
+/// Each accepted connection is parsed (`read_request`) and handled on
 /// its own thread, so one slow client cannot wedge the daemon; at most
-/// [`MAX_CONNECTIONS`] run at once (the accept loop answers excess
+/// `MAX_CONNECTIONS` run at once (the accept loop answers excess
 /// connections 503 inline). The handler runs behind `catch_unwind`: a
 /// panic becomes a 500 response and the daemon keeps serving. Dropping
 /// the server stops the accept thread and waits (bounded by the I/O
@@ -543,18 +475,33 @@ mod tests {
     use crate::names;
     use crate::progress::{Phase, Progress};
     use crate::EventSink;
+    use std::sync::Mutex;
 
-    fn served_registry() -> (MetricsServer, Arc<Registry>, Arc<Progress>) {
+    /// Client calls trip the process-global `httpd.client.connect`
+    /// failpoint that one test arms, so tests making them run one at a
+    /// time.
+    static CLIENT: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        CLIENT.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn scrape_server(addr: &str, registry: Arc<Registry>) -> std::io::Result<HttpServer> {
+        HttpServer::serve(addr, 0, scrape_handler(registry))
+    }
+
+    fn served_registry() -> (HttpServer, Arc<Registry>, Arc<Progress>) {
         let registry = Arc::new(Registry::new());
         let progress = Arc::new(Progress::new());
         registry.attach_progress(progress.clone());
         let server =
-            MetricsServer::serve("127.0.0.1:0", registry.clone()).expect("bind an ephemeral port");
+            scrape_server("127.0.0.1:0", registry.clone()).expect("bind an ephemeral port");
         (server, registry, progress)
     }
 
     #[test]
     fn serves_metrics_progress_and_healthz() {
+        let _serial = serial();
         let (server, registry, progress) = served_registry();
         let sink: &dyn EventSink = &*registry;
         sink.counter(names::TC_RECORDED, 7);
@@ -583,6 +530,7 @@ mod tests {
 
     #[test]
     fn unknown_paths_404_and_non_get_405() {
+        let _serial = serial();
         let (server, _registry, _progress) = served_registry();
         let (status, _) = http_get(&format!("{}/nope", server.url())).unwrap();
         assert_eq!(status, 404);
@@ -599,6 +547,7 @@ mod tests {
 
     #[test]
     fn oversize_request_head_is_rejected_431() {
+        let _serial = serial();
         let (server, _registry, _progress) = served_registry();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"GET /healthz HTTP/1.0\r\n").unwrap();
@@ -617,6 +566,7 @@ mod tests {
 
     #[test]
     fn unknown_method_is_rejected_405() {
+        let _serial = serial();
         let (server, _registry, _progress) = served_registry();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"BREW /coffee HTTP/1.0\r\n\r\n").unwrap();
@@ -627,8 +577,9 @@ mod tests {
 
     #[test]
     fn progress_endpoint_404s_without_gauges() {
+        let _serial = serial();
         let registry = Arc::new(Registry::new());
-        let server = MetricsServer::serve("127.0.0.1:0", registry).unwrap();
+        let server = scrape_server("127.0.0.1:0", registry).unwrap();
         let (status, _) = http_get(&format!("{}/progress", server.url())).unwrap();
         assert_eq!(status, 404);
     }
@@ -642,12 +593,13 @@ mod tests {
         // fast), and a new server can re-bind the same address.
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
         let registry = Arc::new(Registry::new());
-        let rebound = MetricsServer::serve(&addr.to_string(), registry).expect("address released");
+        let rebound = scrape_server(&addr.to_string(), registry).expect("address released");
         assert_eq!(rebound.local_addr(), addr);
     }
 
     #[test]
     fn http_get_rejects_unreachable_and_malformed_targets() {
+        let _serial = serial();
         assert!(http_get("definitely not a url").is_err());
         // A released ephemeral port: connection refused surfaces as Err.
         let addr = {
@@ -675,6 +627,7 @@ mod tests {
 
     #[test]
     fn generic_server_routes_get_post_delete() {
+        let _serial = serial();
         let server = echo_server();
         let (status, body) = http_get(&format!("{}/a?q=1", server.url())).unwrap();
         assert_eq!((status, body.as_str()), (200, "GET /a \n"));
@@ -687,6 +640,7 @@ mod tests {
 
     #[test]
     fn oversize_body_is_rejected_413_before_the_handler() {
+        let _serial = serial();
         let server = echo_server();
         let big = vec![b'x'; 65];
         let (status, _) = http_post(&format!("{}/b", server.url()), "text/plain", &big).unwrap();
@@ -698,6 +652,7 @@ mod tests {
 
     #[test]
     fn handler_panic_becomes_500_and_daemon_survives() {
+        let _serial = serial();
         let server = echo_server();
         let (status, body) = http_get(&format!("{}/panic", server.url())).unwrap();
         assert_eq!(status, 500);
@@ -716,6 +671,7 @@ mod tests {
 
     #[test]
     fn http_get_retry_waits_out_a_late_listener() {
+        let _serial = serial();
         let addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
@@ -726,7 +682,7 @@ mod tests {
         let spawner = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(120));
             let registry = Arc::new(Registry::new());
-            MetricsServer::serve(&addr.to_string(), registry).expect("rebind the probed address")
+            scrape_server(&addr.to_string(), registry).expect("rebind the probed address")
         });
         let retry = http_get_retry(
             &format!("http://{addr}/healthz"),
@@ -745,6 +701,7 @@ mod tests {
 
     #[test]
     fn http_get_retry_gives_up_after_bounded_attempts() {
+        let _serial = serial();
         let addr = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
@@ -769,6 +726,7 @@ mod tests {
     #[cfg(feature = "failpoints")]
     #[test]
     fn http_get_retry_is_bounded_under_injected_connect_faults() {
+        let _serial = serial();
         use tricluster_failpoint::{configure, configure_times, scenario, Action};
         let _guard = scenario();
         let (server, _registry, _progress) = served_registry();

@@ -117,10 +117,16 @@ impl Json {
 
     /// Parses a JSON document. Strict: exactly one value, standard JSON
     /// syntax, no trailing garbage. Integers that fit land in `U64`/`I64`;
-    /// everything else numeric becomes `F64`.
+    /// everything else numeric becomes `F64`. Arrays and objects may nest
+    /// at most [`MAX_DEPTH`] deep, so hostile input cannot exhaust the
+    /// parsing thread's stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -208,9 +214,15 @@ fn write_seq(
     out.push(close);
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. A v2 run report
+/// nests fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -253,8 +265,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -542,6 +568,20 @@ mod tests {
             start.elapsed()
         );
         assert_eq!(parsed.render(), doc);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let doc = open.repeat((1 << 20) / open.len());
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.contains("nesting") && err.contains("byte"), "{err}");
+        }
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
     }
 
     #[test]

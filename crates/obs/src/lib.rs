@@ -203,46 +203,8 @@ impl EventSink for NullSink {
     }
 }
 
-/// Fan a signal out to two sinks (e.g. a [`Recorder`] plus a trace writer).
-pub struct Tee<'a>(pub &'a dyn EventSink, pub &'a dyn EventSink);
-
-impl EventSink for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.0.counter(name, delta);
-        self.1.counter(name, delta);
-    }
-    fn span(&self, name: &'static str, elapsed: Duration) {
-        self.0.span(name, elapsed);
-        self.1.span(name, elapsed);
-    }
-    fn event(&self, event: Event) {
-        if self.0.enabled() {
-            self.0.event(event.clone());
-        }
-        if self.1.enabled() {
-            self.1.event(event);
-        }
-    }
-    fn wants_histograms(&self) -> bool {
-        self.0.wants_histograms() || self.1.wants_histograms()
-    }
-    fn histogram(&self, name: &'static str, hist: &Histogram) {
-        self.0.histogram(name, hist);
-        self.1.histogram(name, hist);
-    }
-    fn timeline(&self) -> Option<&timeline::Timeline> {
-        self.0.timeline().or_else(|| self.1.timeline())
-    }
-    fn progress(&self) -> Option<std::sync::Arc<progress::Progress>> {
-        self.0.progress().or_else(|| self.1.progress())
-    }
-}
-
-/// Fan a signal out to any number of sinks. Generalizes [`Tee`] for
-/// callers composing a variable sink set (trace stream + histogram tap +
+/// Fan a signal out to any number of sinks (e.g. a [`Recorder`] plus a
+/// trace writer, or a variable set of trace stream + histogram tap +
 /// timeline + progress, each independently optional); an empty fan-out
 /// behaves exactly like [`NullSink`].
 pub struct Fanout<'a>(pub Vec<&'a dyn EventSink>);
@@ -846,20 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_routes_to_both_sinks() {
-        let a = Recorder::new();
-        let b = Recorder::new();
-        let tee = Tee(&a, &b);
-        assert!(tee.enabled());
-        tee.counter("c", 4);
-        tee.event(Event::new("e").field("k", 1u64));
-        assert_eq!(a.snapshot().counter("c"), 4);
-        assert_eq!(b.snapshot().counter("c"), 4);
-        assert_eq!(a.take_events().len(), 1);
-        assert_eq!(b.take_events().len(), 1);
-    }
-
-    #[test]
     fn json_lines_sink_emits_one_object_per_line() {
         let sink = JsonLinesSink::new(Vec::new());
         sink.event(Event::new("slice").field("t", 3u64).field("ok", true));
@@ -904,20 +852,6 @@ mod tests {
         // empty histograms never materialize a key
         rec.histogram("empty", &Histogram::default());
         assert!(rec.snapshot().histogram("empty").is_none());
-    }
-
-    #[test]
-    fn tee_forwards_histograms_and_ors_wants() {
-        let a = Recorder::new();
-        let null = NullSink;
-        let tee = Tee(&null, &a);
-        assert!(tee.wants_histograms());
-        let mut h = Histogram::default();
-        h.record(7);
-        tee.histogram("x", &h);
-        assert_eq!(a.snapshot().histogram("x").unwrap().count(), 1);
-        let both_null = Tee(&null, &null);
-        assert!(!both_null.wants_histograms());
     }
 
     #[test]
@@ -1058,18 +992,6 @@ mod tests {
         assert!(!empty.wants_histograms());
         assert!(empty.timeline().is_none());
         assert!(empty.progress().is_none());
-    }
-
-    #[test]
-    fn tee_forwards_timeline_and_progress() {
-        let tl = timeline::Timeline::new();
-        let ps = progress::ProgressSink(std::sync::Arc::new(progress::Progress::new()));
-        let null = NullSink;
-        assert!(Tee(&null, &tl).timeline().is_some());
-        assert!(Tee(&tl, &null).timeline().is_some());
-        assert!(Tee(&null, &ps).progress().is_some());
-        assert!(Tee(&null, &null).timeline().is_none());
-        assert!(Tee(&null, &null).progress().is_none());
     }
 
     #[test]

@@ -33,7 +33,7 @@ const PREFIX: &str = "tricluster_";
 /// Shared metrics state for one run (or one process serving many runs).
 ///
 /// Compose it into the run's sink (e.g. via [`crate::Fanout`]) and hand a
-/// clone to [`crate::httpd::MetricsServer`]; scrapes then see counters and
+/// clone to [`crate::httpd::scrape_handler`]; scrapes then see counters and
 /// spans as the merge thread publishes them, and gauges at their
 /// scrape-instant values.
 #[derive(Default)]

@@ -58,8 +58,8 @@ fn main() {
     );
 
     // Metrics before and after: overlap drops.
-    let met_before = before.metrics(&m);
-    let met_after = after.metrics(&m);
+    let met_before = cluster_metrics_observed(&m, &before.triclusters, &NullSink);
+    let met_after = cluster_metrics_observed(&m, &after.triclusters, &NullSink);
     println!(
         "\noverlap before: {:.1}%   after: {:.1}%",
         met_before.overlap * 100.0,

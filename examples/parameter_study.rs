@@ -44,7 +44,7 @@ fn main() {
             .unwrap();
         let r = mine(&data.matrix, &p).unwrap();
         let rec = recovery::score(&data.truth, &r.triclusters, 0.7);
-        let met = r.metrics(&data.matrix);
+        let met = cluster_metrics_observed(&data.matrix, &r.triclusters, &NullSink);
         println!(
             "{eps:>8.4}  {:>9} {:>6.0}% {:>8.1}%",
             r.triclusters.len(),

@@ -57,7 +57,10 @@ fn main() {
     }
 
     // 4. The paper's quality metrics.
-    println!("\n{}", result.metrics(&data.matrix));
+    println!(
+        "\n{}",
+        cluster_metrics_observed(&data.matrix, &result.triclusters, &NullSink)
+    );
 
     // 5. Compare against the embedded ground truth.
     let report = recovery::score(&data.truth, &result.triclusters, 0.8);

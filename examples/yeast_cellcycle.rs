@@ -42,7 +42,10 @@ fn main() {
         result.triclusters.len(),
         t0.elapsed()
     );
-    println!("{}\n", result.metrics(&ds.matrix));
+    println!(
+        "{}\n",
+        cluster_metrics_observed(&ds.matrix, &result.triclusters, &NullSink)
+    );
 
     // Cluster membership in input names.
     for (i, c) in result.triclusters.iter().enumerate() {

@@ -23,6 +23,9 @@ fi
 run cargo test --quiet --workspace
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Doc gate: no broken or private intra-doc links (a deleted function must
+# not leave dangling links behind).
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Schema gate: a real `mine --report-json` run must emit a valid
 # tricluster.report/v2 document (validated in-process, no external tools).

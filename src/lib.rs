@@ -50,10 +50,11 @@ pub use tricluster_synth as synth;
 
 /// One-stop imports for typical use.
 pub mod prelude {
+    pub use tricluster_core::obs::{self, NullSink};
     pub use tricluster_core::{
-        classify, cluster_metrics, mine, mine_auto, mine_auto_observed, mine_observed,
-        mine_shifting, obs, Bicluster, ClusterType, FanoutLevel, FanoutMode, MergeParams, Metrics,
-        MineError, Miner, MiningResult, Params, Tricluster, TruncationReason, WorkerFailure,
+        classify, cluster_metrics_observed, mine, mine_auto, mine_shifting, Bicluster, ClusterType,
+        FanoutLevel, FanoutMode, MergeParams, Metrics, MineError, MiningResult, Params, Reported,
+        Session, Tricluster, TruncationReason, WorkerFailure,
     };
     pub use tricluster_matrix::{io, preprocess, Axis, Labels, Matrix2, Matrix3};
     pub use tricluster_synth::{generate, recovery, SynthDataset, SynthSpec};

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tricluster::core::runreport::{fault_json, report_to_json_v2};
 use tricluster::core::testdata::paper_table1;
-use tricluster::core::{cluster_metrics, resolve_truncation, TruncationReason};
+use tricluster::core::{resolve_truncation, TruncationReason};
 use tricluster::core::{CancelHandle, CancelToken};
 use tricluster::prelude::*;
 
@@ -213,7 +213,7 @@ fn candidate_truncated_runs_are_deterministic_across_threads() {
     .map(|(threads, fanout)| {
         let p = params_with(threads, |b| b.max_candidates(40).fanout(fanout));
         let r = mine(&m, &p).unwrap();
-        let met = cluster_metrics(&m, &r.triclusters);
+        let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
         let doc = report_to_json_v2(&m, &r, &r.report, &met);
         let counters = doc.get_path(&["report", "counters"]).unwrap().render();
         let fault = doc.get("fault").map(|f| f.render()).unwrap_or_default();
@@ -246,7 +246,7 @@ fn memory_truncated_runs_are_deterministic_across_threads() {
         .into_iter()
         .map(|threads| {
             let r = mine(&m, &params_with(threads, |b| b.max_memory(budget))).unwrap();
-            let met = cluster_metrics(&m, &r.triclusters);
+            let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
             let doc = report_to_json_v2(&m, &r, &r.report, &met);
             let counters = doc.get_path(&["report", "counters"]).unwrap().render();
             let fault = doc.get("fault").map(|f| f.render()).unwrap_or_default();

@@ -98,7 +98,9 @@ fn clusters(result: &MiningResult) -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> 
 }
 
 fn assert_invariant_across_schedules(m: &Matrix3, mk: &dyn Fn(usize, FanoutMode) -> Params) {
-    let baseline = mine_observed(m, &mk(1, FanoutMode::Slice), &Recorder::new()).unwrap();
+    let baseline = Session::new(mk(1, FanoutMode::Slice))
+        .run(m, &Recorder::new())
+        .unwrap();
     assert!(
         !baseline.report.histograms.is_empty(),
         "recording sink must collect histograms"
@@ -106,7 +108,9 @@ fn assert_invariant_across_schedules(m: &Matrix3, mk: &dyn Fn(usize, FanoutMode)
     let base_sections = deterministic_sections(&baseline);
     for threads in [1usize, 2, 8] {
         for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
-            let r = mine_observed(m, &mk(threads, fanout), &Recorder::new()).unwrap();
+            let r = Session::new(mk(threads, fanout))
+                .run(m, &Recorder::new())
+                .unwrap();
             assert_eq!(
                 clusters(&r),
                 clusters(&baseline),
@@ -151,8 +155,9 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
     use tricluster::core::obs::Fanout;
 
     let m = smoke_matrix();
-    let baseline =
-        mine_observed(&m, &smoke_params(1, FanoutMode::Slice), &Recorder::new()).unwrap();
+    let baseline = Session::new(smoke_params(1, FanoutMode::Slice))
+        .run(&m, &Recorder::new())
+        .unwrap();
     let base_sections = deterministic_sections(&baseline);
     for threads in [1usize, 2, 8] {
         for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
@@ -168,7 +173,9 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
                 Duration::from_millis(1),
                 Box::new(std::io::sink()),
             );
-            let r = mine_observed(&m, &smoke_params(threads, fanout), &sink).unwrap();
+            let r = Session::new(smoke_params(threads, fanout))
+                .run(&m, &sink)
+                .unwrap();
             drop(ticker);
             assert_eq!(
                 clusters(&r),
@@ -211,24 +218,28 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
 #[test]
 fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
     use std::sync::Arc;
-    use tricluster::core::obs::httpd::{http_get, MetricsServer};
+    use tricluster::core::obs::httpd::{http_get, scrape_handler, HttpServer};
     use tricluster::core::obs::metrics::Registry;
     use tricluster::core::obs::names;
     use tricluster::core::obs::progress::Progress;
     use tricluster::core::obs::Fanout;
 
     let m = smoke_matrix();
-    let baseline =
-        mine_observed(&m, &smoke_params(1, FanoutMode::Slice), &Recorder::new()).unwrap();
+    let baseline = Session::new(smoke_params(1, FanoutMode::Slice))
+        .run(&m, &Recorder::new())
+        .unwrap();
     let base_sections = deterministic_sections(&baseline);
     for threads in [1usize, 2, 8] {
         for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
             let recorder = Recorder::new();
             let registry = Arc::new(Registry::new());
             registry.attach_progress(Arc::new(Progress::new()));
-            let server = MetricsServer::serve("127.0.0.1:0", registry.clone()).unwrap();
+            let server =
+                HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry.clone())).unwrap();
             let sink = Fanout(vec![&recorder, &*registry]);
-            let r = mine_observed(&m, &smoke_params(threads, fanout), &sink).unwrap();
+            let r = Session::new(smoke_params(threads, fanout))
+                .run(&m, &sink)
+                .unwrap();
             assert_eq!(
                 clusters(&r),
                 clusters(&baseline),
@@ -285,8 +296,9 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
     std::fs::create_dir_all(&dir).unwrap();
     let ledger = Ledger::open(dir.join("ledger")).unwrap();
     let m = smoke_matrix();
-    let baseline =
-        mine_observed(&m, &smoke_params(1, FanoutMode::Slice), &Recorder::new()).unwrap();
+    let baseline = Session::new(smoke_params(1, FanoutMode::Slice))
+        .run(&m, &Recorder::new())
+        .unwrap();
     let base_sections = deterministic_sections(&baseline);
     let mut ids = Vec::new();
     for threads in [1usize, 2, 8] {
@@ -294,7 +306,9 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
             let recorder = Recorder::new();
             let timeline = Timeline::new();
             let sink = Fanout(vec![&recorder, &timeline]);
-            let r = mine_observed(&m, &smoke_params(threads, fanout), &sink).unwrap();
+            let r = Session::new(smoke_params(threads, fanout))
+                .run(&m, &sink)
+                .unwrap();
             assert_eq!(
                 clusters(&r),
                 clusters(&baseline),
@@ -339,7 +353,7 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
                 );
             }
             // archive the run, flame artifact included
-            let met = r.metrics(&m);
+            let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
             let doc = runreport::report_to_json_v2(&m, &r, &r.report, &met);
             runreport::validate_v2(&doc).unwrap();
             let id = ledger

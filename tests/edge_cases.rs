@@ -173,7 +173,7 @@ fn metrics_on_empty_result() {
         .unwrap();
     let result = mine(&m, &p).unwrap();
     assert!(result.triclusters.is_empty());
-    let met = result.metrics(&m);
+    let met = cluster_metrics_observed(&m, &result.triclusters, &NullSink);
     assert_eq!(met.cluster_count, 0);
     assert_eq!(met.coverage, 0);
     assert_eq!(met.overlap, 0.0);

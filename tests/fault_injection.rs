@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 use tricluster::core::runreport::{fault_json, report_to_json_v2};
-use tricluster::core::{cluster_metrics, FAILPOINTS};
+use tricluster::core::FAILPOINTS;
 use tricluster::prelude::*;
 use tricluster_failpoint::{self as failpoint, Action};
 
@@ -153,7 +153,7 @@ fn branch_panic_is_isolated_and_reported() {
             .counter(tricluster::core::obs::names::F_WORKER_FAILURES),
         1
     );
-    let met = cluster_metrics(&m, &r.triclusters);
+    let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
     let doc = report_to_json_v2(&m, &r, &r.report, &met);
     tricluster::core::runreport::validate_v2(&doc).unwrap();
     assert_eq!(
@@ -250,7 +250,7 @@ fn disarmed_failpoints_leave_no_trace() {
             0
         );
         assert_eq!(fault_json(&r), None);
-        let met = cluster_metrics(&m, &r.triclusters);
+        let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
         let doc = report_to_json_v2(&m, &r, &r.report, &met);
         assert!(doc.get("fault").is_none(), "clean runs carry no fault key");
         format!(

@@ -112,7 +112,7 @@ fn shifting_cluster_pipeline() {
 fn auto_transposition_on_time_heavy_matrix() {
     let m = paper_table1(); // 10 x 7 x 2
     let twisted = m.permuted([Axis::Sample, Axis::Time, Axis::Gene]); // 7 x 2 x 10
-    let result = mine_auto(&twisted, &paper_params()).unwrap();
+    let result = mine_auto(&twisted, &paper_params(), &NullSink).unwrap();
     // clusters in twisted coordinates: genes axis holds samples, samples
     // axis holds times, times axis holds genes
     let mut got: Vec<_> = result

@@ -73,7 +73,7 @@ fn c4_appears_at_my2_and_merge_pass_deletes_it() {
 fn metrics_match_hand_computation() {
     let m = paper_table1();
     let result = mine(&m, &paper_params()).unwrap();
-    let met = result.metrics(&m);
+    let met = cluster_metrics_observed(&m, &result.triclusters, &NullSink);
     assert_eq!(met.cluster_count, 3);
     assert_eq!(met.element_sum, 72);
     assert_eq!(met.coverage, 64);
@@ -114,7 +114,11 @@ fn per_slice_biclusters_match_figure5() {
 fn symmetry_lemma_via_mine_auto() {
     let m = paper_table1();
     let baseline = view(&mine(&m, &paper_params()).unwrap().triclusters);
-    let auto = view(&mine_auto(&m, &paper_params()).unwrap().triclusters);
+    let auto = view(
+        &mine_auto(&m, &paper_params(), &NullSink)
+            .unwrap()
+            .triclusters,
+    );
     assert_eq!(baseline, auto);
 }
 

@@ -23,7 +23,7 @@ fn five_clusters_with_zero_overlap() {
     let result = mine(&ds.matrix, &paper_params()).unwrap();
     // §5.2 table shape: 5 clusters, Coverage == Elements#, Overlap 0.00%
     assert_eq!(result.triclusters.len(), 5);
-    let met = result.metrics(&ds.matrix);
+    let met = cluster_metrics_observed(&ds.matrix, &result.triclusters, &NullSink);
     assert_eq!(met.cluster_count, 5);
     assert_eq!(met.coverage, met.element_sum);
     assert_eq!(met.overlap, 0.0);
