@@ -24,6 +24,7 @@
 //! counts must match byte for byte; exit 1 lists the differing sections.
 //!
 //! `scaling` mines one fixed few-slice workload at several thread counts
+//! (by default every count from 1 to the host's available parallelism)
 //! and emits the wall times in the `fig7 --json` schema (x = thread
 //! count), so thread-scaling runs can be archived and diffed like any
 //! other sweep. With `--trace-dir DIR` each point additionally exports a
@@ -201,7 +202,9 @@ fn run_determinism(rest: &[String]) -> i32 {
 fn run_scaling(rest: &[String]) -> i32 {
     let mut json_path = None;
     let mut trace_dir = None;
-    let mut thread_counts = vec![1usize, 2, 4, 8];
+    // Counts past the host's cores only add scheduler noise.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut thread_counts: Vec<usize> = (1..=cores).collect();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {

@@ -562,7 +562,7 @@ pub(crate) fn mine_pipeline(
         || "phase".to_owned(),
         || {
             fail_point_panic("core.tricluster.phase");
-            mine_triclusters_ctrl(m, &per_time_biclusters, params, collect_hists, ctrl)
+            mine_triclusters_ctrl(m, &per_time_biclusters, params, collect_hists, ctrl, sink)
         },
     )
     .unwrap_or_default();

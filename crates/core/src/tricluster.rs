@@ -10,15 +10,19 @@
 //!
 //! As in the bicluster phase, `δ`/`mz` checks gate recording only, and the
 //! result set keeps only maximal clusters.
+//!
+//! The enumeration reaches the same intersected region `X × Y` under many
+//! time subsets, so each phase memoizes the coherence verdicts per
+//! `(region, t_a, t_b)`.
 
 use crate::cluster::{sorted_intersection, Bicluster, Tricluster};
 use crate::coherence::slice_pair_coherent;
 use crate::fault::RunCtrl;
 use crate::params::Params;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, EventSink, Histogram};
+use tricluster_obs::{emit, names, Event, EventSink, Histogram, NullSink};
 
 /// Value distributions of one tricluster search, collected only on request
 /// (see [`mine_triclusters_profiled`]).
@@ -45,7 +49,8 @@ pub struct TriclusterStats {
     pub extensions: u64,
     /// Extensions rejected because the intersection fell below `mx`/`my`.
     pub rejected_small: u64,
-    /// Slice-pair temporal-coherence checks performed.
+    /// Slice-pair temporal-coherence checks performed: the logical count,
+    /// including the ones answered from the phase's memo.
     pub coherence_checks: u64,
     /// Extensions rejected by temporal coherence.
     pub rejected_incoherent: u64,
@@ -97,39 +102,30 @@ pub fn mine_triclusters_profiled(
     params: &Params,
     collect_hists: bool,
 ) -> (Vec<Tricluster>, bool, TriclusterStats) {
-    mine_triclusters_ctrl(m, per_time, params, collect_hists, &RunCtrl::unbounded())
+    mine_triclusters_ctrl(
+        m,
+        per_time,
+        params,
+        collect_hists,
+        &RunCtrl::unbounded(),
+        &NullSink,
+    )
 }
 
 /// Like [`mine_triclusters_profiled`], under the run control of `ctrl`: the
 /// deadline is polled at every DFS node, truncating the search exactly like
-/// an exhausted candidate budget.
+/// an exhausted candidate budget. Ends with one `tricluster.coherence` trace
+/// event on `sink` reporting the memo's logical checks, computed checks and
+/// interned regions.
 pub(crate) fn mine_triclusters_ctrl(
     m: &Matrix3,
     per_time: &[Vec<Bicluster>],
     params: &Params,
     collect_hists: bool,
     ctrl: &RunCtrl,
+    sink: &dyn EventSink,
 ) -> (Vec<Tricluster>, bool, TriclusterStats) {
-    assert_eq!(
-        per_time.len(),
-        m.n_times(),
-        "need one bicluster set per time slice"
-    );
-    let mut stats = TriclusterStats::default();
-    if collect_hists {
-        stats.hists = Some(Box::default());
-    }
-    let mut miner = TriMiner {
-        m,
-        per_time,
-        params,
-        results: Vec::new(),
-        times: Vec::new(),
-        budget: params.max_candidates,
-        truncated: false,
-        stats,
-        ctrl,
-    };
+    let mut miner = TriMiner::new(m, per_time, params, collect_hists, ctrl);
     let order: Vec<usize> = (0..m.n_times()).collect();
     let all_genes = BitSet::full(m.n_genes());
     let all_samples: Vec<usize> = (0..m.n_samples()).collect();
@@ -137,7 +133,49 @@ pub(crate) fn mine_triclusters_ctrl(
     if let Some(p) = &ctrl.progress {
         p.add_budget_spent(miner.stats.budget_spent);
     }
+    emit(sink, || {
+        Event::new("tricluster.coherence")
+            .field("checks", miner.stats.coherence_checks)
+            .field("computed", miner.memo.verdicts.len())
+            .field("regions", miner.memo.regions.len())
+    });
     (miner.results, miner.truncated, miner.stats)
+}
+
+/// Memo of [`slice_pair_coherent`] for one tricluster phase.
+///
+/// Exact: coherence is a pure function of the matrix, the region `X × Y`,
+/// the slice pair and `ε_time`; the matrix and `ε_time` are fixed for the
+/// phase and the key holds the rest. The maps hold one entry per distinct
+/// size-passing region and one per computed check, and are dropped with
+/// the phase.
+#[derive(Default)]
+struct CoherenceMemo {
+    /// Region id by key: the gene blocks, then the sample indices. Every
+    /// gene set of a phase has the same block count, so the split is
+    /// unambiguous.
+    regions: HashMap<Vec<u64>, u32>,
+    /// Verdict by `(region, t_a, t_b)`.
+    verdicts: HashMap<(u32, usize, usize), bool>,
+    /// Reused lookup key, so finding a known region allocates nothing.
+    key: Vec<u64>,
+}
+
+impl CoherenceMemo {
+    /// The id of region `genes × samples`, interned on first sight.
+    fn region(&mut self, genes: &BitSet, samples: &[usize]) -> u32 {
+        self.key.clear();
+        self.key.extend_from_slice(genes.as_blocks());
+        self.key.extend(samples.iter().map(|&s| s as u64));
+        if let Some(&id) = self.regions.get(self.key.as_slice()) {
+            return id;
+        }
+        // Each region holds at least one heap block, so memory runs out
+        // long before 2^32 of them.
+        let id = u32::try_from(self.regions.len()).expect("fewer than 2^32 regions");
+        self.regions.insert(self.key.clone(), id);
+        id
+    }
 }
 
 struct TriMiner<'a> {
@@ -149,11 +187,42 @@ struct TriMiner<'a> {
     budget: Option<u64>,
     truncated: bool,
     stats: TriclusterStats,
+    memo: CoherenceMemo,
     /// Run control: only the deadline is polled here (per DFS node).
     ctrl: &'a RunCtrl,
 }
 
-impl TriMiner<'_> {
+impl<'a> TriMiner<'a> {
+    fn new(
+        m: &'a Matrix3,
+        per_time: &'a [Vec<Bicluster>],
+        params: &'a Params,
+        collect_hists: bool,
+        ctrl: &'a RunCtrl,
+    ) -> Self {
+        assert_eq!(
+            per_time.len(),
+            m.n_times(),
+            "need one bicluster set per time slice"
+        );
+        let mut stats = TriclusterStats::default();
+        if collect_hists {
+            stats.hists = Some(Box::default());
+        }
+        TriMiner {
+            m,
+            per_time,
+            params,
+            results: Vec::new(),
+            times: Vec::new(),
+            budget: params.max_candidates,
+            truncated: false,
+            stats,
+            memo: CoherenceMemo::default(),
+            ctrl,
+        }
+    }
+
     fn dfs(&mut self, genes: &BitSet, samples: &[usize], pending: &[usize]) {
         if self.ctrl.token.deadline_exceeded() {
             self.truncated = true;
@@ -177,8 +246,9 @@ impl TriMiner<'_> {
         for (i, &tb) in pending.iter().enumerate() {
             let rest = &pending[i + 1..];
             // Candidate intersections with each bicluster of slice t_b;
-            // dedupe identical (X, Y) outcomes at this node.
-            let mut seen: HashSet<(Vec<u64>, Vec<usize>)> = HashSet::new();
+            // dedupe identical (X, Y) outcomes (equal region ids) at this
+            // node.
+            let mut seen: HashSet<u32> = HashSet::new();
             for bc in &self.per_time[tb] {
                 self.stats.extensions += 1;
                 if !bc
@@ -200,25 +270,33 @@ impl TriMiner<'_> {
                     continue;
                 }
                 // Temporal coherence of the intersected region between t_b
-                // and every slice already in Z.
+                // and every slice already in Z, each verdict computed once
+                // per phase.
+                let region = self.memo.region(&new_genes, &new_samples);
                 let mut checks = 0u64;
                 let coherent = self.times.iter().all(|&ta| {
                     checks += 1;
-                    slice_pair_coherent(
-                        self.m,
-                        &new_genes,
-                        &new_samples,
-                        ta,
-                        tb,
-                        self.params.epsilon_time,
-                    )
+                    *self
+                        .memo
+                        .verdicts
+                        .entry((region, ta, tb))
+                        .or_insert_with(|| {
+                            slice_pair_coherent(
+                                self.m,
+                                &new_genes,
+                                &new_samples,
+                                ta,
+                                tb,
+                                self.params.epsilon_time,
+                            )
+                        })
                 });
                 self.stats.coherence_checks += checks;
                 if !coherent {
                     self.stats.rejected_incoherent += 1;
                     continue;
                 }
-                if !seen.insert((new_genes.as_blocks().to_vec(), new_samples.clone())) {
+                if !seen.insert(region) {
                     self.stats.dedup_hits += 1;
                     continue;
                 }
@@ -346,13 +424,112 @@ pub fn insert_maximal_tricluster_counted(
     TriInsertOutcome::Inserted { displaced }
 }
 
+/// The time DFS without the coherence memo: every slice-pair check is
+/// recomputed and `seen` keys on cloned `(X, Y)` sets. The reference the
+/// memoized search must reproduce exactly.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub(super) fn mine(
+        m: &Matrix3,
+        per_time: &[Vec<Bicluster>],
+        params: &Params,
+        collect_hists: bool,
+    ) -> (Vec<Tricluster>, bool, TriclusterStats) {
+        let ctrl = RunCtrl::unbounded();
+        let mut miner = TriMiner::new(m, per_time, params, collect_hists, &ctrl);
+        let order: Vec<usize> = (0..m.n_times()).collect();
+        let all_genes = BitSet::full(m.n_genes());
+        let all_samples: Vec<usize> = (0..m.n_samples()).collect();
+        dfs(&mut miner, &all_genes, &all_samples, &order);
+        (miner.results, miner.truncated, miner.stats)
+    }
+
+    fn dfs(miner: &mut TriMiner<'_>, genes: &BitSet, samples: &[usize], pending: &[usize]) {
+        if miner.ctrl.token.deadline_exceeded() {
+            miner.truncated = true;
+            return;
+        }
+        if let Some(b) = &mut miner.budget {
+            if *b == 0 {
+                miner.truncated = true;
+                return;
+            }
+            *b -= 1;
+            miner.stats.budget_spent += 1;
+        }
+        miner.stats.nodes += 1;
+        if let Some(h) = miner.stats.hists.as_deref_mut() {
+            h.depth.record(miner.times.len() as u64);
+            h.candidate_set_size.record(pending.len() as u64);
+        }
+        let mut children = 0u64;
+        miner.try_record(genes, samples);
+        for (i, &tb) in pending.iter().enumerate() {
+            let rest = &pending[i + 1..];
+            let mut seen: HashSet<(Vec<u64>, Vec<usize>)> = HashSet::new();
+            for bc in &miner.per_time[tb] {
+                miner.stats.extensions += 1;
+                if !bc
+                    .genes
+                    .intersection_count_at_least(genes, miner.params.min_genes)
+                {
+                    miner.stats.rejected_small += 1;
+                    continue;
+                }
+                let new_samples = sorted_intersection(samples, &bc.samples);
+                if new_samples.len() < miner.params.min_samples {
+                    miner.stats.rejected_small += 1;
+                    continue;
+                }
+                let mut new_genes = genes.clone();
+                new_genes.intersect_with(&bc.genes);
+                if new_genes.count() < miner.params.min_genes {
+                    miner.stats.rejected_small += 1;
+                    continue;
+                }
+                let mut checks = 0u64;
+                let coherent = miner.times.iter().all(|&ta| {
+                    checks += 1;
+                    slice_pair_coherent(
+                        miner.m,
+                        &new_genes,
+                        &new_samples,
+                        ta,
+                        tb,
+                        miner.params.epsilon_time,
+                    )
+                });
+                miner.stats.coherence_checks += checks;
+                if !coherent {
+                    miner.stats.rejected_incoherent += 1;
+                    continue;
+                }
+                if !seen.insert((new_genes.as_blocks().to_vec(), new_samples.clone())) {
+                    miner.stats.dedup_hits += 1;
+                    continue;
+                }
+                children += 1;
+                miner.times.push(tb);
+                dfs(miner, &new_genes, &new_samples, rest);
+                miner.times.pop();
+            }
+        }
+        if let Some(h) = miner.stats.hists.as_deref_mut() {
+            h.fanout.record(children);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bicluster::mine_biclusters_profiled;
     use crate::rangegraph::build_range_graph_observed;
     use crate::testdata::{paper_table1, paper_table1_expected};
-    use tricluster_obs::NullSink;
+    use proptest::prelude::*;
+    use tricluster_obs::{Recorder, Value};
 
     fn params() -> Params {
         Params::builder()
@@ -545,5 +722,123 @@ mod tests {
     fn wrong_per_time_length_panics() {
         let m = paper_table1();
         mine_triclusters_profiled(&m, &[], &params(), false);
+    }
+
+    /// `vals` (10 × 5 × `nt` cells) with two planted scaling clusters that
+    /// span 4–8 slices, so the time DFS reaches their regions under many
+    /// time subsets: A = genes 0..4 × samples 0..3 on every slice, and
+    /// B = genes 4..8 × samples 1..5 on slices 1.. (gene 8 joins B on even
+    /// slices; gene 7 drifts on the last one, so some of B's intersections
+    /// are incoherent).
+    fn planted(vals: &[f64], tf_a: &[f64], tf_b: &[f64]) -> Matrix3 {
+        let nt = tf_a.len();
+        let mut m = Matrix3::zeros(10, 5, nt);
+        m.as_mut_slice().copy_from_slice(vals);
+        for t in 0..nt {
+            for g in 0..4 {
+                for (s, sf) in [1.0, 2.5, 4.0].into_iter().enumerate() {
+                    m.set(g, s, t, (g + 1) as f64 * sf * tf_a[t]);
+                }
+            }
+            if t == 0 {
+                continue;
+            }
+            for g in if t % 2 == 0 { 4..9 } else { 4..8 } {
+                let drift = if g == 7 && t == nt - 1 { 1.5 } else { 1.0 };
+                for s in 1..5 {
+                    m.set(g, s, t, (g - 2) as f64 * (s + 1) as f64 * tf_b[t] * drift);
+                }
+            }
+        }
+        m
+    }
+
+    fn planted_case() -> impl Strategy<Value = (Matrix3, f64)> {
+        (4usize..9)
+            .prop_flat_map(|nt| {
+                (
+                    proptest::collection::vec(1.0f64..100.0, 10 * 5 * nt),
+                    proptest::collection::vec(0.5f64..4.0, nt),
+                    proptest::collection::vec(0.5f64..4.0, nt),
+                    0.005f64..0.1,
+                )
+            })
+            .prop_map(|(vals, tf_a, tf_b, eps)| (planted(&vals, &tf_a, &tf_b), eps))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The memoized search reproduces the oracle exactly (clusters in
+        /// order, truncation, every statistic with histograms on): without
+        /// a budget, under a candidate budget that may cut it short, and
+        /// with a `δ^z` gate on recording.
+        #[test]
+        fn memoized_search_matches_oracle(
+            (m, eps) in planted_case(),
+            min_genes in 2usize..4,
+            min_times in 2usize..4,
+            budget_frac in 0.0f64..1.5,
+            delta_time in 5.0f64..300.0,
+        ) {
+            let base = Params::builder()
+                .epsilon(eps)
+                .min_size(min_genes, 2, min_times)
+                .build()
+                .unwrap();
+            let per_time = per_slice(&m, &base);
+            let full = mine_triclusters_profiled(&m, &per_time, &base, true);
+            prop_assert_eq!(&full, &oracle::mine(&m, &per_time, &base, true));
+            let budget = ((full.2.nodes as f64 * budget_frac) as u64).max(1);
+            let budgeted = Params {
+                max_candidates: Some(budget),
+                ..base.clone()
+            };
+            let gated = Params {
+                delta_time: Some(delta_time),
+                ..base
+            };
+            for p in [budgeted, gated] {
+                prop_assert_eq!(
+                    mine_triclusters_profiled(&m, &per_time, &p, true),
+                    oracle::mine(&m, &per_time, &p, true)
+                );
+            }
+        }
+    }
+
+    /// A run emits one `tricluster.coherence` trace event whose logical
+    /// check count is the counter's value; on a cluster spanning six slices
+    /// the memo computes only a fraction of those checks.
+    #[test]
+    fn coherence_memo_is_traced_once_per_run() {
+        let vals: Vec<f64> = (0..10 * 5 * 6)
+            .map(|i| 1.0 + (i * 37 % 101) as f64)
+            .collect();
+        let m = planted(
+            &vals,
+            &[1.0, 1.5, 0.7, 2.0, 3.0, 1.2],
+            &[0.8, 1.1, 2.2, 1.7, 0.9, 2.5],
+        );
+        let rec = Recorder::new();
+        let result = crate::Session::new(params()).run(&m, &rec).unwrap();
+        let events: Vec<_> = rec
+            .take_events()
+            .into_iter()
+            .filter(|e| e.name == "tricluster.coherence")
+            .collect();
+        assert_eq!(events.len(), 1, "{events:?}");
+        let field = |key: &str| match events[0].fields.iter().find(|(k, _)| *k == key) {
+            Some((_, Value::U64(n))) => *n,
+            other => panic!("{key}: {other:?}"),
+        };
+        let checks = result.report.counter(names::TC_COHERENCE_CHECKS);
+        assert_eq!(field("checks"), checks);
+        assert!(
+            field("computed") * 4 < checks,
+            "{} of {checks} checks computed",
+            field("computed")
+        );
+        assert!(field("regions") > 0);
     }
 }

@@ -41,8 +41,15 @@ fn exact_params(eps: f64, mx: usize, my: usize, mz: usize) -> Params {
         .unwrap()
 }
 
-/// Deterministic pseudo-random matrix with a planted scaling cluster.
-fn random_matrix_with_cluster(seed: u64, ng: usize, ns: usize, nt: usize) -> Matrix3 {
+/// Deterministic pseudo-random matrix with a scaling cluster planted on
+/// genes 0..3 × samples 0..3 × the first `slices` time slices.
+fn random_matrix_with_cluster(
+    seed: u64,
+    ng: usize,
+    ns: usize,
+    nt: usize,
+    slices: usize,
+) -> Matrix3 {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     let mut next = move || {
         state ^= state << 13;
@@ -58,10 +65,9 @@ fn random_matrix_with_cluster(seed: u64, ng: usize, ns: usize, nt: usize) -> Mat
             }
         }
     }
-    // plant: genes 0..3 x samples 0..2 x times 0..1 scaling
     for g in 0..3.min(ng) {
         for s in 0..3.min(ns) {
-            for t in 0..2.min(nt) {
+            for t in 0..slices.min(nt) {
                 m.set(
                     g,
                     s,
@@ -77,7 +83,7 @@ fn random_matrix_with_cluster(seed: u64, ng: usize, ns: usize, nt: usize) -> Mat
 #[test]
 fn miner_matches_brute_force_on_planted_matrices() {
     for seed in 0..12u64 {
-        let m = random_matrix_with_cluster(seed, 6, 4, 3);
+        let m = random_matrix_with_cluster(seed, 6, 4, 3, 2);
         let params = exact_params(0.02, 2, 2, 2);
         let mined = view(&mine(&m, &params).unwrap().triclusters);
         let brute = view(&brute::mine_exhaustive(&m, &params));
@@ -88,9 +94,17 @@ fn miner_matches_brute_force_on_planted_matrices() {
 #[test]
 fn miner_matches_brute_force_with_loose_epsilon() {
     // larger ε makes random coincidences (and thus nontrivial clusters)
-    // common — a stronger stress of the search
-    for seed in 100..108u64 {
-        let m = random_matrix_with_cluster(seed, 5, 4, 3);
+    // common — a stronger stress of the search. Seeds 400.. have 4–5
+    // slices with the cluster planted on all of them: the time DFS reaches
+    // the same region under many time subsets, so slice pairs are checked
+    // for coherence many times over (unlike the 2–3-slice seeds).
+    let three_slices = (100..108u64).map(|seed| (seed, 3, 2));
+    let every_slice = (400..412u64).map(|seed| {
+        let nt = 4 + seed as usize % 2;
+        (seed, nt, nt)
+    });
+    for (seed, nt, slices) in three_slices.chain(every_slice) {
+        let m = random_matrix_with_cluster(seed, 5, 4, nt, slices);
         let params = exact_params(0.25, 2, 2, 2);
         let mined = view(&mine(&m, &params).unwrap().triclusters);
         let brute = view(&brute::mine_exhaustive(&m, &params));
@@ -101,7 +115,7 @@ fn miner_matches_brute_force_with_loose_epsilon() {
 #[test]
 fn miner_matches_brute_force_with_deltas() {
     for seed in 200..206u64 {
-        let m = random_matrix_with_cluster(seed, 5, 4, 2);
+        let m = random_matrix_with_cluster(seed, 5, 4, 2, 2);
         let params = Params::builder()
             .epsilon(0.1)
             .min_genes(2)
@@ -126,7 +140,7 @@ fn mined_clusters_are_always_sound() {
     // tolerance (extended/split ranges span up to 2ε, and the 2x2 plane
     // conditions allow another factor-of-two of global drift)
     for seed in 300..310u64 {
-        let m = random_matrix_with_cluster(seed, 7, 4, 3);
+        let m = random_matrix_with_cluster(seed, 7, 4, 3, 2);
         let params = Params::builder()
             .epsilon(0.05)
             .min_genes(2)
