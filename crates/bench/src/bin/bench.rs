@@ -39,10 +39,10 @@
 
 use std::time::Duration;
 
-use tricluster_bench::regress::{determinism_diff, diff, Tolerances};
+use tricluster_bench::regress::{determinism_diff, diff};
 use tricluster_bench::{kernel, measure_threads_observed, scaling_spec};
 use tricluster_core::obs::json::Json;
-use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
+use tricluster_core::obs::ledger::{content_hash, DiffTolerances, Ledger, NewEntry};
 use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{EventSink, NullSink};
 
@@ -67,7 +67,7 @@ fn load(path: &str) -> Result<Json, String> {
 
 fn run_diff(rest: &[String]) -> i32 {
     let mut paths = Vec::new();
-    let mut tol = Tolerances::default();
+    let mut tol = DiffTolerances::default();
     let mut update = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {

@@ -11,35 +11,7 @@
 //! `track-alloc` builds).
 
 use tricluster_core::obs::json::Json;
-use tricluster_core::obs::ledger::exceeds;
-
-/// Allowed headroom over the baseline before a value counts as a
-/// regression: `current > baseline * (1 + rel) + floor`.
-#[derive(Debug, Clone)]
-pub struct Tolerances {
-    /// Relative headroom for wall/phase times (0.5 = +50%).
-    pub time_rel: f64,
-    /// Absolute time noise floor in seconds.
-    pub time_floor_secs: f64,
-    /// Relative headroom for peak memory.
-    pub mem_rel: f64,
-    /// Absolute memory noise floor in bytes.
-    pub mem_floor_bytes: u64,
-}
-
-impl Default for Tolerances {
-    /// Generous CI defaults: +50% / 50 ms on time (shared machines are
-    /// noisy), +25% / 1 MiB on memory (allocator high-water marks are
-    /// nearly deterministic).
-    fn default() -> Self {
-        Tolerances {
-            time_rel: 0.5,
-            time_floor_secs: 0.05,
-            mem_rel: 0.25,
-            mem_floor_bytes: 1 << 20,
-        }
-    }
-}
+use tricluster_core::obs::ledger::{exceeds, DiffTolerances};
 
 /// One tolerance-exceeding metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,7 +42,11 @@ impl std::fmt::Display for Regression {
 /// (empty = gate passes) or an error when the documents are not comparable
 /// — wrong schema, missing sweeps, or mismatched sweep shapes — which means
 /// the baseline needs regenerating, not that performance regressed.
-pub fn diff(baseline: &Json, current: &Json, tol: &Tolerances) -> Result<Vec<Regression>, String> {
+pub fn diff(
+    baseline: &Json,
+    current: &Json,
+    tol: &DiffTolerances,
+) -> Result<Vec<Regression>, String> {
     for (label, doc) in [("baseline", baseline), ("current", current)] {
         match doc.get("schema").and_then(Json::as_str) {
             Some(s) if s.starts_with("tricluster.fig7/") => {}
@@ -117,7 +93,7 @@ fn compare_point(
     i: usize,
     base: &Json,
     cur: &Json,
-    tol: &Tolerances,
+    tol: &DiffTolerances,
     out: &mut Vec<Regression>,
 ) -> Result<(), String> {
     let mut check_time = |metric: String, b: f64, c: f64| {
@@ -247,21 +223,24 @@ mod tests {
     #[test]
     fn identical_documents_pass() {
         let d = doc(0.5, 0.2, Some(1 << 22));
-        assert_eq!(diff(&d, &d, &Tolerances::default()).unwrap(), vec![]);
+        assert_eq!(diff(&d, &d, &DiffTolerances::default()).unwrap(), vec![]);
     }
 
     #[test]
     fn small_noise_is_absorbed() {
         let base = doc(0.5, 0.2, Some(1 << 22));
         let cur = doc(0.6, 0.25, Some((1 << 22) + 4096));
-        assert_eq!(diff(&base, &cur, &Tolerances::default()).unwrap(), vec![]);
+        assert_eq!(
+            diff(&base, &cur, &DiffTolerances::default()).unwrap(),
+            vec![]
+        );
     }
 
     #[test]
     fn large_time_regression_is_flagged() {
         let base = doc(0.5, 0.2, None);
         let cur = doc(2.0, 0.2, None);
-        let regs = diff(&base, &cur, &Tolerances::default()).unwrap();
+        let regs = diff(&base, &cur, &DiffTolerances::default()).unwrap();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "smoke-genes[0].seconds");
         assert!(regs[0].to_string().contains("seconds"));
@@ -271,7 +250,7 @@ mod tests {
     fn phase_time_regression_is_flagged() {
         let base = doc(0.5, 0.2, None);
         let cur = doc(0.5, 0.9, None);
-        let regs = diff(&base, &cur, &Tolerances::default()).unwrap();
+        let regs = diff(&base, &cur, &DiffTolerances::default()).unwrap();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "smoke-genes[0].phases.biclusters_cpu_secs");
     }
@@ -280,13 +259,13 @@ mod tests {
     fn memory_regression_is_flagged_only_when_both_measured() {
         let base = doc(0.5, 0.2, Some(1 << 22));
         let cur = doc(0.5, 0.2, Some(1 << 24));
-        let regs = diff(&base, &cur, &Tolerances::default()).unwrap();
+        let regs = diff(&base, &cur, &DiffTolerances::default()).unwrap();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].metric, "smoke-genes[0].peak_live_bytes");
         // one side unmeasured: no memory comparison, no failure
         let cur_unmeasured = doc(0.5, 0.2, None);
         assert_eq!(
-            diff(&base, &cur_unmeasured, &Tolerances::default()).unwrap(),
+            diff(&base, &cur_unmeasured, &DiffTolerances::default()).unwrap(),
             vec![]
         );
     }
@@ -296,7 +275,10 @@ mod tests {
         // 1 ms phase tripling stays under the 50 ms noise floor
         let base = doc(0.001, 0.001, None);
         let cur = doc(0.003, 0.003, None);
-        assert_eq!(diff(&base, &cur, &Tolerances::default()).unwrap(), vec![]);
+        assert_eq!(
+            diff(&base, &cur, &DiffTolerances::default()).unwrap(),
+            vec![]
+        );
     }
 
     /// A minimal v2 report document with a tweakable counter value.
@@ -360,11 +342,11 @@ mod tests {
     fn structural_mismatch_is_an_error_not_a_regression() {
         let base = doc(0.5, 0.2, None);
         let wrong_schema = Json::obj().with("schema", Json::Str("nope/v1".into()));
-        assert!(diff(&base, &wrong_schema, &Tolerances::default()).is_err());
+        assert!(diff(&base, &wrong_schema, &DiffTolerances::default()).is_err());
         let mut missing = doc(0.5, 0.2, None);
         if let Json::Obj(fields) = &mut missing {
             fields.retain(|(k, _)| k != "sweeps");
         }
-        assert!(diff(&base, &missing, &Tolerances::default()).is_err());
+        assert!(diff(&base, &missing, &DiffTolerances::default()).is_err());
     }
 }

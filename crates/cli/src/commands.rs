@@ -14,7 +14,7 @@ use tricluster_core::obs::ledger::{
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
 use tricluster_core::obs::timeline::Timeline;
-use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink, NullSink};
+use tricluster_core::obs::{names, EventSink, Fanout, HistogramTap, JsonLinesSink, NullSink};
 use tricluster_core::runreport;
 use tricluster_core::{
     cluster_metrics_observed, mine_shifting, Engine, FanoutMode, MergeParams, MineError,
@@ -1082,20 +1082,6 @@ fn print_verbose(result: &MiningResult, verbosity: u8) {
             r.counter(names::BC_NODES),
             r.counter(names::TC_NODES),
         );
-    }
-}
-
-/// Sink whose only job is to switch on histogram collection in the mining
-/// phases; the collected data still arrives through the result's embedded
-/// report, so everything else stays at the `NullSink` defaults.
-struct HistogramTap;
-
-impl EventSink for HistogramTap {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn wants_histograms(&self) -> bool {
-        true
     }
 }
 

@@ -21,14 +21,15 @@
 //!
 //! # Observability
 //!
-//! A process-lifetime [`ServiceRegistry`] accumulates job-lifecycle
+//! A process-lifetime metrics [`Registry`] accumulates job-lifecycle
 //! counters (accepted / rejected / clamped / completed / failed /
-//! cancelled), queue-wait vs. run vs. archive latency histograms, and —
-//! at scrape time — live gauges (queue depth, admitted bytes, busy
-//! workers, retained jobs, dataset-cache hits/misses/evictions), exposed
-//! as `GET /metrics`. Every HTTP request gets a monotonic request ID; with
-//! `--access-log PATH` each request is appended as one JSONL audit record
-//! (method, path, status, bytes, duration, clamp verdict, shed reason).
+//! cancelled) and queue-wait vs. run vs. archive latency spans.
+//! `GET /metrics` renders them with live gauges sampled at scrape time
+//! (queue depth, admitted bytes, busy workers, retained jobs,
+//! dataset-cache hits/misses/evictions). Every HTTP request gets a
+//! monotonic request ID; with `--access-log PATH` each request is
+//! appended as one JSONL audit record (method, path, status, bytes,
+//! duration, clamp verdict, shed reason).
 //! The submission's request ID is threaded into the job record, its
 //! report (a `serve` section, outside the deterministic sections), its
 //! ledger entry, and its Chrome trace — which also carries the job's
@@ -70,9 +71,9 @@ use tricluster_core::obs::httpd::{
 };
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
+use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::names;
 use tricluster_core::obs::progress::{Progress, ProgressSink};
-use tricluster_core::obs::service::ServiceRegistry;
 use tricluster_core::obs::timeline::{self, Timeline};
 use tricluster_core::obs::{EventSink, Fanout};
 use tricluster_core::{Dataset, Engine, Reported, Session, TenantCaps};
@@ -259,7 +260,7 @@ struct Shared {
     state: Mutex<State>,
     /// Daemon-lifetime counters and latency histograms (`GET /metrics`).
     /// Its locks are leaves: never take `state` while holding them.
-    service: ServiceRegistry,
+    service: Registry,
     /// Monotonic per-request IDs, assigned before routing.
     next_request_id: AtomicU64,
     /// JSONL audit sink (`--access-log`); whole-line single writes.
@@ -322,7 +323,7 @@ impl Daemon {
                 admitted_bytes: 0,
                 draining: None,
             }),
-            service: ServiceRegistry::new(),
+            service: Registry::new(),
             next_request_id: AtomicU64::new(1),
             access_log,
             work: Condvar::new(),
@@ -413,7 +414,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        shared.service.observe(names::SV_QUEUE_WAIT, queue_wait);
+        shared.service.span(names::SV_QUEUE_WAIT, queue_wait);
         let started = Instant::now();
         // Per-job isolation: a panic anywhere in this job (including one
         // escaping the miner's own boundaries) is downgraded to a failed
@@ -422,7 +423,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             run_job(shared, id, request_id, &tl, &dataset, &session, &progress)
         }))
         .unwrap_or_else(|payload| Err(FailedJob::Panic(payload)));
-        shared.service.observe(names::SV_RUN, started.elapsed());
+        shared.service.span(names::SV_RUN, started.elapsed());
         let outcome = match ran {
             Ok((clusters, truncation, report)) => Outcome {
                 clusters,
@@ -521,7 +522,7 @@ fn run_job(
         drop(ledger);
         shared
             .service
-            .observe(names::SV_ARCHIVE, archive_started.elapsed());
+            .span(names::SV_ARCHIVE, archive_started.elapsed());
     }
     Ok((
         result.triclusters.len(),
@@ -548,11 +549,12 @@ fn finish_job(shared: &Arc<Shared>, id: u64, outcome: Outcome) {
     state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
     evict_finished(&mut state);
     drop(state);
-    shared.service.incr(match finished {
+    let finished_counter = match finished {
         JobState::Failed => names::SV_JOBS_FAILED,
         JobState::Cancelled => names::SV_JOBS_CANCELLED,
         _ => names::SV_JOBS_COMPLETED,
-    });
+    };
+    shared.service.counter(finished_counter, 1);
     // A worker slot freed; drain waiters and peers may care.
     shared.work.notify_all();
     shared.shutdown.notify_all();
@@ -595,7 +597,7 @@ fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
     let started = Instant::now();
     let mut audit = Audit::default();
     let response = route(shared, &req, request_id, &mut audit);
-    shared.service.incr(names::SV_HTTP_REQUESTS);
+    shared.service.counter(names::SV_HTTP_REQUESTS, 1);
     log_access(
         shared,
         request_id,
@@ -750,7 +752,7 @@ fn stats_response(shared: &Arc<Shared>) -> Response {
 }
 
 /// `GET /metrics`: the daemon-lifetime OpenMetrics exposition. Counters
-/// and latency histograms come from the [`ServiceRegistry`]; gauges are
+/// and latency histograms come from the daemon's [`Registry`]; gauges are
 /// sampled here, under the daemon lock, at scrape time.
 fn metrics_response(shared: &Arc<Shared>) -> Response {
     let (hits, misses, evictions) = shared.engine.cache_stats();
@@ -866,7 +868,9 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         if state.queue.len() >= shared.cfg.queue_depth {
             let depth = state.queue.len();
             drop(state);
-            shared.service.incr(names::SV_JOBS_REJECTED_QUEUE_FULL);
+            shared
+                .service
+                .counter(names::SV_JOBS_REJECTED_QUEUE_FULL, 1);
             audit.shed_reason = Some("queue_full");
             return rejection(
                 "queue_full",
@@ -960,7 +964,9 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     if state.queue.len() >= shared.cfg.queue_depth {
         let depth = state.queue.len();
         drop(state);
-        shared.service.incr(names::SV_JOBS_REJECTED_QUEUE_FULL);
+        shared
+            .service
+            .counter(names::SV_JOBS_REJECTED_QUEUE_FULL, 1);
         audit.shed_reason = Some("queue_full");
         return rejection(
             "queue_full",
@@ -972,7 +978,7 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         if state.admitted_bytes + matrix_bytes > budget {
             let admitted = state.admitted_bytes;
             drop(state);
-            shared.service.incr(names::SV_JOBS_REJECTED_MEMORY);
+            shared.service.counter(names::SV_JOBS_REJECTED_MEMORY, 1);
             audit.shed_reason = Some("memory_budget");
             return rejection(
                 "memory_budget",
@@ -1014,9 +1020,9 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     state.queue.push_back(id);
     state.jobs.insert(id, job);
     drop(state);
-    shared.service.incr(names::SV_JOBS_ACCEPTED);
+    shared.service.counter(names::SV_JOBS_ACCEPTED, 1);
     if clamped {
-        shared.service.incr(names::SV_JOBS_CLAMPED);
+        shared.service.counter(names::SV_JOBS_CLAMPED, 1);
     }
     audit.job_id = Some(id);
     audit.clamped = Some(clamped);
@@ -1069,7 +1075,7 @@ fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
             state.queue.retain(|&q| q != id);
             state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
             drop(state);
-            shared.service.incr(names::SV_JOBS_CANCELLED);
+            shared.service.counter(names::SV_JOBS_CANCELLED, 1);
             let body = Json::obj()
                 .with("id", Json::U64(id))
                 .with("state", Json::Str("cancelled".into()));
@@ -1161,7 +1167,9 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
     }
     drop(state);
     if cancelled_now > 0 {
-        shared.service.add(names::SV_JOBS_CANCELLED, cancelled_now);
+        shared
+            .service
+            .counter(names::SV_JOBS_CANCELLED, cancelled_now);
     }
     shared.work.notify_all();
     shared.shutdown.notify_all();

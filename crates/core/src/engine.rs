@@ -29,7 +29,8 @@ use tricluster_matrix::io::{self, IoError};
 use tricluster_matrix::{Axis, Labels, Matrix3};
 use tricluster_obs::json::Json;
 use tricluster_obs::ledger::content_hash;
-use tricluster_obs::{EventSink, Fanout, Recorder};
+use tricluster_obs::metrics::Registry;
+use tricluster_obs::{EventSink, Fanout, HistogramTap};
 
 /// Server-wide ceilings on what any single job may request.
 ///
@@ -177,7 +178,14 @@ impl Session {
     /// The same typed [`MineError`]s as [`mine`](crate::mine);
     /// cancellation is *not* an error (it truncates the result).
     pub fn run(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<MiningResult, MineError> {
-        self.mine(m, sink, false)
+        if self.auto_transpose {
+            let order = m.canonical_permutation();
+            if order != [Axis::Gene, Axis::Sample, Axis::Time] {
+                let result = self.run_as_is(&m.permuted(order), sink)?;
+                return Ok(unpermute_result(result, m, order));
+            }
+        }
+        self.run_as_is(m, sink)
     }
 
     /// Mines `m` with histogram collection on, computes the quality metrics
@@ -188,10 +196,11 @@ impl Session {
     ///
     /// As [`Session::run`].
     pub fn run_report(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<Reported, MineError> {
-        let mut result = self.mine(m, sink, true)?;
-        let rec = Recorder::new();
-        let metrics = cluster_metrics_observed(m, &result.triclusters, &Fanout(vec![&rec, sink]));
-        result.report.merge(&rec.snapshot());
+        let mut result = self.run(m, &Fanout(vec![sink, &HistogramTap]))?;
+        let registry = Registry::new();
+        let metrics =
+            cluster_metrics_observed(m, &result.triclusters, &Fanout(vec![&registry, sink]));
+        result.report.merge(&registry.snapshot());
         let doc = report_to_json_v2(m, &result, &result.report, &metrics);
         Ok(Reported {
             result,
@@ -200,28 +209,7 @@ impl Session {
         })
     }
 
-    fn mine(
-        &self,
-        m: &Matrix3,
-        sink: &dyn EventSink,
-        hists: bool,
-    ) -> Result<MiningResult, MineError> {
-        if self.auto_transpose {
-            let order = m.canonical_permutation();
-            if order != [Axis::Gene, Axis::Sample, Axis::Time] {
-                let result = self.mine_as_is(&m.permuted(order), sink, hists)?;
-                return Ok(unpermute_result(result, m, order));
-            }
-        }
-        self.mine_as_is(m, sink, hists)
-    }
-
-    fn mine_as_is(
-        &self,
-        m: &Matrix3,
-        sink: &dyn EventSink,
-        hists: bool,
-    ) -> Result<MiningResult, MineError> {
+    fn run_as_is(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<MiningResult, MineError> {
         let params = &self.params;
         validate_input(m, params)?;
         let mut ctrl = RunCtrl::for_params_with_handle(params, self.handle.clone());
@@ -246,7 +234,7 @@ impl Session {
                     message,
                 });
             }
-            Ok(mine_pipeline(m, params, sink, &ctrl, hists))
+            Ok(mine_pipeline(m, params, sink, &ctrl))
         })) {
             Ok(result) => result,
             Err(payload) => Err(MineError::Panic {

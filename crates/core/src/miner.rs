@@ -22,9 +22,10 @@ use crate::tricluster::mine_triclusters_ctrl;
 use std::time::{Duration, Instant};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::{Axis, Matrix3};
-use tricluster_obs::progress::{Phase, Progress};
+use tricluster_obs::metrics::Registry;
+use tricluster_obs::progress::Phase;
 use tricluster_obs::{
-    alloc, emit, names, timeline, Event, EventSink, Histogram, NullSink, RunReport,
+    alloc, emit, names, timeline, Event, EventSink, Fanout, Histogram, NullSink, RunReport,
 };
 
 /// Granularity one phase actually fanned out at (see
@@ -133,61 +134,6 @@ impl Timings {
     /// across workers; exceeds [`Timings::total`] under parallel speed-up).
     pub fn summed_cpu(&self) -> Duration {
         self.range_graphs + self.biclusters + self.triclusters + self.prune
-    }
-}
-
-/// Internal sink wrapper: accumulates counters and spans into the run
-/// report while forwarding every signal (including trace events, which it
-/// does not buffer) to the caller's sink. Ensures each signal reaches the
-/// caller's sink exactly once. Histograms are collected when `hists` is set
-/// or the caller's sink wants them.
-struct ReportSink<'a> {
-    report: std::sync::Mutex<RunReport>,
-    inner: &'a dyn EventSink,
-    hists: bool,
-}
-
-impl<'a> ReportSink<'a> {
-    fn new(inner: &'a dyn EventSink, hists: bool) -> Self {
-        ReportSink {
-            report: std::sync::Mutex::new(RunReport::new()),
-            inner,
-            hists,
-        }
-    }
-
-    fn into_report(self) -> RunReport {
-        self.report.into_inner().unwrap()
-    }
-}
-
-impl EventSink for ReportSink<'_> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.report.lock().unwrap().add_counter(name, delta);
-        self.inner.counter(name, delta);
-    }
-    fn span(&self, name: &'static str, elapsed: Duration) {
-        self.report.lock().unwrap().add_span(name, elapsed);
-        self.inner.span(name, elapsed);
-    }
-    fn event(&self, event: Event) {
-        self.inner.event(event);
-    }
-    fn wants_histograms(&self) -> bool {
-        self.hists || self.inner.wants_histograms()
-    }
-    fn histogram(&self, name: &'static str, hist: &Histogram) {
-        self.report.lock().unwrap().add_histogram(name, hist);
-        self.inner.histogram(name, hist);
-    }
-    fn timeline(&self) -> Option<&tricluster_obs::timeline::Timeline> {
-        self.inner.timeline()
-    }
-    fn progress(&self) -> Option<std::sync::Arc<Progress>> {
-        self.inner.progress()
     }
 }
 
@@ -365,26 +311,27 @@ pub(crate) fn validate_input(m: &Matrix3, params: &Params) -> Result<(), MineErr
 }
 
 /// The pipeline body: phases 1–4 plus report assembly, under `ctrl`'s
-/// budgets and fault collection. `hists` switches histogram collection on
-/// regardless of what `sink` asks for.
+/// budgets and fault collection.
 pub(crate) fn mine_pipeline(
     m: &Matrix3,
     params: &Params,
     sink: &dyn EventSink,
     ctrl: &RunCtrl,
-    hists: bool,
 ) -> MiningResult {
     let n_times = m.n_times();
     let mut timings = Timings::default();
-    let report_sink = ReportSink::new(sink, hists);
-    let sink = &report_sink;
+    // Every signal reaches the caller's sink once and the run's own
+    // registry once; the registry's snapshot is the run report.
+    let registry = Registry::new();
+    let fanout = Fanout(vec![&registry, sink]);
+    let sink: &dyn EventSink = &fanout;
     // Inert unless the binary installed obs' tracking allocator; phase
     // boundaries below credit allocator deltas to the phase that ran.
     let mut phase_alloc = alloc::PhaseAlloc::begin();
     // Timeline journaling for the coordinating thread (worker threads
     // attach inside their spawn closures); a `None` timeline keeps every
     // ambient record call a thread-local check.
-    let _tl_main = sink.timeline().map(|t| t.attach("main"));
+    let _tl_main = ctrl.timeline.as_ref().map(|t| t.attach("main"));
     if let Some(p) = &ctrl.progress {
         p.set_phase(Phase::Slices);
         p.add_slices_total(n_times as u64);
@@ -469,7 +416,7 @@ pub(crate) fn mine_pipeline(
             let handles: Vec<_> = (0..slice_workers)
                 .map(|w| {
                     scope.spawn(move || {
-                        let _tl = sink.timeline().map(|t| t.attach("slice"));
+                        let _tl = ctrl.timeline.as_ref().map(|t| t.attach("slice"));
                         (w..n_times)
                             .step_by(slice_workers)
                             .filter_map(|t| {
@@ -685,7 +632,7 @@ pub(crate) fn mine_pipeline(
         truncation,
         worker_failures,
         timings,
-        report: report_sink.into_report(),
+        report: registry.snapshot(),
         fanout,
     }
 }
@@ -1116,6 +1063,27 @@ mod tests {
             view(&r.triclusters),
             view(&mine(&m, &params()).unwrap().triclusters)
         );
+    }
+
+    /// Under intra-slice fan-out the pair and branch workers journal on the
+    /// run's timeline next to the coordinating thread.
+    #[test]
+    fn intra_fanout_journals_main_pair_and_branch_tracks() {
+        let p = Params::builder()
+            .epsilon(0.01)
+            .min_size(3, 3, 2)
+            .fanout(FanoutMode::Pair)
+            .threads(2)
+            .build()
+            .unwrap();
+        let tl = timeline::Timeline::new();
+        let r = Session::new(p).run(&paper_table1(), &tl).unwrap();
+        assert_eq!(r.fanout.bicluster, FanoutLevel::Branch);
+        let tracks: std::collections::BTreeSet<&str> =
+            tl.journals().iter().map(|j| j.label).collect();
+        for track in ["main", "pair", "branch"] {
+            assert!(tracks.contains(track), "no {track} track in {tracks:?}");
+        }
     }
 
     /// Mining against a recording sink yields the same report as the one

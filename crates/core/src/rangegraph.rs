@@ -132,7 +132,11 @@ pub fn build_range_graph_observed(
     params: &Params,
     sink: &dyn EventSink,
 ) -> (RangeGraph, RangeGraphStats) {
-    build_range_graph_ctrl(m, t, params, sink, 1, &RunCtrl::unbounded())
+    let ctrl = RunCtrl {
+        timeline: sink.timeline().cloned(),
+        ..RunCtrl::unbounded()
+    };
+    build_range_graph_ctrl(m, t, params, sink, 1, &ctrl)
 }
 
 /// Column-major copy of one time slice: [`SliceColumns::col`]`(c)[g]` is
@@ -390,7 +394,7 @@ pub(crate) fn build_range_graph_ctrl(
         let handles: Vec<_> = (0..workers.min(pairs.len()))
             .map(|_| {
                 scope.spawn(|| {
-                    let _tl = sink.timeline().map(|t| t.attach("pair"));
+                    let _tl = ctrl.timeline.as_ref().map(|t| t.attach("pair"));
                     let mut scratch = PairScratch::default();
                     let mut done: Vec<(usize, Vec<RatioRange>, u64)> = Vec::new();
                     loop {

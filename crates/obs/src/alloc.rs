@@ -215,12 +215,12 @@ impl PhaseAlloc {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// The counters are process-global: tests that move them run one at a
     /// time.
-    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    pub(crate) static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Drives the allocator directly (it is not installed globally in
     /// tests) and checks the counter arithmetic.

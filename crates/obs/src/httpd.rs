@@ -217,7 +217,7 @@ pub fn scrape_handler(registry: Arc<Registry>) -> Handler {
             "/metrics" => Response {
                 status: 200,
                 content_type: "application/openmetrics-text; version=1.0.0; charset=utf-8".into(),
-                body: registry.render_openmetrics(),
+                body: registry.render_openmetrics(&[]),
             },
             "/progress" => match registry.progress_json() {
                 Some(json) => Response::json(200, json + "\n"),

@@ -67,21 +67,24 @@ pub fn exceeds(baseline: f64, current: f64, rel: f64, floor: f64) -> Option<f64>
     (current > allowed).then_some(allowed)
 }
 
-/// Tolerances for [`diff_reports`], with the same semantics (and defaults)
-/// as the bench gate's: relative headroom plus absolute noise floor.
+/// Allowed headroom over a baseline before a value counts as a regression
+/// under [`exceeds`], for [`diff_reports`] and the bench regression gate.
 #[derive(Debug, Clone)]
 pub struct DiffTolerances {
     /// Relative headroom for wall/phase times (0.5 = +50%).
     pub time_rel: f64,
     /// Absolute time noise floor in seconds.
     pub time_floor_secs: f64,
-    /// Relative headroom for allocator byte metrics.
+    /// Relative headroom for allocator byte metrics and peak memory.
     pub mem_rel: f64,
     /// Absolute byte noise floor.
     pub mem_floor_bytes: u64,
 }
 
 impl Default for DiffTolerances {
+    /// Generous CI defaults: +50% / 50 ms on time (shared machines are
+    /// noisy), +25% / 1 MiB on memory (allocator high-water marks are
+    /// nearly deterministic).
     fn default() -> Self {
         DiffTolerances {
             time_rel: 0.5,

@@ -27,7 +27,6 @@ pub mod ledger;
 pub mod metrics;
 pub mod names;
 pub mod progress;
-pub mod service;
 pub mod timeline;
 
 pub use hist::Histogram;
@@ -223,11 +222,15 @@ impl EventSink for Fanout<'_> {
             s.span(name, elapsed);
         }
     }
+    /// Clones the event for every enabled sink but the last, which takes
+    /// it by value, so nesting fan-outs adds no copies.
     fn event(&self, event: Event) {
-        for s in &self.0 {
-            if s.enabled() {
-                s.event(event.clone());
+        let mut targets = self.0.iter().filter(|s| s.enabled()).peekable();
+        while let Some(s) = targets.next() {
+            if targets.peek().is_none() {
+                return s.event(event);
             }
+            s.event(event.clone());
         }
     }
     fn wants_histograms(&self) -> bool {
@@ -243,6 +246,21 @@ impl EventSink for Fanout<'_> {
     }
     fn progress(&self) -> Option<std::sync::Arc<progress::Progress>> {
         self.0.iter().find_map(|s| s.progress())
+    }
+}
+
+/// Sink whose only job is to switch on histogram collection; the
+/// histograms reach whichever aggregating sink sits beside it in a
+/// [`Fanout`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct HistogramTap;
+
+impl EventSink for HistogramTap {
+    fn enabled(&self) -> bool {
+        false
+    }
+    fn wants_histograms(&self) -> bool {
+        true
     }
 }
 
@@ -348,20 +366,6 @@ impl RunReport {
         }
         for (name, hist) in &other.histograms {
             self.add_histogram(name, hist);
-        }
-    }
-
-    /// Replay every counter, span, and histogram into a sink (used to
-    /// mirror the aggregate view into a trace stream or recorder).
-    pub fn replay_into(&self, sink: &dyn EventSink) {
-        for (name, delta) in &self.counters {
-            sink.counter(name, *delta);
-        }
-        for (name, stats) in &self.spans {
-            sink.span(name, stats.total);
-        }
-        for (name, hist) in &self.histograms {
-            sink.histogram(name, hist);
         }
     }
 
@@ -511,17 +515,13 @@ impl RunReport {
     }
 }
 
-/// Thread-safe aggregating sink: counters and spans accumulate into a
-/// [`RunReport`], events are buffered in arrival order.
+/// Thread-safe aggregating sink: counters, spans, and histograms
+/// accumulate in a [`metrics::Registry`], events are buffered in arrival
+/// order. Unlike a bare registry it asks for events and histograms.
 #[derive(Default)]
 pub struct Recorder {
-    inner: Mutex<RecorderInner>,
-}
-
-#[derive(Default)]
-struct RecorderInner {
-    report: RunReport,
-    events: Vec<Event>,
+    registry: metrics::Registry,
+    events: Mutex<Vec<Event>>,
 }
 
 impl Recorder {
@@ -531,30 +531,35 @@ impl Recorder {
 
     /// Copy of the aggregate view so far.
     pub fn snapshot(&self) -> RunReport {
-        self.inner.lock().unwrap().report.clone()
+        self.registry.snapshot()
     }
 
     /// Drain buffered trace events.
     pub fn take_events(&self) -> Vec<Event> {
-        std::mem::take(&mut self.inner.lock().unwrap().events)
+        std::mem::take(&mut self.events.lock().unwrap_or_else(|p| p.into_inner()))
     }
 }
 
 impl EventSink for Recorder {
     fn counter(&self, name: &'static str, delta: u64) {
-        self.inner.lock().unwrap().report.add_counter(name, delta);
+        self.registry.counter(name, delta);
     }
     fn span(&self, name: &'static str, elapsed: Duration) {
-        self.inner.lock().unwrap().report.add_span(name, elapsed);
+        self.registry.span(name, elapsed);
     }
     fn event(&self, event: Event) {
-        self.inner.lock().unwrap().events.push(event);
+        // A push never leaves the buffer half-updated, so a lock poisoned
+        // by a panicking sibling thread is safe to reuse.
+        self.events
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(event);
     }
     fn wants_histograms(&self) -> bool {
         true
     }
     fn histogram(&self, name: &'static str, hist: &Histogram) {
-        self.inner.lock().unwrap().report.add_histogram(name, hist);
+        self.registry.histogram(name, hist);
     }
 }
 
@@ -781,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn report_merge_and_replay() {
+    fn report_merge_equals_one_registry_stream() {
         let mut a = RunReport::new();
         a.add_counter("x", 1);
         a.add_span("s", Duration::from_millis(1));
@@ -794,10 +799,14 @@ mod tests {
         assert_eq!(a.counter("y"), 7);
         assert_eq!(a.spans["s"].count, 2);
 
-        let rec = Recorder::new();
-        a.replay_into(&rec);
-        let round = rec.snapshot();
-        assert_eq!(round.counter_map(), a.counter_map());
+        // Both halves published into one registry snapshot to the merge.
+        let reg = metrics::Registry::new();
+        reg.counter("x", 1);
+        reg.span("s", Duration::from_millis(1));
+        reg.counter("x", 2);
+        reg.counter("y", 7);
+        reg.span("s", Duration::from_millis(4));
+        assert_eq!(reg.snapshot(), a);
     }
 
     #[test]
@@ -868,10 +877,12 @@ mod tests {
         assert_eq!(a.spans["s"].hist.count(), 2);
         assert_eq!(a.histogram("vals").unwrap().count(), 1);
 
-        // replay carries histograms through a sink round-trip
-        let rec = Recorder::new();
-        a.replay_into(&rec);
-        assert_eq!(rec.snapshot().histogram_map(), a.histogram_map());
+        // the same stream through a registry snapshots to the merge
+        let reg = metrics::Registry::new();
+        reg.span("s", Duration::from_millis(1));
+        reg.span("s", Duration::from_millis(9));
+        reg.histogram("vals", &h);
+        assert_eq!(reg.snapshot(), a);
     }
 
     #[test]

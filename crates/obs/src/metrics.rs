@@ -1,12 +1,18 @@
-//! Live metrics registry with OpenMetrics text exposition.
+//! The one metrics aggregator, with OpenMetrics text exposition.
 //!
-//! A [`Registry`] is an [`EventSink`] that aggregates whatever the run
-//! publishes — counters, span timings, value histograms — into shared
-//! state cheap enough to sit in a sink fan-out for the whole run, plus a
-//! scrape-time view of the run's [`Progress`] gauges, budget proximity,
-//! and the tracking allocator's live/peak bytes. [`render_openmetrics`]
-//! serializes all of it as OpenMetrics/Prometheus text exposition,
-//! hand-rolled in the same no-dependency spirit as [`crate::json`].
+//! A [`Registry`] is an [`EventSink`] that aggregates a counter, span, and
+//! histogram stream into shared state, at one of two lifetimes:
+//!
+//! * **per run** — the miner publishes every phase into a private registry
+//!   and takes the run's [`RunReport`] from [`Registry::snapshot`]; a
+//!   `--metrics-addr` registry sits in the run's sink fan-out with the
+//!   run's [`Progress`] gauges attached;
+//! * **per process** — `tricluster serve` keeps one for the daemon's life
+//!   and bumps job-lifecycle counters and latency spans on it directly.
+//!
+//! [`Registry::render_openmetrics`] serializes it as OpenMetrics/Prometheus
+//! text exposition, hand-rolled in the same no-dependency spirit as
+//! [`crate::json`].
 //!
 //! Like every other observability layer, the registry only observes:
 //! counter updates are relaxed atomics behind a read lock, span and
@@ -14,12 +20,10 @@
 //! the single merge thread), and nothing feeds back into mining decisions
 //! — so serving metrics cannot perturb the byte-deterministic report
 //! sections.
-//!
-//! [`render_openmetrics`]: Registry::render_openmetrics
 
 use crate::hist::Histogram;
 use crate::progress::{Phase, Progress, ProgressSnapshot};
-use crate::{alloc, EventSink, SpanStats};
+use crate::{alloc, EventSink, RunReport, SpanStats};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,9 +34,9 @@ use std::time::Duration;
 /// can share a Prometheus instance without name clashes.
 const PREFIX: &str = "tricluster_";
 
-/// Shared metrics state for one run (or one process serving many runs).
+/// Shared metrics state for one run or one process.
 ///
-/// Compose it into the run's sink (e.g. via [`crate::Fanout`]) and hand a
+/// Compose it into a run's sink (e.g. via [`crate::Fanout`]) and hand a
 /// clone to [`crate::httpd::scrape_handler`]; scrapes then see counters and
 /// spans as the merge thread publishes them, and gauges at their
 /// scrape-instant values.
@@ -49,13 +53,14 @@ impl Registry {
         Self::default()
     }
 
-    /// Attaches the run's progress gauges; scrapes render them live and
-    /// `/progress` serves their JSON snapshot.
+    /// Attaches a run's progress gauges; scrapes render them (and the
+    /// tracking allocator's heap bytes) live, and `/progress` serves their
+    /// JSON snapshot.
     pub fn attach_progress(&self, progress: Arc<Progress>) {
         *write_lock(&self.progress) = Some(progress);
     }
 
-    /// Current value of one counter (test and rendering hook).
+    /// Current value of one counter (0 if never published).
     pub fn counter_value(&self, name: &str) -> u64 {
         read_lock(&self.counters)
             .get(name)
@@ -71,11 +76,32 @@ impl Registry {
             .map(|p| p.snapshot_json().render())
     }
 
-    /// Renders the full OpenMetrics text exposition: counters, span
-    /// latency histograms (seconds), value histograms, progress/budget
-    /// gauges, and — when the tracking allocator is installed — live and
-    /// peak heap bytes. Terminated by `# EOF` per the OpenMetrics spec.
-    pub fn render_openmetrics(&self) -> String {
+    /// The aggregate so far as a [`RunReport`]. Zero counters and empty
+    /// histograms stay out of it, as [`RunReport::add_counter`] and
+    /// [`RunReport::add_histogram`] drop them; the exposition keeps them.
+    pub fn snapshot(&self) -> RunReport {
+        RunReport {
+            counters: read_lock(&self.counters)
+                .iter()
+                .map(|(&name, c)| (name, c.load(Ordering::Relaxed)))
+                .filter(|&(_, v)| v > 0)
+                .collect(),
+            spans: lock(&self.spans).clone(),
+            histograms: lock(&self.hists)
+                .iter()
+                .filter(|(_, h)| !h.is_empty())
+                .map(|(&name, h)| (name, h.clone()))
+                .collect(),
+        }
+    }
+
+    /// Renders the OpenMetrics text exposition: counters, span latency
+    /// histograms (seconds), value histograms, then the caller-sampled
+    /// `gauges` (dotted names from [`crate::names`], instantaneous values).
+    /// With a [`Progress`] attached, the run's progress/budget gauges follow
+    /// and — when the tracking allocator is installed — live and peak heap
+    /// bytes. Terminated by `# EOF` per the OpenMetrics spec.
+    pub fn render_openmetrics(&self, gauges: &[(&'static str, f64)]) -> String {
         let mut out = String::new();
         for (name, value) in read_lock(&self.counters).iter() {
             let fam = metric_name(name);
@@ -102,22 +128,25 @@ impl Registry {
                 hist.sum() as f64,
             );
         }
+        for (name, value) in gauges {
+            gauge(&mut out, &name.replace('.', "_"), *value);
+        }
         if let Some(progress) = read_lock(&self.progress).as_ref() {
             render_progress(&mut out, &progress.snapshot());
-        }
-        if let Some(mem) = alloc::snapshot() {
-            gauge(&mut out, "alloc_live_bytes", mem.live_bytes as f64);
-            gauge(
-                &mut out,
-                "alloc_peak_live_bytes",
-                mem.peak_live_bytes as f64,
-            );
-            let fam = format!("{PREFIX}alloc_allocated_bytes");
-            let _ = writeln!(out, "# TYPE {fam} counter");
-            let _ = writeln!(out, "{fam}_total {}", mem.total_bytes);
-            let fam = format!("{PREFIX}alloc_allocation_calls");
-            let _ = writeln!(out, "# TYPE {fam} counter");
-            let _ = writeln!(out, "{fam}_total {}", mem.total_allocs);
+            if let Some(mem) = alloc::snapshot() {
+                gauge(&mut out, "alloc_live_bytes", mem.live_bytes as f64);
+                gauge(
+                    &mut out,
+                    "alloc_peak_live_bytes",
+                    mem.peak_live_bytes as f64,
+                );
+                let fam = format!("{PREFIX}alloc_allocated_bytes");
+                let _ = writeln!(out, "# TYPE {fam} counter");
+                let _ = writeln!(out, "{fam}_total {}", mem.total_bytes);
+                let fam = format!("{PREFIX}alloc_allocation_calls");
+                let _ = writeln!(out, "# TYPE {fam} counter");
+                let _ = writeln!(out, "{fam}_total {}", mem.total_allocs);
+            }
         }
         out.push_str("# EOF\n");
         out
@@ -150,8 +179,9 @@ impl EventSink for Registry {
     }
 
     /// Stays `false`: the registry alone must not force bucket work onto
-    /// the DFS hot paths. When another sink (e.g. the CLI's report tap)
-    /// switches collection on, the merged histograms still land here.
+    /// the DFS hot paths. When another sink (e.g. a
+    /// [`HistogramTap`](crate::HistogramTap)) switches collection on, the
+    /// merged histograms still land here.
     fn wants_histograms(&self) -> bool {
         false
     }
@@ -171,7 +201,7 @@ pub fn metric_name(name: &str) -> String {
     format!("{PREFIX}{}", name.replace('.', "_"))
 }
 
-pub(crate) fn render_histogram(
+fn render_histogram(
     out: &mut String,
     fam: &str,
     buckets: impl Iterator<Item = (String, u64)>,
@@ -234,19 +264,19 @@ fn render_progress(out: &mut String, snap: &ProgressSnapshot) {
     }
 }
 
-pub(crate) fn gauge(out: &mut String, name: &str, value: f64) {
+fn gauge(out: &mut String, name: &str, value: f64) {
     let _ = writeln!(out, "# TYPE {PREFIX}{name} gauge");
     let _ = writeln!(out, "{PREFIX}{name} {}", format_f64(value));
 }
 
 /// A span bucket's upper bound (nanoseconds) as a seconds `le` value.
-pub(crate) fn nanos_le(hi: u64) -> String {
+fn nanos_le(hi: u64) -> String {
     format_f64(hi as f64 / 1e9)
 }
 
 /// Finite floats only; integral values render without a trailing `.0`
 /// (both spellings are valid exposition, one is shorter and stable).
-pub(crate) fn format_f64(v: f64) -> String {
+fn format_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {
@@ -266,20 +296,108 @@ fn write_lock<'a, T>(l: &'a RwLock<T>) -> std::sync::RwLockWriteGuard<'a, T> {
     l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Hand-rolled OpenMetrics line parser shared by the exposition golden
-/// tests here and in [`crate::service`]; kept test-only so the production
-/// path stays render-only.
+/// Hand-rolled OpenMetrics parser and structural check shared by the
+/// exposition golden tests; kept test-only so the production path stays
+/// render-only.
 #[cfg(test)]
-pub(crate) mod exposition {
+mod exposition {
     use std::collections::BTreeMap;
 
     pub(crate) struct Sample {
+        /// Sample name as written (`fam_total`, `fam_bucket`, ...).
+        pub name: String,
         pub family: String,
         pub labels: Vec<(String, String)>,
         pub value: f64,
     }
 
-    pub(crate) fn parse_sample(line: &str, types: &BTreeMap<String, String>) -> Sample {
+    /// A checked exposition: each family's type, and every sample.
+    pub(crate) struct Exposition {
+        pub types: BTreeMap<String, String>,
+        pub samples: Vec<Sample>,
+    }
+
+    impl Exposition {
+        pub(crate) fn family(&self, fam: &str) -> Vec<&Sample> {
+            self.samples.iter().filter(|s| s.family == fam).collect()
+        }
+    }
+
+    /// Parses `text` and asserts its structure: `# EOF`-terminated, every
+    /// family typed once (counter, gauge, or histogram) before its samples,
+    /// no other comments, finite values, each counter exactly once, and
+    /// each histogram's buckets cumulative/monotone up to a `+Inf` bucket
+    /// equal to `_count`, next to exactly one `_sum` and one `_count`.
+    pub(crate) fn check(text: &str) -> Exposition {
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.last(), Some(&"# EOF"), "EOF-terminated");
+        let mut doc = Exposition {
+            types: BTreeMap::new(),
+            samples: Vec::new(),
+        };
+        for line in &lines[..lines.len() - 1] {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (fam, ty) = rest.split_once(' ').expect("TYPE has family and kind");
+                assert!(
+                    matches!(ty, "counter" | "gauge" | "histogram"),
+                    "unknown type {ty:?}"
+                );
+                assert!(
+                    doc.types.insert(fam.to_string(), ty.to_string()).is_none(),
+                    "family {fam} typed twice"
+                );
+                continue;
+            }
+            assert!(!line.starts_with('#'), "unexpected comment {line:?}");
+            let s = parse_sample(line, &doc.types);
+            assert!(
+                doc.types.contains_key(&s.family),
+                "sample for untyped family {:?}",
+                s.family
+            );
+            assert!(s.value.is_finite(), "{line}");
+            doc.samples.push(s);
+        }
+        for (fam, ty) in &doc.types {
+            let samples = doc.family(fam);
+            match ty.as_str() {
+                "counter" => assert_eq!(samples.len(), 1, "counter {fam} appears exactly once"),
+                "histogram" => check_histogram(fam, &samples),
+                _ => {}
+            }
+        }
+        doc
+    }
+
+    fn check_histogram(fam: &str, samples: &[&Sample]) {
+        let (buckets, rest): (Vec<&Sample>, Vec<&Sample>) = samples
+            .iter()
+            .partition(|s| s.labels.iter().any(|(k, _)| k == "le"));
+        assert!(!buckets.is_empty(), "{fam} has buckets");
+        let mut prev = 0.0;
+        for b in &buckets {
+            assert!(
+                b.value >= prev,
+                "{fam} bucket counts must be cumulative/monotone"
+            );
+            prev = b.value;
+        }
+        let last = buckets.last().unwrap();
+        assert_eq!(
+            last.labels,
+            [("le".to_string(), "+Inf".to_string())],
+            "{fam} ends with the +Inf bucket"
+        );
+        let names: Vec<&str> = rest.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [format!("{fam}_sum"), format!("{fam}_count")],
+            "{fam} has exactly _sum and _count"
+        );
+        assert_eq!(last.value, rest[1].value, "{fam} +Inf bucket equals _count");
+    }
+
+    fn parse_sample(line: &str, types: &BTreeMap<String, String>) -> Sample {
         let (name_labels, value) = line.rsplit_once(' ').expect("sample has a value");
         let value: f64 = value.parse().unwrap_or_else(|_| {
             panic!("unparseable value in {line:?}");
@@ -309,8 +427,9 @@ pub(crate) mod exposition {
                 let stem = name.strip_suffix(suffix)?;
                 types.contains_key(stem).then(|| stem.to_string())
             })
-            .unwrap_or(name);
+            .unwrap_or_else(|| name.clone());
         Sample {
+            name,
             family,
             labels,
             value,
@@ -320,7 +439,6 @@ pub(crate) mod exposition {
 
 #[cfg(test)]
 mod tests {
-    use super::exposition::{parse_sample, Sample};
     use super::*;
     use crate::names;
 
@@ -341,7 +459,7 @@ mod tests {
         assert_eq!(reg.counter_value(names::RG_PAIRS), 15);
         assert_eq!(reg.counter_value(names::BC_NODES), 1);
         assert_eq!(reg.counter_value("no.such.counter"), 0);
-        let text = reg.render_openmetrics();
+        let text = reg.render_openmetrics(&[]);
         assert!(
             text.contains("tricluster_rangegraph_pairs_total 15"),
             "{text}"
@@ -368,7 +486,7 @@ mod tests {
         p.set_logical_bytes(250);
         p.add_budget_spent(25);
         reg.attach_progress(p);
-        let text = reg.render_openmetrics();
+        let text = reg.render_openmetrics(&[]);
         assert!(text.contains("tricluster_progress_slices_done 1"), "{text}");
         assert!(
             text.contains("tricluster_progress_slices_total 4"),
@@ -420,13 +538,10 @@ mod tests {
         assert_eq!(format_f64(0.25), "0.25");
     }
 
-    // ---- satellite: golden exposition-format test -----------------------
+    // ---- golden exposition-format tests ---------------------------------
     //
-    // The shared hand-rolled OpenMetrics parser (see [`super::exposition`])
-    // checks structural validity: every family is typed before its samples,
-    // counters appear exactly once, histogram buckets are
-    // cumulative/monotone and consistent with their `_count`, and the
-    // document is `# EOF`-terminated.
+    // Both lifetimes go through the shared structural check in
+    // [`super::exposition`].
 
     #[test]
     fn exposition_is_valid_openmetrics() {
@@ -457,106 +572,139 @@ mod tests {
         p.set_phase(Phase::Done);
         reg.attach_progress(p);
 
-        let text = reg.render_openmetrics();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(*lines.last().unwrap(), "# EOF", "EOF-terminated");
-
-        let mut types: BTreeMap<String, String> = BTreeMap::new();
-        let mut samples: Vec<Sample> = Vec::new();
-        for line in &lines[..lines.len() - 1] {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let (fam, ty) = rest.split_once(' ').expect("TYPE has family and kind");
-                assert!(
-                    matches!(ty, "counter" | "gauge" | "histogram"),
-                    "unknown type {ty:?}"
-                );
-                assert!(
-                    types.insert(fam.to_string(), ty.to_string()).is_none(),
-                    "family {fam} typed twice"
-                );
-                continue;
-            }
-            assert!(!line.starts_with('#'), "unexpected comment {line:?}");
-            samples.push(parse_sample(line, &types));
-        }
-        for s in &samples {
-            assert!(
-                types.contains_key(&s.family),
-                "sample for untyped family {:?}",
-                s.family
-            );
-            assert!(s.value.is_finite());
-        }
-        // Counters: every published counter appears exactly once, with its
-        // exact value.
+        let doc = exposition::check(&reg.render_openmetrics(&[]));
+        // Every published counter appears with its exact value.
         for (name, want) in [(names::RG_PAIRS, 45.0), (names::TC_RECORDED, 3.0)] {
             let fam = metric_name(name);
-            let hits: Vec<&Sample> = samples.iter().filter(|s| s.family == fam).collect();
+            let hits = doc.family(&fam);
             assert_eq!(hits.len(), 1, "{fam} appears once");
             assert_eq!(hits[0].value, want, "{fam} value");
         }
-        for (fam, ty) in &types {
-            if ty == "counter" {
-                let hits = samples.iter().filter(|s| s.family == *fam).count();
-                assert_eq!(hits, 1, "counter {fam} appears exactly once");
-            }
-        }
-        // Histograms: buckets are cumulative (monotone non-decreasing in le
-        // order as rendered), +Inf equals _count, and _sum is present.
-        for (fam, ty) in &types {
-            if ty != "histogram" {
-                continue;
-            }
-            let buckets: Vec<&Sample> = samples
-                .iter()
-                .filter(|s| s.family == *fam && s.labels.iter().any(|(k, _)| k == "le"))
-                .collect();
-            assert!(!buckets.is_empty(), "{fam} has buckets");
-            let mut prev = 0.0;
-            for b in &buckets {
-                assert!(
-                    b.value >= prev,
-                    "{fam} bucket counts must be cumulative/monotone"
-                );
-                prev = b.value;
-            }
-            let (_, last_le) = buckets
-                .last()
-                .unwrap()
-                .labels
-                .iter()
-                .find(|(k, _)| k == "le")
-                .unwrap()
-                .clone();
-            assert_eq!(last_le, "+Inf", "{fam} ends with the +Inf bucket");
-            let count_needle = format!("{fam}_count ");
-            let count = lines
-                .iter()
-                .find(|l| l.starts_with(&count_needle))
-                .and_then(|l| l.rsplit_once(' '))
-                .map(|(_, v)| v.parse::<f64>().unwrap())
-                .expect("histogram _count present");
-            assert_eq!(
-                buckets.last().unwrap().value,
-                count,
-                "{fam} +Inf bucket equals _count"
-            );
-            let sum_needle = format!("{fam}_sum ");
-            assert!(
-                lines.iter().any(|l| l.starts_with(&sum_needle)),
-                "{fam} has a _sum"
-            );
-        }
         // Progress gauges made it through with one-hot phase encoding.
-        let phases: Vec<&Sample> = samples
-            .iter()
-            .filter(|s| s.family == "tricluster_progress_phase")
-            .collect();
+        let phases = doc.family("tricluster_progress_phase");
         assert_eq!(phases.len(), Phase::ALL.len());
         assert_eq!(
             phases.iter().map(|s| s.value).sum::<f64>(),
             1.0,
             "exactly one live phase"
         );
+    }
+
+    /// The daemon's process-lifetime exposition: lifecycle counters through
+    /// `counter`, latency families through `span`, gauges sampled by the
+    /// caller, and no progress attached.
+    #[test]
+    fn serve_exposition_is_valid_openmetrics() {
+        let reg = Registry::new();
+        for (name, delta) in [
+            (names::SV_JOBS_ACCEPTED, 5u64),
+            (names::SV_JOBS_REJECTED_QUEUE_FULL, 2),
+            (names::SV_JOBS_COMPLETED, 4),
+            (names::SV_JOBS_FAILED, 1),
+            (names::SV_HTTP_REQUESTS, 31),
+            (names::SV_JOBS_CANCELLED, 0),
+        ] {
+            reg.counter(name, delta);
+        }
+        for ms in [1u64, 3, 3, 40, 600] {
+            reg.span(names::SV_QUEUE_WAIT, Duration::from_millis(ms));
+        }
+        for ms in [20u64, 90, 90, 250] {
+            reg.span(names::SV_RUN, Duration::from_millis(ms));
+        }
+        assert_eq!(reg.counter_value(names::SV_JOBS_ACCEPTED), 5);
+        assert_eq!(reg.counter_value(names::SV_HTTP_REQUESTS), 31);
+        assert_eq!(reg.counter_value(names::SV_JOBS_REJECTED_MEMORY), 0);
+        let report = reg.snapshot();
+        let wait = &report.spans[names::SV_QUEUE_WAIT];
+        assert_eq!((wait.count, wait.total), (5, Duration::from_millis(647)));
+        assert!(!report.spans.contains_key(names::SV_ARCHIVE));
+        assert!(!report.counters.contains_key(names::SV_JOBS_CANCELLED));
+
+        let gauges = [
+            (names::SV_QUEUE_DEPTH, 3.0),
+            (names::SV_ADMITTED_BYTES, 1_048_576.0),
+            (names::SV_WORKERS_BUSY, 2.0),
+            (names::SV_CACHE_HITS, 9.0),
+        ];
+        let doc = exposition::check(&reg.render_openmetrics(&gauges));
+        for s in &doc.samples {
+            assert!(
+                s.family.starts_with("tricluster_serve_"),
+                "service family {:?} carries the serve prefix",
+                s.family
+            );
+        }
+        // Counters: exactly one sample each with the exact value; a zero
+        // delta still renders its family.
+        for (name, want) in [
+            (names::SV_JOBS_ACCEPTED, 5.0),
+            (names::SV_JOBS_REJECTED_QUEUE_FULL, 2.0),
+            (names::SV_HTTP_REQUESTS, 31.0),
+            (names::SV_JOBS_CANCELLED, 0.0),
+        ] {
+            let fam = metric_name(name);
+            let hits = doc.family(&fam);
+            assert_eq!(hits.len(), 1, "{fam} appears once");
+            assert_eq!(hits[0].value, want, "{fam} value");
+        }
+        let histograms: Vec<&String> = doc
+            .types
+            .iter()
+            .filter(|(_, ty)| *ty == "histogram")
+            .map(|(fam, _)| fam)
+            .collect();
+        assert_eq!(
+            histograms,
+            [
+                "tricluster_serve_job_queue_wait_seconds",
+                "tricluster_serve_job_run_seconds"
+            ],
+            "queue_wait and run families"
+        );
+        // Gauges render once each with the sampled value.
+        for (name, want) in gauges {
+            let fam = metric_name(name);
+            assert_eq!(doc.types.get(&fam).map(String::as_str), Some("gauge"));
+            let hits = doc.family(&fam);
+            assert_eq!(hits.len(), 1, "{fam} appears once");
+            assert_eq!(hits[0].value, want, "{fam} value");
+        }
+    }
+
+    /// Heap families belong to a run's live gauges: once the tracking
+    /// counters have moved, a registry renders them only with a
+    /// [`Progress`] attached, so the daemon's exposition never does.
+    #[test]
+    fn heap_families_render_only_with_progress() {
+        use std::alloc::{GlobalAlloc, Layout};
+        let _counters = alloc::tests::COUNTERS
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let layout = Layout::from_size_align(64, 8).unwrap();
+        let tracking = alloc::TrackingAlloc::new();
+        // SAFETY: paired alloc/dealloc with a valid, non-zero-size layout.
+        unsafe {
+            let p = tracking.alloc(layout);
+            assert!(!p.is_null());
+            tracking.dealloc(p, layout);
+        }
+        assert!(alloc::snapshot().is_some());
+
+        let reg = Registry::new();
+        reg.counter(names::SV_HTTP_REQUESTS, 1);
+        let daemon = reg.render_openmetrics(&[(names::SV_QUEUE_DEPTH, 0.0)]);
+        assert!(!daemon.contains("tricluster_alloc_"), "{daemon}");
+
+        reg.attach_progress(Arc::new(Progress::new()));
+        let doc = exposition::check(&reg.render_openmetrics(&[]));
+        for fam in [
+            "tricluster_alloc_live_bytes",
+            "tricluster_alloc_peak_live_bytes",
+            "tricluster_alloc_allocated_bytes",
+            "tricluster_alloc_allocation_calls",
+        ] {
+            assert_eq!(doc.family(fam).len(), 1, "{fam}");
+        }
     }
 }

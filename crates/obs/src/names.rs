@@ -161,7 +161,7 @@ pub const T_WORKER_FAILURE: &str = "fault.worker_failure";
 /// An armed failpoint fired (instant; detail carries the message).
 pub const T_FAILPOINT: &str = "fault.failpoint";
 
-// ---- service layer (daemon-lifetime ServiceRegistry; never in reports) --
+// ---- service layer (the daemon's process-lifetime Registry; never in reports)
 //
 // Counters, latency families, and gauges published by `tricluster serve`
 // and exposed on the daemon's `GET /metrics`. These aggregate across jobs

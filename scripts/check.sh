@@ -27,6 +27,13 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # not leave dangling links behind).
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Benchmark-build gate: e2ebench/ is its own cargo workspace that imports
+# the library crates by path, so the workspace build above never compiles
+# it. Build it and run its unit tests, in the same gitignored target dir
+# e2ebench/run.sh uses, so a change to an API it imports fails here.
+run env CARGO_TARGET_DIR=.bench_build \
+    cargo test --quiet --offline --manifest-path e2ebench/Cargo.toml
+
 # Schema gate: a real `mine --report-json` run must emit a valid
 # tricluster.report/v2 document (validated in-process, no external tools).
 run cargo test --quiet -p tricluster-cli report_json_matches_v2_schema
