@@ -12,6 +12,11 @@
 //! Per the pseudo-code, the `δ^x`/`δ^y`/`my` checks gate only the
 //! *recording* of a candidate (lines 2–6), never its expansion; `mx` prunes
 //! expansion because gene-sets shrink monotonically along a DFS path.
+//!
+//! The same monotonicity lets each node hand its children the edges it has
+//! already qualified (see `Candidates`): a child re-tests only those and
+//! scans the multigraph only for its new column, and a candidate that has
+//! run out of edges is never tested again below the node that found out.
 
 use crate::cluster::Bicluster;
 use crate::fault::{fail_point_panic, isolate, RunCtrl};
@@ -30,7 +35,9 @@ use tricluster_obs::{names, timeline, EventSink, Histogram};
 pub struct BiclusterHists {
     /// DFS depth (current sample-set size) at each expanded node.
     pub depth: Histogram,
-    /// Remaining candidate sample count at each expanded node.
+    /// Candidate sample count at each expanded node: the logical count
+    /// `n_samples − 1 − last sample`, including candidates an ancestor
+    /// already ruled out (the DFS tests only the live ones).
     pub candidate_set_size: Histogram,
     /// Children actually recursed into from each expanded node.
     pub fanout: Histogram,
@@ -140,7 +147,8 @@ struct BranchOutput {
     stats: BiclusterStats,
 }
 
-/// Mines the branch rooted at sample `order[branch]` into a local store.
+/// Mines the branch seeded at sample `branch` (the child of `root`, the
+/// enumeration tree's root, at that index) into a local store.
 #[allow(clippy::too_many_arguments)]
 fn run_branch<'a>(
     m: &'a Matrix3,
@@ -148,30 +156,14 @@ fn run_branch<'a>(
     params: &'a Params,
     collect_hists: bool,
     all_genes: &BitSet,
-    order: &[usize],
+    root: &Candidates<'a>,
     branch: usize,
     budget: Option<u64>,
     ctrl: &'a RunCtrl,
 ) -> BranchOutput {
     fail_point_panic("core.bicluster.branch");
-    let mut stats = BiclusterStats::default();
-    if collect_hists {
-        stats.hists = Some(Box::default());
-    }
-    let mut miner = BranchMiner {
-        m,
-        rg,
-        params,
-        t: rg.time,
-        results: MaximalStore::new(),
-        samples: vec![order[branch]],
-        budget,
-        truncated: false,
-        stats,
-        scratch: DfsScratch::default(),
-        ctrl,
-    };
-    miner.dfs(all_genes, &order[branch + 1..]);
+    let mut miner = BranchMiner::new(m, rg, params, collect_hists, branch, budget, ctrl);
+    miner.dfs(root, branch, all_genes, m.n_genes());
     let spent = miner.stats.budget_spent;
     BranchOutput {
         branch,
@@ -243,7 +235,7 @@ pub(crate) fn mine_biclusters_ctrl(
     }
 
     let all_genes = BitSet::full(n_genes);
-    let order: Vec<usize> = (0..n_samples).collect();
+    let root = Candidates::root(n_samples);
     if let Some(p) = &ctrl.progress {
         p.add_branches_total(n_samples as u64);
     }
@@ -265,7 +257,7 @@ pub(crate) fn mine_biclusters_ctrl(
                         params,
                         collect_hists,
                         &all_genes,
-                        &order,
+                        &root,
                         branch,
                         budget,
                         ctrl,
@@ -317,7 +309,7 @@ pub(crate) fn mine_biclusters_ctrl(
                                         params,
                                         collect_hists,
                                         &all_genes,
-                                        &order,
+                                        &root,
                                         i,
                                         None,
                                         ctrl,
@@ -371,20 +363,120 @@ pub(crate) fn mine_biclusters_ctrl(
     (store.into_vec(), truncated, stats)
 }
 
-/// Reusable per-branch buffers for the DFS hot path. Each use-site fills the
-/// slice it needs before reading, so sharing them across recursion levels is
-/// safe: by the time a child (or the next extension) reuses a buffer, the
-/// parent no longer needs its contents.
+/// Reusable per-branch buffers for the DFS hot path.
+///
+/// `candidates` and `combos` hold one slot per DFS depth. The node at depth
+/// `d` takes slot `d` out while it runs and puts it back when it returns,
+/// so its next sibling refills the same allocations; its children use
+/// slot `d + 1`. A branch never goes deeper than `n_samples`, which bounds
+/// the slots. `acc` and `seen` are shared by all depths: a node fills them
+/// for one candidate and is done with them before it recurses.
 #[derive(Default)]
 struct DfsScratch<'a> {
-    /// Qualified edges per current sample, rebuilt for each extension; only
-    /// the first `samples.len()` entries are live at any moment.
-    per_sample: Vec<Vec<&'a RatioRange>>,
+    /// The live candidates and their qualified edge lists, per depth.
+    candidates: Vec<Candidates<'a>>,
+    /// The distinct child gene-sets (with their counts) of the candidate a
+    /// node is extending by, per depth.
+    combos: Vec<Vec<(BitSet, usize)>>,
     /// One intersection accumulator per combination depth, written in-place
     /// by [`BitSet::intersect_into`] — no per-extension clones.
-    levels: Vec<BitSet>,
+    acc: Vec<BitSet>,
     /// Gene-sets already produced at the current (node, extension) step.
     seen: HashSet<BitSet>,
+}
+
+/// The live extension candidates of one DFS node `X × Y` and their
+/// qualified edges.
+///
+/// A candidate is a sample `s_b` after the node's last one that no list has
+/// ruled out yet. It carries one list per `s_a ∈ Y` (in `Y` order) of the
+/// range edges `(s_a, s_b)` with `|X ∩ G(R)| ≥ mx`, each in
+/// [`RangeGraph::ranges_between`] order — exactly the lists a search that
+/// rescans every range at every node would build for it.
+#[derive(Default)]
+struct Candidates<'a> {
+    /// Lists per candidate: `|Y|` of the node that owns them.
+    width: usize,
+    /// Live candidate samples, ascending.
+    samples: Vec<usize>,
+    /// List boundaries into `edges`, starting at 0: list `k` of candidate
+    /// `j` is `edges[bounds[j·width + k] .. bounds[j·width + k + 1]]`.
+    bounds: Vec<usize>,
+    /// Qualified edges, grouped by candidate, then by `s_a`.
+    edges: Vec<&'a RatioRange>,
+}
+
+impl<'a> Candidates<'a> {
+    /// The root of the enumeration tree: `Y = ∅`, so every sample is a
+    /// candidate, with no lists yet.
+    fn root(n_samples: usize) -> Self {
+        Candidates {
+            width: 0,
+            samples: (0..n_samples).collect(),
+            bounds: vec![0],
+            edges: Vec::new(),
+        }
+    }
+
+    /// The `width + 1` list boundaries of candidate `j`.
+    fn bounds_of(&self, j: usize) -> &[usize] {
+        &self.bounds[j * self.width..=(j + 1) * self.width]
+    }
+
+    /// Refills `self` with the candidates of the child that extends
+    /// `parent`'s node by `parent.samples[at]`, with gene-set `genes`
+    /// (`count` genes, a subset of the parent's).
+    ///
+    /// Along a DFS path `X` only shrinks, so an edge that fails `mx` at the
+    /// parent fails here too: each inherited list only needs its survivors
+    /// re-tested, and only the new column `(s_new, s_b)` is scanned in full.
+    /// A candidate left with an empty list is dropped, and is never tested
+    /// again below this node.
+    fn inherit(
+        &mut self,
+        parent: &Candidates<'a>,
+        at: usize,
+        genes: &BitSet,
+        count: usize,
+        rg: &'a RangeGraph,
+        mx: usize,
+    ) {
+        let s_new = parent.samples[at];
+        self.width = parent.width + 1;
+        self.samples.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        self.edges.clear();
+        let qualifies =
+            |r: &&RatioRange| genes.intersection_count_at_least_hinted(&r.genes, mx, count);
+        for (j, &s_b) in parent.samples.iter().enumerate().skip(at + 1) {
+            let (edges_mark, bounds_mark) = (self.edges.len(), self.bounds.len());
+            let live = parent
+                .bounds_of(j)
+                .windows(2)
+                .all(|w| self.push_list(parent.edges[w[0]..w[1]].iter().copied(), qualifies))
+                && self.push_list(rg.ranges_between(s_new, s_b), qualifies);
+            if live {
+                self.samples.push(s_b);
+            } else {
+                self.edges.truncate(edges_mark);
+                self.bounds.truncate(bounds_mark);
+            }
+        }
+    }
+
+    /// Appends the edges of `list` that pass `qualifies` as the next list;
+    /// `false` when none did.
+    fn push_list(
+        &mut self,
+        list: impl IntoIterator<Item = &'a RatioRange>,
+        qualifies: impl FnMut(&&'a RatioRange) -> bool,
+    ) -> bool {
+        let start = self.edges.len();
+        self.edges.extend(list.into_iter().filter(qualifies));
+        self.bounds.push(self.edges.len());
+        self.edges.len() > start
+    }
 }
 
 struct BranchMiner<'a> {
@@ -405,7 +497,39 @@ struct BranchMiner<'a> {
 }
 
 impl<'a> BranchMiner<'a> {
-    fn dfs(&mut self, genes: &BitSet, pending: &[usize]) {
+    /// A miner for the branch seeded at sample `seed`.
+    fn new(
+        m: &'a Matrix3,
+        rg: &'a RangeGraph,
+        params: &'a Params,
+        collect_hists: bool,
+        seed: usize,
+        budget: Option<u64>,
+        ctrl: &'a RunCtrl,
+    ) -> Self {
+        let mut stats = BiclusterStats::default();
+        if collect_hists {
+            stats.hists = Some(Box::default());
+        }
+        BranchMiner {
+            m,
+            rg,
+            params,
+            t: rg.time,
+            results: MaximalStore::new(),
+            samples: vec![seed],
+            budget,
+            truncated: false,
+            stats,
+            scratch: DfsScratch::default(),
+            ctrl,
+        }
+    }
+
+    /// Visits the node that extends `parent`'s node by `parent.samples[at]`
+    /// (already pushed onto `self.samples`), with gene-set `genes` of
+    /// `genes_count` genes.
+    fn dfs(&mut self, parent: &Candidates<'a>, at: usize, genes: &BitSet, genes_count: usize) {
         if self.ctrl.token.deadline_exceeded() {
             self.truncated = true;
             return;
@@ -419,80 +543,70 @@ impl<'a> BranchMiner<'a> {
             self.stats.budget_spent += 1;
         }
         self.stats.nodes += 1;
+        let depth = self.samples.len();
         if let Some(h) = self.stats.hists.as_deref_mut() {
-            h.depth.record(self.samples.len() as u64);
-            h.candidate_set_size.record(pending.len() as u64);
+            h.depth.record(depth as u64);
+            // The logical count, dead candidates included.
+            let last = parent.samples[at];
+            h.candidate_set_size
+                .record((self.m.n_samples() - 1 - last) as u64);
         }
+        self.try_record(genes, genes_count);
+        let scratch = &mut self.scratch;
+        if scratch.candidates.len() <= depth {
+            scratch.candidates.resize_with(depth + 1, Default::default);
+            scratch.combos.resize_with(depth + 1, Default::default);
+            scratch.acc.resize_with(depth, || BitSet::new(0));
+        }
+        let mut cands = std::mem::take(&mut scratch.candidates[depth]);
+        let mut combos = std::mem::take(&mut scratch.combos[depth]);
+        cands.inherit(
+            parent,
+            at,
+            genes,
+            genes_count,
+            self.rg,
+            self.params.min_genes,
+        );
         let mut children = 0u64;
-        self.try_record(genes);
-        // population hint for the sparse-path qualification test below
-        let genes_count = genes.count();
-        for (i, &sb) in pending.iter().enumerate() {
-            let rest = &pending[i + 1..];
-            let depth = self.samples.len();
-            let scratch = &mut self.scratch;
-            while scratch.per_sample.len() < depth {
-                scratch.per_sample.push(Vec::new());
-            }
-            while scratch.levels.len() < depth {
-                scratch.levels.push(BitSet::new(0));
-            }
-            // Qualified edges from every existing sample to s_b; the
-            // count-early-exit prunes extensions before any gene-set is
-            // materialized.
-            let mut dead_end = false;
-            for (k, &sa) in self.samples.iter().enumerate() {
-                let edges = &mut scratch.per_sample[k];
-                edges.clear();
-                for r in self.rg.ranges_between(sa, sb) {
-                    if genes.intersection_count_at_least_hinted(
-                        &r.genes,
-                        self.params.min_genes,
-                        genes_count,
-                    ) {
-                        edges.push(r);
-                    }
-                }
-                if edges.is_empty() {
-                    dead_end = true;
-                    break;
-                }
-            }
-            if dead_end {
-                continue;
-            }
+        for (j, &sb) in cands.samples.iter().enumerate() {
             // Enumerate edge combinations (one edge per existing sample),
             // intersecting gene-sets in-place with mx pruning; recurse per
             // distinct resulting gene-set.
+            let scratch = &mut self.scratch;
             scratch.seen.clear();
-            let mut combos: Vec<BitSet> = Vec::new();
+            combos.clear();
             intersect_combos(
                 genes,
-                &scratch.per_sample[..depth],
-                &mut scratch.levels[..depth],
+                genes_count,
+                &cands.edges,
+                cands.bounds_of(j),
+                &mut scratch.acc[..depth],
                 self.params.min_genes,
                 &mut scratch.seen,
                 &mut combos,
                 &mut self.stats.dedup_hits,
             );
             self.stats.gene_combos += combos.len() as u64;
-            for new_genes in combos {
+            for (new_genes, new_count) in &combos {
                 children += 1;
                 self.samples.push(sb);
-                self.dfs(&new_genes, rest);
+                self.dfs(&cands, j, new_genes, *new_count);
                 self.samples.pop();
             }
         }
+        self.scratch.candidates[depth] = cands;
+        self.scratch.combos[depth] = combos;
         if let Some(h) = self.stats.hists.as_deref_mut() {
             h.fanout.record(children);
         }
     }
 
-    fn try_record(&mut self, genes: &BitSet) {
+    fn try_record(&mut self, genes: &BitSet, genes_count: usize) {
         if self.samples.len() < self.params.min_samples {
             return;
         }
-        if genes.count() < self.params.min_genes {
+        if genes_count < self.params.min_genes {
             return;
         }
         if !self.deltas_ok(genes) {
@@ -546,41 +660,54 @@ impl<'a> BranchMiner<'a> {
     }
 }
 
-/// Depth-first enumeration of one-edge-per-sample combinations, accumulating
-/// the gene-set intersection and pruning as soon as it drops below `mx`.
-/// `dedup_hits` counts combinations dropped because their gene-set was
-/// already produced by an earlier edge choice at the same node.
+/// Depth-first enumeration of one-edge-per-list combinations of one
+/// candidate's qualified edges (list `k` is `edges[bounds[k]..bounds[k + 1]]`),
+/// accumulating the gene-set intersection from `acc` (`acc_count` genes) and
+/// pruning as soon as it drops below `mx`. Each distinct gene-set is
+/// appended to `out` with its count; `dedup_hits` counts combinations
+/// dropped because their gene-set was already produced by an earlier edge
+/// choice at the same node.
 ///
 /// The accumulator at each combination depth lives in `levels` (one slot per
-/// remaining sample), written in place by [`BitSet::intersect_into`] — the
-/// only allocations are the cloned gene-sets of *surviving* distinct combos.
+/// list), written in place by [`BitSet::intersect_into`] — the only
+/// allocations are the cloned gene-sets of *surviving* distinct combos.
+#[allow(clippy::too_many_arguments)]
 fn intersect_combos(
     acc: &BitSet,
-    per_sample: &[Vec<&RatioRange>],
+    acc_count: usize,
+    edges: &[&RatioRange],
+    bounds: &[usize],
     levels: &mut [BitSet],
     mx: usize,
     seen: &mut HashSet<BitSet>,
-    out: &mut Vec<BitSet>,
+    out: &mut Vec<(BitSet, usize)>,
     dedup_hits: &mut u64,
 ) {
-    match per_sample.split_first() {
-        None => {
+    match (bounds, levels.split_first_mut()) {
+        (&[start, end, ..], Some((level, rest_levels))) => {
+            for r in &edges[start..end] {
+                let count = level.intersect_into(acc, &r.genes);
+                if count >= mx {
+                    intersect_combos(
+                        level,
+                        count,
+                        edges,
+                        &bounds[1..],
+                        rest_levels,
+                        mx,
+                        seen,
+                        out,
+                        dedup_hits,
+                    );
+                }
+            }
+        }
+        _ => {
             if seen.contains(acc) {
                 *dedup_hits += 1;
             } else {
-                let owned = acc.clone();
-                seen.insert(owned.clone());
-                out.push(owned);
-            }
-        }
-        Some((edges, rest)) => {
-            let (level, rest_levels) = levels
-                .split_first_mut()
-                .expect("one scratch level per remaining sample");
-            for r in edges {
-                if level.intersect_into(acc, &r.genes) >= mx {
-                    intersect_combos(level, rest, rest_levels, mx, seen, out, dedup_hits);
-                }
+                seen.insert(acc.clone());
+                out.push((acc.clone(), acc_count));
             }
         }
     }
@@ -721,11 +848,175 @@ impl MaximalStore {
     }
 }
 
+/// The bicluster DFS without candidate inheritance: every node re-tests
+/// every range of every `(s_a, s_b)` against its gene-set, and the buffers
+/// are plain per-node vectors. The reference the inheriting search must
+/// reproduce exactly.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// [`mine_biclusters_ctrl`]'s serial branch loop around the old DFS.
+    pub(super) fn mine(
+        m: &Matrix3,
+        rg: &RangeGraph,
+        params: &Params,
+        collect_hists: bool,
+    ) -> (Vec<Bicluster>, bool, BiclusterStats) {
+        let ctrl = RunCtrl::unbounded();
+        let n_samples = m.n_samples();
+        let mut stats = BiclusterStats::default();
+        if collect_hists {
+            stats.hists = Some(Box::default());
+        }
+        let mut budget = params.max_candidates;
+        if let Some(b) = &mut budget {
+            if *b == 0 {
+                return (Vec::new(), true, stats);
+            }
+            *b -= 1;
+            stats.budget_spent += 1;
+        }
+        stats.nodes += 1;
+        if let Some(h) = stats.hists.as_deref_mut() {
+            h.depth.record(0);
+            h.candidate_set_size.record(n_samples as u64);
+            h.fanout.record(n_samples as u64);
+        }
+        let all_genes = BitSet::full(m.n_genes());
+        let order: Vec<usize> = (0..n_samples).collect();
+        let mut store = MaximalStore::new();
+        let mut truncated = false;
+        for branch in 0..n_samples {
+            let mut miner = BranchMiner::new(m, rg, params, collect_hists, branch, budget, &ctrl);
+            dfs(&mut miner, &all_genes, &order[branch + 1..]);
+            if let Some(b) = &mut budget {
+                *b -= miner.stats.budget_spent;
+            }
+            truncated |= miner.truncated;
+            stats.absorb(&miner.stats);
+            for bc in miner.results.into_vec() {
+                match store.insert(bc) {
+                    InsertOutcome::Subsumed => stats.merge_subsumed += 1,
+                    InsertOutcome::Inserted { displaced } => stats.replaced += displaced as u64,
+                }
+            }
+        }
+        (store.into_vec(), truncated, stats)
+    }
+
+    fn dfs<'a>(miner: &mut BranchMiner<'a>, genes: &BitSet, pending: &[usize]) {
+        if miner.ctrl.token.deadline_exceeded() {
+            miner.truncated = true;
+            return;
+        }
+        if let Some(b) = &mut miner.budget {
+            if *b == 0 {
+                miner.truncated = true;
+                return;
+            }
+            *b -= 1;
+            miner.stats.budget_spent += 1;
+        }
+        miner.stats.nodes += 1;
+        if let Some(h) = miner.stats.hists.as_deref_mut() {
+            h.depth.record(miner.samples.len() as u64);
+            h.candidate_set_size.record(pending.len() as u64);
+        }
+        let mut children = 0u64;
+        miner.try_record(genes, genes.count());
+        let genes_count = genes.count();
+        let rg = miner.rg;
+        let depth = miner.samples.len();
+        let mut per_sample: Vec<Vec<&'a RatioRange>> = vec![Vec::new(); depth];
+        let mut levels = vec![BitSet::new(0); depth];
+        let mut seen = HashSet::new();
+        for (i, &sb) in pending.iter().enumerate() {
+            let rest = &pending[i + 1..];
+            let mut dead_end = false;
+            for (k, &sa) in miner.samples.iter().enumerate() {
+                let edges = &mut per_sample[k];
+                edges.clear();
+                for r in rg.ranges_between(sa, sb) {
+                    if genes.intersection_count_at_least_hinted(
+                        &r.genes,
+                        miner.params.min_genes,
+                        genes_count,
+                    ) {
+                        edges.push(r);
+                    }
+                }
+                if edges.is_empty() {
+                    dead_end = true;
+                    break;
+                }
+            }
+            if dead_end {
+                continue;
+            }
+            seen.clear();
+            let mut combos: Vec<BitSet> = Vec::new();
+            intersect_combos(
+                genes,
+                &per_sample,
+                &mut levels,
+                miner.params.min_genes,
+                &mut seen,
+                &mut combos,
+                &mut miner.stats.dedup_hits,
+            );
+            miner.stats.gene_combos += combos.len() as u64;
+            for new_genes in combos {
+                children += 1;
+                miner.samples.push(sb);
+                dfs(miner, &new_genes, rest);
+                miner.samples.pop();
+            }
+        }
+        if let Some(h) = miner.stats.hists.as_deref_mut() {
+            h.fanout.record(children);
+        }
+    }
+
+    fn intersect_combos(
+        acc: &BitSet,
+        per_sample: &[Vec<&RatioRange>],
+        levels: &mut [BitSet],
+        mx: usize,
+        seen: &mut HashSet<BitSet>,
+        out: &mut Vec<BitSet>,
+        dedup_hits: &mut u64,
+    ) {
+        match per_sample.split_first() {
+            None => {
+                if seen.contains(acc) {
+                    *dedup_hits += 1;
+                } else {
+                    let owned = acc.clone();
+                    seen.insert(owned.clone());
+                    out.push(owned);
+                }
+            }
+            Some((edges, rest)) => {
+                let (level, rest_levels) = levels
+                    .split_first_mut()
+                    .expect("one scratch level per remaining sample");
+                for r in edges {
+                    if level.intersect_into(acc, &r.genes) >= mx {
+                        intersect_combos(level, rest, rest_levels, mx, seen, out, dedup_hits);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rangegraph::build_range_graph_observed;
     use crate::testdata::paper_table1;
+    use proptest::prelude::*;
     use tricluster_obs::NullSink;
 
     fn params(eps: f64, mx: usize, my: usize) -> Params {
@@ -1058,5 +1349,82 @@ mod tests {
         assert_eq!(bcs.len(), 1);
         assert_eq!(bcs[0].genes.count(), 4);
         assert_eq!(bcs[0].samples, vec![0, 1, 2]);
+    }
+
+    /// One `n_genes × n_samples` slice of background noise in `[10, 20)`
+    /// with two overlapping planted scaling biclusters: genes `[0, n/2)`
+    /// over samples 0–3, and genes `[n/3, n)` over samples 2 onwards. The
+    /// noise gives every sample pair many ratio ranges, most of which fail
+    /// `mx` once the gene-set has shrunk — the dead ends that candidate
+    /// inheritance drops.
+    fn noisy_slice() -> impl Strategy<Value = Matrix3> {
+        (20usize..64, 5usize..9)
+            .prop_flat_map(|(ng, ns)| {
+                (
+                    Just((ng, ns)),
+                    proptest::collection::vec(10.0f64..20.0, ng * ns),
+                    proptest::collection::vec(0.5f64..4.0, ns),
+                )
+            })
+            .prop_map(|((ng, ns), vals, sf)| {
+                let mut m = Matrix3::zeros(ng, ns, 1);
+                for g in 0..ng {
+                    for s in 0..ns {
+                        m.set(g, s, 0, vals[g * ns + s]);
+                    }
+                }
+                for g in 0..ng / 2 {
+                    for (s, f) in sf.iter().enumerate().take(4) {
+                        m.set(g, s, 0, (g + 1) as f64 * f);
+                    }
+                }
+                for g in ng / 3..ng {
+                    for s in 2..ns {
+                        m.set(g, s, 0, (g + 2) as f64 * sf[ns - 1 - s]);
+                    }
+                }
+                m
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The inheriting search reproduces the oracle exactly (clusters in
+        /// order, truncation, every statistic with histograms on): without
+        /// a budget, under a candidate budget that may cut it short, with
+        /// `δ^x`/`δ^y` gates on recording, and at one and two workers.
+        #[test]
+        fn inherited_search_matches_oracle(
+            m in noisy_slice(),
+            eps in 0.01f64..0.2,
+            mx in 2usize..5,
+            my in 1usize..4,
+            budget_frac in 0.0f64..1.5,
+            delta_gene in 5.0f64..150.0,
+            delta_sample in 5.0f64..150.0,
+        ) {
+            let base = params(eps, mx, my);
+            let rg = graph(&m, 0, &base);
+            let nodes = oracle::mine(&m, &rg, &base, true).2.nodes;
+            let budgeted = Params {
+                max_candidates: Some(((nodes as f64 * budget_frac) as u64).max(1)),
+                ..base.clone()
+            };
+            let gated = Params {
+                delta_gene: Some(delta_gene),
+                delta_sample: Some(delta_sample),
+                ..base.clone()
+            };
+            for p in [base, budgeted, gated] {
+                let want = oracle::mine(&m, &rg, &p, true);
+                for workers in [1, 2] {
+                    prop_assert_eq!(
+                        mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded()),
+                        want.clone()
+                    );
+                }
+            }
+        }
     }
 }
