@@ -17,8 +17,8 @@ use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{names, EventSink, Fanout, HistogramTap, JsonLinesSink, NullSink};
 use tricluster_core::runreport;
 use tricluster_core::{
-    cluster_metrics_observed, mine_shifting, Engine, FanoutMode, MergeParams, MineError,
-    MiningResult, Params, Reported, Session, TenantCaps,
+    cluster_metrics_observed, mine_shifting, FanoutMode, MergeParams, MineError, MiningResult,
+    Params, Reported, Session,
 };
 use tricluster_matrix::{io, Labels, Matrix3};
 use tricluster_synth::{generate, SynthSpec};
@@ -336,17 +336,15 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         ));
     }
 
-    // One-shot frontend over the same Engine the serve daemon uses: the
-    // bytes are read once, and the content hash the ledger wants comes for
-    // free with the parse. No cache — a single dataset has no reuse.
-    let engine = Engine::with_cache_entries(TenantCaps::unlimited(), 0);
+    // The bytes are read once and parsed in one pass. The content hash is a
+    // full pass of its own that only the ledger reads, so only an archived
+    // run pays for it; the bytes are dropped before mining either way.
     let bytes =
         std::fs::read(path).map_err(|e| CliError::Run(format!("cannot open {path}: {e}")))?;
-    let dataset = engine
-        .dataset_from_bytes(&bytes)
+    let (matrix, labels) = io::read_stacked_tsv(bytes.as_slice())
         .map_err(|e| CliError::Run(format!("{path}: {e}")))?;
-    let matrix = &dataset.matrix;
-    let labels = &dataset.labels;
+    let dataset_hash = ledger_dir.as_ref().map(|_| content_hash(&bytes));
+    drop(bytes);
     eprintln!(
         "matrix: {} genes x {} samples x {} times",
         matrix.n_genes(),
@@ -356,14 +354,14 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
 
     let start = std::time::Instant::now();
     if a.has("shifting") {
-        let (clusters, _) = mine_shifting(matrix, &params).map_err(CliError::from_mine)?;
+        let (clusters, _) = mine_shifting(&matrix, &params).map_err(CliError::from_mine)?;
         eprintln!(
             "{} shifting clusters in {:?}",
             clusters.len(),
             start.elapsed()
         );
         for (i, sc) in clusters.iter().enumerate() {
-            print_cluster(i, &sc.cluster, labels, a.has("names"));
+            print_cluster(i, &sc.cluster, &labels, a.has("names"));
             let offs: Vec<String> = sc
                 .sample_offsets
                 .iter()
@@ -450,14 +448,14 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         )),
         _ => None,
     };
-    // A one-shot run is a session with unlimited caps: identical code path
-    // to a daemon job, minus the clamping.
-    let mut session = engine.session(&params);
+    // A one-shot run is a session with no caps: identical code path to a
+    // daemon job, minus the clamping.
+    let mut session = Session::new(params.clone());
     if a.has("auto") {
         session = session.auto_transpose();
     }
     let run = if writes_report {
-        session.run_report(matrix, sink).map(
+        session.run_report(&matrix, sink).map(
             |Reported {
                  result,
                  metrics,
@@ -465,7 +463,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
              }| (result, Some((metrics, doc))),
         )
     } else {
-        session.run(matrix, sink).map(|result| (result, None))
+        session.run(&matrix, sink).map(|result| (result, None))
     };
     drop(ticker);
     // Write the trace before bailing on a mining error: a partial timeline
@@ -520,12 +518,10 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         std::fs::write(out_path, doc.render_pretty() + "\n")
             .map_err(|e| CliError::Run(format!("cannot write {out_path}: {e}")))?;
     }
-    if let (Some(dir), Some(doc)) = (&ledger_dir, doc) {
-        // The dataset hash covers the input bytes as given (computed once
-        // at parse time by the engine), so two runs over the same file are
-        // comparable even when labels differ in memory; the params hash
-        // covers every knob that shapes the search.
-        let dataset_hash = dataset.hash.clone();
+    if let (Some(dir), Some(doc), Some(dataset_hash)) = (&ledger_dir, doc, dataset_hash) {
+        // The dataset hash covers the input bytes as given, so two runs over
+        // the same file are comparable even when labels differ in memory;
+        // the params hash covers every knob that shapes the search.
         let params_hash = content_hash(format!("{params:?}").as_bytes());
         let trace_doc = timeline
             .as_ref()
@@ -555,16 +551,16 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     }
     if a.has("csv") {
         let mut out = std::io::stdout().lock();
-        tricluster_core::report::write_csv(&mut out, matrix, &result.triclusters, 1e-9)
+        tricluster_core::report::write_csv(&mut out, &matrix, &result.triclusters, 1e-9)
             .map_err(|e| CliError::Run(e.to_string()))?;
         return Ok(());
     }
     for (i, c) in result.triclusters.iter().enumerate() {
-        print_cluster(i, c, labels, a.has("names"));
+        print_cluster(i, c, &labels, a.has("names"));
     }
     let metrics = match reported {
         Some((metrics, _)) => metrics,
-        None => cluster_metrics_observed(matrix, &result.triclusters, &NullSink),
+        None => cluster_metrics_observed(&matrix, &result.triclusters, &NullSink),
     };
     println!("\n{metrics}");
     Ok(())
@@ -2019,10 +2015,15 @@ mod tests {
         let ldir = dir.join("ledger").to_str().unwrap().to_string();
         let out = dir.join("report.json").to_str().unwrap().to_string();
         mine(&[data.clone(), "--ledger".into(), ldir.clone()]).unwrap();
-        mine(&[data, "--report-json".into(), out.clone()]).unwrap();
+        mine(&[data.clone(), "--report-json".into(), out.clone()]).unwrap();
         let ledger = Ledger::open(&ldir).unwrap();
         let entries = ledger.list().unwrap();
         assert_eq!(entries.len(), 1, "{entries:?}");
+        assert_eq!(
+            entries[0].dataset_hash,
+            content_hash(&std::fs::read(&data).unwrap()),
+            "the ledger names a dataset by the hash of its file's bytes"
+        );
         let archived = ledger.read_report(&entries[0].id).unwrap();
         let written = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         for path in REPORT_SECTIONS {

@@ -891,24 +891,9 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         .and_then(Json::as_str)
         .unwrap_or("")
         .to_owned();
-    // Dataset: inline TSV string, or a server-side path. The hit-counter
-    // delta says whether this submission reused a cached parse (racy
-    // across concurrent submissions, but the flag is informational).
-    let (hits_before, _, _) = shared.engine.cache_stats();
-    let dataset = if let Some(tsv) = doc.get("dataset").and_then(Json::as_str) {
-        shared.engine.dataset_from_bytes(tsv.as_bytes())
-    } else if let Some(path) = doc.get("dataset_path").and_then(Json::as_str) {
-        shared.engine.dataset_from_path(std::path::Path::new(path))
-    } else {
-        return error_response(400, "bad_request", "need \"dataset\" or \"dataset_path\"");
-    };
-    let dataset = match dataset {
-        Ok(d) => d,
-        Err(e) => return error_response(400, "bad_dataset", &e.to_string()),
-    };
-    let was_cached = shared.engine.cache_stats().0 > hits_before;
     // Params arrive as mine-style flags and go through the exact same
     // parser as the CLI, so a daemon job cannot drift from a one-shot run.
+    // They are checked before the dataset, so a bad request parses nothing.
     let params_argv: Vec<String> = doc
         .get("params")
         .and_then(Json::as_arr)
@@ -943,6 +928,23 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         Ok(p) => p,
         Err(e) => return error_response(400, "bad_params", &e),
     };
+    // Dataset: inline TSV string, or a server-side path. The hit-counter
+    // delta says whether this submission reused a cached parse (racy
+    // across concurrent submissions, but the flag is informational). The
+    // dataset enters the cache only once its job is admitted below.
+    let (hits_before, _, _) = shared.engine.cache_stats();
+    let dataset = if let Some(tsv) = doc.get("dataset").and_then(Json::as_str) {
+        shared.engine.dataset_from_bytes(tsv.as_bytes())
+    } else if let Some(path) = doc.get("dataset_path").and_then(Json::as_str) {
+        shared.engine.dataset_from_path(std::path::Path::new(path))
+    } else {
+        return error_response(400, "bad_request", "need \"dataset\" or \"dataset_path\"");
+    };
+    let dataset = match dataset {
+        Ok(d) => d,
+        Err(e) => return error_response(400, "bad_dataset", &e.to_string()),
+    };
+    let was_cached = shared.engine.cache_stats().0 > hits_before;
     let session = shared.engine.session(&requested);
     let clamped = session.was_clamped();
     let (ng, ns, nt) = dataset.matrix.dims();
@@ -1020,6 +1022,7 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     state.queue.push_back(id);
     state.jobs.insert(id, job);
     drop(state);
+    shared.engine.retain(&dataset);
     shared.service.counter(names::SV_JOBS_ACCEPTED, 1);
     if clamped {
         shared.service.counter(names::SV_JOBS_CLAMPED, 1);
@@ -1577,12 +1580,11 @@ mod tests {
             accepted.get("status_url").unwrap().as_str().unwrap(),
             format!("/jobs/{id}")
         );
-        assert!(accepted
-            .get("dataset_hash")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .starts_with("fnv1a:"));
+        assert_eq!(
+            accepted.get("dataset_hash").and_then(Json::as_str),
+            Some(content_hash(table1_tsv().as_bytes()).as_str()),
+            "a job names its dataset by the hash of the inline TSV"
+        );
 
         let doc = wait_finished(&base, id);
         assert_eq!(
@@ -1631,6 +1633,83 @@ mod tests {
         let (_, listing) = http_get(&format!("{base}/jobs")).unwrap();
         let listing = Json::parse(listing.trim()).unwrap();
         assert_eq!(listing.get("jobs").unwrap().as_arr().unwrap().len(), 2);
+        shut_down(daemon);
+    }
+
+    /// A job shed for memory leaves the dataset cache as it found it: its
+    /// dataset is parsed but never cached, so it cannot evict a hot one.
+    #[test]
+    fn shed_jobs_leave_the_dataset_cache_untouched() {
+        let _scenario = failpoint::scenario();
+        // Table 1 is 10 x 7 x 2 (1120 matrix bytes); the same with twice
+        // the genes (2240 bytes) cannot fit under a 1600-byte budget.
+        let small = table1_tsv();
+        let big = {
+            let m = tricluster_core::testdata::paper_table1();
+            let (ng, ns, nt) = m.dims();
+            let mut doubled = tricluster_matrix::Matrix3::zeros(2 * ng, ns, nt);
+            for g in 0..2 * ng {
+                for s in 0..ns {
+                    for t in 0..nt {
+                        doubled.set(g, s, t, m.get(g % ng, s, t));
+                    }
+                }
+            }
+            let labels = Labels::default_for(2 * ng, ns, nt);
+            let mut buf = Vec::new();
+            mio::write_stacked_tsv(&mut buf, &doubled, &labels).unwrap();
+            String::from_utf8(buf).unwrap()
+        };
+        let body = |tsv: &str| {
+            Json::obj()
+                .with("dataset", Json::Str(tsv.into()))
+                .with(
+                    "params",
+                    Json::Arr(vec![Json::Str("--eps".into()), Json::Str("0.01".into())]),
+                )
+                .render()
+        };
+        let daemon = Daemon::start(ServeConfig {
+            cache_entries: 1,
+            memory_budget: Some(1600),
+            ..test_cfg()
+        })
+        .unwrap();
+        let base = daemon.url();
+        let cache = |field: &str| {
+            let (_, stats) = http_get(&format!("{base}/stats")).unwrap();
+            let stats = Json::parse(stats.trim()).unwrap();
+            stats
+                .get_path(&["dataset_cache", field])
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        let (status, first) = post_job(&base, &body(&small));
+        assert_eq!(status, 202, "{}", first.render());
+        wait_finished(&base, first.get("id").and_then(Json::as_u64).unwrap());
+        let evictions = cache("evictions");
+
+        let (status, shed) = post_job(&base, &body(&big));
+        assert_eq!(status, 429, "{}", shed.render());
+        assert_eq!(
+            shed.get("reason").and_then(Json::as_str),
+            Some("memory_budget")
+        );
+
+        let (status, again) = post_job(&base, &body(&small));
+        assert_eq!(status, 202, "{}", again.render());
+        let doc = wait_finished(&base, again.get("id").and_then(Json::as_u64).unwrap());
+        assert_eq!(
+            doc.get_path(&["job", "cached"]).and_then(Json::as_bool),
+            Some(true),
+            "the admitted dataset is still cached"
+        );
+        assert_eq!(cache("hits"), 1);
+        assert_eq!(
+            cache("evictions"),
+            evictions,
+            "the shed dataset evicted nothing"
+        );
         shut_down(daemon);
     }
 

@@ -20,7 +20,6 @@ use crate::metrics::{cluster_metrics_observed, Metrics};
 use crate::miner::{mine_pipeline, unpermute_result, validate_input, MiningResult};
 use crate::params::Params;
 use crate::runreport::report_to_json_v2;
-use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -294,40 +293,47 @@ impl Engine {
         }
     }
 
-    /// Parses a stacked TSV from raw bytes, reusing a cached parse when
-    /// the FNV-1a content hash matches a previous submission. A cache hit
-    /// skips parse and normalization entirely — the returned `Arc` is
-    /// shared with every other job mining the same upload.
+    /// The dataset of `bytes`: the cached parse when the FNV-1a content
+    /// hash matches a retained one, else a fresh parse. A cache hit skips
+    /// parse and normalization entirely — the returned `Arc` is shared with
+    /// every other job mining the same upload. Nothing is cached here:
+    /// [`Engine::retain`] caches a dataset once its job is admitted, so a
+    /// rejected submission leaves the cache as it found it.
     ///
     /// # Errors
     ///
-    /// The parse's [`IoError`] on malformed input; a failed parse caches
-    /// nothing.
+    /// The parse's [`IoError`] on malformed input.
     pub fn dataset_from_bytes(&self, bytes: &[u8]) -> Result<Arc<Dataset>, IoError> {
         let hash = content_hash(bytes);
-        {
-            let mut cache = self.lock_cache();
-            if let Some(i) = cache.iter().position(|d| d.hash == hash) {
-                let hit = cache.remove(i);
-                cache.insert(0, hit.clone()); // MRU to the front
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
+        if let Some(hit) = self.lock_cache().iter().find(|d| d.hash == hash) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let (matrix, labels) = io::read_stacked_tsv(BufReader::new(bytes))?;
-        let dataset = Arc::new(Dataset {
+        let (matrix, labels) = io::read_stacked_tsv(bytes)?;
+        Ok(Arc::new(Dataset {
             matrix,
             labels,
             hash,
             raw_bytes: bytes.len() as u64,
-        });
-        if self.cache_entries > 0 {
-            let mut cache = self.lock_cache();
-            // A racing parse of the same bytes may have landed first;
-            // keeping both copies is harmless (identical content), but
-            // don't double-insert the same hash.
-            if !cache.iter().any(|d| d.hash == dataset.hash) {
+        }))
+    }
+
+    /// Makes `dataset` the cache's most recently used entry, inserting it
+    /// when absent and evicting the least recently used beyond capacity.
+    pub fn retain(&self, dataset: &Arc<Dataset>) {
+        if self.cache_entries == 0 {
+            return;
+        }
+        let mut cache = self.lock_cache();
+        // A racing submission of the same bytes may have retained its own
+        // parse first; the cache keeps one entry per hash.
+        match cache.iter().position(|d| d.hash == dataset.hash) {
+            Some(i) => {
+                let entry = cache.remove(i);
+                cache.insert(0, entry);
+            }
+            None => {
                 cache.insert(0, dataset.clone());
                 if cache.len() > self.cache_entries {
                     let dropped = cache.len() - self.cache_entries;
@@ -336,10 +342,10 @@ impl Engine {
                 }
             }
         }
-        Ok(dataset)
     }
 
-    /// Reads and parses a stacked TSV file through the cache.
+    /// Reads a stacked TSV file and looks it up or parses it, as
+    /// [`Engine::dataset_from_bytes`].
     ///
     /// # Errors
     ///
@@ -429,6 +435,7 @@ mod tests {
         let engine = Engine::new(TenantCaps::unlimited());
         let bytes = table1_tsv();
         let a = engine.dataset_from_bytes(&bytes).unwrap();
+        engine.retain(&a);
         let b = engine.dataset_from_bytes(&bytes).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second submission reuses the parse");
         assert_eq!(engine.cache_stats(), (1, 1, 0));
@@ -439,6 +446,7 @@ mod tests {
         let mut other = bytes.clone();
         other.extend_from_slice(b"\n");
         let c = engine.dataset_from_bytes(&other).unwrap();
+        engine.retain(&c);
         assert_ne!(c.hash, a.hash);
         assert_eq!(engine.cached_datasets(), 2);
     }
@@ -450,9 +458,12 @@ mod tests {
         let mut second = first.clone();
         second.extend_from_slice(b"\n");
         let a = engine.dataset_from_bytes(&first).unwrap();
-        let _ = engine.dataset_from_bytes(&second).unwrap();
+        engine.retain(&a);
+        let b = engine.dataset_from_bytes(&second).unwrap();
+        engine.retain(&b);
         assert_eq!(engine.cached_datasets(), 1);
         let a2 = engine.dataset_from_bytes(&first).unwrap();
+        engine.retain(&a2);
         assert!(!Arc::ptr_eq(&a, &a2), "evicted entry re-parses");
         assert_eq!(engine.cache_stats(), (0, 3, 2));
     }
@@ -461,8 +472,25 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let engine = Engine::with_cache_entries(TenantCaps::unlimited(), 0);
         let bytes = table1_tsv();
-        engine.dataset_from_bytes(&bytes).unwrap();
+        let d = engine.dataset_from_bytes(&bytes).unwrap();
+        engine.retain(&d);
         assert_eq!(engine.cached_datasets(), 0);
+    }
+
+    #[test]
+    fn unretained_parses_leave_the_cache_as_it_was() -> Result<(), IoError> {
+        let engine = Engine::with_cache_entries(TenantCaps::unlimited(), 1);
+        let first = table1_tsv();
+        let mut second = first.clone();
+        second.extend_from_slice(b"\n");
+        let a = engine.dataset_from_bytes(&first)?;
+        engine.retain(&a);
+        let _shed = engine.dataset_from_bytes(&second)?;
+        let again = engine.dataset_from_bytes(&first)?;
+        assert!(Arc::ptr_eq(&a, &again), "the retained parse survives");
+        assert_eq!(engine.cache_stats(), (1, 2, 0));
+        assert_eq!(engine.cached_datasets(), 1);
+        Ok(())
     }
 
     #[test]

@@ -15,6 +15,48 @@
 //! `# time <name>`, slices separated by blank lines. Missing values (empty
 //! fields or `NA`) become `NaN` and should be handled by
 //! [`preprocess`](crate::preprocess) before mining.
+//!
+//! # Reading contract
+//!
+//! Both readers make one pass over their input, a line at a time, and
+//! parse each cell straight into the matrix buffer.
+//!
+//! * Lines split as [`BufRead::lines`] splits them: at `\n`, dropping one
+//!   `\r` before it, so LF and CRLF files read alike. A line that is not
+//!   UTF-8 is an [`IoError::Io`] of kind `InvalidData`.
+//! * Within a slice, blank lines (Unicode whitespace only) and lines
+//!   starting with `#` are skipped. The first other line is the header:
+//!   its tab-separated fields after the first are the sample names. Every
+//!   later line is a row: a gene name, then one cell per sample. Names are
+//!   trimmed of Unicode whitespace.
+//! * A cell that trims to nothing, `NA` or `nan` (any case) is missing and
+//!   reads as NaN. Any other cell must parse as an `f64` that is not
+//!   infinite ([`IoError::BadNumber`], [`IoError::NonFinite`]), so a signed
+//!   `-nan` reads as NaN too.
+//! * A row whose field count differs from the header's is
+//!   [`IoError::RaggedRow`], even when one of its cells is also bad.
+//! * A slice without a header or without rows is [`IoError::Empty`].
+//! * Error positions are 1-based lines of the whole input and 1-based data
+//!   columns (the gene name is column 0); the token is the field as
+//!   written, untrimmed.
+//!
+//! [`read_slice_tsv`] returns the first error in line order. The stacked
+//! reader adds sections:
+//!
+//! * Lines before the first `# time` line are a preamble and ignored.
+//! * `# time` matches as a raw prefix, and the rest of the line, trimmed,
+//!   names the slice: `# timestamp 5` starts a slice named `stamp 5`. An
+//!   unnamed slice is `t<k>`, where `k` counts the slices kept before it.
+//! * A section with no lines at all (a `# time` line followed by another,
+//!   or by the end of input) is skipped. A section with any line, even a
+//!   blank one, must hold a slice.
+//! * A section's errors are reported when it ends, at the next `# time`
+//!   line or the end of input. An invalid UTF-8 line up to there therefore
+//!   beats an earlier bad cell in the same slice. Within the slice, the
+//!   first ragged row or bad cell wins, then [`IoError::Empty`]. Only a
+//!   slice whose own rows read cleanly is compared with the first kept
+//!   slice: gene names first, then sample names (names and order), either
+//!   mismatch is an [`IoError::InconsistentSlices`].
 
 use crate::{Labels, Matrix2, Matrix3};
 use std::fmt;
@@ -103,6 +145,13 @@ impl From<std::io::Error> for IoError {
 }
 
 fn parse_cell(tok: &str, line: usize, col: usize) -> Result<f64, IoError> {
+    // The common cell, a plain finite number, needs no trimming: a token
+    // `parse` accepts has no surrounding whitespace.
+    if let Ok(v) = tok.parse::<f64>() {
+        if v.is_finite() {
+            return Ok(v);
+        }
+    }
     let t = tok.trim();
     if t.is_empty() || t.eq_ignore_ascii_case("na") || t.eq_ignore_ascii_case("nan") {
         return Ok(f64::NAN);
@@ -125,162 +174,258 @@ fn parse_cell(tok: &str, line: usize, col: usize) -> Result<f64, IoError> {
     Ok(v)
 }
 
+/// An input's lines as [`BufRead::lines`] splits them, read into one
+/// reused buffer instead of a `String` each.
+struct Lines<R> {
+    reader: R,
+    buf: Vec<u8>,
+    number: usize,
+}
+
+impl<R: BufRead> Lines<R> {
+    fn new(reader: R) -> Self {
+        Lines {
+            reader,
+            buf: Vec::new(),
+            number: 0,
+        }
+    }
+
+    /// The next line and its 1-based number, or `None` at the end of input.
+    fn next_line(&mut self) -> Result<Option<(usize, &str)>, IoError> {
+        self.buf.clear();
+        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+            return Ok(None);
+        }
+        self.number += 1;
+        let mut line = self.buf.as_slice();
+        if let Some(rest) = line.strip_suffix(b"\n") {
+            line = rest.strip_suffix(b"\r").unwrap_or(rest);
+        }
+        // The error `BufRead::lines` gives for the same line.
+        let line = std::str::from_utf8(line).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        Ok(Some((self.number, line)))
+    }
+}
+
+/// The slices read so far: the first one's names, which every later slice
+/// must repeat, and every cell in file order — slice by slice, row by row,
+/// which is [`Matrix3`]'s time-major layout.
+#[derive(Default)]
+struct Cells {
+    genes: Vec<String>,
+    samples: Vec<String>,
+    data: Vec<f64>,
+    /// Slices completed.
+    slices: usize,
+}
+
+/// The slice whose lines are streaming past. A later slice's names are
+/// compared with the first slice's as they arrive, never collected.
+#[derive(Default)]
+struct Slice {
+    /// Data columns, once the header has been read.
+    ncols: Option<usize>,
+    rows: usize,
+    genes_differ: bool,
+    samples_differ: bool,
+}
+
+impl Cells {
+    /// Takes line `number` of the current slice: a blank or `#` line, its
+    /// header, or a row whose cells go straight onto `data`.
+    fn line(&mut self, slice: &mut Slice, line: &str, number: usize) -> Result<(), IoError> {
+        if line.trim().is_empty() || line.starts_with('#') {
+            return Ok(());
+        }
+        let first = self.slices == 0;
+        let Some(ncols) = slice.ncols else {
+            let fields = line.bytes().filter(|&b| b == b'\t').count();
+            let names = line.split('\t').skip(1).map(str::trim);
+            if first {
+                self.samples = names.map(str::to_string).collect();
+            } else {
+                slice.samples_differ = fields != self.samples.len()
+                    || names.zip(&self.samples).any(|(name, prev)| name != prev);
+            }
+            slice.ncols = Some(fields);
+            return Ok(());
+        };
+        // Cells are parsed as they are split, up to the first bad cell or
+        // extra field; the field count is then completed, and a ragged row
+        // wins over its own bad cell.
+        let mut tokens = line.split('\t');
+        let name = tokens.next().unwrap_or_default().trim();
+        let mut got = 0;
+        let mut bad = None;
+        for tok in tokens.by_ref() {
+            got += 1;
+            if got > ncols {
+                break;
+            }
+            match parse_cell(tok, number, got) {
+                Ok(v) => self.data.push(v),
+                Err(e) => {
+                    bad = Some(e);
+                    break;
+                }
+            }
+        }
+        let got = got + tokens.count();
+        if got != ncols {
+            return Err(IoError::RaggedRow {
+                line: number,
+                expected: ncols,
+                got,
+            });
+        }
+        if let Some(e) = bad {
+            return Err(e);
+        }
+        if first {
+            self.genes.push(name.to_string());
+        } else if self.genes.get(slice.rows).map(String::as_str) != Some(name) {
+            slice.genes_differ = true;
+        }
+        slice.rows += 1;
+        Ok(())
+    }
+
+    /// Completes the current slice: it needs a header and a row, and a
+    /// later slice must repeat the first one's gene names (checked first)
+    /// and sample names.
+    fn end_slice(&mut self, slice: Slice) -> Result<(), IoError> {
+        if slice.rows == 0 {
+            return Err(IoError::Empty);
+        }
+        if self.slices > 0 {
+            if slice.genes_differ || slice.rows != self.genes.len() {
+                return Err(IoError::InconsistentSlices(
+                    "gene names differ between slices".into(),
+                ));
+            }
+            if slice.samples_differ {
+                return Err(IoError::InconsistentSlices(
+                    "sample names differ between slices".into(),
+                ));
+            }
+        }
+        self.slices += 1;
+        Ok(())
+    }
+}
+
 /// Reads a single 2D slice (gene × sample) in the header+rows TSV format.
 ///
-/// Returns the matrix plus the gene and sample names.
+/// Returns the matrix plus the gene and sample names. The first error in
+/// line order is returned (see the [module docs](self)).
 pub fn read_slice_tsv<R: BufRead>(
     reader: R,
 ) -> Result<(Matrix2, Vec<String>, Vec<String>), IoError> {
-    read_slice_tsv_from(reader, 0)
+    let mut lines = Lines::new(reader);
+    let mut cells = Cells::default();
+    let mut slice = Slice::default();
+    while let Some((number, line)) = lines.next_line()? {
+        cells.line(&mut slice, line, number)?;
+    }
+    cells.end_slice(slice)?;
+    let Cells {
+        genes,
+        samples,
+        data,
+        ..
+    } = cells;
+    Ok((
+        Matrix2::from_vec(genes.len(), samples.len(), data),
+        genes,
+        samples,
+    ))
 }
 
-/// [`read_slice_tsv`] with reported line numbers offset by `first_line`
-/// (0-based); lets the stacked reader report file-global positions for
-/// errors inside embedded slices.
-fn read_slice_tsv_from<R: BufRead>(
-    reader: R,
-    first_line: usize,
-) -> Result<(Matrix2, Vec<String>, Vec<String>), IoError> {
-    let mut lines = reader.lines().enumerate().map(|(i, l)| (first_line + i, l));
-    let (_, header) = loop {
-        match lines.next() {
-            Some((i, l)) => {
-                let l = l?;
-                if !l.trim().is_empty() && !l.starts_with('#') {
-                    break (i, l);
-                }
-            }
-            None => return Err(IoError::Empty),
+/// A `# time` section of a stacked file while its lines stream past.
+struct Section {
+    time: String,
+    /// Whether any line followed the `# time` line.
+    has_lines: bool,
+    slice: Slice,
+    /// The slice's first error, reported when the section ends.
+    error: Option<IoError>,
+}
+
+impl Section {
+    /// Ends the section: skipped if it has no lines, else its slice is
+    /// kept or its first error returned.
+    fn end(self, cells: &mut Cells, times: &mut Vec<String>) -> Result<(), IoError> {
+        if !self.has_lines {
+            return Ok(());
         }
-    };
-    let samples: Vec<String> = header
-        .split('\t')
-        .skip(1)
-        .map(|s| s.trim().to_string())
-        .collect();
-    let ncols = samples.len();
-    let mut genes = Vec::new();
-    let mut rows: Vec<Vec<f64>> = Vec::new();
-    for (i, line) in lines {
-        let line = line?;
-        if line.trim().is_empty() || line.starts_with('#') {
-            continue;
+        if let Some(e) = self.error {
+            return Err(e);
         }
-        let mut fields = line.split('\t');
-        let name = fields.next().unwrap_or("").trim().to_string();
-        let vals: Vec<&str> = fields.collect();
-        if vals.len() != ncols {
-            return Err(IoError::RaggedRow {
-                line: i + 1,
-                expected: ncols,
-                got: vals.len(),
-            });
-        }
-        let mut row = Vec::with_capacity(ncols);
-        for (j, v) in vals.iter().enumerate() {
-            row.push(parse_cell(v, i + 1, j + 1)?);
-        }
-        genes.push(name);
-        rows.push(row);
+        cells.end_slice(self.slice)?;
+        times.push(self.time);
+        Ok(())
     }
-    if rows.is_empty() {
-        return Err(IoError::Empty);
-    }
-    Ok((Matrix2::from_rows(&rows), genes, samples))
 }
 
 /// Reads a stacked 3D matrix: repeated `# time <name>` headers, each followed
 /// by a 2D slice in the slice format. All slices must agree on genes and
 /// samples (names and order).
-#[allow(clippy::type_complexity)]
+///
+/// One pass over the input: cells are parsed straight into the
+/// [`Matrix3`] buffer, which is handed over without a copy. Errors follow
+/// the order set out in the [module docs](self).
 pub fn read_stacked_tsv<R: BufRead>(reader: R) -> Result<(Matrix3, Labels), IoError> {
-    let mut slices: Vec<Matrix2> = Vec::new();
+    let mut lines = Lines::new(reader);
+    let mut cells = Cells::default();
     let mut times: Vec<String> = Vec::new();
-    let mut genes: Option<Vec<String>> = None;
-    let mut samples: Option<Vec<String>> = None;
-
-    let mut current: Vec<String> = Vec::new();
-    let mut current_start = 0usize; // 0-based file line where the slice body begins
-    let mut current_time = String::new();
-    let mut in_slice = false;
-
-    // parses the buffered slice body, reporting errors at file-global lines
-    let finish = |buf: &mut Vec<String>,
-                  start: usize|
-     -> Result<Option<(Matrix2, Vec<String>, Vec<String>)>, IoError> {
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let joined = buf.join("\n");
-        buf.clear();
-        let (m, g, s) = read_slice_tsv_from(std::io::Cursor::new(joined), start)?;
-        Ok(Some((m, g, s)))
-    };
-
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut section: Option<Section> = None;
+    while let Some((number, line)) = lines.next_line()? {
         if let Some(rest) = line.strip_prefix("# time") {
-            if in_slice {
-                if let Some((m, g, s)) = finish(&mut current, current_start)? {
-                    check_consistent(&mut genes, &mut samples, &g, &s)?;
-                    slices.push(m);
-                    times.push(current_time.clone());
-                }
+            if let Some(done) = section.take() {
+                done.end(&mut cells, &mut times)?;
             }
-            current_time = rest.trim().to_string();
-            if current_time.is_empty() {
-                current_time = format!("t{}", times.len());
+            let name = rest.trim();
+            section = Some(Section {
+                time: if name.is_empty() {
+                    format!("t{}", times.len())
+                } else {
+                    name.to_string()
+                },
+                has_lines: false,
+                slice: Slice::default(),
+                error: None,
+            });
+        } else if let Some(open) = &mut section {
+            open.has_lines = true;
+            if open.error.is_none() {
+                open.error = cells.line(&mut open.slice, line, number).err();
             }
-            current_start = i + 1;
-            in_slice = true;
-        } else if in_slice {
-            current.push(line);
-        }
-        // lines before the first `# time` header are ignored (file preamble)
-    }
-    if in_slice {
-        if let Some((m, g, s)) = finish(&mut current, current_start)? {
-            check_consistent(&mut genes, &mut samples, &g, &s)?;
-            slices.push(m);
-            times.push(current_time);
         }
     }
-    if slices.is_empty() {
+    if let Some(done) = section {
+        done.end(&mut cells, &mut times)?;
+    }
+    if times.is_empty() {
         return Err(IoError::Empty);
     }
-    let labels = Labels::new(
-        genes.unwrap_or_default(),
-        samples.unwrap_or_default(),
-        times,
-    );
-    Ok((Matrix3::from_time_slices(&slices), labels))
-}
-
-fn check_consistent(
-    genes: &mut Option<Vec<String>>,
-    samples: &mut Option<Vec<String>>,
-    g: &[String],
-    s: &[String],
-) -> Result<(), IoError> {
-    match genes {
-        None => *genes = Some(g.to_vec()),
-        Some(prev) if prev.as_slice() != g => {
-            return Err(IoError::InconsistentSlices(
-                "gene names differ between slices".into(),
-            ))
-        }
-        _ => {}
-    }
-    match samples {
-        None => *samples = Some(s.to_vec()),
-        Some(prev) if prev.as_slice() != s => {
-            return Err(IoError::InconsistentSlices(
-                "sample names differ between slices".into(),
-            ))
-        }
-        _ => {}
-    }
-    Ok(())
+    let Cells {
+        genes,
+        samples,
+        mut data,
+        ..
+    } = cells;
+    // Growth by doubling can leave up to half the buffer spare. Give it
+    // back, so a matrix (which a daemon may cache) holds only the cells its
+    // memory accounting counts.
+    data.shrink_to_fit();
+    let matrix = Matrix3::from_time_major(genes.len(), samples.len(), times.len(), data);
+    Ok((matrix, Labels::new(genes, samples, times)))
 }
 
 /// Writes a single 2D slice in the slice TSV format.
@@ -317,6 +462,164 @@ pub fn write_stacked_tsv<W: Write>(w: &mut W, m: &Matrix3, labels: &Labels) -> s
         writeln!(w)?;
     }
     Ok(())
+}
+
+/// The two-pass reader this module used before it streamed: the reference
+/// the differential tests compare [`read_stacked_tsv`] and
+/// [`read_slice_tsv`] against.
+#[cfg(test)]
+mod oracle {
+    use super::{parse_cell, IoError};
+    use crate::{Labels, Matrix2, Matrix3};
+    use std::io::BufRead;
+
+    /// The slice reader, with reported line numbers offset by `first_line`
+    /// (0-based); lets the stacked reader report file-global positions for
+    /// errors inside embedded slices.
+    pub(super) fn read_slice_tsv_from<R: BufRead>(
+        reader: R,
+        first_line: usize,
+    ) -> Result<(Matrix2, Vec<String>, Vec<String>), IoError> {
+        let mut lines = reader.lines().enumerate().map(|(i, l)| (first_line + i, l));
+        let (_, header) = loop {
+            match lines.next() {
+                Some((i, l)) => {
+                    let l = l?;
+                    if !l.trim().is_empty() && !l.starts_with('#') {
+                        break (i, l);
+                    }
+                }
+                None => return Err(IoError::Empty),
+            }
+        };
+        let samples: Vec<String> = header
+            .split('\t')
+            .skip(1)
+            .map(|s| s.trim().to_string())
+            .collect();
+        let ncols = samples.len();
+        let mut genes = Vec::new();
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for (i, line) in lines {
+            let line = line?;
+            if line.trim().is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let mut fields = line.split('\t');
+            let name = fields.next().unwrap_or("").trim().to_string();
+            let vals: Vec<&str> = fields.collect();
+            if vals.len() != ncols {
+                return Err(IoError::RaggedRow {
+                    line: i + 1,
+                    expected: ncols,
+                    got: vals.len(),
+                });
+            }
+            let mut row = Vec::with_capacity(ncols);
+            for (j, v) in vals.iter().enumerate() {
+                row.push(parse_cell(v, i + 1, j + 1)?);
+            }
+            genes.push(name);
+            rows.push(row);
+        }
+        if rows.is_empty() {
+            return Err(IoError::Empty);
+        }
+        Ok((Matrix2::from_rows(&rows), genes, samples))
+    }
+
+    /// The stacked reader: buffers each slice's lines, then re-reads them
+    /// joined through a `Cursor` into a `Matrix2` per slice.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn read_stacked_tsv<R: BufRead>(reader: R) -> Result<(Matrix3, Labels), IoError> {
+        let mut slices: Vec<Matrix2> = Vec::new();
+        let mut times: Vec<String> = Vec::new();
+        let mut genes: Option<Vec<String>> = None;
+        let mut samples: Option<Vec<String>> = None;
+
+        let mut current: Vec<String> = Vec::new();
+        let mut current_start = 0usize; // 0-based file line where the slice body begins
+        let mut current_time = String::new();
+        let mut in_slice = false;
+
+        // parses the buffered slice body, reporting errors at file-global lines
+        let finish = |buf: &mut Vec<String>,
+                      start: usize|
+         -> Result<Option<(Matrix2, Vec<String>, Vec<String>)>, IoError> {
+            if buf.is_empty() {
+                return Ok(None);
+            }
+            let joined = buf.join("\n");
+            buf.clear();
+            let (m, g, s) = read_slice_tsv_from(std::io::Cursor::new(joined), start)?;
+            Ok(Some((m, g, s)))
+        };
+
+        for (i, line) in reader.lines().enumerate() {
+            let line = line?;
+            if let Some(rest) = line.strip_prefix("# time") {
+                if in_slice {
+                    if let Some((m, g, s)) = finish(&mut current, current_start)? {
+                        check_consistent(&mut genes, &mut samples, &g, &s)?;
+                        slices.push(m);
+                        times.push(current_time.clone());
+                    }
+                }
+                current_time = rest.trim().to_string();
+                if current_time.is_empty() {
+                    current_time = format!("t{}", times.len());
+                }
+                current_start = i + 1;
+                in_slice = true;
+            } else if in_slice {
+                current.push(line);
+            }
+            // lines before the first `# time` header are ignored (file preamble)
+        }
+        if in_slice {
+            if let Some((m, g, s)) = finish(&mut current, current_start)? {
+                check_consistent(&mut genes, &mut samples, &g, &s)?;
+                slices.push(m);
+                times.push(current_time);
+            }
+        }
+        if slices.is_empty() {
+            return Err(IoError::Empty);
+        }
+        let labels = Labels::new(
+            genes.unwrap_or_default(),
+            samples.unwrap_or_default(),
+            times,
+        );
+        Ok((Matrix3::from_time_slices(&slices), labels))
+    }
+
+    fn check_consistent(
+        genes: &mut Option<Vec<String>>,
+        samples: &mut Option<Vec<String>>,
+        g: &[String],
+        s: &[String],
+    ) -> Result<(), IoError> {
+        match genes {
+            None => *genes = Some(g.to_vec()),
+            Some(prev) if prev.as_slice() != g => {
+                return Err(IoError::InconsistentSlices(
+                    "gene names differ between slices".into(),
+                ))
+            }
+            _ => {}
+        }
+        match samples {
+            None => *samples = Some(s.to_vec()),
+            Some(prev) if prev.as_slice() != s => {
+                return Err(IoError::InconsistentSlices(
+                    "sample names differ between slices".into(),
+                ))
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -521,5 +824,394 @@ mod tests {
             got: 2,
         };
         assert!(e.to_string().contains("expected 4"));
+    }
+
+    /// A reader's result in comparable form: dims, labels and the matrix's
+    /// bits (NaN included), or the error's variant and fields. An I/O
+    /// error compares by kind and message.
+    type Outcome = Result<(Vec<usize>, Vec<Vec<String>>, Vec<u64>), String>;
+
+    fn describe(e: &IoError) -> String {
+        match e {
+            IoError::Io(e) => format!("Io({:?}, {e})", e.kind()),
+            other => format!("{other:?}"),
+        }
+    }
+
+    fn stacked_outcome(r: Result<(Matrix3, Labels), IoError>) -> Outcome {
+        let (m, labels) = r.map_err(|e| describe(&e))?;
+        let (g, s, t) = m.dims();
+        Ok((
+            vec![g, s, t],
+            vec![
+                labels.genes().to_vec(),
+                labels.samples().to_vec(),
+                labels.times().to_vec(),
+            ],
+            m.as_slice().iter().map(|v| v.to_bits()).collect(),
+        ))
+    }
+
+    fn slice_outcome(r: Result<(Matrix2, Vec<String>, Vec<String>), IoError>) -> Outcome {
+        let (m, genes, samples) = r.map_err(|e| describe(&e))?;
+        Ok((
+            vec![m.rows(), m.cols()],
+            vec![genes, samples],
+            m.as_slice().iter().map(|v| v.to_bits()).collect(),
+        ))
+    }
+
+    /// Generated stacked TSVs in the formats the readers accept, with up to
+    /// two defects each.
+    mod gen {
+        use proptest::TestRng;
+
+        const NAMES: &[&str] = &[
+            "g",
+            "alpha",
+            " padded ",
+            "\u{a0}nbsp",
+            "ideo\u{3000}",
+            "σ-gene",
+            "x y",
+            "zero\u{200b}width",
+        ];
+        const CELLS: &[&str] = &[
+            "1.5", "-3", "4e1", " 2.25 ", "0", "7", "NA", "na", "nan", "NaN", "-nan", "", "  ",
+            "\u{2003}",
+        ];
+        const TIMES: &[&str] = &[
+            "# time t0",
+            "# time",
+            "# time   ",
+            "# timestamp 5",
+            "# time\u{a0}later",
+            "# time 30m",
+        ];
+        const JUNK: &[&str] = &["", "  ", "\u{3000}", "# note", "#", "gene\tpreamble"];
+        const BAD: &[&str] = &["oops", "1.2.3", "--1", "0x10", "inf", "-Infinity", "1e999"];
+
+        #[derive(Clone, Copy, PartialEq)]
+        enum Kind {
+            Time,
+            Header,
+            Row,
+            Other,
+        }
+
+        struct Line {
+            kind: Kind,
+            slice: usize,
+            fields: Vec<String>,
+            invalid_utf8: bool,
+        }
+
+        fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
+            items[rng.below(items.len() as u64) as usize]
+        }
+
+        fn chance(rng: &mut TestRng, num: u64, den: u64) -> bool {
+            rng.below(den) < num
+        }
+
+        fn other(rng: &mut TestRng, slice: usize) -> Line {
+            Line {
+                kind: Kind::Other,
+                slice,
+                fields: vec![pick(rng, JUNK).to_string()],
+                invalid_utf8: false,
+            }
+        }
+
+        /// Index of a random line satisfying `want`, if any.
+        fn find(rng: &mut TestRng, lines: &[Line], want: impl Fn(&Line) -> bool) -> Option<usize> {
+            let hits: Vec<usize> = (0..lines.len()).filter(|&i| want(&lines[i])).collect();
+            (!hits.is_empty()).then(|| hits[rng.below(hits.len() as u64) as usize])
+        }
+
+        /// One stacked TSV: a preamble, 1–5 slices (some after an empty
+        /// section), names with Unicode whitespace, missing-value spellings,
+        /// comments, blank lines and mixed LF/CRLF endings. Never a doubled
+        /// `\r\r\n`: the two-pass reader's second split strips it to `\n`,
+        /// the one known divergence (it shows only in an error's token).
+        pub fn stacked(rng: &mut TestRng) -> Vec<u8> {
+            let n_genes = 1 + rng.below(4) as usize;
+            let n_samples = rng.below(5) as usize;
+            let genes: Vec<String> = (0..n_genes)
+                .map(|i| format!("{}{i}", pick(rng, NAMES)))
+                .collect();
+            let samples: Vec<String> = (0..n_samples)
+                .map(|j| format!("{}{j}", pick(rng, NAMES)))
+                .collect();
+            let mut lines = Vec::new();
+            for _ in 0..rng.below(3) {
+                lines.push(other(rng, 0));
+            }
+            let time = |rng: &mut TestRng, slice: usize| Line {
+                kind: Kind::Time,
+                slice,
+                fields: vec![pick(rng, TIMES).to_string()],
+                invalid_utf8: false,
+            };
+            for t in 0..1 + rng.below(5) as usize {
+                if chance(rng, 1, 6) {
+                    // An empty section, or one with no header.
+                    lines.push(time(rng, t));
+                    if chance(rng, 1, 3) {
+                        lines.push(other(rng, t));
+                    }
+                }
+                lines.push(time(rng, t));
+                if chance(rng, 1, 5) {
+                    lines.push(other(rng, t));
+                }
+                let mut header = vec!["gene".to_string()];
+                header.extend(samples.iter().cloned());
+                lines.push(Line {
+                    kind: Kind::Header,
+                    slice: t,
+                    fields: header,
+                    invalid_utf8: false,
+                });
+                for gene in &genes {
+                    if chance(rng, 1, 8) {
+                        lines.push(other(rng, t));
+                    }
+                    let mut row = vec![gene.clone()];
+                    row.extend((0..n_samples).map(|_| pick(rng, CELLS).to_string()));
+                    lines.push(Line {
+                        kind: Kind::Row,
+                        slice: t,
+                        fields: row,
+                        invalid_utf8: false,
+                    });
+                }
+                if chance(rng, 1, 2) {
+                    lines.push(Line {
+                        kind: Kind::Other,
+                        slice: t,
+                        fields: vec![String::new()],
+                        invalid_utf8: false,
+                    });
+                }
+            }
+            if chance(rng, 1, 8) {
+                let last = lines.last().map_or(0, |l| l.slice);
+                lines.push(time(rng, last + 1));
+            }
+            for _ in 0..rng.below(3) {
+                mutate(rng, &mut lines);
+            }
+            let mut out = Vec::new();
+            for (i, line) in lines.iter().enumerate() {
+                let mut bytes = line.fields.join("\t").into_bytes();
+                if line.invalid_utf8 {
+                    let at = rng.below(bytes.len() as u64 + 1) as usize;
+                    bytes.insert(at, if chance(rng, 1, 2) { 0xff } else { 0xc3 });
+                }
+                out.extend_from_slice(&bytes);
+                let last = i + 1 == lines.len();
+                out.extend_from_slice(match rng.below(6) {
+                    0 if last => b"",
+                    1 if last => b"\r",
+                    0..=1 => b"\r\n",
+                    _ => b"\n",
+                });
+            }
+            out
+        }
+
+        /// Applies one defect, when the input has a place for it.
+        fn mutate(rng: &mut TestRng, lines: &mut Vec<Line>) {
+            let data_row = |l: &Line| l.kind == Kind::Row && l.fields.len() > 1;
+            match rng.below(8) {
+                0 | 1 => {
+                    if let Some(i) = find(rng, lines, data_row) {
+                        let j = 1 + rng.below(lines[i].fields.len() as u64 - 1) as usize;
+                        lines[i].fields[j] = pick(rng, BAD).to_string();
+                    }
+                }
+                2 => {
+                    if let Some(i) = find(rng, lines, |l| l.kind == Kind::Row) {
+                        if chance(rng, 1, 2) && lines[i].fields.len() > 1 {
+                            lines[i].fields.pop();
+                        } else {
+                            lines[i].fields.push("1".into());
+                        }
+                    }
+                }
+                3 => {
+                    if let Some(i) = find(rng, lines, |l| l.kind == Kind::Row && l.slice > 0) {
+                        lines[i].fields[0] = "renamed".into();
+                    }
+                }
+                4 => {
+                    if let Some(i) = find(rng, lines, |l| l.kind == Kind::Row && l.slice > 0) {
+                        let mut extra = lines[i].fields.clone();
+                        extra[0] = "extra".into();
+                        let slice = lines[i].slice;
+                        lines.insert(
+                            i + 1,
+                            Line {
+                                kind: Kind::Row,
+                                slice,
+                                fields: extra,
+                                invalid_utf8: false,
+                            },
+                        );
+                    }
+                }
+                5 => {
+                    let renamable = |l: &Line| l.kind == Kind::Header && l.slice > 0;
+                    if let Some(i) = find(rng, lines, renamable) {
+                        if lines[i].fields.len() > 1 {
+                            lines[i].fields[1] = "renamed".into();
+                        } else {
+                            lines[i].fields[0] = "renamed".into();
+                        }
+                    }
+                }
+                6 => {
+                    if let Some(i) = find(rng, lines, |l| l.kind == Kind::Header) {
+                        lines.remove(i);
+                    }
+                }
+                _ => {
+                    if let Some(i) = find(rng, lines, |_| true) {
+                        lines[i].invalid_utf8 = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The streaming readers against the two-pass oracle on generated
+    /// hostile inputs: the same matrix bits and labels, or the same error
+    /// variant with the same fields, and no panic. The tally checks that
+    /// the generator reaches every outcome.
+    #[test]
+    fn streaming_readers_match_the_two_pass_oracle() {
+        use proptest::prelude::*;
+        let mut seen = std::collections::BTreeSet::new();
+        proptest::run_cases(
+            ProptestConfig::with_cases(4000),
+            "streaming_readers_match_the_two_pass_oracle",
+            |rng| {
+                let input = gen::stacked(rng);
+                let text = String::from_utf8_lossy(&input);
+                let got = stacked_outcome(read_stacked_tsv(input.as_slice()));
+                let want = stacked_outcome(oracle::read_stacked_tsv(input.as_slice()));
+                prop_assert_eq!(&got, &want, "read_stacked_tsv on {:?}", text);
+                let kind = match &got {
+                    Ok(_) => "Ok".to_string(),
+                    Err(e) if e.starts_with("InconsistentSlices") => e.clone(),
+                    Err(e) => e.split(['(', ' ']).next().unwrap_or_default().to_string(),
+                };
+                seen.insert(kind);
+                let got = slice_outcome(read_slice_tsv(input.as_slice()));
+                let want = slice_outcome(oracle::read_slice_tsv_from(input.as_slice(), 0));
+                prop_assert_eq!(&got, &want, "read_slice_tsv on {:?}", text);
+                Ok(())
+            },
+        );
+        for kind in [
+            "Ok",
+            "Io",
+            "BadNumber",
+            "NonFinite",
+            "RaggedRow",
+            "Empty",
+            "InconsistentSlices(\"gene names differ between slices\")",
+            "InconsistentSlices(\"sample names differ between slices\")",
+        ] {
+            assert!(
+                seen.contains(kind),
+                "no generated input gave {kind}: {seen:?}"
+            );
+        }
+    }
+
+    /// The reading contract in the module docs, one clause per input, each
+    /// checked against the expected outcome and against the oracle.
+    #[test]
+    fn stacked_reading_contract() {
+        let cases: &[(&str, &[u8], &str)] = &[
+            (
+                "an invalid UTF-8 line beats an earlier bad cell in its slice",
+                b"# time a\ngene\ts0\nga\toops\n\xff\n",
+                "Io(InvalidData, stream did not contain valid UTF-8)",
+            ),
+            (
+                "an earlier slice's bad cell beats a later invalid UTF-8 line",
+                b"# time a\ngene\ts0\nga\toops\n# time b\n\xff\n",
+                "BadNumber { line: 3, col: 1, token: \"oops\" }",
+            ),
+            (
+                "lines before the first # time are ignored",
+                b"junk\tx\n# comment\n# time a\ngene\ts0\nga\t1\n",
+                "1x1x1 [ga] [s0] [a]",
+            ),
+            (
+                "# time matches as a raw prefix",
+                b"# timestamp 5\ngene\ts0\nga\t1\n",
+                "1x1x1 [ga] [s0] [stamp 5]",
+            ),
+            (
+                "an empty section is skipped and the next unnamed slice is t<kept>",
+                b"# time a\ngene\ts0\nga\t1\n# time skipped\n# time\ngene\ts0\nga\t2\n",
+                "1x1x2 [ga] [s0] [a, t1]",
+            ),
+            (
+                "a section of blank lines has no header",
+                b"# time a\n\n# time b\ngene\ts0\nga\t1\n",
+                "Empty",
+            ),
+            (
+                "a header without rows is empty",
+                b"# time a\ngene\ts0\n# note\n",
+                "Empty",
+            ),
+            (
+                "a ragged row wins over its own bad cell",
+                b"# time a\ngene\ts0\nga\toops\tx\n",
+                "RaggedRow { line: 3, expected: 1, got: 2 }",
+            ),
+            (
+                "positions are file-global lines with the untrimmed token",
+                b"pre\r\n# time a\r\ngene\ts0\ts1\r\nga\t1\t inf \r\n",
+                "NonFinite { line: 4, col: 2, token: \" inf \" }",
+            ),
+            (
+                "a slice's own cell error beats InconsistentSlices",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\ts0\ngz\toops\n",
+                "BadNumber { line: 6, col: 1, token: \"oops\" }",
+            ),
+            (
+                "gene names are compared before sample names",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\tsz\ngz\t1\n",
+                "InconsistentSlices(\"gene names differ between slices\")",
+            ),
+            (
+                "sample names must repeat too",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\tsz\nga\t1\n",
+                "InconsistentSlices(\"sample names differ between slices\")",
+            ),
+        ];
+        for (clause, input, want) in cases {
+            let summary = |r: Result<(Matrix3, Labels), IoError>| match r {
+                Ok((m, l)) => {
+                    let (g, s, t) = m.dims();
+                    format!(
+                        "{g}x{s}x{t} [{}] [{}] [{}]",
+                        l.genes().join(", "),
+                        l.samples().join(", "),
+                        l.times().join(", ")
+                    )
+                }
+                Err(e) => describe(&e),
+            };
+            assert_eq!(summary(read_stacked_tsv(*input)), *want, "{clause}");
+            assert_eq!(summary(oracle::read_stacked_tsv(*input)), *want, "{clause}");
+        }
     }
 }

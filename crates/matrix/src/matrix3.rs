@@ -69,6 +69,30 @@ impl Matrix3 {
         }
     }
 
+    /// Takes ownership of a buffer already in time-major order, as the TSV
+    /// reader fills it: slice by slice, row by row.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != n_genes * n_samples * n_times`.
+    pub(crate) fn from_time_major(
+        n_genes: usize,
+        n_samples: usize,
+        n_times: usize,
+        data: Vec<f64>,
+    ) -> Self {
+        assert_eq!(
+            data.len(),
+            n_genes * n_samples * n_times,
+            "buffer length does not match {n_genes}x{n_samples}x{n_times}"
+        );
+        Matrix3 {
+            n_genes,
+            n_samples,
+            n_times,
+            data,
+        }
+    }
+
     /// Builds a 3D matrix from per-time 2D slices (each `genes × samples`).
     ///
     /// # Panics

@@ -79,6 +79,8 @@ if [[ $fast -eq 0 ]]; then
     det_t1="$(mktemp /tmp/tricluster-det-t1-XXXXXX.json)"
     det_t2="$(mktemp /tmp/tricluster-det-t2-XXXXXX.json)"
     det_t4="$(mktemp /tmp/tricluster-det-t4-XXXXXX.json)"
+    det_crlf="$(mktemp /tmp/tricluster-det-crlf-XXXXXX.tsv)"
+    det_crlf_json="$(mktemp /tmp/tricluster-det-crlf-XXXXXX.json)"
     wide_tsv="$(mktemp /tmp/tricluster-wide-XXXXXX.tsv)"
     wide_t1="$(mktemp /tmp/tricluster-wide-t1-XXXXXX.json)"
     wide_t2="$(mktemp /tmp/tricluster-wide-t2-XXXXXX.json)"
@@ -94,7 +96,7 @@ if [[ $fast -eq 0 ]]; then
     serve_ledger="$(mktemp -d /tmp/tricluster-serve-ledger-XXXXXX)"
     serve_access="$(mktemp /tmp/tricluster-serve-access-XXXXXX.jsonl)"
     serve_pid=""
-    trap 'rm -f "$smoke_json" "$det_tsv" "$det_t1" "$det_t2" "$det_t4" "$wide_tsv" "$wide_t1" "$wide_t2" "$trace_json" "$flame_txt" "$met_tsv" "$met_base" "$met_json" "$met_log" "$serve_log" "$serve_json" "$serve_access"; rm -rf "$ledger_dir" "$serve_ledger"; [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null' EXIT
+    trap 'rm -f "$smoke_json" "$det_tsv" "$det_t1" "$det_t2" "$det_t4" "$det_crlf" "$det_crlf_json" "$wide_tsv" "$wide_t1" "$wide_t2" "$trace_json" "$flame_txt" "$met_tsv" "$met_base" "$met_json" "$met_log" "$serve_log" "$serve_json" "$serve_access"; rm -rf "$ledger_dir" "$serve_ledger"; [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null' EXIT
     run cargo run --release --quiet -p tricluster-bench --features track-alloc \
         --bin fig7 -- --smoke --json "$smoke_json"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
@@ -126,6 +128,17 @@ if [[ $fast -eq 0 ]]; then
         determinism "$det_t1" "$det_t2"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         determinism "$det_t1" "$det_t4"
+    # Ingest determinism gate: the same input in the format variants the
+    # reader documents — a preamble line before the first `# time`, a
+    # `# note` comment after every header, CRLF line endings — must mine to
+    # the same input-determined report sections as the plain file.
+    awk 'BEGIN { print "preamble: lines before the first # time are ignored" }
+         { print }
+         /^# time/ || /^gene\t/ { print "# note" }' "$det_tsv" | sed 's/$/\r/' > "$det_crlf"
+    run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
+        mine "$det_crlf" --eps 0.012 --threads 1 --report-json "$det_crlf_json"
+    run cargo run --release --quiet -p tricluster-bench --bin bench -- \
+        determinism "$det_t1" "$det_crlf_json"
     # The same gate on a wide 2-slice input, where BICLUSTER does most of
     # the work: the branch-parallel DFS (--fanout pair) must reproduce the
     # serial one.
