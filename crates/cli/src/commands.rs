@@ -17,8 +17,8 @@ use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{names, EventSink, Fanout, HistogramTap, JsonLinesSink, NullSink};
 use tricluster_core::runreport;
 use tricluster_core::{
-    cluster_metrics_observed, mine_shifting, FanoutMode, MergeParams, MineError, MiningResult,
-    Params, Reported, Session,
+    cluster_metrics_observed, mine_shifting, MergeParams, MineError, MiningResult, Params,
+    Reported, Session,
 };
 use tricluster_matrix::{io, Labels, Matrix3};
 use tricluster_synth::{generate, SynthSpec};
@@ -52,10 +52,9 @@ MINE OPTIONS:
   --max-memory B   logical-bytes budget for mined structures, with optional
                    K/M/G suffix (e.g. 64M); on exhaustion later slices are
                    dropped deterministically and the run reports truncated
-  --threads N      worker threads for the per-slice phases (default: cores)
-  --fanout MODE    parallel granularity: auto | slice | pair (default auto;
-                   pair = intra-slice pair/branch-level fan-out for inputs
-                   with fewer time slices than threads)
+  --threads N      worker threads for the per-slice phases (default: cores);
+                   with more threads than time slices, each slice fans out
+                   over its column pairs and DFS branches instead
   --shifting       mine shifting (additive) clusters via Lemma 2
   --auto           transpose so the largest dimension is mined as genes
   --names          print gene/sample/time names instead of indices
@@ -209,6 +208,37 @@ pub(crate) fn parse_bytes(flag: &str, s: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("--{flag} expects BYTES with an optional K/M/G suffix, got {s:?}"))
 }
 
+/// The value flags that set mining [`Params`] (read by
+/// [`mine_params_from`]), with their arities. `mine`, `submit` and the
+/// daemon's `POST /jobs` all accept exactly these.
+pub(crate) const PARAM_FLAGS: &[(&str, usize)] = &[
+    ("eps", 1),
+    ("eps-time", 1),
+    ("mx", 1),
+    ("my", 1),
+    ("mz", 1),
+    ("delta-x", 1),
+    ("delta-y", 1),
+    ("delta-z", 1),
+    ("merge", 2),
+    ("max-candidates", 1),
+    ("deadline", 1),
+    ("max-memory", 1),
+    ("threads", 1),
+];
+
+/// `mine`'s value flags besides [`PARAM_FLAGS`], and its switches.
+const MINE_FLAGS: &[(&str, usize)] = &[
+    ("report-json", 1),
+    ("trace-out", 1),
+    ("flame-out", 1),
+    ("ledger", 1),
+    ("metrics-addr", 1),
+];
+const MINE_SWITCHES: &[&str] = &[
+    "shifting", "auto", "names", "csv", "trace", "explain", "progress", "-v", "-vv",
+];
+
 pub fn mine_params_from(a: &args::Args) -> Result<Params, String> {
     let mut b = Params::builder()
         .epsilon(a.get_f64("eps")?.unwrap_or(0.01))
@@ -247,43 +277,12 @@ pub fn mine_params_from(a: &args::Args) -> Result<Params, String> {
     if let Some(n) = a.get_usize("threads")? {
         b = b.threads(n);
     }
-    if let Some(s) = a.get_str("fanout") {
-        let mode = FanoutMode::parse(s)
-            .ok_or_else(|| format!("--fanout must be auto, slice, or pair; got {s:?}"))?;
-        b = b.fanout(mode);
-    }
     b.build().map_err(|e| e.to_string())
 }
 
 pub fn mine(argv: &[String]) -> Result<(), CliError> {
-    let a = args::parse(
-        argv,
-        &[
-            ("eps", 1),
-            ("eps-time", 1),
-            ("mx", 1),
-            ("my", 1),
-            ("mz", 1),
-            ("delta-x", 1),
-            ("delta-y", 1),
-            ("delta-z", 1),
-            ("merge", 2),
-            ("max-candidates", 1),
-            ("deadline", 1),
-            ("max-memory", 1),
-            ("threads", 1),
-            ("fanout", 1),
-            ("report-json", 1),
-            ("trace-out", 1),
-            ("flame-out", 1),
-            ("ledger", 1),
-            ("metrics-addr", 1),
-        ],
-        &[
-            "shifting", "auto", "names", "csv", "trace", "explain", "progress", "-v", "-vv",
-        ],
-    )
-    .map_err(CliError::Usage)?;
+    let a = args::parse(argv, &[PARAM_FLAGS, MINE_FLAGS].concat(), MINE_SWITCHES)
+        .map_err(CliError::Usage)?;
     let Some(path) = a.positional.first() else {
         return Err(CliError::Usage(
             "mine: missing input file (stacked TSV)".into(),
@@ -1210,34 +1209,7 @@ mod tests {
 
     fn parse_mine(argv: &[&str]) -> args::Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        args::parse(
-            &argv,
-            &[
-                ("eps", 1),
-                ("eps-time", 1),
-                ("mx", 1),
-                ("my", 1),
-                ("mz", 1),
-                ("delta-x", 1),
-                ("delta-y", 1),
-                ("delta-z", 1),
-                ("merge", 2),
-                ("max-candidates", 1),
-                ("deadline", 1),
-                ("max-memory", 1),
-                ("threads", 1),
-                ("fanout", 1),
-                ("report-json", 1),
-                ("trace-out", 1),
-                ("flame-out", 1),
-                ("ledger", 1),
-                ("metrics-addr", 1),
-            ],
-            &[
-                "shifting", "auto", "names", "csv", "trace", "explain", "progress", "-v", "-vv",
-            ],
-        )
-        .unwrap()
+        args::parse(&argv, &[PARAM_FLAGS, MINE_FLAGS].concat(), MINE_SWITCHES).unwrap()
     }
 
     #[test]
@@ -1298,16 +1270,6 @@ mod tests {
         assert_eq!(p.max_candidates, Some(5000));
         assert_eq!(p.deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(p.max_memory, Some(64 << 20));
-    }
-
-    #[test]
-    fn fanout_flag_threads_through() {
-        let p = mine_params_from(&parse_mine(&["f.tsv", "--fanout", "pair"])).unwrap();
-        assert_eq!(p.fanout, FanoutMode::Pair);
-        let p = mine_params_from(&parse_mine(&["f.tsv"])).unwrap();
-        assert_eq!(p.fanout, FanoutMode::Auto);
-        let e = mine_params_from(&parse_mine(&["f.tsv", "--fanout", "bogus"])).unwrap_err();
-        assert!(e.contains("--fanout"));
     }
 
     #[test]
@@ -2226,9 +2188,10 @@ mod tests {
     }
 
     /// Serving metrics must not change any input-determined report
-    /// section: a threads-1 run without metrics and a threads-4
-    /// pair-fanout run with a live metrics server render those sections
-    /// byte-identically (same list the bench determinism gate pins).
+    /// section: a threads-1 run without metrics and an intra-slice run
+    /// (5 threads on 4 slices) with a live metrics server render those
+    /// sections byte-identically (same list the bench determinism gate
+    /// pins).
     #[test]
     fn deterministic_sections_unchanged_by_metrics() {
         let dir =
@@ -2247,9 +2210,7 @@ mod tests {
         mine(&[
             data.clone(),
             "--threads".into(),
-            "4".into(),
-            "--fanout".into(),
-            "pair".into(),
+            "5".into(),
             "--metrics-addr".into(),
             "127.0.0.1:0".into(),
             "--report-json".into(),

@@ -60,7 +60,7 @@
 //! well-formed response without crossing job boundaries.
 
 use crate::args;
-use crate::commands::{mine_params_from, parse_bytes, CliError};
+use crate::commands::{mine_params_from, parse_bytes, CliError, PARAM_FLAGS};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,7 +76,7 @@ use tricluster_core::obs::names;
 use tricluster_core::obs::progress::{Progress, ProgressSink};
 use tricluster_core::obs::timeline::{self, Timeline};
 use tricluster_core::obs::{EventSink, Fanout};
-use tricluster_core::{Dataset, Engine, Reported, Session, TenantCaps};
+use tricluster_core::{Dataset, Engine, Params, Reported, Session, TenantCaps};
 
 /// Fault-injection sites of the serve layer, in request order. (The
 /// `serve.response.write` site lives in `obs::httpd`; the rest are here.)
@@ -183,6 +183,19 @@ struct Outcome {
     report: Option<Json>,
 }
 
+impl Outcome {
+    /// What a job cancelled before it ran leaves behind.
+    fn cancelled() -> Self {
+        Outcome {
+            clusters: 0,
+            truncation: Some("cancelled".into()),
+            error: None,
+            secs: 0.0,
+            report: None,
+        }
+    }
+}
+
 /// One tenant job, from admission to retention.
 struct Job {
     id: u64,
@@ -272,23 +285,8 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// A running daemon: HTTP listener + mining workers.
-pub struct Daemon {
-    server: Option<HttpServer>,
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Daemon {
-    /// Binds the listener, spawns the workers, and starts admitting jobs.
-    pub fn start(cfg: ServeConfig) -> Result<Daemon, CliError> {
+    /// The daemon's state and services, before any worker or listener runs.
+    fn new(cfg: ServeConfig) -> Result<Arc<Shared>, CliError> {
         let ledger = match &cfg.ledger_dir {
             Some(dir) => {
                 Some(Mutex::new(Ledger::open(dir).map_err(|e| {
@@ -309,10 +307,7 @@ impl Daemon {
             None => None,
         };
         let engine = Engine::with_cache_entries(cfg.caps.clone(), cfg.cache_entries);
-        let addr = cfg.addr.clone();
-        let max_body = cfg.max_body;
-        let workers = cfg.workers.max(1);
-        let shared = Arc::new(Shared {
+        Ok(Arc::new(Shared {
             cfg,
             engine,
             ledger,
@@ -328,7 +323,30 @@ impl Daemon {
             access_log,
             work: Condvar::new(),
             shutdown: Condvar::new(),
-        });
+        }))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+}
+
+/// A running daemon: HTTP listener + mining workers.
+pub struct Daemon {
+    server: Option<HttpServer>,
+    shared: Arc<Shared>,
+    workers: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl Daemon {
+    /// Binds the listener, spawns the workers, and starts admitting jobs.
+    pub fn start(cfg: ServeConfig) -> Result<Daemon, CliError> {
+        let addr = cfg.addr.clone();
+        let max_body = cfg.max_body;
+        let workers = cfg.workers.max(1);
+        let shared = Shared::new(cfg)?;
         let mut handles = Vec::with_capacity(workers);
         for i in 0..workers {
             let shared = shared.clone();
@@ -450,7 +468,10 @@ fn worker_loop(shared: &Arc<Shared>) {
                 report: None,
             },
         };
-        finish_job(shared, id, outcome);
+        finish_job(shared, &mut shared.lock(), id, outcome);
+        // A worker slot freed; drain waiters and peers may care.
+        shared.work.notify_all();
+        shared.shutdown.notify_all();
     }
 }
 
@@ -531,10 +552,22 @@ fn run_job(
     ))
 }
 
-/// Records a finished job: state, counters, retention, memory release.
-fn finish_job(shared: &Arc<Shared>, id: u64, outcome: Outcome) {
-    let mut state = shared.lock();
-    let job = state.jobs.get_mut(&id).expect("running job exists");
+/// Moves a queued or running job into its terminal state (failed, cancelled
+/// or done, read off `outcome`). Every terminal transition goes through
+/// here: a worker finishing its job, `DELETE` of a queued job, and a
+/// cancelling `POST /shutdown`. Drops the job's dataset, releases its
+/// admitted bytes, bumps the matching service counter, and evicts finished
+/// jobs beyond [`KEEP_FINISHED`].
+fn finish_job(shared: &Shared, state: &mut State, id: u64, outcome: Outcome) {
+    let Some(job) = state.jobs.get_mut(&id) else {
+        return;
+    };
+    if job.state == JobState::Queued {
+        // Only cancellation ends a queued job. A running job journaled its
+        // cancellation when it was tripped.
+        let _att = job.timeline.attach("serve-http");
+        timeline::instant(names::T_SV_CANCELLED);
+    }
     job.state = if outcome.error.is_some() {
         JobState::Failed
     } else if outcome.truncation.as_deref() == Some("cancelled") {
@@ -543,21 +576,27 @@ fn finish_job(shared: &Arc<Shared>, id: u64, outcome: Outcome) {
         JobState::Done
     };
     let released = job.matrix_bytes;
-    let finished = job.state;
-    job.dataset = None;
-    job.outcome = Some(outcome);
-    state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
-    evict_finished(&mut state);
-    drop(state);
-    let finished_counter = match finished {
+    let counter = match job.state {
         JobState::Failed => names::SV_JOBS_FAILED,
         JobState::Cancelled => names::SV_JOBS_CANCELLED,
         _ => names::SV_JOBS_COMPLETED,
     };
-    shared.service.counter(finished_counter, 1);
-    // A worker slot freed; drain waiters and peers may care.
-    shared.work.notify_all();
-    shared.shutdown.notify_all();
+    job.dataset = None;
+    job.outcome = Some(outcome);
+    state.queue.retain(|&q| q != id);
+    state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
+    evict_finished(state);
+    shared.service.counter(counter, 1);
+}
+
+/// Trips a running job's cancel handle. The run winds down cooperatively
+/// into a truncated (reason "cancelled") result, and its worker finishes
+/// the job.
+fn trip(job: &mut Job) {
+    job.cancelling = true;
+    job.session.cancel();
+    let _att = job.timeline.attach("serve-http");
+    timeline::instant(names::T_SV_CANCELLED);
 }
 
 /// Drops the oldest finished jobs beyond the retention window. Queued and
@@ -904,27 +943,7 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
                 .collect()
         })
         .unwrap_or_default();
-    let parsed = args::parse(
-        &params_argv,
-        &[
-            ("eps", 1),
-            ("eps-time", 1),
-            ("mx", 1),
-            ("my", 1),
-            ("mz", 1),
-            ("delta-x", 1),
-            ("delta-y", 1),
-            ("delta-z", 1),
-            ("merge", 2),
-            ("max-candidates", 1),
-            ("deadline", 1),
-            ("max-memory", 1),
-            ("threads", 1),
-            ("fanout", 1),
-        ],
-        &[],
-    );
-    let requested = match parsed.and_then(|a| mine_params_from(&a)) {
+    let requested = match job_params(&params_argv) {
         Ok(p) => p,
         Err(e) => return error_response(400, "bad_params", &e),
     };
@@ -1060,40 +1079,17 @@ fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
     };
     match job.state {
         JobState::Queued => {
-            job.state = JobState::Cancelled;
-            job.cancelling = true;
-            job.dataset = None;
-            job.outcome = Some(Outcome {
-                clusters: 0,
-                truncation: Some("cancelled".into()),
-                error: None,
-                secs: 0.0,
-                report: None,
-            });
-            {
-                let _att = job.timeline.attach("serve-http");
-                timeline::instant(names::T_SV_CANCELLED);
-            }
-            let released = job.matrix_bytes;
-            state.queue.retain(|&q| q != id);
-            state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
+            finish_job(shared, &mut state, id, Outcome::cancelled());
             drop(state);
-            shared.service.counter(names::SV_JOBS_CANCELLED, 1);
             let body = Json::obj()
                 .with("id", Json::U64(id))
                 .with("state", Json::Str("cancelled".into()));
             Response::json(200, body.render() + "\n")
         }
         JobState::Running => {
-            // Cooperative: trip the handle, let the run wind down into a
-            // truncated (reason "cancelled") result. State flips (and the
-            // cancelled counter bumps) when the worker finishes.
-            job.cancelling = true;
-            job.session.cancel();
-            {
-                let _att = job.timeline.attach("serve-http");
-                timeline::instant(names::T_SV_CANCELLED);
-            }
+            // State flips (and the cancelled counter bumps) when the worker
+            // finishes.
+            trip(job);
             let body = Json::obj()
                 .with("id", Json::U64(id))
                 .with("state", Json::Str("running".into()))
@@ -1135,45 +1131,19 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
     let mut state = shared.lock();
     let already = state.draining.is_some();
     state.draining = Some(mode);
-    let mut cancelled_now = 0u64;
     if mode == ShutdownMode::Cancel {
         // Queued jobs become cancelled records; running jobs get tripped.
-        let queued: Vec<u64> = state.queue.drain(..).collect();
+        let queued: Vec<u64> = state.queue.iter().copied().collect();
         for id in queued {
-            if let Some(job) = state.jobs.get_mut(&id) {
-                job.state = JobState::Cancelled;
-                job.dataset = None;
-                job.outcome = Some(Outcome {
-                    clusters: 0,
-                    truncation: Some("cancelled".into()),
-                    error: None,
-                    secs: 0.0,
-                    report: None,
-                });
-                {
-                    let _att = job.timeline.attach("serve-http");
-                    timeline::instant(names::T_SV_CANCELLED);
-                }
-                let released = job.matrix_bytes;
-                state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
-                cancelled_now += 1;
-            }
+            finish_job(shared, &mut state, id, Outcome::cancelled());
         }
         for job in state.jobs.values_mut() {
             if job.state == JobState::Running {
-                job.cancelling = true;
-                job.session.cancel();
-                let _att = job.timeline.attach("serve-http");
-                timeline::instant(names::T_SV_CANCELLED);
+                trip(job);
             }
         }
     }
     drop(state);
-    if cancelled_now > 0 {
-        shared
-            .service
-            .counter(names::SV_JOBS_CANCELLED, cancelled_now);
-    }
     shared.work.notify_all();
     shared.shutdown.notify_all();
     let body = Json::obj()
@@ -1260,6 +1230,38 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `submit`'s value flags besides [`PARAM_FLAGS`].
+const SUBMIT_FLAGS: &[(&str, usize)] = &[
+    ("label", 1),
+    ("poll", 1),
+    ("report-json", 1),
+    ("cancel", 1),
+    ("shutdown", 1),
+];
+
+/// A job's `params` argv: every [`PARAM_FLAGS`] flag set in `a`, in table
+/// order. The daemon runs it through the same parser as `mine`
+/// ([`job_params`]).
+fn forward_params(a: &args::Args) -> Result<Vec<String>, String> {
+    let mut argv = Vec::new();
+    for &(flag, arity) in PARAM_FLAGS {
+        if arity == 2 {
+            if let Some((x, y)) = a.get_pair_f64(flag)? {
+                argv.extend([format!("--{flag}"), x.to_string(), y.to_string()]);
+            }
+        } else if let Some(v) = a.get_str(flag) {
+            argv.extend([format!("--{flag}"), v.to_owned()]);
+        }
+    }
+    Ok(argv)
+}
+
+/// Parses a job's `params` argv exactly as `mine` parses its flags, so a
+/// daemon job cannot drift from a one-shot run.
+fn job_params(argv: &[String]) -> Result<Params, String> {
+    mine_params_from(&args::parse(argv, PARAM_FLAGS, &[])?)
+}
+
 /// The `submit` command: client for a running daemon.
 ///
 /// ```text
@@ -1271,27 +1273,7 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
 pub fn submit(argv: &[String]) -> Result<(), CliError> {
     let a = args::parse(
         argv,
-        &[
-            ("eps", 1),
-            ("eps-time", 1),
-            ("mx", 1),
-            ("my", 1),
-            ("mz", 1),
-            ("delta-x", 1),
-            ("delta-y", 1),
-            ("delta-z", 1),
-            ("merge", 2),
-            ("max-candidates", 1),
-            ("deadline", 1),
-            ("max-memory", 1),
-            ("threads", 1),
-            ("fanout", 1),
-            ("label", 1),
-            ("poll", 1),
-            ("report-json", 1),
-            ("cancel", 1),
-            ("shutdown", 1),
-        ],
+        &[PARAM_FLAGS, SUBMIT_FLAGS].concat(),
         &["by-path", "wait"],
     )
     .map_err(CliError::Usage)?;
@@ -1333,38 +1315,9 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
             "submit: missing dataset file (stacked TSV), or --cancel ID / --shutdown MODE".into(),
         ));
     };
-    // Forward the param flags verbatim — the daemon runs them through the
-    // same parser as `mine`, after validating them here for a fast local
-    // usage error.
+    // Validate the param flags here for a fast local usage error.
     mine_params_from(&a).map_err(CliError::Usage)?;
-    let mut params_argv: Vec<Json> = Vec::new();
-    for (flag, arity) in &[
-        ("eps", 1),
-        ("eps-time", 1),
-        ("mx", 1),
-        ("my", 1),
-        ("mz", 1),
-        ("delta-x", 1),
-        ("delta-y", 1),
-        ("delta-z", 1),
-        ("merge", 2),
-        ("max-candidates", 1),
-        ("deadline", 1),
-        ("max-memory", 1),
-        ("threads", 1),
-        ("fanout", 1),
-    ] {
-        if *arity == 2 {
-            if let Some((x, y)) = a.get_pair_f64(flag).map_err(CliError::Usage)? {
-                params_argv.push(Json::Str(format!("--{flag}")));
-                params_argv.push(Json::Str(x.to_string()));
-                params_argv.push(Json::Str(y.to_string()));
-            }
-        } else if let Some(v) = a.get_str(flag) {
-            params_argv.push(Json::Str(format!("--{flag}")));
-            params_argv.push(Json::Str(v.to_owned()));
-        }
-    }
+    let params_argv = forward_params(&a).map_err(CliError::Usage)?;
     let mut body = Json::obj();
     if let Some(label) = a.get_str("label") {
         body = body.with("label", Json::Str(label.to_owned()));
@@ -1381,7 +1334,10 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Run(format!("cannot read {path}: {e}")))?;
         body = body.with("dataset", Json::Str(text));
     }
-    body = body.with("params", Json::Arr(params_argv));
+    body = body.with(
+        "params",
+        Json::Arr(params_argv.into_iter().map(Json::Str).collect()),
+    );
     let (status, response) = http_post(
         &format!("{base}/jobs"),
         "application/json",
@@ -1891,6 +1847,105 @@ mod tests {
             Some("done")
         );
         shut_down(daemon);
+    }
+
+    /// Every terminal transition evicts: cancelling more than
+    /// `KEEP_FINISHED` queued jobs, one `DELETE` at a time or all at once
+    /// through a cancelling shutdown, never retains more than
+    /// `KEEP_FINISHED` finished jobs. The daemon state runs without workers,
+    /// so every job stays queued until it is cancelled.
+    #[test]
+    fn cancelled_queued_jobs_stay_within_the_retention_window() {
+        let body = submit_body("queued", &[]);
+        for by_shutdown in [false, true] {
+            let shared = Shared::new(ServeConfig {
+                queue_depth: KEEP_FINISHED + 1,
+                ..test_cfg()
+            })
+            .unwrap();
+            let ids: Vec<u64> = (0..=KEEP_FINISHED)
+                .map(|_| {
+                    let r = submit_job(&shared, body.as_bytes(), 0, &mut Audit::default());
+                    assert_eq!(r.status, 202, "{}", r.body);
+                    let doc = Json::parse(r.body.trim()).unwrap();
+                    doc.get("id").and_then(Json::as_u64).unwrap()
+                })
+                .collect();
+            if by_shutdown {
+                let r = shutdown(&shared, br#"{"mode":"cancel"}"#);
+                assert_eq!(r.status, 200, "{}", r.body);
+            } else {
+                for id in ids {
+                    let r = cancel_job(&shared, id);
+                    assert_eq!(r.status, 200, "{}", r.body);
+                }
+            }
+            let state = shared.lock();
+            let finished = state.jobs.values().filter(|j| j.state.is_finished());
+            assert_eq!(finished.count(), KEEP_FINISHED, "shutdown={by_shutdown}");
+            assert!(state.queue.is_empty());
+            assert_eq!(state.admitted_bytes, 0);
+            assert_eq!(
+                shared.service.counter_value(names::SV_JOBS_CANCELLED),
+                KEEP_FINISHED as u64 + 1
+            );
+        }
+    }
+
+    /// `submit` forwards every flag of [`PARAM_FLAGS`], and the daemon parses
+    /// the forwarded argv into the same [`Params`] a one-shot `mine` gets
+    /// from the original command line.
+    #[test]
+    fn forwarded_params_parse_like_mine() {
+        let argv: Vec<String> = [
+            "http://127.0.0.1:1",
+            "data.tsv",
+            "--eps",
+            "0.05",
+            "--eps-time",
+            "0.2",
+            "--mx",
+            "10",
+            "--my",
+            "4",
+            "--mz",
+            "3",
+            "--delta-x",
+            "1.5",
+            "--delta-y",
+            "2.5",
+            "--delta-z",
+            "3.5",
+            "--merge",
+            "0.2",
+            "0.1",
+            "--max-candidates",
+            "5000",
+            "--deadline",
+            "2.5",
+            "--max-memory",
+            "64M",
+            "--threads",
+            "3",
+            "--label",
+            "all-flags",
+        ]
+        .map(String::from)
+        .into();
+        let a = args::parse(&argv, &[PARAM_FLAGS, SUBMIT_FLAGS].concat(), &[]).unwrap();
+        let forwarded = forward_params(&a).unwrap();
+        for (flag, _) in PARAM_FLAGS {
+            let flag = format!("--{flag}");
+            assert!(argv.contains(&flag), "test argv misses {flag}");
+            assert!(forwarded.contains(&flag), "{flag} not forwarded");
+        }
+        assert_eq!(
+            job_params(&forwarded).unwrap(),
+            mine_params_from(&a).unwrap()
+        );
+        // The fan-out level follows from `--threads`; there is no flag.
+        let e = job_params(&["--fanout".into(), "pair".into()]).unwrap_err();
+        assert!(e.contains("unknown flag --fanout"), "{e}");
     }
 
     /// The tentpole guarantee: every `serve.*` site, hit with every action,

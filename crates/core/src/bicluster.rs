@@ -19,15 +19,15 @@
 //! run out of edges is never tested again below the node that found out.
 
 use crate::cluster::Bicluster;
-use crate::fault::{fail_point_panic, isolate, RunCtrl};
+use crate::fault::{fail_point_panic, fan_out, RunCtrl, BRANCHES};
 use crate::params::Params;
 use crate::range::RatioRange;
 use crate::rangegraph::RangeGraph;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, timeline, EventSink, Histogram};
+use tricluster_obs::{names, EventSink, Histogram};
 
 /// Value distributions of one bicluster search, collected only on request
 /// (see [`mine_biclusters_profiled`]).
@@ -137,9 +137,8 @@ pub fn mine_biclusters_profiled(
     mine_biclusters_ctrl(m, rg, params, collect_hists, 1, &RunCtrl::unbounded())
 }
 
-/// Everything one top-level branch produced, keyed by its seed sample.
+/// Everything one top-level branch produced.
 struct BranchOutput {
-    branch: usize,
     results: MaximalStore,
     truncated: bool,
     /// Budget consumed inside the branch (for sequential budget threading).
@@ -166,7 +165,6 @@ fn run_branch<'a>(
     miner.dfs(root, branch, all_genes, m.n_genes());
     let spent = miner.stats.budget_spent;
     BranchOutput {
-        branch,
         results: miner.results,
         truncated: miner.truncated,
         spent,
@@ -175,8 +173,8 @@ fn run_branch<'a>(
 }
 
 /// [`mine_biclusters_profiled`] with the top-level sample-seed branches of
-/// the set-enumeration tree distributed over up to `workers` threads, under
-/// the run control of `ctrl`.
+/// the set-enumeration tree fanned out over up to `workers` threads (through
+/// [`fan_out`]), under the run control of `ctrl`.
 ///
 /// Every thread count — including 1 — runs the *same* algorithm: each branch
 /// mines into a branch-local [`MaximalStore`], and the branch stores are
@@ -193,9 +191,8 @@ fn run_branch<'a>(
 /// cluster by a later branch is impossible.
 ///
 /// When [`Params::max_candidates`] is set, the visit budget is global across
-/// the whole DFS, so branches run sequentially and thread the remaining
-/// budget in branch order — deterministic truncation, identical to the
-/// pre-parallel implementation.
+/// the whole DFS, so branches run on one worker and thread the remaining
+/// budget in branch order — deterministic truncation.
 ///
 /// The deadline is polled at every DFS node, and — when `ctrl` collects faults —
 /// a panic inside one top-level branch downgrades to a
@@ -239,127 +236,64 @@ pub(crate) fn mine_biclusters_ctrl(
     if let Some(p) = &ctrl.progress {
         p.add_branches_total(n_samples as u64);
     }
-    let outputs: Vec<BranchOutput> = if budget.is_some() || workers <= 1 || n_samples <= 1 {
-        let mut outs = Vec::with_capacity(n_samples);
-        for branch in 0..n_samples {
-            if ctrl.token.deadline_exceeded() {
-                break;
-            }
-            let tl_branch = timeline::span(names::T_BC_BRANCH);
-            let out = isolate(
-                &ctrl.faults,
-                "bicluster_branch",
-                || format!("t={} branch={}", rg.time, branch),
-                || {
-                    run_branch(
-                        m,
-                        rg,
-                        params,
-                        collect_hists,
-                        &all_genes,
-                        &root,
-                        branch,
-                        budget,
-                        ctrl,
-                    )
-                },
-            );
-            drop(tl_branch);
-            if let Some(p) = &ctrl.progress {
-                p.branch_done();
-            }
-            // A failed branch consumed an unknowable slice of the budget;
-            // charge nothing so the surviving branches keep their shares.
-            let Some(out) = out else { continue };
-            if let Some(b) = &mut budget {
-                *b -= out.spent;
-            }
-            if let Some(p) = &ctrl.progress {
-                p.add_budget_spent(out.spent);
-            }
-            outs.push(out);
-        }
-        outs
-    } else {
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<BranchOutput>> = (0..n_samples).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers.min(n_samples))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _tl = ctrl.timeline.as_ref().map(|t| t.attach("branch"));
-                        let mut outs = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n_samples {
-                                break;
-                            }
-                            if ctrl.token.deadline_exceeded() {
-                                break;
-                            }
-                            let tl_branch = timeline::span(names::T_BC_BRANCH);
-                            let out = isolate(
-                                &ctrl.faults,
-                                "bicluster_branch",
-                                || format!("t={} branch={}", rg.time, i),
-                                || {
-                                    run_branch(
-                                        m,
-                                        rg,
-                                        params,
-                                        collect_hists,
-                                        &all_genes,
-                                        &root,
-                                        i,
-                                        None,
-                                        ctrl,
-                                    )
-                                },
-                            );
-                            drop(tl_branch);
-                            if let Some(p) = &ctrl.progress {
-                                p.branch_done();
-                            }
-                            if let Some(out) = out {
-                                outs.push(out);
-                            }
-                        }
-                        outs
-                    })
-                })
-                .collect();
-            for h in handles {
-                for out in h.join().expect("bicluster worker panicked") {
-                    let b = out.branch;
-                    slots[b] = Some(out);
-                }
-            }
-        });
-        // Skipped (post-deadline) and failed branches left their slot empty.
-        slots.into_iter().flatten().collect()
-    };
-
     // Root fan-out: one child per top-level sample, recursed unconditionally.
     if let Some(h) = stats.hists.as_deref_mut() {
         h.fanout.record(n_samples as u64);
     }
 
+    // A global budget is spent in branch order, so it keeps the DFS at one
+    // worker, where each branch's output is absorbed before the next branch
+    // starts from what is `left`.
+    let left = AtomicU64::new(budget.unwrap_or(0));
+    let workers = if budget.is_some() { 1 } else { workers };
     // Deterministic merge: absorb branches in ascending seed order and fold
     // their survivors through a global maximality store.
     let mut store = MaximalStore::new();
-    for out in outputs {
-        truncated |= out.truncated;
-        stats.absorb(&out.stats);
-        for bc in out.results.into_vec() {
-            match store.insert(bc) {
-                InsertOutcome::Subsumed => stats.merge_subsumed += 1,
-                InsertOutcome::Inserted { displaced } => {
-                    debug_assert_eq!(displaced, 0, "later branches cannot subsume earlier ones");
-                    stats.replaced += displaced as u64;
+    fan_out(
+        ctrl,
+        &BRANCHES,
+        n_samples,
+        workers,
+        |branch| format!("t={} branch={}", rg.time, branch),
+        || (),
+        |_, branch| {
+            let budget = budget.map(|_| left.load(Ordering::Relaxed));
+            run_branch(
+                m,
+                rg,
+                params,
+                collect_hists,
+                &all_genes,
+                &root,
+                branch,
+                budget,
+                ctrl,
+            )
+        },
+        |_, out| {
+            // A failed branch never gets here: it consumed an unknowable
+            // slice of the budget, so it is charged nothing and the
+            // surviving branches keep their shares.
+            left.fetch_sub(out.spent, Ordering::Relaxed);
+            if let Some(p) = &ctrl.progress {
+                p.add_budget_spent(out.spent);
+            }
+            truncated |= out.truncated;
+            stats.absorb(&out.stats);
+            for bc in out.results.into_vec() {
+                match store.insert(bc) {
+                    InsertOutcome::Subsumed => stats.merge_subsumed += 1,
+                    InsertOutcome::Inserted { displaced } => {
+                        debug_assert_eq!(
+                            displaced, 0,
+                            "later branches cannot subsume earlier ones"
+                        );
+                        stats.replaced += displaced as u64;
+                    }
                 }
             }
-        }
-    }
+        },
+    );
     (store.into_vec(), truncated, stats)
 }
 

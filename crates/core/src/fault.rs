@@ -1,11 +1,12 @@
-//! Worker panic isolation and fault-injection plumbing.
+//! Worker panic isolation, the one fan-out loop, and fault-injection
+//! plumbing.
 //!
 //! The mining pipeline fans work out at slice, column-pair, and DFS-branch
-//! granularity. `isolate` wraps each such unit in `catch_unwind`: a panic
-//! inside one unit is downgraded to a structured [`WorkerFailure`] and the
-//! deterministic merge of the surviving units proceeds. Standalone phase
-//! entry points (outside [`mine`](crate::mine)) use a *propagating* log, so
-//! their panic behavior is unchanged.
+//! granularity, all through one loop, `fan_out`. `isolate` wraps each such unit in
+//! `catch_unwind`: a panic inside one unit is downgraded to a structured
+//! [`WorkerFailure`] and the deterministic merge of the surviving units
+//! proceeds. Standalone phase entry points (outside [`mine`](crate::mine))
+//! use a *propagating* log, so their panic behavior is unchanged.
 //!
 //! The named injection sites listed in [`FAILPOINTS`] compile to no-ops
 //! unless the `failpoints` cargo feature is on (test builds only).
@@ -13,6 +14,7 @@
 use crate::cancel::CancelToken;
 use crate::params::Params;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tricluster_obs::progress::Progress;
 use tricluster_obs::timeline::Timeline;
@@ -213,6 +215,139 @@ pub(crate) fn isolate<T>(
                 message: panic_message(payload),
             });
             None
+        }
+    }
+}
+
+/// One kind of work unit [`fan_out`] schedules: how its units are labeled
+/// on failure, on the timeline, and on the progress gauges.
+pub(crate) struct Units {
+    /// [`WorkerFailure::phase`] of a unit that panicked.
+    phase: &'static str,
+    /// Timeline span opened around each unit.
+    span: &'static str,
+    /// Whether that span carries the unit's label as its detail.
+    span_detail: bool,
+    /// Timeline track of the spawned workers.
+    track: &'static str,
+    /// Progress gauge bumped once per attempted unit.
+    done: fn(&Progress),
+}
+
+/// Whole time slices (phases 1+2 of one slice each).
+pub(crate) const SLICES: Units = Units {
+    phase: "slice",
+    span: names::T_SLICE,
+    span_detail: true,
+    track: "slice",
+    done: Progress::slice_done,
+};
+
+/// Column pairs of one slice's range multigraph.
+pub(crate) const PAIRS: Units = Units {
+    phase: "range_graph_pair",
+    span: names::T_RG_PAIR,
+    span_detail: false,
+    track: "pair",
+    done: Progress::pair_done,
+};
+
+/// Top-level sample-seed branches of one slice's bicluster DFS.
+pub(crate) const BRANCHES: Units = Units {
+    phase: "bicluster_branch",
+    span: names::T_BC_BRANCH,
+    span_detail: false,
+    track: "branch",
+    done: Progress::branch_done,
+};
+
+/// Runs work units `0..n` on up to `workers` threads and hands each
+/// completed unit's output to `absorb`, in index order.
+///
+/// Every unit takes the same steps at every worker count: a deadline poll
+/// (once it fires no further unit starts), the unit's timeline span,
+/// [`isolate`] under `units`' phase and `label(i)`, and one bump of the
+/// phase's progress gauge whether the unit completed or failed. A failed
+/// unit has no output, and its worker's scratch is rebuilt with `scratch`.
+///
+/// At one worker the units run inline on the calling thread, and each
+/// output reaches `absorb` before the next unit starts. Otherwise scoped
+/// workers claim units from one atomic cursor, attach to the run's
+/// timeline under `units`' track, and their outputs are absorbed after the
+/// join. Either way `absorb` sees the completed units in the same order, so
+/// a phase's result depends only on which units completed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fan_out<S, T: Send>(
+    ctrl: &RunCtrl,
+    units: &Units,
+    n: usize,
+    workers: usize,
+    label: impl Fn(usize) -> String + Sync,
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+    mut absorb: impl FnMut(usize, T),
+) {
+    let run = |s: &mut S, i: usize| {
+        let span = if units.span_detail {
+            timeline::span_with(units.span, || label(i))
+        } else {
+            timeline::span(units.span)
+        };
+        let out = isolate(&ctrl.faults, units.phase, || label(i), || work(s, i));
+        drop(span);
+        if let Some(p) = &ctrl.progress {
+            (units.done)(p);
+        }
+        if out.is_none() {
+            // The panicked unit may have left partial state behind.
+            *s = scratch();
+        }
+        out
+    };
+    if workers <= 1 || n <= 1 {
+        let mut s = scratch();
+        for i in 0..n {
+            if ctrl.token.deadline_exceeded() {
+                break;
+            }
+            if let Some(out) = run(&mut s, i) {
+                absorb(i, out);
+            }
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let _tl = ctrl.timeline.as_ref().map(|t| t.attach(units.track));
+                    let mut s = scratch();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n || ctrl.token.deadline_exceeded() {
+                            break;
+                        }
+                        if let Some(out) = run(&mut s, i) {
+                            done.push((i, out));
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, out) in h.join().expect("fan-out worker panicked") {
+                slots[i] = Some(out);
+            }
+        }
+    });
+    // Units skipped after the deadline, and failed ones, left no output.
+    for (i, out) in slots.into_iter().enumerate() {
+        if let Some(out) = out {
+            absorb(i, out);
         }
     }
 }

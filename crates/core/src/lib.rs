@@ -94,7 +94,7 @@ pub use error::MineError;
 pub use fault::{WorkerFailure, FAILPOINTS};
 pub use metrics::{cluster_metrics_observed, Metrics};
 pub use miner::{mine, mine_auto, FanoutDecision, FanoutLevel, MiningResult, Timings};
-pub use params::{FanoutMode, MergeParams, Params, ParamsBuilder, ParamsError};
+pub use params::{MergeParams, Params, ParamsBuilder, ParamsError};
 pub use shift::{mine_shifting, ShiftingCluster};
 
 /// Re-export of the observability crate, so downstream users can name sinks

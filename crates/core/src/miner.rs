@@ -13,8 +13,8 @@ use crate::cancel::TruncationReason;
 use crate::cluster::{Bicluster, Tricluster};
 use crate::engine::Session;
 use crate::error::MineError;
-use crate::fault::{fail_point_panic, isolate, RunCtrl, WorkerFailure};
-use crate::params::{FanoutMode, Params};
+use crate::fault::{fail_point_panic, fan_out, isolate, RunCtrl, WorkerFailure, SLICES};
+use crate::params::Params;
 use crate::prune::{merge_and_prune_observed, PruneStats};
 use crate::range::RatioRange;
 use crate::rangegraph::{build_range_graph_ctrl, RangeGraph, RangeGraphStats};
@@ -28,11 +28,12 @@ use tricluster_obs::{
     alloc, emit, names, timeline, Event, EventSink, Fanout, Histogram, NullSink, RunReport,
 };
 
-/// Granularity one phase actually fanned out at (see
-/// [`FanoutMode`] for how the choice is made).
+/// Granularity one phase actually fanned out at: slice-level while a run
+/// has at least as many time slices as worker threads, intra-slice (pair
+/// and branch) otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FanoutLevel {
-    /// Whole time slices striped across workers.
+    /// Whole time slices spread across workers.
     Slice,
     /// `(slice, column-pair)` work items within each slice.
     Pair,
@@ -97,8 +98,8 @@ pub struct MiningResult {
     /// given input/parameters, independent of thread count.
     pub report: RunReport,
     /// Which fan-out granularity each per-slice phase ran at. Purely a
-    /// scheduling artifact: it varies with `threads`/[`Params::fanout`]
-    /// while clusters and report counters do not.
+    /// scheduling artifact: it varies with [`Params::threads`] while
+    /// clusters and report counters do not.
     pub fanout: FanoutDecision,
 }
 
@@ -178,7 +179,6 @@ fn triclusters_bytes(cs: &[Tricluster]) -> u64 {
 /// What one per-slice worker returns: the slice's biclusters plus its
 /// locally accumulated stats and phase durations.
 struct SliceOutput {
-    t: usize,
     n_ranges: usize,
     biclusters: Vec<Bicluster>,
     truncated: bool,
@@ -197,25 +197,22 @@ struct SliceOutput {
 /// locally and merged by the caller in slice order, keeping them
 /// deterministic under any thread schedule.
 ///
-/// Under slice-level fan-out the caller passes `1` for both worker counts
-/// (this slice shares the machine with its siblings); under intra-slice
-/// fan-out the slice owns all workers and fans out internally at pair
-/// (range graph) and branch (DFS) granularity.
+/// `workers` is how many threads the slice fans its column pairs and DFS
+/// branches out over: `1` under slice-level fan-out (this slice shares the
+/// machine with its siblings), all of them under intra-slice fan-out.
 fn mine_slice(
     m: &Matrix3,
     t: usize,
     params: &Params,
     sink: &dyn EventSink,
-    rg_workers: usize,
-    bc_workers: usize,
+    workers: usize,
     ctrl: &RunCtrl,
 ) -> SliceOutput {
     fail_point_panic("core.slice");
-    let _tl_slice = timeline::span_with(names::T_SLICE, || format!("t={t}"));
     let collect_hists = sink.wants_histograms();
     let rg_start = Instant::now();
     let rg_span = timeline::span(names::SPAN_RANGE_GRAPH);
-    let (rg, rg_stats) = build_range_graph_ctrl(m, t, params, sink, rg_workers, ctrl);
+    let (rg, rg_stats) = build_range_graph_ctrl(m, t, params, sink, workers, ctrl);
     drop(rg_span);
     let rg_time = rg_start.elapsed();
     let n_ranges = rg.n_ranges();
@@ -223,7 +220,7 @@ fn mine_slice(
     let bc_start = Instant::now();
     let bc_span = timeline::span(names::SPAN_BICLUSTER);
     let (biclusters, truncated, bc_stats) =
-        mine_biclusters_ctrl(m, &rg, params, collect_hists, bc_workers, ctrl);
+        mine_biclusters_ctrl(m, &rg, params, collect_hists, workers, ctrl);
     drop(bc_span);
     let bc_time = bc_start.elapsed();
     emit(sink, || {
@@ -234,11 +231,7 @@ fn mine_slice(
             .field("range_graph_ns", rg_time.as_nanos() as u64)
             .field("bicluster_ns", bc_time.as_nanos() as u64)
     });
-    if let Some(p) = &ctrl.progress {
-        p.slice_done();
-    }
     SliceOutput {
-        t,
         n_ranges,
         biclusters,
         truncated,
@@ -349,36 +342,22 @@ pub(crate) fn mine_pipeline(
             .map(|n| n.get())
             .unwrap_or(1)
     });
-    // Two-level scheduler: with at least as many slices as workers, striping
-    // whole slices keeps every worker busy with zero coordination. When
-    // workers outnumber slices (the common microarray shape: few time
-    // points, huge slices), slices run one at a time and fan out internally
-    // at (column-pair) and (sample-seed-branch) granularity instead.
-    let intra = match params.fanout {
-        FanoutMode::Slice => false,
-        FanoutMode::Pair => threads > 1,
-        FanoutMode::Auto => threads > 1 && threads > n_times,
-    };
-    let rg_workers = if intra { threads } else { 1 };
-    // A global `max_candidates` budget must be spent in branch order, which
-    // serializes the DFS; see `mine_biclusters_ctrl`.
-    let bc_workers = if intra && params.max_candidates.is_none() {
-        threads
-    } else {
-        1
-    };
-    let slice_workers = if intra {
-        1
-    } else {
-        threads.min(n_times.max(1))
-    };
+    // Two-level scheduler: with at least as many slices as workers, whole
+    // slices keep every worker busy. When workers outnumber slices (the
+    // common microarray shape: few time points, huge slices), slices run one
+    // at a time and fan out internally over column pairs and sample-seed
+    // branches instead.
+    let intra = threads > 1 && threads > n_times;
+    let (slice_workers, unit_workers) = if intra { (1, threads) } else { (threads, 1) };
     let fanout = FanoutDecision {
         range_graph: if intra {
             FanoutLevel::Pair
         } else {
             FanoutLevel::Slice
         },
-        bicluster: if bc_workers > 1 {
+        // A global `max_candidates` budget must be spent in branch order,
+        // which keeps the DFS at one worker; see `mine_biclusters_ctrl`.
+        bicluster: if intra && params.max_candidates.is_none() {
             FanoutLevel::Branch
         } else {
             FanoutLevel::Slice
@@ -391,97 +370,56 @@ pub(crate) fn mine_pipeline(
             .field("bicluster", fanout.bicluster.as_str())
             .field("threads", threads)
     });
-    let tl_slices = timeline::span(names::SPAN_SLICES_WALL);
-    let mut slices: Vec<SliceOutput> = if slice_workers <= 1 || n_times <= 1 {
-        let mut outs = Vec::with_capacity(n_times);
-        for t in 0..n_times {
-            if ctrl.token.deadline_exceeded() {
-                break;
-            }
-            let out = isolate(
-                &ctrl.faults,
-                "slice",
-                || format!("t={t}"),
-                || mine_slice(m, t, params, sink, rg_workers, bc_workers, ctrl),
-            );
-            if let Some(out) = out {
-                outs.push(out);
-            }
-        }
-        outs
-    } else {
-        // Slices are striped across exactly `slice_workers` workers; each
-        // worker returns its outputs and the caller re-sorts by slice index.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..slice_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let _tl = ctrl.timeline.as_ref().map(|t| t.attach("slice"));
-                        (w..n_times)
-                            .step_by(slice_workers)
-                            .filter_map(|t| {
-                                if ctrl.token.deadline_exceeded() {
-                                    return None;
-                                }
-                                isolate(
-                                    &ctrl.faults,
-                                    "slice",
-                                    || format!("t={t}"),
-                                    || mine_slice(m, t, params, sink, 1, 1, ctrl),
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("slice worker panicked"))
-                .collect()
-        })
-    };
-    drop(tl_slices);
-    timings.slices_wall = wall_start.elapsed();
-
-    // Merge worker outputs in slice order: every counter and span below is
-    // published from this single thread, so totals and span counts are
-    // identical regardless of how the slices were scheduled.
-    slices.sort_by_key(|s| s.t);
     let mut rg_total = RangeGraphStats::default();
     let mut bc_total = BiclusterStats::default();
     let collect_hists = sink.wants_histograms();
     let mut slice_hists = collect_hists.then(|| (Histogram::default(), Histogram::default()));
     let mut rg_peak_bytes = 0u64;
     let mut memory_truncated = false;
-    for out in slices {
-        ranges_per_time[out.t] = out.n_ranges;
-        truncated |= out.truncated;
-        rg_total.absorb(&out.rg_stats);
-        bc_total.absorb(&out.bc_stats);
-        rg_peak_bytes = rg_peak_bytes.max(out.rg_bytes);
-        if let Some((edges, bcs)) = slice_hists.as_mut() {
-            edges.record(out.n_ranges as u64);
-            bcs.record(out.biclusters.len() as u64);
-        }
-        // Memory budget: retained bicluster bytes are charged here, on the
-        // single merge thread in slice order, so which slices get dropped
-        // (this one and every later one, once the budget tips) is identical
-        // across thread counts and fan-out modes.
-        if !memory_truncated && ctrl.token.charge(biclusters_bytes(&out.biclusters)) {
-            per_time_biclusters[out.t] = out.biclusters;
-        } else {
-            memory_truncated = true;
-        }
-        timings.range_graphs += out.rg_time;
-        timings.biclusters += out.bc_time;
-        sink.span(names::SPAN_RANGE_GRAPH, out.rg_time);
-        sink.span(names::SPAN_BICLUSTER, out.bc_time);
-        // Live monitoring reads the logical-bytes gauge mid-phase, so
-        // refresh it per merged slice, not just at the phase boundary.
-        if let Some(p) = &ctrl.progress {
-            p.set_logical_bytes(ctrl.token.charged_bytes());
-        }
-    }
+    let tl_slices = timeline::span(names::SPAN_SLICES_WALL);
+    // Slice outputs are absorbed in slice order: every counter and span
+    // below is published from this single thread, so totals and span counts
+    // are identical regardless of how the slices were scheduled.
+    fan_out(
+        ctrl,
+        &SLICES,
+        n_times,
+        slice_workers,
+        |t| format!("t={t}"),
+        || (),
+        |_, t| mine_slice(m, t, params, sink, unit_workers, ctrl),
+        |t, out| {
+            ranges_per_time[t] = out.n_ranges;
+            truncated |= out.truncated;
+            rg_total.absorb(&out.rg_stats);
+            bc_total.absorb(&out.bc_stats);
+            rg_peak_bytes = rg_peak_bytes.max(out.rg_bytes);
+            if let Some((edges, bcs)) = slice_hists.as_mut() {
+                edges.record(out.n_ranges as u64);
+                bcs.record(out.biclusters.len() as u64);
+            }
+            // Memory budget: retained bicluster bytes are charged here, in
+            // slice order, so which slices get dropped (this one and every
+            // later one, once the budget tips) is identical across thread
+            // counts and fan-out levels.
+            if !memory_truncated && ctrl.token.charge(biclusters_bytes(&out.biclusters)) {
+                per_time_biclusters[t] = out.biclusters;
+            } else {
+                memory_truncated = true;
+            }
+            timings.range_graphs += out.rg_time;
+            timings.biclusters += out.bc_time;
+            sink.span(names::SPAN_RANGE_GRAPH, out.rg_time);
+            sink.span(names::SPAN_BICLUSTER, out.bc_time);
+            // Live monitoring reads the logical-bytes gauge mid-phase, so
+            // refresh it per merged slice, not just at the phase boundary.
+            if let Some(p) = &ctrl.progress {
+                p.set_logical_bytes(ctrl.token.charged_bytes());
+            }
+        },
+    );
+    drop(tl_slices);
+    timings.slices_wall = wall_start.elapsed();
     if let Some(p) = &ctrl.progress {
         p.set_logical_bytes(ctrl.token.charged_bytes());
     }
@@ -978,79 +916,58 @@ mod tests {
         assert!(mine(&m, &mk(1)).unwrap().report.histograms.is_empty());
     }
 
-    /// Tentpole of ISSUE 3: intra-slice fan-out (pair-level range graphs,
-    /// branch-level DFS) yields byte-identical clusters, counters, and
-    /// histograms to slice-level fan-out, at every thread count.
+    /// Intra-slice fan-out (pair-level range graphs, branch-level DFS)
+    /// yields byte-identical clusters, counters, and histograms to
+    /// slice-level fan-out, at every thread count. Table 1 has 2 slices, so
+    /// up to 2 threads fan out by slice and more go intra-slice.
     #[test]
-    fn fanout_modes_mine_identical_results() {
+    fn fanout_levels_mine_identical_results() {
         let m = paper_table1();
-        let mk = |mode: FanoutMode, threads: usize| {
+        let mk = |threads: usize| {
             Params::builder()
                 .epsilon(0.01)
                 .min_size(3, 3, 2)
-                .fanout(mode)
                 .threads(threads)
                 .build()
                 .unwrap()
         };
-        let baseline = recorded(&m, mk(FanoutMode::Slice, 1));
-        assert_eq!(baseline.fanout.range_graph, FanoutLevel::Slice);
-        assert_eq!(baseline.fanout.bicluster, FanoutLevel::Slice);
-        for (mode, threads) in [
-            (FanoutMode::Pair, 1),
-            (FanoutMode::Pair, 2),
-            (FanoutMode::Pair, 8),
-            (FanoutMode::Auto, 8), // 8 > 2 slices -> intra
-            (FanoutMode::Slice, 8),
-        ] {
-            let r = recorded(&m, mk(mode, threads));
+        let baseline = recorded(&m, mk(1));
+        for threads in [1, 2, 3, 8] {
+            let r = recorded(&m, mk(threads));
             assert_eq!(
                 view(&r.triclusters),
                 view(&baseline.triclusters),
-                "{mode:?} x{threads}"
+                "x{threads}"
             );
             assert_eq!(
                 r.report.counter_map(),
                 baseline.report.counter_map(),
-                "{mode:?} x{threads}"
+                "x{threads}"
             );
             assert_eq!(
                 r.report.histogram_map(),
                 baseline.report.histogram_map(),
-                "{mode:?} x{threads}"
+                "x{threads}"
             );
-            let intra = threads > 1 && mode != FanoutMode::Slice;
-            assert_eq!(
-                r.fanout.range_graph,
-                if intra {
-                    FanoutLevel::Pair
-                } else {
-                    FanoutLevel::Slice
-                },
-                "{mode:?} x{threads}"
-            );
-            assert_eq!(
-                r.fanout.bicluster,
-                if intra {
-                    FanoutLevel::Branch
-                } else {
-                    FanoutLevel::Slice
-                },
-                "{mode:?} x{threads}"
-            );
+            let (range_graph, bicluster) = if threads > 2 {
+                (FanoutLevel::Pair, FanoutLevel::Branch)
+            } else {
+                (FanoutLevel::Slice, FanoutLevel::Slice)
+            };
+            assert_eq!(r.fanout.range_graph, range_graph, "x{threads}");
+            assert_eq!(r.fanout.bicluster, bicluster, "x{threads}");
             assert_eq!(r.fanout.threads, threads);
         }
     }
 
-    /// A global candidate budget serializes the DFS (branch order is the
-    /// spend order) but pair-level range graphs still apply.
+    /// A global candidate budget keeps the DFS at one worker (branch order
+    /// is the spend order) but pair-level range graphs still apply.
     #[test]
     fn budget_keeps_dfs_serial_under_intra_fanout() {
         let m = paper_table1();
         let p = Params::builder()
             .epsilon(0.01)
             .min_size(3, 3, 2)
-            .fanout(FanoutMode::Pair)
             .threads(4)
             .max_candidates(1_000_000)
             .build()
@@ -1072,8 +989,7 @@ mod tests {
         let p = Params::builder()
             .epsilon(0.01)
             .min_size(3, 3, 2)
-            .fanout(FanoutMode::Pair)
-            .threads(2)
+            .threads(3)
             .build()
             .unwrap();
         let tl = timeline::Timeline::new();

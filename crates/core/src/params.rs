@@ -42,48 +42,6 @@ pub enum RangeExtension {
     On,
 }
 
-/// Which work-item granularity the per-slice phases fan out at.
-///
-/// Slice-level fan-out stripes whole time slices across workers — ideal when
-/// `n_times ≥ threads`. Intra-slice fan-out processes slices one at a time
-/// but parallelizes *inside* each: `(slice, column-pair)` work items for
-/// range-graph construction and top-level sample-seed branches for the
-/// bicluster DFS — ideal for few-slice/many-gene shapes (e.g. yeast
-/// elutriation: huge slices, few time points). Results and every
-/// input-determined report section are identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FanoutMode {
-    /// Decide per run: slice-level when there are at least as many slices
-    /// as worker threads, intra-slice otherwise.
-    #[default]
-    Auto,
-    /// Always slice-level (the pre-scheduler behavior).
-    Slice,
-    /// Always intra-slice (pair-level range graphs, branch-level DFS).
-    Pair,
-}
-
-impl FanoutMode {
-    /// Stable lowercase name (CLI flag value / report field).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FanoutMode::Auto => "auto",
-            FanoutMode::Slice => "slice",
-            FanoutMode::Pair => "pair",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<FanoutMode> {
-        match s {
-            "auto" => Some(FanoutMode::Auto),
-            "slice" => Some(FanoutMode::Slice),
-            "pair" | "intra" => Some(FanoutMode::Pair),
-            _ => None,
-        }
-    }
-}
-
 /// All mining parameters. Build with [`Params::builder`].
 ///
 /// Field names follow the paper: `ε` is the maximum ratio threshold,
@@ -127,10 +85,6 @@ pub struct Params {
     /// uses the available parallelism. Counter values in the run report are
     /// identical for every setting; only wall-clock changes.
     pub threads: Option<usize>,
-    /// Granularity of the parallel fan-out. Like `threads`, this only
-    /// affects scheduling: every input-determined report section is
-    /// identical for all modes.
-    pub fanout: FanoutMode,
     /// Optional wall-clock budget for the whole run. The phases poll a
     /// shared [`CancelToken`](crate::CancelToken); expiry yields a truncated
     /// (sound but possibly incomplete) result. Unlike the other budgets,
@@ -257,7 +211,6 @@ pub struct ParamsBuilder {
     range_extension: RangeExtension,
     max_candidates: Option<u64>,
     threads: Option<usize>,
-    fanout: FanoutMode,
     deadline: Option<Duration>,
     max_memory: Option<u64>,
 }
@@ -277,7 +230,6 @@ impl Default for ParamsBuilder {
             range_extension: RangeExtension::On,
             max_candidates: None,
             threads: None,
-            fanout: FanoutMode::Auto,
             deadline: None,
             max_memory: None,
         }
@@ -365,12 +317,6 @@ impl ParamsBuilder {
         self
     }
 
-    /// Selects the parallel fan-out granularity (default: [`FanoutMode::Auto`]).
-    pub fn fanout(mut self, mode: FanoutMode) -> Self {
-        self.fanout = mode;
-        self
-    }
-
     /// Bounds the run's wall-clock time; expiry truncates the run.
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
@@ -400,7 +346,6 @@ impl ParamsBuilder {
             range_extension: self.range_extension,
             max_candidates: self.max_candidates,
             threads: self.threads,
-            fanout: self.fanout,
             deadline: self.deadline,
             max_memory: self.max_memory,
         };
@@ -520,24 +465,6 @@ mod tests {
             Params::builder().threads(4).build().unwrap().threads,
             Some(4)
         );
-    }
-
-    #[test]
-    fn fanout_defaults_to_auto_and_parses() {
-        assert_eq!(Params::builder().build().unwrap().fanout, FanoutMode::Auto);
-        assert_eq!(
-            Params::builder()
-                .fanout(FanoutMode::Pair)
-                .build()
-                .unwrap()
-                .fanout,
-            FanoutMode::Pair
-        );
-        for mode in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
-            assert_eq!(FanoutMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(FanoutMode::parse("intra"), Some(FanoutMode::Pair));
-        assert_eq!(FanoutMode::parse("bogus"), None);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //! edges share at least `mx` genes, which is exactly what the
 //! [`bicluster`](crate::bicluster) DFS searches for.
 
-use crate::fault::{fail_point_panic, isolate, RunCtrl};
+use crate::fault::{fail_point_panic, fan_out, RunCtrl, PAIRS};
 use crate::params::Params;
 use crate::range::{find_ranges_into, RangeKind, RangeScratch, RatioRange, SignGroup};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tricluster_graph::MultiGraph;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram};
+use tricluster_obs::{emit, names, Event, EventSink, Histogram};
 
 /// The range multigraph of one time slice.
 #[derive(Debug, Clone)]
@@ -262,7 +261,7 @@ pub fn compute_pair(
     ratios
 }
 
-/// Folds one computed pair into the graph and stats, draining `ranges`.
+/// Folds one computed pair's `ranges` into the graph and stats.
 ///
 /// This is the single-threaded merge step: pairs are absorbed in canonical
 /// `(a, b)` order regardless of which worker computed them, so the produced
@@ -275,7 +274,7 @@ fn absorb_pair(
     a: usize,
     b: usize,
     ratios: u64,
-    ranges: &mut Vec<RatioRange>,
+    ranges: Vec<RatioRange>,
     graph: &mut MultiGraph<RatioRange>,
     stats: &mut RangeGraphStats,
     sink: &dyn EventSink,
@@ -300,9 +299,9 @@ fn absorb_pair(
         }
     }
     // One adjacency search for the whole pair instead of one per edge;
-    // drain order is preserved, so the edge lists (and everything derived
-    // from their order) stay byte-identical to per-edge insertion.
-    let pair_edges = graph.add_edges_between(a, b, ranges.drain(..)) as u64;
+    // order is preserved, so the edge lists (and everything derived from
+    // their order) stay byte-identical to per-edge insertion.
+    let pair_edges = graph.add_edges_between(a, b, ranges) as u64;
     stats.edges += pair_edges;
     if pair_edges > 0 {
         emit(sink, || {
@@ -318,11 +317,11 @@ fn absorb_pair(
 /// [`build_range_graph_observed`] over up to `workers` threads, under the
 /// run control of `ctrl`.
 ///
-/// Work items are single `(a, b)` pairs claimed from an atomic cursor; each
-/// worker owns a [`PairScratch`] so the hot path does no per-pair
-/// allocation. Computed ranges are merged on the calling thread in canonical
-/// pair order (see `absorb_pair`), so the output is byte-identical for
-/// every `workers` value.
+/// Work units are single `(a, b)` pairs, run through [`fan_out`]; each
+/// worker owns a [`PairScratch`] so the hot path does no per-pair scratch
+/// allocation. Computed ranges are merged on the calling thread in
+/// canonical pair order (see `absorb_pair`), so the output is
+/// byte-identical for every `workers` value.
 ///
 /// The deadline is polled before each pair, and — when `ctrl` collects
 /// faults — a panic while computing one pair downgrades to a
@@ -354,93 +353,27 @@ pub(crate) fn build_range_graph_ctrl(
     if let Some(p) = &ctrl.progress {
         p.add_pairs_total(pairs.len() as u64);
     }
-
-    if workers <= 1 || pairs.len() <= 1 {
-        let mut scratch = PairScratch::default();
-        let mut ranges: Vec<RatioRange> = Vec::new();
-        for &(a, b) in &pairs {
-            if ctrl.token.deadline_exceeded() {
-                break;
-            }
-            let tl_pair = timeline::span(names::T_RG_PAIR);
-            let computed = isolate(
-                &ctrl.faults,
-                "range_graph_pair",
-                || format!("t={t} pair=({a},{b})"),
-                || compute_pair(&cols, a, b, params, &mut scratch, &mut ranges),
-            );
-            drop(tl_pair);
-            if let Some(p) = &ctrl.progress {
-                p.pair_done();
-            }
-            match computed {
-                Some(ratios) => {
-                    absorb_pair(t, a, b, ratios, &mut ranges, &mut graph, &mut stats, sink)
-                }
-                None => {
-                    // The panicked pair may have left partial state behind;
-                    // start the next pair from fresh buffers.
-                    scratch = PairScratch::default();
-                    ranges = Vec::new();
-                }
-            }
-        }
-        return (RangeGraph { time: t, graph }, stats);
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(Vec<RatioRange>, u64)>> = (0..pairs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(pairs.len()))
-            .map(|_| {
-                scope.spawn(|| {
-                    let _tl = ctrl.timeline.as_ref().map(|t| t.attach("pair"));
-                    let mut scratch = PairScratch::default();
-                    let mut done: Vec<(usize, Vec<RatioRange>, u64)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= pairs.len() {
-                            break;
-                        }
-                        if ctrl.token.deadline_exceeded() {
-                            break;
-                        }
-                        let (a, b) = pairs[i];
-                        let tl_pair = timeline::span(names::T_RG_PAIR);
-                        let mut out = Vec::new();
-                        let computed = isolate(
-                            &ctrl.faults,
-                            "range_graph_pair",
-                            || format!("t={t} pair=({a},{b})"),
-                            || compute_pair(&cols, a, b, params, &mut scratch, &mut out),
-                        );
-                        drop(tl_pair);
-                        if let Some(p) = &ctrl.progress {
-                            p.pair_done();
-                        }
-                        match computed {
-                            Some(ratios) => done.push((i, out, ratios)),
-                            None => scratch = PairScratch::default(),
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, out, ratios) in h.join().expect("range-graph worker panicked") {
-                slots[i] = Some((out, ratios));
-            }
-        }
-    });
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let (a, b) = pairs[i];
-        // Skipped (post-deadline) and failed pairs left their slot empty.
-        let Some((mut ranges, ratios)) = slot.take() else {
-            continue;
-        };
-        absorb_pair(t, a, b, ratios, &mut ranges, &mut graph, &mut stats, sink);
-    }
+    fan_out(
+        ctrl,
+        &PAIRS,
+        pairs.len(),
+        workers,
+        |i| {
+            let (a, b) = pairs[i];
+            format!("t={t} pair=({a},{b})")
+        },
+        PairScratch::default,
+        |scratch, i| {
+            let (a, b) = pairs[i];
+            let mut ranges = Vec::new();
+            let ratios = compute_pair(&cols, a, b, params, scratch, &mut ranges);
+            (ranges, ratios)
+        },
+        |i, (ranges, ratios)| {
+            let (a, b) = pairs[i];
+            absorb_pair(t, a, b, ratios, ranges, &mut graph, &mut stats, sink);
+        },
+    );
     (RangeGraph { time: t, graph }, stats)
 }
 

@@ -83,7 +83,8 @@ if [[ $fast -eq 0 ]]; then
     det_crlf_json="$(mktemp /tmp/tricluster-det-crlf-XXXXXX.json)"
     wide_tsv="$(mktemp /tmp/tricluster-wide-XXXXXX.tsv)"
     wide_t1="$(mktemp /tmp/tricluster-wide-t1-XXXXXX.json)"
-    wide_t2="$(mktemp /tmp/tricluster-wide-t2-XXXXXX.json)"
+    wide_t3="$(mktemp /tmp/tricluster-wide-t3-XXXXXX.json)"
+    fanout_log="$(mktemp /tmp/tricluster-fanout-XXXXXX.log)"
     trace_json="$(mktemp /tmp/tricluster-trace-XXXXXX.json)"
     flame_txt="$(mktemp /tmp/tricluster-flame-XXXXXX.folded)"
     ledger_dir="$(mktemp -d /tmp/tricluster-ledger-XXXXXX)"
@@ -96,7 +97,7 @@ if [[ $fast -eq 0 ]]; then
     serve_ledger="$(mktemp -d /tmp/tricluster-serve-ledger-XXXXXX)"
     serve_access="$(mktemp /tmp/tricluster-serve-access-XXXXXX.jsonl)"
     serve_pid=""
-    trap 'rm -f "$smoke_json" "$det_tsv" "$det_t1" "$det_t2" "$det_t4" "$det_crlf" "$det_crlf_json" "$wide_tsv" "$wide_t1" "$wide_t2" "$trace_json" "$flame_txt" "$met_tsv" "$met_base" "$met_json" "$met_log" "$serve_log" "$serve_json" "$serve_access"; rm -rf "$ledger_dir" "$serve_ledger"; [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null' EXIT
+    trap 'rm -f "$smoke_json" "$det_tsv" "$det_t1" "$det_t2" "$det_t4" "$det_crlf" "$det_crlf_json" "$wide_tsv" "$wide_t1" "$wide_t3" "$fanout_log" "$trace_json" "$flame_txt" "$met_tsv" "$met_base" "$met_json" "$met_log" "$serve_log" "$serve_json" "$serve_access"; rm -rf "$ledger_dir" "$serve_ledger"; [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null' EXIT
     run cargo run --release --quiet -p tricluster-bench --features track-alloc \
         --bin fig7 -- --smoke --json "$smoke_json"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
@@ -111,6 +112,22 @@ if [[ $fast -eq 0 ]]; then
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         kernel --genes 100 --min-ms 5
 
+    # mine_fanout RANGE_GRAPH BICLUSTER ARGS...: `tricluster mine -v ARGS`,
+    # whose `-v` fan-out line on stderr must name the given levels.
+    mine_fanout() {
+        local rg=$1 bc=$2
+        shift 2
+        if ! run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
+            mine -v "$@" 2> "$fanout_log"; then
+            cat "$fanout_log" >&2
+            exit 1
+        fi
+        if ! grep -q "^fanout: range-graph at $rg level, bicluster DFS at $bc level" "$fanout_log"; then
+            echo "error: expected $rg/$bc fan-out, got: $(grep '^fanout:' "$fanout_log")" >&2
+            exit 1
+        fi
+    }
+
     # Determinism gate: the same input mined at --threads 1, --threads 2
     # (slice-level fan-out: as many slices as threads or more) and
     # --threads 4 (intra-slice pair/branch fan-out: more threads than
@@ -120,10 +137,8 @@ if [[ $fast -eq 0 ]]; then
         synth "$det_tsv" --genes 300 --samples 10 --times 3 --clusters 3 --noise 0.01
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         mine "$det_tsv" --eps 0.012 --threads 1 --report-json "$det_t1"
-    run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
-        mine "$det_tsv" --eps 0.012 --threads 2 --report-json "$det_t2"
-    run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
-        mine "$det_tsv" --eps 0.012 --threads 4 --report-json "$det_t4"
+    mine_fanout slice slice "$det_tsv" --eps 0.012 --threads 2 --report-json "$det_t2"
+    mine_fanout pair branch "$det_tsv" --eps 0.012 --threads 4 --report-json "$det_t4"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         determinism "$det_t1" "$det_t2"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
@@ -140,17 +155,16 @@ if [[ $fast -eq 0 ]]; then
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         determinism "$det_t1" "$det_crlf_json"
     # The same gate on a wide 2-slice input, where BICLUSTER does most of
-    # the work: the branch-parallel DFS (--fanout pair) must reproduce the
-    # serial one.
+    # the work: the branch-parallel DFS (3 threads on 2 slices) must
+    # reproduce the serial one.
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         synth "$wide_tsv" --genes 2000 --samples 12 --times 2 --noise 0.03
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         mine "$wide_tsv" --eps 0.135 --mx 40 --my 4 --threads 1 --report-json "$wide_t1"
-    run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
-        mine "$wide_tsv" --eps 0.135 --mx 40 --my 4 --threads 2 --fanout pair \
-        --report-json "$wide_t2"
+    mine_fanout pair branch \
+        "$wide_tsv" --eps 0.135 --mx 40 --my 4 --threads 3 --report-json "$wide_t3"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
-        determinism "$wide_t1" "$wide_t2"
+        determinism "$wide_t1" "$wide_t3"
 
     # Trace-smoke gate: a multi-threaded run with a live timeline and
     # heartbeat must still exit 0 and leave a non-empty Chrome Trace Event

@@ -53,8 +53,8 @@ pub mod prelude {
     pub use tricluster_core::obs::{self, NullSink};
     pub use tricluster_core::{
         classify, cluster_metrics_observed, mine, mine_auto, mine_shifting, Bicluster, ClusterType,
-        FanoutLevel, FanoutMode, MergeParams, Metrics, MineError, MiningResult, Params, Reported,
-        Session, Tricluster, TruncationReason, WorkerFailure,
+        FanoutLevel, MergeParams, Metrics, MineError, MiningResult, Params, Reported, Session,
+        Tricluster, TruncationReason, WorkerFailure,
     };
     pub use tricluster_matrix::{io, preprocess, Axis, Labels, Matrix2, Matrix3};
     pub use tricluster_synth::{generate, recovery, SynthDataset, SynthSpec};

@@ -1,6 +1,6 @@
 //! Run-budget semantics: interrupting a run at an arbitrary budget yields a
 //! sound subset of the uninterrupted run's clusters, and budget-truncated
-//! runs stay byte-deterministic across thread counts and fan-out modes.
+//! runs stay byte-deterministic across thread counts and fan-out levels.
 
 use proptest::prelude::*;
 use tricluster::core::runreport::{fault_json, report_to_json_v2};
@@ -200,19 +200,23 @@ proptest! {
 }
 
 /// A candidate-truncated run is byte-identical across thread counts and
-/// fan-out modes: clusters, counters, and the v2 report's fault section.
+/// fan-out levels: clusters, counters, and the v2 report's fault section.
+/// 2 threads on the 5 slices fan out by slice; 8 build range graphs
+/// intra-slice, while the budget keeps the DFS at one worker.
 #[test]
 fn candidate_truncated_runs_are_deterministic_across_threads() {
     let m = smoke_matrix();
     let runs: Vec<(MiningResult, String)> = [
-        (1, FanoutMode::Auto),
-        (2, FanoutMode::Slice),
-        (8, FanoutMode::Pair),
+        (1, FanoutLevel::Slice),
+        (2, FanoutLevel::Slice),
+        (8, FanoutLevel::Pair),
     ]
     .into_iter()
-    .map(|(threads, fanout)| {
-        let p = params_with(threads, |b| b.max_candidates(40).fanout(fanout));
+    .map(|(threads, range_graph)| {
+        let p = params_with(threads, |b| b.max_candidates(40));
         let r = mine(&m, &p).unwrap();
+        assert_eq!(r.fanout.range_graph, range_graph, "threads={threads}");
+        assert_eq!(r.fanout.bicluster, FanoutLevel::Slice, "threads={threads}");
         let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
         let doc = report_to_json_v2(&m, &r, &r.report, &met);
         let counters = doc.get_path(&["report", "counters"]).unwrap().render();

@@ -1,8 +1,8 @@
-//! Thread-count and fan-out-mode determinism (the oracle behind the
-//! `--threads`/`--fanout` flags): the mined clusters, every report counter,
-//! and the v2 report's input-determined sections must be byte-identical
-//! whether the run used 1, 2, or 8 workers, and whether it fanned out at
-//! slice level or intra-slice (pair/branch) level.
+//! Thread-count determinism (the oracle behind the `--threads` flag): the
+//! mined clusters, every report counter, and the v2 report's
+//! input-determined sections must be byte-identical whether the run used 1,
+//! 2, or 8 workers — and so whether it fanned out at slice level or
+//! intra-slice (pair/branch) level, which the thread count decides.
 
 use std::collections::BTreeMap;
 use tricluster::core::obs::json::Json;
@@ -37,24 +37,40 @@ fn smoke_matrix() -> Matrix3 {
     generate(&spec).matrix
 }
 
-fn smoke_params(threads: usize, fanout: FanoutMode) -> Params {
+fn smoke_params(threads: usize) -> Params {
     Params::builder()
         .epsilon(0.012)
         .min_size(25, 3, 2)
         .threads(threads)
-        .fanout(fanout)
         .build()
         .unwrap()
 }
 
-fn table1_params(threads: usize, fanout: FanoutMode) -> Params {
+fn table1_params(threads: usize) -> Params {
     Params::builder()
         .epsilon(0.01)
         .min_size(3, 3, 2)
         .threads(threads)
-        .fanout(fanout)
         .build()
         .unwrap()
+}
+
+/// One worker, slice-level workers, and intra-slice workers on both test
+/// matrices: 2 threads are at most their slice counts (5 and 2), 8 more.
+const THREADS: [usize; 3] = [1, 2, 8];
+
+/// Asserts the fan-out level a run on `n_times` slices picked, so no
+/// thread-count loop can silently stop covering slice-level or intra-slice
+/// workers.
+fn assert_level(r: &MiningResult, n_times: usize, threads: usize) {
+    let (range_graph, bicluster) = if threads > n_times {
+        (FanoutLevel::Pair, FanoutLevel::Branch)
+    } else {
+        (FanoutLevel::Slice, FanoutLevel::Slice)
+    };
+    assert_eq!(r.fanout.range_graph, range_graph, "threads={threads}");
+    assert_eq!(r.fanout.bicluster, bicluster, "threads={threads}");
+    assert_eq!(r.fanout.threads, threads);
 }
 
 /// The input-determined report sections, rendered: any byte difference
@@ -97,36 +113,31 @@ fn clusters(result: &MiningResult) -> Vec<(Vec<usize>, Vec<usize>, Vec<usize>)> 
         .collect()
 }
 
-fn assert_invariant_across_schedules(m: &Matrix3, mk: &dyn Fn(usize, FanoutMode) -> Params) {
-    let baseline = Session::new(mk(1, FanoutMode::Slice))
-        .run(m, &Recorder::new())
-        .unwrap();
+fn assert_invariant_across_schedules(m: &Matrix3, mk: &dyn Fn(usize) -> Params) {
+    let baseline = Session::new(mk(1)).run(m, &Recorder::new()).unwrap();
     assert!(
         !baseline.report.histograms.is_empty(),
         "recording sink must collect histograms"
     );
     let base_sections = deterministic_sections(&baseline);
-    for threads in [1usize, 2, 8] {
-        for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
-            let r = Session::new(mk(threads, fanout))
-                .run(m, &Recorder::new())
-                .unwrap();
-            assert_eq!(
-                clusters(&r),
-                clusters(&baseline),
-                "clusters differ at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                logical_counters(&r),
-                logical_counters(&baseline),
-                "counters differ at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                deterministic_sections(&r),
-                base_sections,
-                "report sections differ at threads={threads} fanout={fanout:?}"
-            );
-        }
+    for threads in THREADS {
+        let r = Session::new(mk(threads)).run(m, &Recorder::new()).unwrap();
+        assert_level(&r, m.n_times(), threads);
+        assert_eq!(
+            clusters(&r),
+            clusters(&baseline),
+            "clusters differ at threads={threads}"
+        );
+        assert_eq!(
+            logical_counters(&r),
+            logical_counters(&baseline),
+            "counters differ at threads={threads}"
+        );
+        assert_eq!(
+            deterministic_sections(&r),
+            base_sections,
+            "report sections differ at threads={threads}"
+        );
     }
 }
 
@@ -145,7 +156,7 @@ fn paper_table1_is_thread_and_fanout_invariant() {
 /// Timeline tracing and progress telemetry must be pure observers: mining
 /// with a live trace journal and a running heartbeat ticker leaves every
 /// input-determined section byte-identical to a plain run, at every thread
-/// count and fan-out mode.
+/// count (and so at every fan-out level).
 #[test]
 fn tracing_and_progress_do_not_perturb_deterministic_sections() {
     use std::sync::Arc;
@@ -155,57 +166,54 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
     use tricluster::core::obs::Fanout;
 
     let m = smoke_matrix();
-    let baseline = Session::new(smoke_params(1, FanoutMode::Slice))
+    let baseline = Session::new(smoke_params(1))
         .run(&m, &Recorder::new())
         .unwrap();
     let base_sections = deterministic_sections(&baseline);
-    for threads in [1usize, 2, 8] {
-        for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
-            let recorder = Recorder::new();
-            let timeline = Timeline::new();
-            let progress = Arc::new(Progress::new());
-            let progress_sink = ProgressSink(progress.clone());
-            let sink = Fanout(vec![&recorder, &timeline, &progress_sink]);
-            // An aggressive heartbeat (1 ms) maximises the chance of racing
-            // the miner; its output goes nowhere.
-            let ticker = ProgressTicker::start(
-                progress.clone(),
-                Duration::from_millis(1),
-                Box::new(std::io::sink()),
-            );
-            let r = Session::new(smoke_params(threads, fanout))
-                .run(&m, &sink)
-                .unwrap();
-            drop(ticker);
-            assert_eq!(
-                clusters(&r),
-                clusters(&baseline),
-                "clusters differ under tracing at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                logical_counters(&r),
-                logical_counters(&baseline),
-                "counters differ under tracing at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                deterministic_sections(&r),
-                base_sections,
-                "report sections differ under tracing at threads={threads} fanout={fanout:?}"
-            );
-            // the observers actually observed: the timeline journalled work
-            // and the gauges saw every slice
-            let journals = timeline.journals();
-            assert!(
-                journals.iter().any(|j| !j.events.is_empty()),
-                "timeline recorded nothing at threads={threads} fanout={fanout:?}"
-            );
-            let snapshot = progress.snapshot_json().render();
-            assert!(
-                snapshot.contains("\"phase\":\"done\"")
-                    && snapshot.contains("\"slices\":{\"done\":5,\"total\":5}"),
-                "progress gauges never moved: {snapshot}"
-            );
-        }
+    for threads in THREADS {
+        let recorder = Recorder::new();
+        let timeline = Timeline::new();
+        let progress = Arc::new(Progress::new());
+        let progress_sink = ProgressSink(progress.clone());
+        let sink = Fanout(vec![&recorder, &timeline, &progress_sink]);
+        // An aggressive heartbeat (1 ms) maximises the chance of racing
+        // the miner; its output goes nowhere.
+        let ticker = ProgressTicker::start(
+            progress.clone(),
+            Duration::from_millis(1),
+            Box::new(std::io::sink()),
+        );
+        let r = Session::new(smoke_params(threads)).run(&m, &sink).unwrap();
+        drop(ticker);
+        assert_level(&r, m.n_times(), threads);
+        assert_eq!(
+            clusters(&r),
+            clusters(&baseline),
+            "clusters differ under tracing at threads={threads}"
+        );
+        assert_eq!(
+            logical_counters(&r),
+            logical_counters(&baseline),
+            "counters differ under tracing at threads={threads}"
+        );
+        assert_eq!(
+            deterministic_sections(&r),
+            base_sections,
+            "report sections differ under tracing at threads={threads}"
+        );
+        // the observers actually observed: the timeline journalled work
+        // and the gauges saw every slice
+        let journals = timeline.journals();
+        assert!(
+            journals.iter().any(|j| !j.events.is_empty()),
+            "timeline recorded nothing at threads={threads}"
+        );
+        let snapshot = progress.snapshot_json().render();
+        assert!(
+            snapshot.contains("\"phase\":\"done\"")
+                && snapshot.contains("\"slices\":{\"done\":5,\"total\":5}"),
+            "progress gauges never moved: {snapshot}"
+        );
     }
 }
 
@@ -213,7 +221,7 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
 /// mining with a live `Registry` in the sink fan-out — progress gauges
 /// attached, HTTP server scraping `/metrics` after every run — leaves the
 /// clusters and every input-determined section byte-identical to a plain
-/// run, at every thread count and fan-out mode. This is the tentpole
+/// run, at every thread count and fan-out level. This is the tentpole
 /// determinism guarantee behind `mine --metrics-addr`.
 #[test]
 fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
@@ -225,54 +233,50 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
     use tricluster::core::obs::Fanout;
 
     let m = smoke_matrix();
-    let baseline = Session::new(smoke_params(1, FanoutMode::Slice))
+    let baseline = Session::new(smoke_params(1))
         .run(&m, &Recorder::new())
         .unwrap();
     let base_sections = deterministic_sections(&baseline);
-    for threads in [1usize, 2, 8] {
-        for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
-            let recorder = Recorder::new();
-            let registry = Arc::new(Registry::new());
-            registry.attach_progress(Arc::new(Progress::new()));
-            let server =
-                HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry.clone())).unwrap();
-            let sink = Fanout(vec![&recorder, &*registry]);
-            let r = Session::new(smoke_params(threads, fanout))
-                .run(&m, &sink)
-                .unwrap();
-            assert_eq!(
-                clusters(&r),
-                clusters(&baseline),
-                "clusters differ under metrics at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                logical_counters(&r),
-                logical_counters(&baseline),
-                "counters differ under metrics at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                deterministic_sections(&r),
-                base_sections,
-                "report sections differ under metrics at threads={threads} fanout={fanout:?}"
-            );
-            // the registry really aggregated the run, and the final scrape
-            // reflects it: pair counts match the report, the exposition is
-            // well-terminated, and the gauges reached the terminal phase
-            assert_eq!(
-                registry.counter_value(names::RG_PAIRS),
-                r.report.counter_map()[names::RG_PAIRS],
-                "registry pair counter diverged at threads={threads} fanout={fanout:?}"
-            );
-            let (status, body) = http_get(&format!("{}/metrics", server.url())).unwrap();
-            assert_eq!(status, 200);
-            assert!(body.ends_with("# EOF\n"), "{body}");
-            assert!(body.contains("tricluster_rangegraph_pairs_total"), "{body}");
-            assert!(
-                body.contains("tricluster_progress_phase{phase=\"done\"} 1"),
-                "{body}"
-            );
-            drop(server);
-        }
+    for threads in THREADS {
+        let recorder = Recorder::new();
+        let registry = Arc::new(Registry::new());
+        registry.attach_progress(Arc::new(Progress::new()));
+        let server = HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry.clone())).unwrap();
+        let sink = Fanout(vec![&recorder, &*registry]);
+        let r = Session::new(smoke_params(threads)).run(&m, &sink).unwrap();
+        assert_level(&r, m.n_times(), threads);
+        assert_eq!(
+            clusters(&r),
+            clusters(&baseline),
+            "clusters differ under metrics at threads={threads}"
+        );
+        assert_eq!(
+            logical_counters(&r),
+            logical_counters(&baseline),
+            "counters differ under metrics at threads={threads}"
+        );
+        assert_eq!(
+            deterministic_sections(&r),
+            base_sections,
+            "report sections differ under metrics at threads={threads}"
+        );
+        // the registry really aggregated the run, and the final scrape
+        // reflects it: pair counts match the report, the exposition is
+        // well-terminated, and the gauges reached the terminal phase
+        assert_eq!(
+            registry.counter_value(names::RG_PAIRS),
+            r.report.counter_map()[names::RG_PAIRS],
+            "registry pair counter diverged at threads={threads}"
+        );
+        let (status, body) = http_get(&format!("{}/metrics", server.url())).unwrap();
+        assert_eq!(status, 200);
+        assert!(body.ends_with("# EOF\n"), "{body}");
+        assert!(body.contains("tricluster_rangegraph_pairs_total"), "{body}");
+        assert!(
+            body.contains("tricluster_progress_phase{phase=\"done\"} 1"),
+            "{body}"
+        );
+        drop(server);
     }
 }
 
@@ -280,7 +284,7 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
 /// per-phase attribution, a timeline journal folded to flamegraph stacks,
 /// and every run archived into one ledger — must leave the mined clusters
 /// and input-determined sections invariant across thread counts and
-/// fan-out modes, and the archive must round-trip through `diff_reports`
+/// fan-out levels, and the archive must round-trip through `diff_reports`
 /// with per-phase allocation metrics covered.
 #[test]
 fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
@@ -296,83 +300,80 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
     std::fs::create_dir_all(&dir).unwrap();
     let ledger = Ledger::open(dir.join("ledger")).unwrap();
     let m = smoke_matrix();
-    let baseline = Session::new(smoke_params(1, FanoutMode::Slice))
+    let baseline = Session::new(smoke_params(1))
         .run(&m, &Recorder::new())
         .unwrap();
     let base_sections = deterministic_sections(&baseline);
     let mut ids = Vec::new();
-    for threads in [1usize, 2, 8] {
-        for fanout in [FanoutMode::Auto, FanoutMode::Slice, FanoutMode::Pair] {
-            let recorder = Recorder::new();
-            let timeline = Timeline::new();
-            let sink = Fanout(vec![&recorder, &timeline]);
-            let r = Session::new(smoke_params(threads, fanout))
-                .run(&m, &sink)
-                .unwrap();
-            assert_eq!(
-                clusters(&r),
-                clusters(&baseline),
-                "clusters differ at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                logical_counters(&r),
-                logical_counters(&baseline),
-                "counters differ at threads={threads} fanout={fanout:?}"
-            );
-            assert_eq!(
-                deterministic_sections(&r),
-                base_sections,
-                "report sections differ at threads={threads} fanout={fanout:?}"
-            );
-            // the allocator really attributed traffic to each phase, and
-            // the phases sum to no more than the whole-run total (other
-            // test threads share the global counters, so lower bounds only)
-            let counters = r.report.counter_map();
-            let total = counters["memory.alloc.total_bytes"];
-            assert!(total > 0, "no measured allocations");
-            let phase_sum: u64 = [
-                "memory.alloc.slices.bytes",
-                "memory.alloc.triclusters.bytes",
-                "memory.alloc.prune.bytes",
-            ]
-            .iter()
-            .map(|k| counters[*k])
-            .sum();
+    for threads in THREADS {
+        let recorder = Recorder::new();
+        let timeline = Timeline::new();
+        let sink = Fanout(vec![&recorder, &timeline]);
+        let r = Session::new(smoke_params(threads)).run(&m, &sink).unwrap();
+        assert_level(&r, m.n_times(), threads);
+        assert_eq!(
+            clusters(&r),
+            clusters(&baseline),
+            "clusters differ at threads={threads}"
+        );
+        assert_eq!(
+            logical_counters(&r),
+            logical_counters(&baseline),
+            "counters differ at threads={threads}"
+        );
+        assert_eq!(
+            deterministic_sections(&r),
+            base_sections,
+            "report sections differ at threads={threads}"
+        );
+        // the allocator really attributed traffic to each phase, and
+        // the phases sum to no more than the whole-run total (other
+        // test threads share the global counters, so lower bounds only)
+        let counters = r.report.counter_map();
+        let total = counters["memory.alloc.total_bytes"];
+        assert!(total > 0, "no measured allocations");
+        let phase_sum: u64 = [
+            "memory.alloc.slices.bytes",
+            "memory.alloc.triclusters.bytes",
+            "memory.alloc.prune.bytes",
+        ]
+        .iter()
+        .map(|k| counters[*k])
+        .sum();
+        assert!(
+            phase_sum > 0 && phase_sum <= total,
+            "{phase_sum} vs {total}"
+        );
+        // the timeline folds into non-empty well-formed stacks
+        let folded = timeline.to_folded();
+        assert!(!folded.trim().is_empty());
+        for line in folded.lines() {
+            let (stack, micros) = line.rsplit_once(' ').expect("`stack N` shape");
             assert!(
-                phase_sum > 0 && phase_sum <= total,
-                "{phase_sum} vs {total}"
+                !stack.is_empty() && micros.parse::<u64>().is_ok(),
+                "{line:?}"
             );
-            // the timeline folds into non-empty well-formed stacks
-            let folded = timeline.to_folded();
-            assert!(!folded.trim().is_empty());
-            for line in folded.lines() {
-                let (stack, micros) = line.rsplit_once(' ').expect("`stack N` shape");
-                assert!(
-                    !stack.is_empty() && micros.parse::<u64>().is_ok(),
-                    "{line:?}"
-                );
-            }
-            // archive the run, flame artifact included
-            let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
-            let doc = runreport::report_to_json_v2(&m, &r, &r.report, &met);
-            runreport::validate_v2(&doc).unwrap();
-            let id = ledger
-                .archive(&NewEntry {
-                    kind: "mine",
-                    label: Some(format!("threads{threads}-{fanout:?}")),
-                    dataset_hash: content_hash(b"determinism-smoke"),
-                    params_hash: content_hash(format!("{threads}/{fanout:?}").as_bytes()),
-                    report: &doc,
-                    trace: None,
-                    flame: Some(&folded),
-                })
-                .unwrap();
-            ids.push(id);
         }
+        // archive the run, flame artifact included
+        let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
+        let doc = runreport::report_to_json_v2(&m, &r, &r.report, &met);
+        runreport::validate_v2(&doc).unwrap();
+        let id = ledger
+            .archive(&NewEntry {
+                kind: "mine",
+                label: Some(format!("threads{threads}")),
+                dataset_hash: content_hash(b"determinism-smoke"),
+                params_hash: content_hash(format!("{threads}").as_bytes()),
+                report: &doc,
+                trace: None,
+                flame: Some(&folded),
+            })
+            .unwrap();
+        ids.push(id);
     }
     // the archive round-trips: every run listed, every flame readable
     let entries = ledger.list().unwrap();
-    assert_eq!(entries.len(), 9);
+    assert_eq!(entries.len(), THREADS.len());
     assert_eq!(
         entries.iter().map(|e| e.id.clone()).collect::<Vec<_>>(),
         ids
@@ -381,7 +382,7 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
     // cross-run analytics cover timings, allocator totals, and per-phase
     // allocation attribution for archived runs
     let first = ledger.read_report(&ids[0]).unwrap();
-    let last = ledger.read_report(&ids[8]).unwrap();
+    let last = ledger.read_report(&ids[THREADS.len() - 1]).unwrap();
     let deltas = diff_reports(&first, &last, &DiffTolerances::default()).unwrap();
     let metrics: Vec<&str> = deltas.iter().map(|d| d.metric.as_str()).collect();
     for expected in [
@@ -397,15 +398,15 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
 }
 
 /// The smoke workload actually exercises the intra-slice paths: at 8
-/// threads over 5 slices, Auto must pick pair-level range graphs and
-/// branch-level DFS.
+/// threads over 5 slices the run picks pair-level range graphs and
+/// branch-level DFS, at 2 threads slice-level fan-out.
 #[test]
 fn auto_fanout_goes_intra_when_workers_outnumber_slices() {
     let m = smoke_matrix();
-    let r = mine(&m, &smoke_params(8, FanoutMode::Auto)).unwrap();
+    let r = mine(&m, &smoke_params(8)).unwrap();
     assert_eq!(r.fanout.range_graph, FanoutLevel::Pair);
     assert_eq!(r.fanout.bicluster, FanoutLevel::Branch);
-    let r = mine(&m, &smoke_params(2, FanoutMode::Auto)).unwrap();
+    let r = mine(&m, &smoke_params(2)).unwrap();
     assert_eq!(r.fanout.range_graph, FanoutLevel::Slice);
     assert_eq!(r.fanout.bicluster, FanoutLevel::Slice);
 }

@@ -170,29 +170,72 @@ fn branch_panic_is_isolated_and_reported() {
 }
 
 /// Panic isolation holds on the multi-threaded fan-out paths too: a panic
-/// inside a worker thread never tears the process down.
+/// inside a worker thread never tears the process down. 4 threads on the 4
+/// slices fan out by slice; 5 go intra-slice.
 #[test]
 fn worker_thread_panics_are_isolated() {
     let m = smoke_matrix();
     let full = mine(&m, &params(1)).unwrap();
-    for (site, fanout) in [
-        ("core.slice", FanoutMode::Slice),
-        ("core.rangegraph.pair", FanoutMode::Pair),
-        ("core.bicluster.branch", FanoutMode::Pair),
+    for (site, threads, level) in [
+        ("core.slice", 4, FanoutLevel::Slice),
+        ("core.rangegraph.pair", 5, FanoutLevel::Pair),
+        ("core.bicluster.branch", 5, FanoutLevel::Pair),
     ] {
         let _s = failpoint::scenario();
         failpoint::configure_once(site, Action::Panic);
-        let p = Params::builder()
-            .epsilon(0.045)
-            .min_size(15, 3, 2)
-            .threads(4)
-            .fanout(fanout)
-            .build()
-            .unwrap();
-        let r = mine(&m, &p).unwrap();
+        let r = mine(&m, &params(threads)).unwrap();
+        assert_eq!(r.fanout.range_graph, level, "{site}");
         assert!(r.truncated, "{site}");
         assert!(!r.worker_failures.is_empty(), "{site}");
         assert_subset(&r, &full);
+    }
+}
+
+/// Every attempted unit bumps its phase's progress gauge exactly once,
+/// completed or failed, so slices, pairs and branches all reach their
+/// totals — at one worker, at slice-level and at intra-slice fan-out, and
+/// with one unit of each kind panicking.
+#[test]
+fn progress_gauges_reach_their_totals() {
+    use std::sync::Arc;
+    use tricluster::core::obs::progress::{Progress, ProgressSink};
+
+    let m = smoke_matrix();
+    for (threads, range_graph, bicluster) in [
+        (1, FanoutLevel::Slice, FanoutLevel::Slice),
+        (2, FanoutLevel::Slice, FanoutLevel::Slice),
+        (5, FanoutLevel::Pair, FanoutLevel::Branch),
+    ] {
+        for site in [
+            None,
+            Some("core.slice"),
+            Some("core.rangegraph.pair"),
+            Some("core.bicluster.branch"),
+        ] {
+            let _s = failpoint::scenario();
+            if let Some(site) = site {
+                failpoint::configure_once(site, Action::Panic);
+            }
+            let progress = Arc::new(Progress::new());
+            let r = Session::new(params(threads))
+                .run(&m, &ProgressSink(progress.clone()))
+                .unwrap();
+            let ctx = format!("threads={threads} site={site:?}");
+            assert_eq!(r.fanout.range_graph, range_graph, "{ctx}");
+            assert_eq!(r.fanout.bicluster, bicluster, "{ctx}");
+            assert_eq!(
+                r.worker_failures.len(),
+                usize::from(site.is_some()),
+                "{ctx}"
+            );
+            let snap = progress.snapshot();
+            assert_eq!(snap.slices_total, m.n_times() as u64, "{ctx}");
+            assert_eq!(snap.slices_done, snap.slices_total, "{ctx}");
+            assert!(snap.pairs_total > 0, "{ctx}");
+            assert_eq!(snap.pairs_done, snap.pairs_total, "{ctx}");
+            assert!(snap.branches_total > 0, "{ctx}");
+            assert_eq!(snap.branches_done, snap.branches_total, "{ctx}");
+        }
     }
 }
 
