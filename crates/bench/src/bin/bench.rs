@@ -34,8 +34,12 @@
 //! `kernel` microbenchmarks the range-graph pair kernel stage by stage
 //! (transpose, full pair, classify, find-ranges, bitset intersect) on
 //! synthetic single-slice workloads at several gene counts, printing
-//! ns-per-gene CSV; `--json` writes a `tricluster.kernel/v1` document and
-//! `--ledger DIR` archives it like a fig7 sweep (kind `bench`).
+//! ns-per-gene CSV. It then times the range test's block scan and sparse
+//! walk apart on a `(slack, blocks)` grid and prints the walk-step cost
+//! `K` whose crossover rule loses the least time over the grid, beside the
+//! one the hinted test uses. `--json` writes a
+//! `tricluster.kernel/v1` document and `--ledger DIR` archives it like a
+//! fig7 sweep (kind `bench`).
 
 use std::time::Duration;
 
@@ -338,8 +342,33 @@ fn run_kernel(rest: &[String]) -> i32 {
         }
         points.push(point);
     }
+    let crossover = kernel::measure_crossover(Duration::from_millis(min_ms));
+    let used = tricluster_bitset::SPARSE_STEP_BLOCKS;
+    println!(
+        "# range-test crossover: failing tests, scan vs walk; the rule walks \
+         when (slack + 1) * {used} <= blocks"
+    );
+    println!("blocks,slack,scan_ns,walk_ns,faster,rule");
+    for p in &crossover.points {
+        let path = |walk: bool| if walk { "walk" } else { "scan" };
+        println!(
+            "{},{},{:.1},{:.1},{},{}",
+            p.blocks,
+            p.slack,
+            p.scan_ns,
+            p.walk_ns,
+            path(p.walk_ns < p.scan_ns),
+            path(p.walks_at(used))
+        );
+    }
+    let k = crossover.measured_k();
+    println!(
+        "# measured K = {k} (grid regret {:.0} ns); SPARSE_STEP_BLOCKS = {used} (grid regret {:.0} ns)",
+        crossover.regret(k),
+        crossover.regret(used)
+    );
     if json_path.is_some() || ledger_dir.is_some() {
-        let doc = kernel::kernel_doc(&points);
+        let doc = kernel::kernel_doc(&points, &crossover);
         if let Some(path) = json_path {
             if let Err(e) = std::fs::write(&path, doc.render_pretty() + "\n") {
                 eprintln!("cannot write {path}: {e}");

@@ -23,6 +23,16 @@
 //!   gene-sets the workload actually emits, as the bicluster DFS drives
 //!   them.
 //!
+//! [`measure_crossover`] then times the two paths of the range test
+//! `|X ∩ G| ≥ mx` apart, on failing tests at a grid of
+//! `(self_count − threshold, blocks)` points: the block scan
+//! ([`BitSet::intersection_count_at_least`]) and the sparse walk
+//! ([`BitSet::intersection_count_at_least_sparse`]). A failing test is the
+//! miner's common case and each path's worst. The grid yields the `K` of
+//! the hinted test's crossover rule `(self_count − threshold + 1) · K ≤
+//! blocks` ([`SPARSE_STEP_BLOCKS`]) on the host at hand: the `K` whose
+//! rule loses the least time over the grid.
+//!
 //! `pair − classify − ranges` is therefore the residual spent on group
 //! bookkeeping, and `ranges` vs `pair` splits "sorting/windowing" from
 //! "dividing/classifying" — the two candidate targets when the phase
@@ -38,7 +48,9 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use tricluster_bitset::BitSet;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use tricluster_bitset::{BitSet, SPARSE_STEP_BLOCKS};
 use tricluster_core::obs::json::Json;
 use tricluster_core::range::{find_ranges_into, RangeScratch, RatioRange, SignGroup};
 use tricluster_core::rangegraph::{compute_pair, PairScratch, SliceColumns};
@@ -310,8 +322,190 @@ pub fn measure_point(spec: &SynthSpec, min_time: Duration) -> KernelPoint {
     }
 }
 
-/// Assembles the `tricluster.kernel/v1` document from measured points.
-pub fn kernel_doc(points: &[KernelPoint]) -> Json {
+/// Block counts of the crossover grid: a universe of 8 blocks up to 313
+/// (20,000 genes). mine-wide's 4000 genes are 63 blocks; the paper's
+/// 7679-gene yeast set is 120.
+pub const CROSSOVER_BLOCKS: [usize; 6] = [8, 16, 32, 63, 120, 313];
+
+/// Slacks (`self_count − threshold`) of the crossover grid. A failing walk
+/// takes `slack + 1` misses.
+pub const CROSSOVER_SLACKS: [usize; 8] = [0, 1, 3, 7, 15, 31, 63, 127];
+
+/// The grid's range-test shape, after mine-wide's failing tests
+/// (`mx = 40`, `|G(R)|` ≈ 210, `|X ∩ G(R)|` ≈ 5–11): the threshold, the
+/// range gene-sets' size (at most half the universe), and the hits, which
+/// keep every test failing.
+const CROSSOVER_THRESHOLD: usize = 40;
+const CROSSOVER_OTHER: usize = 210;
+const CROSSOVER_HITS: usize = 10;
+
+/// Range gene-sets per grid point. A BICLUSTER node tests one candidate
+/// against many range gene-sets, so each point does the same, and with a
+/// new set per test no branch pattern repeats.
+const CROSSOVER_EDGES: usize = 2048;
+
+/// One point of the crossover grid: nanoseconds per failing range test on
+/// each path.
+#[derive(Debug, Clone)]
+pub struct CrossoverPoint {
+    /// Universe size in `u64` blocks.
+    pub blocks: usize,
+    /// `self_count − threshold`.
+    pub slack: usize,
+    /// The block scan, ns per test.
+    pub scan_ns: f64,
+    /// The sparse walk, ns per test.
+    pub walk_ns: f64,
+}
+
+impl CrossoverPoint {
+    /// Whether the crossover rule with walk-step cost `k` sends this point
+    /// to the walk.
+    pub fn walks_at(&self, k: usize) -> bool {
+        (self.slack + 1) * k <= self.blocks
+    }
+
+    /// Time lost at this point by the path the rule picks at `k`, over the
+    /// faster path.
+    fn regret(&self, k: usize) -> f64 {
+        let picked = if self.walks_at(k) {
+            self.walk_ns
+        } else {
+            self.scan_ns
+        };
+        picked - self.scan_ns.min(self.walk_ns)
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .with("blocks", Json::U64(self.blocks as u64))
+            .with("slack", Json::U64(self.slack as u64))
+            .with("scan_ns", Json::F64(self.scan_ns))
+            .with("walk_ns", Json::F64(self.walk_ns))
+            .with("rule_walks", Json::Bool(self.walks_at(SPARSE_STEP_BLOCKS)))
+    }
+}
+
+/// Largest walk-step cost [`Crossover::measured_k`] considers.
+const MAX_K: usize = 64;
+
+/// The crossover grid.
+#[derive(Debug, Clone)]
+pub struct Crossover {
+    /// Every `(blocks, slack)` point of the grid.
+    pub points: Vec<CrossoverPoint>,
+}
+
+impl Crossover {
+    /// Nanoseconds lost over the whole grid when the crossover rule uses
+    /// walk-step cost `k`: at each point, the picked path's time minus the
+    /// faster path's.
+    pub fn regret(&self, k: usize) -> f64 {
+        self.points.iter().map(|p| p.regret(k)).sum()
+    }
+
+    /// The measured `K`: the walk-step cost in `1..=64` whose rule loses the
+    /// least time over the grid (the smallest such on a tie).
+    pub fn measured_k(&self) -> usize {
+        (1..=MAX_K)
+            .min_by(|&a, &b| self.regret(a).total_cmp(&self.regret(b)))
+            .unwrap_or(1)
+    }
+
+    /// Serializes the grid for the `tricluster.kernel/v1` document.
+    pub fn to_json(&self) -> Json {
+        let k = self.measured_k();
+        Json::obj()
+            .with("threshold", Json::U64(CROSSOVER_THRESHOLD as u64))
+            .with("hits", Json::U64(CROSSOVER_HITS as u64))
+            .with("edges", Json::U64(CROSSOVER_EDGES as u64))
+            .with("k", Json::U64(k as u64))
+            .with("k_regret_ns", Json::F64(self.regret(k)))
+            .with("k_used", Json::U64(SPARSE_STEP_BLOCKS as u64))
+            .with(
+                "k_used_regret_ns",
+                Json::F64(self.regret(SPARSE_STEP_BLOCKS)),
+            )
+            .with(
+                "points",
+                Json::Arr(self.points.iter().map(CrossoverPoint::to_json).collect()),
+            )
+    }
+}
+
+/// One grid point's workload, shaped like a BICLUSTER node: a candidate
+/// `X` of `threshold + slack` random genes over `blocks` blocks, and
+/// `edges` range gene-sets of [`CROSSOVER_OTHER`] genes (at most half the
+/// universe), each holding [`CROSSOVER_HITS`] of `X`'s genes.
+fn crossover_workload(
+    rng: &mut StdRng,
+    blocks: usize,
+    slack: usize,
+    edges: usize,
+) -> (BitSet, Vec<BitSet>) {
+    let nbits = blocks * 64;
+    let mut x = BitSet::new(nbits);
+    let mut members = Vec::new();
+    while members.len() < CROSSOVER_THRESHOLD + slack {
+        let g = rng.gen_range(0..nbits);
+        if x.insert(g) {
+            members.push(g);
+        }
+    }
+    let size = CROSSOVER_OTHER.min(nbits / 2);
+    let sets = (0..edges)
+        .map(|_| {
+            let mut g = BitSet::new(nbits);
+            let mut count = 0;
+            while count < CROSSOVER_HITS {
+                count += usize::from(g.insert(members[rng.gen_range(0..members.len())]));
+            }
+            while count < size {
+                let i = rng.gen_range(0..nbits);
+                count += usize::from(!x.contains(i) && g.insert(i));
+            }
+            g
+        })
+        .collect();
+    (x, sets)
+}
+
+/// Times the block scan and the sparse walk apart on failing range tests
+/// at every `(blocks, slack)` point of [`CROSSOVER_BLOCKS`] ×
+/// [`CROSSOVER_SLACKS`], `min_time` per path and point.
+pub fn measure_crossover(min_time: Duration) -> Crossover {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let mut points = Vec::new();
+    for &blocks in &CROSSOVER_BLOCKS {
+        for &slack in &CROSSOVER_SLACKS {
+            let (x, sets) = crossover_workload(&mut rng, blocks, slack, CROSSOVER_EDGES);
+            let count = CROSSOVER_THRESHOLD + slack;
+            let per_test =
+                |(secs, sweeps): (f64, u64)| secs * 1e9 / (sweeps as f64 * sets.len() as f64);
+            let scan_ns = per_test(run_timed(min_time, || {
+                for g in &sets {
+                    black_box(x.intersection_count_at_least(g, CROSSOVER_THRESHOLD));
+                }
+            }));
+            let walk_ns = per_test(run_timed(min_time, || {
+                for g in &sets {
+                    black_box(x.intersection_count_at_least_sparse(g, CROSSOVER_THRESHOLD, count));
+                }
+            }));
+            points.push(CrossoverPoint {
+                blocks,
+                slack,
+                scan_ns,
+                walk_ns,
+            });
+        }
+    }
+    Crossover { points }
+}
+
+/// Assembles the `tricluster.kernel/v1` document from measured points and
+/// the range-test crossover grid.
+pub fn kernel_doc(points: &[KernelPoint], crossover: &Crossover) -> Json {
     Json::obj()
         .with("schema", Json::Str("tricluster.kernel/v1".into()))
         .with(
@@ -322,6 +516,7 @@ pub fn kernel_doc(points: &[KernelPoint]) -> Json {
             "points",
             Json::Arr(points.iter().map(KernelPoint::to_json).collect()),
         )
+        .with("crossover", crossover.to_json())
 }
 
 #[cfg(test)]
@@ -387,8 +582,40 @@ mod tests {
                 s.name
             );
         }
-        let doc = kernel_doc(&[point]);
+        let crossover = measure_crossover(Duration::from_millis(1));
+        assert_eq!(
+            crossover.points.len(),
+            CROSSOVER_BLOCKS.len() * CROSSOVER_SLACKS.len()
+        );
+        for p in &crossover.points {
+            assert!(p.scan_ns > 0.0 && p.walk_ns > 0.0, "{p:?}");
+        }
+        let k = crossover.measured_k();
+        assert!((1..=MAX_K).contains(&k), "{crossover:?}");
+        let doc = kernel_doc(&[point], &crossover);
         assert!(doc.render().contains("tricluster.kernel/v1"));
+        assert_eq!(
+            doc.get_path(&["crossover", "k"]).and_then(Json::as_u64),
+            Some(k as u64)
+        );
+    }
+
+    #[test]
+    fn crossover_workloads_fail_with_the_planted_hits() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for &blocks in &CROSSOVER_BLOCKS {
+            for &slack in &CROSSOVER_SLACKS {
+                let (x, sets) = crossover_workload(&mut rng, blocks, slack, 4);
+                let count = CROSSOVER_THRESHOLD + slack;
+                assert_eq!(x.count(), count, "blocks {blocks} slack {slack}");
+                for g in &sets {
+                    assert_eq!(g.count(), CROSSOVER_OTHER.min(blocks * 32));
+                    assert_eq!(x.intersection_count(g), CROSSOVER_HITS);
+                    assert!(!x.intersection_count_at_least(g, CROSSOVER_THRESHOLD));
+                    assert!(!x.intersection_count_at_least_sparse(g, CROSSOVER_THRESHOLD, count));
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,19 @@
 //! * subset / superset / disjointness tests,
 //! * iteration over set bits in ascending order.
 //!
+//! # The range-test kernel
+//!
+//! The miner's hottest call is the bounded test
+//! [`BitSet::intersection_count_at_least_hinted`]. It has two paths with
+//! the same answer. The block scan ANDs four `u64` lanes at a time and
+//! popcounts them; x86_64 builds target `x86-64-v2` (the workspace's
+//! `.cargo/config.toml`), so each `count_ones` is one `popcnt`
+//! instruction, not a software bit-twiddle. The sparse walk probes `self`'s
+//! elements in `other` and can fail after `self_count − threshold + 1`
+//! misses. The walk runs only when those misses cost no more than the scan:
+//! `(self_count − threshold + 1) · K ≤ blocks`, with `K` =
+//! [`SPARSE_STEP_BLOCKS`] as measured by `bench kernel`.
+//!
 //! The universe size is fixed at construction; all binary operations require
 //! both operands to share a universe (checked with `debug_assert!` in release
 //! hot paths and a hard assert in the allocating constructors).
@@ -44,6 +57,16 @@ const BITS: usize = 64;
 /// (two 128-bit or one 256-bit op per AND/OR) while keeping the early-exit
 /// checks of the bounded kernels at chunk granularity.
 const LANES: usize = 4;
+
+/// `K` in the crossover rule of [`BitSet::intersection_count_at_least_hinted`]:
+/// the cost of one step of the sparse walk (find the next element, probe
+/// it in the other set), in blocks of the hardware-popcount block scan.
+/// `bench kernel`'s crossover grid measures it as the `K` whose rule loses
+/// the least time over failing tests at 8 to 313 blocks; it read 10 on a
+/// 2-vCPU x86-64 host. The walk is a serial loop with a data-dependent
+/// branch per probe; the scan is branch-free within a chunk and works on
+/// four lanes at once. See DESIGN.md.
+pub const SPARSE_STEP_BLOCKS: usize = 10;
 
 /// A fixed-capacity set of `usize` indices backed by `u64` blocks.
 ///
@@ -103,8 +126,10 @@ impl BitSet {
     /// (and its formatting machinery) that [`BitSet::insert`] pays, setting
     /// each bit with two shifts and an OR.
     ///
-    /// Out-of-range indices are a caller bug: debug builds panic, release
-    /// builds panic on the block access (no silent wraparound either way).
+    /// Out-of-range indices are a caller bug and panic in every build:
+    /// debug builds at the offending index, release builds on the block
+    /// access or, for an index that lands in the last block's unused bits,
+    /// once all indices are set.
     pub fn from_sorted_range_indices<I: IntoIterator<Item = usize>>(
         nbits: usize,
         indices: I,
@@ -114,8 +139,12 @@ impl BitSet {
         s
     }
 
-    /// Sets every index yielded by `indices`; all must be `< capacity`
-    /// (debug-asserted; release builds still panic on the block bound).
+    /// Sets every index yielded by `indices` in a set whose bits above
+    /// `nbits` are clear; all must be `< capacity`. Debug builds check each
+    /// index. Release builds panic on the block bound, and one check after
+    /// the loop catches an index in `[nbits, 64·blocks)`, which would
+    /// otherwise set a bit outside the universe that every popcount and
+    /// `==` then counts.
     #[inline]
     pub(crate) fn set_bits_unchecked<I: IntoIterator<Item = usize>>(&mut self, indices: I) {
         for i in indices {
@@ -125,6 +154,14 @@ impl BitSet {
                 self.nbits
             );
             self.blocks[i / BITS] |= 1u64 << (i % BITS);
+        }
+        let used = self.nbits % BITS;
+        if used != 0 {
+            assert!(
+                self.blocks[self.blocks.len() - 1] >> used == 0,
+                "index out of bounds for BitSet of capacity {}",
+                self.nbits
+            );
         }
     }
 
@@ -390,11 +427,19 @@ impl BitSet {
     }
 
     /// Like [`BitSet::intersection_count_at_least`], but with the caller
-    /// providing `self`'s population count. When `self` is sparse relative
-    /// to the universe (the common case for candidate gene-sets deep in the
-    /// miner's DFS), membership-testing `self`'s elements in `other` beats
-    /// scanning every block — with early success at `threshold` and early
-    /// failure once the remaining elements cannot reach it.
+    /// providing `self`'s population count, which lets the test pick the
+    /// cheaper of two paths with the same answer:
+    ///
+    /// * the **sparse walk** ([`BitSet::intersection_count_at_least_sparse`])
+    ///   membership-tests `self`'s elements in `other`. It fails at the
+    ///   `self_count − threshold + 1`-th miss, so that many steps bound a
+    ///   failing walk;
+    /// * the **block scan** ([`BitSet::intersection_count_at_least`]) reads
+    ///   every block of a failing test.
+    ///
+    /// The walk runs when `(self_count − threshold + 1) · K ≤ blocks`, where
+    /// `K` = [`SPARSE_STEP_BLOCKS`] is one walk step's cost in block-scan
+    /// units.
     #[inline]
     pub fn intersection_count_at_least_hinted(
         &self,
@@ -414,25 +459,49 @@ impl BitSet {
         if self_count < threshold {
             return false;
         }
-        // sparse path pays off when elements < blocks scanned
-        if self_count <= self.blocks.len() {
-            let mut seen = 0usize;
-            let mut remaining = self_count;
-            for i in self.iter() {
-                if other.contains(i) {
-                    seen += 1;
-                    if seen >= threshold {
-                        return true;
-                    }
-                }
-                remaining -= 1;
-                if seen + remaining < threshold {
-                    return false;
-                }
-            }
-            return false;
+        if (self_count - threshold + 1) * SPARSE_STEP_BLOCKS <= self.blocks.len() {
+            self.intersection_count_at_least_sparse(other, threshold, self_count)
+        } else {
+            self.intersection_count_at_least(other, threshold)
         }
-        self.intersection_count_at_least(other, threshold)
+    }
+
+    /// The sparse path of [`BitSet::intersection_count_at_least_hinted`]:
+    /// walks `self`'s elements in ascending order and tests each in
+    /// `other`, succeeding at the `threshold`-th hit and failing once more
+    /// than `self_count − threshold` elements have missed. `self_count` must
+    /// be `self`'s population count. Public so benchmarks can time it
+    /// against the block scan at any point; the miner calls the hinted
+    /// test.
+    #[inline]
+    pub fn intersection_count_at_least_sparse(
+        &self,
+        other: &BitSet,
+        threshold: usize,
+        self_count: usize,
+    ) -> bool {
+        self.check_same_universe(other);
+        debug_assert_eq!(self_count, self.count(), "stale population hint");
+        if threshold == 0 {
+            return true;
+        }
+        let Some(mut misses_left) = self_count.checked_sub(threshold) else {
+            return false;
+        };
+        let mut seen = 0usize;
+        for i in self.iter() {
+            if other.blocks[i / BITS] & (1u64 << (i % BITS)) != 0 {
+                seen += 1;
+                if seen == threshold {
+                    return true;
+                }
+            } else if misses_left == 0 {
+                return false;
+            } else {
+                misses_left -= 1;
+            }
+        }
+        false
     }
 
     /// `true` iff every element of `self` is in `other`.
@@ -799,6 +868,15 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn from_sorted_range_indices_debug_checks_bounds() {
         BitSet::from_sorted_range_indices(10, [10usize]);
+    }
+
+    /// 100 is outside a 70-bit universe but inside its last block: without
+    /// the check after the loop, release builds set that bit and every
+    /// count and `==` included it.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn from_sorted_range_indices_rejects_excess_bits_in_every_build() {
+        BitSet::from_sorted_range_indices(70, [3usize, 69, 100]);
     }
 
     #[test]

@@ -59,8 +59,8 @@ impl BitSetPool {
     }
 
     /// Like [`BitSetPool::alloc`] followed by setting every yielded index.
-    /// All indices must be `< nbits` (debug-asserted; release builds panic
-    /// on the block bound rather than wrapping).
+    /// All indices must be `< nbits`; an out-of-range index panics, as in
+    /// [`BitSet::from_sorted_range_indices`].
     pub fn alloc_from_indices<I: IntoIterator<Item = usize>>(
         &mut self,
         nbits: usize,
@@ -133,6 +133,12 @@ mod tests {
         // Reused buffer must not leak previous bits.
         let b = pool.alloc_from_indices(100, [7usize]);
         assert_eq!(b.to_vec(), vec![7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn alloc_from_indices_rejects_excess_bits_in_every_build() {
+        BitSetPool::new().alloc_from_indices(10, [2usize, 10]);
     }
 
     #[test]

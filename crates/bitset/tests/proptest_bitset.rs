@@ -15,6 +15,45 @@ fn to_bitset(m: &BTreeSet<usize>) -> BitSet {
     BitSet::from_indices(UNIVERSE, m.iter().copied())
 }
 
+/// A universe of 1 to 1000 bits with a `self` set of at most `max_self`
+/// elements (given the universe's block count) and an `other` set of any
+/// density.
+fn kernel_case(
+    max_self: fn(usize) -> usize,
+) -> impl Strategy<Value = (usize, BTreeSet<usize>, BTreeSet<usize>)> {
+    (1usize..=1000).prop_flat_map(move |nbits| {
+        let most = max_self(nbits.div_ceil(64)).min(nbits);
+        let other = (0usize..=100).prop_flat_map(move |pct| {
+            proptest::collection::btree_set(0..nbits, 0..=nbits * pct / 100)
+        });
+        (
+            Just(nbits),
+            proptest::collection::btree_set(0..nbits, 0..=most),
+            other,
+        )
+    })
+}
+
+/// Checks the bounded-count kernels against `|a ∩ b| >= t` for one
+/// threshold.
+fn check_threshold(sa: &BitSet, sb: &BitSet, a_len: usize, n: usize, t: usize) -> TestCaseResult {
+    let want = n >= t;
+    prop_assert_eq!(sa.intersection_count_at_least(sb, t), want, "scan t={}", t);
+    prop_assert_eq!(
+        sa.intersection_count_at_least_sparse(sb, t, a_len),
+        want,
+        "walk t={}",
+        t
+    );
+    prop_assert_eq!(
+        sa.intersection_count_at_least_hinted(sb, t, a_len),
+        want,
+        "hinted t={}",
+        t
+    );
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn roundtrip_via_iter(m in proptest::collection::btree_set(0..UNIVERSE, 0..UNIVERSE)) {
@@ -72,6 +111,39 @@ proptest! {
             prop_assert!(sa.intersection_count_at_least(&sb, n - 1));
         }
         prop_assert!(!sa.intersection_count_at_least(&sb, n + 1));
+    }
+
+    #[test]
+    fn bounded_count_kernels_match_model_on_small_self(
+        (nbits, a, b) in kernel_case(|blocks| 2 * blocks),
+    ) {
+        // `self` holds at most twice as many elements as the universe has
+        // blocks, and the threshold sweeps every value from 0 to |a| + 1:
+        // at, below and above the true count. The hinted test walks when
+        // (|a| − t + 1) · K ≤ blocks, so the sweep's largest thresholds
+        // walk on any universe of K blocks or more, and its smallest scan
+        // once |a| · K exceeds the block count, as it does in most cases.
+        let sa = BitSet::from_indices(nbits, a.iter().copied());
+        let sb = BitSet::from_indices(nbits, b.iter().copied());
+        let n = a.intersection(&b).count();
+        for t in 0..=a.len() + 1 {
+            check_threshold(&sa, &sb, a.len(), n, t)?;
+        }
+    }
+
+    #[test]
+    fn bounded_count_kernels_match_model_at_any_density(
+        (nbits, a, b) in kernel_case(|_| usize::MAX),
+        pick in 0usize..=1000,
+    ) {
+        let sa = BitSet::from_indices(nbits, a.iter().copied());
+        let sb = BitSet::from_indices(nbits, b.iter().copied());
+        let n = a.intersection(&b).count();
+        let len = a.len();
+        let random = pick * (len + 1) / 1000;
+        for t in [0, 1, n.saturating_sub(1), n, n + 1, len, len + 1, random] {
+            check_threshold(&sa, &sb, len, n, t)?;
+        }
     }
 
     #[test]

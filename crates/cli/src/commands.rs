@@ -1066,6 +1066,15 @@ fn print_verbose(result: &MiningResult, verbosity: u8) {
         result.fanout.bicluster.as_str(),
         result.fanout.threads
     );
+    let features = runreport::cpu_features();
+    eprintln!(
+        "cpu features: {}",
+        if features.is_empty() {
+            "none (software popcount)".to_string()
+        } else {
+            features.join(" ")
+        }
+    );
     if verbosity >= 2 {
         eprint!("{}", result.report.render_human());
         eprint!("{}", runreport::render_search_space_human(&result.report));

@@ -80,10 +80,10 @@ pub fn report_to_json_v2(
 }
 
 /// The `meta` section: build/environment provenance (crate version, git
-/// commit when the process runs inside a checkout, host triple, worker
-/// count) so archived reports are self-describing. Host- and
-/// checkout-dependent by nature, so it is never part of the deterministic
-/// sections.
+/// commit when the process runs inside a checkout, host triple, the
+/// kernels' compile-time CPU features, worker count) so archived reports
+/// are self-describing. Host-, build- and checkout-dependent by nature, so
+/// it is never part of the deterministic sections.
 pub fn meta_json(threads: usize) -> Json {
     Json::obj()
         .with("version", Json::Str(env!("CARGO_PKG_VERSION").into()))
@@ -96,7 +96,32 @@ pub fn meta_json(threads: usize) -> Json {
                 std::env::consts::OS
             )),
         )
+        .with(
+            "cpu_features",
+            Json::Arr(
+                cpu_features()
+                    .into_iter()
+                    .map(|f| Json::Str(f.into()))
+                    .collect(),
+            ),
+        )
         .with("threads", Json::U64(threads as u64))
+}
+
+/// The compile-time CPU features that shape the bitset kernels, as enabled
+/// in this build: `popcnt` makes each `count_ones` one instruction (x86_64
+/// builds get it from `.cargo/config.toml`'s `x86-64-v2` target), `sse4.2`
+/// comes with that level, and `avx2` would widen the four-lane block loops.
+/// Empty for a baseline x86-64 build, whose popcounts run in software.
+pub fn cpu_features() -> Vec<&'static str> {
+    [
+        ("popcnt", cfg!(target_feature = "popcnt")),
+        ("sse4.2", cfg!(target_feature = "sse4.2")),
+        ("avx2", cfg!(target_feature = "avx2")),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect()
 }
 
 /// Best-effort current commit hash: walks up from the working directory to
@@ -421,6 +446,16 @@ pub fn validate_v2(doc: &Json) -> Result<(), String> {
         if meta.get("threads").and_then(Json::as_u64).is_none() {
             return Err("meta.threads missing or not an integer".into());
         }
+        // `cpu_features` is newer than the section itself: optional, but
+        // when present a list of feature names.
+        if let Some(features) = meta.get("cpu_features") {
+            let names = features
+                .as_arr()
+                .ok_or("meta.cpu_features is not an array")?;
+            if names.iter().any(|f| f.as_str().is_none()) {
+                return Err("meta.cpu_features holds a non-string".into());
+            }
+        }
     }
     // Optional `fault` section: present exactly when the run degraded.
     if let Some(fault) = doc.get("fault") {
@@ -629,6 +664,11 @@ mod tests {
         let host = meta.get("host").and_then(Json::as_str).expect("host");
         assert!(host.contains(std::env::consts::OS), "{host}");
         assert_eq!(meta.get("threads").and_then(Json::as_u64), Some(2));
+        let features = meta
+            .get("cpu_features")
+            .and_then(Json::as_arr)
+            .map(|a| a.iter().filter_map(Json::as_str).collect::<Vec<_>>());
+        assert_eq!(features, Some(cpu_features()));
         // `git` is best-effort: when present it must look like a hash
         if let Some(git) = meta.get("git").and_then(Json::as_str) {
             assert!(
@@ -659,6 +699,16 @@ mod tests {
                 .with("host", Json::Str("h".into())),
         );
         assert!(validate_v2(&no_threads).unwrap_err().contains("threads"));
+        // `cpu_features` is optional (reports from before it validate) ...
+        let minimal = Json::obj()
+            .with("version", Json::Str("0".into()))
+            .with("host", Json::Str("h".into()))
+            .with("threads", Json::U64(1));
+        assert_eq!(validate_v2(&replace(&doc, "meta", &minimal)), Ok(()));
+        // ... but must be a list of names when present
+        let bad_features = minimal.with("cpu_features", Json::Str("popcnt".into()));
+        let e = validate_v2(&replace(&doc, "meta", &bad_features)).unwrap_err();
+        assert!(e.contains("cpu_features"), "{e}");
     }
 
     #[test]

@@ -106,9 +106,10 @@ if [[ $fast -eq 0 ]]; then
 
     # Kernel-smoke gate: the per-pair range-kernel microbenchmark must run
     # end to end and report every stage (transpose/pair/classify/ranges/
-    # intersect). No thresholds — per-stage nanoseconds are too
-    # machine-dependent to gate on; the smoke exists so the harness itself
-    # (and the classify mirror it carries) cannot silently rot.
+    # intersect) and the range test's scan-vs-walk crossover grid. No
+    # thresholds — per-stage nanoseconds are too machine-dependent to gate
+    # on; the smoke exists so the harness itself (and the classify mirror
+    # it carries) cannot silently rot.
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         kernel --genes 100 --min-ms 5
 
@@ -143,6 +144,22 @@ if [[ $fast -eq 0 ]]; then
         determinism "$det_t1" "$det_t2"
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         determinism "$det_t1" "$det_t4"
+    # Popcount gate: .cargo/config.toml builds x86_64 binaries for
+    # x86-64-v2, so every count_ones in the bitset kernels is one `popcnt`.
+    # An exported RUSTFLAGS replaces that setting silently, so on x86_64
+    # hosts the release binary must report hardware popcount among the
+    # compile-time CPU features `mine -v` prints.
+    if [[ $(uname -m) == x86_64 ]]; then
+        run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
+            mine -v "$det_tsv" --eps 0.012 2> "$fanout_log" >/dev/null
+        features=$(grep '^cpu features:' "$fanout_log" || true)
+        if ! grep -Eq ' popcnt( |$)' <<< "$features"; then
+            echo "error: the release binary has no hardware popcount (\"$features\");" >&2
+            echo "       does an exported RUSTFLAGS override .cargo/config.toml?" >&2
+            exit 1
+        fi
+        echo "==> popcount gate: $features"
+    fi
     # Ingest determinism gate: the same input in the format variants the
     # reader documents — a preamble line before the first `# time`, a
     # `# note` comment after every header, CRLF line endings — must mine to

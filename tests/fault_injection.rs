@@ -72,8 +72,12 @@ fn every_site_and_every_action_degrades_gracefully() {
         })
         .build()
         .unwrap();
-    let full_plain = mine(&m, &plain).unwrap();
-    let full_merging = mine(&m, &merging).unwrap();
+    // Reference runs hold the guard too: a concurrent scenario's armed
+    // site would otherwise fire in them.
+    let (full_plain, full_merging) = {
+        let _s = failpoint::scenario();
+        (mine(&m, &plain).unwrap(), mine(&m, &merging).unwrap())
+    };
     for &site in FAILPOINTS {
         let (p, full) = if site == "core.prune.phase" {
             (&merging, &full_merging)
@@ -135,8 +139,8 @@ fn every_site_and_every_action_degrades_gracefully() {
 fn branch_panic_is_isolated_and_reported() {
     let m = smoke_matrix();
     let p = params(1);
-    let full = mine(&m, &p).unwrap();
     let _s = failpoint::scenario();
+    let full = mine(&m, &p).unwrap();
     failpoint::configure_once("core.bicluster.branch", Action::Panic);
     let r = mine(&m, &p).unwrap();
     assert!(r.truncated);
@@ -175,7 +179,10 @@ fn branch_panic_is_isolated_and_reported() {
 #[test]
 fn worker_thread_panics_are_isolated() {
     let m = smoke_matrix();
-    let full = mine(&m, &params(1)).unwrap();
+    let full = {
+        let _s = failpoint::scenario();
+        mine(&m, &params(1)).unwrap()
+    };
     for (site, threads, level) in [
         ("core.slice", 4, FanoutLevel::Slice),
         ("core.rangegraph.pair", 5, FanoutLevel::Pair),
