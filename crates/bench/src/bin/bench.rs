@@ -1,22 +1,11 @@
-//! `bench` — the perf-regression and determinism gates.
+//! `bench` — the determinism gate and two measurement harnesses.
 //!
 //! ```sh
-//! bench diff <baseline.json> <current.json> [--time-tol F] [--time-floor S]
-//!            [--mem-tol F] [--mem-floor BYTES] [--update]
 //! bench determinism <a.json> <b.json>
 //! bench scaling [--json PATH] [--threads N,N,...] [--trace-dir DIR]
 //! bench kernel [--json PATH] [--ledger DIR] [--genes N,N,...] [--samples N]
 //!              [--min-ms MS]
 //! ```
-//!
-//! `diff` compares two `fig7 --json` documents (normally the committed
-//! `BENCH_baseline.json` against a fresh `fig7 --smoke --json` run) and
-//! fails — exit code 1 — when any point's wall time, per-phase time, or
-//! peak memory exceeds the baseline beyond the tolerances. Structural
-//! mismatches (different sweeps/points: the baseline is stale) and usage
-//! errors exit 2, so CI can tell "regressed" from "regenerate the
-//! baseline". `--update` copies the current document over the baseline
-//! instead of comparing (the sanctioned way to refresh it).
 //!
 //! `determinism` compares the input-determined sections (clusters, report
 //! counters, histograms, logical memory, search space) of two
@@ -26,8 +15,7 @@
 //! `scaling` mines one fixed few-slice workload at several thread counts
 //! (by default every count from 1 to the host's available parallelism)
 //! and emits the wall times in the `fig7 --json` schema (x = thread
-//! count), so thread-scaling runs can be archived and diffed like any
-//! other sweep. With `--trace-dir DIR` each point additionally exports a
+//! count). With `--trace-dir DIR` each point additionally exports a
 //! Chrome Trace Event timeline (`DIR/scaling-threads-N.trace.json`) so the
 //! per-worker schedule behind each wall time can be inspected in Perfetto.
 //!
@@ -43,10 +31,10 @@
 
 use std::time::Duration;
 
-use tricluster_bench::regress::{determinism_diff, diff};
+use tricluster_bench::regress::determinism_diff;
 use tricluster_bench::{kernel, measure_threads_observed, scaling_spec};
 use tricluster_core::obs::json::Json;
-use tricluster_core::obs::ledger::{content_hash, DiffTolerances, Ledger, NewEntry};
+use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{EventSink, NullSink};
 
@@ -56,115 +44,16 @@ fn main() {
 
 fn run(argv: &[String]) -> i32 {
     match argv.split_first().map(|(c, r)| (c.as_str(), r)) {
-        Some(("diff", rest)) => run_diff(rest),
         Some(("determinism", rest)) => run_determinism(rest),
         Some(("scaling", rest)) => run_scaling(rest),
         Some(("kernel", rest)) => run_kernel(rest),
-        _ => usage("expected a subcommand: diff | determinism | scaling | kernel"),
+        _ => usage("expected a subcommand: determinism | scaling | kernel"),
     }
 }
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn run_diff(rest: &[String]) -> i32 {
-    let mut paths = Vec::new();
-    let mut tol = DiffTolerances::default();
-    let mut update = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut float_flag = |tag: &str| -> Result<f64, String> {
-            it.next()
-                .ok_or_else(|| format!("{tag} needs a value"))?
-                .parse::<f64>()
-                .map_err(|e| format!("{tag}: {e}"))
-        };
-        match arg.as_str() {
-            "--time-tol" => match float_flag("--time-tol") {
-                Ok(v) => tol.time_rel = v,
-                Err(e) => return usage(&e),
-            },
-            "--time-floor" => match float_flag("--time-floor") {
-                Ok(v) => tol.time_floor_secs = v,
-                Err(e) => return usage(&e),
-            },
-            "--mem-tol" => match float_flag("--mem-tol") {
-                Ok(v) => tol.mem_rel = v,
-                Err(e) => return usage(&e),
-            },
-            "--mem-floor" => match float_flag("--mem-floor") {
-                Ok(v) => tol.mem_floor_bytes = v as u64,
-                Err(e) => return usage(&e),
-            },
-            "--update" => update = true,
-            path => paths.push(path.to_string()),
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        return usage("expected exactly two files: <baseline.json> <current.json>");
-    };
-    if update {
-        // Refresh the baseline: validate the current document parses, then
-        // copy it over wholesale (tolerances are irrelevant here).
-        let current = match load(current_path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        match current.get("schema").and_then(Json::as_str) {
-            Some(s) if s.starts_with("tricluster.fig7/") => {}
-            other => {
-                eprintln!("error: {current_path}: unexpected schema {other:?}");
-                return 2;
-            }
-        }
-        if let Err(e) = std::fs::write(baseline_path, current.render_pretty() + "\n") {
-            eprintln!("error: cannot write {baseline_path}: {e}");
-            return 2;
-        }
-        println!("bench diff: baseline {baseline_path} updated from {current_path}");
-        return 0;
-    }
-    let (baseline, current) = match (load(baseline_path), load(current_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    match diff(&baseline, &current, &tol) {
-        Ok(regressions) if regressions.is_empty() => {
-            println!(
-                "bench diff: OK — {current_path} within tolerances of {baseline_path} \
-                 (time +{:.0}% + {:.0} ms, mem +{:.0}% + {} KiB)",
-                tol.time_rel * 100.0,
-                tol.time_floor_secs * 1000.0,
-                tol.mem_rel * 100.0,
-                tol.mem_floor_bytes >> 10,
-            );
-            0
-        }
-        Ok(regressions) => {
-            eprintln!("bench diff: {} regression(s):", regressions.len());
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            1
-        }
-        Err(e) => {
-            eprintln!(
-                "bench diff: documents are not comparable: {e}\n\
-                 (if the sweep set changed on purpose, regenerate the baseline with\n\
-                  `cargo run --release -p tricluster-bench --bin fig7 -- --smoke --json current.json`\n\
-                  followed by `bench diff BENCH_baseline.json current.json --update`)"
-            );
-            2
-        }
-    }
 }
 
 fn run_determinism(rest: &[String]) -> i32 {
@@ -410,8 +299,6 @@ fn run_kernel(rest: &[String]) -> i32 {
 fn usage(msg: &str) -> i32 {
     eprintln!(
         "usage:\n  \
-         bench diff <baseline.json> <current.json> [--time-tol F] [--time-floor SECS] \
-         [--mem-tol F] [--mem-floor BYTES] [--update]\n  \
          bench determinism <a.json> <b.json>\n  \
          bench scaling [--json PATH] [--threads N,N,...] [--trace-dir DIR]\n  \
          bench kernel [--json PATH] [--ledger DIR] [--genes N,N,...] [--samples N] \

@@ -8,25 +8,19 @@
 //! cargo run --release -p tricluster-bench --bin fig7            # scaled
 //! TRICLUSTER_FULL=1 cargo run --release -p tricluster-bench --bin fig7
 //! cargo run --release -p tricluster-bench --bin fig7 -- --json fig7.json
-//! cargo run --release -p tricluster-bench --bin fig7 -- --smoke --json out.json
 //! ```
 //!
-//! `--smoke` replaces the six paper sweeps with a fixed miniature pair that
-//! finishes in seconds — the workload behind the committed
-//! `BENCH_baseline.json` that `bench diff` gates against. `--ledger DIR`
-//! archives the sweep document into a run ledger (kind `bench`), browsable
-//! with `tricluster runs`. `--metrics-addr HOST:PORT` serves the sweep's
-//! live metrics over HTTP (`/metrics`, `/progress`, `/healthz`) for the
-//! process lifetime — point `tricluster watch` at it.
+//! `--ledger DIR` archives the sweep document into a run ledger (kind
+//! `bench`), browsable with `tricluster runs`. `--metrics-addr HOST:PORT`
+//! serves the sweep's live metrics over HTTP (`/metrics`, `/progress`,
+//! `/healthz`) for the process lifetime — point `tricluster watch` at it.
 //!
 //! Expected shapes (paper §5.1): (a) ~linear in genes, (b) exponential in
 //! samples, (c) ~linear in time slices over this range, (d) linear in
 //! cluster count, (e) flat in overlap %, (f) growing with noise.
 
 use std::sync::Arc;
-use tricluster_bench::{
-    fig7_params, fig7_smoke_sweeps, fig7_sweeps, full_scale, measure, measure_with_observed,
-};
+use tricluster_bench::{fig7_params, fig7_sweeps, full_scale, measure, measure_with_observed};
 use tricluster_core::obs::httpd::{scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
@@ -34,7 +28,7 @@ use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::Progress;
 
 /// With `--features track-alloc`, measure heap usage so sweep points carry
-/// `peak_live_bytes`/`alloc_bytes` and the regression gate covers memory.
+/// `peak_live_bytes`/`alloc_bytes`.
 #[cfg(feature = "track-alloc")]
 #[global_allocator]
 static ALLOC: tricluster_core::obs::alloc::TrackingAlloc =
@@ -45,7 +39,6 @@ fn main() {
     let mut json_path = None;
     let mut ledger_dir = None;
     let mut metrics_addr: Option<String> = None;
-    let mut smoke = false;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -61,7 +54,6 @@ fn main() {
                 Some(addr) => metrics_addr = Some(addr.clone()),
                 None => usage("--metrics-addr needs HOST:PORT"),
             },
-            "--smoke" => smoke = true,
             other => usage(&format!("unknown argument {other:?}")),
         }
     }
@@ -84,13 +76,8 @@ fn main() {
     });
 
     let full = full_scale();
-    let (label, sweeps) = if smoke {
-        ("smoke", fig7_smoke_sweeps())
-    } else if full {
-        ("paper", fig7_sweeps(true))
-    } else {
-        ("scaled-down", fig7_sweeps(false))
-    };
+    let label = if full { "paper" } else { "scaled-down" };
+    let sweeps = fig7_sweeps(full);
     println!("# Figure 7 parameter sensitivity ({label} scale)");
     let mut sweeps_json: Vec<Json> = Vec::new();
     for (figure, xlabel, points) in sweeps {
@@ -158,8 +145,6 @@ fn main() {
 }
 
 fn usage(msg: &str) -> ! {
-    eprintln!(
-        "usage: fig7 [--smoke] [--json PATH] [--ledger DIR] [--metrics-addr HOST:PORT] ({msg})"
-    );
+    eprintln!("usage: fig7 [--json PATH] [--ledger DIR] [--metrics-addr HOST:PORT] ({msg})");
     std::process::exit(2);
 }

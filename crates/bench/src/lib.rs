@@ -99,8 +99,6 @@ impl SweepPoint {
         if let Some(total) = self.alloc_bytes {
             obj = obj.with("alloc_bytes", Json::U64(total));
         }
-        // Scheduling record, not a gated metric: `bench diff` ignores
-        // unknown point fields, so older baselines stay comparable.
         obj = obj.with(
             "fanout",
             Json::obj()
@@ -124,15 +122,10 @@ pub fn measure(spec: &SynthSpec, x: f64) -> SweepPoint {
 }
 
 /// Like [`measure`], but pinning the mining run to `threads` worker
-/// threads; `x` is typically the thread count itself (the `bench scaling`
-/// sweep).
-pub fn measure_threads(spec: &SynthSpec, x: f64, threads: usize) -> SweepPoint {
-    measure_threads_observed(spec, x, threads, &NullSink)
-}
-
-/// Like [`measure_threads`], but mining through `sink` so a benchmark run
-/// can carry observability along — e.g. a [`Timeline`] sink to export a
-/// per-worker trace of each scaling point.
+/// threads and mining through `sink`; `x` is typically the thread count
+/// itself (the `bench scaling` sweep). The sink lets a benchmark run carry
+/// observability along — e.g. a [`Timeline`] sink to export a per-worker
+/// trace of each scaling point.
 ///
 /// [`Timeline`]: tricluster_core::obs::timeline::Timeline
 pub fn measure_threads_observed(
@@ -268,45 +261,6 @@ pub fn fig7_sweeps(full: bool) -> Vec<Sweep> {
         ("fig7d", "number of clusters", d),
         ("fig7e", "overlap %", e),
         ("fig7f", "noise %", f),
-    ]
-}
-
-/// A fixed miniature sweep pair for the perf-regression gate: two sweeps of
-/// two points each, sized to mine in well under a second apiece so
-/// `scripts/check.sh` can afford them on every run. The synthetic data is
-/// seeded, so the workload (and the committed `BENCH_baseline.json`) is
-/// byte-stable; only timings and measured memory vary between machines.
-pub fn fig7_smoke_sweeps() -> Vec<Sweep> {
-    let base = SynthSpec {
-        n_genes: 400,
-        n_samples: 10,
-        n_times: 5,
-        n_clusters: 4,
-        gene_range: (50, 50),
-        sample_range: (4, 4),
-        time_range: (3, 3),
-        noise: 0.02,
-        ..SynthSpec::default()
-    };
-    let genes: Vec<(f64, SynthSpec)> = [300usize, 400]
-        .into_iter()
-        .map(|ng| {
-            let mut s = base.clone();
-            s.n_genes = ng;
-            (ng as f64, s)
-        })
-        .collect();
-    let samples: Vec<(f64, SynthSpec)> = [8usize, 10]
-        .into_iter()
-        .map(|ns| {
-            let mut s = base.clone();
-            s.n_samples = ns;
-            (ns as f64, s)
-        })
-        .collect();
-    vec![
-        ("smoke-genes", "genes in matrix", genes),
-        ("smoke-samples", "samples in matrix", samples),
     ]
 }
 

@@ -104,28 +104,21 @@ impl RatioRange {
 // Ratios reaching the sort are always positive and finite (the finder
 // filters first), and for positive finite floats the IEEE-754 bit pattern
 // is monotone in the value: `a <= b  ⟺  a.to_bits() <= b.to_bits()`.
-// Packing the ratio bits and the gene index into one integer turns the
-// `(ratio, gene)` sort into a plain integer sort — no `total_cmp` callback
-// per comparison — distributed into value buckets by [`bucket_sort`]. Ties
-// break by gene index instead of input order, which cannot change any
-// emitted range: every window boundary is a value comparison (`<=` / `<`
-// on the ratio), so an equal-value run is always in or out of a window as
-// a whole, and a window's gene-*set* and `lo`/`hi` bounds are order-free.
+// Packing the ratio bits and the gene index into one `u128` key,
+// `ratio_bits << 64 | gene`, turns the `(ratio, gene)` sort into a plain
+// integer sort — no `total_cmp` callback per comparison — distributed into
+// value buckets by [`bucket_sort`]. Ties break by gene index instead of
+// input order, which cannot change any emitted range: every window
+// boundary is a value comparison (`<=` / `<` on the ratio), so an
+// equal-value run is always in or out of a window as a whole, and a
+// window's gene-*set* and `lo`/`hi` bounds are order-free.
 //
-// Two key widths, chosen per call:
-//
-// * **Compact `u64`** — `(ratio_bits − min_bits) << gene_bits | gene`,
-//   packed after a cheap min/max pre-pass. The whole key fits in 64 bits
-//   whenever the bit-pattern span leaves `gene_bits` of headroom, which
-//   covers every realistic ratio distribution (a span of 2⁵⁵ already
-//   spans a factor-of-8 ratio spread at 4096 genes). Half the scatter
-//   traffic, cheaper compares, and sequential gene extraction compared to
-//   the wide key.
-// * **Wide `u128`** — `ratio_bits << 64 | gene`, the exact fallback for
-//   pathological spans (subnormals next to huge ratios).
-//
-// Both sort by the identical `(value, gene)` order, so the sorted
-// sequences — and hence the emitted ranges — are byte-identical.
+// A `u64` key, `(ratio_bits − min_bits) << gene_bits | gene`, would fit
+// only when a group's ratios span fewer than `2^(64 − gene_bits)` bit
+// patterns: at 4096 genes that is 2^52 patterns, one binade, a ratio
+// spread under 2×. Column pairs spread far wider (336× and up on the
+// synthetic workloads), so such a key almost never fits, and the module
+// keeps the one key width.
 
 #[inline]
 fn pack_key(ratio_bits: u64, gene: u32) -> u128 {
@@ -179,10 +172,11 @@ fn bucket_sort<K: Copy + Ord + Default>(
     bucket_scatter_fixup(keys, scratch, counts, hi);
 }
 
-/// The distribution half of [`bucket_sort`], split out so the hot compact
-/// path can build the histogram *during* key packing (one fewer traversal
-/// of the key array). `counts` must hold the per-bucket histogram over
-/// `nb = counts.len() - 1` buckets of `bucket(k) = (hi(k)·nb) >> 64`.
+/// The distribution half of [`bucket_sort`]: prefix sums, scatter, and
+/// intra-bucket fix-up. `counts` must hold the per-bucket histogram over
+/// `nb = counts.len() - 1` buckets of `bucket(k) = (hi(k)·nb) >> 64`. It
+/// stays a function of its own: folded into [`bucket_sort`], the range
+/// graph build measured slower.
 fn bucket_scatter_fixup<K: Copy + Ord + Default>(
     keys: &mut Vec<K>,
     scratch: &mut Vec<K>,
@@ -254,19 +248,15 @@ fn insertion_sort<K: Copy + Ord>(run: &mut [K]) {
 /// stops round-tripping the global allocator.
 #[derive(Debug, Default)]
 pub struct RangeScratch {
-    /// Compact `(value_delta, gene)` sort keys (see the module comment on
-    /// the monotone bit transform and the two key widths).
-    keys64: Vec<u64>,
-    /// Wide `(ratio_bits, gene)` sort keys — fallback representation when
-    /// the value span leaves no headroom for the gene field.
+    /// `(ratio_bits, gene)` sort keys (see the module comment on the
+    /// monotone bit transform).
     keys: Vec<u128>,
     /// The sorted ratio values as plain doubles, so the window walk and
     /// split/patch fences compare `f64`s instead of packed keys.
     vals: Vec<f64>,
     /// Gene ids in sorted order — what range emission consumes.
     genes_sorted: Vec<u32>,
-    /// Double-buffers for [`bucket_sort`]'s scatter pass.
-    sort_scratch64: Vec<u64>,
+    /// Double-buffer for [`bucket_sort`]'s scatter pass.
     sort_scratch: Vec<u128>,
     /// Bucket offsets for [`bucket_sort`].
     counts: Vec<u32>,
@@ -326,11 +316,9 @@ pub fn find_ranges_into(
     assert!(epsilon >= 0.0, "epsilon must be non-negative");
     assert!(mx >= 1, "mx must be >= 1");
     let RangeScratch {
-        keys64,
         keys,
         vals,
         genes_sorted,
-        sort_scratch64,
         sort_scratch,
         counts,
         windows,
@@ -340,7 +328,8 @@ pub fn find_ranges_into(
         pool,
     } = scratch;
     // Pass 1: count the finite positive ratios and find their bit-pattern
-    // extremes — cheap (no stores), and it fixes `min_bits` before packing.
+    // extremes for the bucket map — cheap (no stores), and it returns
+    // before any packing when fewer than `mx` ratios qualify.
     let mut min_bits = u64::MAX;
     let mut max_bits = 0u64;
     let mut n = 0usize;
@@ -355,69 +344,28 @@ pub fn find_ranges_into(
     if n < mx {
         return;
     }
+    keys.clear();
+    keys.extend(
+        ratios
+            .iter()
+            .filter(|&&(r, _)| r.is_finite() && r > 0.0)
+            .map(|&(r, g)| pack_key(r.to_bits(), g as u32)),
+    );
     let span = max_bits - min_bits;
-    // Bits needed to hold any gene id 0..n_genes-1 (≥ 1 to keep the bucket
-    // map's shift in range for a single-gene universe).
-    let gene_bits = 64 - (n_genes.max(2) as u64 - 1).leading_zeros();
-    vals.clear();
-    genes_sorted.clear();
-    if span.leading_zeros() >= gene_bits {
-        // Compact u64 keys: value delta in the high bits, gene in the low
-        // bits — same (value, gene) order as the wide key.
-        //
-        // With span == 0 the value half is zero and the map buckets by
-        // gene — uniform, so no degenerate case to special-feed.
-        let max_key = (span << gene_bits) | (n_genes.max(2) as u64 - 1);
-        let lz = max_key.leading_zeros();
-        keys64.clear();
-        if n < 48 {
-            keys64.extend(
-                ratios
-                    .iter()
-                    .filter(|&&(r, _)| r.is_finite() && r > 0.0)
-                    .map(|&(r, g)| ((r.to_bits() - min_bits) << gene_bits) | g as u64),
-            );
-            keys64.sort_unstable();
-        } else {
-            // Pass 2 packs and histograms in one traversal; the
-            // scatter/fix-up half of the bucket sort takes over from there.
-            let nb = n;
-            counts.clear();
-            counts.resize(nb + 1, 0);
-            for &(r, g) in ratios {
-                if r.is_finite() && r > 0.0 {
-                    let k = ((r.to_bits() - min_bits) << gene_bits) | g as u64;
-                    counts[(((k << lz) as u128 * nb as u128) >> 64) as usize] += 1;
-                    keys64.push(k);
-                }
-            }
-            bucket_scatter_fixup(keys64, sort_scratch64, counts, |k| k << lz);
-        }
-        // Two exact-size extends (not one fused loop): each vectorizes on
-        // its own and skips per-push capacity checks.
-        let gene_mask = (1u64 << gene_bits) - 1;
-        vals.extend(
-            keys64
-                .iter()
-                .map(|&k| f64::from_bits((k >> gene_bits) + min_bits)),
-        );
-        genes_sorted.extend(keys64.iter().map(|&k| (k & gene_mask) as u32));
+    if span == 0 {
+        // All ratios are equal, so genes alone order the keys; the bucket
+        // map below needs a non-zero span to normalize.
+        keys.sort_unstable();
     } else {
-        // Wide fallback: pathological spans (subnormal next to huge).
-        keys.clear();
-        keys.extend(
-            ratios
-                .iter()
-                .filter(|&&(r, _)| r.is_finite() && r > 0.0)
-                .map(|&(r, g)| pack_key(r.to_bits(), g as u32)),
-        );
         let shift = span.leading_zeros();
         bucket_sort(keys, sort_scratch, counts, |k| {
             ((k >> 64) as u64 - min_bits) << shift
         });
-        vals.extend(keys.iter().map(|&k| key_value(k)));
-        genes_sorted.extend(keys.iter().map(|&k| key_gene(k) as u32));
     }
+    vals.clear();
+    genes_sorted.clear();
+    vals.extend(keys.iter().map(|&k| key_value(k)));
+    genes_sorted.extend(keys.iter().map(|&k| key_gene(k) as u32));
 
     // Maximal ε-windows. A window starting at `l` extends to the largest
     // `r` with ratio[r-1] <= ratio[l]*(1+ε) and must span at least `mx`
@@ -1179,9 +1127,9 @@ mod tests {
         }
     }
 
-    /// Pins both key representations at a size that engages the bucket
-    /// sort (`n >= 48`): a tight span takes the compact u64 path, and a
-    /// subnormal next to a huge ratio forces the wide u128 fallback.
+    /// Pins the key path at a size that engages the bucket sort
+    /// (`n >= 48`), on a tight span and on a subnormal next to a huge
+    /// ratio.
     #[test]
     fn compact_and_wide_key_paths_match_oracle_at_bucket_size() {
         let tight: Vec<(f64, usize)> = (0..96).map(|g| (1.0 + (g % 37) as f64 * 0.01, g)).collect();
@@ -1209,6 +1157,18 @@ mod tests {
                 assert_eq!(new, old);
             }
         }
+    }
+
+    /// A group of 48 or more equal ratios reaches the bucket sort with a
+    /// zero value span: one range holding every gene, as in the oracle.
+    #[test]
+    fn many_equal_ratios_form_one_range() {
+        let ratios: Vec<(f64, usize)> = (0..64).rev().map(|g| (2.5, g)).collect();
+        let new = find_ranges(&ratios, SignGroup::Positive, 0.0, 3, 64, RangeExtension::On);
+        assert_eq!(new.len(), 1);
+        assert_eq!(new[0].genes.count(), 64);
+        let old = oracle::find_ranges(&ratios, SignGroup::Positive, 0.0, 3, 64, RangeExtension::On);
+        assert_eq!(new, old);
     }
 
     #[test]

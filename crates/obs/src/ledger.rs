@@ -16,13 +16,11 @@
 //! <dir>/entries/<id>/flame.folded optional folded flamegraph stacks
 //! ```
 //!
-//! The analytics half ([`diff_reports`]) generalizes the bench regression
-//! gate's tolerance machinery — `current > baseline * (1 + rel) + floor`,
-//! see [`exceeds`] — from "fresh run vs. committed baseline" to "any
-//! archived run vs. any other": it compares the per-phase wall/CPU timings
-//! and (when both runs measured them) the allocator byte attributions of
-//! two v2 report documents and returns every metric with a regression
-//! verdict attached.
+//! The analytics half ([`diff_reports`]) compares any archived run with
+//! any other: the per-phase wall/CPU timings and (when both runs measured
+//! them) the allocator byte attributions of two v2 report documents, each
+//! metric returned with a regression verdict under the tolerance rule
+//! `current > baseline * (1 + rel) + floor` (see [`exceeds`]).
 //!
 //! Everything here is pure `std`. The content hashes are 64-bit FNV-1a
 //! (the build environment is offline, so no external hash crates), which is
@@ -55,20 +53,20 @@ pub fn content_hash(bytes: &[u8]) -> String {
     format!("fnv1a:{:016x}", fnv1a(bytes))
 }
 
-// ---- tolerance machinery (shared with the bench regression gate) --------
+// ---- tolerance machinery ------------------------------------------------
 
-/// The regression rule both the bench gate and `runs diff` apply: a current
-/// value regresses against a baseline when it exceeds
-/// `baseline * (1 + rel) + floor` — a relative headroom for proportional
-/// noise plus an absolute floor so microsecond-scale metrics cannot trip on
-/// scheduler jitter. Returns the allowed limit when exceeded.
+/// The regression rule `runs diff` applies: a current value regresses
+/// against a baseline when it exceeds `baseline * (1 + rel) + floor` — a
+/// relative headroom for proportional noise plus an absolute floor so
+/// microsecond-scale metrics cannot trip on scheduler jitter. Returns the
+/// allowed limit when exceeded.
 pub fn exceeds(baseline: f64, current: f64, rel: f64, floor: f64) -> Option<f64> {
     let allowed = baseline * (1.0 + rel) + floor;
     (current > allowed).then_some(allowed)
 }
 
 /// Allowed headroom over a baseline before a value counts as a regression
-/// under [`exceeds`], for [`diff_reports`] and the bench regression gate.
+/// under [`exceeds`], for [`diff_reports`].
 #[derive(Debug, Clone)]
 pub struct DiffTolerances {
     /// Relative headroom for wall/phase times (0.5 = +50%).

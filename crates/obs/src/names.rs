@@ -37,6 +37,9 @@ pub const BC_NODES: &str = "bicluster.dfs.nodes";
 pub const BC_DEDUP_HITS: &str = "bicluster.dfs.dedup_hits";
 pub const BC_BUDGET_SPENT: &str = "bicluster.dfs.budget_spent";
 pub const BC_COMBOS: &str = "bicluster.dfs.gene_combos";
+/// `|X ∩ G(R)| ≥ mx` tests run while filtering candidate edge lists: work
+/// done, which candidate inheritance cuts (see `bicluster::Candidates`).
+pub const BC_RANGE_TESTS: &str = "bicluster.dfs.range_tests";
 pub const BC_RECORDED: &str = "bicluster.recorded";
 pub const BC_REJECTED_DELTA: &str = "bicluster.rejected.delta";
 pub const BC_REJECTED_SUBSUMED: &str = "bicluster.rejected.subsumed";
@@ -53,6 +56,9 @@ pub const TC_DEDUP_HITS: &str = "tricluster.dfs.dedup_hits";
 pub const TC_BUDGET_SPENT: &str = "tricluster.dfs.budget_spent";
 pub const TC_EXTENSIONS: &str = "tricluster.extensions";
 pub const TC_COHERENCE_CHECKS: &str = "tricluster.coherence.checks";
+/// Slice-pair coherence verdicts actually computed: the logical checks
+/// minus the ones the phase's memo answered.
+pub const TC_COHERENCE_COMPUTED: &str = "tricluster.coherence.computed";
 pub const TC_REJECTED_INCOHERENT: &str = "tricluster.rejected.incoherent";
 pub const TC_REJECTED_SMALL: &str = "tricluster.rejected.small";
 pub const TC_RECORDED: &str = "tricluster.recorded";
@@ -252,6 +258,7 @@ pub const ALL: &[&str] = &[
     BC_DEDUP_HITS,
     BC_BUDGET_SPENT,
     BC_COMBOS,
+    BC_RANGE_TESTS,
     BC_RECORDED,
     BC_REJECTED_DELTA,
     BC_REJECTED_SUBSUMED,
@@ -262,6 +269,7 @@ pub const ALL: &[&str] = &[
     TC_BUDGET_SPENT,
     TC_EXTENSIONS,
     TC_COHERENCE_CHECKS,
+    TC_COHERENCE_COMPUTED,
     TC_REJECTED_INCOHERENT,
     TC_REJECTED_SMALL,
     TC_RECORDED,

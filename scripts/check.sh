@@ -38,6 +38,16 @@ run env CARGO_TARGET_DIR=.bench_build \
 # tricluster.report/v2 document (validated in-process, no external tools).
 run cargo test --quiet -p tricluster-cli report_json_matches_v2_schema
 
+# Work-budget gate: every report counter of four fixed mines (Table 1,
+# the 3-slice and wide 2-slice inputs below, and a 16-slice input) must
+# equal scripts/work_budget.json exactly. The counters are deterministic,
+# so this perf gate cannot be noisy: `bicluster.dfs.range_tests` and
+# `tricluster.coherence.computed` pin the work candidate inheritance and
+# the coherence memo save. A failure lists each differing counter (a rise
+# is a regression) and prints the input's actual object; move the budget
+# only by pasting that object in by hand, and name the edit in CHANGES.md.
+run cargo test --quiet --test work_budget
+
 # Fault-injection gate: every named failpoint site, hit with every action,
 # must degrade into a typed error or a valid truncated subset — never a
 # process abort — and budget-truncated runs must stay deterministic.
@@ -64,17 +74,6 @@ if (( unwrap_count > unwrap_budget )); then
 fi
 
 if [[ $fast -eq 0 ]]; then
-    # Perf-regression gate: smoke-sized fig7 sweep against the committed
-    # baseline. Tolerances are deliberately loose (+100% + 250 ms, memory
-    # +50% + 4 MiB) — the committed baseline comes from a different
-    # machine; the gate exists to catch order-of-magnitude regressions,
-    # not scheduler noise. Regenerate the baseline after intentional
-    # performance changes:
-    #   cargo run --release -p tricluster-bench --features track-alloc \
-    #     --bin fig7 -- --smoke --json current.json
-    #   cargo run --release -p tricluster-bench --bin bench -- \
-    #     diff BENCH_baseline.json current.json --update
-    smoke_json="$(mktemp /tmp/tricluster-smoke-XXXXXX.json)"
     det_tsv="$(mktemp /tmp/tricluster-det-XXXXXX.tsv)"
     det_t1="$(mktemp /tmp/tricluster-det-t1-XXXXXX.json)"
     det_t2="$(mktemp /tmp/tricluster-det-t2-XXXXXX.json)"
@@ -97,12 +96,7 @@ if [[ $fast -eq 0 ]]; then
     serve_ledger="$(mktemp -d /tmp/tricluster-serve-ledger-XXXXXX)"
     serve_access="$(mktemp /tmp/tricluster-serve-access-XXXXXX.jsonl)"
     serve_pid=""
-    trap 'rm -f "$smoke_json" "$det_tsv" "$det_t1" "$det_t2" "$det_t4" "$det_crlf" "$det_crlf_json" "$wide_tsv" "$wide_t1" "$wide_t3" "$fanout_log" "$trace_json" "$flame_txt" "$met_tsv" "$met_base" "$met_json" "$met_log" "$serve_log" "$serve_json" "$serve_access"; rm -rf "$ledger_dir" "$serve_ledger"; [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null' EXIT
-    run cargo run --release --quiet -p tricluster-bench --features track-alloc \
-        --bin fig7 -- --smoke --json "$smoke_json"
-    run cargo run --release --quiet -p tricluster-bench --bin bench -- \
-        diff BENCH_baseline.json "$smoke_json" \
-        --time-tol 1.0 --time-floor 0.25 --mem-tol 0.5 --mem-floor $((4 << 20))
+    trap 'rm -f "$det_tsv" "$det_t1" "$det_t2" "$det_t4" "$det_crlf" "$det_crlf_json" "$wide_tsv" "$wide_t1" "$wide_t3" "$fanout_log" "$trace_json" "$flame_txt" "$met_tsv" "$met_base" "$met_json" "$met_log" "$serve_log" "$serve_json" "$serve_access"; rm -rf "$ledger_dir" "$serve_ledger"; [[ -n "$serve_pid" ]] && kill "$serve_pid" 2>/dev/null' EXIT
 
     # Kernel-smoke gate: the per-pair range-kernel microbenchmark must run
     # end to end and report every stage (transpose/pair/classify/ranges/

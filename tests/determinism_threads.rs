@@ -20,7 +20,7 @@ use tricluster::prelude::*;
 static ALLOC: tricluster::core::obs::alloc::TrackingAlloc =
     tricluster::core::obs::alloc::TrackingAlloc;
 
-/// The Figure 7 smoke workload shape: small enough for a tier-1 test, rich
+/// A 400×10×5 synthetic workload: small enough for a tier-1 test, rich
 /// enough that every DFS phase, histogram, and prune counter is exercised.
 fn smoke_matrix() -> Matrix3 {
     let spec = SynthSpec {
