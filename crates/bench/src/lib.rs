@@ -348,7 +348,7 @@ pub mod nocache {
                     && genes.count() >= self.params.min_genes
                 {
                     let cand = Bicluster::new(genes.clone(), self.samples.clone(), self.t);
-                    tricluster_core::bicluster::insert_maximal_bicluster(&mut self.results, cand);
+                    tricluster_core::cluster::insert_maximal(&mut self.results, cand);
                 }
                 for (i, &sb) in pending.iter().enumerate() {
                     let rest = &pending[i + 1..];

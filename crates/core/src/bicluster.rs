@@ -18,7 +18,8 @@
 //! scans the multigraph only for its new column, and a candidate that has
 //! run out of edges is never tested again below the node that found out.
 
-use crate::cluster::Bicluster;
+use crate::classify::fiber_spreads;
+use crate::cluster::{Bicluster, InsertOutcome, MaximalStore};
 use crate::fault::{fail_point_panic, fan_out, RunCtrl, BRANCHES};
 use crate::params::Params;
 use crate::range::RatioRange;
@@ -29,18 +30,36 @@ use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
 use tricluster_obs::{names, EventSink, Histogram};
 
-/// Value distributions of one bicluster search, collected only on request
-/// (see [`mine_biclusters_profiled`]).
+/// Value distributions of one DFS search (BICLUSTER's over sample sets,
+/// TRICLUSTER's over time sets), collected only on request (see
+/// [`mine_biclusters_profiled`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BiclusterHists {
-    /// DFS depth (current sample-set size) at each expanded node.
+pub struct DfsHists {
+    /// DFS depth (current sample- or time-set size) at each expanded node.
     pub depth: Histogram,
-    /// Candidate sample count at each expanded node: the logical count
-    /// `n_samples − 1 − last sample`, including candidates an ancestor
-    /// already ruled out (the DFS tests only the live ones).
+    /// Candidate count at each expanded node. BICLUSTER records the logical
+    /// count `n_samples − 1 − last sample`, including candidates an
+    /// ancestor already ruled out (the DFS tests only the live ones).
     pub candidate_set_size: Histogram,
     /// Children actually recursed into from each expanded node.
     pub fanout: Histogram,
+}
+
+impl DfsHists {
+    /// Accumulates `other` into `self`.
+    pub fn merge(&mut self, other: &DfsHists) {
+        self.depth.merge(&other.depth);
+        self.candidate_set_size.merge(&other.candidate_set_size);
+        self.fanout.merge(&other.fanout);
+    }
+
+    /// Publishes the depth, candidate-set size and fan-out histograms on
+    /// `sink` under the phase's `names`, in that order.
+    pub fn publish(&self, sink: &dyn EventSink, names: [&'static str; 3]) {
+        sink.histogram(names[0], &self.depth);
+        sink.histogram(names[1], &self.candidate_set_size);
+        sink.histogram(names[2], &self.fanout);
+    }
 }
 
 /// Statistics of one per-slice bicluster search.
@@ -77,7 +96,7 @@ pub struct BiclusterStats {
     pub merge_subsumed: u64,
     /// Value distributions; `None` unless requested, so the default path
     /// never pays for bucket arithmetic.
-    pub hists: Option<Box<BiclusterHists>>,
+    pub hists: Option<Box<DfsHists>>,
 }
 
 impl BiclusterStats {
@@ -94,10 +113,7 @@ impl BiclusterStats {
         self.replaced += other.replaced;
         self.merge_subsumed += other.merge_subsumed;
         if let Some(o) = &other.hists {
-            let h = self.hists.get_or_insert_with(Box::default);
-            h.depth.merge(&o.depth);
-            h.candidate_set_size.merge(&o.candidate_set_size);
-            h.fanout.merge(&o.fanout);
+            self.hists.get_or_insert_with(Box::default).merge(o);
         }
     }
 
@@ -115,9 +131,14 @@ impl BiclusterStats {
         sink.counter(names::BC_REPLACED, self.replaced);
         sink.counter(names::BC_MERGE_SUBSUMED, self.merge_subsumed);
         if let Some(h) = &self.hists {
-            sink.histogram(names::H_BC_DEPTH, &h.depth);
-            sink.histogram(names::H_BC_CANDIDATES, &h.candidate_set_size);
-            sink.histogram(names::H_BC_FANOUT, &h.fanout);
+            h.publish(
+                sink,
+                [
+                    names::H_BC_DEPTH,
+                    names::H_BC_CANDIDATES,
+                    names::H_BC_FANOUT,
+                ],
+            );
         }
     }
 }
@@ -145,7 +166,7 @@ pub fn mine_biclusters_profiled(
 
 /// Everything one top-level branch produced.
 struct BranchOutput {
-    results: MaximalStore,
+    results: MaximalStore<Bicluster>,
     truncated: bool,
     /// Budget consumed inside the branch (for sequential budget threading).
     spent: u64,
@@ -254,7 +275,7 @@ pub(crate) fn mine_biclusters_ctrl(
     let workers = if budget.is_some() { 1 } else { workers };
     // Deterministic merge: absorb branches in ascending seed order and fold
     // their survivors through a global maximality store.
-    let mut store = MaximalStore::new();
+    let mut store = MaximalStore::default();
     fan_out(
         ctrl,
         &BRANCHES,
@@ -431,7 +452,7 @@ struct BranchMiner<'a> {
     rg: &'a RangeGraph,
     params: &'a Params,
     t: usize,
-    results: MaximalStore,
+    results: MaximalStore<Bicluster>,
     /// Current candidate sample set (ascending; DFS extends in order).
     samples: Vec<usize>,
     /// Remaining candidate-visit budget, when limited.
@@ -463,7 +484,7 @@ impl<'a> BranchMiner<'a> {
             rg,
             params,
             t: rg.time,
-            results: MaximalStore::new(),
+            results: MaximalStore::default(),
             samples: vec![seed],
             budget,
             truncated: false,
@@ -549,14 +570,15 @@ impl<'a> BranchMiner<'a> {
         }
     }
 
+    /// The recording step (paper Fig. 3, lines 2–6): the size gate, the
+    /// `δ^x`/`δ^y` check over this slice, then the maximal store.
     fn try_record(&mut self, genes: &BitSet, genes_count: usize) {
-        if self.samples.len() < self.params.min_samples {
+        let p = self.params;
+        if self.samples.len() < p.min_samples || genes_count < p.min_genes {
             return;
         }
-        if genes_count < self.params.min_genes {
-            return;
-        }
-        if !self.deltas_ok(genes) {
+        let limits = [p.delta_gene, p.delta_sample, None];
+        if fiber_spreads(self.m, genes, &self.samples, &[self.t], limits).is_err() {
             self.stats.rejected_delta += 1;
             return;
         }
@@ -571,39 +593,6 @@ impl<'a> BranchMiner<'a> {
                 }
             }
         }
-    }
-
-    /// `δ^x`: within each sample column, gene values range at most `δ^x`;
-    /// `δ^y`: within each gene row, sample values range at most `δ^y`.
-    fn deltas_ok(&self, genes: &BitSet) -> bool {
-        let p = self.params;
-        if let Some(dx) = p.delta_gene {
-            for &s in &self.samples {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for g in genes.iter() {
-                    let v = self.m.get(g, s, self.t);
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                if hi - lo > dx {
-                    return false;
-                }
-            }
-        }
-        if let Some(dy) = p.delta_sample {
-            for g in genes.iter() {
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &s in &self.samples {
-                    let v = self.m.get(g, s, self.t);
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                if hi - lo > dy {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -660,141 +649,6 @@ fn intersect_combos(
     }
 }
 
-/// What [`insert_maximal_bicluster_counted`] did with a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The candidate was contained in an existing cluster and dropped.
-    Subsumed,
-    /// The candidate was inserted, displacing `displaced` existing clusters
-    /// it subsumes.
-    Inserted {
-        /// Existing clusters removed because the candidate contains them.
-        displaced: usize,
-    },
-}
-
-/// Inserts `candidate` into `results` keeping only maximal biclusters:
-/// skipped when contained in an existing cluster; existing clusters contained
-/// in it are removed.
-pub fn insert_maximal_bicluster(results: &mut Vec<Bicluster>, candidate: Bicluster) {
-    insert_maximal_bicluster_counted(results, candidate);
-}
-
-/// Like [`insert_maximal_bicluster`], reporting what happened (used by the
-/// observability layer to count maximality rejections and replacements).
-///
-/// This is the O(results) reference implementation; the miner's hot path
-/// uses [`MaximalStore`], which indexes clusters by size signature.
-pub fn insert_maximal_bicluster_counted(
-    results: &mut Vec<Bicluster>,
-    candidate: Bicluster,
-) -> InsertOutcome {
-    if results.iter().any(|c| candidate.is_subcluster_of(c)) {
-        return InsertOutcome::Subsumed;
-    }
-    let before = results.len();
-    results.retain(|c| !c.is_subcluster_of(&candidate));
-    let displaced = before - results.len();
-    results.push(candidate);
-    InsertOutcome::Inserted { displaced }
-}
-
-/// A set of mutually non-contained biclusters with a size-bucketed signature
-/// index.
-///
-/// Containment (`genes ⊆ ∧ samples ⊆`) implies `|genes| ≤ ∧ |samples| ≤`,
-/// so clusters are bucketed by `(|genes|, |samples|)`: a candidate can only
-/// be subsumed by buckets ≥ in both dimensions and can only displace buckets
-/// ≤ in both. Instead of the reference implementation's O(results) scan per
-/// insert, only those candidate buckets are probed — near-constant for the
-/// size-diverse stores the miner produces.
-///
-/// Insertion order is preserved: [`MaximalStore::into_vec`] yields survivors
-/// exactly as [`insert_maximal_bicluster_counted`] would have left them in a
-/// plain vector (displaced entries removed in place, survivors in first-
-/// insert order).
-#[derive(Debug, Clone, Default)]
-pub struct MaximalStore {
-    /// Insert-ordered slots; displaced clusters become `None`.
-    slots: Vec<Option<Bicluster>>,
-    /// `(gene count, sample count)` -> indices of live slots with that size.
-    buckets: std::collections::BTreeMap<(usize, usize), Vec<usize>>,
-    len: usize,
-}
-
-impl MaximalStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of live clusters.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` iff the store holds no clusters.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `candidate` keeping only maximal clusters; same contract and
-    /// outcome reporting as [`insert_maximal_bicluster_counted`].
-    pub fn insert(&mut self, candidate: Bicluster) -> InsertOutcome {
-        let key = (candidate.genes.count(), candidate.samples.len());
-        // Subsumption: only clusters at least as large in both dimensions
-        // can contain the candidate. (The equal-size bucket is probed here
-        // first, so an exact duplicate reports Subsumed, like the reference.)
-        for (&(_, sc), idxs) in self.buckets.range((key.0, 0)..) {
-            if sc < key.1 {
-                continue;
-            }
-            for &i in idxs {
-                let c = self.slots[i].as_ref().expect("bucket points at live slot");
-                if candidate.is_subcluster_of(c) {
-                    return InsertOutcome::Subsumed;
-                }
-            }
-        }
-        // Displacement: only clusters at most as large in both dimensions
-        // can be contained in the candidate.
-        let mut doomed: Vec<(usize, (usize, usize))> = Vec::new();
-        for (&(gc, sc), idxs) in self.buckets.range(..=(key.0, key.1)) {
-            if sc > key.1 {
-                continue;
-            }
-            for &i in idxs {
-                let c = self.slots[i].as_ref().expect("bucket points at live slot");
-                if c.is_subcluster_of(&candidate) {
-                    doomed.push((i, (gc, sc)));
-                }
-            }
-        }
-        let displaced = doomed.len();
-        for (i, bkey) in doomed {
-            self.slots[i] = None;
-            let bucket = self
-                .buckets
-                .get_mut(&bkey)
-                .expect("doomed slot was bucketed");
-            bucket.retain(|&x| x != i);
-            if bucket.is_empty() {
-                self.buckets.remove(&bkey);
-            }
-        }
-        let idx = self.slots.len();
-        self.slots.push(Some(candidate));
-        self.buckets.entry(key).or_default().push(idx);
-        self.len = self.len - displaced + 1;
-        InsertOutcome::Inserted { displaced }
-    }
-
-    /// Consumes the store, yielding survivors in insertion order.
-    pub fn into_vec(self) -> Vec<Bicluster> {
-        self.slots.into_iter().flatten().collect()
-    }
-}
-
 /// The bicluster DFS without candidate inheritance: every node re-tests
 /// every range of every `(s_a, s_b)` against its gene-set, and the buffers
 /// are plain per-node vectors. The reference the inheriting search must
@@ -832,7 +686,7 @@ mod oracle {
         }
         let all_genes = BitSet::full(m.n_genes());
         let order: Vec<usize> = (0..n_samples).collect();
-        let mut store = MaximalStore::new();
+        let mut store = MaximalStore::default();
         let mut truncated = false;
         for branch in 0..n_samples {
             let mut miner = BranchMiner::new(m, rg, params, collect_hists, branch, budget, &ctrl);
@@ -1115,26 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_maximal_drops_subsumed() {
-        let mk = |genes: &[usize], samples: &[usize]| {
-            Bicluster::new(
-                BitSet::from_indices(10, genes.iter().copied()),
-                samples.to_vec(),
-                0,
-            )
-        };
-        let mut v = Vec::new();
-        insert_maximal_bicluster(&mut v, mk(&[1, 2], &[0, 1]));
-        insert_maximal_bicluster(&mut v, mk(&[1, 2, 3], &[0, 1])); // subsumes
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].genes.to_vec(), vec![1, 2, 3]);
-        insert_maximal_bicluster(&mut v, mk(&[1, 2], &[0])); // subsumed
-        assert_eq!(v.len(), 1);
-        insert_maximal_bicluster(&mut v, mk(&[4, 5], &[2, 3])); // unrelated
-        assert_eq!(v.len(), 2);
-    }
-
-    #[test]
     fn observed_stats_are_deterministic_and_consistent() {
         let m = paper_table1();
         let p = params(0.01, 3, 3);
@@ -1179,43 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn maximal_store_matches_reference_implementation() {
-        // Feed both stores the same pseudo-random candidate stream and check
-        // outcome-by-outcome and final-sequence agreement.
-        let mk = |genes: &[usize], samples: &[usize]| {
-            Bicluster::new(
-                BitSet::from_indices(12, genes.iter().copied()),
-                samples.to_vec(),
-                0,
-            )
-        };
-        let mut state = 0x9e3779b97f4a7c15u64; // deterministic xorshift
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut reference: Vec<Bicluster> = Vec::new();
-        let mut store = MaximalStore::new();
-        for _ in 0..300 {
-            let gbits = next();
-            let sbits = next();
-            let genes: Vec<usize> = (0..12).filter(|i| gbits >> i & 1 == 1).collect();
-            let samples: Vec<usize> = (0..6).filter(|i| sbits >> i & 1 == 1).collect();
-            if genes.is_empty() || samples.is_empty() {
-                continue;
-            }
-            let cand = mk(&genes, &samples);
-            let want = insert_maximal_bicluster_counted(&mut reference, cand.clone());
-            let got = store.insert(cand);
-            assert_eq!(got, want);
-            assert_eq!(store.len(), reference.len());
-        }
-        assert_eq!(store.into_vec(), reference, "survivor order must match");
-    }
-
-    #[test]
     fn observed_budget_spent_tracks_truncation() {
         let m = paper_table1();
         let p = Params::builder()
@@ -1257,31 +1054,6 @@ mod tests {
         assert_eq!(stats, again);
     }
 
-    #[test]
-    fn insert_counted_reports_outcomes() {
-        let mk = |genes: &[usize], samples: &[usize]| {
-            Bicluster::new(
-                BitSet::from_indices(10, genes.iter().copied()),
-                samples.to_vec(),
-                0,
-            )
-        };
-        let mut v = Vec::new();
-        assert_eq!(
-            insert_maximal_bicluster_counted(&mut v, mk(&[1, 2], &[0, 1])),
-            InsertOutcome::Inserted { displaced: 0 }
-        );
-        assert_eq!(
-            insert_maximal_bicluster_counted(&mut v, mk(&[1, 2, 3], &[0, 1])),
-            InsertOutcome::Inserted { displaced: 1 }
-        );
-        assert_eq!(
-            insert_maximal_bicluster_counted(&mut v, mk(&[1, 2], &[0])),
-            InsertOutcome::Subsumed
-        );
-    }
-
-    /// A uniform matrix is one big bicluster covering everything.
     #[test]
     fn uniform_matrix_single_cluster() {
         let mut m = Matrix3::zeros(4, 3, 1);

@@ -18,6 +18,7 @@
 //! depends on which matrix the values came from.
 
 use crate::cluster::Tricluster;
+use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
 
 /// The cluster types of paper §2. Ordered from most to least constrained;
@@ -63,43 +64,80 @@ pub struct Spreads {
 
 /// Measures the per-dimension spreads of `c` over `m`.
 pub fn spreads(m: &Matrix3, c: &Tricluster) -> Spreads {
-    let mut gene = 0.0f64;
-    for &s in &c.samples {
-        for &t in &c.times {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for g in c.genes.iter() {
-                let v = m.get(g, s, t);
-                lo = lo.min(v);
-                hi = hi.max(v);
+    // No spread exceeds an infinite limit, so the walk never stops early.
+    let unbounded = Some(f64::INFINITY);
+    match fiber_spreads(m, &c.genes, &c.samples, &c.times, [unbounded; 3]) {
+        Ok(s) | Err(s) => s,
+    }
+}
+
+/// Walks the 1-D fibers of the region `genes × samples × times` along each
+/// dimension whose limit in `[gene, sample, time]` is set, keeping each
+/// dimension's largest spread (`max − min`); an unset dimension is not
+/// walked and reads 0. Fibers are walked genes within each
+/// `(sample, time)` column, then samples within each `(gene, time)` row,
+/// then times within each `(gene, sample)` fiber.
+///
+/// This is the `δ^x`/`δ^y`/`δ^z` check both DFS phases record through
+/// (BICLUSTER passes its slice as the only time and no `δ^z`): `Err` when a
+/// fiber's spread exceeds its dimension's limit, holding the spreads walked
+/// up to that fiber, where the walk stops.
+pub(crate) fn fiber_spreads(
+    m: &Matrix3,
+    genes: &BitSet,
+    samples: &[usize],
+    times: &[usize],
+    limits: [Option<f64>; 3],
+) -> Result<Spreads, Spreads> {
+    let mut out = Spreads {
+        gene: 0.0,
+        sample: 0.0,
+        time: 0.0,
+    };
+    let [gene, sample, time] = limits;
+    if let Some(limit) = gene {
+        for &s in samples {
+            for &t in times {
+                let column = genes.iter().map(|g| m.get(g, s, t));
+                if !widen(&mut out.gene, column, limit) {
+                    return Err(out);
+                }
             }
-            gene = gene.max(hi - lo);
         }
     }
-    let mut sample = 0.0f64;
-    for g in c.genes.iter() {
-        for &t in &c.times {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &s in &c.samples {
-                let v = m.get(g, s, t);
-                lo = lo.min(v);
-                hi = hi.max(v);
+    if let Some(limit) = sample {
+        for g in genes.iter() {
+            for &t in times {
+                let row = samples.iter().map(|&s| m.get(g, s, t));
+                if !widen(&mut out.sample, row, limit) {
+                    return Err(out);
+                }
             }
-            sample = sample.max(hi - lo);
         }
     }
-    let mut time = 0.0f64;
-    for g in c.genes.iter() {
-        for &s in &c.samples {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &t in &c.times {
-                let v = m.get(g, s, t);
-                lo = lo.min(v);
-                hi = hi.max(v);
+    if let Some(limit) = time {
+        for g in genes.iter() {
+            for &s in samples {
+                let fiber = times.iter().map(|&t| m.get(g, s, t));
+                if !widen(&mut out.time, fiber, limit) {
+                    return Err(out);
+                }
             }
-            time = time.max(hi - lo);
         }
     }
-    Spreads { gene, sample, time }
+    Ok(out)
+}
+
+/// Raises `widest` to the spread of `values`; `false` when that spread
+/// exceeds `limit`.
+fn widen(widest: &mut f64, values: impl Iterator<Item = f64>, limit: f64) -> bool {
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for v in values {
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    *widest = widest.max(hi - lo);
+    hi - lo <= limit
 }
 
 /// Classifies `c` by its spreads, treating a spread `≤ tolerance` as zero.

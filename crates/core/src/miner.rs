@@ -130,12 +130,6 @@ impl Timings {
     pub fn total(&self) -> Duration {
         self.slices_wall + self.triclusters + self.prune
     }
-
-    /// Total CPU time attributed to the phases (the per-slice phases summed
-    /// across workers; exceeds [`Timings::total`] under parallel speed-up).
-    pub fn summed_cpu(&self) -> Duration {
-        self.range_graphs + self.biclusters + self.triclusters + self.prune
-    }
 }
 
 /// Heap bytes of a bitset's block storage.

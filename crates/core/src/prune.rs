@@ -18,7 +18,7 @@
 //! multi-cover deletions. Clusters are processed largest-span-first for
 //! determinism.
 
-use crate::cluster::Tricluster;
+use crate::cluster::{MaximalStore, Tricluster};
 use crate::params::MergeParams;
 use crate::span;
 use tricluster_obs::{emit, names, timeline, Event, EventSink, Histogram};
@@ -184,11 +184,11 @@ pub fn merge_and_prune_observed(
 }
 
 fn keep_maximal(clusters: Vec<Tricluster>) -> Vec<Tricluster> {
-    let mut out: Vec<Tricluster> = Vec::with_capacity(clusters.len());
+    let mut out = MaximalStore::default();
     for c in clusters {
-        crate::tricluster::insert_maximal_tricluster(&mut out, c);
+        out.insert(c);
     }
-    out
+    out.into_vec()
 }
 
 #[cfg(test)]

@@ -269,7 +269,10 @@ pub fn search_space_json(report: &RunReport) -> Json {
         .with(
             "prunes",
             Json::obj()
-                .with("delta_threshold", Json::U64(c(names::BC_REJECTED_DELTA)))
+                .with(
+                    "delta_threshold",
+                    Json::U64(c(names::BC_REJECTED_DELTA) + c(names::TC_REJECTED_DELTA)),
+                )
                 .with("too_small", Json::U64(c(names::TC_REJECTED_SMALL)))
                 .with("incoherent", Json::U64(c(names::TC_REJECTED_INCOHERENT)))
                 .with("merged", Json::U64(c(names::PR_MERGED)))
@@ -324,12 +327,11 @@ pub fn render_search_space_human(report: &RunReport) -> String {
         c(names::BC_NODES),
         c(names::TC_NODES),
     ));
+    let delta = c(names::BC_REJECTED_DELTA) + c(names::TC_REJECTED_DELTA);
     out.push_str(&format!(
         "  pruned                {:>12}  (delta {}, small {}, incoherent {})\n",
-        c(names::BC_REJECTED_DELTA)
-            + c(names::TC_REJECTED_SMALL)
-            + c(names::TC_REJECTED_INCOHERENT),
-        c(names::BC_REJECTED_DELTA),
+        delta + c(names::TC_REJECTED_SMALL) + c(names::TC_REJECTED_INCOHERENT),
+        delta,
         c(names::TC_REJECTED_SMALL),
         c(names::TC_REJECTED_INCOHERENT),
     ));

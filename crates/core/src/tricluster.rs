@@ -15,26 +15,16 @@
 //! time subsets, so each phase memoizes the coherence verdicts per
 //! `(region, t_a, t_b)`.
 
-use crate::cluster::{sorted_intersection, Bicluster, Tricluster};
+use crate::bicluster::DfsHists;
+use crate::classify::fiber_spreads;
+use crate::cluster::{sorted_intersection, Bicluster, InsertOutcome, MaximalStore, Tricluster};
 use crate::coherence::slice_pair_coherent;
 use crate::fault::RunCtrl;
 use crate::params::Params;
 use std::collections::{HashMap, HashSet};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{emit, names, Event, EventSink, Histogram, NullSink};
-
-/// Value distributions of one tricluster search, collected only on request
-/// (see [`mine_triclusters_profiled`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TriclusterHists {
-    /// DFS depth (current time-set size) at each expanded node.
-    pub depth: Histogram,
-    /// Remaining candidate time count at each expanded node.
-    pub candidate_set_size: Histogram,
-    /// Children actually recursed into from each expanded node.
-    pub fanout: Histogram,
-}
+use tricluster_obs::{emit, names, Event, EventSink, NullSink};
 
 /// Statistics of one tricluster search. Input-determined: identical across
 /// runs and thread counts.
@@ -66,9 +56,11 @@ pub struct TriclusterStats {
     pub rejected_subsumed: u64,
     /// Previously recorded clusters displaced by a larger candidate.
     pub replaced: u64,
+    /// Candidates rejected by the `δ^x`/`δ^y`/`δ^z` checks at record time.
+    pub rejected_delta: u64,
     /// Value distributions; `None` unless requested, so the default path
     /// never pays for bucket arithmetic.
-    pub hists: Option<Box<TriclusterHists>>,
+    pub hists: Option<Box<DfsHists>>,
 }
 
 impl TriclusterStats {
@@ -86,10 +78,16 @@ impl TriclusterStats {
         sink.counter(names::TC_RECORDED, self.recorded);
         sink.counter(names::TC_REJECTED_SUBSUMED, self.rejected_subsumed);
         sink.counter(names::TC_REPLACED, self.replaced);
+        sink.counter(names::TC_REJECTED_DELTA, self.rejected_delta);
         if let Some(h) = &self.hists {
-            sink.histogram(names::H_TC_DEPTH, &h.depth);
-            sink.histogram(names::H_TC_CANDIDATES, &h.candidate_set_size);
-            sink.histogram(names::H_TC_FANOUT, &h.fanout);
+            h.publish(
+                sink,
+                [
+                    names::H_TC_DEPTH,
+                    names::H_TC_CANDIDATES,
+                    names::H_TC_FANOUT,
+                ],
+            );
         }
     }
 }
@@ -143,7 +141,7 @@ pub(crate) fn mine_triclusters_ctrl(
             .field("computed", miner.stats.coherence_computed)
             .field("regions", miner.memo.regions.len())
     });
-    (miner.results, miner.truncated, miner.stats)
+    (miner.results.into_vec(), miner.truncated, miner.stats)
 }
 
 /// Memo of [`slice_pair_coherent`] for one tricluster phase.
@@ -186,7 +184,7 @@ struct TriMiner<'a> {
     m: &'a Matrix3,
     per_time: &'a [Vec<Bicluster>],
     params: &'a Params,
-    results: Vec<Tricluster>,
+    results: MaximalStore<Tricluster>,
     times: Vec<usize>,
     budget: Option<u64>,
     truncated: bool,
@@ -217,7 +215,7 @@ impl<'a> TriMiner<'a> {
             m,
             per_time,
             params,
-            results: Vec::new(),
+            results: MaximalStore::default(),
             times: Vec::new(),
             budget: params.max_candidates,
             truncated: false,
@@ -317,6 +315,8 @@ impl<'a> TriMiner<'a> {
         }
     }
 
+    /// The recording step (paper Fig. 4), as in BICLUSTER: the size gate,
+    /// the `δ^x`/`δ^y`/`δ^z` check, then the maximal store.
     fn try_record(&mut self, genes: &BitSet, samples: &[usize]) {
         let p = self.params;
         if self.times.len() < p.min_times
@@ -325,13 +325,15 @@ impl<'a> TriMiner<'a> {
         {
             return;
         }
-        if !self.deltas_ok(genes, samples) {
+        let limits = [p.delta_gene, p.delta_sample, p.delta_time];
+        if fiber_spreads(self.m, genes, samples, &self.times, limits).is_err() {
+            self.stats.rejected_delta += 1;
             return;
         }
         let candidate = Tricluster::new(genes.clone(), samples.to_vec(), self.times.clone());
-        match insert_maximal_tricluster_counted(&mut self.results, candidate) {
-            TriInsertOutcome::Subsumed => self.stats.rejected_subsumed += 1,
-            TriInsertOutcome::Inserted { displaced } => {
+        match self.results.insert(candidate) {
+            InsertOutcome::Subsumed => self.stats.rejected_subsumed += 1,
+            InsertOutcome::Inserted { displaced } => {
                 self.stats.recorded += 1;
                 self.stats.replaced += displaced as u64;
                 if let Some(p) = &self.ctrl.progress {
@@ -340,94 +342,6 @@ impl<'a> TriMiner<'a> {
             }
         }
     }
-
-    /// 3D `δ` checks: `δ^x` bounds the value range within each
-    /// `(sample, time)` column over genes; `δ^y` within each `(gene, time)`
-    /// row over samples; `δ^z` within each `(gene, sample)` fiber over times.
-    fn deltas_ok(&self, genes: &BitSet, samples: &[usize]) -> bool {
-        let p = self.params;
-        if let Some(dx) = p.delta_gene {
-            for &s in samples {
-                for &t in &self.times {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for g in genes.iter() {
-                        let v = self.m.get(g, s, t);
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                    if hi - lo > dx {
-                        return false;
-                    }
-                }
-            }
-        }
-        if let Some(dy) = p.delta_sample {
-            for g in genes.iter() {
-                for &t in &self.times {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for &s in samples {
-                        let v = self.m.get(g, s, t);
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                    if hi - lo > dy {
-                        return false;
-                    }
-                }
-            }
-        }
-        if let Some(dz) = p.delta_time {
-            for g in genes.iter() {
-                for &s in samples {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for &t in &self.times {
-                        let v = self.m.get(g, s, t);
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                    if hi - lo > dz {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-}
-
-/// What [`insert_maximal_tricluster_counted`] did with a candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriInsertOutcome {
-    /// The candidate was contained in an existing cluster and dropped.
-    Subsumed,
-    /// The candidate was inserted, displacing `displaced` existing clusters.
-    Inserted {
-        /// Existing clusters removed because the candidate contains them.
-        displaced: usize,
-    },
-}
-
-/// Inserts `candidate` into `results` keeping only maximal triclusters.
-pub fn insert_maximal_tricluster(results: &mut Vec<Tricluster>, candidate: Tricluster) {
-    insert_maximal_tricluster_counted(results, candidate);
-}
-
-/// Like [`insert_maximal_tricluster`], reporting what happened.
-pub fn insert_maximal_tricluster_counted(
-    results: &mut Vec<Tricluster>,
-    candidate: Tricluster,
-) -> TriInsertOutcome {
-    if results.iter().any(|c| candidate.is_subcluster_of(c)) {
-        return TriInsertOutcome::Subsumed;
-    }
-    let before = results.len();
-    results.retain(|c| !c.is_subcluster_of(&candidate));
-    let displaced = before - results.len();
-    results.push(candidate);
-    TriInsertOutcome::Inserted { displaced }
 }
 
 /// The time DFS without the coherence memo: every slice-pair check is
@@ -449,7 +363,7 @@ mod oracle {
         let all_genes = BitSet::full(m.n_genes());
         let all_samples: Vec<usize> = (0..m.n_samples()).collect();
         dfs(&mut miner, &all_genes, &all_samples, &order);
-        (miner.results, miner.truncated, miner.stats)
+        (miner.results.into_vec(), miner.truncated, miner.stats)
     }
 
     fn dfs(miner: &mut TriMiner<'_>, genes: &BitSet, samples: &[usize], pending: &[usize]) {
@@ -651,24 +565,37 @@ mod tests {
         assert_eq!(tight[0].genes.to_vec(), vec![1, 4, 8]);
     }
 
+    /// TRICLUSTER counts the candidates its `δ` check rejects, and the
+    /// report's `delta_threshold` prune (and the `-vv` "pruned" line) sums
+    /// both phases. δ^z = 0.5 keeps every Table 1 cluster out of the result;
+    /// adding δ^x = 6 also rejects biclusters (C3's widest column is 7.0).
     #[test]
-    fn insert_maximal_tricluster_behaviour() {
-        let mk = |g: &[usize], s: &[usize], t: &[usize]| {
-            Tricluster::new(
-                BitSet::from_indices(10, g.iter().copied()),
-                s.to_vec(),
-                t.to_vec(),
-            )
+    fn delta_rejections_are_counted_in_both_phases() -> Result<(), crate::MineError> {
+        let m = paper_table1();
+        let p = Params {
+            delta_time: Some(0.5),
+            ..params()
         };
-        let mut v = Vec::new();
-        insert_maximal_tricluster(&mut v, mk(&[1, 2], &[0], &[0]));
-        insert_maximal_tricluster(&mut v, mk(&[1, 2], &[0], &[0, 1]));
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].times, vec![0, 1]);
-        insert_maximal_tricluster(&mut v, mk(&[1], &[0], &[1]));
-        assert_eq!(v.len(), 1, "subsumed candidate rejected");
-        insert_maximal_tricluster(&mut v, mk(&[3], &[1], &[0]));
-        assert_eq!(v.len(), 2);
+        let (cs, _, stats) = mine_triclusters_profiled(&m, &per_slice(&m, &p), &p, false);
+        assert!(cs.is_empty());
+        assert_eq!((stats.rejected_delta, stats.recorded), (3, 0));
+
+        let p = Params {
+            delta_gene: Some(6.0),
+            ..p
+        };
+        let report = crate::Session::new(p).run(&m, &NullSink)?.report;
+        let (bc, tc) = (
+            report.counter(names::BC_REJECTED_DELTA),
+            report.counter(names::TC_REJECTED_DELTA),
+        );
+        assert!(bc > 0 && tc > 0, "bicluster {bc}, tricluster {tc}");
+        let search = crate::runreport::search_space_json(&report);
+        let delta = search.get_path(&["prunes", "delta_threshold"]);
+        assert_eq!(delta.and_then(|d| d.as_u64()), Some(bc + tc));
+        let human = crate::runreport::render_search_space_human(&report);
+        assert!(human.contains(&format!("(delta {}, ", bc + tc)), "{human}");
+        Ok(())
     }
 
     #[test]

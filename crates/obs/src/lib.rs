@@ -723,16 +723,6 @@ impl Drop for SpanTimer<'_> {
     }
 }
 
-/// Time a closure, report the span to the sink, and return both the result
-/// and the measured duration.
-pub fn timed<R>(sink: &dyn EventSink, name: &'static str, f: impl FnOnce() -> R) -> (R, Duration) {
-    let start = Instant::now();
-    let result = f();
-    let elapsed = start.elapsed();
-    sink.span(name, elapsed);
-    (result, elapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,6 +61,8 @@ pub const TC_COHERENCE_CHECKS: &str = "tricluster.coherence.checks";
 pub const TC_COHERENCE_COMPUTED: &str = "tricluster.coherence.computed";
 pub const TC_REJECTED_INCOHERENT: &str = "tricluster.rejected.incoherent";
 pub const TC_REJECTED_SMALL: &str = "tricluster.rejected.small";
+/// Candidates the `δ^x`/`δ^y`/`δ^z` checks kept out of the result set.
+pub const TC_REJECTED_DELTA: &str = "tricluster.rejected.delta";
 pub const TC_RECORDED: &str = "tricluster.recorded";
 pub const TC_REJECTED_SUBSUMED: &str = "tricluster.rejected.subsumed";
 pub const TC_REPLACED: &str = "tricluster.replaced";
@@ -272,6 +274,7 @@ pub const ALL: &[&str] = &[
     TC_COHERENCE_COMPUTED,
     TC_REJECTED_INCOHERENT,
     TC_REJECTED_SMALL,
+    TC_REJECTED_DELTA,
     TC_RECORDED,
     TC_REJECTED_SUBSUMED,
     TC_REPLACED,

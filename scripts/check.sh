@@ -38,8 +38,9 @@ run env CARGO_TARGET_DIR=.bench_build \
 # tricluster.report/v2 document (validated in-process, no external tools).
 run cargo test --quiet -p tricluster-cli report_json_matches_v2_schema
 
-# Work-budget gate: every report counter of four fixed mines (Table 1,
-# the 3-slice and wide 2-slice inputs below, and a 16-slice input) must
+# Work-budget gate: every report counter of five fixed mines (Table 1,
+# the 3-slice input below with and without δ thresholds, the wide 2-slice
+# input below, and a 16-slice input) must
 # equal scripts/work_budget.json exactly. The counters are deterministic,
 # so this perf gate cannot be noisy: `bicluster.dfs.range_tests` and
 # `tricluster.coherence.computed` pin the work candidate inheritance and

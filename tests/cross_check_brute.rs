@@ -133,6 +133,40 @@ fn miner_matches_brute_force_with_deltas() {
     }
 }
 
+/// δ gates recording, not expansion: a candidate the δ check rejects is
+/// not recorded, and the DFS does not look for its sub-regions that would
+/// pass, so equality with the brute force can fail here by design (on
+/// these seeds the miner keeps 2 of the brute force's 3 clusters). What
+/// must hold is soundness. δ^z = 12 rejects candidates at the TRICLUSTER
+/// recording step (the planted cluster's time fibers span up to 24), and
+/// every mined cluster still meets the cluster definition and every δ.
+#[test]
+fn tricluster_delta_rejections_are_sound() {
+    use tricluster::core::obs::names;
+    use tricluster::core::validate::{deltas_ok, is_valid_cluster};
+    let mut rejected = 0;
+    for seed in 500..512u64 {
+        let m = random_matrix_with_cluster(seed, 5, 4, 3, 3);
+        let params = Params {
+            delta_time: Some(12.0),
+            ..exact_params(0.02, 2, 2, 2)
+        };
+        let result = mine(&m, &params).unwrap();
+        rejected += result.report.counter(names::TC_REJECTED_DELTA);
+        for c in &result.triclusters {
+            assert!(
+                deltas_ok(&m, c, None, None, params.delta_time),
+                "seed {seed}: {c:?} breaks δ^z"
+            );
+            assert!(
+                is_valid_cluster(&m, c, params.epsilon, params.epsilon_time, (2, 2, 2)),
+                "seed {seed}: mined cluster invalid: {c:?}"
+            );
+        }
+    }
+    assert!(rejected > 0, "δ^z never rejected a candidate");
+}
+
 #[test]
 fn mined_clusters_are_always_sound() {
     use tricluster::core::validate::is_valid_cluster;

@@ -1,4 +1,4 @@
-//! The work budget: every report counter of four fixed mines must equal
+//! The work budget: every report counter of five fixed mines must equal
 //! its value in `scripts/work_budget.json`.
 //!
 //! The counters are input-determined, so this is a perf gate that cannot
@@ -127,6 +127,19 @@ fn wide_two_slice() {
         &synth(2000, 12, 2, SynthSpec::default().n_clusters, 0.03),
         params(0.135, 40, 4, 2),
     );
+}
+
+/// The 3-slice input again, with `δ^x`/`δ^y`/`δ^z` thresholds that reject
+/// candidates at both recording steps, BICLUSTER's and TRICLUSTER's.
+#[test]
+fn three_slice_deltas() {
+    let p = Params {
+        delta_gene: Some(5.0),
+        delta_sample: Some(4.0),
+        delta_time: Some(1.0),
+        ..params(0.012, 3, 3, 2)
+    };
+    check("three_slice_deltas", &synth(300, 10, 3, 3, 0.01), p);
 }
 
 /// A 16-slice input whose clusters span 8 slices, so the time DFS reaches
