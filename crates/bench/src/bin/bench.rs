@@ -8,8 +8,9 @@
 //! ```
 //!
 //! `determinism` compares the input-determined sections (clusters, report
-//! counters, histograms, logical memory, search space) of two
-//! `mine --report-json` documents — the same input mined at two thread
+//! counters but the measured `memory.alloc.*`, histograms, logical memory,
+//! search space) of two `mine --report-json` documents with
+//! `runreport::determinism_diff` — the same input mined at two thread
 //! counts must match byte for byte; exit 1 lists the differing sections.
 //!
 //! `scaling` mines one fixed few-slice workload at several thread counts
@@ -31,12 +32,12 @@
 
 use std::time::Duration;
 
-use tricluster_bench::regress::determinism_diff;
 use tricluster_bench::{kernel, measure_threads_observed, scaling_spec};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{EventSink, NullSink};
+use tricluster_core::runreport::determinism_diff;
 
 fn main() {
     std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));

@@ -16,7 +16,11 @@ use tricluster_core::obs::{alloc, json::Json, EventSink, NullSink};
 use tricluster_core::{FanoutDecision, Params, Session, Timings};
 use tricluster_synth::{generate, recovery, SynthSpec};
 
-pub mod regress;
+/// The determinism comparator under the path older callers import it
+/// from; it lives in [`tricluster_core::runreport`].
+pub mod regress {
+    pub use tricluster_core::runreport::determinism_diff;
+}
 
 /// Whether to run at the paper's full scale (`TRICLUSTER_FULL=1`) or the
 /// laptop-friendly default.

@@ -1,6 +1,7 @@
 //! The `mine`, `synth`, `demo`, and `runs` subcommands.
 
 use crate::args;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs::File;
 use std::io::BufWriter;
@@ -8,9 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tricluster_core::obs::httpd::{http_get, http_get_retry, scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
-use tricluster_core::obs::ledger::{
-    content_hash, diff_reports, DiffTolerances, IndexEntry, Ledger, NewEntry,
-};
+use tricluster_core::obs::ledger::{content_hash, IndexEntry, Ledger, NewEntry};
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
 use tricluster_core::obs::timeline::Timeline;
@@ -139,12 +138,12 @@ RUNS SUBCOMMANDS (over a --ledger DIR archive):
   runs list <DIR> [--ids]            list archived runs (--ids: ids only)
   runs show <DIR> <ID> [--json]      summarize one run (--json: raw report);
                                      ID may be any unique id prefix
-  runs diff <DIR> <BASE> <CURRENT>   compare two archived mine runs metric by
-                                     metric with regression verdicts; exits 1
-                                     when any metric regresses. Tolerances:
-                                     --time-tol R (default 0.5), --time-floor
-                                     SECS (0.05), --mem-tol R (0.25),
-                                     --mem-floor BYTES[K/M/G] (1M)
+  runs diff <DIR> <BASE> <CURRENT>   compare two archived mine runs: every
+                                     input-determined counter with its exact
+                                     delta (exits 1 when one rose), whether
+                                     the deterministic sections match, and
+                                     timings and allocator counters side by
+                                     side with no verdict
   runs top <DIR> [--metric KEY] [--limit N]
                                      rank runs by a dotted report metric
                                      (default timings.total_secs)
@@ -785,8 +784,7 @@ fn human_bytes(bytes: u64) -> String {
 
 const RUNS_USAGE: &str = "runs: expected a subcommand — \
 list <DIR> [--ids] | show <DIR> <ID> [--json] | \
-diff <DIR> <BASE> <CURRENT> [--time-tol R] [--time-floor SECS] \
-[--mem-tol R] [--mem-floor BYTES] | top <DIR> [--metric KEY] [--limit N]";
+diff <DIR> <BASE> <CURRENT> | top <DIR> [--metric KEY] [--limit N]";
 
 /// The `runs` subcommand family: inspection and cross-run analytics over a
 /// `--ledger` archive.
@@ -940,79 +938,102 @@ fn runs_show(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `runs diff`: the work budget's rule applied to two archived runs. Every
+/// input-determined counter is printed with its exact delta, and one that
+/// rose fails the command; the deterministic sections are compared as
+/// `bench determinism` compares them. Timings and the measured allocator
+/// counters are shown side by side without a verdict: one pair of wall
+/// times is noise, and only a same-window A/B can judge time.
 fn runs_diff(argv: &[String]) -> Result<(), CliError> {
-    let a = args::parse(
-        argv,
-        &[
-            ("time-tol", 1),
-            ("time-floor", 1),
-            ("mem-tol", 1),
-            ("mem-floor", 1),
-        ],
-        &[],
-    )
-    .map_err(CliError::Usage)?;
+    let a = args::parse(argv, &[], &[]).map_err(CliError::Usage)?;
     let ledger = open_ledger(&a, "diff")?;
     let (Some(base_sel), Some(cur_sel)) = (a.positional.get(1), a.positional.get(2)) else {
         return Err(CliError::Usage(
             "runs diff: expected <DIR> <BASE-ID> <CURRENT-ID>".into(),
         ));
     };
-    let mut tol = DiffTolerances::default();
-    if let Some(v) = a.get_f64("time-tol").map_err(CliError::Usage)? {
-        tol.time_rel = v;
-    }
-    if let Some(v) = a.get_f64("time-floor").map_err(CliError::Usage)? {
-        tol.time_floor_secs = v;
-    }
-    if let Some(v) = a.get_f64("mem-tol").map_err(CliError::Usage)? {
-        tol.mem_rel = v;
-    }
-    if let Some(s) = a.get_str("mem-floor") {
-        tol.mem_floor_bytes = parse_bytes("mem-floor", s).map_err(CliError::Usage)?;
-    }
-    let (base_entry, base_doc) = read_archived_report(&ledger, "diff", base_sel)?;
-    let (cur_entry, cur_doc) = read_archived_report(&ledger, "diff", cur_sel)?;
-    if base_entry.dataset_hash != cur_entry.dataset_hash {
-        eprintln!(
-            "note: comparing runs over different datasets ({} vs {})",
-            base_entry.dataset_hash, cur_entry.dataset_hash
-        );
-    }
-    let deltas = diff_reports(&base_doc, &cur_doc, &tol)
-        .map_err(|e| CliError::Usage(format!("runs diff: {e}")))?;
-    println!(
-        "{:<40} {:>14} {:>14} {:>14}  verdict",
-        "metric", "baseline", "current", "allowed"
-    );
-    let mut regressed: Vec<&str> = Vec::new();
-    for d in &deltas {
-        let verdict = if d.regressed {
-            regressed.push(&d.metric);
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "{:<40} {:>14.6} {:>14.6} {:>14.6}  {verdict}",
-            d.metric, d.baseline, d.current, d.allowed
-        );
-    }
-    if regressed.is_empty() {
-        println!(
-            "no regressions: {} metric(s) within tolerance ({} vs {})",
-            deltas.len(),
-            base_entry.id,
-            cur_entry.id
-        );
+    let base = read_archived_report(&ledger, "diff", base_sel)?;
+    let cur = read_archived_report(&ledger, "diff", cur_sel)?;
+    let (text, rose) =
+        diff_runs(&base, &cur).map_err(|e| CliError::Usage(format!("runs diff: {e}")))?;
+    print!("{text}");
+    if rose.is_empty() {
         Ok(())
     } else {
         Err(CliError::Run(format!(
-            "{} regressed metric(s): {}",
-            regressed.len(),
-            regressed.join(", ")
+            "{} input-determined counter(s) rose: {}",
+            rose.len(),
+            rose.join(", ")
         )))
     }
+}
+
+/// The `runs diff` report on two archived runs, and the input-determined
+/// counters that rose from `base` to `cur` (a counter one report lacks
+/// counts as 0). Everything printed comes from the two entries, so the
+/// same pair always gives the same bytes.
+fn diff_runs(
+    (base, base_doc): &(IndexEntry, Json),
+    (cur, cur_doc): &(IndexEntry, Json),
+) -> Result<(String, Vec<String>), String> {
+    let differing = runreport::determinism_diff(base_doc, cur_doc)?;
+    let mut lines = vec![format!("runs diff {} -> {}", base.id, cur.id)];
+    for (what, b, c) in [
+        ("dataset", &base.dataset_hash, &cur.dataset_hash),
+        ("params", &base.params_hash, &cur.params_hash),
+    ] {
+        if b != c {
+            lines.push(format!("note: the runs differ in {what} ({b} vs {c})"));
+        }
+    }
+    let counters = |doc: &Json| -> BTreeMap<String, u64> {
+        doc.get_path(&["report", "counters"])
+            .and_then(Json::as_obj)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+            .collect()
+    };
+    let (base_counters, cur_counters) = (counters(base_doc), counters(cur_doc));
+    let names: BTreeSet<&String> = base_counters.keys().chain(cur_counters.keys()).collect();
+    let (measured, logical): (Vec<&String>, Vec<&String>) = names
+        .into_iter()
+        .partition(|name| runreport::is_measured_counter(name));
+    let row = |name: &str, b: &str, c: &str| format!("{name:<40} {b:>14} {c:>14}");
+    let num = |v: Option<&u64>| v.map_or_else(|| "-".to_string(), u64::to_string);
+    let mut rose = Vec::new();
+    lines.push(format!(
+        "{} {:>12}",
+        row("input-determined counter", "base", "current"),
+        "delta"
+    ));
+    for name in logical {
+        let (b, c) = (base_counters.get(name), cur_counters.get(name));
+        let delta = i128::from(c.copied().unwrap_or(0)) - i128::from(b.copied().unwrap_or(0));
+        if delta > 0 {
+            rose.push(name.clone());
+        }
+        lines.push(format!("{} {delta:>+12}", row(name, &num(b), &num(c))));
+    }
+    lines.push(match differing.as_slice() {
+        [] => "deterministic sections match".to_string(),
+        d => format!("deterministic sections differ: {}", d.join(", ")),
+    });
+    lines.push(row("measured (no verdict)", "base", "current"));
+    let secs = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |s| format!("{s:.6}"));
+    for (key, b) in base_doc
+        .get("timings")
+        .and_then(Json::as_obj)
+        .unwrap_or_default()
+    {
+        let c = cur_doc.get_path(&["timings", key]).and_then(Json::as_f64);
+        lines.push(row(&format!("timings.{key}"), &secs(b.as_f64()), &secs(c)));
+    }
+    for name in measured {
+        let (b, c) = (base_counters.get(name), cur_counters.get(name));
+        lines.push(row(name, &num(b), &num(c)));
+    }
+    Ok((lines.join("\n") + "\n", rose))
 }
 
 fn runs_top(argv: &[String]) -> Result<(), CliError> {
@@ -1851,95 +1872,95 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Ledger tentpole gate, end to end: two `mine --ledger` runs over the
-    /// same dataset — the second slowed by an injected 400ms delay in the
-    /// tricluster phase — archive under distinct sequenced ids with equal
-    /// content hashes; `runs list`/`show` round-trip the archive, and
-    /// `runs diff` flags the slowed phase while the untouched phases stay
-    /// within tolerance (and the fast-vs-slow direction passes clean).
+    /// Ledger end to end: two `mine --ledger` runs of the same input
+    /// archive under distinct sequenced ids with equal content hashes, and
+    /// `runs list`/`show`/`top` round-trip the archive. `runs diff` passes
+    /// the pair with matching sections. A third run at a smaller `--mx`
+    /// does strictly more search work: `runs diff` fails naming the
+    /// counters that rose, and passes the other direction while naming the
+    /// sections that differ.
     #[test]
-    fn ledger_archives_runs_and_diff_flags_injected_regression() {
+    fn ledger_archives_runs_and_diff_judges_counters() {
         let dir =
             std::env::temp_dir().join(format!("tricluster-ledger-test-{}", std::process::id()));
         let data = synth_into(&dir);
         let ledger_path = dir.join("ledger");
         let ldir = ledger_path.to_str().unwrap().to_string();
-        let run = || {
-            mine(&[data.clone(), "--ledger".into(), ldir.clone()]).unwrap();
+        let arg = |s: &str| s.to_string();
+        let run = |extra: &[&str]| {
+            let mut argv = vec![data.clone(), arg("--ledger"), ldir.clone()];
+            argv.extend(extra.iter().map(|s| arg(s)));
+            mine(&argv).unwrap();
         };
-        run();
-        {
-            let _scenario = tricluster_failpoint::scenario();
-            tricluster_failpoint::configure(
-                "core.tricluster.phase",
-                tricluster_failpoint::Action::Delay(Duration::from_millis(400)),
-            );
-            run();
-        }
+        run(&[]);
+        run(&[]);
+        run(&["--mx", "2"]);
         let ledger = Ledger::open(&ledger_path).unwrap();
         let entries = ledger.list().unwrap();
-        assert_eq!(entries.len(), 2, "{entries:?}");
-        let (base, slow) = (&entries[0], &entries[1]);
-        assert_ne!(base.id, slow.id);
-        assert!(base.id.starts_with("r0001-") && slow.id.starts_with("r0002-"));
-        assert_eq!(base.dataset_hash, slow.dataset_hash, "same input bytes");
-        assert_eq!(base.params_hash, slow.params_hash, "same parameters");
+        assert_eq!(entries.len(), 3, "{entries:?}");
+        let (base, again, more) = (&entries[0], &entries[1], &entries[2]);
+        assert_ne!(base.id, again.id);
+        assert!(base.id.starts_with("r0001-") && again.id.starts_with("r0002-"));
+        assert!(more.id.starts_with("r0003-"));
+        assert_eq!(base.dataset_hash, again.dataset_hash, "same input bytes");
+        assert_eq!(base.params_hash, again.params_hash, "same parameters");
+        assert_eq!(base.dataset_hash, more.dataset_hash);
+        assert_ne!(base.params_hash, more.params_hash, "--mx is a parameter");
         assert_eq!(base.kind, "mine");
         assert_eq!(base.label.as_deref(), Some(data.as_str()));
         assert!(base.clusters.is_some() && base.total_secs.is_some());
         // archived reports are valid v2 documents (the `runs show --json`
         // payload is exactly this file)
-        let base_doc = ledger.read_report(&base.id).unwrap();
-        let slow_doc = ledger.read_report(&slow.id).unwrap();
-        runreport::validate_v2(&base_doc).unwrap();
-        runreport::validate_v2(&slow_doc).unwrap();
+        let read = |e: &IndexEntry| (e.clone(), ledger.read_report(&e.id).unwrap());
+        let (base_run, again_run, more_run) = (read(base), read(again), read(more));
+        for (_, doc) in [&base_run, &again_run, &more_run] {
+            runreport::validate_v2(doc).unwrap();
+        }
         // the CLI surface round-trips: list, show by unique id prefix
-        let arg = |s: &str| s.to_string();
         runs(&[arg("list"), ldir.clone(), arg("--ids")]).unwrap();
         runs(&[arg("show"), ldir.clone(), base.id.clone()]).unwrap();
         runs(&[arg("show"), ldir.clone(), arg("--json"), arg("r0002")]).unwrap();
-        // diff base -> slowed: the delayed phase (and with it the total)
-        // regresses past `base*(1+1.0) + 0.15s`; untouched phases do not
-        let tol_flags = [
-            arg("--time-tol"),
-            arg("1.0"),
-            arg("--time-floor"),
-            arg("0.15"),
-        ];
-        let mut argv = vec![arg("diff"), ldir.clone(), base.id.clone(), slow.id.clone()];
-        argv.extend(tol_flags.iter().cloned());
-        let e = runs(&argv).unwrap_err();
+        let diff = |b: &str, c: &str| runs(&[arg("diff"), ldir.clone(), arg(b), arg(c)]);
+        // same input, same params: nothing rose and the sections match,
+        // in the same bytes every time the pair is read
+        diff(&base.id, &again.id).unwrap();
+        let (text, rose) = diff_runs(&base_run, &again_run).unwrap();
+        assert!(rose.is_empty(), "{rose:?}");
+        assert!(text.contains("\ndeterministic sections match\n"), "{text}");
+        assert!(!text.contains("note:"), "{text}");
+        assert_eq!(diff_runs(&read(base), &read(again)).unwrap().0, text);
+        // a smaller --mx does more work: the diff fails naming what rose
+        let (text, rose) = diff_runs(&base_run, &more_run).unwrap();
+        assert!(rose.iter().any(|n| n == names::BC_NODES), "{rose:?}");
+        assert!(text.contains("note: the runs differ in params"), "{text}");
+        let e = diff(&base.id, &more.id).unwrap_err();
         assert!(
-            matches!(&e, CliError::Run(m) if m.contains("timings.triclusters_secs")),
+            matches!(&e, CliError::Run(m) if m.contains(names::BC_NODES)),
             "{e}"
         );
-        let tol = DiffTolerances {
-            time_rel: 1.0,
-            time_floor_secs: 0.15,
-            ..DiffTolerances::default()
-        };
-        let deltas = diff_reports(&base_doc, &slow_doc, &tol).unwrap();
-        let regressed: Vec<&str> = deltas
-            .iter()
-            .filter(|d| d.regressed)
-            .map(|d| d.metric.as_str())
-            .collect();
+        // the other direction only fell: exit 0, differing sections named
+        let (text, rose) = diff_runs(&more_run, &base_run).unwrap();
+        assert!(rose.is_empty(), "{rose:?}");
         assert!(
-            regressed.contains(&"timings.triclusters_secs"),
-            "{regressed:?}"
+            text.contains("deterministic sections differ: report.counters"),
+            "{text}"
         );
-        for untouched in ["timings.slices_wall_secs", "timings.prune_secs"] {
-            assert!(
-                !regressed.contains(&untouched),
-                "{untouched} should be within tolerance: {regressed:?}"
-            );
-        }
-        // the other direction (slow -> fast) is an improvement, not a
-        // regression, and exits clean
-        let mut argv = vec![arg("diff"), ldir.clone(), slow.id.clone(), base.id.clone()];
-        argv.extend(tol_flags.iter().cloned());
-        runs(&argv).unwrap();
-        // `runs top` ranks the slowed run first on total time
+        diff(&more.id, &base.id).unwrap();
+        // the wall-clock tolerance flags are gone: one is a usage error
+        let removed = ["time", "tol"].join("-");
+        let e = runs(&[
+            arg("diff"),
+            ldir.clone(),
+            base.id.clone(),
+            again.id.clone(),
+            format!("--{removed}"),
+            arg("1"),
+        ])
+        .unwrap_err();
+        assert!(
+            matches!(&e, CliError::Usage(m) if m.contains(&removed)),
+            "{e}"
+        );
         runs(&[arg("top"), ldir.clone(), arg("--limit"), arg("1")]).unwrap();
         // selector errors surface as runtime errors, not panics
         let e = runs(&[arg("show"), ldir.clone(), arg("r")]).unwrap_err();
@@ -1959,22 +1980,6 @@ mod tests {
         write_matrix(path.to_str().unwrap(), m).unwrap();
         path.to_str().unwrap().to_string()
     }
-
-    /// The input-determined sections of a v2 report (the same list the
-    /// bench determinism gate pins).
-    const REPORT_SECTIONS: &[&[&str]] = &[
-        &["matrix"],
-        &["clusters"],
-        &["truncated"],
-        &["metrics"],
-        &["report", "counters"],
-        &["histograms"],
-        &["search_space"],
-        &["memory", "matrix_bytes"],
-        &["memory", "rangegraph_peak_bytes"],
-        &["memory", "bicluster_bytes"],
-        &["memory", "tricluster_bytes"],
-    ];
 
     /// A `--ledger` archive and a `--report-json` file of the same input
     /// agree on every input-determined section, histograms included.
@@ -1997,12 +2002,17 @@ mod tests {
         );
         let archived = ledger.read_report(&entries[0].id).unwrap();
         let written = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
-        for path in REPORT_SECTIONS {
-            let a = archived.get_path(path).map(Json::render);
-            let b = written.get_path(path).map(Json::render);
-            assert!(b.is_some(), "--report-json lacks section {path:?}");
-            assert_eq!(a, b, "section {path:?} differs between ledger and file");
+        for path in runreport::DETERMINISTIC_SECTIONS {
+            assert!(
+                written.get_path(path).is_some(),
+                "--report-json lacks section {path:?}"
+            );
         }
+        assert_eq!(
+            runreport::determinism_diff(&archived, &written),
+            Ok(vec![]),
+            "sections differ between ledger and file"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2199,8 +2209,7 @@ mod tests {
     /// Serving metrics must not change any input-determined report
     /// section: a threads-1 run without metrics and an intra-slice run
     /// (5 threads on 4 slices) with a live metrics server render those
-    /// sections byte-identically (same list the bench determinism gate
-    /// pins).
+    /// sections byte-identically (`runreport::determinism_diff`).
     #[test]
     fn deterministic_sections_unchanged_by_metrics() {
         let dir =
@@ -2228,12 +2237,17 @@ mod tests {
         .unwrap();
         let base = Json::parse(&std::fs::read_to_string(&base_path).unwrap()).unwrap();
         let met = Json::parse(&std::fs::read_to_string(&met_path).unwrap()).unwrap();
-        for path in REPORT_SECTIONS {
-            let a = base.get_path(path).map(|j| j.render());
-            let b = met.get_path(path).map(|j| j.render());
-            assert!(a.is_some(), "section {path:?} missing from baseline");
-            assert_eq!(a, b, "section {path:?} must be byte-identical");
+        for path in runreport::DETERMINISTIC_SECTIONS {
+            assert!(
+                base.get_path(path).is_some(),
+                "section {path:?} missing from baseline"
+            );
         }
+        assert_eq!(
+            runreport::determinism_diff(&base, &met),
+            Ok(vec![]),
+            "sections must be byte-identical"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1428,6 +1428,7 @@ mod tests {
     use std::io::BufWriter;
     use tricluster_core::obs::httpd::{http_delete, http_get, http_post};
     use tricluster_core::obs::ledger::Ledger;
+    use tricluster_core::runreport;
     use tricluster_failpoint::{self as failpoint, Action};
     use tricluster_matrix::{io as mio, Labels};
 
@@ -2037,7 +2038,8 @@ mod tests {
     }
 
     /// A job mined through the daemon must reproduce the one-shot `mine`
-    /// report byte-for-byte across every deterministic section.
+    /// report byte-for-byte across every deterministic section
+    /// (`runreport::determinism_diff`).
     #[test]
     fn serve_reports_match_one_shot_mine_sections() {
         let _scenario = failpoint::scenario();
@@ -2061,20 +2063,17 @@ mod tests {
         let doc = wait_finished(&base, accepted.get("id").unwrap().as_u64().unwrap());
         let served = doc.get("report").unwrap();
 
-        for section in [
-            &["clusters"][..],
-            &["truncated"],
-            &["metrics"],
-            &["report", "counters"],
-            &["histograms"],
-            &["search_space"],
-            &["memory"],
-        ] {
-            let a = oneshot.get_path(section).map(Json::render);
-            let b = served.get_path(section).map(Json::render);
-            assert!(a.is_some(), "one-shot report lacks section {section:?}");
-            assert_eq!(a, b, "section {section:?} diverges between serve and mine");
+        for section in runreport::DETERMINISTIC_SECTIONS {
+            assert!(
+                oneshot.get_path(section).is_some(),
+                "one-shot report lacks section {section:?}"
+            );
         }
+        assert_eq!(
+            runreport::determinism_diff(&oneshot, served),
+            Ok(vec![]),
+            "sections diverge between serve and mine"
+        );
         shut_down(daemon);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -19,7 +19,9 @@
 //! byte-identical to reports from before the fault layer existed.
 //!
 //! The builder lives in core (not the CLI) so library users and the schema
-//! validator share one definition.
+//! validator share one definition. So does the one run comparator,
+//! [`determinism_diff`] over [`DETERMINISTIC_SECTIONS`], which
+//! `bench determinism`, `runs diff` and the determinism tests all call.
 
 use crate::metrics::Metrics;
 use crate::miner::MiningResult;
@@ -498,6 +500,70 @@ pub fn validate_v2(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// The `tricluster.report/v2` sections that are input-determined: the same
+/// input at the same parameters renders them byte for byte at any thread
+/// count or fan-out level, through the daemon, and under any observer.
+/// Timings, spans, `meta` and the measured allocator data vary from run to
+/// run and are left out; `report.counters` is compared without its
+/// measured counters (see [`is_measured_counter`]).
+pub const DETERMINISTIC_SECTIONS: &[&[&str]] = &[
+    &["matrix"],
+    &["clusters"],
+    &["truncated"],
+    &["metrics"],
+    &["report", "counters"],
+    &["histograms"],
+    &["search_space"],
+    &["memory", "matrix_bytes"],
+    &["memory", "rangegraph_peak_bytes"],
+    &["memory", "bicluster_bytes"],
+    &["memory", "tricluster_bytes"],
+];
+
+/// Whether a report counter is measured rather than input-determined: the
+/// `memory.alloc.*` counters a tracking allocator records (feature
+/// `track-alloc`) depend on the schedule. Every other counter counts the
+/// search's work or its results.
+pub fn is_measured_counter(name: &str) -> bool {
+    name.starts_with("memory.alloc.")
+}
+
+/// The determinism gate: compares the [`DETERMINISTIC_SECTIONS`] of two
+/// v2 report documents. Returns the dotted paths of every differing
+/// section (empty = identical), or an error when a document is not a v2
+/// report.
+pub fn determinism_diff(a: &Json, b: &Json) -> Result<Vec<String>, String> {
+    for (label, doc) in [("first", a), ("second", b)] {
+        match doc.get("schema").and_then(Json::as_str) {
+            Some(SCHEMA_V2) => {}
+            other => return Err(format!("{label} document: unexpected schema {other:?}")),
+        }
+    }
+    Ok(DETERMINISTIC_SECTIONS
+        .iter()
+        .filter(|path| logical_render(a, path) != logical_render(b, path))
+        .map(|path| path.join("."))
+        .collect())
+}
+
+/// One section rendered for [`determinism_diff`], measured counters
+/// dropped; `None` when the document lacks it (absent in both is a match).
+fn logical_render(doc: &Json, path: &[&str]) -> Option<String> {
+    match (path, doc.get_path(path)?) {
+        (["report", "counters"], Json::Obj(fields)) => Some(
+            Json::Obj(
+                fields
+                    .iter()
+                    .filter(|(k, _)| !is_measured_counter(k))
+                    .cloned()
+                    .collect(),
+            )
+            .render(),
+        ),
+        (_, section) => Some(section.render()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,5 +857,104 @@ mod tests {
         let human = render_search_space_human(&result.report);
         assert!(human.contains("nodes expanded"));
         assert!(human.contains("dedup hits"));
+    }
+
+    /// The logical `memory` section of [`report_doc`].
+    fn logical_memory() -> Json {
+        Json::obj()
+            .with("matrix_bytes", Json::U64(1120))
+            .with("rangegraph_peak_bytes", Json::U64(640))
+            .with("bicluster_bytes", Json::U64(320))
+            .with("tricluster_bytes", Json::U64(160))
+    }
+
+    /// A minimal v2 report document with a tweakable counter value.
+    fn report_doc(bc_nodes: u64, wall_secs: f64) -> Json {
+        Json::obj()
+            .with("schema", Json::Str("tricluster.report/v2".into()))
+            .with(
+                "matrix",
+                Json::obj()
+                    .with("genes", Json::U64(10))
+                    .with("samples", Json::U64(7)),
+            )
+            .with("clusters", Json::U64(3))
+            .with("truncated", Json::Bool(false))
+            .with(
+                "timings",
+                Json::obj().with("slices_wall_secs", Json::F64(wall_secs)),
+            )
+            .with("metrics", Json::obj().with("cluster_count", Json::U64(3)))
+            .with(
+                "report",
+                Json::obj().with(
+                    "counters",
+                    Json::obj().with("bicluster.dfs.nodes", Json::U64(bc_nodes)),
+                ),
+            )
+            .with("histograms", Json::obj())
+            .with("memory", logical_memory())
+            .with("search_space", Json::obj())
+    }
+
+    #[test]
+    fn determinism_diff_ignores_timings_but_catches_counters() {
+        let a = report_doc(100, 0.5);
+        let same_but_slower = report_doc(100, 9.5);
+        assert_eq!(determinism_diff(&a, &same_but_slower), Ok(vec![]));
+        let drifted = report_doc(101, 0.5);
+        assert_eq!(
+            determinism_diff(&a, &drifted),
+            Ok(vec!["report.counters".to_string()])
+        );
+    }
+
+    #[test]
+    fn determinism_diff_rejects_non_report_documents() {
+        let a = report_doc(100, 0.5);
+        let fig7 = Json::obj().with("schema", Json::Str("tricluster.fig7/v2".into()));
+        assert!(determinism_diff(&a, &fig7).is_err());
+        assert!(determinism_diff(&fig7, &a).is_err());
+    }
+
+    /// Two runs of one input under a tracking allocator differ only in the
+    /// measured `memory.alloc.*` counters (and the `memory.alloc` and
+    /// `memory.phase_bytes` objects built from them): they compare clean,
+    /// while a changed logical counter next to them is still caught.
+    #[test]
+    fn determinism_diff_ignores_measured_alloc_counters() {
+        let measured = |bc_nodes: u64, alloc_bytes: u64| {
+            let mut counters = Json::obj().with("bicluster.dfs.nodes", Json::U64(bc_nodes));
+            for name in [
+                names::M_ALLOC_TOTAL_BYTES,
+                names::M_ALLOC_PEAK_BYTES,
+                names::M_ALLOC_SLICES_CALLS,
+            ] {
+                counters.set(name, Json::U64(alloc_bytes));
+            }
+            let memory = logical_memory().with(
+                "alloc",
+                Json::obj().with("total_bytes", Json::U64(alloc_bytes)),
+            );
+            let doc = replace(&report_doc(bc_nodes, 0.5), "memory", &memory);
+            replace(&doc, "report", &Json::obj().with("counters", counters))
+        };
+        let a = measured(100, 4096);
+        assert_eq!(determinism_diff(&a, &measured(100, 9000)), Ok(vec![]));
+        // a report without a tracking allocator matches too
+        assert_eq!(determinism_diff(&a, &report_doc(100, 0.5)), Ok(vec![]));
+        assert_eq!(
+            determinism_diff(&a, &measured(101, 4096)),
+            Ok(vec!["report.counters".to_string()])
+        );
+        // the logical memory sizes are input-determined, not measured
+        for name in [
+            names::M_MATRIX_BYTES,
+            names::M_RANGEGRAPH_BYTES,
+            names::M_BICLUSTER_BYTES,
+            names::M_TRICLUSTER_BYTES,
+        ] {
+            assert!(!is_measured_counter(name), "{name}");
+        }
     }
 }

@@ -1,5 +1,4 @@
-//! Persistent append-only run archive ("run ledger") and cross-run
-//! regression analytics.
+//! Persistent append-only run archive ("run ledger").
 //!
 //! A [`Ledger`] is a directory that accumulates one entry per archived run:
 //! the run's full report document (a `tricluster.report/v2` report for
@@ -15,12 +14,6 @@
 //! <dir>/entries/<id>/trace.json  optional Chrome Trace Event export
 //! <dir>/entries/<id>/flame.folded optional folded flamegraph stacks
 //! ```
-//!
-//! The analytics half ([`diff_reports`]) compares any archived run with
-//! any other: the per-phase wall/CPU timings and (when both runs measured
-//! them) the allocator byte attributions of two v2 report documents, each
-//! metric returned with a regression verdict under the tolerance rule
-//! `current > baseline * (1 + rel) + floor` (see [`exceeds`]).
 //!
 //! Everything here is pure `std`. The content hashes are 64-bit FNV-1a
 //! (the build environment is offline, so no external hash crates), which is
@@ -51,151 +44,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// (`fnv1a:<16 hex digits>`).
 pub fn content_hash(bytes: &[u8]) -> String {
     format!("fnv1a:{:016x}", fnv1a(bytes))
-}
-
-// ---- tolerance machinery ------------------------------------------------
-
-/// The regression rule `runs diff` applies: a current value regresses
-/// against a baseline when it exceeds `baseline * (1 + rel) + floor` — a
-/// relative headroom for proportional noise plus an absolute floor so
-/// microsecond-scale metrics cannot trip on scheduler jitter. Returns the
-/// allowed limit when exceeded.
-pub fn exceeds(baseline: f64, current: f64, rel: f64, floor: f64) -> Option<f64> {
-    let allowed = baseline * (1.0 + rel) + floor;
-    (current > allowed).then_some(allowed)
-}
-
-/// Allowed headroom over a baseline before a value counts as a regression
-/// under [`exceeds`], for [`diff_reports`].
-#[derive(Debug, Clone)]
-pub struct DiffTolerances {
-    /// Relative headroom for wall/phase times (0.5 = +50%).
-    pub time_rel: f64,
-    /// Absolute time noise floor in seconds.
-    pub time_floor_secs: f64,
-    /// Relative headroom for allocator byte metrics and peak memory.
-    pub mem_rel: f64,
-    /// Absolute byte noise floor.
-    pub mem_floor_bytes: u64,
-}
-
-impl Default for DiffTolerances {
-    /// Generous CI defaults: +50% / 50 ms on time (shared machines are
-    /// noisy), +25% / 1 MiB on memory (allocator high-water marks are
-    /// nearly deterministic).
-    fn default() -> Self {
-        DiffTolerances {
-            time_rel: 0.5,
-            time_floor_secs: 0.05,
-            mem_rel: 0.25,
-            mem_floor_bytes: 1 << 20,
-        }
-    }
-}
-
-/// One compared metric of a run-vs-run diff, with its verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunDelta {
-    /// Dotted metric path, e.g. `timings.triclusters_secs`.
-    pub metric: String,
-    pub baseline: f64,
-    pub current: f64,
-    /// The tolerance limit this metric was held to.
-    pub allowed: f64,
-    /// Whether `current` exceeded the limit.
-    pub regressed: bool,
-}
-
-/// Compares two `tricluster.report/v2` documents metric by metric: every
-/// per-phase timing (the `timings` section), and — when both runs were
-/// measured by a tracking allocator — the total/peak allocator bytes and
-/// the per-phase byte attribution. Returns *all* compared metrics with
-/// verdicts (so a renderer can show within-tolerance rows too), or an
-/// error when the documents are not comparable v2 reports.
-pub fn diff_reports(
-    baseline: &Json,
-    current: &Json,
-    tol: &DiffTolerances,
-) -> Result<Vec<RunDelta>, String> {
-    for (label, doc) in [("baseline", baseline), ("current", current)] {
-        match doc.get("schema").and_then(Json::as_str) {
-            Some("tricluster.report/v2") => {}
-            other => {
-                return Err(format!(
-                    "{label}: not a tricluster.report/v2 document (schema {other:?})"
-                ))
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut push = |metric: String, b: f64, c: f64, rel: f64, floor: f64| {
-        let allowed = b * (1.0 + rel) + floor;
-        out.push(RunDelta {
-            metric,
-            baseline: b,
-            current: c,
-            allowed,
-            regressed: exceeds(b, c, rel, floor).is_some(),
-        });
-    };
-    // Per-phase wall/CPU timings: compare every *_secs key present in both.
-    let timings = baseline
-        .get("timings")
-        .and_then(Json::as_obj)
-        .ok_or("baseline: missing timings section")?;
-    for (key, bv) in timings {
-        let (Some(b), Some(c)) = (
-            bv.as_f64(),
-            current.get_path(&["timings", key]).and_then(Json::as_f64),
-        ) else {
-            continue;
-        };
-        push(
-            format!("timings.{key}"),
-            b,
-            c,
-            tol.time_rel,
-            tol.time_floor_secs,
-        );
-    }
-    // Allocator metrics, only when both runs measured them.
-    let mem = |doc: &Json, path: &[&str]| doc.get_path(path).and_then(Json::as_u64);
-    for path in [
-        &["memory", "alloc", "total_bytes"][..],
-        &["memory", "alloc", "peak_live_bytes"],
-    ] {
-        if let (Some(b), Some(c)) = (mem(baseline, path), mem(current, path)) {
-            push(
-                path.join("."),
-                b as f64,
-                c as f64,
-                tol.mem_rel,
-                tol.mem_floor_bytes as f64,
-            );
-        }
-    }
-    // Per-phase byte attribution (`memory.phase_bytes.<phase>.bytes`).
-    if let Some(phases) = baseline
-        .get_path(&["memory", "phase_bytes"])
-        .and_then(Json::as_obj)
-    {
-        for (phase, bv) in phases {
-            let (Some(b), Some(c)) = (
-                bv.get("bytes").and_then(Json::as_u64),
-                mem(current, &["memory", "phase_bytes", phase, "bytes"]),
-            ) else {
-                continue;
-            };
-            push(
-                format!("memory.phase_bytes.{phase}.bytes"),
-                b as f64,
-                c as f64,
-                tol.mem_rel,
-                tol.mem_floor_bytes as f64,
-            );
-        }
-    }
-    Ok(out)
 }
 
 // ---- the archive itself -------------------------------------------------
@@ -331,10 +179,12 @@ impl Ledger {
     /// Archives one run: writes the entry directory, then appends the index
     /// line (in that order, so an index line always points at a complete
     /// entry). Returns the new entry's id, which is sequence-numbered for
-    /// human reference and suffixed with the report's content hash.
+    /// human reference and suffixed with the report's content hash. An
+    /// unreadable index fails the archive before anything is written: the
+    /// sequence number comes from the index, and a guessed one could repeat.
     pub fn archive(&self, entry: &NewEntry<'_>) -> io::Result<String> {
         let report_text = entry.report.render_pretty() + "\n";
-        let seq = self.list().map(|e| e.len()).unwrap_or(0) + 1;
+        let seq = self.list()?.len() + 1;
         let hash = fnv1a(report_text.as_bytes());
         let id = format!("r{seq:04}-{:08x}", hash as u32);
         let dir = self.entry_dir(&id);
@@ -521,28 +371,59 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A `mine` entry with no label, hashes or artifacts.
+    fn unlabelled(report: &Json) -> NewEntry<'_> {
+        NewEntry {
+            kind: "mine",
+            label: None,
+            dataset_hash: String::new(),
+            params_hash: String::new(),
+            report,
+            trace: None,
+            flame: None,
+        }
+    }
+
     #[test]
     fn ids_are_sequenced_and_prefix_resolvable() {
         let dir = temp_dir("resolve");
         let ledger = Ledger::open(&dir).unwrap();
         let docs = [report(0.1, 0.01), report(0.2, 0.01)];
-        let mk = |doc| NewEntry {
-            kind: "mine",
-            label: None,
-            dataset_hash: String::new(),
-            params_hash: String::new(),
-            report: doc,
-            trace: None,
-            flame: None,
-        };
-        let a = ledger.archive(&mk(&docs[0])).unwrap();
-        let b = ledger.archive(&mk(&docs[1])).unwrap();
+        let a = ledger.archive(&unlabelled(&docs[0])).unwrap();
+        let b = ledger.archive(&unlabelled(&docs[1])).unwrap();
         assert!(a.starts_with("r0001-"));
         assert!(b.starts_with("r0002-"));
         assert_eq!(ledger.resolve(&a).unwrap().id, a);
         assert_eq!(ledger.resolve("r0002").unwrap().id, b);
         assert!(ledger.resolve("r9").is_err());
         assert!(ledger.resolve("r0").is_err(), "ambiguous prefix");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A torn index line (a crash mid-append) fails the next archive
+    /// instead of restarting the sequence: no entry directory appears, and
+    /// once the line is repaired the next id follows the intact entries.
+    #[test]
+    fn torn_index_line_fails_the_archive() {
+        let dir = temp_dir("torn");
+        let ledger = Ledger::open(&dir).unwrap();
+        let docs = [report(0.1, 0.01), report(0.2, 0.01), report(0.3, 0.01)];
+        let mut ids = vec![
+            ledger.archive(&unlabelled(&docs[0])).unwrap(),
+            ledger.archive(&unlabelled(&docs[1])).unwrap(),
+        ];
+        let index = ledger.dir().join("index.jsonl");
+        let intact = fs::read_to_string(&index).unwrap();
+        fs::write(&index, format!("{intact}{{\"id\":\"r0003-")).unwrap();
+        let e = ledger.archive(&unlabelled(&docs[2])).unwrap_err();
+        assert!(e.to_string().contains("index line 3"), "{e}");
+        let entry_dirs = || fs::read_dir(dir.join("entries")).unwrap().count();
+        assert_eq!(entry_dirs(), 2, "a failed archive writes no entry");
+        fs::write(&index, &intact).unwrap();
+        ids.push(ledger.archive(&unlabelled(&docs[2])).unwrap());
+        let seqs: Vec<&str> = ids.iter().map(|id| &id[..5]).collect();
+        assert_eq!(seqs, ["r0001", "r0002", "r0003"]);
+        assert_eq!(entry_dirs(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -574,83 +455,5 @@ mod tests {
         let index = fs::read_to_string(ledger.dir().join("index.jsonl")).unwrap();
         assert!(index.contains("\"request_id\":42"), "{index}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn exceeds_applies_rel_plus_floor() {
-        assert!(exceeds(1.0, 1.6, 0.5, 0.05).is_some());
-        assert!(exceeds(1.0, 1.54, 0.5, 0.05).is_none());
-        // the floor absorbs jitter on tiny baselines
-        assert!(exceeds(0.001, 0.01, 0.5, 0.05).is_none());
-        assert_eq!(exceeds(1.0, 2.0, 0.5, 0.05), Some(1.55));
-    }
-
-    #[test]
-    fn diff_flags_only_the_regressed_phase() {
-        let base = report(0.25, 0.01);
-        let slowed = report(0.65, 0.41); // +400 ms in the tricluster phase
-        let deltas = diff_reports(&base, &slowed, &DiffTolerances::default()).unwrap();
-        let verdict = |metric: &str| {
-            deltas
-                .iter()
-                .find(|d| d.metric == metric)
-                .unwrap_or_else(|| panic!("{metric} not compared"))
-                .regressed
-        };
-        assert!(verdict("timings.triclusters_secs"));
-        assert!(verdict("timings.total_secs"));
-        assert!(!verdict("timings.slices_wall_secs"));
-    }
-
-    #[test]
-    fn diff_covers_alloc_metrics_when_both_measured() {
-        let with_alloc = |bytes: u64| {
-            report(0.2, 0.01).with(
-                "memory",
-                Json::obj()
-                    .with(
-                        "alloc",
-                        Json::obj()
-                            .with("total_bytes", Json::U64(bytes))
-                            .with("peak_live_bytes", Json::U64(bytes / 2)),
-                    )
-                    .with(
-                        "phase_bytes",
-                        Json::obj().with(
-                            "slices",
-                            Json::obj()
-                                .with("bytes", Json::U64(bytes))
-                                .with("allocs", Json::U64(10)),
-                        ),
-                    ),
-            )
-        };
-        let base = with_alloc(8 << 20);
-        let bloated = with_alloc(64 << 20);
-        let deltas = diff_reports(&base, &bloated, &DiffTolerances::default()).unwrap();
-        let regressed: Vec<&str> = deltas
-            .iter()
-            .filter(|d| d.regressed)
-            .map(|d| d.metric.as_str())
-            .collect();
-        assert!(
-            regressed.contains(&"memory.alloc.total_bytes"),
-            "{regressed:?}"
-        );
-        assert!(
-            regressed.contains(&"memory.phase_bytes.slices.bytes"),
-            "{regressed:?}"
-        );
-        // unmeasured on one side: alloc metrics silently skipped
-        let deltas = diff_reports(&base, &report(0.2, 0.01), &DiffTolerances::default()).unwrap();
-        assert!(deltas.iter().all(|d| d.metric.starts_with("timings.")));
-    }
-
-    #[test]
-    fn diff_rejects_non_report_documents() {
-        let fig7 = Json::obj().with("schema", Json::Str("tricluster.fig7/v2".into()));
-        let ok = report(0.1, 0.01);
-        assert!(diff_reports(&fig7, &ok, &DiffTolerances::default()).is_err());
-        assert!(diff_reports(&ok, &fig7, &DiffTolerances::default()).is_err());
     }
 }

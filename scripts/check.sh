@@ -191,9 +191,10 @@ if [[ $fast -eq 0 ]]; then
     echo "==> trace smoke: $(grep -c '"ph"' "$trace_json") events in $trace_json"
 
     # Ledger-smoke gate: two archived runs over the same input must list,
-    # show, and diff cleanly through the release binary (generous
-    # tolerances — identical workloads on the same machine), and the
-    # flamegraph export must be non-empty with phase-span roots.
+    # show, and diff through the release binary. The diff is exact: same
+    # input and params, so no input-determined counter may rise and every
+    # deterministic section must match (timings are shown, not judged).
+    # The flamegraph export must be non-empty with phase-span roots.
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         mine "$det_tsv" --eps 0.012 --threads 1 --ledger "$ledger_dir" --flame-out "$flame_txt"
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
@@ -210,8 +211,16 @@ if [[ $fast -eq 0 ]]; then
     fi
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         runs show "$ledger_dir" "$(head -n1 <<< "$ids")"
-    run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
-        runs diff "$ledger_dir" $ids --time-tol 2.0 --time-floor 0.5
+    echo
+    echo "==> runs diff $ledger_dir" $ids
+    if ! ledger_diff=$(cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
+            runs diff "$ledger_dir" $ids) \
+        || ! grep -qx 'deterministic sections match' <<< "$ledger_diff"; then
+        echo "error: two runs of one input must diff exactly:" >&2
+        echo "$ledger_diff" >&2
+        exit 1
+    fi
+    echo "$ledger_diff"
     echo "==> ledger smoke: 2 runs archived, shown, and diffed in $ledger_dir"
 
     # Metrics-smoke gate: a mine with a live metrics endpoint must serve

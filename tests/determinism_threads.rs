@@ -7,15 +7,16 @@
 use std::collections::BTreeMap;
 use tricluster::core::obs::json::Json;
 use tricluster::core::obs::Recorder;
-use tricluster::core::runreport::{histograms_json, memory_json, search_space_json};
+use tricluster::core::runreport::{self, determinism_diff};
 use tricluster::core::testdata::paper_table1;
 use tricluster::prelude::*;
 
 /// Track every allocation in this test binary so the per-phase allocation
 /// attribution path is live: runs carry `memory.alloc.*` counters and the
 /// `memory.phase_bytes` report section. Measured byte counts are
-/// schedule-dependent by nature, so the determinism comparisons below
-/// restrict themselves to the logical (input-determined) sections.
+/// schedule-dependent by nature, so the determinism comparisons below go
+/// through `runreport::determinism_diff`, which compares the logical
+/// (input-determined) sections only.
 #[global_allocator]
 static ALLOC: tricluster::core::obs::alloc::TrackingAlloc =
     tricluster::core::obs::alloc::TrackingAlloc;
@@ -73,35 +74,20 @@ fn assert_level(r: &MiningResult, n_times: usize, threads: usize) {
     assert_eq!(r.fanout.threads, threads);
 }
 
-/// The input-determined report sections, rendered: any byte difference
-/// fails the comparison. The measured-allocator sub-objects (`alloc`,
-/// `phase_bytes`) are stripped from the memory section — they report real
-/// allocator traffic, which legitimately varies with the schedule.
-fn deterministic_sections(result: &MiningResult) -> String {
-    let logical_memory = match memory_json(&result.report) {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .into_iter()
-                .filter(|(k, _)| !matches!(k.as_str(), "alloc" | "phase_bytes"))
-                .collect(),
-        ),
-        other => other,
-    };
-    format!(
-        "{}\n{}\n{}",
-        histograms_json(&result.report).render(),
-        logical_memory.render(),
-        search_space_json(&result.report).render(),
-    )
+/// The run's v2 report document, as `mine --report-json` writes it.
+fn report_doc(m: &Matrix3, result: &MiningResult) -> Json {
+    let met = cluster_metrics_observed(m, &result.triclusters, &NullSink);
+    runreport::report_to_json_v2(m, result, &result.report, &met)
 }
 
-/// Counters minus the measured-allocator metrics, for the same reason.
+/// Counters minus the measured-allocator ones, which legitimately vary
+/// with the schedule (a map, so a failure names the counter that moved).
 fn logical_counters(result: &MiningResult) -> BTreeMap<String, u64> {
     result
         .report
         .counter_map()
         .into_iter()
-        .filter(|(k, _)| !k.starts_with("memory.alloc."))
+        .filter(|(k, _)| !runreport::is_measured_counter(k))
         .collect()
 }
 
@@ -119,7 +105,7 @@ fn assert_invariant_across_schedules(m: &Matrix3, mk: &dyn Fn(usize) -> Params) 
         !baseline.report.histograms.is_empty(),
         "recording sink must collect histograms"
     );
-    let base_sections = deterministic_sections(&baseline);
+    let base_doc = report_doc(m, &baseline);
     for threads in THREADS {
         let r = Session::new(mk(threads)).run(m, &Recorder::new()).unwrap();
         assert_level(&r, m.n_times(), threads);
@@ -134,8 +120,8 @@ fn assert_invariant_across_schedules(m: &Matrix3, mk: &dyn Fn(usize) -> Params) 
             "counters differ at threads={threads}"
         );
         assert_eq!(
-            deterministic_sections(&r),
-            base_sections,
+            determinism_diff(&report_doc(m, &r), &base_doc),
+            Ok(vec![]),
             "report sections differ at threads={threads}"
         );
     }
@@ -169,7 +155,7 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
     let baseline = Session::new(smoke_params(1))
         .run(&m, &Recorder::new())
         .unwrap();
-    let base_sections = deterministic_sections(&baseline);
+    let base_doc = report_doc(&m, &baseline);
     for threads in THREADS {
         let recorder = Recorder::new();
         let timeline = Timeline::new();
@@ -197,8 +183,8 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
             "counters differ under tracing at threads={threads}"
         );
         assert_eq!(
-            deterministic_sections(&r),
-            base_sections,
+            determinism_diff(&report_doc(&m, &r), &base_doc),
+            Ok(vec![]),
             "report sections differ under tracing at threads={threads}"
         );
         // the observers actually observed: the timeline journalled work
@@ -236,7 +222,7 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
     let baseline = Session::new(smoke_params(1))
         .run(&m, &Recorder::new())
         .unwrap();
-    let base_sections = deterministic_sections(&baseline);
+    let base_doc = report_doc(&m, &baseline);
     for threads in THREADS {
         let recorder = Recorder::new();
         let registry = Arc::new(Registry::new());
@@ -256,8 +242,8 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
             "counters differ under metrics at threads={threads}"
         );
         assert_eq!(
-            deterministic_sections(&r),
-            base_sections,
+            determinism_diff(&report_doc(&m, &r), &base_doc),
+            Ok(vec![]),
             "report sections differ under metrics at threads={threads}"
         );
         // the registry really aggregated the run, and the final scrape
@@ -284,16 +270,14 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
 /// per-phase attribution, a timeline journal folded to flamegraph stacks,
 /// and every run archived into one ledger — must leave the mined clusters
 /// and input-determined sections invariant across thread counts and
-/// fan-out levels, and the archive must round-trip through `diff_reports`
-/// with per-phase allocation metrics covered.
+/// fan-out levels. The archived reports carry the measured allocator
+/// sections, and two of them from different thread counts compare clean
+/// under `determinism_diff`, which leaves the measured counters out.
 #[test]
 fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
-    use tricluster::core::obs::ledger::{
-        content_hash, diff_reports, DiffTolerances, Ledger, NewEntry,
-    };
+    use tricluster::core::obs::ledger::{content_hash, Ledger, NewEntry};
     use tricluster::core::obs::timeline::Timeline;
     use tricluster::core::obs::Fanout;
-    use tricluster::core::runreport;
 
     let dir =
         std::env::temp_dir().join(format!("tricluster-det-ledger-test-{}", std::process::id()));
@@ -303,7 +287,7 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
     let baseline = Session::new(smoke_params(1))
         .run(&m, &Recorder::new())
         .unwrap();
-    let base_sections = deterministic_sections(&baseline);
+    let base_doc = report_doc(&m, &baseline);
     let mut ids = Vec::new();
     for threads in THREADS {
         let recorder = Recorder::new();
@@ -321,9 +305,10 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
             logical_counters(&baseline),
             "counters differ at threads={threads}"
         );
+        let doc = report_doc(&m, &r);
         assert_eq!(
-            deterministic_sections(&r),
-            base_sections,
+            determinism_diff(&doc, &base_doc),
+            Ok(vec![]),
             "report sections differ at threads={threads}"
         );
         // the allocator really attributed traffic to each phase, and
@@ -355,8 +340,6 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
             );
         }
         // archive the run, flame artifact included
-        let met = cluster_metrics_observed(&m, &r.triclusters, &NullSink);
-        let doc = runreport::report_to_json_v2(&m, &r, &r.report, &met);
         runreport::validate_v2(&doc).unwrap();
         let id = ledger
             .archive(&NewEntry {
@@ -379,21 +362,21 @@ fn ledger_flame_and_phase_bytes_do_not_perturb_determinism() {
         ids
     );
     assert!(ledger.flame_path(&ids[0]).is_file());
-    // cross-run analytics cover timings, allocator totals, and per-phase
-    // allocation attribution for archived runs
+    // archived reports carry the measured allocator totals and per-phase
+    // attribution, and runs at 1 and 8 threads still compare clean
     let first = ledger.read_report(&ids[0]).unwrap();
     let last = ledger.read_report(&ids[THREADS.len() - 1]).unwrap();
-    let deltas = diff_reports(&first, &last, &DiffTolerances::default()).unwrap();
-    let metrics: Vec<&str> = deltas.iter().map(|d| d.metric.as_str()).collect();
-    for expected in [
-        "timings.total_secs",
-        "memory.alloc.total_bytes",
-        "memory.phase_bytes.slices.bytes",
-        "memory.phase_bytes.triclusters.bytes",
-        "memory.phase_bytes.prune.bytes",
-    ] {
-        assert!(metrics.contains(&expected), "{expected} not in {metrics:?}");
+    for doc in [&first, &last] {
+        for path in [
+            &["memory", "alloc", "total_bytes"][..],
+            &["memory", "phase_bytes", "slices", "bytes"],
+            &["memory", "phase_bytes", "triclusters", "bytes"],
+            &["memory", "phase_bytes", "prune", "bytes"],
+        ] {
+            assert!(doc.get_path(path).is_some(), "{path:?} not archived");
+        }
     }
+    assert_eq!(determinism_diff(&first, &last), Ok(vec![]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
