@@ -14,10 +14,12 @@
 //! - `pair` — the full production [`compute_pair`] (classify + divide +
 //!   find-ranges + dedupe), exactly the closure the build hands to its
 //!   workers;
-//! - `classify` — the ratio classify/divide loop alone (a verbatim mirror
-//!   of the head of `compute_pair`);
-//! - `ranges` — [`find_ranges_into`] alone on pre-classified sign groups
-//!   (packed-key sort, window walk, chain split/patch, dedupe);
+//! - `classify` — the ratio classify/divide loop alone: [`compute_pair`]
+//!   with `min_genes` above the gene count, so it divides and routes every
+//!   gene and returns before finding any range;
+//! - `ranges` — [`find_ranges_into`] alone on sign groups classified
+//!   untimed with [`SignGroup::classify`] (packed-key sort, window walk,
+//!   chain split/patch, dedupe);
 //! - `intersect` — the chunked [`BitSet`] intersection kernels
 //!   (`intersect_into` + `intersection_count_at_least_hinted`) over the
 //!   gene-sets the workload actually emits, as the bicluster DFS drives
@@ -157,34 +159,8 @@ fn run_timed(min_time: Duration, mut sweep: impl FnMut()) -> (f64, u64) {
     }
 }
 
-const SIGNS: [(usize, SignGroup); 3] = [
-    (0, SignGroup::Positive),
-    (1, SignGroup::PosNeg),
-    (2, SignGroup::NegPos),
-];
-
-/// The classify/divide head of `compute_pair`, kept in sync by the
-/// `classify_mirror_matches_compute_pair` test: same sign-group routing,
-/// same `(va / vb).abs()` division, same finite/positive filter.
-fn classify_pair(cols: &SliceColumns, a: usize, b: usize, groups: &mut [Vec<(f64, usize)>; 3]) {
-    for g in groups.iter_mut() {
-        g.clear();
-    }
-    let (ca, cb) = (cols.col(a), cols.col(b));
-    // Mirrors `compute_pair`'s head: branch-free division pass, then
-    // sign-bit routing gated on the quotient alone.
-    let mut quot = Vec::with_capacity(ca.len());
-    quot.extend(ca.iter().zip(cb).map(|(&va, &vb)| (va / vb).abs()));
-    for (gene, (&va, &vb)) in ca.iter().zip(cb).enumerate() {
-        let ratio = quot[gene];
-        if ratio.is_finite() && ratio > 0.0 {
-            let sa = (va.to_bits() >> 63) as usize;
-            let sb = (vb.to_bits() >> 63) as usize;
-            let gi = (sa ^ sb) * (1 + sa);
-            groups[gi].push((ratio, gene));
-        }
-    }
-}
+/// The sign groups in `compute_pair`'s order.
+const SIGNS: [SignGroup; 3] = [SignGroup::Positive, SignGroup::PosNeg, SignGroup::NegPos];
 
 /// All `(a, b)` column pairs with `a < b`, in build order.
 fn column_pairs(n_samples: usize) -> Vec<(usize, usize)> {
@@ -232,25 +208,40 @@ pub fn measure_point(spec: &SynthSpec, min_time: Duration) -> KernelPoint {
         stages.push(StageTime::new("pair", secs, sweeps, pair_units));
     }
 
-    // classify: the divide/route loop alone.
+    // classify: the divide/route loop alone. With `min_genes` above the
+    // gene count, `compute_pair` skips every sign group's range search.
     {
-        let mut groups: [Vec<(f64, usize)>; 3] = Default::default();
+        let mut classify_only = params.clone();
+        classify_only.min_genes = n_genes + 1;
+        let mut scratch = PairScratch::default();
+        let mut out = Vec::new();
         let (secs, sweeps) = run_timed(min_time, || {
             for &(a, b) in &pairs {
-                classify_pair(&cols, a, b, &mut groups);
-                black_box(&groups);
+                black_box(compute_pair(
+                    &cols,
+                    a,
+                    b,
+                    &classify_only,
+                    &mut scratch,
+                    &mut out,
+                ));
             }
         });
         stages.push(StageTime::new("classify", secs, sweeps, pair_units));
     }
 
-    // ranges: find_ranges_into alone, on pre-classified groups.
+    // ranges: find_ranges_into alone, on sign groups classified untimed.
     {
         let pre: Vec<[Vec<(f64, usize)>; 3]> = pairs
             .iter()
             .map(|&(a, b)| {
                 let mut groups: [Vec<(f64, usize)>; 3] = Default::default();
-                classify_pair(&cols, a, b, &mut groups);
+                for (gene, (&va, &vb)) in cols.col(a).iter().zip(cols.col(b)).enumerate() {
+                    if let Some(sign) = SignGroup::classify(va, vb) {
+                        let gi = SIGNS.iter().position(|&s| s == sign).unwrap();
+                        groups[gi].push(((va / vb).abs(), gene));
+                    }
+                }
                 groups
             })
             .collect();
@@ -259,12 +250,12 @@ pub fn measure_point(spec: &SynthSpec, min_time: Duration) -> KernelPoint {
         let (secs, sweeps) = run_timed(min_time, || {
             for groups in &pre {
                 out.clear();
-                for &(gi, sign) in &SIGNS {
-                    if groups[gi].len() < params.min_genes {
+                for (group, &sign) in groups.iter().zip(&SIGNS) {
+                    if group.len() < params.min_genes {
                         continue;
                     }
                     find_ranges_into(
-                        &groups[gi],
+                        group,
                         sign,
                         params.epsilon,
                         params.min_genes,
@@ -522,49 +513,6 @@ pub fn kernel_doc(points: &[KernelPoint], crossover: &Crossover) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The bench-local classify mirror must route and divide exactly like
-    /// the production head of `compute_pair`: feeding its groups into
-    /// `find_ranges_into` must reproduce `compute_pair`'s output bit for
-    /// bit.
-    #[test]
-    fn classify_mirror_matches_compute_pair() {
-        let spec = kernel_spec(120, 6);
-        let data = generate(&spec);
-        let m = &data.matrix;
-        let params = fig7_params(&spec);
-        let cols = SliceColumns::from_slice(m.time_slice_raw(0), m.n_genes(), m.n_samples());
-        let mut pair_scratch = PairScratch::default();
-        let mut range_scratch = RangeScratch::default();
-        let mut groups: [Vec<(f64, usize)>; 3] = Default::default();
-        for (a, b) in column_pairs(m.n_samples()) {
-            let mut want = Vec::new();
-            let ratios = compute_pair(&cols, a, b, &params, &mut pair_scratch, &mut want);
-            classify_pair(&cols, a, b, &mut groups);
-            assert_eq!(
-                ratios,
-                groups.iter().map(|g| g.len() as u64).sum::<u64>(),
-                "pair ({a},{b}): classified ratio count"
-            );
-            let mut got = Vec::new();
-            for &(gi, sign) in &SIGNS {
-                if groups[gi].len() < params.min_genes {
-                    continue;
-                }
-                find_ranges_into(
-                    &groups[gi],
-                    sign,
-                    params.epsilon,
-                    params.min_genes,
-                    m.n_genes(),
-                    params.range_extension,
-                    &mut range_scratch,
-                    &mut got,
-                );
-            }
-            assert_eq!(want, got, "pair ({a},{b}): emitted ranges");
-        }
-    }
 
     #[test]
     fn measure_point_times_every_stage() {

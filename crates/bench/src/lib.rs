@@ -288,59 +288,22 @@ pub fn scaling_spec() -> SynthSpec {
 
 /// Ablation: mining **without** the precomputed range multigraph — every
 /// DFS extension recomputes the ratio ranges of the involved column pair
-/// from the raw slice. Same output as the real miner; measures the value
-/// of phase 1's compact summary.
+/// with the production pair kernel. Same output as the real miner;
+/// measures the value of phase 1's compact summary.
 pub mod nocache {
     use tricluster_bitset::BitSet;
     use tricluster_core::cluster::Bicluster;
-    use tricluster_core::range::{find_ranges, RatioRange, SignGroup};
+    use tricluster_core::range::RatioRange;
+    use tricluster_core::rangegraph::{compute_pair, PairScratch, SliceColumns};
     use tricluster_core::Params;
     use tricluster_matrix::Matrix3;
 
-    fn pair_ranges(m: &Matrix3, t: usize, a: usize, b: usize, params: &Params) -> Vec<RatioRange> {
-        let n_genes = m.n_genes();
-        let n_samples = m.n_samples();
-        let slice = m.time_slice_raw(t);
-        let mut groups: [Vec<(f64, usize)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for gene in 0..n_genes {
-            let va = slice[gene * n_samples + a];
-            let vb = slice[gene * n_samples + b];
-            let Some(group) = SignGroup::classify(va, vb) else {
-                continue;
-            };
-            let gi = match group {
-                SignGroup::Positive => 0,
-                SignGroup::PosNeg => 1,
-                SignGroup::NegPos => 2,
-            };
-            groups[gi].push(((va / vb).abs(), gene));
-        }
-        let mut out = Vec::new();
-        for (gi, sign) in [
-            (0, SignGroup::Positive),
-            (1, SignGroup::PosNeg),
-            (2, SignGroup::NegPos),
-        ] {
-            if groups[gi].len() < params.min_genes {
-                continue;
-            }
-            out.extend(find_ranges(
-                &groups[gi],
-                sign,
-                params.epsilon,
-                params.min_genes,
-                n_genes,
-                params.range_extension,
-            ));
-        }
-        out
-    }
-
     /// Bicluster mining for slice `t` with ranges recomputed at every DFS
-    /// extension (no multigraph).
+    /// extension (no multigraph), by the production pair kernel.
     pub fn mine_biclusters_nocache(m: &Matrix3, t: usize, params: &Params) -> Vec<Bicluster> {
         struct Ctx<'a> {
-            m: &'a Matrix3,
+            cols: SliceColumns,
+            scratch: PairScratch,
             t: usize,
             params: &'a Params,
             results: Vec<Bicluster>,
@@ -366,13 +329,19 @@ pub mod nocache {
                     let mut dead = false;
                     for &sa in &self.samples {
                         // the ablation: ranges recomputed here, every time
-                        let ranges = pair_ranges(self.m, self.t, sa, sb, self.params)
-                            .into_iter()
-                            .filter(|r| {
-                                r.genes
-                                    .intersection_count_at_least(genes, self.params.min_genes)
-                            })
-                            .collect::<Vec<_>>();
+                        let mut ranges = Vec::new();
+                        compute_pair(
+                            &self.cols,
+                            sa,
+                            sb,
+                            self.params,
+                            &mut self.scratch,
+                            &mut ranges,
+                        );
+                        ranges.retain(|r| {
+                            r.genes
+                                .intersection_count_at_least(genes, self.params.min_genes)
+                        });
                         if ranges.is_empty() {
                             dead = true;
                             break;
@@ -409,7 +378,8 @@ pub mod nocache {
             }
         }
         let mut ctx = Ctx {
-            m,
+            cols: SliceColumns::from_slice(m.time_slice_raw(t), m.n_genes(), m.n_samples()),
+            scratch: PairScratch::default(),
             t,
             params,
             results: Vec::new(),

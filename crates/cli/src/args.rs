@@ -6,6 +6,7 @@
 //! both with the spelling used in the list ([`Args::has`]).
 
 use std::collections::HashMap;
+use std::time::Duration;
 
 #[derive(Debug)]
 pub struct Args {
@@ -150,6 +151,16 @@ impl Args {
                     .map_err(|_| format!("--{name}: {:?} is not a number", v[1]))?;
                 Ok(Some((a, b)))
             }
+        }
+    }
+
+    /// A positive, finite number of seconds.
+    pub fn get_secs(&self, name: &str) -> Result<Option<Duration>, String> {
+        match self.get_f64(name)? {
+            Some(secs) if !secs.is_finite() || secs <= 0.0 => Err(format!(
+                "--{name} expects a positive number of seconds, got {secs}"
+            )),
+            secs => Ok(secs.map(Duration::from_secs_f64)),
         }
     }
 

@@ -1,24 +1,6 @@
-//! `tricluster` — command-line TriCluster mining.
-//!
-//! ```text
-//! tricluster mine <stacked.tsv> [--eps 0.01] [--eps-time E] [--mx 3] [--my 3]
-//!                 [--mz 2] [--delta-x D] [--delta-y D] [--delta-z D]
-//!                 [--merge ETA GAMMA] [--threads N] [--shifting] [--auto]
-//!                 [--deadline SECS] [--max-memory BYTES]
-//!                 [--names] [-v|-vv] [--trace] [--report-json out.json]
-//! tricluster synth <out.tsv> [--genes 1000] [--samples 15] [--times 8]
-//!                 [--clusters 8] [--noise 0.03] [--overlap 0.2] [--seed 42]
-//! tricluster demo
-//! tricluster runs <list|show|diff|top> <LEDGER-DIR> ...
-//! tricluster watch <URL> [--interval SECS] [--once] [--get PATH] [--jobs]
-//! tricluster serve <HOST:PORT> [--workers N] [--queue-depth N]
-//!                 [--memory-budget BYTES] [--cap-deadline SECS]
-//!                 [--cap-memory BYTES] [--cap-candidates N] [--cap-threads N]
-//!                 [--max-body BYTES] [--ledger DIR] [--cache-entries N]
-//! tricluster submit <URL> <stacked.tsv> [mine param flags] [--label L]
-//!                 [--by-path] [--wait] [--poll SECS] [--report-json out.json]
-//! tricluster submit <URL> --cancel ID | --shutdown drain|cancel
-//! ```
+//! `tricluster` — command-line TriCluster mining: the `mine`, `synth`,
+//! `demo`, `runs`, `watch`, `serve` and `submit` subcommands. Run
+//! `tricluster --help` for every flag ([`commands::USAGE`]).
 //!
 //! Exit codes: `0` success, `1` mining/runtime error (unreadable input,
 //! non-finite cells, escaped panic), `2` usage error (unknown flag, invalid
@@ -29,7 +11,12 @@ use std::process::ExitCode;
 
 mod args;
 mod commands;
+mod jobs;
+mod mine;
+mod runs;
 mod serve;
+mod submit;
+mod watch;
 
 use commands::CliError;
 
@@ -58,13 +45,13 @@ fn main() -> ExitCode {
 
 fn run(argv: &[String]) -> Result<(), CliError> {
     match argv.first().map(String::as_str) {
-        Some("mine") => commands::mine(&argv[1..]),
+        Some("mine") => mine::mine(&argv[1..]),
         Some("synth") => commands::synth(&argv[1..]),
         Some("demo") => commands::demo(&argv[1..]),
-        Some("runs") => commands::runs(&argv[1..]),
-        Some("watch") => commands::watch(&argv[1..]),
+        Some("runs") => runs::runs(&argv[1..]),
+        Some("watch") => watch::watch(&argv[1..]),
         Some("serve") => serve::serve(&argv[1..]),
-        Some("submit") => serve::submit(&argv[1..]),
+        Some("submit") => submit::submit(&argv[1..]),
         Some("--help") | Some("-h") | None => {
             print!("{}", commands::USAGE);
             Ok(())

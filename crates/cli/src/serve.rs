@@ -1,12 +1,7 @@
-//! The `tricluster serve` daemon and its `submit` client.
-//!
-//! `serve` turns the one-shot miner into a long-lived multi-tenant
-//! service on top of [`Engine`]/[`Session`] (core) and [`HttpServer`]
-//! (obs). The headline property is robustness: no single job — oversized
-//! matrix, panicking worker, blown budget, vanished client — can take
-//! down or contaminate the others.
-//!
-//! # Endpoints
+//! The `tricluster serve` daemon: its listener, mining workers and HTTP
+//! handlers, over [`Engine`]/[`Session`](tricluster_core::Session) (core),
+//! [`HttpServer`] (obs) and the job table ([`crate::jobs`]). DESIGN.md
+//! §10–§11 describe its admission control, isolation and observability.
 //!
 //! | endpoint | effect |
 //! |---|---|
@@ -15,68 +10,34 @@
 //! | `GET /jobs/<id>` | one job's status, live progress, final report |
 //! | `DELETE /jobs/<id>` | cancel (dequeue if queued, trip mid-flight if running) |
 //! | `GET /stats` | queue depth, admitted bytes, dataset-cache hits, counters |
-//! | `GET /metrics` | daemon-lifetime OpenMetrics exposition (see below) |
+//! | `GET /metrics` | daemon-lifetime OpenMetrics exposition |
 //! | `GET /healthz` | liveness |
 //! | `POST /shutdown` | graceful drain (`{"mode":"drain"}`) or cancel-all |
 //!
-//! # Observability
-//!
-//! A process-lifetime metrics [`Registry`] accumulates job-lifecycle
-//! counters (accepted / rejected / clamped / completed / failed /
-//! cancelled) and queue-wait vs. run vs. archive latency spans.
-//! `GET /metrics` renders them with live gauges sampled at scrape time
-//! (queue depth, admitted bytes, busy workers, retained jobs,
-//! dataset-cache hits/misses/evictions). Every HTTP request gets a
-//! monotonic request ID; with `--access-log PATH` each request is
-//! appended as one JSONL audit record (method, path, status, bytes,
-//! duration, clamp verdict, shed reason).
-//! The submission's request ID is threaded into the job record, its
-//! report (a `serve` section, outside the deterministic sections), its
-//! ledger entry, and its Chrome trace — which also carries the job's
-//! enqueued/started/finished lifecycle instants, so queue wait is visible
-//! on the trace. None of this feeds back into mining: a served job's
-//! deterministic report sections stay byte-identical to a one-shot
-//! `mine`.
-//!
-//! # Admission control
-//!
-//! A submission is rejected with a machine-readable JSON body when the
-//! daemon is draining (503 `"draining"`), the bounded queue is full
-//! (429 `"queue_full"`), or admitting the parsed matrix would exceed the
-//! server-wide `--memory-budget` (429 `"memory_budget"`). Tenant budget
-//! requests (deadline / max-memory / max-candidates / threads) are
-//! clamped against the server's `--cap-*` ceilings; the response says so
-//! (`"clamped": true`).
-//!
-//! # Isolation
-//!
-//! Every job runs behind its own `catch_unwind` (on top of the miner's
-//! internal worker isolation): a panicking job becomes a structured
-//! `"failed"` record and the worker thread moves on to the next job. The
-//! HTTP layer adds its own isolation (handler panics → 500). The
-//! `serve.*` failpoint sites ([`SERVE_FAILPOINTS`]) inject faults at the
-//! admission decision, the enqueue step, the job spawn, and the response
-//! write; the fault-injection suite proves each degrades into a
-//! well-formed response without crossing job boundaries.
+//! No job can take down or contaminate another: each runs behind its own
+//! `catch_unwind`, a shed submission gets a machine-readable 429/503, and
+//! a served job's deterministic report sections are byte-identical to a
+//! one-shot `mine`'s. `/stats`, `/jobs` and `/metrics` read the job table
+//! through one snapshot and the dataset cache through one
+//! [`Engine::cache_stats`] call.
 
 use crate::args;
 use crate::commands::{mine_params_from, parse_bytes, CliError, PARAM_FLAGS};
-use std::collections::{BTreeMap, VecDeque};
+use crate::jobs::{Cancel, JobTable, Outcome, Run, Shed, ShutdownMode};
+use crate::mine::ledger_entry;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tricluster_core::obs::httpd::{
-    http_get_retry, http_post, Handler, HttpServer, Request, Response,
-};
+use tricluster_core::obs::httpd::{Handler, HttpServer, Request, Response};
 use tricluster_core::obs::json::Json;
-use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
+use tricluster_core::obs::ledger::Ledger;
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::names;
-use tricluster_core::obs::progress::{Progress, ProgressSink};
+use tricluster_core::obs::progress::ProgressSink;
 use tricluster_core::obs::timeline::{self, Timeline};
 use tricluster_core::obs::{EventSink, Fanout};
-use tricluster_core::{Dataset, Engine, Params, Reported, Session, TenantCaps};
+use tricluster_core::{Dataset, Engine, Params, Reported, TenantCaps};
 
 /// Fault-injection sites of the serve layer, in request order. (The
 /// `serve.response.write` site lives in `obs::httpd`; the rest are here.)
@@ -94,10 +55,6 @@ pub const SERVE_FAILPOINTS: &[&str] = &[
     "serve.job.spawn",
     "serve.response.write",
 ];
-
-/// How many finished (done/failed/cancelled) jobs the daemon retains for
-/// `GET /jobs/<id>` before evicting the oldest.
-const KEEP_FINISHED: usize = 64;
 
 /// Daemon configuration, assembled from the `serve` command line.
 pub struct ServeConfig {
@@ -137,199 +94,54 @@ impl Default for ServeConfig {
     }
 }
 
-/// How `POST /shutdown` treats in-flight jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShutdownMode {
-    /// Stop admitting, finish queued + running jobs, then exit.
-    Drain,
-    /// Stop admitting, cancel queued + running jobs, then exit.
-    Cancel,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobState {
-    Queued,
-    Running,
-    Done,
-    Failed,
-    Cancelled,
-}
-
-impl JobState {
-    fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-            JobState::Cancelled => "cancelled",
-        }
-    }
-
-    fn is_finished(self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Failed | JobState::Cancelled
-        )
-    }
-}
-
-/// What a finished job left behind.
-struct Outcome {
-    clusters: usize,
-    truncation: Option<String>,
-    error: Option<String>,
-    secs: f64,
-    report: Option<Json>,
-}
-
-impl Outcome {
-    /// What a job cancelled before it ran leaves behind.
-    fn cancelled() -> Self {
-        Outcome {
-            clusters: 0,
-            truncation: Some("cancelled".into()),
-            error: None,
-            secs: 0.0,
-            report: None,
-        }
-    }
-}
-
-/// One tenant job, from admission to retention.
-struct Job {
-    id: u64,
-    /// Request ID of the submission that admitted this job.
-    request_id: u64,
-    label: String,
-    dataset_hash: String,
-    matrix_bytes: u64,
-    cached: bool,
-    clamped: bool,
-    state: JobState,
-    cancelling: bool,
-    /// The clamped run built at admission; cancelling it trips the job.
-    session: Arc<Session>,
-    progress: Arc<Progress>,
-    /// Lifecycle instants (enqueued/started/finished/cancelled) plus the
-    /// miner's own spans; archived as the job's Chrome trace.
-    timeline: Arc<Timeline>,
-    // Held only while queued/running; dropped with the job's completion
-    // so finished jobs stop pinning their matrices.
-    dataset: Option<Arc<Dataset>>,
-    submitted: Instant,
-    outcome: Option<Outcome>,
-}
-
-impl Job {
-    /// Listing summary (no report body).
-    fn summary_json(&self) -> Json {
-        let mut j = Json::obj()
-            .with("id", Json::U64(self.id))
-            .with("request_id", Json::U64(self.request_id))
-            .with("label", Json::Str(self.label.clone()))
-            .with("state", Json::Str(self.state.as_str().into()))
-            .with("dataset_hash", Json::Str(self.dataset_hash.clone()))
-            .with("matrix_bytes", Json::U64(self.matrix_bytes))
-            .with("cached", Json::Bool(self.cached))
-            .with("clamped", Json::Bool(self.clamped))
-            .with(
-                "age_secs",
-                Json::F64(self.submitted.elapsed().as_secs_f64()),
-            );
-        if self.cancelling && !self.state.is_finished() {
-            j = j.with("cancelling", Json::Bool(true));
-        }
-        if let Some(outcome) = &self.outcome {
-            j = j.with("secs", Json::F64(outcome.secs));
-            if let Some(err) = &outcome.error {
-                j = j.with("error", Json::Str(err.clone()));
-            } else {
-                j = j.with("clusters", Json::U64(outcome.clusters as u64));
-            }
-            if let Some(reason) = &outcome.truncation {
-                j = j.with("truncation", Json::Str(reason.clone()));
-            }
-        }
-        j
-    }
-}
-
-/// Mutable daemon state, all under one lock.
-struct State {
-    queue: VecDeque<u64>,
-    jobs: BTreeMap<u64, Job>,
-    next_id: u64,
-    admitted_bytes: u64,
-    draining: Option<ShutdownMode>,
-}
-
 struct Shared {
     cfg: ServeConfig,
     engine: Engine,
     // `Ledger::archive` reads the index to sequence ids, so concurrent
     // archives must serialize.
     ledger: Option<Mutex<Ledger>>,
-    state: Mutex<State>,
+    jobs: JobTable,
     /// Daemon-lifetime counters and latency histograms (`GET /metrics`).
-    /// Its locks are leaves: never take `state` while holding them.
+    /// Its locks are leaves: never take the job table's lock while holding
+    /// them.
     service: Registry,
     /// Monotonic per-request IDs, assigned before routing.
     next_request_id: AtomicU64,
     /// JSONL audit sink (`--access-log`); whole-line single writes.
     access_log: Option<Mutex<std::fs::File>>,
-    /// Wakes workers (new job, or drain requested).
-    work: Condvar,
-    /// Wakes the main thread (shutdown requested).
-    shutdown: Condvar,
 }
 
 impl Shared {
     /// The daemon's state and services, before any worker or listener runs.
     fn new(cfg: ServeConfig) -> Result<Arc<Shared>, CliError> {
-        let ledger = match &cfg.ledger_dir {
-            Some(dir) => {
-                Some(Mutex::new(Ledger::open(dir).map_err(|e| {
-                    CliError::Run(format!("cannot open ledger {dir}: {e}"))
-                })?))
-            }
-            None => None,
-        };
-        let access_log = match &cfg.access_log {
-            Some(path) => {
+        let ledger = cfg
+            .ledger_dir
+            .as_ref()
+            .map(|dir| {
+                let ledger = Ledger::open(dir);
+                ledger.map_err(|e| CliError::Run(format!("cannot open ledger {dir}: {e}")))
+            })
+            .transpose()?;
+        let access_log = cfg
+            .access_log
+            .as_ref()
+            .map(|path| {
                 let file = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
-                    .open(path)
-                    .map_err(|e| CliError::Run(format!("cannot open access log {path}: {e}")))?;
-                Some(Mutex::new(file))
-            }
-            None => None,
-        };
-        let engine = Engine::with_cache_entries(cfg.caps.clone(), cfg.cache_entries);
+                    .open(path);
+                file.map_err(|e| CliError::Run(format!("cannot open access log {path}: {e}")))
+            })
+            .transpose()?;
         Ok(Arc::new(Shared {
+            engine: Engine::with_cache_entries(cfg.caps.clone(), cfg.cache_entries),
+            jobs: JobTable::new(cfg.queue_depth, cfg.memory_budget),
             cfg,
-            engine,
-            ledger,
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                jobs: BTreeMap::new(),
-                next_id: 1,
-                admitted_bytes: 0,
-                draining: None,
-            }),
+            ledger: ledger.map(Mutex::new),
             service: Registry::new(),
             next_request_id: AtomicU64::new(1),
-            access_log,
-            work: Condvar::new(),
-            shutdown: Condvar::new(),
+            access_log: access_log.map(Mutex::new),
         }))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 
@@ -383,17 +195,7 @@ impl Daemon {
     /// and only then is the listener closed — status queries keep working
     /// through the drain.
     pub fn wait(mut self) {
-        {
-            let mut state = self.shared.lock();
-            while state.draining.is_none() {
-                state = self
-                    .shared
-                    .shutdown
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        }
-        self.shared.work.notify_all();
+        self.shared.jobs.wait_for_drain();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -403,107 +205,52 @@ impl Daemon {
 
 /// One mining worker: pull, run isolated, record, repeat. Exits once the
 /// daemon drains and the queue is empty.
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let (id, request_id, dataset, session, progress, tl, queue_wait) = {
-            let mut state = shared.lock();
-            loop {
-                if let Some(&id) = state.queue.front() {
-                    state.queue.pop_front();
-                    let job = state.jobs.get_mut(&id).expect("queued job exists");
-                    job.state = JobState::Running;
-                    let dataset = job.dataset.clone().expect("queued job holds its dataset");
-                    break (
-                        id,
-                        job.request_id,
-                        dataset,
-                        job.session.clone(),
-                        job.progress.clone(),
-                        job.timeline.clone(),
-                        job.submitted.elapsed(),
-                    );
-                }
-                if state.draining.is_some() {
-                    return;
-                }
-                state = shared
-                    .work
-                    .wait(state)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-            }
-        };
+fn worker_loop(shared: &Shared) {
+    while let Some((run, dataset, queue_wait)) = shared.jobs.dequeue() {
         shared.service.span(names::SV_QUEUE_WAIT, queue_wait);
         let started = Instant::now();
         // Per-job isolation: a panic anywhere in this job (including one
         // escaping the miner's own boundaries) is downgraded to a failed
         // record; the worker and every other job are untouched.
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, id, request_id, &tl, &dataset, &session, &progress)
+            run_job(shared, &run, &dataset)
         }))
-        .unwrap_or_else(|payload| Err(FailedJob::Panic(payload)));
+        .unwrap_or_else(|payload| {
+            let text = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            Err(format!("job panicked: {text}"))
+        });
         shared.service.span(names::SV_RUN, started.elapsed());
-        let outcome = match ran {
-            Ok((clusters, truncation, report)) => Outcome {
-                clusters,
-                truncation,
-                error: None,
-                secs: started.elapsed().as_secs_f64(),
-                report: Some(report),
-            },
-            Err(message) => Outcome {
-                clusters: 0,
-                truncation: None,
-                error: Some(match message {
-                    FailedJob::Message(m) => m,
-                    FailedJob::Panic(payload) => format!(
-                        "job panicked: {}",
-                        payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_owned())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".into())
-                    ),
-                }),
-                secs: started.elapsed().as_secs_f64(),
-                report: None,
-            },
-        };
-        finish_job(shared, &mut shared.lock(), id, outcome);
-        // A worker slot freed; drain waiters and peers may care.
-        shared.work.notify_all();
-        shared.shutdown.notify_all();
+        let mut outcome = ran.unwrap_or_else(|error| Outcome {
+            error: Some(error),
+            ..Outcome::default()
+        });
+        outcome.secs = started.elapsed().as_secs_f64();
+        shared.jobs.finish(run.id, outcome, &shared.service);
     }
 }
 
-/// Why a job produced no result.
-enum FailedJob {
-    Message(String),
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Runs one admitted job end to end through [`Session::run_report`] — the
+/// Runs one admitted job end to end through
+/// [`Session::run_report`](tricluster_core::Session::run_report) — the
 /// same call a one-shot `mine` makes — with the progress gauges and the
 /// job's timeline as the sink, so the deterministic report sections are
-/// byte-identical to a one-shot run over the same dataset and params.
-fn run_job(
-    shared: &Arc<Shared>,
-    id: u64,
-    request_id: u64,
-    tl: &Arc<Timeline>,
-    dataset: &Dataset,
-    session: &Session,
-    progress: &Arc<Progress>,
-) -> Result<(usize, Option<String>, Json), FailedJob> {
+/// byte-identical to a one-shot run over the same dataset and params. The
+/// worker stamps the outcome's `secs`.
+fn run_job(shared: &Shared, job: &Run, dataset: &Dataset) -> Result<Outcome, String> {
     if let Some(msg) = tricluster_failpoint::trigger("serve.job.spawn") {
-        return Err(FailedJob::Message(msg));
+        return Err(msg);
     }
-    let att = tl.attach("serve-worker");
+    let att = job.timeline.attach("serve-worker");
     timeline::instant(names::T_SV_STARTED);
-    let progress_sink = ProgressSink(progress.clone());
-    let sink = Fanout(vec![&progress_sink as &dyn EventSink, tl.as_ref()]);
-    let Reported { result, doc, .. } = session
+    let progress_sink = ProgressSink(job.progress.clone());
+    let sink = Fanout(vec![&progress_sink as &dyn EventSink, &job.timeline]);
+    let Reported { result, doc, .. } = job
+        .session
         .run_report(&dataset.matrix, &sink)
-        .map_err(|e| FailedJob::Message(e.to_string()))?;
+        .map_err(|e| e.to_string())?;
     timeline::instant(names::T_SV_FINISHED);
     // Flush this thread's event ring before rendering the trace below.
     drop(att);
@@ -514,26 +261,28 @@ fn run_job(
     let doc = doc.with(
         "serve",
         Json::obj()
-            .with("request_id", Json::U64(request_id))
-            .with("job_id", Json::U64(id)),
+            .with("request_id", Json::U64(job.request_id))
+            .with("job_id", Json::U64(job.id)),
     );
     if let Some(ledger) = &shared.ledger {
         // Eager per-job flush: by the time a drain finishes joining the
         // workers, every completed job is already on disk.
         let archive_started = Instant::now();
-        let trace = tl
+        let trace = job
+            .timeline
             .to_chrome_json()
-            .with("request_id", Json::U64(request_id))
+            .with("request_id", Json::U64(job.request_id))
             .render();
-        let entry = NewEntry {
-            kind: "serve",
-            label: Some(dataset.hash.clone()),
-            dataset_hash: dataset.hash.clone(),
-            params_hash: content_hash(format!("{:?}", session.params()).as_bytes()),
-            report: &doc,
-            trace: Some(&trace),
-            flame: None,
-        };
+        let hash = &dataset.hash;
+        let entry = ledger_entry(
+            "serve",
+            hash.clone(),
+            hash.clone(),
+            job.session.params(),
+            &doc,
+            Some(&trace),
+            None,
+        );
         let ledger = ledger
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -545,74 +294,12 @@ fn run_job(
             .service
             .span(names::SV_ARCHIVE, archive_started.elapsed());
     }
-    Ok((
-        result.triclusters.len(),
-        result.truncation.map(|r| r.as_str().to_owned()),
-        doc,
-    ))
-}
-
-/// Moves a queued or running job into its terminal state (failed, cancelled
-/// or done, read off `outcome`). Every terminal transition goes through
-/// here: a worker finishing its job, `DELETE` of a queued job, and a
-/// cancelling `POST /shutdown`. Drops the job's dataset, releases its
-/// admitted bytes, bumps the matching service counter, and evicts finished
-/// jobs beyond [`KEEP_FINISHED`].
-fn finish_job(shared: &Shared, state: &mut State, id: u64, outcome: Outcome) {
-    let Some(job) = state.jobs.get_mut(&id) else {
-        return;
-    };
-    if job.state == JobState::Queued {
-        // Only cancellation ends a queued job. A running job journaled its
-        // cancellation when it was tripped.
-        let _att = job.timeline.attach("serve-http");
-        timeline::instant(names::T_SV_CANCELLED);
-    }
-    job.state = if outcome.error.is_some() {
-        JobState::Failed
-    } else if outcome.truncation.as_deref() == Some("cancelled") {
-        JobState::Cancelled
-    } else {
-        JobState::Done
-    };
-    let released = job.matrix_bytes;
-    let counter = match job.state {
-        JobState::Failed => names::SV_JOBS_FAILED,
-        JobState::Cancelled => names::SV_JOBS_CANCELLED,
-        _ => names::SV_JOBS_COMPLETED,
-    };
-    job.dataset = None;
-    job.outcome = Some(outcome);
-    state.queue.retain(|&q| q != id);
-    state.admitted_bytes = state.admitted_bytes.saturating_sub(released);
-    evict_finished(state);
-    shared.service.counter(counter, 1);
-}
-
-/// Trips a running job's cancel handle. The run winds down cooperatively
-/// into a truncated (reason "cancelled") result, and its worker finishes
-/// the job.
-fn trip(job: &mut Job) {
-    job.cancelling = true;
-    job.session.cancel();
-    let _att = job.timeline.attach("serve-http");
-    timeline::instant(names::T_SV_CANCELLED);
-}
-
-/// Drops the oldest finished jobs beyond the retention window. Queued and
-/// running jobs are never evicted.
-fn evict_finished(state: &mut State) {
-    let finished: Vec<u64> = state
-        .jobs
-        .values()
-        .filter(|j| j.state.is_finished())
-        .map(|j| j.id)
-        .collect();
-    if finished.len() > KEEP_FINISHED {
-        for id in &finished[..finished.len() - KEEP_FINISHED] {
-            state.jobs.remove(id);
-        }
-    }
+    Ok(Outcome {
+        clusters: result.triclusters.len(),
+        truncation: result.truncation.map(|r| r.as_str().to_owned()),
+        report: Some(doc),
+        ..Outcome::default()
+    })
 }
 
 /// Per-request audit context, filled in by the routing layer and emitted
@@ -623,15 +310,14 @@ struct Audit {
     job_id: Option<u64>,
     /// Tenant-clamp verdict of a submission.
     clamped: Option<bool>,
-    /// Why a submission was shed (`draining` / `queue_full` /
-    /// `memory_budget`).
+    /// Why a submission was shed ([`Shed`]'s `reason`).
     shed_reason: Option<&'static str>,
 }
 
 /// Entry point for one HTTP request: assigns the monotonic request ID,
 /// routes, then emits the audit record. Runs on a connection thread
 /// behind the listener's own `catch_unwind`.
-fn handle_request(shared: &Arc<Shared>, req: Request) -> Response {
+fn handle_request(shared: &Shared, req: Request) -> Response {
     let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
     let mut audit = Audit::default();
@@ -684,7 +370,7 @@ fn log_access(
 }
 
 /// Routes one HTTP request.
-fn route(shared: &Arc<Shared>, req: &Request, request_id: u64, audit: &mut Audit) -> Response {
+fn route(shared: &Shared, req: &Request, request_id: u64, audit: &mut Audit) -> Response {
     let path = req.path.as_str();
     match (req.method.as_str(), path) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
@@ -715,76 +401,48 @@ fn route(shared: &Arc<Shared>, req: &Request, request_id: u64, audit: &mut Audit
 }
 
 /// A machine-readable error body: `{"error": <code>, "detail": <human>}`.
-fn error_response(status: u16, code: &str, detail: &str) -> Response {
+pub(crate) fn error_response(status: u16, code: &str, detail: &str) -> Response {
     let body = Json::obj()
         .with("error", Json::Str(code.into()))
         .with("detail", Json::Str(detail.into()));
     Response::json(status, body.render() + "\n")
 }
 
-fn stats_response(shared: &Arc<Shared>) -> Response {
+/// The dataset cache's hits, misses and evictions, read once.
+fn cache_json(shared: &Shared) -> Json {
     let (hits, misses, evictions) = shared.engine.cache_stats();
-    let svc = &shared.service;
+    Json::obj()
+        .with("hits", Json::U64(hits))
+        .with("misses", Json::U64(misses))
+        .with("evictions", Json::U64(evictions))
+}
+
+fn stats_response(shared: &Shared) -> Response {
+    let table = shared.jobs.snapshot();
+    let n = |name| Json::U64(shared.service.counter_value(name));
     let counters = Json::obj()
-        .with(
-            "submitted",
-            Json::U64(svc.counter_value(names::SV_JOBS_ACCEPTED)),
-        )
-        .with(
-            "rejected_queue",
-            Json::U64(svc.counter_value(names::SV_JOBS_REJECTED_QUEUE_FULL)),
-        )
-        .with(
-            "rejected_memory",
-            Json::U64(svc.counter_value(names::SV_JOBS_REJECTED_MEMORY)),
-        )
-        .with(
-            "clamped",
-            Json::U64(svc.counter_value(names::SV_JOBS_CLAMPED)),
-        )
-        .with(
-            "completed",
-            Json::U64(svc.counter_value(names::SV_JOBS_COMPLETED)),
-        )
-        .with(
-            "failed",
-            Json::U64(svc.counter_value(names::SV_JOBS_FAILED)),
-        )
-        .with(
-            "cancelled",
-            Json::U64(svc.counter_value(names::SV_JOBS_CANCELLED)),
-        )
-        .with(
-            "http_requests",
-            Json::U64(svc.counter_value(names::SV_HTTP_REQUESTS)),
-        );
-    let state = shared.lock();
-    let running = state
-        .jobs
-        .values()
-        .filter(|j| j.state == JobState::Running)
-        .count();
+        .with("submitted", n(names::SV_JOBS_ACCEPTED))
+        .with("rejected_queue", n(names::SV_JOBS_REJECTED_QUEUE_FULL))
+        .with("rejected_memory", n(names::SV_JOBS_REJECTED_MEMORY))
+        .with("clamped", n(names::SV_JOBS_CLAMPED))
+        .with("completed", n(names::SV_JOBS_COMPLETED))
+        .with("failed", n(names::SV_JOBS_FAILED))
+        .with("cancelled", n(names::SV_JOBS_CANCELLED))
+        .with("http_requests", n(names::SV_HTTP_REQUESTS));
     let body = Json::obj()
-        .with("queue_depth", Json::U64(state.queue.len() as u64))
+        .with("queue_depth", Json::U64(table.queue_depth as u64))
         .with("queue_capacity", Json::U64(shared.cfg.queue_depth as u64))
-        .with("running", Json::U64(running as u64))
+        .with("running", Json::U64(table.running as u64))
         .with("workers", Json::U64(shared.cfg.workers as u64))
-        .with("admitted_bytes", Json::U64(state.admitted_bytes))
+        .with("admitted_bytes", Json::U64(table.admitted_bytes))
         .with(
             "memory_budget",
-            match shared.cfg.memory_budget {
-                Some(b) => Json::U64(b),
-                None => Json::Null,
-            },
+            shared.cfg.memory_budget.map_or(Json::Null, Json::U64),
         )
-        .with("draining", Json::Bool(state.draining.is_some()))
+        .with("draining", Json::Bool(table.draining))
         .with(
             "dataset_cache",
-            Json::obj()
-                .with("hits", Json::U64(hits))
-                .with("misses", Json::U64(misses))
-                .with("evictions", Json::U64(evictions))
-                .with("entries", Json::U64(shared.engine.cached_datasets() as u64)),
+            cache_json(shared).with("entries", Json::U64(shared.engine.cached_datasets() as u64)),
         )
         .with("counters", counters);
     Response::json(200, body.render_pretty() + "\n")
@@ -792,28 +450,16 @@ fn stats_response(shared: &Arc<Shared>) -> Response {
 
 /// `GET /metrics`: the daemon-lifetime OpenMetrics exposition. Counters
 /// and latency histograms come from the daemon's [`Registry`]; gauges are
-/// sampled here, under the daemon lock, at scrape time.
-fn metrics_response(shared: &Arc<Shared>) -> Response {
+/// sampled at scrape time from one job-table snapshot and one cache
+/// read.
+fn metrics_response(shared: &Shared) -> Response {
+    let table = shared.jobs.snapshot();
     let (hits, misses, evictions) = shared.engine.cache_stats();
-    let (queue_depth, admitted_bytes, running, retained) = {
-        let state = shared.lock();
-        let running = state
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count();
-        let retained = state
-            .jobs
-            .values()
-            .filter(|j| j.state.is_finished())
-            .count();
-        (state.queue.len(), state.admitted_bytes, running, retained)
-    };
     let gauges = [
-        (names::SV_QUEUE_DEPTH, queue_depth as f64),
-        (names::SV_ADMITTED_BYTES, admitted_bytes as f64),
-        (names::SV_WORKERS_BUSY, running as f64),
-        (names::SV_JOBS_RETAINED, retained as f64),
+        (names::SV_QUEUE_DEPTH, table.queue_depth as f64),
+        (names::SV_ADMITTED_BYTES, table.admitted_bytes as f64),
+        (names::SV_WORKERS_BUSY, table.running as f64),
+        (names::SV_JOBS_RETAINED, table.retained as f64),
         (names::SV_CACHE_HITS, hits as f64),
         (names::SV_CACHE_MISSES, misses as f64),
         (names::SV_CACHE_EVICTIONS, evictions as f64),
@@ -825,64 +471,38 @@ fn metrics_response(shared: &Arc<Shared>) -> Response {
     }
 }
 
-fn list_jobs(shared: &Arc<Shared>) -> Response {
-    let (hits, misses, evictions) = shared.engine.cache_stats();
-    let svc = &shared.service;
+fn list_jobs(shared: &Shared) -> Response {
+    let (table, jobs) = shared.jobs.listing();
+    let n = |name| Json::U64(shared.service.counter_value(name));
     let service = Json::obj()
-        .with(
-            "accepted",
-            Json::U64(svc.counter_value(names::SV_JOBS_ACCEPTED)),
-        )
-        .with(
-            "completed",
-            Json::U64(svc.counter_value(names::SV_JOBS_COMPLETED)),
-        )
-        .with(
-            "failed",
-            Json::U64(svc.counter_value(names::SV_JOBS_FAILED)),
-        )
-        .with(
-            "cancelled",
-            Json::U64(svc.counter_value(names::SV_JOBS_CANCELLED)),
-        );
-    let state = shared.lock();
-    let running = state
-        .jobs
-        .values()
-        .filter(|j| j.state == JobState::Running)
-        .count();
-    let jobs: Vec<Json> = state.jobs.values().map(Job::summary_json).collect();
+        .with("accepted", n(names::SV_JOBS_ACCEPTED))
+        .with("completed", n(names::SV_JOBS_COMPLETED))
+        .with("failed", n(names::SV_JOBS_FAILED))
+        .with("cancelled", n(names::SV_JOBS_CANCELLED))
+        .with("queue_depth", Json::U64(table.queue_depth as u64))
+        .with("running", Json::U64(table.running as u64));
     let body = Json::obj()
         .with("jobs", Json::Arr(jobs))
-        .with(
-            "service",
-            service
-                .with("queue_depth", Json::U64(state.queue.len() as u64))
-                .with("running", Json::U64(running as u64)),
-        )
-        .with(
-            "dataset_cache",
-            Json::obj()
-                .with("hits", Json::U64(hits))
-                .with("misses", Json::U64(misses))
-                .with("evictions", Json::U64(evictions)),
-        );
+        .with("service", service)
+        .with("dataset_cache", cache_json(shared));
     Response::json(200, body.render_pretty() + "\n")
 }
 
-fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
-    let state = shared.lock();
-    let Some(job) = state.jobs.get(&id) else {
-        return error_response(404, "not_found", "no such job (or already evicted)");
-    };
-    let mut body = Json::obj().with("job", job.summary_json());
-    if job.state == JobState::Running {
-        body = body.with("progress", job.progress.snapshot_json());
+fn job_status(shared: &Shared, id: u64) -> Response {
+    match shared.jobs.status(id) {
+        Some(body) => Response::json(200, body.render_pretty() + "\n"),
+        None => error_response(404, "not_found", "no such job (or already evicted)"),
     }
-    if let Some(report) = job.outcome.as_ref().and_then(|o| o.report.as_ref()) {
-        body = body.with("report", report.clone());
+}
+
+/// Sheds a submission: the access log gets its reason, the service its
+/// counter, the client its body.
+fn shed_response(shared: &Shared, shed: Shed, audit: &mut Audit) -> Response {
+    audit.shed_reason = Some(shed.reason);
+    if let Some(counter) = shed.counter {
+        shared.service.counter(counter, 1);
     }
-    Response::json(200, body.render_pretty() + "\n")
+    shed.response
 }
 
 /// `POST /jobs`: parse, admit, enqueue. Body schema:
@@ -893,30 +513,13 @@ fn job_status(shared: &Arc<Shared>, id: u64) -> Response {
 ///  "dataset_path": "/path/on/server", // server-side file
 ///  "params": ["--eps", "0.012"]}      // mine-style flags, optional
 /// ```
-fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Audit) -> Response {
+fn submit_job(shared: &Shared, body: &[u8], request_id: u64, audit: &mut Audit) -> Response {
     if let Some(msg) = tricluster_failpoint::trigger("serve.admission") {
         return error_response(503, "fault_injected", &msg);
     }
     // Cheap rejections (no parse work) first: drain state and queue depth.
-    {
-        let state = shared.lock();
-        if state.draining.is_some() {
-            audit.shed_reason = Some("draining");
-            return error_response(503, "draining", "daemon is shutting down");
-        }
-        if state.queue.len() >= shared.cfg.queue_depth {
-            let depth = state.queue.len();
-            drop(state);
-            shared
-                .service
-                .counter(names::SV_JOBS_REJECTED_QUEUE_FULL, 1);
-            audit.shed_reason = Some("queue_full");
-            return rejection(
-                "queue_full",
-                &format!("queue depth {depth} reached"),
-                shared,
-            );
-        }
+    if let Some(shed) = shared.jobs.shed() {
+        return shed_response(shared, shed, audit);
     }
     let Ok(text) = std::str::from_utf8(body) else {
         return error_response(400, "bad_request", "body is not UTF-8");
@@ -936,13 +539,10 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     let params_argv: Vec<String> = doc
         .get("params")
         .and_then(Json::as_arr)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_owned))
-                .collect()
-        })
-        .unwrap_or_default();
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|v| v.as_str().map(str::to_owned))
+        .collect();
     let requested = match job_params(&params_argv) {
         Ok(p) => p,
         Err(e) => return error_response(400, "bad_params", &e),
@@ -963,84 +563,28 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
         Ok(d) => d,
         Err(e) => return error_response(400, "bad_dataset", &e.to_string()),
     };
-    let was_cached = shared.engine.cache_stats().0 > hits_before;
+    let cached = shared.engine.cache_stats().0 > hits_before;
     let session = shared.engine.session(&requested);
     let clamped = session.was_clamped();
-    let (ng, ns, nt) = dataset.matrix.dims();
-    let matrix_bytes = (ng * ns * nt * std::mem::size_of::<f64>()) as u64;
     // The job's timeline starts on the HTTP thread: the enqueued instant
     // anchors the queue-wait gap visible in the Chrome trace.
-    let tl = Arc::new(Timeline::new());
+    let tl = Timeline::new();
     {
         let _att = tl.attach("serve-http");
         timeline::instant(names::T_SV_ENQUEUED);
     }
-
-    let mut state = shared.lock();
-    // Re-check under the lock: admission raced other submissions.
-    if state.draining.is_some() {
-        audit.shed_reason = Some("draining");
-        return error_response(503, "draining", "daemon is shutting down");
-    }
-    if state.queue.len() >= shared.cfg.queue_depth {
-        let depth = state.queue.len();
-        drop(state);
-        shared
-            .service
-            .counter(names::SV_JOBS_REJECTED_QUEUE_FULL, 1);
-        audit.shed_reason = Some("queue_full");
-        return rejection(
-            "queue_full",
-            &format!("queue depth {depth} reached"),
-            shared,
-        );
-    }
-    if let Some(budget) = shared.cfg.memory_budget {
-        if state.admitted_bytes + matrix_bytes > budget {
-            let admitted = state.admitted_bytes;
-            drop(state);
-            shared.service.counter(names::SV_JOBS_REJECTED_MEMORY, 1);
-            audit.shed_reason = Some("memory_budget");
-            return rejection(
-                "memory_budget",
-                &format!(
-                    "admitting {matrix_bytes} B on top of {admitted} B would exceed \
-                     the {budget} B aggregate budget"
-                ),
-                shared,
-            );
-        }
-    }
     if let Some(msg) = tricluster_failpoint::trigger("serve.queue") {
         return error_response(503, "fault_injected", &msg);
     }
-    let id = state.next_id;
-    state.next_id += 1;
-    state.admitted_bytes += matrix_bytes;
-    let job = Job {
-        id,
-        request_id,
-        label: if label.is_empty() {
-            format!("job-{id}")
-        } else {
-            label
-        },
-        dataset_hash: dataset.hash.clone(),
-        matrix_bytes,
-        cached: was_cached,
-        clamped,
-        state: JobState::Queued,
-        cancelling: false,
-        session: Arc::new(session),
-        progress: Arc::new(Progress::new()),
-        timeline: tl,
-        dataset: Some(dataset.clone()),
-        submitted: Instant::now(),
-        outcome: None,
+    // Admission raced other submissions: the table checks again under its
+    // lock, now with the matrix size.
+    let admitted = shared
+        .jobs
+        .admit(request_id, label, dataset.clone(), cached, session, tl);
+    let id = match admitted {
+        Ok(id) => id,
+        Err(shed) => return shed_response(shared, shed, audit),
     };
-    state.queue.push_back(id);
-    state.jobs.insert(id, job);
-    drop(state);
     shared.engine.retain(&dataset);
     shared.service.counter(names::SV_JOBS_ACCEPTED, 1);
     if clamped {
@@ -1048,7 +592,6 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     }
     audit.job_id = Some(id);
     audit.clamped = Some(clamped);
-    shared.work.notify_all();
     let body = Json::obj()
         .with("id", Json::U64(id))
         .with("request_id", Json::U64(request_id))
@@ -1058,56 +601,29 @@ fn submit_job(shared: &Arc<Shared>, body: &[u8], request_id: u64, audit: &mut Au
     Response::json(202, body.render() + "\n")
 }
 
-/// A 429-style shed-load rejection with the queue/memory numbers the
-/// client needs to back off intelligently.
-fn rejection(reason: &str, detail: &str, shared: &Arc<Shared>) -> Response {
-    let state = shared.lock();
-    let body = Json::obj()
-        .with("error", Json::Str("rejected".into()))
-        .with("reason", Json::Str(reason.into()))
-        .with("detail", Json::Str(detail.into()))
-        .with("queue_depth", Json::U64(state.queue.len() as u64))
-        .with("queue_capacity", Json::U64(shared.cfg.queue_depth as u64))
-        .with("admitted_bytes", Json::U64(state.admitted_bytes));
-    Response::json(429, body.render() + "\n")
-}
-
-fn cancel_job(shared: &Arc<Shared>, id: u64) -> Response {
-    let mut state = shared.lock();
-    let Some(job) = state.jobs.get_mut(&id) else {
-        return error_response(404, "not_found", "no such job (or already evicted)");
+fn cancel_job(shared: &Shared, id: u64) -> Response {
+    let body = Json::obj().with("id", Json::U64(id));
+    let body = match shared.jobs.cancel(id, &shared.service) {
+        Cancel::NotFound => {
+            return error_response(404, "not_found", "no such job (or already evicted)")
+        }
+        Cancel::Finished(state) => {
+            return error_response(409, "already_finished", &format!("job is {state}"))
+        }
+        Cancel::Dequeued => body.with("state", Json::Str("cancelled".into())),
+        // State flips (and the cancelled counter bumps) when the worker
+        // finishes.
+        Cancel::Tripped => body
+            .with("state", Json::Str("running".into()))
+            .with("cancelling", Json::Bool(true)),
     };
-    match job.state {
-        JobState::Queued => {
-            finish_job(shared, &mut state, id, Outcome::cancelled());
-            drop(state);
-            let body = Json::obj()
-                .with("id", Json::U64(id))
-                .with("state", Json::Str("cancelled".into()));
-            Response::json(200, body.render() + "\n")
-        }
-        JobState::Running => {
-            // State flips (and the cancelled counter bumps) when the worker
-            // finishes.
-            trip(job);
-            let body = Json::obj()
-                .with("id", Json::U64(id))
-                .with("state", Json::Str("running".into()))
-                .with("cancelling", Json::Bool(true));
-            Response::json(200, body.render() + "\n")
-        }
-        finished => error_response(
-            409,
-            "already_finished",
-            &format!("job is {}", finished.as_str()),
-        ),
-    }
+    Response::json(200, body.render() + "\n")
 }
 
 /// `POST /shutdown`: stop admitting and wake the drain. Body (optional):
 /// `{"mode": "drain"}` (default — finish in-flight and queued jobs) or
 /// `{"mode": "cancel"}` (cancel queued jobs, trip running ones).
-fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
+fn shutdown(shared: &Shared, body: &[u8]) -> Response {
     let mode = match std::str::from_utf8(body)
         .ok()
         .filter(|t| !t.trim().is_empty())
@@ -1128,24 +644,7 @@ fn shutdown(shared: &Arc<Shared>, body: &[u8]) -> Response {
             Err(e) => return error_response(400, "bad_request", &format!("body: {e}")),
         },
     };
-    let mut state = shared.lock();
-    let already = state.draining.is_some();
-    state.draining = Some(mode);
-    if mode == ShutdownMode::Cancel {
-        // Queued jobs become cancelled records; running jobs get tripped.
-        let queued: Vec<u64> = state.queue.iter().copied().collect();
-        for id in queued {
-            finish_job(shared, &mut state, id, Outcome::cancelled());
-        }
-        for job in state.jobs.values_mut() {
-            if job.state == JobState::Running {
-                trip(job);
-            }
-        }
-    }
-    drop(state);
-    shared.work.notify_all();
-    shared.shutdown.notify_all();
+    let already = shared.jobs.drain(mode, &shared.service);
     let body = Json::obj()
         .with("draining", Json::Bool(true))
         .with(
@@ -1182,252 +681,54 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
             "serve: missing bind address (HOST:PORT, e.g. 127.0.0.1:7171)".into(),
         ));
     };
-    let mut cfg = ServeConfig {
-        addr: addr.clone(),
-        ..ServeConfig::default()
-    };
-    if let Some(n) = a.get_usize("workers").map_err(CliError::Usage)? {
-        if n == 0 {
-            return Err(CliError::Usage("--workers must be at least 1".into()));
-        }
-        cfg.workers = n;
-    }
-    if let Some(n) = a.get_usize("queue-depth").map_err(CliError::Usage)? {
-        cfg.queue_depth = n;
-    }
-    if let Some(s) = a.get_str("memory-budget") {
-        cfg.memory_budget = Some(parse_bytes("memory-budget", s).map_err(CliError::Usage)?);
-    }
-    if let Some(secs) = a.get_f64("cap-deadline").map_err(CliError::Usage)? {
-        if !secs.is_finite() || secs <= 0.0 {
-            return Err(CliError::Usage(format!(
-                "--cap-deadline expects a positive number of seconds, got {secs}"
-            )));
-        }
-        cfg.caps.max_deadline = Some(Duration::from_secs_f64(secs));
-    }
-    if let Some(s) = a.get_str("cap-memory") {
-        cfg.caps.max_memory = Some(parse_bytes("cap-memory", s).map_err(CliError::Usage)?);
-    }
-    if let Some(n) = a.get_u64("cap-candidates").map_err(CliError::Usage)? {
-        cfg.caps.max_candidates = Some(n);
-    }
-    if let Some(n) = a.get_usize("cap-threads").map_err(CliError::Usage)? {
-        cfg.caps.max_threads = Some(n);
-    }
-    if let Some(s) = a.get_str("max-body") {
-        cfg.max_body = parse_bytes("max-body", s).map_err(CliError::Usage)? as usize;
-    }
-    cfg.ledger_dir = a.get_str("ledger").map(str::to_string);
-    if let Some(n) = a.get_usize("cache-entries").map_err(CliError::Usage)? {
-        cfg.cache_entries = n;
-    }
-    cfg.access_log = a.get_str("access-log").map(str::to_string);
-    let daemon = Daemon::start(cfg)?;
+    let daemon = Daemon::start(serve_config(&a, addr).map_err(CliError::Usage)?)?;
     eprintln!("serve: listening on {}", daemon.url());
     daemon.wait();
     eprintln!("serve: drained, exiting");
     Ok(())
 }
 
-/// `submit`'s value flags besides [`PARAM_FLAGS`].
-const SUBMIT_FLAGS: &[(&str, usize)] = &[
-    ("label", 1),
-    ("poll", 1),
-    ("report-json", 1),
-    ("cancel", 1),
-    ("shutdown", 1),
-];
-
-/// A job's `params` argv: every [`PARAM_FLAGS`] flag set in `a`, in table
-/// order. The daemon runs it through the same parser as `mine`
-/// ([`job_params`]).
-fn forward_params(a: &args::Args) -> Result<Vec<String>, String> {
-    let mut argv = Vec::new();
-    for &(flag, arity) in PARAM_FLAGS {
-        if arity == 2 {
-            if let Some((x, y)) = a.get_pair_f64(flag)? {
-                argv.extend([format!("--{flag}"), x.to_string(), y.to_string()]);
-            }
-        } else if let Some(v) = a.get_str(flag) {
-            argv.extend([format!("--{flag}"), v.to_owned()]);
-        }
+/// The daemon's configuration from the `serve` command line.
+fn serve_config(a: &args::Args, addr: &str) -> Result<ServeConfig, String> {
+    let default = ServeConfig::default();
+    let bytes = |flag| a.get_str(flag).map(|s| parse_bytes(flag, s)).transpose();
+    let workers = a.get_usize("workers")?.unwrap_or(default.workers);
+    if workers == 0 {
+        return Err("--workers must be at least 1".into());
     }
-    Ok(argv)
+    Ok(ServeConfig {
+        addr: addr.to_string(),
+        workers,
+        queue_depth: a.get_usize("queue-depth")?.unwrap_or(default.queue_depth),
+        memory_budget: bytes("memory-budget")?,
+        caps: TenantCaps {
+            max_deadline: a.get_secs("cap-deadline")?,
+            max_memory: bytes("cap-memory")?,
+            max_candidates: a.get_u64("cap-candidates")?,
+            max_threads: a.get_usize("cap-threads")?,
+        },
+        max_body: bytes("max-body")?.map_or(default.max_body, |b| b as usize),
+        ledger_dir: a.get_str("ledger").map(str::to_string),
+        cache_entries: a
+            .get_usize("cache-entries")?
+            .unwrap_or(default.cache_entries),
+        access_log: a.get_str("access-log").map(str::to_string),
+    })
 }
 
 /// Parses a job's `params` argv exactly as `mine` parses its flags, so a
 /// daemon job cannot drift from a one-shot run.
-fn job_params(argv: &[String]) -> Result<Params, String> {
+pub(crate) fn job_params(argv: &[String]) -> Result<Params, String> {
     mine_params_from(&args::parse(argv, PARAM_FLAGS, &[])?)
-}
-
-/// The `submit` command: client for a running daemon.
-///
-/// ```text
-/// tricluster submit URL DATA.tsv [mine param flags] [--label L] [--by-path]
-///                   [--wait [--poll SECS]] [--report-json PATH]
-/// tricluster submit URL --cancel ID
-/// tricluster submit URL --shutdown [drain|cancel]
-/// ```
-pub fn submit(argv: &[String]) -> Result<(), CliError> {
-    let a = args::parse(
-        argv,
-        &[PARAM_FLAGS, SUBMIT_FLAGS].concat(),
-        &["by-path", "wait"],
-    )
-    .map_err(CliError::Usage)?;
-    let Some(url) = a.positional.first() else {
-        return Err(CliError::Usage(
-            "submit: missing daemon URL (as printed by serve, e.g. http://127.0.0.1:7171)".into(),
-        ));
-    };
-    let base = url.trim_end_matches('/').to_string();
-
-    if let Some(id) = a.get_str("cancel") {
-        let (status, body) = tricluster_core::obs::httpd::http_delete(&format!("{base}/jobs/{id}"))
-            .map_err(CliError::Run)?;
-        print!("{body}");
-        return if status == 200 {
-            Ok(())
-        } else {
-            Err(CliError::Run(format!("DELETE /jobs/{id}: HTTP {status}")))
-        };
-    }
-    if let Some(mode) = a.get_str("shutdown") {
-        let body = format!("{{\"mode\":\"{mode}\"}}");
-        let (status, body) = http_post(
-            &format!("{base}/shutdown"),
-            "application/json",
-            body.as_bytes(),
-        )
-        .map_err(CliError::Run)?;
-        print!("{body}");
-        return if status == 200 {
-            Ok(())
-        } else {
-            Err(CliError::Run(format!("POST /shutdown: HTTP {status}")))
-        };
-    }
-
-    let Some(path) = a.positional.get(1) else {
-        return Err(CliError::Usage(
-            "submit: missing dataset file (stacked TSV), or --cancel ID / --shutdown MODE".into(),
-        ));
-    };
-    // Validate the param flags here for a fast local usage error.
-    mine_params_from(&a).map_err(CliError::Usage)?;
-    let params_argv = forward_params(&a).map_err(CliError::Usage)?;
-    let mut body = Json::obj();
-    if let Some(label) = a.get_str("label") {
-        body = body.with("label", Json::Str(label.to_owned()));
-    }
-    if a.has("by-path") {
-        let canonical = std::fs::canonicalize(path)
-            .map_err(|e| CliError::Run(format!("cannot resolve {path}: {e}")))?;
-        body = body.with(
-            "dataset_path",
-            Json::Str(canonical.to_string_lossy().into_owned()),
-        );
-    } else {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| CliError::Run(format!("cannot read {path}: {e}")))?;
-        body = body.with("dataset", Json::Str(text));
-    }
-    body = body.with(
-        "params",
-        Json::Arr(params_argv.into_iter().map(Json::Str).collect()),
-    );
-    let (status, response) = http_post(
-        &format!("{base}/jobs"),
-        "application/json",
-        body.render().as_bytes(),
-    )
-    .map_err(CliError::Run)?;
-    if status != 202 {
-        print!("{response}");
-        return Err(CliError::Run(format!("POST /jobs: HTTP {status}")));
-    }
-    let accepted = Json::parse(response.trim())
-        .map_err(|e| CliError::Run(format!("unparseable acceptance: {e}")))?;
-    let id = accepted
-        .get("id")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| CliError::Run("acceptance carries no job id".into()))?;
-    eprintln!(
-        "submitted as job {id} (dataset {}, request {})",
-        accepted
-            .get("dataset_hash")
-            .and_then(Json::as_str)
-            .unwrap_or("?"),
-        accepted
-            .get("request_id")
-            .and_then(Json::as_u64)
-            .map(|r| r.to_string())
-            .unwrap_or_else(|| "?".into())
-    );
-    if !a.has("wait") {
-        println!("{id}");
-        return Ok(());
-    }
-    let poll = a.get_f64("poll").map_err(CliError::Usage)?.unwrap_or(0.2);
-    if !poll.is_finite() || poll <= 0.0 {
-        return Err(CliError::Usage(format!(
-            "--poll expects a positive number of seconds, got {poll}"
-        )));
-    }
-    let status_url = format!("{base}/jobs/{id}");
-    loop {
-        let (code, body) = http_get_retry(&status_url, 5, Duration::from_millis(50))
-            .into_result()
-            .map_err(CliError::Run)?;
-        if code != 200 {
-            return Err(CliError::Run(format!("GET /jobs/{id}: HTTP {code}")));
-        }
-        let doc = Json::parse(body.trim())
-            .map_err(|e| CliError::Run(format!("unparseable status: {e}")))?;
-        let state = doc
-            .get_path(&["job", "state"])
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        match state.as_str() {
-            "queued" | "running" => {
-                std::thread::sleep(Duration::from_secs_f64(poll));
-            }
-            _ => {
-                if let Some(out_path) = a.get_str("report-json") {
-                    match doc.get("report") {
-                        Some(report) => {
-                            std::fs::write(out_path, report.render_pretty() + "\n").map_err(
-                                |e| CliError::Run(format!("cannot write {out_path}: {e}")),
-                            )?;
-                        }
-                        None => {
-                            return Err(CliError::Run(format!(
-                                "job {id} finished {state} without a report"
-                            )))
-                        }
-                    }
-                }
-                if let Some(summary) = doc.get("job") {
-                    println!("{}", summary.render_pretty());
-                }
-                return match state.as_str() {
-                    "done" | "cancelled" => Ok(()),
-                    other => Err(CliError::Run(format!("job {id} finished {other}"))),
-                };
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::KEEP_FINISHED;
     use std::io::BufWriter;
     use tricluster_core::obs::httpd::{http_delete, http_get, http_post};
-    use tricluster_core::obs::ledger::Ledger;
+    use tricluster_core::obs::ledger::content_hash;
     use tricluster_core::runreport;
     use tricluster_failpoint::{self as failpoint, Action};
     use tricluster_matrix::{io as mio, Labels};
@@ -1881,72 +1182,15 @@ mod tests {
                     assert_eq!(r.status, 200, "{}", r.body);
                 }
             }
-            let state = shared.lock();
-            let finished = state.jobs.values().filter(|j| j.state.is_finished());
-            assert_eq!(finished.count(), KEEP_FINISHED, "shutdown={by_shutdown}");
-            assert!(state.queue.is_empty());
-            assert_eq!(state.admitted_bytes, 0);
+            let table = shared.jobs.snapshot();
+            assert_eq!(table.retained, KEEP_FINISHED, "shutdown={by_shutdown}");
+            assert_eq!(table.queue_depth, 0);
+            assert_eq!(table.admitted_bytes, 0);
             assert_eq!(
                 shared.service.counter_value(names::SV_JOBS_CANCELLED),
                 KEEP_FINISHED as u64 + 1
             );
         }
-    }
-
-    /// `submit` forwards every flag of [`PARAM_FLAGS`], and the daemon parses
-    /// the forwarded argv into the same [`Params`] a one-shot `mine` gets
-    /// from the original command line.
-    #[test]
-    fn forwarded_params_parse_like_mine() {
-        let argv: Vec<String> = [
-            "http://127.0.0.1:1",
-            "data.tsv",
-            "--eps",
-            "0.05",
-            "--eps-time",
-            "0.2",
-            "--mx",
-            "10",
-            "--my",
-            "4",
-            "--mz",
-            "3",
-            "--delta-x",
-            "1.5",
-            "--delta-y",
-            "2.5",
-            "--delta-z",
-            "3.5",
-            "--merge",
-            "0.2",
-            "0.1",
-            "--max-candidates",
-            "5000",
-            "--deadline",
-            "2.5",
-            "--max-memory",
-            "64M",
-            "--threads",
-            "3",
-            "--label",
-            "all-flags",
-        ]
-        .map(String::from)
-        .into();
-        let a = args::parse(&argv, &[PARAM_FLAGS, SUBMIT_FLAGS].concat(), &[]).unwrap();
-        let forwarded = forward_params(&a).unwrap();
-        for (flag, _) in PARAM_FLAGS {
-            let flag = format!("--{flag}");
-            assert!(argv.contains(&flag), "test argv misses {flag}");
-            assert!(forwarded.contains(&flag), "{flag} not forwarded");
-        }
-        assert_eq!(
-            job_params(&forwarded).unwrap(),
-            mine_params_from(&a).unwrap()
-        );
-        // The fan-out level follows from `--threads`; there is no flag.
-        let e = job_params(&["--fanout".into(), "pair".into()]).unwrap_err();
-        assert!(e.contains("unknown flag --fanout"), "{e}");
     }
 
     /// The tentpole guarantee: every `serve.*` site, hit with every action,
@@ -2048,7 +1292,7 @@ mod tests {
         let data = dir.join("table1.tsv");
         std::fs::write(&data, table1_tsv()).unwrap();
         let oneshot_path = dir.join("oneshot.json");
-        crate::commands::mine(&[
+        crate::mine::mine(&[
             data.to_str().unwrap().to_string(),
             "--report-json".into(),
             oneshot_path.to_str().unwrap().to_string(),
@@ -2344,5 +1588,260 @@ mod tests {
             "cancel-mode shutdown took {:?}",
             started.elapsed()
         );
+    }
+
+    /// `/stats`, `/jobs` and `/metrics` show the same daemon: wherever two
+    /// of them report the same number they agree, while a job runs and
+    /// after it finished, and their key sets stay put. The sequence, on one
+    /// worker with room for one queued job and one cached dataset: a held
+    /// job runs, a second job (other bytes, so it evicts the first
+    /// dataset) is queued and then cancelled, and a third is shed with
+    /// `queue_full`.
+    #[test]
+    fn stats_jobs_and_metrics_views_agree() {
+        let _scenario = failpoint::scenario();
+        failpoint::configure_once(
+            "serve.job.spawn",
+            Action::Delay(Duration::from_millis(2000)),
+        );
+        let daemon = Daemon::start(ServeConfig {
+            queue_depth: 1,
+            cache_entries: 1,
+            ..test_cfg()
+        })
+        .unwrap();
+        let base = daemon.url();
+        let id = |accepted: &Json| accepted.get("id").and_then(Json::as_u64).unwrap();
+        let (status, held) = post_job(&base, &submit_body("held", &[]));
+        assert_eq!(status, 202, "{}", held.render());
+        let held = id(&held);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (_, text) = http_get(&format!("{base}/jobs/{held}")).unwrap();
+            let doc = Json::parse(text.trim()).unwrap();
+            if doc.get_path(&["job", "state"]).and_then(Json::as_str) == Some("running") {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the held job never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let other = Json::obj()
+            .with("label", Json::Str("queued".into()))
+            .with("dataset", Json::Str(format!("preamble\n{}", table1_tsv())))
+            .render();
+        let (status, queued) = post_job(&base, &other);
+        assert_eq!(status, 202, "{}", queued.render());
+        let (status, shed) = post_job(&base, &submit_body("shed", &[]));
+        assert_eq!(status, 429, "{}", shed.render());
+        assert_eq!(
+            shed.get("reason").and_then(Json::as_str),
+            Some("queue_full")
+        );
+        let (status, text) = http_delete(&format!("{base}/jobs/{}", id(&queued))).unwrap();
+        assert_eq!(status, 200, "{text}");
+
+        let views = || {
+            let get = |path: &str| {
+                let (status, text) = http_get(&format!("{base}{path}")).unwrap();
+                assert_eq!(status, 200, "{path}: {text}");
+                text
+            };
+            let stats = Json::parse(get("/stats").trim()).unwrap();
+            let jobs = Json::parse(get("/jobs").trim()).unwrap();
+            (stats, jobs, get("/metrics"))
+        };
+        // Each number as every view that carries it reports it; the
+        // exposition leaves never-touched counters out, which reads as 0.
+        let numbers = |(stats, jobs, metrics): &(Json, Json, String)| {
+            let s = |path: &[&str]| stats.get_path(path).and_then(Json::as_u64).unwrap();
+            let j = |path: &[&str]| jobs.get_path(path).and_then(Json::as_u64).unwrap();
+            let m = |name: &str| metric_value(metrics, name).unwrap_or(0.0) as u64;
+            [
+                (
+                    "accepted",
+                    vec![
+                        s(&["counters", "submitted"]),
+                        j(&["service", "accepted"]),
+                        m("tricluster_serve_jobs_accepted_total"),
+                    ],
+                ),
+                (
+                    "completed",
+                    vec![
+                        s(&["counters", "completed"]),
+                        j(&["service", "completed"]),
+                        m("tricluster_serve_jobs_completed_total"),
+                    ],
+                ),
+                (
+                    "cancelled",
+                    vec![
+                        s(&["counters", "cancelled"]),
+                        j(&["service", "cancelled"]),
+                        m("tricluster_serve_jobs_cancelled_total"),
+                    ],
+                ),
+                (
+                    "queue_full",
+                    vec![
+                        s(&["counters", "rejected_queue"]),
+                        m("tricluster_serve_jobs_rejected_queue_full_total"),
+                    ],
+                ),
+                (
+                    "queue_depth",
+                    vec![
+                        s(&["queue_depth"]),
+                        j(&["service", "queue_depth"]),
+                        m("tricluster_serve_queue_depth"),
+                    ],
+                ),
+                (
+                    "running",
+                    vec![
+                        s(&["running"]),
+                        j(&["service", "running"]),
+                        m("tricluster_serve_workers_busy"),
+                    ],
+                ),
+                (
+                    "cache_hits",
+                    vec![
+                        s(&["dataset_cache", "hits"]),
+                        j(&["dataset_cache", "hits"]),
+                        m("tricluster_serve_cache_hits"),
+                    ],
+                ),
+                (
+                    "cache_misses",
+                    vec![
+                        s(&["dataset_cache", "misses"]),
+                        j(&["dataset_cache", "misses"]),
+                        m("tricluster_serve_cache_misses"),
+                    ],
+                ),
+                (
+                    "cache_evictions",
+                    vec![
+                        s(&["dataset_cache", "evictions"]),
+                        j(&["dataset_cache", "evictions"]),
+                        m("tricluster_serve_cache_evictions"),
+                    ],
+                ),
+            ]
+            .map(|(what, values)| {
+                assert!(
+                    values.iter().all(|&v| v == values[0]),
+                    "views disagree on {what}: {values:?}"
+                );
+                (what, values[0])
+            })
+        };
+        let want = |running, completed| {
+            [
+                ("accepted", 2),
+                ("completed", completed),
+                ("cancelled", 1),
+                ("queue_full", 1),
+                ("queue_depth", 0),
+                ("running", running),
+                ("cache_hits", 0),
+                ("cache_misses", 2),
+                ("cache_evictions", 1),
+            ]
+        };
+        assert_eq!(numbers(&views()), want(1, 0), "while the held job runs");
+        wait_finished(&base, held);
+        wait_metric(&base, "tricluster_serve_jobs_completed_total", 1.0);
+        let (stats, jobs, metrics) = views();
+        let keys = |doc: &Json, path: &[&str]| -> Vec<String> {
+            let obj = if path.is_empty() {
+                Some(doc)
+            } else {
+                doc.get_path(path)
+            };
+            obj.and_then(Json::as_obj)
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(
+            keys(&stats, &[]),
+            [
+                "queue_depth",
+                "queue_capacity",
+                "running",
+                "workers",
+                "admitted_bytes",
+                "memory_budget",
+                "draining",
+                "dataset_cache",
+                "counters"
+            ]
+        );
+        assert_eq!(
+            keys(&stats, &["dataset_cache"]),
+            ["hits", "misses", "evictions", "entries"]
+        );
+        assert_eq!(
+            keys(&stats, &["counters"]),
+            [
+                "submitted",
+                "rejected_queue",
+                "rejected_memory",
+                "clamped",
+                "completed",
+                "failed",
+                "cancelled",
+                "http_requests"
+            ]
+        );
+        assert_eq!(keys(&jobs, &[]), ["jobs", "service", "dataset_cache"]);
+        assert_eq!(
+            keys(&jobs, &["service"]),
+            [
+                "accepted",
+                "completed",
+                "failed",
+                "cancelled",
+                "queue_depth",
+                "running"
+            ]
+        );
+        assert_eq!(
+            keys(&jobs, &["dataset_cache"]),
+            ["hits", "misses", "evictions"]
+        );
+        let families: Vec<&str> = metrics
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE tricluster_serve_"))
+            .collect();
+        assert_eq!(
+            families,
+            [
+                "http_requests counter",
+                "jobs_accepted counter",
+                "jobs_cancelled counter",
+                "jobs_completed counter",
+                "jobs_rejected_queue_full counter",
+                "job_queue_wait_seconds histogram",
+                "job_run_seconds histogram",
+                "queue_depth gauge",
+                "admitted_bytes gauge",
+                "workers_busy gauge",
+                "jobs_retained gauge",
+                "cache_hits gauge",
+                "cache_misses gauge",
+                "cache_evictions gauge"
+            ],
+            "{metrics}"
+        );
+        assert_eq!(
+            numbers(&(stats, jobs, metrics)),
+            want(0, 1),
+            "after the held job finished"
+        );
+        shut_down(daemon);
     }
 }

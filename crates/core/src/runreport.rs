@@ -224,14 +224,7 @@ pub fn memory_json(report: &RunReport) -> Json {
                 Json::obj()
                     .with("total_bytes", c(names::M_ALLOC_TOTAL_BYTES))
                     .with("total_calls", c(names::M_ALLOC_TOTAL_CALLS))
-                    .with("peak_live_bytes", c(names::M_ALLOC_PEAK_BYTES))
-                    .with(
-                        "phases",
-                        Json::obj()
-                            .with("slices_bytes", c(names::M_ALLOC_SLICES_BYTES))
-                            .with("triclusters_bytes", c(names::M_ALLOC_TRICLUSTERS_BYTES))
-                            .with("prune_bytes", c(names::M_ALLOC_PRUNE_BYTES)),
-                    ),
+                    .with("peak_live_bytes", c(names::M_ALLOC_PEAK_BYTES)),
             )
             .with(
                 "phase_bytes",

@@ -385,8 +385,9 @@ impl RunReport {
             .collect()
     }
 
-    /// Render as a JSON object
-    /// `{"counters": {...}, "spans": {...}, "histograms": {...}}`.
+    /// Render as a JSON object `{"counters": {...}, "spans": {...}}`. The
+    /// histograms are left out: the v2 report renders them once, as its
+    /// top-level `histograms` section.
     pub fn to_json(&self) -> json::Json {
         let counters = json::Json::Obj(
             self.counters
@@ -422,16 +423,9 @@ impl RunReport {
                 })
                 .collect(),
         );
-        let histograms = json::Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| (k.to_string(), h.to_json()))
-                .collect(),
-        );
         json::Json::Obj(vec![
             ("counters".to_string(), counters),
             ("spans".to_string(), spans),
-            ("histograms".to_string(), histograms),
         ])
     }
 

@@ -103,8 +103,7 @@ if [[ $fast -eq 0 ]]; then
     # end to end and report every stage (transpose/pair/classify/ranges/
     # intersect) and the range test's scan-vs-walk crossover grid. No
     # thresholds — per-stage nanoseconds are too machine-dependent to gate
-    # on; the smoke exists so the harness itself (and the classify mirror
-    # it carries) cannot silently rot.
+    # on; the smoke exists so the harness itself cannot silently rot.
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         kernel --genes 100 --min-ms 5
 
@@ -370,6 +369,10 @@ if [[ $fast -eq 0 ]]; then
     run cargo run --release --quiet -p tricluster-bench --bin bench -- \
         determinism "$det_t1" "$serve_json"
 fi
+
+# Size report (no gate): the non-test line count CHANGES.md quotes.
+echo
+echo "==> non-test lines: $(scripts/nontest_lines.sh)"
 
 echo
 echo "All checks passed."
