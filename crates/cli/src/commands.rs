@@ -98,7 +98,8 @@ address is printed on stderr; POST /shutdown drains the daemon):
   --cap-deadline SECS, --cap-memory B, --cap-candidates N, --cap-threads N
                        server-wide ceilings clamped onto every job's
                        requested per-job budgets
-  --max-body B         largest accepted request body (default 64M)
+  --max-body B         largest accepted request body, and largest dataset
+                       file read for a --by-path submission (default 64M)
   --ledger DIR         archive every finished job's v2 report (plus its
                        Chrome trace with job-lifecycle instants) into the
                        run ledger at DIR (kind \"serve\"), flushed per job
@@ -325,6 +326,8 @@ pub fn synth(argv: &[String]) -> Result<(), CliError> {
     if let Some(v) = a.get_u64("seed").map_err(CliError::Usage)? {
         spec.seed = v;
     }
+    spec.validate()
+        .map_err(|e| CliError::Usage(format!("synth: {e}")))?;
     let data = generate(&spec);
     write_matrix(path, &data.matrix)?;
     eprintln!(
@@ -555,6 +558,30 @@ pub(crate) mod tests {
             matches!(&e, CliError::Usage(m) if m.contains("missing output")),
             "{e}"
         );
+    }
+
+    /// Specs the generator cannot honour are usage errors, and write no
+    /// file.
+    #[test]
+    fn synth_rejects_specs_the_generator_cannot_honour() {
+        let dir = std::env::temp_dir().join(format!("tricluster-cli-synth-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.tsv");
+        let path_str = path.to_str().unwrap().to_string();
+        for (flag, value, field) in [
+            ("--genes", "0", "n_genes"),
+            ("--noise", "1", "noise"),
+            ("--overlap", "2", "overlap_fraction"),
+            ("--genes", "3", "not enough genes"),
+        ] {
+            let e = synth(&[path_str.clone(), flag.into(), value.into()]).unwrap_err();
+            assert!(
+                matches!(&e, CliError::Usage(m) if m.contains(field)),
+                "{flag} {value}: {e}"
+            );
+            assert!(!path.exists(), "{flag} {value} wrote a file");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Writes a synthetic stacked-TSV dataset into `dir` and returns its

@@ -25,7 +25,7 @@ use crate::args;
 use crate::commands::{mine_params_from, parse_bytes, CliError, PARAM_FLAGS};
 use crate::jobs::{Cancel, JobTable, Outcome, Run, Shed, ShutdownMode};
 use crate::mine::ledger_entry;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -68,7 +68,8 @@ pub struct ServeConfig {
     pub memory_budget: Option<u64>,
     /// Server-wide ceilings clamped onto every job's requested budgets.
     pub caps: TenantCaps,
-    /// Largest accepted request body (inline datasets).
+    /// Largest accepted request body (inline datasets), and largest
+    /// dataset file read for a `dataset_path` submission.
     pub max_body: usize,
     /// Archive finished jobs into this run ledger.
     pub ledger_dir: Option<String>,
@@ -555,7 +556,10 @@ fn submit_job(shared: &Shared, body: &[u8], request_id: u64, audit: &mut Audit) 
     let dataset = if let Some(tsv) = doc.get("dataset").and_then(Json::as_str) {
         shared.engine.dataset_from_bytes(tsv.as_bytes())
     } else if let Some(path) = doc.get("dataset_path").and_then(Json::as_str) {
-        shared.engine.dataset_from_path(std::path::Path::new(path))
+        match read_dataset_file(path, shared.cfg.max_body) {
+            Ok(bytes) => shared.engine.dataset_from_bytes(&bytes),
+            Err(response) => return response,
+        }
     } else {
         return error_response(400, "bad_request", "need \"dataset\" or \"dataset_path\"");
     };
@@ -599,6 +603,27 @@ fn submit_job(shared: &Shared, body: &[u8], request_id: u64, audit: &mut Audit) 
         .with("dataset_hash", Json::Str(dataset.hash.clone()))
         .with("clamped", Json::Bool(clamped));
     Response::json(202, body.render() + "\n")
+}
+
+/// Reads a `dataset_path` submission's file under the cap an inline dataset
+/// meets as a request body: anything but a regular file is a 400 before it
+/// is opened, and a file over `max_body` bytes is a 413.
+fn read_dataset_file(path: &str, max_body: usize) -> Result<Vec<u8>, Response> {
+    let bad = |detail: String| error_response(400, "bad_dataset", &detail);
+    let meta = std::fs::metadata(path).map_err(|e| bad(format!("cannot read {path}: {e}")))?;
+    if !meta.is_file() {
+        return Err(bad(format!("{path} is not a regular file")));
+    }
+    let cap = (max_body as u64).saturating_add(1);
+    let mut bytes = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|file| file.take(cap).read_to_end(&mut bytes))
+        .map_err(|e| bad(format!("cannot read {path}: {e}")))?;
+    if bytes.len() > max_body {
+        let detail = format!("{path} is larger than the {max_body}-byte --max-body cap");
+        return Err(error_response(413, "dataset_too_large", &detail));
+    }
+    Ok(bytes)
 }
 
 fn cancel_job(shared: &Shared, id: u64) -> Response {
@@ -969,6 +994,68 @@ mod tests {
             "the shed dataset evicted nothing"
         );
         shut_down(daemon);
+    }
+
+    /// A dataset read by path meets the same `max_body` cap as an inline
+    /// one: an over-cap file is a 413 that submits and parses nothing, a
+    /// directory is a 400, and a file under the cap is admitted.
+    #[test]
+    fn dataset_paths_are_capped_like_inline_bodies() {
+        let _scenario = failpoint::scenario();
+        let dir =
+            std::env::temp_dir().join(format!("tricluster-serve-bypath-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let small = table1_tsv();
+        let big = dir.join("big.tsv");
+        std::fs::write(&big, small.repeat(2)).unwrap();
+        let fits = dir.join("table1.tsv");
+        std::fs::write(&fits, &small).unwrap();
+        let daemon = Daemon::start(ServeConfig {
+            max_body: small.len(),
+            ..test_cfg()
+        })
+        .unwrap();
+        let base = daemon.url();
+        let by_path = |path: &std::path::Path| {
+            let body = Json::obj()
+                .with("dataset_path", Json::Str(path.to_str().unwrap().into()))
+                .with(
+                    "params",
+                    Json::Arr(vec![Json::Str("--eps".into()), Json::Str("0.01".into())]),
+                );
+            post_job(&base, &body.render())
+        };
+        let stat = |path: &[&str]| {
+            let (_, stats) = http_get(&format!("{base}/stats")).unwrap();
+            let stats = Json::parse(stats.trim()).unwrap();
+            stats.get_path(path).and_then(Json::as_u64).unwrap()
+        };
+
+        let (status, body) = by_path(&big);
+        assert_eq!(status, 413, "{}", body.render());
+        assert_eq!(
+            body.get("error").and_then(Json::as_str),
+            Some("dataset_too_large")
+        );
+        let (status, body) = by_path(&dir);
+        assert_eq!(status, 400, "{}", body.render());
+        assert_eq!(
+            body.get("error").and_then(Json::as_str),
+            Some("bad_dataset")
+        );
+        assert_eq!(stat(&["counters", "submitted"]), 0);
+        assert_eq!(stat(&["dataset_cache", "misses"]), 0, "nothing was parsed");
+
+        let (status, body) = by_path(&fits);
+        assert_eq!(status, 202, "{}", body.render());
+        let doc = wait_finished(&base, body.get("id").and_then(Json::as_u64).unwrap());
+        assert_eq!(
+            doc.get_path(&["job", "state"]).and_then(Json::as_str),
+            Some("done")
+        );
+        assert_eq!(stat(&["counters", "submitted"]), 1);
+        shut_down(daemon);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -36,54 +36,35 @@ pub fn slice_pair_coherent(
     tb: usize,
     eps: f64,
 ) -> bool {
-    slice_pair_ratio(m, genes, samples, ta, tb, eps).is_some()
-}
-
-/// Like [`slice_pair_coherent`], but returns a representative ratio (the
-/// signed geometric midpoint of the observed ratio interval) when the
-/// region is coherent.
-pub fn slice_pair_ratio(
-    m: &Matrix3,
-    genes: &BitSet,
-    samples: &[usize],
-    ta: usize,
-    tb: usize,
-    eps: f64,
-) -> Option<f64> {
     let gene_list: Vec<usize> = genes.to_vec();
     if gene_list.is_empty() || samples.is_empty() {
-        return None;
+        return false;
     }
     let ng = gene_list.len();
     let ns = samples.len();
 
-    // ratio matrix, and global sign/extent tracking for the return value
+    // ratio magnitudes, with one sign shared by the whole region
     let mut ratios = vec![0.0f64; ng * ns];
     let mut sign = 0i8;
-    let mut global_lo = f64::INFINITY;
-    let mut global_hi = f64::NEG_INFINITY;
     for (gi, &g) in gene_list.iter().enumerate() {
         for (si, &s) in samples.iter().enumerate() {
             let va = m.get(g, s, ta);
             let vb = m.get(g, s, tb);
             if !va.is_finite() || !vb.is_finite() || va == 0.0 {
-                return None;
+                return false;
             }
             let r = vb / va;
             if r == 0.0 || !r.is_finite() {
-                return None;
+                return false;
             }
             let r_sign = if r > 0.0 { 1 } else { -1 };
             if sign == 0 {
                 sign = r_sign;
             } else if sign != r_sign {
                 // a sign flip always breaks some 2x2 along the grid
-                return None;
+                return false;
             }
-            let a = r.abs();
-            ratios[gi * ns + si] = a;
-            global_lo = global_lo.min(a);
-            global_hi = global_hi.max(a);
+            ratios[gi * ns + si] = r.abs();
         }
     }
 
@@ -97,7 +78,7 @@ pub fn slice_pair_ratio(
             hi = hi.max(a);
         }
         if hi / lo - 1.0 > eps {
-            return None;
+            return false;
         }
     }
     // per fixed gene: across samples
@@ -109,10 +90,10 @@ pub fn slice_pair_ratio(
             hi = hi.max(a);
         }
         if hi / lo - 1.0 > eps {
-            return None;
+            return false;
         }
     }
-    Some(f64::from(sign) * (global_lo * global_hi).sqrt())
+    true
 }
 
 #[cfg(test)]
@@ -125,16 +106,14 @@ mod tests {
     }
 
     /// Paper: "the ratios between t1 and t0 are 1.2 (for C1) and 0.5 (for
-    /// C2 and C3)".
+    /// C2 and C3)", so each cluster is coherent across the slice pair.
     #[test]
     fn paper_slice_ratios() {
         let m = paper_table1();
-        let r1 = slice_pair_ratio(&m, &genes(&[1, 4, 8]), &[0, 1, 4, 6], 0, 1, 0.01).unwrap();
-        assert!((r1 - 1.2).abs() < 1e-9, "C1 ratio {r1}");
-        let r2 = slice_pair_ratio(&m, &genes(&[0, 2, 6, 9]), &[1, 4, 6], 0, 1, 0.01).unwrap();
-        assert!((r2 - 0.5).abs() < 1e-9, "C2 ratio {r2}");
-        let r3 = slice_pair_ratio(&m, &genes(&[0, 7, 9]), &[1, 2, 4, 5], 0, 1, 0.01).unwrap();
-        assert!((r3 - 0.5).abs() < 1e-9, "C3 ratio {r3}");
+        let coherent = |g: &[usize], s: &[usize]| slice_pair_coherent(&m, &genes(g), s, 0, 1, 0.01);
+        assert!(coherent(&[1, 4, 8], &[0, 1, 4, 6]), "C1");
+        assert!(coherent(&[0, 2, 6, 9], &[1, 4, 6]), "C2");
+        assert!(coherent(&[0, 7, 9], &[1, 2, 4, 5]), "C3");
     }
 
     /// A region straddling C1 (ratio 1.2) and C2 (ratio 0.5) is incoherent.
@@ -208,8 +187,7 @@ mod tests {
         m.set(0, 0, 1, -2.0);
         m.set(1, 0, 0, 3.0);
         m.set(1, 0, 1, -6.0);
-        let r = slice_pair_ratio(&m, &BitSet::full(2), &[0], 0, 1, 0.01).unwrap();
-        assert!((r + 2.0).abs() < 1e-9, "ratio {r}");
+        assert!(slice_pair_coherent(&m, &BitSet::full(2), &[0], 0, 1, 0.01));
     }
 
     #[test]

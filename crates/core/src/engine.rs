@@ -344,18 +344,6 @@ impl Engine {
         }
     }
 
-    /// Reads a stacked TSV file and looks it up or parses it, as
-    /// [`Engine::dataset_from_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::Io`] when the file cannot be read, else as
-    /// [`Engine::dataset_from_bytes`].
-    pub fn dataset_from_path(&self, path: &std::path::Path) -> Result<Arc<Dataset>, IoError> {
-        let bytes = std::fs::read(path).map_err(IoError::Io)?;
-        self.dataset_from_bytes(&bytes)
-    }
-
     /// `(hits, misses, evictions)` of the dataset cache since
     /// construction. Evictions count parsed datasets dropped from the MRU
     /// list to stay under the capacity — a high rate relative to hits

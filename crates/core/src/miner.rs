@@ -141,11 +141,9 @@ fn bitset_bytes(bits: &BitSet) -> u64 {
 /// blocks. Deterministic (derived from data-structure sizes, not the
 /// allocator), so it can live in the report's memory section.
 fn range_graph_bytes(rg: &RangeGraph) -> u64 {
-    let mut bytes = 0u64;
-    for e in rg.graph.edges() {
-        bytes += std::mem::size_of::<RatioRange>() as u64 + bitset_bytes(&e.payload.genes);
-    }
-    bytes
+    rg.ranges()
+        .map(|r| std::mem::size_of::<RatioRange>() as u64 + bitset_bytes(&r.genes))
+        .sum()
 }
 
 /// Logical size of a set of biclusters (gene blocks + sample indices).

@@ -14,35 +14,47 @@
 use crate::fault::{fail_point_panic, fan_out, RunCtrl, PAIRS};
 use crate::params::Params;
 use crate::range::{find_ranges_into, RangeKind, RangeScratch, RatioRange, SignGroup};
-use tricluster_graph::MultiGraph;
 use tricluster_matrix::Matrix3;
 use tricluster_obs::{emit, names, Event, EventSink, Histogram};
 
-/// The range multigraph of one time slice.
+/// The range multigraph of one time slice: for every sample-column pair
+/// `a < b`, the list of its ratio ranges (the pair's parallel edges).
 #[derive(Debug, Clone)]
 pub struct RangeGraph {
     /// Time slice index this graph was built from.
     pub time: usize,
-    /// Vertices are sample columns; each edge `(a, b)` with `a < b` carries
-    /// one ratio range.
-    pub graph: MultiGraph<RatioRange>,
+    n_samples: usize,
+    /// One range list per column pair `a < b`, in the canonical order
+    /// `(0, 1), (0, 2), …, (1, 2), …` that the build fans out over.
+    slots: Vec<Vec<RatioRange>>,
 }
 
 impl RangeGraph {
     /// Number of sample columns.
     pub fn n_samples(&self) -> usize {
-        self.graph.vertex_count()
+        self.n_samples
     }
 
     /// Total number of ranges (edges).
     pub fn n_ranges(&self) -> usize {
-        self.graph.edge_count()
+        self.slots.iter().map(Vec::len).sum()
     }
 
-    /// The ranges between columns `a` and `b` (`a < b` expected; queries in
-    /// the other orientation return the empty slice).
+    /// The ranges between columns `a` and `b`: the empty slice unless
+    /// `a < b < n_samples`.
     pub fn ranges_between(&self, a: usize, b: usize) -> &[RatioRange] {
-        self.graph.edges_between(a, b)
+        if a < b && b < self.n_samples {
+            // Pairs `(i, _)` with `i < a` fill the first `a·(2n − a − 1)/2`
+            // slots; `(a, b)` is then the `(b − a − 1)`-th of row `a`.
+            &self.slots[a * (2 * self.n_samples - a - 1) / 2 + (b - a - 1)]
+        } else {
+            &[]
+        }
+    }
+
+    /// Every range of the graph, pair by pair in canonical order.
+    pub fn ranges(&self) -> impl Iterator<Item = &RatioRange> {
+        self.slots.iter().flatten()
     }
 }
 
@@ -95,6 +107,31 @@ impl RangeGraphStats {
             let h = self.hists.get_or_insert_with(Box::default);
             h.range_width_ppm.merge(&o.range_width_ppm);
             h.edge_geneset_size.merge(&o.edge_geneset_size);
+        }
+    }
+
+    /// Counts one computed column pair: its gene ratios, its ranges by
+    /// kind and, when collected, their width and gene-set histograms.
+    fn count_pair(&mut self, ratios: u64, ranges: &[RatioRange]) {
+        self.pairs += 1;
+        self.ratios += ratios;
+        self.edges += ranges.len() as u64;
+        for range in ranges {
+            match range.kind {
+                RangeKind::Valid => self.ranges_valid += 1,
+                RangeKind::Extended => self.ranges_extended += 1,
+                RangeKind::Split => self.ranges_split += 1,
+                RangeKind::Patched => self.ranges_patched += 1,
+            }
+            if let Some(h) = self.hists.as_deref_mut() {
+                let width_ppm = if range.lo > 0.0 {
+                    (((range.hi - range.lo) / range.lo) * 1e6).round() as u64
+                } else {
+                    0
+                };
+                h.range_width_ppm.record(width_ppm);
+                h.edge_geneset_size.record(range.genes.count() as u64);
+            }
         }
     }
 
@@ -196,9 +233,10 @@ pub struct PairScratch {
 /// of gene ratios classified into a sign group.
 ///
 /// Pure function of the slice data and `params` — safe to run on any worker
-/// in any order; all bookkeeping happens later in `absorb_pair`. Public so
-/// the `bench kernel` microbenchmark can drive the exact production pair
-/// kernel without the graph-assembly and observability layers around it.
+/// in any order; all bookkeeping happens later, in the build's absorb step.
+/// Public so the `bench kernel` microbenchmark can drive the exact
+/// production pair kernel without the graph-assembly and observability
+/// layers around it.
 pub fn compute_pair(
     cols: &SliceColumns,
     a: usize,
@@ -261,72 +299,21 @@ pub fn compute_pair(
     ratios
 }
 
-/// Folds one computed pair's `ranges` into the graph and stats.
-///
-/// This is the single-threaded merge step: pairs are absorbed in canonical
-/// `(a, b)` order regardless of which worker computed them, so the produced
-/// `MultiGraph` (edge insertion order included), the stats, the histograms,
-/// and the "rangegraph.pair" event sequence are byte-identical to a fully
-/// sequential build.
-#[allow(clippy::too_many_arguments)]
-fn absorb_pair(
-    t: usize,
-    a: usize,
-    b: usize,
-    ratios: u64,
-    ranges: Vec<RatioRange>,
-    graph: &mut MultiGraph<RatioRange>,
-    stats: &mut RangeGraphStats,
-    sink: &dyn EventSink,
-) {
-    stats.pairs += 1;
-    stats.ratios += ratios;
-    for range in ranges.iter() {
-        match range.kind {
-            RangeKind::Valid => stats.ranges_valid += 1,
-            RangeKind::Extended => stats.ranges_extended += 1,
-            RangeKind::Split => stats.ranges_split += 1,
-            RangeKind::Patched => stats.ranges_patched += 1,
-        }
-        if let Some(h) = stats.hists.as_deref_mut() {
-            let width_ppm = if range.lo > 0.0 {
-                (((range.hi - range.lo) / range.lo) * 1e6).round() as u64
-            } else {
-                0
-            };
-            h.range_width_ppm.record(width_ppm);
-            h.edge_geneset_size.record(range.genes.count() as u64);
-        }
-    }
-    // One adjacency search for the whole pair instead of one per edge;
-    // order is preserved, so the edge lists (and everything derived from
-    // their order) stay byte-identical to per-edge insertion.
-    let pair_edges = graph.add_edges_between(a, b, ranges) as u64;
-    stats.edges += pair_edges;
-    if pair_edges > 0 {
-        emit(sink, || {
-            Event::new("rangegraph.pair")
-                .field("time", t)
-                .field("a", a)
-                .field("b", b)
-                .field("edges", pair_edges)
-        });
-    }
-}
-
 /// [`build_range_graph_observed`] over up to `workers` threads, under the
 /// run control of `ctrl`.
 ///
 /// Work units are single `(a, b)` pairs, run through [`fan_out`]; each
 /// worker owns a [`PairScratch`] so the hot path does no per-pair scratch
-/// allocation. Computed ranges are merged on the calling thread in
-/// canonical pair order (see `absorb_pair`), so the output is
-/// byte-identical for every `workers` value.
+/// allocation. Each computed pair is absorbed on the calling thread in
+/// canonical pair order: its stats and histograms are counted, its
+/// "rangegraph.pair" event is emitted (when it has edges), and its range
+/// list moves into its slot of the graph. The graph, stats and event
+/// sequence are therefore byte-identical for every `workers` value.
 ///
 /// The deadline is polled before each pair, and — when `ctrl` collects
 /// faults — a panic while computing one pair downgrades to a
 /// [`WorkerFailure`](crate::WorkerFailure) that costs only that pair's
-/// edges. Skipped and failed pairs contribute nothing, which can only
+/// edges. Skipped and failed pairs keep an empty slot, which can only
 /// remove edges: every bicluster mined from the partial graph is still a
 /// bicluster of the complete one.
 pub(crate) fn build_range_graph_ctrl(
@@ -341,7 +328,6 @@ pub(crate) fn build_range_graph_ctrl(
     let n_samples = m.n_samples();
     // One column-major copy, shared read-only by every pair worker.
     let cols = SliceColumns::from_slice(m.time_slice_raw(t), n_genes, n_samples);
-    let mut graph: MultiGraph<RatioRange> = MultiGraph::new(n_samples);
     let mut stats = RangeGraphStats::default();
     if sink.wants_histograms() {
         stats.hists = Some(Box::default());
@@ -353,6 +339,7 @@ pub(crate) fn build_range_graph_ctrl(
     if let Some(p) = &ctrl.progress {
         p.add_pairs_total(pairs.len() as u64);
     }
+    let mut slots: Vec<Vec<RatioRange>> = pairs.iter().map(|_| Vec::new()).collect();
     fan_out(
         ctrl,
         &PAIRS,
@@ -370,11 +357,26 @@ pub(crate) fn build_range_graph_ctrl(
             (ranges, ratios)
         },
         |i, (ranges, ratios)| {
-            let (a, b) = pairs[i];
-            absorb_pair(t, a, b, ratios, ranges, &mut graph, &mut stats, sink);
+            stats.count_pair(ratios, &ranges);
+            if !ranges.is_empty() {
+                let (a, b) = pairs[i];
+                emit(sink, || {
+                    Event::new("rangegraph.pair")
+                        .field("time", t)
+                        .field("a", a)
+                        .field("b", b)
+                        .field("edges", ranges.len() as u64)
+                });
+            }
+            slots[i] = ranges;
         },
     );
-    (RangeGraph { time: t, graph }, stats)
+    let graph = RangeGraph {
+        time: t,
+        n_samples,
+        slots,
+    };
+    (graph, stats)
 }
 
 #[cfg(test)]
@@ -549,6 +551,18 @@ mod tests {
         // a slice.
         let _ = rg.ranges_between(0, 3);
         assert_eq!(rg.ranges_between(6, 0).len(), 0, "edges only stored a<b");
+        assert!(!rg.ranges_between(1, 4).is_empty());
+        assert!(rg.ranges_between(4, 1).is_empty(), "a > b");
+        for a in 0..rg.n_samples() {
+            assert!(rg.ranges_between(a, a).is_empty(), "a == b");
+        }
+        let n = rg.n_samples();
+        for (a, b) in [(0, n), (n - 1, n), (n, n + 1), (n, 0), (5, 99), (99, 5)] {
+            assert!(
+                rg.ranges_between(a, b).is_empty(),
+                "({a}, {b}) past n_samples"
+            );
+        }
     }
 
     #[test]

@@ -9,10 +9,6 @@ use tricluster_bitset::BitSet;
 /// ordering at the outermost level, which gives `O(d · n · 3^{d/3})` time for
 /// a graph of degeneracy `d`. Every returned clique is sorted ascending;
 /// isolated vertices are returned as singleton cliques.
-///
-/// In this workspace the enumerator is used by the baselines and by tests
-/// that cross-check TriCluster's constrained clique search; the graphs it
-/// sees (samples, time points, biclusters) are small.
 pub fn maximal_cliques(g: &Graph) -> Vec<Vec<usize>> {
     let n = g.vertex_count();
     let mut out = Vec::new();

@@ -1,27 +1,20 @@
-//! Graph substrate for TriCluster: a directed weighted multigraph and
+//! Graph substrate for TriCluster: a simple undirected graph and
 //! maximal-clique enumeration.
 //!
-//! TriCluster's first phase compresses each time slice into a *range
-//! multigraph*: vertices are sample columns and each valid ratio range
-//! between a column pair becomes a parallel edge carrying its gene-set.
-//! [`MultiGraph`] stores exactly that shape — ordered vertex pairs with any
-//! number of payload-carrying parallel edges — without committing to the
-//! payload type.
-//!
-//! [`Graph`] is a simple undirected graph with [Bron–Kerbosch maximal clique
-//! enumeration](Graph::maximal_cliques) (pivoting + degeneracy ordering at the
-//! outer level). The TriCluster miner itself uses a *constrained* clique
-//! search specialized to the range multigraph (in `tricluster-core`), but the
-//! generic enumerator is used by the baselines and by tests that cross-check
-//! the specialized search.
+//! [`Graph`] stores adjacency as per-vertex bitsets, and
+//! [`maximal_cliques`] enumerates its maximal cliques by Bron–Kerbosch with
+//! pivoting (degeneracy ordering at the outer level). The miner itself does
+//! not use it: the range multigraph is a range list per column pair
+//! (`tricluster_core::rangegraph::RangeGraph`), searched by BICLUSTER's
+//! constrained clique DFS. The enumerator is kept as the building block of
+//! exact clique formulations, such as a region's slice-coherence graph, and
+//! is pinned by this crate's property tests and the `micro` benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clique;
-mod multigraph;
 mod simple;
 
 pub use clique::maximal_cliques;
-pub use multigraph::{EdgeRef, MultiGraph};
 pub use simple::Graph;

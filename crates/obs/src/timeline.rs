@@ -204,66 +204,31 @@ impl Timeline {
                         ),
                     ),
             );
-            let mut open: Vec<&'static str> = Vec::new();
-            let mut horizon = 0u64;
-            for e in &journal.events {
-                horizon = horizon.max(e.ts_ns);
-                let base = |ph: &str, e: &TimelineEvent| {
-                    Json::obj()
-                        .with("ph", Json::Str(ph.into()))
-                        .with("ts", Json::F64(e.ts_ns as f64 / 1e3))
-                        .with("pid", Json::U64(TRACE_PID))
-                        .with("tid", Json::U64(tid))
-                        .with("name", Json::Str(e.name.into()))
-                };
-                match e.kind {
-                    EventKind::Begin => {
-                        open.push(e.name);
-                        let mut obj = base("B", e);
-                        if let Some(d) = &e.detail {
-                            obj =
-                                obj.with("args", Json::obj().with("detail", Json::Str(d.clone())));
-                        }
-                        events.push(obj);
-                    }
-                    EventKind::End => {
-                        // An end whose begin was evicted from the ring has
-                        // no matching B on this tid: drop it.
-                        if open.pop().is_none() {
-                            continue;
-                        }
-                        events.push(base("E", e));
-                    }
-                    EventKind::Instant => {
-                        let mut obj = base("i", e).with("s", Json::Str("t".into()));
-                        if let Some(d) = &e.detail {
-                            obj =
-                                obj.with("args", Json::obj().with("detail", Json::Str(d.clone())));
-                        }
-                        events.push(obj);
-                    }
-                }
-            }
-            // Close spans left open (ring eviction of their E, or a worker
-            // that died mid-span) at the journal's horizon.
-            while let Some(name) = open.pop() {
-                events.push(
-                    Json::obj()
-                        .with("ph", Json::Str("E".into()))
-                        .with("ts", Json::F64(horizon as f64 / 1e3))
-                        .with("pid", Json::U64(TRACE_PID))
-                        .with("tid", Json::U64(tid))
-                        .with("name", Json::Str(name.into())),
-                );
-            }
+            let event = |ph: &str, name: &str, ts_ns: u64| {
+                Json::obj()
+                    .with("ph", Json::Str(ph.into()))
+                    .with("ts", Json::F64(ts_ns as f64 / 1e3))
+                    .with("pid", Json::U64(TRACE_PID))
+                    .with("tid", Json::U64(tid))
+                    .with("name", Json::Str(name.into()))
+            };
+            let with_detail = |obj: Json, e: &TimelineEvent| match &e.detail {
+                Some(d) => obj.with("args", Json::obj().with("detail", Json::Str(d.clone()))),
+                None => obj,
+            };
+            let horizon = balanced_steps(&journal, |step| {
+                events.push(match step {
+                    Step::Begin(e) => with_detail(event("B", e.name, e.ts_ns), e),
+                    Step::End { name, ts_ns } => event("E", name, ts_ns),
+                    Step::Instant(e) => with_detail(
+                        event("i", e.name, e.ts_ns).with("s", Json::Str("t".into())),
+                        e,
+                    ),
+                });
+            });
             if journal.dropped > 0 {
                 events.push(
-                    Json::obj()
-                        .with("ph", Json::Str("i".into()))
-                        .with("ts", Json::F64(horizon as f64 / 1e3))
-                        .with("pid", Json::U64(TRACE_PID))
-                        .with("tid", Json::U64(tid))
-                        .with("name", Json::Str("timeline.dropped".into()))
+                    event("i", "timeline.dropped", horizon)
                         .with("s", Json::Str("t".into()))
                         .with(
                             "args",
@@ -303,11 +268,12 @@ impl Timeline {
 /// the folded totals are CPU time summed across workers, so a phase's total
 /// can legitimately exceed its wall-clock span.
 ///
-/// Sanitization mirrors [`Timeline::to_chrome_json`]: an `End` with no open
-/// `Begin` (ring eviction) is dropped, and frames left open are closed at
-/// the journal's horizon. Instants carry no duration and are ignored. The
-/// output is deterministic given the journal set: journals are folded in
-/// worker order and lines are emitted in lexicographic stack order.
+/// Journals are sanitized by the same walk as [`Timeline::to_chrome_json`]:
+/// an `End` with no open `Begin` (ring eviction) is dropped, and frames left
+/// open are closed at the journal's horizon. Instants carry no duration and
+/// are ignored. The output is deterministic given the journal set: journals
+/// are folded in worker order and lines are emitted in lexicographic stack
+/// order.
 pub fn fold_journals(journals: &[WorkerJournal]) -> String {
     use std::collections::BTreeMap;
 
@@ -344,27 +310,18 @@ pub fn fold_journals(journals: &[WorkerJournal]) -> String {
     // windows worker journals re-root under.
     let mut windows: Vec<(u64, u64, &'static str)> = Vec::new();
     for journal in journals.iter().filter(|j| j.label == "main") {
-        let mut open: Vec<(&'static str, u64)> = Vec::new();
-        let mut horizon = 0u64;
-        for e in &journal.events {
-            horizon = horizon.max(e.ts_ns);
-            match e.kind {
-                EventKind::Begin => open.push((e.name, e.ts_ns)),
-                EventKind::End => {
-                    if let Some((name, start)) = open.pop() {
-                        if open.is_empty() {
-                            windows.push((start, e.ts_ns, name));
-                        }
+        let mut open: Vec<&TimelineEvent> = Vec::new();
+        balanced_steps(journal, |step| match step {
+            Step::Begin(e) => open.push(e),
+            Step::End { ts_ns, .. } => {
+                if let Some(begin) = open.pop() {
+                    if open.is_empty() {
+                        windows.push((begin.ts_ns, ts_ns, begin.name));
                     }
                 }
-                EventKind::Instant => {}
             }
-        }
-        while let Some((name, start)) = open.pop() {
-            if open.is_empty() {
-                windows.push((start, horizon, name));
-            }
-        }
+            Step::Instant(_) => {}
+        });
     }
 
     // Pass 2: fold every journal, re-rooting non-main top-level frames into
@@ -384,27 +341,20 @@ pub fn fold_journals(journals: &[WorkerJournal]) -> String {
         };
         let mut stack: Vec<Frame> = Vec::new();
         let mut root: Option<&'static str> = None;
-        let mut horizon = 0u64;
-        for e in &journal.events {
-            horizon = horizon.max(e.ts_ns);
-            match e.kind {
-                EventKind::Begin => {
-                    if stack.is_empty() {
-                        root = root_of(e.ts_ns);
-                    }
-                    stack.push(Frame {
-                        name: e.name,
-                        start: e.ts_ns,
-                        child_ns: 0,
-                    });
+        balanced_steps(journal, |step| match step {
+            Step::Begin(e) => {
+                if stack.is_empty() {
+                    root = root_of(e.ts_ns);
                 }
-                EventKind::End => pop_frame(&mut stack, e.ts_ns, root, &mut agg),
-                EventKind::Instant => {}
+                stack.push(Frame {
+                    name: e.name,
+                    start: e.ts_ns,
+                    child_ns: 0,
+                });
             }
-        }
-        while !stack.is_empty() {
-            pop_frame(&mut stack, horizon, root, &mut agg);
-        }
+            Step::End { ts_ns, .. } => pop_frame(&mut stack, ts_ns, root, &mut agg),
+            Step::Instant(_) => {}
+        });
     }
 
     let mut out = String::new();
@@ -415,6 +365,53 @@ pub fn fold_journals(journals: &[WorkerJournal]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// One step of a sanitized journal walk ([`balanced_steps`]).
+enum Step<'a> {
+    /// A span opened.
+    Begin(&'a TimelineEvent),
+    /// The innermost open span closed: at its own `End` event (whose name
+    /// it carries), or at the journal's horizon under its `Begin`'s name.
+    End { name: &'static str, ts_ns: u64 },
+    /// A point-in-time marker.
+    Instant(&'a TimelineEvent),
+}
+
+/// Walks `journal`'s events in recorded order, passing `step` only balanced
+/// steps: an `End` with no open `Begin` (its `Begin` was evicted from the
+/// ring) is dropped, and spans still open at the end (ring eviction of
+/// their `End`, or a worker that died mid-span) are closed, innermost
+/// first, at the journal's horizon — its latest timestamp, which it
+/// returns.
+fn balanced_steps<'a>(journal: &'a WorkerJournal, mut step: impl FnMut(Step<'a>)) -> u64 {
+    let mut open: Vec<&'static str> = Vec::new();
+    let mut horizon = 0u64;
+    for e in &journal.events {
+        horizon = horizon.max(e.ts_ns);
+        match e.kind {
+            EventKind::Begin => {
+                open.push(e.name);
+                step(Step::Begin(e));
+            }
+            EventKind::End => {
+                if open.pop().is_some() {
+                    step(Step::End {
+                        name: e.name,
+                        ts_ns: e.ts_ns,
+                    });
+                }
+            }
+            EventKind::Instant => step(Step::Instant(e)),
+        }
+    }
+    while let Some(name) = open.pop() {
+        step(Step::End {
+            name,
+            ts_ns: horizon,
+        });
+    }
+    horizon
 }
 
 /// The single `pid` all timeline events share (one process, many workers).

@@ -110,27 +110,76 @@ impl SynthSpec {
         (4.5 * self.noise).max(0.001)
     }
 
-    fn validate(&self) {
-        assert!(self.n_genes > 0 && self.n_samples > 0 && self.n_times > 0);
-        assert!(
-            self.gene_range.0 >= 1 && self.gene_range.1 <= self.n_genes,
-            "gene_range {:?} incompatible with {} genes",
-            self.gene_range,
-            self.n_genes
-        );
-        assert!(self.sample_range.0 >= 1 && self.sample_range.1 <= self.n_samples);
-        assert!(self.time_range.0 >= 1 && self.time_range.1 <= self.n_times);
-        assert!(self.gene_range.0 <= self.gene_range.1);
-        assert!(self.sample_range.0 <= self.sample_range.1);
-        assert!(self.time_range.0 <= self.time_range.1);
-        assert!((0.0..=1.0).contains(&self.overlap_fraction));
-        assert!(self.noise >= 0.0 && self.noise < 1.0);
-        assert!(
-            self.base_value_range.0 > 0.0 && self.base_value_range.0 <= self.base_value_range.1
-        );
-        assert!(
-            self.background_range.0 > 0.0 && self.background_range.0 <= self.background_range.1
-        );
+    /// Checks that [`generate`] can honour this spec, naming the field at
+    /// fault: dimensions are non-zero, cluster-size ranges are ordered and
+    /// fit the matrix, fractions and value ranges are in bounds, and the
+    /// disjoint clusters fit the gene dimension. That last check counts the
+    /// fresh genes `generate` draws at the upper end of `gene_range` (an
+    /// overlapping cluster shares half its genes with its predecessor), so
+    /// it is exact when the range is a single size. Draws no random numbers.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first field at fault.
+    pub fn validate(&self) -> Result<(), String> {
+        for (dim, (lo, hi), n) in [
+            ("gene", self.gene_range, self.n_genes),
+            ("sample", self.sample_range, self.n_samples),
+            ("time", self.time_range, self.n_times),
+        ] {
+            if n == 0 {
+                return Err(format!("n_{dim}s must be at least 1"));
+            }
+            if lo < 1 || lo > hi || hi > n {
+                return Err(format!("{dim}_range ({lo}, {hi}) must lie within 1..={n}"));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.overlap_fraction) {
+            return Err(format!(
+                "overlap_fraction {} is not in [0, 1]",
+                self.overlap_fraction
+            ));
+        }
+        if !(0.0..1.0).contains(&self.noise) {
+            return Err(format!("noise {} is not in [0, 1)", self.noise));
+        }
+        for (name, (lo, hi)) in [
+            ("base_value_range", self.base_value_range),
+            ("background_range", self.background_range),
+        ] {
+            if !(lo > 0.0 && lo <= hi) {
+                return Err(format!("{name} ({lo}, {hi}) must satisfy 0 < lo <= hi"));
+            }
+        }
+        let gx = self.gene_range.1;
+        let overlapping = self.overlap_flags().into_iter().filter(|&f| f).count();
+        let fresh = (self.n_clusters - overlapping) * gx + overlapping * (gx - gx / 2);
+        if fresh > self.n_genes {
+            return Err(format!(
+                "n_genes: not enough genes to place disjoint clusters: {fresh} needed, {} available",
+                self.n_genes
+            ));
+        }
+        Ok(())
+    }
+
+    /// Which clusters overlap their predecessor. Overlaps come in pairs: a
+    /// cluster may overlap its predecessor only if that predecessor did not
+    /// itself overlap (chains of shared indices would let base values leak
+    /// across three clusters and break the multiplicative model on
+    /// coincidentally shared samples/times).
+    fn overlap_flags(&self) -> Vec<bool> {
+        let n_overlapping = (self.overlap_fraction * self.n_clusters as f64).round() as usize;
+        let mut overlaps_done = 0usize;
+        let mut prev_overlapped = false;
+        (0..self.n_clusters)
+            .map(|i| {
+                let flag = i > 0 && overlaps_done < n_overlapping && !prev_overlapped;
+                overlaps_done += usize::from(flag);
+                prev_overlapped = flag;
+                flag
+            })
+            .collect()
     }
 }
 
@@ -146,15 +195,17 @@ pub struct SynthDataset {
 /// Generates a dataset according to `spec`. Deterministic in `spec.seed`.
 ///
 /// # Panics
-/// Panics when the spec is inconsistent (cluster sizes exceeding matrix
-/// dimensions, non-positive value ranges, …) or when the requested
-/// *disjoint* clusters cannot fit in the gene dimension.
+/// Panics with [`SynthSpec::validate`]'s message when the spec is
+/// inconsistent (cluster sizes exceeding matrix dimensions, non-positive
+/// value ranges, …) or when the requested *disjoint* clusters cannot fit in
+/// the gene dimension.
 pub fn generate(spec: &SynthSpec) -> SynthDataset {
-    spec.validate();
+    if let Err(e) = spec.validate() {
+        panic!("invalid synth spec: {e}");
+    }
     let mut rng = StdRng::seed_from_u64(spec.seed);
 
     // ---- place clusters ----
-    let n_overlapping = (spec.overlap_fraction * spec.n_clusters as f64).round() as usize;
     let mut gene_pool: Vec<usize> = (0..spec.n_genes).collect();
     gene_pool.shuffle(&mut rng);
     let mut pool_next = 0usize;
@@ -172,21 +223,7 @@ pub fn generate(spec: &SynthSpec) -> SynthDataset {
     };
 
     let mut truth: Vec<Tricluster> = Vec::with_capacity(spec.n_clusters);
-    // Overlaps come in pairs: a cluster may overlap its predecessor only if
-    // that predecessor did not itself overlap (chains of shared indices
-    // would let base values leak across three clusters and break the
-    // multiplicative model on coincidentally shared samples/times).
-    let mut overlaps_done = 0usize;
-    let mut prev_overlapped = false;
-    let mut overlap_flags: Vec<bool> = Vec::with_capacity(spec.n_clusters);
-    for i in 0..spec.n_clusters {
-        let flag = i > 0 && overlaps_done < n_overlapping && !prev_overlapped;
-        if flag {
-            overlaps_done += 1;
-        }
-        prev_overlapped = flag;
-        overlap_flags.push(flag);
-    }
+    let overlap_flags = spec.overlap_flags();
     for i in 0..spec.n_clusters {
         let gx = rng.gen_range(spec.gene_range.0..=spec.gene_range.1);
         let sy = rng.gen_range(spec.sample_range.0..=spec.sample_range.1);

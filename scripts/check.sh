@@ -320,11 +320,12 @@ if [[ $fast -eq 0 ]]; then
     ./target/release/tricluster submit "$serve_url" --cancel "$long_id" >/dev/null
     # Wait out a clean job and collect its report; the queue may still be
     # full while the cancelled job winds down, so retry the submission
-    # until a slot frees up.
+    # until a slot frees up. This one goes by path, so the daemon's file
+    # read is held to the one-shot report below.
     submitted=0
     for _ in $(seq 1 40); do
         if ./target/release/tricluster submit "$serve_url" "$det_tsv" --eps 0.012 \
-            --wait --report-json "$serve_json" >/dev/null 2>&1; then
+            --by-path --wait --report-json "$serve_json" >/dev/null 2>&1; then
             submitted=1
             break
         fi

@@ -9,7 +9,7 @@
 //! | [`core`] | the TriCluster algorithm: range multigraph, bicluster/tricluster mining, merge/prune, metrics |
 //! | [`matrix`] | dense labeled 2D/3D matrices, TSV I/O, preprocessing |
 //! | [`bitset`] | the gene-set bitset |
-//! | [`graph`] | multigraph + maximal-clique substrate |
+//! | [`graph`] | simple graph + maximal-clique substrate |
 //! | [`synth`] | the paper's synthetic data generator + recovery scoring |
 //! | [`microarray`] | simulated yeast cell-cycle data + GO enrichment |
 //! | [`baselines`] | brute-force oracle, pCluster, Cheng–Church |
