@@ -36,7 +36,9 @@ MINE OPTIONS:
   --delta-y D      max value range across samples per row
   --delta-z D      max value range across times per fiber
   --merge ETA GAMMA    enable merge/delete post-processing
-  --max-candidates N   bound the DFS search (truncates on exhaustion)
+  --max-candidates N   bound the DFS search (truncates on exhaustion); it
+                       counts visited DFS nodes, and subtrees that cannot
+                       reach --my/--mz are skipped without being visited
   --deadline SECS  wall-clock budget; on expiry the run stops cooperatively
                    and reports the clusters mined so far as truncated
   --max-memory B   logical-bytes budget for mined structures, with optional
@@ -515,7 +517,14 @@ pub(crate) mod tests {
         let path = dir.join("table1.tsv");
         let path_str = path.to_str().unwrap().to_string();
         demo(&["--export".to_string(), path_str.clone()]).unwrap();
-        crate::mine::mine(&[path_str, "--eps".to_string(), "0.01".to_string()]).unwrap();
+        crate::mine::mine(&[path_str.clone(), "--eps".to_string(), "0.01".to_string()]).unwrap();
+        // The export concatenated with itself repeats the label `t0`: `mine`
+        // refuses it instead of mining four slices.
+        let twice = dir.join("twice.tsv");
+        std::fs::write(&twice, std::fs::read(&path).unwrap().repeat(2)).unwrap();
+        let twice = twice.to_str().unwrap().to_string();
+        let e = crate::mine::mine(&[twice, "--eps".to_string(), "0.01".to_string()]).unwrap_err();
+        assert!(e.to_string().contains("time label \"t0\""), "{e}");
         let e = demo(&["stray".to_string()]).unwrap_err();
         assert!(
             matches!(&e, CliError::Usage(m) if m.contains("positional")),

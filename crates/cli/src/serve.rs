@@ -1058,6 +1058,42 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Table 1 concatenated with itself repeats the label `t0`: inline or
+    /// by path, the submission is a 400 `bad_dataset` that names it, and
+    /// nothing is submitted.
+    #[test]
+    fn repeated_time_labels_are_bad_datasets() {
+        let _scenario = failpoint::scenario();
+        let dir =
+            std::env::temp_dir().join(format!("tricluster-serve-twice-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let twice = table1_tsv().repeat(2);
+        let path = dir.join("twice.tsv");
+        std::fs::write(&path, &twice).unwrap();
+        let daemon = Daemon::start(test_cfg()).unwrap();
+        let base = daemon.url();
+        let params = Json::Arr(vec![Json::Str("--eps".into()), Json::Str("0.01".into())]);
+        for body in [
+            Json::obj().with("dataset", Json::Str(twice.clone())),
+            Json::obj().with("dataset_path", Json::Str(path.to_str().unwrap().into())),
+        ] {
+            let (status, doc) = post_job(&base, &body.with("params", params.clone()).render());
+            assert_eq!(status, 400, "{}", doc.render());
+            assert_eq!(doc.get("error").and_then(Json::as_str), Some("bad_dataset"));
+            assert!(doc.render().contains("t0"), "{}", doc.render());
+        }
+        let (_, stats) = http_get(&format!("{base}/stats")).unwrap();
+        let stats = Json::parse(stats.trim()).unwrap();
+        assert_eq!(
+            stats
+                .get_path(&["counters", "submitted"])
+                .and_then(Json::as_u64),
+            Some(0)
+        );
+        shut_down(daemon);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn admission_errors_are_machine_readable() {
         let _scenario = failpoint::scenario();

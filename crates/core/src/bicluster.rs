@@ -9,9 +9,14 @@
 //! multigraph constrained by the gene threshold — exactly the paper's
 //! "constrained maximal clique" search.
 //!
-//! Per the pseudo-code, the `δ^x`/`δ^y`/`my` checks gate only the
-//! *recording* of a candidate (lines 2–6), never its expansion; `mx` prunes
-//! expansion because gene-sets shrink monotonically along a DFS path.
+//! Per the pseudo-code, the `δ^x`/`δ^y` checks gate only the *recording* of
+//! a candidate (lines 2–6), never its expansion; `mx` prunes expansion
+//! because gene-sets shrink monotonically along a DFS path. `my` gates
+//! recording too, and also bounds expansion exactly: a child is visited
+//! only if its subtree can still reach `my` samples (`reaches`), so the
+//! root fans out to the first `n_samples − my + 1` samples only, and a
+//! node stops at the first live candidate with too few live candidates
+//! after it.
 //!
 //! The same monotonicity lets each node hand its children the edges it has
 //! already qualified (see `Candidates`): a child re-tests only those and
@@ -60,6 +65,19 @@ impl DfsHists {
         sink.histogram(names[1], &self.candidate_set_size);
         sink.histogram(names[2], &self.fanout);
     }
+}
+
+/// The size bound of both DFS phases: whether a child that adds one element
+/// to a node holding `held`, and may then add up to `later` more, can reach
+/// the `min` the recording step requires.
+///
+/// Exact: a child's subtree only adds elements after the child's own, so a
+/// subtree that fails the bound records nothing, and every node that can
+/// pass the size gate is still visited in the same order. Later siblings
+/// have fewer elements after theirs, so a DFS loop stops at the first child
+/// that fails.
+pub(crate) fn reaches(held: usize, later: usize, min: usize) -> bool {
+    held + 1 + later >= min
 }
 
 /// Statistics of one per-slice bicluster search.
@@ -260,12 +278,16 @@ pub(crate) fn mine_biclusters_ctrl(
 
     let all_genes = BitSet::full(n_genes);
     let root = Candidates::root(n_samples);
+    // Root fan-out: one child per top-level sample whose branch can still
+    // reach `my` samples; branch `i` can add at most the samples after `i`.
+    let branches = (0..n_samples)
+        .take_while(|&i| reaches(0, n_samples - 1 - i, params.min_samples))
+        .count();
     if let Some(p) = &ctrl.progress {
-        p.add_branches_total(n_samples as u64);
+        p.add_branches_total(branches as u64);
     }
-    // Root fan-out: one child per top-level sample, recursed unconditionally.
     if let Some(h) = stats.hists.as_deref_mut() {
-        h.fanout.record(n_samples as u64);
+        h.fanout.record(branches as u64);
     }
 
     // A global budget is spent in branch order, so it keeps the DFS at one
@@ -279,7 +301,7 @@ pub(crate) fn mine_biclusters_ctrl(
     fan_out(
         ctrl,
         &BRANCHES,
-        n_samples,
+        branches,
         workers,
         |branch| format!("t={} branch={}", rg.time, branch),
         || (),
@@ -537,7 +559,12 @@ impl<'a> BranchMiner<'a> {
             self.params.min_genes,
         );
         let mut children = 0u64;
+        let live = cands.samples.len();
         for (j, &sb) in cands.samples.iter().enumerate() {
+            // A child's subtree adds only live candidates after `sb`.
+            if !reaches(depth, live - 1 - j, self.params.min_samples) {
+                break;
+            }
             // Enumerate edge combinations (one edge per existing sample),
             // intersecting gene-sets in-place with mx pruning; recurse per
             // distinct resulting gene-set.
@@ -651,8 +678,10 @@ fn intersect_combos(
 
 /// The bicluster DFS without candidate inheritance: every node re-tests
 /// every range of every `(s_a, s_b)` against its gene-set, and the buffers
-/// are plain per-node vectors. The reference the inheriting search must
-/// reproduce exactly.
+/// are plain per-node vectors. With `bounded` it applies the search's size
+/// bound and is the reference the inheriting search must reproduce
+/// exactly; without it, it walks every branch and subtree, as the search
+/// did before the bound.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -663,6 +692,7 @@ mod oracle {
         rg: &RangeGraph,
         params: &Params,
         collect_hists: bool,
+        bounded: bool,
     ) -> (Vec<Bicluster>, bool, BiclusterStats) {
         let ctrl = RunCtrl::unbounded();
         let n_samples = m.n_samples();
@@ -679,18 +709,21 @@ mod oracle {
             stats.budget_spent += 1;
         }
         stats.nodes += 1;
+        let branches = (0..n_samples)
+            .filter(|&i| !bounded || reaches(0, n_samples - 1 - i, params.min_samples))
+            .count();
         if let Some(h) = stats.hists.as_deref_mut() {
             h.depth.record(0);
             h.candidate_set_size.record(n_samples as u64);
-            h.fanout.record(n_samples as u64);
+            h.fanout.record(branches as u64);
         }
         let all_genes = BitSet::full(m.n_genes());
         let order: Vec<usize> = (0..n_samples).collect();
         let mut store = MaximalStore::default();
         let mut truncated = false;
-        for branch in 0..n_samples {
+        for branch in 0..branches {
             let mut miner = BranchMiner::new(m, rg, params, collect_hists, branch, budget, &ctrl);
-            dfs(&mut miner, &all_genes, &order[branch + 1..]);
+            dfs(&mut miner, &all_genes, &order[branch + 1..], bounded);
             if let Some(b) = &mut budget {
                 *b -= miner.stats.budget_spent;
             }
@@ -706,7 +739,7 @@ mod oracle {
         (store.into_vec(), truncated, stats)
     }
 
-    fn dfs<'a>(miner: &mut BranchMiner<'a>, genes: &BitSet, pending: &[usize]) {
+    fn dfs<'a>(miner: &mut BranchMiner<'a>, genes: &BitSet, pending: &[usize], bounded: bool) {
         if miner.ctrl.token.deadline_exceeded() {
             miner.truncated = true;
             return;
@@ -729,38 +762,45 @@ mod oracle {
         let genes_count = genes.count();
         let rg = miner.rg;
         let depth = miner.samples.len();
-        let mut per_sample: Vec<Vec<&'a RatioRange>> = vec![Vec::new(); depth];
-        let mut levels = vec![BitSet::new(0); depth];
-        let mut seen = HashSet::new();
+        // The live candidates (no empty list) with their qualified edge
+        // lists, one per `s_a ∈ Y`.
+        let mut live: Vec<(usize, Vec<Vec<&'a RatioRange>>)> = Vec::new();
         for (i, &sb) in pending.iter().enumerate() {
-            let rest = &pending[i + 1..];
-            let mut dead_end = false;
-            for (k, &sa) in miner.samples.iter().enumerate() {
-                let edges = &mut per_sample[k];
-                edges.clear();
+            let mut per_sample: Vec<Vec<&'a RatioRange>> = Vec::new();
+            for &sa in &miner.samples {
                 miner.stats.range_tests += rg.ranges_between(sa, sb).len() as u64;
-                for r in rg.ranges_between(sa, sb) {
-                    if genes.intersection_count_at_least_hinted(
-                        &r.genes,
-                        miner.params.min_genes,
-                        genes_count,
-                    ) {
-                        edges.push(r);
-                    }
-                }
+                let edges: Vec<&'a RatioRange> = rg
+                    .ranges_between(sa, sb)
+                    .iter()
+                    .filter(|r| {
+                        genes.intersection_count_at_least_hinted(
+                            &r.genes,
+                            miner.params.min_genes,
+                            genes_count,
+                        )
+                    })
+                    .collect();
                 if edges.is_empty() {
-                    dead_end = true;
                     break;
                 }
+                per_sample.push(edges);
             }
-            if dead_end {
-                continue;
+            if per_sample.len() == depth {
+                live.push((i, per_sample));
             }
+        }
+        let mut levels = vec![BitSet::new(0); depth];
+        let mut seen = HashSet::new();
+        for (j, (i, per_sample)) in live.iter().enumerate() {
+            if bounded && !reaches(depth, live.len() - 1 - j, miner.params.min_samples) {
+                break;
+            }
+            let (sb, rest) = (pending[*i], &pending[i + 1..]);
             seen.clear();
             let mut combos: Vec<BitSet> = Vec::new();
             intersect_combos(
                 genes,
-                &per_sample,
+                per_sample,
                 &mut levels,
                 miner.params.min_genes,
                 &mut seen,
@@ -771,7 +811,7 @@ mod oracle {
             for new_genes in combos {
                 children += 1;
                 miner.samples.push(sb);
-                dfs(miner, &new_genes, rest);
+                dfs(miner, &new_genes, rest, bounded);
                 miner.samples.pop();
             }
         }
@@ -1128,7 +1168,7 @@ mod tests {
         ) {
             let base = params(eps, mx, my);
             let rg = graph(&m, 0, &base);
-            let nodes = oracle::mine(&m, &rg, &base, true).2.nodes;
+            let nodes = oracle::mine(&m, &rg, &base, true, true).2.nodes;
             let budgeted = Params {
                 max_candidates: Some(((nodes as f64 * budget_frac) as u64).max(1)),
                 ..base.clone()
@@ -1139,7 +1179,7 @@ mod tests {
                 ..base.clone()
             };
             for p in [base, budgeted, gated] {
-                let mut want = oracle::mine(&m, &rg, &p, true);
+                let mut want = oracle::mine(&m, &rg, &p, true, true);
                 let oracle_tests = std::mem::take(&mut want.2.range_tests);
                 for workers in [1, 2] {
                     let mut got =
@@ -1150,6 +1190,50 @@ mod tests {
                         "{} range tests, oracle {}", tests, oracle_tests
                     );
                     prop_assert_eq!(got, want.clone());
+                }
+            }
+        }
+
+        /// The size bound only skips work: against the oracle without it,
+        /// the search records the same clusters in the same order with the
+        /// same outcome counters, and no work counter is higher. Unbudgeted
+        /// and with `δ^x`/`δ^y` gates on recording, at one and two workers;
+        /// `my` up to 6 on 5 to 8 samples, so the bound also cuts whole
+        /// top-level branches.
+        #[test]
+        fn size_bound_skips_only_work(
+            m in noisy_slice(),
+            eps in 0.01f64..0.2,
+            mx in 2usize..5,
+            my in 1usize..7,
+            delta_gene in 5.0f64..150.0,
+            delta_sample in 5.0f64..150.0,
+        ) {
+            let base = params(eps, mx, my);
+            let rg = graph(&m, 0, &base);
+            let gated = Params {
+                delta_gene: Some(delta_gene),
+                delta_sample: Some(delta_sample),
+                ..base.clone()
+            };
+            let outcome = |s: &BiclusterStats| {
+                [s.recorded, s.rejected_delta, s.rejected_subsumed, s.replaced, s.merge_subsumed]
+            };
+            let work = |s: &BiclusterStats| [s.nodes, s.gene_combos, s.range_tests, s.dedup_hits];
+            for p in [base, gated] {
+                let (want, want_cut, w) = oracle::mine(&m, &rg, &p, false, false);
+                for workers in [1, 2] {
+                    let (got, got_cut, g) =
+                        mine_biclusters_ctrl(&m, &rg, &p, false, workers, &RunCtrl::unbounded());
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(got_cut, want_cut);
+                    prop_assert_eq!(outcome(&g), outcome(&w));
+                    for (got, want) in work(&g).into_iter().zip(work(&w)) {
+                        prop_assert!(
+                            got <= want,
+                            "work {:?} above the oracle's {:?}", work(&g), work(&w)
+                        );
+                    }
                 }
             }
         }

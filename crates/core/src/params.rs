@@ -80,6 +80,10 @@ pub struct Params {
     /// pathological inputs into a *truncated* result (flagged on
     /// [`MiningResult`](crate::MiningResult)) instead of a hang. `None`
     /// (default) searches exhaustively.
+    ///
+    /// The budget counts visited DFS nodes. Both searches skip, without
+    /// visiting, every subtree that cannot reach `min_samples` or
+    /// `min_times`, so those subtrees cost nothing.
     pub max_candidates: Option<u64>,
     /// Number of worker threads for the per-slice fan-out. `None` (default)
     /// uses the available parallelism. Counter values in the run report are

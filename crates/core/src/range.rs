@@ -119,6 +119,52 @@ impl RatioRange {
 // spread under 2×. Column pairs spread far wider (336× and up on the
 // synthetic workloads), so such a key almost never fits, and the module
 // keeps the one key width.
+//
+// ------------------------------------------------------- window prefilter --
+//
+// Only ratios that sit in a window of `mx` genes can reach an emitted
+// range, and on sparse inputs most cannot. So before packing, the finder
+// can drop every ratio that provably sits in no such window, and sort and
+// walk only the rest.
+//
+// *Reach.* The walk bounds the window at `v` by `fl(v · e)`, with
+// `e = fl(1 + ε)`, so `fl(1 + ε)`'s own rounding is already in `e`. Let
+// `2^k ≤ v < 2^(k+1)` (a subnormal `v` takes the lowest binade's `k`,
+// whose spacing it shares). Doubles from `v` upward are at least
+// `2^(k−52)` apart, one bit pattern each, and the exact product lies
+// `v·(e − 1) < 2^(k+1)·(e − 1)` above `v`: fewer than `(e − 1)·2^53`
+// patterns. That count is an integer (`e − 1` is computed exactly and is
+// a multiple of `2^−52`), so the rounded product, one of the two doubles
+// around the exact one, is at most that many patterns above `v`. A
+// product that overflows to `+∞` admits only finite keys, all below the
+// exact product. The filter takes `reach = (e − 1)·2^53 + 2`, two
+// patterns of margin.
+//
+// *Buckets.* Key `k` goes to bucket `(bits(k) − min_bits) >> s`, with
+// `2^s ≥ reach`, so a window's keys, within `reach` patterns of its
+// start, lie in the start's bucket and at most the next one. A window of
+// `mx` genes therefore holds at least `mx` keys in two adjacent buckets,
+// and each of its keys sees it as its own bucket plus one neighbour. A key
+// whose bucket count plus its larger neighbour's count is below `mx` lies
+// in no window of `mx` genes, and is dropped.
+//
+// *Exactness.* Every key of a qualifying window survives. A window over
+// the survivors holds the survivors of the window with the same start over
+// all keys, a subset. So a start qualifies among survivors iff it
+// qualified among all keys, with the same members, and those members are
+// contiguous in both orders (every key between two of them is one of
+// them). Maximality compares the windows' last members, chaining compares
+// a window's first member with the chain's last, and a chain's values —
+// all the split and patch fences read — are one contiguous run in both
+// orders. So windows, chains, split and patched blocks and the dedupe see
+// the same values and genes in the same order, and the emitted ranges are
+// byte-identical to the unfiltered finder's (`oracle::find_ranges`).
+//
+// *Gate.* Counting costs a pass over the ratios plus a table of `nb`
+// buckets. It pays only where it drops keys, so the finder filters only
+// when `nb ≤ 4n` and `2n < mx · nb`, i.e. an average pair of adjacent
+// buckets holds fewer than `mx` keys. Otherwise it takes the unfiltered
+// path. Dense inputs, where nearly every key survives, stay there.
 
 #[inline]
 fn pack_key(ratio_bits: u64, gene: u32) -> u128 {
@@ -258,7 +304,8 @@ pub struct RangeScratch {
     genes_sorted: Vec<u32>,
     /// Double-buffer for [`bucket_sort`]'s scatter pass.
     sort_scratch: Vec<u128>,
-    /// Bucket offsets for [`bucket_sort`].
+    /// Bucket offsets for [`bucket_sort`]; first the window prefilter's
+    /// per-bucket key counts, when it runs.
     counts: Vec<u32>,
     windows: Vec<(usize, usize)>,
     chains: Vec<(usize, usize, usize)>,
@@ -297,7 +344,10 @@ pub fn find_ranges(
     out
 }
 
-/// Finds all ranges for one sign group, appending them to `out`.
+/// Finds all ranges for one sign group, appending them to `out`, and
+/// returns the number of keys that reached the sort: every usable ratio,
+/// or only those the window prefilter kept (see the module comment), or 0
+/// when fewer than `mx` remain.
 ///
 /// Like [`find_ranges`], but reuses the caller's [`RangeScratch`] and output
 /// vector. Deduplication by gene-set applies to the ranges appended by this
@@ -312,7 +362,7 @@ pub fn find_ranges_into(
     extension: RangeExtension,
     scratch: &mut RangeScratch,
     out: &mut Vec<RatioRange>,
-) {
+) -> usize {
     assert!(epsilon >= 0.0, "epsilon must be non-negative");
     assert!(mx >= 1, "mx must be >= 1");
     let RangeScratch {
@@ -342,15 +392,46 @@ pub fn find_ranges_into(
         }
     }
     if n < mx {
-        return;
+        return 0;
     }
+    let usable = |&&(r, _): &&(f64, usize)| r.is_finite() && r > 0.0;
+    let eps1 = 1.0 + epsilon;
     keys.clear();
-    keys.extend(
-        ratios
-            .iter()
-            .filter(|&&(r, _)| r.is_finite() && r > 0.0)
-            .map(|&(r, g)| pack_key(r.to_bits(), g as u32)),
-    );
+    match window_buckets(max_bits - min_bits, n, mx, eps1) {
+        None => keys.extend(
+            ratios
+                .iter()
+                .filter(usable)
+                .map(|&(r, g)| pack_key(r.to_bits(), g as u32)),
+        ),
+        Some((shift, nb)) => {
+            // Pass 2: keys per bucket, with an empty bucket at each end so
+            // every key has two neighbours.
+            let bucket = |bits: u64| ((bits - min_bits) >> shift) as usize + 1;
+            counts.clear();
+            counts.resize(nb + 2, 0);
+            for &(r, _) in ratios.iter().filter(usable) {
+                counts[bucket(r.to_bits())] += 1;
+            }
+            // Pass 3: pack the keys that can sit in a window of `mx`, and
+            // take the sort's bucket map over their extremes.
+            let (mut lo, mut hi) = (u64::MAX, 0u64);
+            for &(r, g) in ratios.iter().filter(usable) {
+                let bits = r.to_bits();
+                let b = bucket(bits);
+                if counts[b] as usize + counts[b - 1].max(counts[b + 1]) as usize >= mx {
+                    lo = lo.min(bits);
+                    hi = hi.max(bits);
+                    keys.push(pack_key(bits, g as u32));
+                }
+            }
+            if keys.len() < mx {
+                return 0;
+            }
+            (min_bits, max_bits) = (lo, hi);
+        }
+    }
+    let n = keys.len();
     let span = max_bits - min_bits;
     if span == 0 {
         // All ratios are equal, so genes alone order the keys; the bucket
@@ -379,7 +460,6 @@ pub fn find_ranges_into(
     // it also spans ≥ mx genes and qualifies, making `l' = l-1`; and
     // conversely `r` is monotone in `l`, so `r(l') <= r(l-1)`.
     windows.clear(); // half-open [l, r)
-    let eps1 = 1.0 + epsilon;
     let mut r = 0usize;
     let mut last_r = 0usize;
     for l in 0..=n - mx {
@@ -399,7 +479,7 @@ pub fn find_ranges_into(
         }
     }
     if windows.is_empty() {
-        return;
+        return n;
     }
 
     let genes_sorted: &[u32] = genes_sorted;
@@ -426,7 +506,7 @@ pub fn find_ranges_into(
             out.push(make_range(l, r, RangeKind::Valid));
         }
         dedupe_by_genes(out, start, dedupe, doomed, pool);
-        return;
+        return n;
     }
 
     // Chain overlapping windows into extended ranges.
@@ -460,6 +540,22 @@ pub fn find_ranges_into(
         split_and_patch(&vals[lo..hi], lo, epsilon, mx, &mut make_range, out);
     }
     dedupe_by_genes(out, start, dedupe, doomed, pool);
+    n
+}
+
+/// The window prefilter's bucket shift and bucket count for `n` usable
+/// ratios spanning `span` bit patterns, or `None` when counting cannot pay
+/// (see the module comment): `2^shift` covers the bit-pattern reach of one
+/// window `[v, fl(v · eps1)]`.
+fn window_buckets(span: u64, n: usize, mx: usize, eps1: f64) -> Option<(u32, usize)> {
+    // `eps1 − 1` is exact and a multiple of 2^−52, so this product is an
+    // exact integer; `as` saturates an absurd ε to u64::MAX.
+    let reach = ((eps1 - 1.0) * (1u64 << 53) as f64) as u64;
+    let reach = reach.saturating_add(2);
+    let shift = u64::BITS - (reach - 1).leading_zeros();
+    // `shift ≥ 1`, so adding the last bucket cannot overflow.
+    let nb = usize::try_from(span.checked_shr(shift)?).ok()? + 1;
+    (nb <= 4 * n && 2 * n < mx.saturating_mul(nb)).then_some((shift, nb))
 }
 
 /// Re-covers `segment` (a slice of the sorted ratio array starting at
@@ -1125,6 +1221,100 @@ mod tests {
                 &find_ranges(&b, SignGroup::NegPos, 0.1, 1, 48, RangeExtension::On)[..]
             );
         }
+    }
+
+    /// 48 to 400 keys shaped to engage the window prefilter: tight clusters
+    /// near a few centres, ε-spaced chains, exact ties and a background
+    /// spread over up to `4n` window widths, in shuffled gene order, with a
+    /// few unusable ratios (negative, zero, NaN) mixed in. At ε = 0 a window
+    /// width is four bit patterns.
+    fn windowed_ratios(rng: &mut proptest::TestRng, eps: f64) -> Vec<(f64, usize)> {
+        let n = 48 + rng.below(353) as usize;
+        let step = 1.0 + eps.max(4.0 * f64::EPSILON);
+        let wide = 1 + rng.below(4 * n as u64);
+        let base = (rng.next_f64() * 6.0 - 3.0).exp();
+        let centres: Vec<f64> = (0..1 + rng.below(4))
+            .map(|_| base * step.powi(rng.below(wide) as i32))
+            .collect();
+        let mut genes: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            genes.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        genes
+            .into_iter()
+            .map(|g| {
+                let c = centres[rng.below(centres.len() as u64) as usize];
+                let r = match rng.below(16) {
+                    0..=5 => c * (1.0 + (step - 1.0) * rng.next_f64()),
+                    6..=8 => c * step.powi(rng.below(12) as i32),
+                    9 | 10 => c,
+                    11..=13 => base * step.powf(rng.next_f64() * wide as f64),
+                    14 => -c,
+                    _ => [0.0, f64::NAN][g % 2],
+                };
+                (r, g)
+            })
+            .collect()
+    }
+
+    /// The window prefilter is exact: on inputs where it engages, the
+    /// finder emits ranges byte-identical to the unfiltered oracle's, and
+    /// it never reports more keys sorted than there are usable ratios. A
+    /// good share of the cases must actually drop keys and still emit
+    /// ranges, or the equality would prove little.
+    #[test]
+    fn window_prefilter_matches_unfiltered_oracle() {
+        const CASES: u32 = 3000;
+        let (mut filtered, mut filtered_with_ranges) = (0u32, 0u32);
+        let config = ProptestConfig::with_cases(CASES);
+        proptest::run_cases(config, "window_prefilter", |rng| {
+            let eps = [0.0, 0.001, 0.005, 0.0225, 0.1, 0.5][rng.below(6) as usize];
+            let ratios = windowed_ratios(rng, eps);
+            let mx = 1 + rng.below(60) as usize;
+            let ext = [RangeExtension::On, RangeExtension::Off][rng.below(2) as usize];
+            let mut scratch = RangeScratch::default();
+            let mut new = Vec::new();
+            let sorted = find_ranges_into(
+                &ratios,
+                SignGroup::Positive,
+                eps,
+                mx,
+                400,
+                ext,
+                &mut scratch,
+                &mut new,
+            );
+            let old = oracle::find_ranges(&ratios, SignGroup::Positive, eps, mx, 400, ext);
+            prop_assert_eq!(new.len(), old.len(), "eps={} mx={} ext={:?}", eps, mx, ext);
+            for (i, (n, o)) in new.iter().zip(&old).enumerate() {
+                prop_assert!(
+                    n.lo.to_bits() == o.lo.to_bits()
+                        && n.hi.to_bits() == o.hi.to_bits()
+                        && n.kind == o.kind
+                        && n.genes == o.genes,
+                    "range {} diverged at eps={} mx={}:\n  new {:?}\n  old {:?}",
+                    i,
+                    eps,
+                    mx,
+                    n,
+                    o
+                );
+            }
+            let usable = ratios
+                .iter()
+                .filter(|&&(r, _)| r.is_finite() && r > 0.0)
+                .count();
+            prop_assert!(sorted <= usable);
+            if usable >= mx && sorted < usable {
+                filtered += 1;
+                filtered_with_ranges += u32::from(!old.is_empty());
+            }
+            Ok(())
+        });
+        assert!(
+            filtered * 2 >= CASES && filtered_with_ranges * 4 >= CASES,
+            "{filtered} of {CASES} cases filtered, {filtered_with_ranges} of them with ranges"
+        );
     }
 
     /// Pins the key path at a size that engages the bucket sort

@@ -78,6 +78,10 @@ pub struct RangeGraphStats {
     pub pairs: u64,
     /// Gene ratios classified into a sign group.
     pub ratios: u64,
+    /// Ratios that reached the range finder's sort: those of sign groups
+    /// with at least `mx` ratios, less the ones its window prefilter
+    /// dropped.
+    pub keys_sorted: u64,
     /// Edges added to the multigraph (all kinds).
     pub edges: u64,
     /// Edges whose range kind is [`RangeKind::Valid`].
@@ -98,6 +102,7 @@ impl RangeGraphStats {
     pub fn absorb(&mut self, other: &RangeGraphStats) {
         self.pairs += other.pairs;
         self.ratios += other.ratios;
+        self.keys_sorted += other.keys_sorted;
         self.edges += other.edges;
         self.ranges_valid += other.ranges_valid;
         self.ranges_extended += other.ranges_extended;
@@ -110,11 +115,13 @@ impl RangeGraphStats {
         }
     }
 
-    /// Counts one computed column pair: its gene ratios, its ranges by
-    /// kind and, when collected, their width and gene-set histograms.
-    fn count_pair(&mut self, ratios: u64, ranges: &[RatioRange]) {
+    /// Counts one computed column pair: its gene ratios and sorted keys
+    /// (as [`compute_pair`] returns them), its ranges by kind and, when
+    /// collected, their width and gene-set histograms.
+    fn count_pair(&mut self, (ratios, keys_sorted): (u64, u64), ranges: &[RatioRange]) {
         self.pairs += 1;
         self.ratios += ratios;
+        self.keys_sorted += keys_sorted;
         self.edges += ranges.len() as u64;
         for range in ranges {
             match range.kind {
@@ -140,6 +147,7 @@ impl RangeGraphStats {
     pub fn publish(&self, sink: &dyn EventSink) {
         sink.counter(names::RG_PAIRS, self.pairs);
         sink.counter(names::RG_RATIOS, self.ratios);
+        sink.counter(names::RG_KEYS_SORTED, self.keys_sorted);
         sink.counter(names::RG_EDGES, self.edges);
         sink.counter(names::RG_RANGES_VALID, self.ranges_valid);
         sink.counter(names::RG_RANGES_EXTENDED, self.ranges_extended);
@@ -230,7 +238,8 @@ pub struct PairScratch {
 
 /// Computes the ratio ranges of column pair `(a, b)` (with `a < b`) of one
 /// time slice, appending them to `out` grouped by sign. Returns the number
-/// of gene ratios classified into a sign group.
+/// of gene ratios classified into a sign group, and the number of them that
+/// reached the range finder's sort (see [`find_ranges_into`]).
 ///
 /// Pure function of the slice data and `params` — safe to run on any worker
 /// in any order; all bookkeeping happens later, in the build's absorb step.
@@ -244,9 +253,10 @@ pub fn compute_pair(
     params: &Params,
     scratch: &mut PairScratch,
     out: &mut Vec<RatioRange>,
-) -> u64 {
+) -> (u64, u64) {
     fail_point_panic("core.rangegraph.pair");
     let mut ratios = 0u64;
+    let mut keys_sorted = 0u64;
     for g in &mut scratch.groups {
         g.clear();
     }
@@ -285,7 +295,7 @@ pub fn compute_pair(
         if scratch.groups[gi].len() < params.min_genes {
             continue;
         }
-        find_ranges_into(
+        keys_sorted += find_ranges_into(
             &scratch.groups[gi],
             sign,
             params.epsilon,
@@ -294,9 +304,9 @@ pub fn compute_pair(
             params.range_extension,
             &mut scratch.ranges,
             out,
-        );
+        ) as u64;
     }
-    ratios
+    (ratios, keys_sorted)
 }
 
 /// [`build_range_graph_observed`] over up to `workers` threads, under the
@@ -353,11 +363,11 @@ pub(crate) fn build_range_graph_ctrl(
         |scratch, i| {
             let (a, b) = pairs[i];
             let mut ranges = Vec::new();
-            let ratios = compute_pair(&cols, a, b, params, scratch, &mut ranges);
-            (ranges, ratios)
+            let counts = compute_pair(&cols, a, b, params, scratch, &mut ranges);
+            (ranges, counts)
         },
-        |i, (ranges, ratios)| {
-            stats.count_pair(ratios, &ranges);
+        |i, (ranges, counts)| {
+            stats.count_pair(counts, &ranges);
             if !ranges.is_empty() {
                 let (a, b) = pairs[i];
                 emit(sink, || {

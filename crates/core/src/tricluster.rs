@@ -8,14 +8,17 @@
 //! [temporal coherence](crate::coherence) between `t_b` and every slice
 //! already in `Z`.
 //!
-//! As in the bicluster phase, `δ`/`mz` checks gate recording only, and the
-//! result set keeps only maximal clusters.
+//! As in the bicluster phase, `δ` checks gate recording only, and the
+//! result set keeps only maximal clusters. `mz` gates recording and, like
+//! BICLUSTER's `my`, bounds expansion exactly: a node stops at the first
+//! slice `t_b` whose child could not reach `mz` slices, `|Z| + 1 +`
+//! (slices after `t_b`) `< mz`.
 //!
 //! The enumeration reaches the same intersected region `X × Y` under many
 //! time subsets, so each phase memoizes the coherence verdicts per
 //! `(region, t_a, t_b)`.
 
-use crate::bicluster::DfsHists;
+use crate::bicluster::{reaches, DfsHists};
 use crate::classify::fiber_spreads;
 use crate::cluster::{sorted_intersection, Bicluster, InsertOutcome, MaximalStore, Tricluster};
 use crate::coherence::slice_pair_coherent;
@@ -247,6 +250,9 @@ impl<'a> TriMiner<'a> {
         self.try_record(genes, samples);
         for (i, &tb) in pending.iter().enumerate() {
             let rest = &pending[i + 1..];
+            if !reaches(self.times.len(), rest.len(), self.params.min_times) {
+                break;
+            }
             // Candidate intersections with each bicluster of slice t_b;
             // dedupe identical (X, Y) outcomes (equal region ids) at this
             // node.
@@ -345,8 +351,10 @@ impl<'a> TriMiner<'a> {
 }
 
 /// The time DFS without the coherence memo: every slice-pair check is
-/// recomputed and `seen` keys on cloned `(X, Y)` sets. The reference the
-/// memoized search must reproduce exactly.
+/// recomputed and `seen` keys on cloned `(X, Y)` sets. With `bounded` it
+/// applies the search's size bound and is the reference the memoized search
+/// must reproduce exactly; without it, it walks every subtree, as the
+/// search did before the bound.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -356,17 +364,24 @@ mod oracle {
         per_time: &[Vec<Bicluster>],
         params: &Params,
         collect_hists: bool,
+        bounded: bool,
     ) -> (Vec<Tricluster>, bool, TriclusterStats) {
         let ctrl = RunCtrl::unbounded();
         let mut miner = TriMiner::new(m, per_time, params, collect_hists, &ctrl);
         let order: Vec<usize> = (0..m.n_times()).collect();
         let all_genes = BitSet::full(m.n_genes());
         let all_samples: Vec<usize> = (0..m.n_samples()).collect();
-        dfs(&mut miner, &all_genes, &all_samples, &order);
+        dfs(&mut miner, &all_genes, &all_samples, &order, bounded);
         (miner.results.into_vec(), miner.truncated, miner.stats)
     }
 
-    fn dfs(miner: &mut TriMiner<'_>, genes: &BitSet, samples: &[usize], pending: &[usize]) {
+    fn dfs(
+        miner: &mut TriMiner<'_>,
+        genes: &BitSet,
+        samples: &[usize],
+        pending: &[usize],
+        bounded: bool,
+    ) {
         if miner.ctrl.token.deadline_exceeded() {
             miner.truncated = true;
             return;
@@ -388,6 +403,9 @@ mod oracle {
         miner.try_record(genes, samples);
         for (i, &tb) in pending.iter().enumerate() {
             let rest = &pending[i + 1..];
+            if bounded && !reaches(miner.times.len(), rest.len(), miner.params.min_times) {
+                break;
+            }
             let mut seen: HashSet<(Vec<u64>, Vec<usize>)> = HashSet::new();
             for bc in &miner.per_time[tb] {
                 miner.stats.extensions += 1;
@@ -433,7 +451,7 @@ mod oracle {
                 }
                 children += 1;
                 miner.times.push(tb);
-                dfs(miner, &new_genes, &new_samples, rest);
+                dfs(miner, &new_genes, &new_samples, rest, bounded);
                 miner.times.pop();
             }
         }
@@ -460,6 +478,18 @@ mod tests {
             .min_times(2)
             .build()
             .unwrap()
+    }
+
+    /// [`params`] at `eps`, with `(mx, my, mz) = (min_genes, 2, min_times)`.
+    fn sized(eps: f64, min_genes: usize, min_times: usize) -> Params {
+        Params {
+            epsilon: eps,
+            epsilon_time: eps,
+            min_genes,
+            min_samples: 2,
+            min_times,
+            ..params()
+        }
     }
 
     /// The biclusters of every time slice.
@@ -717,11 +747,7 @@ mod tests {
             budget_frac in 0.0f64..1.5,
             delta_time in 5.0f64..300.0,
         ) {
-            let base = Params::builder()
-                .epsilon(eps)
-                .min_size(min_genes, 2, min_times)
-                .build()
-                .unwrap();
+            let base = sized(eps, min_genes, min_times);
             let per_time = per_slice(&m, &base);
             let nodes = mine_triclusters_profiled(&m, &per_time, &base, false).2.nodes;
             let budget = ((nodes as f64 * budget_frac) as u64).max(1);
@@ -735,7 +761,7 @@ mod tests {
             };
             for p in [base, budgeted, gated] {
                 let mut got = mine_triclusters_profiled(&m, &per_time, &p, true);
-                let mut want = oracle::mine(&m, &per_time, &p, true);
+                let mut want = oracle::mine(&m, &per_time, &p, true, true);
                 let computed = std::mem::take(&mut got.2.coherence_computed);
                 let checks = std::mem::take(&mut want.2.coherence_computed);
                 prop_assert!(
@@ -743,6 +769,50 @@ mod tests {
                     "{} verdicts computed, {} checks", computed, checks
                 );
                 prop_assert_eq!(got, want);
+            }
+        }
+
+        /// The size bound only skips work: against the oracle without it,
+        /// the search records the same clusters in the same order with the
+        /// same outcome counters, and no work counter is higher. Unbudgeted
+        /// and with a `δ^z` gate on recording; `mz` up to 6 against planted
+        /// spans of 4 to 8 slices, so the bound cuts at every depth.
+        #[test]
+        fn size_bound_skips_only_work(
+            (m, eps) in planted_case(),
+            min_genes in 2usize..4,
+            min_times in 2usize..7,
+            delta_time in 5.0f64..300.0,
+        ) {
+            let base = sized(eps, min_genes, min_times);
+            let per_time = per_slice(&m, &base);
+            let gated = Params {
+                delta_time: Some(delta_time),
+                ..base.clone()
+            };
+            for p in [base, gated] {
+                let (got, got_cut, g) = mine_triclusters_profiled(&m, &per_time, &p, false);
+                let (want, want_cut, w) = oracle::mine(&m, &per_time, &p, false, false);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(got_cut, want_cut);
+                prop_assert_eq!(
+                    (g.recorded, g.rejected_subsumed, g.replaced, g.rejected_delta),
+                    (w.recorded, w.rejected_subsumed, w.replaced, w.rejected_delta)
+                );
+                let work = |s: &TriclusterStats| {
+                    [
+                        s.nodes,
+                        s.extensions,
+                        s.rejected_small,
+                        s.coherence_checks,
+                        s.coherence_computed,
+                        s.rejected_incoherent,
+                        s.dedup_hits,
+                    ]
+                };
+                for (got, want) in work(&g).into_iter().zip(work(&w)) {
+                    prop_assert!(got <= want, "work {:?} above the oracle's {:?}", work(&g), work(&w));
+                }
             }
         }
     }

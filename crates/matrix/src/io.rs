@@ -56,9 +56,12 @@
 //!   first ragged row or bad cell wins, then [`IoError::Empty`]. Only a
 //!   slice whose own rows read cleanly is compared with the first kept
 //!   slice: gene names first, then sample names (names and order), either
-//!   mismatch is an [`IoError::InconsistentSlices`].
+//!   mismatch is an [`IoError::InconsistentSlices`]. Last, its name (the
+//!   `t<k>` default included) must differ from every kept slice's, or it
+//!   is an [`IoError::InconsistentSlices`] that names the repeated label.
 
 use crate::{Labels, Matrix2, Matrix3};
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -359,8 +362,14 @@ struct Section {
 
 impl Section {
     /// Ends the section: skipped if it has no lines, else its slice is
-    /// kept or its first error returned.
-    fn end(self, cells: &mut Cells, times: &mut Vec<String>) -> Result<(), IoError> {
+    /// kept or its first error returned. `kept` holds the kept slices'
+    /// names, in `times` order.
+    fn end(
+        self,
+        cells: &mut Cells,
+        times: &mut Vec<String>,
+        kept: &mut HashSet<String>,
+    ) -> Result<(), IoError> {
         if !self.has_lines {
             return Ok(());
         }
@@ -368,14 +377,22 @@ impl Section {
             return Err(e);
         }
         cells.end_slice(self.slice)?;
+        if !kept.insert(self.time.clone()) {
+            return Err(repeated_time(&self.time));
+        }
         times.push(self.time);
         Ok(())
     }
 }
 
+/// The error for a kept slice named like an earlier one.
+fn repeated_time(name: &str) -> IoError {
+    IoError::InconsistentSlices(format!("time label {name:?} names two slices"))
+}
+
 /// Reads a stacked 3D matrix: repeated `# time <name>` headers, each followed
 /// by a 2D slice in the slice format. All slices must agree on genes and
-/// samples (names and order).
+/// samples (names and order), and no two may share a name.
 ///
 /// One pass over the input: cells are parsed straight into the
 /// [`Matrix3`] buffer, which is handed over without a copy. Errors follow
@@ -384,11 +401,12 @@ pub fn read_stacked_tsv<R: BufRead>(reader: R) -> Result<(Matrix3, Labels), IoEr
     let mut lines = Lines::new(reader);
     let mut cells = Cells::default();
     let mut times: Vec<String> = Vec::new();
+    let mut kept = HashSet::new();
     let mut section: Option<Section> = None;
     while let Some((number, line)) = lines.next_line()? {
         if let Some(rest) = line.strip_prefix("# time") {
             if let Some(done) = section.take() {
-                done.end(&mut cells, &mut times)?;
+                done.end(&mut cells, &mut times, &mut kept)?;
             }
             let name = rest.trim();
             section = Some(Section {
@@ -409,7 +427,7 @@ pub fn read_stacked_tsv<R: BufRead>(reader: R) -> Result<(Matrix3, Labels), IoEr
         }
     }
     if let Some(done) = section {
-        done.end(&mut cells, &mut times)?;
+        done.end(&mut cells, &mut times, &mut kept)?;
     }
     if times.is_empty() {
         return Err(IoError::Empty);
@@ -561,6 +579,7 @@ mod oracle {
                 if in_slice {
                     if let Some((m, g, s)) = finish(&mut current, current_start)? {
                         check_consistent(&mut genes, &mut samples, &g, &s)?;
+                        check_new_time(&times, &current_time)?;
                         slices.push(m);
                         times.push(current_time.clone());
                     }
@@ -579,6 +598,7 @@ mod oracle {
         if in_slice {
             if let Some((m, g, s)) = finish(&mut current, current_start)? {
                 check_consistent(&mut genes, &mut samples, &g, &s)?;
+                check_new_time(&times, &current_time)?;
                 slices.push(m);
                 times.push(current_time);
             }
@@ -592,6 +612,15 @@ mod oracle {
             times,
         );
         Ok((Matrix3::from_time_slices(&slices), labels))
+    }
+
+    fn check_new_time(times: &[String], time: &str) -> Result<(), IoError> {
+        if times.iter().any(|t| t == time) {
+            return Err(IoError::InconsistentSlices(format!(
+                "time label {time:?} names two slices"
+            )));
+        }
+        Ok(())
     }
 
     fn check_consistent(
@@ -776,6 +805,27 @@ mod tests {
         let (back, back_labels) = read_stacked_tsv(buf.as_slice()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back_labels, labels);
+    }
+
+    /// A stacked file concatenated with itself repeats its first slice's
+    /// label; reading it fails there, naming the label, instead of doubling
+    /// the slices.
+    #[test]
+    fn stacked_file_read_twice_names_its_repeated_label() {
+        let mut m = Matrix3::zeros(3, 2, 2);
+        m.map_in_place(|_| 1.5);
+        let mut once = Vec::new();
+        write_stacked_tsv(&mut once, &m, &Labels::default_for(3, 2, 2)).unwrap();
+        let twice = [once.as_slice(), once.as_slice()].concat();
+        match read_stacked_tsv(twice.as_slice()) {
+            Err(e @ IoError::InconsistentSlices(_)) => {
+                assert_eq!(
+                    e.to_string(),
+                    "inconsistent time slices: time label \"t0\" names two slices"
+                );
+            }
+            other => panic!("expected a repeated label, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1104,6 +1154,7 @@ mod tests {
                 prop_assert_eq!(&got, &want, "read_stacked_tsv on {:?}", text);
                 let kind = match &got {
                     Ok(_) => "Ok".to_string(),
+                    Err(e) if e.contains("names two slices") => "repeated time label".to_string(),
                     Err(e) if e.starts_with("InconsistentSlices") => e.clone(),
                     Err(e) => e.split(['(', ' ']).next().unwrap_or_default().to_string(),
                 };
@@ -1123,6 +1174,7 @@ mod tests {
             "Empty",
             "InconsistentSlices(\"gene names differ between slices\")",
             "InconsistentSlices(\"sample names differ between slices\")",
+            "repeated time label",
         ] {
             assert!(
                 seen.contains(kind),
@@ -1195,6 +1247,26 @@ mod tests {
                 "sample names must repeat too",
                 b"# time a\ngene\ts0\nga\t1\n# time b\ngene\tsz\nga\t1\n",
                 "InconsistentSlices(\"sample names differ between slices\")",
+            ),
+            (
+                "a kept slice may not repeat a kept slice's label",
+                b"# time a\ngene\ts0\nga\t1\n# time a\ngene\ts0\nga\t2\n",
+                "InconsistentSlices(\"time label \\\"a\\\" names two slices\")",
+            ),
+            (
+                "an unnamed slice's t<kept> default counts as its label",
+                b"# time t1\ngene\ts0\nga\t1\n# time\ngene\ts0\nga\t2\n",
+                "InconsistentSlices(\"time label \\\"t1\\\" names two slices\")",
+            ),
+            (
+                "the label is checked after the slice's names",
+                b"# time a\ngene\ts0\nga\t1\n# time a\ngene\ts0\ngz\t1\n",
+                "InconsistentSlices(\"gene names differ between slices\")",
+            ),
+            (
+                "an empty section's label is not kept",
+                b"# time a\n# time a\ngene\ts0\nga\t1\n# time b\n",
+                "1x1x1 [ga] [s0] [a]",
             ),
         ];
         for (clause, input, want) in cases {

@@ -24,6 +24,9 @@ pub const SPAN_METRICS: &str = "phase.metrics";
 
 pub const RG_PAIRS: &str = "rangegraph.pairs";
 pub const RG_RATIOS: &str = "rangegraph.ratios";
+/// Ratios that reached the range finder's sort: the window prefilter drops
+/// the ones that sit in no ε-window of `mx` genes.
+pub const RG_KEYS_SORTED: &str = "rangegraph.keys_sorted";
 pub const RG_EDGES: &str = "rangegraph.edges";
 pub const RG_RANGES_VALID: &str = "rangegraph.ranges.valid";
 pub const RG_RANGES_EXTENDED: &str = "rangegraph.ranges.extended";
@@ -251,6 +254,7 @@ pub const ALL: &[&str] = &[
     SPAN_METRICS,
     RG_PAIRS,
     RG_RATIOS,
+    RG_KEYS_SORTED,
     RG_EDGES,
     RG_RANGES_VALID,
     RG_RANGES_EXTENDED,

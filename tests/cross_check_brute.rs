@@ -112,6 +112,36 @@ fn miner_matches_brute_force_with_loose_epsilon() {
     }
 }
 
+/// The DFS size bounds at their extremes, with the cluster planted on
+/// every slice and every sample. `mz` equal to the planted span lets the
+/// time DFS's root expand only its first slice, and `my` equal to
+/// `n_samples` leaves BICLUSTER one top-level branch; one below each, the
+/// bounds cut at depth 1. The miner must still find exactly the brute
+/// force's clusters.
+#[test]
+fn miner_matches_brute_force_at_the_size_bounds() {
+    for seed in 400..412u64 {
+        let nt = 4 + seed as usize % 2;
+        let m = random_matrix_with_cluster(seed, 5, 3, nt, nt);
+        for (eps, my, mz) in [
+            (0.02, 2, nt),
+            (0.02, 2, nt - 1),
+            (0.02, 3, nt),
+            (0.25, 3, 2),
+            (0.25, 2, 2),
+            (0.25, 3, nt - 1),
+        ] {
+            let params = exact_params(eps, 2, my, mz);
+            let mined = view(&mine(&m, &params).unwrap().triclusters);
+            let brute = view(&brute::mine_exhaustive(&m, &params));
+            assert_eq!(
+                mined, brute,
+                "mismatch at seed {seed}, eps {eps}, my {my}, mz {mz}"
+            );
+        }
+    }
+}
+
 #[test]
 fn miner_matches_brute_force_with_deltas() {
     for seed in 200..206u64 {
