@@ -59,8 +59,10 @@ fn main() {
     }
 
     // One registry spans the whole sweep: counters and span histograms
-    // accumulate across points, progress gauges restart per mine, and the
-    // server stays scrapeable until the process exits.
+    // accumulate across points, and so do the progress gauges (one
+    // `Progress` is attached once, so its slice, pair and branch totals and
+    // `elapsed_secs` run over the whole sweep), and the server stays
+    // scrapeable until the process exits.
     let metrics = metrics_addr.map(|addr| {
         let registry = Arc::new(Registry::new());
         registry.attach_progress(Arc::new(Progress::new()));

@@ -47,7 +47,8 @@ MINE OPTIONS:
   --threads N      worker threads for the per-slice phases (default: cores);
                    with more threads than time slices, each slice fans out
                    over its column pairs and DFS branches instead
-  --shifting       mine shifting (additive) clusters via Lemma 2
+  --shifting       mine shifting (additive) clusters via Lemma 2 (mines
+                   exp of the input; works with every other mine flag)
   --auto           transpose so the largest dimension is mined as genes
   --names          print gene/sample/time names instead of indices
   --csv            emit clusters as CSV (cluster,shape,type,members)

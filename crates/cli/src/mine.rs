@@ -12,8 +12,8 @@ use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
 use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink};
-use tricluster_core::runreport;
-use tricluster_core::{mine_shifting, MiningResult, Params, Reported, Session};
+use tricluster_core::{runreport, shift};
+use tricluster_core::{MiningResult, Reported, Session};
 use tricluster_matrix::io;
 
 /// `mine`'s value flags besides [`PARAM_FLAGS`], and its switches.
@@ -49,19 +49,6 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         None if a.has("progress") => Some(Duration::from_secs(1)),
         secs => secs,
     };
-    // A shifting run reads the parameter flags and `--names`, and refuses
-    // every other `mine` flag.
-    if a.has("shifting") {
-        let flags = MINE_FLAGS.iter().map(|&(flag, _)| flag);
-        if let Some(flag) = flags.chain(MINE_SWITCHES.iter().copied()).find(|&flag| {
-            !["shifting", "names"].contains(&flag) && (a.has(flag) || a.get_str(flag).is_some())
-        }) {
-            let dashes = if flag.starts_with('-') { "" } else { "--" };
-            return Err(CliError::Usage(format!(
-                "{dashes}{flag} is not supported with --shifting"
-            )));
-        }
-    }
 
     // The bytes are read once and parsed in one pass. The content hash is a
     // full pass of its own that only the ledger reads, so only an archived
@@ -80,24 +67,6 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     );
 
     let start = Instant::now();
-    if a.has("shifting") {
-        let (clusters, _) = mine_shifting(&matrix, &params).map_err(CliError::from_mine)?;
-        eprintln!(
-            "{} shifting clusters in {:?}",
-            clusters.len(),
-            start.elapsed()
-        );
-        for (i, sc) in clusters.iter().enumerate() {
-            print_cluster(i, &sc.cluster, &labels, a.has("names"));
-            let offs: Vec<String> = sc
-                .sample_offsets
-                .iter()
-                .map(|o| format!("{o:+.3}"))
-                .collect();
-            println!("  offsets: [{}]", offs.join(", "));
-        }
-        return Ok(());
-    }
     // Trace events stream to stderr as they happen (flushed per event so a
     // killed run keeps its tail); aggregate data comes out of the result's
     // embedded report. The timeline and progress sinks are pure discovery
@@ -155,6 +124,9 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     // A one-shot run is a session with no caps: identical code path to a
     // daemon job, minus the clamping.
     let mut session = Session::new(params);
+    if a.has("shifting") {
+        session = session.shifting();
+    }
     if a.has("auto") {
         session = session.auto_transpose();
     }
@@ -218,7 +190,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
             "mine",
             path.clone(),
             dataset_hash,
-            session.params(),
+            &session,
             &doc,
             trace.as_deref(),
             flame.as_deref(),
@@ -243,6 +215,13 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     }
     for (i, c) in result.triclusters.iter().enumerate() {
         print_cluster(i, c, &labels, a.has("names"));
+        if a.has("shifting") {
+            let offsets: Vec<String> = shift::sample_offsets(&matrix, c)
+                .iter()
+                .map(|o| format!("{o:+.3}"))
+                .collect();
+            println!("  offsets: [{}]", offsets.join(", "));
+        }
     }
     println!("\n{metrics}");
     Ok(())
@@ -258,21 +237,27 @@ fn chrome_trace(t: &Timeline) -> String {
 /// daemon's per-job archive alike. `dataset_hash` covers the input bytes as
 /// given, so two runs over the same file are comparable even when labels
 /// differ in memory; the params hash, computed here and nowhere else,
-/// covers every knob that shapes the search.
+/// covers every knob that shapes the search: the session's params and then
+/// its transforms (none for a plain run, which hashes its params alone).
 pub(crate) fn ledger_entry<'a>(
     kind: &'a str,
     label: String,
     dataset_hash: String,
-    params: &Params,
+    session: &Session,
     report: &'a Json,
     trace: Option<&'a str>,
     flame: Option<&'a str>,
 ) -> NewEntry<'a> {
+    let mut searched = format!("{:?}", session.params());
+    for transform in session.transforms() {
+        searched.push_str(" +");
+        searched.push_str(transform);
+    }
     NewEntry {
         kind,
         label: Some(label),
         dataset_hash,
-        params_hash: content_hash(format!("{params:?}").as_bytes()),
+        params_hash: content_hash(searched.as_bytes()),
         report,
         trace,
         flame,
@@ -600,13 +585,14 @@ mod tests {
             }
         }
         assert!(open.values().all(|&d| d == 0), "unbalanced B/E: {open:?}");
-        // one event per pipeline phase
+        // one event per pipeline phase, the metrics included
         for phase in [
             names::SPAN_SLICES_WALL,
             names::SPAN_RANGE_GRAPH,
             names::SPAN_BICLUSTER,
             names::SPAN_TRICLUSTER,
             names::SPAN_PRUNE,
+            names::SPAN_METRICS,
             names::T_SLICE,
         ] {
             assert!(
@@ -638,27 +624,140 @@ mod tests {
         }
     }
 
+    /// A 6 x 5 x 3 matrix with one planted shifting cluster: genes 0..4 x
+    /// samples 0..4 x every time, rows offset by a constant per sample.
+    fn shifting_matrix() -> Matrix3 {
+        let mut m = Matrix3::zeros(6, 5, 3);
+        let mut v = 0.13;
+        m.map_in_place(|_| {
+            v = (v * 31.7) % 9.0 + 1.0;
+            v
+        });
+        for g in 0..4 {
+            for (s, off) in [0.0, 0.9, -0.4, 1.7].into_iter().enumerate() {
+                for t in 0..3 {
+                    m.set(g, s, t, 2.0 + g as f64 * 0.5 + t as f64 * 0.25 + off);
+                }
+            }
+        }
+        m
+    }
+
+    /// `--shifting` is a session transform, so it takes every other `mine`
+    /// flag: the report, the timeline and the ledger entry describe the
+    /// clusters an in-process shifting session finds, and the metrics are
+    /// over the input as given.
     #[test]
-    fn trace_out_and_progress_rejected_with_shifting() {
-        for extra in [
-            vec!["--trace-out", "t.json"],
-            vec!["--progress"],
-            vec!["--flame-out", "f.folded"],
-            vec!["--ledger", "ldir"],
-            vec!["--metrics-addr", "127.0.0.1:0"],
-            vec!["--csv"],
-            vec!["--auto"],
-            vec!["-v"],
-            vec!["-vv"],
+    fn shifting_runs_with_every_mine_flag() {
+        let dir =
+            std::env::temp_dir().join(format!("tricluster-shifting-test-{}", std::process::id()));
+        let m = shifting_matrix();
+        let data = tsv_into(&dir, &m);
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (out, trace, ledger) = (path("report.json"), path("trace.json"), path("ledger"));
+        let thresholds = ["--eps", "0.001", "--mx", "4", "--my", "4", "--mz", "3"];
+        let mut argv: Vec<String> = [&data, "--shifting", "--csv", "--auto", "-v"]
+            .into_iter()
+            .chain(thresholds)
+            .map(String::from)
+            .collect();
+        for (flag, value) in [
+            ("--report-json", &out),
+            ("--trace-out", &trace),
+            ("--ledger", &ledger),
         ] {
-            let mut argv = vec!["f.tsv".to_string(), "--shifting".to_string()];
-            argv.extend(extra.iter().map(|s| s.to_string()));
-            let e = mine(&argv).unwrap_err();
-            assert!(
-                matches!(&e, CliError::Usage(m) if m.contains("--shifting")),
-                "{e}"
+            argv.extend([flag.to_string(), value.clone()]);
+        }
+        mine(&argv).unwrap();
+
+        let params =
+            mine_params_from(&parse_mine(&[&[data.as_str()][..], &thresholds].concat())).unwrap();
+        let want = Session::new(params)
+            .shifting()
+            .run(&m, &NullSink)
+            .unwrap()
+            .triclusters;
+        assert_eq!(want.len(), 1, "the planted cluster: {want:?}");
+        let met = tricluster_core::cluster_metrics_observed(&m, &want, &NullSink);
+        let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        runreport::validate_v2(&doc).unwrap();
+        let u64_at = |path: &[&str]| doc.get_path(path).and_then(Json::as_u64);
+        assert_eq!(u64_at(&["clusters"]), Some(1));
+        assert_eq!(u64_at(&["metrics", "element_sum"]), Some(4 * 4 * 3));
+        assert_eq!(u64_at(&["metrics", "coverage"]), Some(met.coverage as u64));
+        for (key, value) in [
+            ("fluctuation_gene", met.fluctuation_gene),
+            ("fluctuation_sample", met.fluctuation_sample),
+            ("fluctuation_time", met.fluctuation_time),
+        ] {
+            assert_eq!(
+                doc.get_path(&["metrics", key]).and_then(Json::as_f64),
+                Some(value),
+                "{key} is over the input as given"
             );
         }
+        let trace = std::fs::read_to_string(&trace).unwrap();
+        assert!(trace.contains(names::SPAN_METRICS), "{trace}");
+        let entries = Ledger::open(&ledger).unwrap().list().unwrap();
+        assert_eq!(entries.len(), 1, "{entries:?}");
+        assert_eq!(entries[0].clusters, Some(1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The report's `timings` section is its phase spans' totals: at one
+    /// thread on Table 1, and on a 4-slice input at 2 threads (slice
+    /// fan-out) and 5 threads (intra-slice fan-out).
+    #[test]
+    fn report_timings_are_the_span_totals() {
+        let dir =
+            std::env::temp_dir().join(format!("tricluster-timings-test-{}", std::process::id()));
+        let table1 = tsv_into(
+            &dir.join("table1"),
+            &tricluster_core::testdata::paper_table1(),
+        );
+        let four_slices = synth_into(&dir.join("synth"));
+        let out = dir.join("report.json").to_str().unwrap().to_string();
+        for (data, threads) in [(&table1, "1"), (&four_slices, "2"), (&four_slices, "5")] {
+            mine(&[
+                data.clone(),
+                "--threads".into(),
+                threads.into(),
+                "--report-json".into(),
+                out.clone(),
+            ])
+            .unwrap();
+            let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+            let mut phases = 0.0;
+            for (key, span) in [
+                ("range_graphs_cpu_secs", names::SPAN_RANGE_GRAPH),
+                ("biclusters_cpu_secs", names::SPAN_BICLUSTER),
+                ("slices_wall_secs", names::SPAN_SLICES_WALL),
+                ("triclusters_secs", names::SPAN_TRICLUSTER),
+                ("prune_secs", names::SPAN_PRUNE),
+            ] {
+                let total_ns = doc
+                    .get_path(&["report", "spans", span, "total_ns"])
+                    .and_then(Json::as_u64)
+                    .unwrap_or_else(|| panic!("no {span} span at --threads {threads}"));
+                let secs = Duration::from_nanos(total_ns).as_secs_f64();
+                assert_eq!(
+                    doc.get_path(&["timings", key]).and_then(Json::as_f64),
+                    Some(secs),
+                    "{key} at --threads {threads}"
+                );
+                if !key.ends_with("_cpu_secs") {
+                    phases += secs;
+                }
+            }
+            let total = doc
+                .get_path(&["timings", "total_secs"])
+                .and_then(Json::as_f64);
+            assert!(
+                total.is_some_and(|t| (t - phases).abs() < 1e-9),
+                "{total:?} vs {phases} at --threads {threads}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A `--deadline`-truncated run still writes a well-formed trace:
@@ -746,11 +845,12 @@ mod tests {
             *per_root.entry(root).or_insert(0) += micros;
         }
         // With one thread the whole pipeline runs on the main track, so
-        // the roots are exactly the three phase spans.
+        // the roots are exactly the four sequential stages' spans.
         let phases = [
             names::SPAN_SLICES_WALL,
             names::SPAN_TRICLUSTER,
             names::SPAN_PRUNE,
+            names::SPAN_METRICS,
         ];
         let roots: Vec<&str> = per_root.keys().map(String::as_str).collect();
         let mut want: Vec<&str> = phases.to_vec();
@@ -822,9 +922,10 @@ mod tests {
 
     /// `mine --auto --report-json` on a matrix whose largest axis is time:
     /// the report is a valid v2 document in the input's coordinates and
-    /// describes exactly the clusters an in-process `mine_auto` finds.
+    /// describes exactly the clusters an in-process auto-transposing
+    /// session finds.
     #[test]
-    fn auto_report_json_matches_in_process_mine_auto() {
+    fn auto_report_json_matches_in_process_auto_session() {
         let dir = std::env::temp_dir().join(format!("tricluster-auto-test-{}", std::process::id()));
         let twisted = tricluster_core::testdata::paper_table1().permuted([
             tricluster_matrix::Axis::Sample,
@@ -847,7 +948,10 @@ mod tests {
         let (m, _) = io::read_stacked_tsv(std::io::BufReader::new(file)).unwrap();
         assert_eq!(m.dims(), (7, 2, 10));
         let params = mine_params_from(&parse_mine(&[&data])).unwrap();
-        let want = tricluster_core::mine_auto(&m, &params, &NullSink).unwrap();
+        let want = Session::new(params)
+            .auto_transpose()
+            .run(&m, &NullSink)
+            .unwrap();
         let met = tricluster_core::cluster_metrics_observed(&m, &want.triclusters, &NullSink);
         assert_eq!(want.triclusters.len(), 3, "the paper's C1-C3");
         let u64_at = |path: &[&str]| doc.get_path(path).and_then(Json::as_u64);

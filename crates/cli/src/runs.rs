@@ -408,6 +408,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The params hash covers the session's transforms: a plain, an
+    /// `--auto` and a `--shifting` run of one file (time is its largest
+    /// axis, so `--auto` really transposes) archive three different hashes,
+    /// and `runs diff` notes that the first two differ in params.
+    #[test]
+    fn params_hash_covers_the_session_transforms() {
+        let dir = std::env::temp_dir().join(format!(
+            "tricluster-ledger-transforms-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let twisted = tricluster_core::testdata::paper_table1().permuted([
+            tricluster_matrix::Axis::Sample,
+            tricluster_matrix::Axis::Time,
+            tricluster_matrix::Axis::Gene,
+        ]);
+        let data = dir.join("twisted.tsv").to_str().unwrap().to_string();
+        crate::commands::write_matrix(&data, &twisted).unwrap();
+        let ldir = dir.join("ledger").to_str().unwrap().to_string();
+        for transform in [None, Some("--auto"), Some("--shifting")] {
+            let mut argv = vec![data.clone(), "--ledger".to_string(), ldir.clone()];
+            argv.extend(transform.map(String::from));
+            mine(&argv).unwrap();
+        }
+        let ledger = Ledger::open(&ldir).unwrap();
+        let entries = ledger.list().unwrap();
+        let hashes: BTreeSet<&str> = entries.iter().map(|e| e.params_hash.as_str()).collect();
+        assert_eq!((entries.len(), hashes.len()), (3, 3), "{entries:?}");
+        let read = |e: &IndexEntry| (e.clone(), ledger.read_report(&e.id).unwrap());
+        let (text, _) = diff_runs(&read(&entries[0]), &read(&entries[1])).unwrap();
+        assert!(text.contains("note: the runs differ in params"), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// `runs` usage errors: missing subcommand, unknown subcommand, and a
     /// read command pointed at a directory that does not exist.
     #[test]

@@ -279,7 +279,7 @@ fn run_job(shared: &Shared, job: &Run, dataset: &Dataset) -> Result<Outcome, Str
             "serve",
             hash.clone(),
             hash.clone(),
-            job.session.params(),
+            &job.session,
             &doc,
             Some(&trace),
             None,
@@ -1651,6 +1651,11 @@ mod tests {
         ] {
             assert!(trace.contains(instant), "trace lacks {instant}");
         }
+        // Every pipeline stage is on the job's timeline, the metrics too.
+        assert!(
+            trace.contains(&format!("\"name\":\"{}\"", names::SPAN_METRICS)),
+            "trace lacks the metrics stage: {trace}"
+        );
 
         // Access log: one whole-line JSON record per request; the
         // submission's record carries the same id, the job id, and the

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tricluster_matrix::io::{self, IoError};
-use tricluster_matrix::{Axis, Labels, Matrix3};
+use tricluster_matrix::{preprocess, Axis, Labels, Matrix3};
 use tricluster_obs::json::Json;
 use tricluster_obs::ledger::content_hash;
 use tricluster_obs::metrics::Registry;
@@ -108,6 +108,7 @@ pub struct Session {
     clamped: bool,
     handle: CancelHandle,
     auto_transpose: bool,
+    shifting: bool,
 }
 
 /// A finished run with its quality metrics and rendered report (see
@@ -132,6 +133,7 @@ impl Session {
             clamped: false,
             handle: CancelHandle::new(),
             auto_transpose: false,
+            shifting: false,
         }
     }
 
@@ -141,6 +143,29 @@ impl Session {
     pub fn auto_transpose(mut self) -> Self {
         self.auto_transpose = true;
         self
+    }
+
+    /// Makes the run mine shifting (additive) clusters: it mines the
+    /// scaling clusters of `exp(m)` (the paper's Lemma 2, see
+    /// [`shift`](crate::shift)). `exp` works cell by cell, so the clusters
+    /// are in the input's coordinates, and [`Session::run_report`] computes
+    /// the quality metrics and renders the report over `m` as given. Works
+    /// together with [`Session::auto_transpose`].
+    pub fn shifting(mut self) -> Self {
+        self.shifting = true;
+        self
+    }
+
+    /// The transforms this session applies around the pipeline, in the
+    /// order it applies them: `shifting`, then `auto_transpose`. Empty for
+    /// a session that mines its input as given.
+    pub fn transforms(&self) -> impl Iterator<Item = &'static str> {
+        [
+            (self.shifting, "shifting"),
+            (self.auto_transpose, "auto_transpose"),
+        ]
+        .into_iter()
+        .filter_map(|(on, name)| on.then_some(name))
     }
 
     /// The effective (post-clamp) parameters this session will run with.
@@ -177,6 +202,13 @@ impl Session {
     /// The same typed [`MineError`]s as [`mine`](crate::mine);
     /// cancellation is *not* an error (it truncates the result).
     pub fn run(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<MiningResult, MineError> {
+        let exped;
+        let m = if self.shifting {
+            exped = preprocess::exp_transform(m);
+            &exped
+        } else {
+            m
+        };
         if self.auto_transpose {
             let order = m.canonical_permutation();
             if order != [Axis::Gene, Axis::Sample, Axis::Time] {
@@ -189,12 +221,15 @@ impl Session {
 
     /// Mines `m` with histogram collection on, computes the quality metrics
     /// into the run report, and renders the v2 report document. The metrics
-    /// phase is published to `sink` too, so a live metrics registry sees it.
+    /// phase is published to `sink` too, so a live metrics registry sees it,
+    /// and the calling thread records on the sink's timeline, when it
+    /// offers one, from the run's first phase to the metrics.
     ///
     /// # Errors
     ///
     /// As [`Session::run`].
     pub fn run_report(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<Reported, MineError> {
+        let _main = sink.timeline().map(|t| t.attach("main"));
         let mut result = self.run(m, &Fanout(vec![sink, &HistogramTap]))?;
         let registry = Registry::new();
         let metrics =

@@ -1,11 +1,14 @@
-//! Worker panic isolation, the one fan-out loop, and fault-injection
-//! plumbing.
+//! Worker panic isolation, the one fan-out loop, the one stage step, and
+//! fault-injection plumbing.
 //!
 //! The mining pipeline fans work out at slice, column-pair, and DFS-branch
 //! granularity, all through one loop, `fan_out`. `isolate` wraps each such unit in
 //! `catch_unwind`: a panic inside one unit is downgraded to a structured
 //! [`WorkerFailure`] and the deterministic merge of the surviving units
-//! proceeds. Standalone phase entry points (outside [`mine`](crate::mine))
+//! proceeds. Every pipeline phase (range graphs, BICLUSTER, the slice
+//! fan-out around them, TRICLUSTER, merge/prune, metrics) runs through one
+//! step, `stage`, which times it once for the report, the timeline and the
+//! allocator attribution alike. Standalone phase entry points (outside [`mine`](crate::mine))
 //! use a *propagating* log, so their panic behavior is unchanged.
 //!
 //! The named injection sites listed in [`FAILPOINTS`] compile to no-ops
@@ -16,9 +19,10 @@ use crate::params::Params;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use tricluster_obs::progress::Progress;
 use tricluster_obs::timeline::Timeline;
-use tricluster_obs::{names, timeline};
+use tricluster_obs::{alloc, names, timeline, EventSink};
 
 /// Every fault-injection site compiled into this crate, in pipeline order.
 ///
@@ -352,6 +356,86 @@ pub(crate) fn fan_out<S, T: Send>(
     }
 }
 
+/// One pipeline phase as [`stage`] runs it: the name of its timeline and
+/// report span and, for the three sequential phases, the
+/// `memory.alloc.<phase>.{bytes,calls}` counters its allocator delta goes
+/// to.
+pub(crate) struct Stage {
+    span: &'static str,
+    alloc: Option<(&'static str, &'static str)>,
+}
+
+impl Stage {
+    /// Phases 1+2 over every slice: the wall-clock of the slice fan-out.
+    pub(crate) const SLICES: Stage = Stage {
+        span: names::SPAN_SLICES_WALL,
+        alloc: Some((names::M_ALLOC_SLICES_BYTES, names::M_ALLOC_SLICES_CALLS)),
+    };
+    /// One slice's range multigraph, on the worker that builds it.
+    pub(crate) const RANGE_GRAPH: Stage = Stage {
+        span: names::SPAN_RANGE_GRAPH,
+        alloc: None,
+    };
+    /// One slice's BICLUSTER DFS, on the worker that runs it.
+    pub(crate) const BICLUSTER: Stage = Stage {
+        span: names::SPAN_BICLUSTER,
+        alloc: None,
+    };
+    /// The TRICLUSTER DFS over all slices.
+    pub(crate) const TRICLUSTER: Stage = Stage {
+        span: names::SPAN_TRICLUSTER,
+        alloc: Some((
+            names::M_ALLOC_TRICLUSTERS_BYTES,
+            names::M_ALLOC_TRICLUSTERS_CALLS,
+        )),
+    };
+    /// The merge/prune pass (a no-op stage when merging is off).
+    pub(crate) const PRUNE: Stage = Stage {
+        span: names::SPAN_PRUNE,
+        alloc: Some((names::M_ALLOC_PRUNE_BYTES, names::M_ALLOC_PRUNE_CALLS)),
+    };
+    /// The quality metrics of the final clusters.
+    pub(crate) const METRICS: Stage = Stage {
+        span: names::SPAN_METRICS,
+        alloc: None,
+    };
+}
+
+/// Runs one pipeline phase as `stage` and returns its output and duration.
+///
+/// The step opens the stage's timeline span, times `body`, and when the
+/// body returns publishes the span to `sink` from the thread that ran it.
+/// A stage with an allocator pair also publishes the bytes and calls the
+/// tracking allocator counted from before the span opened until after the
+/// span was published. Without the tracking allocator that costs one
+/// relaxed load: [`alloc::snapshot`] returns `None`.
+///
+/// A span's count, total, maximum and histogram do not depend on the
+/// order its records arrive in, so stages on slice workers publish where
+/// they end and the report's spans stay the same at every schedule.
+pub(crate) fn stage<T>(
+    sink: &dyn EventSink,
+    stage: &Stage,
+    body: impl FnOnce() -> T,
+) -> (T, Duration) {
+    let before = stage
+        .alloc
+        .and_then(|pair| Some((pair, alloc::snapshot()?)));
+    let span = timeline::span(stage.span);
+    let start = Instant::now();
+    let out = body();
+    let elapsed = start.elapsed();
+    drop(span);
+    sink.span(stage.span, elapsed);
+    if let Some(((bytes, calls), before)) = before {
+        if let Some(after) = alloc::snapshot() {
+            sink.counter(bytes, after.bytes_since(&before));
+            sink.counter(calls, after.allocs_since(&before));
+        }
+    }
+    (out, elapsed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,5 +481,26 @@ mod tests {
         let units: Vec<_> = log.take_sorted().into_iter().map(|f| f.unit).collect();
         assert_eq!(units, ["t=0", "t=1", "t=2"]);
         assert!(log.take_sorted().is_empty(), "draining");
+    }
+
+    #[test]
+    fn stage_publishes_its_span_when_it_ends_and_returns_the_duration() {
+        let rec = tricluster_obs::Recorder::new();
+        let (out, elapsed) = stage(&rec, &Stage::TRICLUSTER, || {
+            assert!(
+                rec.snapshot().spans.is_empty(),
+                "nothing is published while the stage runs"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+            7
+        });
+        assert_eq!(out, 7);
+        assert!(elapsed >= Duration::from_millis(2));
+        let report = rec.snapshot();
+        let span = &report.spans[names::SPAN_TRICLUSTER];
+        assert_eq!((span.count, span.total), (1, elapsed));
+        let (_, again) = stage(&rec, &Stage::TRICLUSTER, || ());
+        let span = &rec.snapshot().spans[names::SPAN_TRICLUSTER];
+        assert_eq!((span.count, span.total), (2, elapsed + again));
     }
 }

@@ -6,7 +6,7 @@
 //! expression matrix such that every 2×2 submatrix along any pair of
 //! dimensions has an approximately constant expression-value ratio
 //! (a *scaling* cluster; *shifting* clusters are mined through an
-//! exponential transform, see [`shift`]).
+//! exponential transform, see [`shift`] and [`Session::shifting`]).
 //!
 //! # Pipeline
 //!
@@ -93,9 +93,8 @@ pub use engine::{Dataset, Engine, Reported, Session, TenantCaps};
 pub use error::MineError;
 pub use fault::{WorkerFailure, FAILPOINTS};
 pub use metrics::{cluster_metrics_observed, Metrics};
-pub use miner::{mine, mine_auto, FanoutDecision, FanoutLevel, MiningResult, Timings};
+pub use miner::{mine, FanoutDecision, FanoutLevel, MiningResult, Timings};
 pub use params::{MergeParams, Params, ParamsBuilder, ParamsError};
-pub use shift::{mine_shifting, ShiftingCluster};
 
 /// Re-export of the observability crate, so downstream users can name sinks
 /// and reports without a separate dependency.

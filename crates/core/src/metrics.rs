@@ -12,8 +12,9 @@
 //!    values; averaged over fibers, then over clusters.
 
 use crate::cluster::Tricluster;
+use crate::fault::{stage, Stage};
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, EventSink, SpanTimer};
+use tricluster_obs::{names, EventSink};
 
 /// The paper's five quality metrics (fluctuation reported per dimension).
 #[derive(Debug, Clone, PartialEq)]
@@ -50,14 +51,18 @@ impl std::fmt::Display for Metrics {
 }
 
 /// Computes the metrics of `clusters` over the matrix they were mined
-/// from, timing the computation as a `phase.metrics` span and publishing
-/// cell counters to `sink`.
+/// from, as the `phase.metrics` stage (a report span and a timeline span),
+/// and publishes cell counters to `sink`.
 pub fn cluster_metrics_observed(
     m: &Matrix3,
     clusters: &[Tricluster],
     sink: &dyn EventSink,
 ) -> Metrics {
-    let _span = SpanTimer::start(sink, names::SPAN_METRICS);
+    stage(sink, &Stage::METRICS, || metrics_of(m, clusters, sink)).0
+}
+
+/// The body of [`cluster_metrics_observed`]'s stage.
+fn metrics_of(m: &Matrix3, clusters: &[Tricluster], sink: &dyn EventSink) -> Metrics {
     let cluster_count = clusters.len();
     let element_sum: usize = clusters.iter().map(Tricluster::span_size).sum();
 

@@ -3,23 +3,24 @@
 //! The pipeline body wires the four phases together: per-slice range
 //! multigraphs, per-slice bicluster mining (fanned out across threads —
 //! slices are independent), tricluster enumeration, and the optional
-//! merge/prune pass. [`Session::run`] is the one path into it; [`mine`] is a
-//! one-shot session, and [`mine_auto`] a session that first applies the
-//! canonical transposition (largest dimension mined as genes, per the
-//! symmetry Lemma 1) and maps the results back to the caller's coordinates.
+//! merge/prune pass. Each phase runs through the one stage step,
+//! `fault::stage`. [`Session::run`] is the one path into the pipeline;
+//! [`mine`] is a one-shot session.
 
 use crate::bicluster::{mine_biclusters_ctrl, BiclusterStats};
 use crate::cancel::TruncationReason;
 use crate::cluster::{Bicluster, Tricluster};
 use crate::engine::Session;
 use crate::error::MineError;
-use crate::fault::{fail_point_panic, fan_out, isolate, RunCtrl, WorkerFailure, SLICES};
+use crate::fault::{
+    fail_point_panic, fan_out, isolate, stage, RunCtrl, Stage, WorkerFailure, SLICES,
+};
 use crate::params::Params;
 use crate::prune::{merge_and_prune_observed, PruneStats};
 use crate::range::RatioRange;
 use crate::rangegraph::{build_range_graph_ctrl, RangeGraph, RangeGraphStats};
 use crate::tricluster::mine_triclusters_ctrl;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tricluster_bitset::BitSet;
 use tricluster_matrix::{Axis, Matrix3};
 use tricluster_obs::metrics::Registry;
@@ -103,14 +104,18 @@ pub struct MiningResult {
     pub fanout: FanoutDecision,
 }
 
-/// Duration of each pipeline phase.
+/// Duration of each pipeline phase: each field is the total of its phase's
+/// span in the run report (`range_graphs` is the total of
+/// `phase.range_graph`, and so on), so the report's `timings` section
+/// repeats its `report.spans` totals by construction.
 ///
 /// The per-slice phases are reported in two views: `range_graphs` and
 /// `biclusters` are *summed CPU time* measured inside each worker (they can
 /// exceed wall-clock when slices run in parallel), while `slices_wall` is
 /// the wall-clock of the whole fan-out. Under intra-slice fan-out the
 /// slices run sequentially and parallelize internally, so those two sums
-/// are per-slice wall times and stay at or below `slices_wall`.
+/// are per-slice wall times and stay at or below `slices_wall`. A slice
+/// whose BICLUSTER DFS panics still counts its range-graph time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Timings {
     /// Range multigraph construction, CPU time summed over slices.
@@ -129,6 +134,18 @@ impl Timings {
     /// Total wall-clock of the pipeline.
     pub fn total(&self) -> Duration {
         self.slices_wall + self.triclusters + self.prune
+    }
+
+    /// The phase span totals of a run's report.
+    fn from_spans(report: &RunReport) -> Timings {
+        let total = |name| report.spans.get(name).map_or(Duration::ZERO, |s| s.total);
+        Timings {
+            range_graphs: total(names::SPAN_RANGE_GRAPH),
+            biclusters: total(names::SPAN_BICLUSTER),
+            slices_wall: total(names::SPAN_SLICES_WALL),
+            triclusters: total(names::SPAN_TRICLUSTER),
+            prune: total(names::SPAN_PRUNE),
+        }
     }
 }
 
@@ -169,23 +186,21 @@ fn triclusters_bytes(cs: &[Tricluster]) -> u64 {
 }
 
 /// What one per-slice worker returns: the slice's biclusters plus its
-/// locally accumulated stats and phase durations.
+/// locally accumulated stats.
 struct SliceOutput {
     n_ranges: usize,
     biclusters: Vec<Bicluster>,
     truncated: bool,
     rg_stats: RangeGraphStats,
     bc_stats: BiclusterStats,
-    rg_time: Duration,
-    bc_time: Duration,
     /// Logical bytes of this slice's range multigraph (it is dropped before
     /// the worker returns; the caller keeps the per-run peak).
     rg_bytes: u64,
 }
 
-/// Runs phases 1+2 for one slice, timing each phase from inside the worker
-/// (this is what makes the summed-CPU `Timings::range_graphs` view
-/// possible). Trace events go straight to `sink`; counters are accumulated
+/// Runs phases 1+2 for one slice, each as a stage on the worker (this is
+/// what makes the summed-CPU `Timings::range_graphs` view possible): their
+/// spans and trace events go straight to `sink`; counters are accumulated
 /// locally and merged by the caller in slice order, keeping them
 /// deterministic under any thread schedule.
 ///
@@ -202,19 +217,14 @@ fn mine_slice(
 ) -> SliceOutput {
     fail_point_panic("core.slice");
     let collect_hists = sink.wants_histograms();
-    let rg_start = Instant::now();
-    let rg_span = timeline::span(names::SPAN_RANGE_GRAPH);
-    let (rg, rg_stats) = build_range_graph_ctrl(m, t, params, sink, workers, ctrl);
-    drop(rg_span);
-    let rg_time = rg_start.elapsed();
+    let ((rg, rg_stats), rg_time) = stage(sink, &Stage::RANGE_GRAPH, || {
+        build_range_graph_ctrl(m, t, params, sink, workers, ctrl)
+    });
     let n_ranges = rg.n_ranges();
     let rg_bytes = range_graph_bytes(&rg);
-    let bc_start = Instant::now();
-    let bc_span = timeline::span(names::SPAN_BICLUSTER);
-    let (biclusters, truncated, bc_stats) =
-        mine_biclusters_ctrl(m, &rg, params, collect_hists, workers, ctrl);
-    drop(bc_span);
-    let bc_time = bc_start.elapsed();
+    let ((biclusters, truncated, bc_stats), bc_time) = stage(sink, &Stage::BICLUSTER, || {
+        mine_biclusters_ctrl(m, &rg, params, collect_hists, workers, ctrl)
+    });
     emit(sink, || {
         Event::new("miner.slice")
             .field("time", t)
@@ -229,8 +239,6 @@ fn mine_slice(
         truncated,
         rg_stats,
         bc_stats,
-        rg_time,
-        bc_time,
         rg_bytes,
     }
 }
@@ -238,8 +246,10 @@ fn mine_slice(
 /// Runs the full TriCluster pipeline on `m` with the given parameters: a
 /// one-shot [`Session`] without instrumentation.
 ///
-/// The matrix is mined as-is (genes × samples × times); use [`mine_auto`]
-/// to let the library apply the paper's canonical transposition first.
+/// The matrix is mined as-is (genes × samples × times); use
+/// [`Session::auto_transpose`] to let the library apply the paper's
+/// canonical transposition first, or [`Session::shifting`] to mine
+/// shifting clusters.
 ///
 /// # Errors
 ///
@@ -304,15 +314,14 @@ pub(crate) fn mine_pipeline(
     ctrl: &RunCtrl,
 ) -> MiningResult {
     let n_times = m.n_times();
-    let mut timings = Timings::default();
     // Every signal reaches the caller's sink once and the run's own
     // registry once; the registry's snapshot is the run report.
     let registry = Registry::new();
     let fanout = Fanout(vec![&registry, sink]);
     let sink: &dyn EventSink = &fanout;
-    // Inert unless the binary installed obs' tracking allocator; phase
-    // boundaries below credit allocator deltas to the phase that ran.
-    let mut phase_alloc = alloc::PhaseAlloc::begin();
+    // `None` unless the binary installed obs' tracking allocator; the
+    // sequential stages attribute their own allocator deltas.
+    let alloc_start = alloc::snapshot();
     // Timeline journaling for the coordinating thread (worker threads
     // attach inside their spawn closures); a `None` timeline keeps every
     // ambient record call a thread-local check.
@@ -323,9 +332,8 @@ pub(crate) fn mine_pipeline(
     }
 
     // Phase 1+2 per slice, fanned out across worker threads. Each worker
-    // times its own phases so range-graph vs bicluster CPU time stays
-    // separable even in parallel.
-    let wall_start = Instant::now();
+    // runs its slice's phases as stages of their own, so range-graph vs
+    // bicluster CPU time stays separable even in parallel.
     let mut per_time_biclusters: Vec<Vec<Bicluster>> = vec![Vec::new(); n_times];
     let mut ranges_per_time: Vec<usize> = vec![0; n_times];
     let mut truncated = false;
@@ -368,54 +376,48 @@ pub(crate) fn mine_pipeline(
     let mut slice_hists = collect_hists.then(|| (Histogram::default(), Histogram::default()));
     let mut rg_peak_bytes = 0u64;
     let mut memory_truncated = false;
-    let tl_slices = timeline::span(names::SPAN_SLICES_WALL);
-    // Slice outputs are absorbed in slice order: every counter and span
-    // below is published from this single thread, so totals and span counts
-    // are identical regardless of how the slices were scheduled.
-    fan_out(
-        ctrl,
-        &SLICES,
-        n_times,
-        slice_workers,
-        |t| format!("t={t}"),
-        || (),
-        |_, t| mine_slice(m, t, params, sink, unit_workers, ctrl),
-        |t, out| {
-            ranges_per_time[t] = out.n_ranges;
-            truncated |= out.truncated;
-            rg_total.absorb(&out.rg_stats);
-            bc_total.absorb(&out.bc_stats);
-            rg_peak_bytes = rg_peak_bytes.max(out.rg_bytes);
-            if let Some((edges, bcs)) = slice_hists.as_mut() {
-                edges.record(out.n_ranges as u64);
-                bcs.record(out.biclusters.len() as u64);
-            }
-            // Memory budget: retained bicluster bytes are charged here, in
-            // slice order, so which slices get dropped (this one and every
-            // later one, once the budget tips) is identical across thread
-            // counts and fan-out levels.
-            if !memory_truncated && ctrl.token.charge(biclusters_bytes(&out.biclusters)) {
-                per_time_biclusters[t] = out.biclusters;
-            } else {
-                memory_truncated = true;
-            }
-            timings.range_graphs += out.rg_time;
-            timings.biclusters += out.bc_time;
-            sink.span(names::SPAN_RANGE_GRAPH, out.rg_time);
-            sink.span(names::SPAN_BICLUSTER, out.bc_time);
-            // Live monitoring reads the logical-bytes gauge mid-phase, so
-            // refresh it per merged slice, not just at the phase boundary.
-            if let Some(p) = &ctrl.progress {
-                p.set_logical_bytes(ctrl.token.charged_bytes());
-            }
-        },
-    );
-    drop(tl_slices);
-    timings.slices_wall = wall_start.elapsed();
+    // Slice outputs are absorbed in slice order: every counter below is
+    // published from this single thread, so totals are identical
+    // regardless of how the slices were scheduled.
+    stage(sink, &Stage::SLICES, || {
+        fan_out(
+            ctrl,
+            &SLICES,
+            n_times,
+            slice_workers,
+            |t| format!("t={t}"),
+            || (),
+            |_, t| mine_slice(m, t, params, sink, unit_workers, ctrl),
+            |t, out| {
+                ranges_per_time[t] = out.n_ranges;
+                truncated |= out.truncated;
+                rg_total.absorb(&out.rg_stats);
+                bc_total.absorb(&out.bc_stats);
+                rg_peak_bytes = rg_peak_bytes.max(out.rg_bytes);
+                if let Some((edges, bcs)) = slice_hists.as_mut() {
+                    edges.record(out.n_ranges as u64);
+                    bcs.record(out.biclusters.len() as u64);
+                }
+                // Memory budget: retained bicluster bytes are charged here, in
+                // slice order, so which slices get dropped (this one and every
+                // later one, once the budget tips) is identical across thread
+                // counts and fan-out levels.
+                if !memory_truncated && ctrl.token.charge(biclusters_bytes(&out.biclusters)) {
+                    per_time_biclusters[t] = out.biclusters;
+                } else {
+                    memory_truncated = true;
+                }
+                // Live monitoring reads the logical-bytes gauge mid-phase, so
+                // refresh it per merged slice, not just at the phase boundary.
+                if let Some(p) = &ctrl.progress {
+                    p.set_logical_bytes(ctrl.token.charged_bytes());
+                }
+            },
+        )
+    });
     if let Some(p) = &ctrl.progress {
         p.set_logical_bytes(ctrl.token.charged_bytes());
     }
-    sink.span(names::SPAN_SLICES_WALL, timings.slices_wall);
     rg_total.publish(sink);
     bc_total.publish(sink);
     if let Some((edges, bcs)) = &slice_hists {
@@ -423,64 +425,46 @@ pub(crate) fn mine_pipeline(
         sink.histogram(names::H_SLICE_BICLUSTERS, bcs);
     }
 
-    phase_alloc.phase_end("slices");
-
     if let Some(p) = &ctrl.progress {
         p.set_phase(Phase::Tricluster);
     }
-    let tri_start = Instant::now();
-    let tl_tri = timeline::span(names::SPAN_TRICLUSTER);
     // The tricluster DFS has no intra-phase fan-out, so it is isolated at
     // phase granularity: a panic costs the whole phase (no triclusters) but
     // the per-slice biclusters and the report survive.
-    let (mut triclusters, tri_cut, tri_stats) = isolate(
-        &ctrl.faults,
-        "tricluster",
-        || "phase".to_owned(),
-        || {
-            fail_point_panic("core.tricluster.phase");
-            mine_triclusters_ctrl(m, &per_time_biclusters, params, collect_hists, ctrl, sink)
-        },
-    )
-    .unwrap_or_default();
-    drop(tl_tri);
+    let ((triclusters, tri_cut, tri_stats), _) = stage(sink, &Stage::TRICLUSTER, || {
+        isolate(
+            &ctrl.faults,
+            "tricluster",
+            || "phase".to_owned(),
+            || {
+                fail_point_panic("core.tricluster.phase");
+                mine_triclusters_ctrl(m, &per_time_biclusters, params, collect_hists, ctrl, sink)
+            },
+        )
+        .unwrap_or_default()
+    });
     truncated |= tri_cut;
-    timings.triclusters = tri_start.elapsed();
-    sink.span(names::SPAN_TRICLUSTER, timings.triclusters);
     tri_stats.publish(sink);
-    phase_alloc.phase_end("triclusters");
 
     if let Some(p) = &ctrl.progress {
         p.set_phase(Phase::Prune);
     }
-    let prune_start = Instant::now();
-    let tl_prune = timeline::span(names::SPAN_PRUNE);
-    let prune_stats = if let Some(merge) = &params.merge {
+    let ((mut triclusters, prune_stats), _) = stage(sink, &Stage::PRUNE, || match &params.merge {
         // merge_and_prune_observed publishes the prune counters itself. It
         // consumes the triclusters, so a panic mid-phase loses them — the
         // recorded WorkerFailure and the truncated flag say so.
-        let taken = std::mem::take(&mut triclusters);
-        match isolate(
+        Some(merge) => isolate(
             &ctrl.faults,
             "prune",
             || "phase".to_owned(),
             || {
                 fail_point_panic("core.prune.phase");
-                merge_and_prune_observed(taken, merge, sink)
+                merge_and_prune_observed(triclusters, merge, sink)
             },
-        ) {
-            Some((survivors, stats)) => {
-                triclusters = survivors;
-                stats
-            }
-            None => PruneStats::default(),
-        }
-    } else {
-        PruneStats::default()
-    };
-    drop(tl_prune);
-    timings.prune = prune_start.elapsed();
-    sink.span(names::SPAN_PRUNE, timings.prune);
+        )
+        .unwrap_or_default(),
+        None => (triclusters, PruneStats::default()),
+    });
 
     // Deterministic output order: by genes, then samples, then times.
     triclusters.sort_by(|a, b| {
@@ -507,28 +491,13 @@ pub(crate) fn mine_pipeline(
             .sum(),
     );
     sink.counter(names::M_TRICLUSTER_BYTES, triclusters_bytes(&triclusters));
-    // Measured allocator counters, only when a tracking allocator is
+    // Measured allocator totals, only when a tracking allocator is
     // installed (feature-gated in the binaries). These are *not*
     // deterministic; default builds never emit them.
-    if let Some(totals) = phase_alloc.finish("prune") {
-        sink.counter(names::M_ALLOC_TOTAL_BYTES, totals.bytes);
-        sink.counter(names::M_ALLOC_TOTAL_CALLS, totals.allocs);
-        sink.counter(names::M_ALLOC_PEAK_BYTES, totals.peak_live_bytes);
-        // Per-phase attribution at the sequential phase boundaries. Once
-        // `finish` is Some the allocator is installed, so every boundary
-        // sampled successfully.
-        for d in phase_alloc.phases() {
-            let (bytes_name, calls_name) = match d.phase {
-                "slices" => (names::M_ALLOC_SLICES_BYTES, names::M_ALLOC_SLICES_CALLS),
-                "triclusters" => (
-                    names::M_ALLOC_TRICLUSTERS_BYTES,
-                    names::M_ALLOC_TRICLUSTERS_CALLS,
-                ),
-                _ => (names::M_ALLOC_PRUNE_BYTES, names::M_ALLOC_PRUNE_CALLS),
-            };
-            sink.counter(bytes_name, d.bytes);
-            sink.counter(calls_name, d.allocs);
-        }
+    if let Some((start, end)) = alloc_start.zip(alloc::snapshot()) {
+        sink.counter(names::M_ALLOC_TOTAL_BYTES, end.bytes_since(&start));
+        sink.counter(names::M_ALLOC_TOTAL_CALLS, end.allocs_since(&start));
+        sink.counter(names::M_ALLOC_PEAK_BYTES, end.peak_live_bytes);
     }
 
     // Fault + truncation assembly. The deadline check reads the latched
@@ -553,6 +522,7 @@ pub(crate) fn mine_pipeline(
         p.set_phase(Phase::Done);
     }
 
+    let report = registry.snapshot();
     MiningResult {
         triclusters,
         per_time_biclusters,
@@ -561,22 +531,10 @@ pub(crate) fn mine_pipeline(
         truncated: truncation.is_some(),
         truncation,
         worker_failures,
-        timings,
-        report: registry.snapshot(),
+        timings: Timings::from_spans(&report),
+        report,
         fanout,
     }
-}
-
-/// Like [`mine`], but first permutes the matrix so the largest dimension is
-/// mined as genes (the paper always transposes this way, exploiting the
-/// symmetry Lemma 1), then maps the mined clusters back to the original
-/// coordinates. Instrumentation goes through `sink`, as in [`Session::run`].
-pub fn mine_auto(
-    m: &Matrix3,
-    params: &Params,
-    sink: &dyn EventSink,
-) -> Result<MiningResult, MineError> {
-    Session::new(params.clone()).auto_transpose().run(m, sink)
 }
 
 /// Maps a result mined on `m.permuted(order)` back to `m`'s axes. The
@@ -697,24 +655,32 @@ mod tests {
         assert_eq!(result.triclusters.len(), 3);
     }
 
+    /// Mines `m` through [`Session::auto_transpose`].
+    fn auto(m: &Matrix3, sink: &dyn EventSink) -> MiningResult {
+        Session::new(params())
+            .auto_transpose()
+            .run(m, sink)
+            .unwrap()
+    }
+
     #[test]
-    fn mine_auto_matches_mine_on_canonical_input() {
+    fn auto_transpose_matches_mine_on_canonical_input() {
         let m = paper_table1(); // 10 x 7 x 2 is already canonical
         assert_eq!(
-            view(&mine_auto(&m, &params(), &NullSink).unwrap().triclusters),
+            view(&auto(&m, &NullSink).triclusters),
             view(&mine(&m, &params()).unwrap().triclusters)
         );
     }
 
     #[test]
-    fn mine_auto_recovers_clusters_through_permutation() {
+    fn auto_transpose_recovers_clusters_through_permutation() {
         // Put the paper matrix's gene axis on the *time* axis: dims 2x7x10.
         let m = paper_table1();
         let twisted = m.permuted([Axis::Time, Axis::Sample, Axis::Gene]);
         assert_eq!(twisted.dims(), (2, 7, 10));
         // Mine with thresholds transposed accordingly: mined genes = orig
         // genes again after canonical permutation (largest dim = 10).
-        let result = mine_auto(&twisted, &params(), &NullSink).unwrap();
+        let result = auto(&twisted, &NullSink);
         // Clusters come back in *twisted* coordinates: genes axis of
         // `twisted` is original times, times axis is original genes.
         let mut got: Vec<_> = result
@@ -1008,11 +974,11 @@ mod tests {
     }
 
     #[test]
-    fn mine_auto_reports_through_permutation() {
+    fn auto_transpose_reports_through_permutation() {
         let m = paper_table1();
         let twisted = m.permuted([Axis::Time, Axis::Sample, Axis::Gene]);
         let rec = tricluster_obs::Recorder::new();
-        let result = mine_auto(&twisted, &params(), &rec).unwrap();
+        let result = auto(&twisted, &rec);
         assert!(!result.triclusters.is_empty());
         assert!(result.report.counter(tricluster_obs::names::TC_RECORDED) > 0);
         assert_eq!(

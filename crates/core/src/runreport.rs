@@ -312,40 +312,50 @@ pub fn explain_json(report: &RunReport) -> Json {
         .with("memory", memory_json(report))
 }
 
-/// Human rendering of the search-space profile (the `-vv` view).
+/// Human rendering of the search-space profile (the `-vv` view), read from
+/// the [`search_space_json`] section so counter names are mapped to the
+/// profile in one place.
 pub fn render_search_space_human(report: &RunReport) -> String {
-    let c = |name| report.counter(name);
-    let mut out = String::from("search space:\n");
-    out.push_str(&format!(
-        "  nodes expanded        {:>12}  (bicluster {}, tricluster {})\n",
-        c(names::BC_NODES) + c(names::TC_NODES),
-        c(names::BC_NODES),
-        c(names::TC_NODES),
-    ));
-    let delta = c(names::BC_REJECTED_DELTA) + c(names::TC_REJECTED_DELTA);
-    out.push_str(&format!(
-        "  pruned                {:>12}  (delta {}, small {}, incoherent {})\n",
-        delta + c(names::TC_REJECTED_SMALL) + c(names::TC_REJECTED_INCOHERENT),
-        delta,
-        c(names::TC_REJECTED_SMALL),
-        c(names::TC_REJECTED_INCOHERENT),
-    ));
-    out.push_str(&format!(
-        "  maximality rejections {:>12}  (bicluster {}, cross-branch {}, tricluster {})\n",
-        c(names::BC_REJECTED_SUBSUMED)
-            + c(names::BC_MERGE_SUBSUMED)
-            + c(names::TC_REJECTED_SUBSUMED),
-        c(names::BC_REJECTED_SUBSUMED),
-        c(names::BC_MERGE_SUBSUMED),
-        c(names::TC_REJECTED_SUBSUMED),
-    ));
-    out.push_str(&format!(
-        "  dedup hits            {:>12}  (bicluster {}, tricluster {})\n",
-        c(names::BC_DEDUP_HITS) + c(names::TC_DEDUP_HITS),
-        c(names::BC_DEDUP_HITS),
-        c(names::TC_DEDUP_HITS),
-    ));
-    out
+    let section = search_space_json(report);
+    let line = |label: &str, group: &str, parts: &[(&str, &str)]| {
+        let n = |key| {
+            section
+                .get_path(&[group, key])
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+        };
+        let total: u64 = parts.iter().map(|&(key, _)| n(key)).sum();
+        let detail: Vec<String> = parts
+            .iter()
+            .map(|&(key, shown)| format!("{shown} {}", n(key)))
+            .collect();
+        format!("  {label:<21} {total:>12}  ({})\n", detail.join(", "))
+    };
+    let both = [("bicluster", "bicluster"), ("tricluster", "tricluster")];
+    [
+        line("nodes expanded", "nodes_expanded", &both),
+        line(
+            "pruned",
+            "prunes",
+            &[
+                ("delta_threshold", "delta"),
+                ("too_small", "small"),
+                ("incoherent", "incoherent"),
+            ],
+        ),
+        line(
+            "maximality rejections",
+            "maximality_rejections",
+            &[
+                ("bicluster", "bicluster"),
+                ("bicluster_cross_branch", "cross-branch"),
+                ("tricluster", "tricluster"),
+            ],
+        ),
+        line("dedup hits", "dedup_hits", &both),
+    ]
+    .into_iter()
+    .fold(String::from("search space:\n"), |out, l| out + &l)
 }
 
 /// Validates a parsed v2 report document: schema string, all v1-era keys,

@@ -4,56 +4,27 @@
 //! rows differ by an approximately constant additive offset. Lemma 2: if
 //! `e^C` is a scaling cluster then `C` is a shifting cluster, with
 //! `β = ln(α)`. So mining scaling clusters on `exp(D)` finds exactly the
-//! shifting clusters of `D`.
+//! shifting clusters of `D`: [`Session::shifting`](crate::Session::shifting)
+//! makes a run do that, and [`sample_offsets`] estimates a mined cluster's
+//! offsets.
 //!
 //! Caveat carried over from the lemma: the ε tolerance applies to the
 //! *exponentiated* ratios, i.e. offsets are compared as `|e^{β_i - β_j}| - 1
 //! ≤ ε`, which for small ε is `|β_i − β_j| ≲ ε`.
+//!
+//! Values should be of moderate magnitude (`|v| ≲ 700`) or `exp` will
+//! overflow; microarray log-expression data satisfies this by construction.
+//! Values large enough to overflow `exp` surface as
+//! [`MineError::NonFiniteInput`](crate::MineError::NonFiniteInput) on the
+//! transformed matrix.
 
 use crate::cluster::Tricluster;
-use crate::error::MineError;
-use crate::miner::{mine, MiningResult};
-use crate::params::Params;
-use tricluster_matrix::{preprocess, Matrix3};
+use tricluster_matrix::Matrix3;
 
-/// A shifting cluster: the tricluster region plus its additive offsets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShiftingCluster {
-    /// The region (indices refer to the *original* matrix).
-    pub cluster: Tricluster,
-    /// Per-sample additive offset `β` of each sample relative to the
-    /// cluster's first sample, estimated from the data
-    /// (`β_j = mean over (g,t) of d[g][s_j][t] − d[g][s_0][t]`).
-    pub sample_offsets: Vec<f64>,
-}
-
-/// Mines shifting triclusters of `m` by mining scaling clusters of
-/// `exp(m)` (Lemma 2). Returns the clusters with their estimated offsets,
-/// plus the inner [`MiningResult`] for diagnostics.
-///
-/// Values should be of moderate magnitude (`|v| ≲ 700`) or `exp` will
-/// overflow; microarray log-expression data satisfies this by construction.
-/// Values large enough to overflow `exp` surface as
-/// [`MineError::NonFiniteInput`] on the transformed matrix.
-pub fn mine_shifting(
-    m: &Matrix3,
-    params: &Params,
-) -> Result<(Vec<ShiftingCluster>, MiningResult), MineError> {
-    let exped = preprocess::exp_transform(m);
-    let result = mine(&exped, params)?;
-    let clusters = result
-        .triclusters
-        .iter()
-        .map(|c| ShiftingCluster {
-            cluster: c.clone(),
-            sample_offsets: estimate_offsets(m, c),
-        })
-        .collect();
-    Ok((clusters, result))
-}
-
-/// Mean additive offset of each cluster sample relative to the first.
-fn estimate_offsets(m: &Matrix3, c: &Tricluster) -> Vec<f64> {
+/// The additive offset `β` of each of `c`'s samples relative to its first
+/// sample, estimated from `m` as `β_j = mean over (g,t) of
+/// m[g][s_j][t] − m[g][s_0][t]`. Empty for a cluster without samples.
+pub fn sample_offsets(m: &Matrix3, c: &Tricluster) -> Vec<f64> {
     let Some(&s0) = c.samples.first() else {
         return Vec::new();
     };
@@ -80,6 +51,18 @@ fn estimate_offsets(m: &Matrix3, c: &Tricluster) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::Params;
+    use crate::Session;
+    use tricluster_obs::NullSink;
+
+    /// Mines the shifting clusters of `m` through a shifting session.
+    fn shifting(m: &Matrix3) -> Vec<Tricluster> {
+        Session::new(params())
+            .shifting()
+            .run(m, &NullSink)
+            .unwrap()
+            .triclusters
+    }
 
     fn shifting_fixture() -> Matrix3 {
         // 4 genes x 4 samples x 2 times. Genes 0..=2 form a shifting
@@ -115,9 +98,9 @@ mod tests {
     #[test]
     fn finds_embedded_shifting_cluster() {
         let m = shifting_fixture();
-        let (clusters, _) = mine_shifting(&m, &params()).unwrap();
+        let clusters = shifting(&m);
         assert_eq!(clusters.len(), 1, "{clusters:?}");
-        let c = &clusters[0].cluster;
+        let c = &clusters[0];
         assert_eq!(c.genes.to_vec(), vec![0, 1, 2]);
         assert_eq!(c.samples, vec![0, 1, 2]);
         assert_eq!(c.times, vec![0, 1]);
@@ -126,8 +109,8 @@ mod tests {
     #[test]
     fn offsets_recovered() {
         let m = shifting_fixture();
-        let (clusters, _) = mine_shifting(&m, &params()).unwrap();
-        let offs = &clusters[0].sample_offsets;
+        let clusters = shifting(&m);
+        let offs = sample_offsets(&m, &clusters[0]);
         assert_eq!(offs.len(), 3);
         assert!((offs[0] - 0.0).abs() < 1e-9);
         assert!((offs[1] - 1.5).abs() < 1e-9);
@@ -145,7 +128,7 @@ mod tests {
                 }
             }
         }
-        let (clusters, _) = mine_shifting(&m, &params()).unwrap();
+        let clusters = shifting(&m);
         assert!(
             clusters.is_empty(),
             "pure scaling rows must not appear as shifting clusters: {clusters:?}"
@@ -155,9 +138,11 @@ mod tests {
     #[test]
     fn empty_matrix_yields_nothing() {
         let m = Matrix3::zeros(3, 3, 2); // all zeros -> exp = 1 everywhere
-        let (clusters, _) = mine_shifting(&m, &params()).unwrap();
+        let clusters = shifting(&m);
         // a constant matrix is one big shifting cluster with offsets 0
         assert_eq!(clusters.len(), 1);
-        assert!(clusters[0].sample_offsets.iter().all(|o| o.abs() < 1e-12));
+        assert!(sample_offsets(&m, &clusters[0])
+            .iter()
+            .all(|o| o.abs() < 1e-12));
     }
 }

@@ -11,7 +11,7 @@
 //! static ALLOC: tricluster_obs::alloc::TrackingAlloc = TrackingAlloc::new();
 //! ```
 //!
-//! Code that *reads* the counters (the miner's per-phase memory
+//! Code that *reads* the counters (the miner's per-stage memory
 //! accounting, the fig7 bench) calls [`snapshot`] unconditionally: it
 //! returns `None` until the tracking allocator has observed at least one
 //! allocation, so builds without the feature — where the statics never
@@ -138,82 +138,6 @@ pub fn reset_peak() {
     PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
 }
 
-/// Allocator delta attributed to one pipeline phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseDelta {
-    pub phase: &'static str,
-    /// Bytes allocated while the phase ran.
-    pub bytes: u64,
-    /// Allocation calls while the phase ran.
-    pub allocs: u64,
-}
-
-/// Whole-run allocator totals returned by [`PhaseAlloc::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunTotals {
-    pub bytes: u64,
-    pub allocs: u64,
-    pub peak_live_bytes: u64,
-}
-
-/// Attributes allocator traffic to pipeline phases by sampling the
-/// tracking counters at phase boundaries.
-///
-/// The caller marks each boundary with [`phase_end`](Self::phase_end); the
-/// delta since the previous mark is credited to the named phase. When no
-/// tracking allocator is installed every snapshot is `None`, no deltas are
-/// recorded, and [`finish`](Self::finish) returns `None` — callers need no
-/// feature gates.
-#[derive(Debug, Default)]
-pub struct PhaseAlloc {
-    start: Option<MemSnapshot>,
-    last: Option<MemSnapshot>,
-    phases: Vec<PhaseDelta>,
-}
-
-impl PhaseAlloc {
-    /// Starts attribution at the current counter values.
-    pub fn begin() -> PhaseAlloc {
-        let start = snapshot();
-        PhaseAlloc {
-            start,
-            last: start,
-            phases: Vec::new(),
-        }
-    }
-
-    /// Closes the phase that ran since the previous boundary, crediting it
-    /// with the allocator delta.
-    pub fn phase_end(&mut self, phase: &'static str) {
-        let (Some(prev), Some(now)) = (self.last, snapshot()) else {
-            return;
-        };
-        self.phases.push(PhaseDelta {
-            phase,
-            bytes: now.bytes_since(&prev),
-            allocs: now.allocs_since(&prev),
-        });
-        self.last = Some(now);
-    }
-
-    /// Closes the final phase and returns whole-run totals, or `None` when
-    /// no tracking allocator is installed.
-    pub fn finish(&mut self, final_phase: &'static str) -> Option<RunTotals> {
-        self.phase_end(final_phase);
-        let (start, end) = (self.start?, snapshot()?);
-        Some(RunTotals {
-            bytes: end.bytes_since(&start),
-            allocs: end.allocs_since(&start),
-            peak_live_bytes: end.peak_live_bytes,
-        })
-    }
-
-    /// The recorded per-phase deltas, in boundary order.
-    pub fn phases(&self) -> &[PhaseDelta] {
-        &self.phases
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -260,55 +184,5 @@ pub(crate) mod tests {
             reset_peak();
             assert_eq!(PEAK_LIVE_BYTES.load(Relaxed), LIVE_BYTES.load(Relaxed));
         }
-    }
-
-    /// Phase attribution credits each boundary-to-boundary delta to the
-    /// named phase. Allocations are driven through the allocator directly
-    /// (other tests may run concurrently, so deltas are lower bounds).
-    #[test]
-    fn phase_alloc_attributes_deltas_to_phases() {
-        let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        let a = TrackingAlloc::new();
-        let layout = Layout::from_size_align(4096, 8).unwrap();
-        // SAFETY: paired alloc/dealloc with a valid layout.
-        unsafe {
-            // move the counters so snapshot() is Some
-            let warm = a.alloc(layout);
-            assert!(!warm.is_null());
-            a.dealloc(warm, layout);
-
-            let mut pa = PhaseAlloc::begin();
-            let p1 = a.alloc(layout);
-            pa.phase_end("slices");
-            let p2 = a.alloc(layout);
-            let totals = pa.finish("prune").expect("tracking counters moved");
-            a.dealloc(p1, layout);
-            a.dealloc(p2, layout);
-
-            let phases = pa.phases();
-            assert_eq!(phases.len(), 2);
-            assert_eq!(phases[0].phase, "slices");
-            assert_eq!(phases[1].phase, "prune");
-            assert!(phases[0].bytes >= 4096 && phases[0].allocs >= 1);
-            assert!(phases[1].bytes >= 4096 && phases[1].allocs >= 1);
-            assert!(totals.bytes >= phases[0].bytes + phases[1].bytes);
-            assert!(totals.allocs >= 2);
-            assert!(totals.peak_live_bytes > 0);
-        }
-    }
-
-    /// Without an installed tracking allocator the whole API is inert. The
-    /// counters are process-global, so this is only observable before any
-    /// other test moves them — emulate by checking the None plumbing.
-    #[test]
-    fn phase_alloc_is_inert_without_snapshots() {
-        let mut pa = PhaseAlloc {
-            start: None,
-            last: None,
-            phases: Vec::new(),
-        };
-        pa.phase_end("slices");
-        assert!(pa.finish("prune").is_none());
-        assert!(pa.phases().is_empty());
     }
 }

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::io::Write as IoWrite;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub mod alloc;
 pub mod hist;
@@ -681,42 +681,6 @@ impl<W: IoWrite + Send> EventSink for JsonLinesSink<W> {
     }
 }
 
-/// RAII span timer: reports its elapsed time to the sink on drop and can
-/// also be stopped explicitly to retrieve the duration.
-pub struct SpanTimer<'a> {
-    sink: &'a dyn EventSink,
-    name: &'static str,
-    start: Instant,
-    armed: bool,
-}
-
-impl<'a> SpanTimer<'a> {
-    pub fn start(sink: &'a dyn EventSink, name: &'static str) -> Self {
-        SpanTimer {
-            sink,
-            name,
-            start: Instant::now(),
-            armed: true,
-        }
-    }
-
-    /// Stop the timer, report the span, and return the elapsed duration.
-    pub fn stop(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.armed = false;
-        self.sink.span(self.name, elapsed);
-        elapsed
-    }
-}
-
-impl Drop for SpanTimer<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.sink.span(self.name, self.start.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,20 +776,6 @@ mod tests {
         assert_eq!(lines[0], r#"{"event":"slice","t":3,"ok":true}"#);
         assert_eq!(lines[1], r#"{"counter":"n","delta":9}"#);
         assert_eq!(lines[2], r#"{"span":"phase","elapsed_ns":1500}"#);
-    }
-
-    #[test]
-    fn span_timer_records_on_drop_and_stop() {
-        let rec = Recorder::new();
-        {
-            let _t = SpanTimer::start(&rec, "dropped");
-        }
-        let t = SpanTimer::start(&rec, "stopped");
-        let d = t.stop();
-        let report = rec.snapshot();
-        assert_eq!(report.spans["dropped"].count, 1);
-        assert_eq!(report.spans["stopped"].count, 1);
-        assert_eq!(report.spans["stopped"].total, d);
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub const SPAN_BICLUSTER: &str = "phase.bicluster";
 pub const SPAN_TRICLUSTER: &str = "phase.tricluster";
 /// Merge/delete post-processing.
 pub const SPAN_PRUNE: &str = "phase.prune";
-/// Quality-metric computation (only when metrics are requested).
+/// Quality-metric computation (only when metrics are requested; every
+/// `Session::run_report` requests them).
 pub const SPAN_METRICS: &str = "phase.metrics";
 
 // ---- range graph -------------------------------------------------------
@@ -129,17 +130,23 @@ pub const M_ALLOC_TOTAL_BYTES: &str = "memory.alloc.total_bytes";
 pub const M_ALLOC_TOTAL_CALLS: &str = "memory.alloc.total_calls";
 /// Peak live heap bytes observed during the mine.
 pub const M_ALLOC_PEAK_BYTES: &str = "memory.alloc.peak_live_bytes";
+// Each per-phase pair below covers exactly one pipeline stage: from before
+// its timeline span opens until its report span has been published, so it
+// includes what publishing that span allocates.
+
 /// Bytes allocated during the parallel per-slice phases (1+2).
 pub const M_ALLOC_SLICES_BYTES: &str = "memory.alloc.slices.bytes";
 /// Allocation calls during the parallel per-slice phases (1+2).
 pub const M_ALLOC_SLICES_CALLS: &str = "memory.alloc.slices.calls";
-/// Bytes allocated during the tricluster DFS phase.
+/// Bytes allocated during the tricluster DFS stage.
 pub const M_ALLOC_TRICLUSTERS_BYTES: &str = "memory.alloc.triclusters.bytes";
-/// Allocation calls during the tricluster DFS phase.
+/// Allocation calls during the tricluster DFS stage.
 pub const M_ALLOC_TRICLUSTERS_CALLS: &str = "memory.alloc.triclusters.calls";
-/// Bytes allocated during merge/prune and final accounting.
+/// Bytes allocated during the merge/prune stage (not the accounting after
+/// it).
 pub const M_ALLOC_PRUNE_BYTES: &str = "memory.alloc.prune.bytes";
-/// Allocation calls during merge/prune and final accounting.
+/// Allocation calls during the merge/prune stage (not the accounting after
+/// it).
 pub const M_ALLOC_PRUNE_CALLS: &str = "memory.alloc.prune.calls";
 
 // ---- timeline event names (Chrome trace export; never in the report) ----

@@ -3,7 +3,7 @@
 //!
 //! Microarray pipelines usually work in log-expression space, where
 //! biologically multiplicative effects become additive — exactly the
-//! pattern `mine_shifting` targets.
+//! pattern a shifting session (`Session::shifting`) targets.
 //!
 //! ```sh
 //! cargo run --release --example shifting_patterns
@@ -36,12 +36,15 @@ fn main() {
     );
 
     // …but the exp-transform route of Lemma 2 finds both.
-    let (shifting, _) = mine_shifting(&matrix, &params).unwrap();
+    let shifting = Session::new(params)
+        .shifting()
+        .run(&matrix, &NullSink)
+        .unwrap()
+        .triclusters;
     println!("shifting miner (Lemma 2): {} clusters", shifting.len());
-    for (i, sc) in shifting.iter().enumerate() {
-        let (x, y, z) = sc.cluster.shape();
-        let offsets: Vec<String> = sc
-            .sample_offsets
+    for (i, c) in shifting.iter().enumerate() {
+        let (x, y, z) = c.shape();
+        let offsets: Vec<String> = tricluster::core::shift::sample_offsets(&matrix, c)
             .iter()
             .map(|o| format!("{o:+.2}"))
             .collect();
@@ -53,8 +56,7 @@ fn main() {
     }
 
     // Verify against the embedded truth.
-    let mined: Vec<Tricluster> = shifting.iter().map(|s| s.cluster.clone()).collect();
-    let report = recovery::score(&truth, &mined, 0.8);
+    let report = recovery::score(&truth, &shifting, 0.8);
     println!(
         "\nrecovery: recall {:.0}%, precision {:.0}%",
         report.recall * 100.0,

@@ -179,12 +179,17 @@ if [[ $fast -eq 0 ]]; then
 
     # Trace-smoke gate: a multi-threaded run with a live timeline and
     # heartbeat must still exit 0 and leave a non-empty Chrome Trace Event
-    # file (the in-process test trace_out_writes_valid_chrome_trace
-    # validates its structure; this exercises the release binary).
+    # file that covers every pipeline stage, the quality metrics included
+    # (the in-process test trace_out_writes_valid_chrome_trace validates
+    # its structure; this exercises the release binary).
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         mine "$det_tsv" --eps 0.012 --threads 2 --trace-out "$trace_json" --progress=0.1
     if [[ ! -s "$trace_json" ]] || ! grep -q '"traceEvents"' "$trace_json"; then
         echo "error: --trace-out produced no usable trace at $trace_json" >&2
+        exit 1
+    fi
+    if ! grep -q '"phase.metrics"' "$trace_json"; then
+        echo "error: --trace-out lacks the phase.metrics stage at $trace_json" >&2
         exit 1
     fi
     echo "==> trace smoke: $(grep -c '"ph"' "$trace_json") events in $trace_json"
@@ -193,13 +198,18 @@ if [[ $fast -eq 0 ]]; then
     # show, and diff through the release binary. The diff is exact: same
     # input and params, so no input-determined counter may rise and every
     # deterministic section must match (timings are shown, not judged).
-    # The flamegraph export must be non-empty with phase-span roots.
+    # The flamegraph export must be non-empty with phase-span roots, the
+    # metrics stage among them.
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         mine "$det_tsv" --eps 0.012 --threads 1 --ledger "$ledger_dir" --flame-out "$flame_txt"
     run cargo run --release --quiet -p tricluster-cli --bin tricluster -- \
         mine "$det_tsv" --eps 0.012 --threads 1 --ledger "$ledger_dir"
     if ! grep -q '^phase\.slices\.wall' "$flame_txt"; then
         echo "error: --flame-out produced no phase-rooted stacks at $flame_txt" >&2
+        exit 1
+    fi
+    if ! grep -q '^phase\.metrics ' "$flame_txt"; then
+        echo "error: --flame-out has no phase.metrics root at $flame_txt" >&2
         exit 1
     fi
     ids=$(cargo run --release --quiet -p tricluster-cli --bin tricluster -- \

@@ -52,9 +52,9 @@ pub use tricluster_synth as synth;
 pub mod prelude {
     pub use tricluster_core::obs::{self, NullSink};
     pub use tricluster_core::{
-        classify, cluster_metrics_observed, mine, mine_auto, mine_shifting, Bicluster, ClusterType,
-        FanoutLevel, MergeParams, Metrics, MineError, MiningResult, Params, Reported, Session,
-        Tricluster, TruncationReason, WorkerFailure,
+        classify, cluster_metrics_observed, mine, Bicluster, ClusterType, FanoutLevel, MergeParams,
+        Metrics, MineError, MiningResult, Params, Reported, Session, Tricluster, TruncationReason,
+        WorkerFailure,
     };
     pub use tricluster_matrix::{io, preprocess, Axis, Labels, Matrix2, Matrix3};
     pub use tricluster_synth::{generate, recovery, SynthDataset, SynthSpec};

@@ -59,9 +59,9 @@ fn zero_replacement_enables_mining() {
     assert_eq!(view(&mine(&m, &paper_params()).unwrap().triclusters), want);
 }
 
-/// Lemma 2 end-to-end: a planted additive cluster is found by
-/// `mine_shifting` and reported with its offsets; plain `mine` on the raw
-/// matrix does not see it as a scaling cluster.
+/// Lemma 2 end-to-end: a planted additive cluster is found by a shifting
+/// session and reported with its offsets; plain `mine` on the raw matrix
+/// does not see it as a scaling cluster.
 #[test]
 fn shifting_cluster_pipeline() {
     let mut m = Matrix3::zeros(6, 5, 3);
@@ -85,12 +85,19 @@ fn shifting_cluster_pipeline() {
         .min_size(4, 4, 3)
         .build()
         .unwrap();
-    let (shifting, _) = mine_shifting(&m, &params).unwrap();
+    let shifting = Session::new(params.clone())
+        .shifting()
+        .run(&m, &NullSink)
+        .unwrap()
+        .triclusters;
     assert_eq!(shifting.len(), 1, "{shifting:?}");
     let c = &shifting[0];
-    assert_eq!(c.cluster.genes.to_vec(), vec![0, 1, 2, 3]);
-    assert_eq!(c.cluster.samples, vec![0, 1, 2, 3]);
-    for (got, want) in c.sample_offsets.iter().zip(offsets) {
+    assert_eq!(c.genes.to_vec(), vec![0, 1, 2, 3]);
+    assert_eq!(c.samples, vec![0, 1, 2, 3]);
+    for (got, want) in tricluster::core::shift::sample_offsets(&m, c)
+        .into_iter()
+        .zip(offsets)
+    {
         assert!((got - want).abs() < 1e-9, "{got} vs {want}");
     }
     // the same region is NOT multiplicative-coherent: plain mining at the
@@ -106,13 +113,16 @@ fn shifting_cluster_pipeline() {
     );
 }
 
-/// `mine_auto` handles a matrix whose largest dimension is on the time
-/// axis (e.g. long time-series with few genes).
+/// An auto-transposing session handles a matrix whose largest dimension is
+/// on the time axis (e.g. long time-series with few genes).
 #[test]
 fn auto_transposition_on_time_heavy_matrix() {
     let m = paper_table1(); // 10 x 7 x 2
     let twisted = m.permuted([Axis::Sample, Axis::Time, Axis::Gene]); // 7 x 2 x 10
-    let result = mine_auto(&twisted, &paper_params(), &NullSink).unwrap();
+    let result = Session::new(paper_params())
+        .auto_transpose()
+        .run(&twisted, &NullSink)
+        .unwrap();
     // clusters in twisted coordinates: genes axis holds samples, samples
     // axis holds times, times axis holds genes
     let mut got: Vec<_> = result

@@ -109,13 +109,15 @@ fn per_slice_biclusters_match_figure5() {
 }
 
 /// Lemma 1 in action: mining the transposed matrix finds the transposed
-/// clusters (mine_auto maps them back automatically).
+/// clusters (an auto-transposing session maps them back automatically).
 #[test]
 fn symmetry_lemma_via_mine_auto() {
     let m = paper_table1();
     let baseline = view(&mine(&m, &paper_params()).unwrap().triclusters);
     let auto = view(
-        &mine_auto(&m, &paper_params(), &NullSink)
+        &Session::new(paper_params())
+            .auto_transpose()
+            .run(&m, &NullSink)
             .unwrap()
             .triclusters,
     );

@@ -79,15 +79,17 @@ fn normalization_pipeline_compatibility() {
         .min_size(3, 3, 2)
         .build()
         .unwrap();
-    let (shifting, _) = mine_shifting(&logm, &params).unwrap();
+    let shifting = Session::new(params)
+        .shifting()
+        .run(&logm, &NullSink)
+        .unwrap()
+        .triclusters;
     assert!(
-        shifting
-            .iter()
-            .any(|sc| sc.cluster.genes.to_vec() == vec![1, 4, 8]),
+        shifting.iter().any(|c| c.genes.to_vec() == vec![1, 4, 8]),
         "C1 should appear as a shifting cluster in log space: {:?}",
         shifting
             .iter()
-            .map(|s| s.cluster.genes.to_vec())
+            .map(|c| c.genes.to_vec())
             .collect::<Vec<_>>()
     );
 }
