@@ -352,6 +352,18 @@ impl BitSet {
         acc.iter().sum()
     }
 
+    /// Overwrites `self` with a copy of `other`, reusing `self`'s block
+    /// allocation, so a scratch slot that already held a set of the same
+    /// universe takes the copy without allocating (`clone` always
+    /// allocates). Like the in-place operations, it requires both sets to
+    /// share a universe (checked in debug builds).
+    #[inline]
+    pub fn copy_from(&mut self, other: &BitSet) {
+        self.check_same_universe(other);
+        self.nbits = other.nbits;
+        self.blocks.clone_from(&other.blocks);
+    }
+
     /// Allocating intersection.
     pub fn intersection(&self, other: &BitSet) -> BitSet {
         let mut out = self.clone();
@@ -705,6 +717,29 @@ mod tests {
         assert_eq!(scratch.intersect_into(&a, &b), 0);
         assert!(scratch.is_empty());
         assert_eq!(scratch.capacity(), 0);
+    }
+
+    #[test]
+    fn copy_from_equals_source_and_keeps_storage() {
+        let src = BitSet::from_indices(300, scatter(300, 9));
+        let mut dst = BitSet::from_indices(300, [0, 299]);
+        let storage = dst.as_blocks().as_ptr();
+        dst.copy_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.count(), src.count());
+        assert_eq!(dst.as_blocks().as_ptr(), storage, "reallocated");
+        // An emptied slot of the same universe still has the capacity.
+        dst.clear();
+        dst.copy_from(&BitSet::full(300));
+        assert_eq!(dst, BitSet::full(300));
+        assert_eq!(dst.as_blocks().as_ptr(), storage, "reallocated");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "universe mismatch")]
+    fn copy_from_checks_the_universe() {
+        BitSet::new(64).copy_from(&BitSet::new(65));
     }
 
     #[test]

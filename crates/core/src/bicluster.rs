@@ -29,7 +29,6 @@ use crate::fault::{fail_point_panic, fan_out, RunCtrl, BRANCHES};
 use crate::params::Params;
 use crate::range::RatioRange;
 use crate::rangegraph::RangeGraph;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
@@ -352,20 +351,64 @@ pub(crate) fn mine_biclusters_ctrl(
 /// `d` takes slot `d` out while it runs and puts it back when it returns,
 /// so its next sibling refills the same allocations; its children use
 /// slot `d + 1`. A branch never goes deeper than `n_samples`, which bounds
-/// the slots. `acc` and `seen` are shared by all depths: a node fills them
-/// for one candidate and is done with them before it recurses.
+/// the slots. `acc` is shared by all depths: a node fills it for one
+/// candidate and is done with it before it recurses.
 #[derive(Default)]
 struct DfsScratch<'a> {
     /// The live candidates and their qualified edge lists, per depth.
     candidates: Vec<Candidates<'a>>,
-    /// The distinct child gene-sets (with their counts) of the candidate a
-    /// node is extending by, per depth.
-    combos: Vec<Vec<(BitSet, usize)>>,
+    /// The distinct child gene-sets of the candidate a node is extending
+    /// by, per depth.
+    combos: Vec<GeneSets>,
     /// One intersection accumulator per combination depth, written in-place
     /// by [`BitSet::intersect_into`] — no per-extension clones.
     acc: Vec<BitSet>,
-    /// Gene-sets already produced at the current (node, extension) step.
-    seen: HashSet<BitSet>,
+}
+
+/// The distinct gene-sets (with their counts) that one candidate's edge
+/// combinations produce at a node, in first-seen order.
+///
+/// Slots past `len` keep their storage, so once a node's buffer has grown
+/// to the most distinct sets one of its candidates produces, refilling it
+/// neither hashes nor allocates. A new set is compared with the ones
+/// already in by count first, and block by block only on equal counts; the
+/// buffer is short (at most 37 sets per candidate on the benchmark's
+/// inputs), so the scan costs less than hashing the set.
+#[derive(Default)]
+struct GeneSets {
+    slots: Vec<(BitSet, usize)>,
+    len: usize,
+}
+
+impl GeneSets {
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    fn as_slice(&self) -> &[(BitSet, usize)] {
+        &self.slots[..self.len]
+    }
+
+    /// Appends `genes` (`count` genes) unless an equal set is already in;
+    /// `false` when it was.
+    fn insert(&mut self, genes: &BitSet, count: usize) -> bool {
+        if self
+            .as_slice()
+            .iter()
+            .any(|(g, c)| *c == count && g == genes)
+        {
+            return false;
+        }
+        match self.slots.get_mut(self.len) {
+            Some((g, c)) => {
+                g.copy_from(genes);
+                *c = count;
+            }
+            None => self.slots.push((genes.clone(), count)),
+        }
+        self.len += 1;
+        true
+    }
 }
 
 /// The live extension candidates of one DFS node `X × Y` and their
@@ -568,22 +611,19 @@ impl<'a> BranchMiner<'a> {
             // Enumerate edge combinations (one edge per existing sample),
             // intersecting gene-sets in-place with mx pruning; recurse per
             // distinct resulting gene-set.
-            let scratch = &mut self.scratch;
-            scratch.seen.clear();
             combos.clear();
             intersect_combos(
                 genes,
                 genes_count,
                 &cands.edges,
                 cands.bounds_of(j),
-                &mut scratch.acc[..depth],
+                &mut self.scratch.acc[..depth],
                 self.params.min_genes,
-                &mut scratch.seen,
                 &mut combos,
                 &mut self.stats.dedup_hits,
             );
-            self.stats.gene_combos += combos.len() as u64;
-            for (new_genes, new_count) in &combos {
+            self.stats.gene_combos += combos.len as u64;
+            for (new_genes, new_count) in combos.as_slice() {
                 children += 1;
                 self.samples.push(sb);
                 self.dfs(&cands, j, new_genes, *new_count);
@@ -632,8 +672,9 @@ impl<'a> BranchMiner<'a> {
 /// choice at the same node.
 ///
 /// The accumulator at each combination depth lives in `levels` (one slot per
-/// list), written in place by [`BitSet::intersect_into`] — the only
-/// allocations are the cloned gene-sets of *surviving* distinct combos.
+/// list), written in place by [`BitSet::intersect_into`], and `out` copies
+/// a distinct gene-set into a slot it already holds, so the only
+/// allocations are the slots `out` has not grown to yet.
 #[allow(clippy::too_many_arguments)]
 fn intersect_combos(
     acc: &BitSet,
@@ -642,8 +683,7 @@ fn intersect_combos(
     bounds: &[usize],
     levels: &mut [BitSet],
     mx: usize,
-    seen: &mut HashSet<BitSet>,
-    out: &mut Vec<(BitSet, usize)>,
+    out: &mut GeneSets,
     dedup_hits: &mut u64,
 ) {
     match (bounds, levels.split_first_mut()) {
@@ -658,7 +698,6 @@ fn intersect_combos(
                         &bounds[1..],
                         rest_levels,
                         mx,
-                        seen,
                         out,
                         dedup_hits,
                     );
@@ -666,25 +705,23 @@ fn intersect_combos(
             }
         }
         _ => {
-            if seen.contains(acc) {
+            if !out.insert(acc, acc_count) {
                 *dedup_hits += 1;
-            } else {
-                seen.insert(acc.clone());
-                out.push((acc.clone(), acc_count));
             }
         }
     }
 }
 
 /// The bicluster DFS without candidate inheritance: every node re-tests
-/// every range of every `(s_a, s_b)` against its gene-set, and the buffers
-/// are plain per-node vectors. With `bounded` it applies the search's size
-/// bound and is the reference the inheriting search must reproduce
-/// exactly; without it, it walks every branch and subtree, as the search
-/// did before the bound.
+/// every range of every `(s_a, s_b)` against its gene-set, the buffers are
+/// plain per-node vectors, and a hash set finds duplicate gene-sets. With
+/// `bounded` it applies the search's size bound and is the reference the
+/// inheriting search must reproduce exactly; without it, it walks every
+/// branch and subtree, as the search did before the bound.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use std::collections::HashSet;
 
     /// [`mine_biclusters_ctrl`]'s serial branch loop around the old DFS.
     pub(super) fn mine(
@@ -1109,6 +1146,34 @@ mod tests {
         assert_eq!(bcs.len(), 1);
         assert_eq!(bcs[0].genes.count(), 4);
         assert_eq!(bcs[0].samples, vec![0, 1, 2]);
+    }
+
+    /// Two different edge combinations of one node yield one gene-set. On
+    /// a 6 × 3 slice, s1 is s0 doubled, so `(s0, s2)` and `(s1, s2)` have
+    /// the same two overlapping ranges, `E1 = {g0..g3}` and `E2 = {g2..g5}`
+    /// (s2 climbs 1.0, 1.05, 1.1 in gene pairs; ε 0.06, no extension).
+    /// Node `{s0, s1}` extends by s2 through `(E1, E2)` and `(E2, E1)`,
+    /// which both intersect to `{g2, g3}`: the second is a dedup hit.
+    #[test]
+    fn duplicate_gene_sets_are_dropped_as_the_oracle_drops_them() {
+        let mut m = Matrix3::zeros(6, 3, 1);
+        for g in 0..6 {
+            m.set(g, 0, 0, 1.0);
+            m.set(g, 1, 0, 2.0);
+            m.set(g, 2, 0, [1.0, 1.05, 1.1][g / 2]);
+        }
+        let p = Params {
+            range_extension: crate::params::RangeExtension::Off,
+            ..params(0.06, 2, 2)
+        };
+        let rg = graph(&m, 0, &p);
+        assert_eq!(rg.ranges_between(0, 2).len(), 2);
+        let want = oracle::mine(&m, &rg, &p, true, true);
+        assert!(want.2.dedup_hits > 0, "{:?}", want.2);
+        for workers in [1, 2] {
+            let got = mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
+            assert_eq!(got, want, "workers={workers}");
+        }
     }
 
     /// One `n_genes × n_samples` slice of background noise in `[10, 20)`

@@ -186,6 +186,9 @@ impl CoherenceMemo {
 struct TriMiner<'a> {
     m: &'a Matrix3,
     per_time: &'a [Vec<Bicluster>],
+    /// The sample set of every bicluster in `per_time`, at the same
+    /// indices, as a bitset over the matrix's samples.
+    sample_sets: Vec<Vec<BitSet>>,
     params: &'a Params,
     results: MaximalStore<Tricluster>,
     times: Vec<usize>,
@@ -214,9 +217,18 @@ impl<'a> TriMiner<'a> {
         if collect_hists {
             stats.hists = Some(Box::default());
         }
+        let sample_sets = per_time
+            .iter()
+            .map(|bcs| {
+                bcs.iter()
+                    .map(|bc| BitSet::from_indices(m.n_samples(), bc.samples.iter().copied()))
+                    .collect()
+            })
+            .collect();
         TriMiner {
             m,
             per_time,
+            sample_sets,
             params,
             results: MaximalStore::default(),
             times: Vec::new(),
@@ -248,6 +260,7 @@ impl<'a> TriMiner<'a> {
         }
         let mut children = 0u64;
         self.try_record(genes, samples);
+        let sample_set = BitSet::from_indices(self.m.n_samples(), samples.iter().copied());
         for (i, &tb) in pending.iter().enumerate() {
             let rest = &pending[i + 1..];
             if !reaches(self.times.len(), rest.len(), self.params.min_times) {
@@ -257,26 +270,23 @@ impl<'a> TriMiner<'a> {
             // dedupe identical (X, Y) outcomes (equal region ids) at this
             // node.
             let mut seen: HashSet<u32> = HashSet::new();
-            for bc in &self.per_time[tb] {
+            for (k, bc) in self.per_time[tb].iter().enumerate() {
                 self.stats.extensions += 1;
-                if !bc
-                    .genes
-                    .intersection_count_at_least(genes, self.params.min_genes)
+                // Both size tests, the sample test first: it reads one word
+                // per 64 samples, the gene test one per 64 genes, and
+                // either alone rejects the extension.
+                if !self.sample_sets[tb][k]
+                    .intersection_count_at_least(&sample_set, self.params.min_samples)
+                    || !bc
+                        .genes
+                        .intersection_count_at_least(genes, self.params.min_genes)
                 {
                     self.stats.rejected_small += 1;
                     continue;
                 }
                 let new_samples = sorted_intersection(samples, &bc.samples);
-                if new_samples.len() < self.params.min_samples {
-                    self.stats.rejected_small += 1;
-                    continue;
-                }
                 let mut new_genes = genes.clone();
                 new_genes.intersect_with(&bc.genes);
-                if new_genes.count() < self.params.min_genes {
-                    self.stats.rejected_small += 1;
-                    continue;
-                }
                 // Temporal coherence of the intersected region between t_b
                 // and every slice already in Z, each verdict computed once
                 // per phase.
@@ -351,10 +361,11 @@ impl<'a> TriMiner<'a> {
 }
 
 /// The time DFS without the coherence memo: every slice-pair check is
-/// recomputed and `seen` keys on cloned `(X, Y)` sets. With `bounded` it
-/// applies the search's size bound and is the reference the memoized search
-/// must reproduce exactly; without it, it walks every subtree, as the
-/// search did before the bound.
+/// recomputed, `seen` keys on cloned `(X, Y)` sets, and the size tests run
+/// on the intersections, genes first. With `bounded` it applies the
+/// search's size bound and is the reference the memoized search must
+/// reproduce exactly; without it, it walks every subtree, as the search did
+/// before the bound.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -814,6 +825,63 @@ mod tests {
                     prop_assert!(got <= want, "work {:?} above the oracle's {:?}", work(&g), work(&w));
                 }
             }
+        }
+    }
+
+    /// Sample sets that span two words: hand-built biclusters over 8 genes
+    /// × 70 samples × 3 slices, fed straight to the time DFS. Cells are
+    /// `(g + 1)(s + 1)·t_k`, except that gene 7 drifts at t2, so every
+    /// region holding it is incoherent between t2 and the other slices.
+    /// Against `a` at t0, `only_samples` shares 4 genes but 2 samples (only
+    /// the sample test rejects it), `only_genes` shares 5 samples but 1
+    /// gene (only the gene test rejects it), and `high` shares no sample
+    /// below 64.
+    #[test]
+    fn sample_sets_past_one_word_match_the_oracle() {
+        let mut m = Matrix3::zeros(8, 70, 3);
+        for g in 0..8 {
+            for s in 0..70 {
+                for (t, tf) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+                    let drift = if g == 7 && t == 2 { 1.5 } else { 1.0 };
+                    m.set(g, s, t, ((g + 1) * (s + 1)) as f64 * tf * drift);
+                }
+            }
+        }
+        let bc = |genes: &[usize], samples: &[usize], t: usize| {
+            Bicluster::new(
+                BitSet::from_indices(8, genes.iter().copied()),
+                samples.to_vec(),
+                t,
+            )
+        };
+        let last_ten: Vec<usize> = (60..70).collect();
+        let a = bc(&[0, 1, 2, 3], &[1, 62, 63, 64, 65, 66], 0);
+        let b = bc(&[4, 5, 6, 7], &last_ten, 0);
+        let narrow = bc(&[0, 1, 2], &[62, 63, 64, 65], 1);
+        let only_samples = bc(&[0, 1, 2, 3], &[1, 2, 3, 66], 1);
+        let only_genes = bc(&[3, 4], &last_ten, 1);
+        let high = bc(&[0, 1, 2, 3, 4, 5, 6, 7], &last_ten[4..], 2);
+        let drifting = bc(&[4, 5, 6, 7], &last_ten, 2);
+        let wide = bc(&[0, 1, 2, 3], &(1..67).collect::<Vec<_>>(), 2);
+        let per_time = vec![
+            vec![a, b],
+            vec![narrow, only_samples, only_genes],
+            vec![high, drifting, wide],
+        ];
+        for (mx, my) in [(2, 3), (3, 4), (2, 6)] {
+            let p = Params {
+                min_genes: mx,
+                min_samples: my,
+                ..params()
+            };
+            let mut got = mine_triclusters_profiled(&m, &per_time, &p, true);
+            let mut want = oracle::mine(&m, &per_time, &p, true, true);
+            let computed = std::mem::take(&mut got.2.coherence_computed);
+            let checks = std::mem::take(&mut want.2.coherence_computed);
+            assert!(computed <= checks, "{computed} verdicts, {checks} checks");
+            assert!(got.2.rejected_small > 0 && got.2.rejected_incoherent > 0);
+            assert!(!got.0.is_empty(), "mx {mx}, my {my}");
+            assert_eq!(got, want, "mx {mx}, my {my}");
         }
     }
 

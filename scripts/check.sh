@@ -74,6 +74,22 @@ if (( unwrap_count > unwrap_budget )); then
     exit 1
 fi
 
+# A/B-script gate: scripts/ab.sh --dry-run must plan one run per side for
+# every (seed, workload), the parent first on odd seeds and the change first
+# on even ones, and compare exactly the documents it planned.
+ab_plan=$(scripts/ab.sh . . --seeds 1-2 --workloads mine-deep,serve-open \
+    --seconds 1 --out /tmp/tricluster-ab-smoke --dry-run)
+ab_runs=$(grep -c '^ab: \[' <<<"$ab_plan")
+ab_first=$(grep '^ab: \[' <<<"$ab_plan" | sed -n '1p;5p' | cut -d' ' -f3 | tr -d '\n')
+ab_docs=$(grep '^ab: compare:' <<<"$ab_plan" | grep -o 'seed[0-9]*-timed.json' | wc -l)
+echo
+echo "==> ab.sh plan: $ab_runs runs, sides first $ab_first, $ab_docs documents compared"
+if [[ $ab_runs != 8 || $ab_first != "A:B:" || $ab_docs != 8 ]]; then
+    echo "error: scripts/ab.sh --dry-run planned the wrong A/B (want 8 runs, A: then B:, 8 documents):" >&2
+    echo "$ab_plan" >&2
+    exit 1
+fi
+
 if [[ $fast -eq 0 ]]; then
     det_tsv="$(mktemp /tmp/tricluster-det-XXXXXX.tsv)"
     det_t1="$(mktemp /tmp/tricluster-det-t1-XXXXXX.json)"

@@ -254,3 +254,88 @@ fn completeness_corner_documented() {
         assert!(brute.contains(c), "mined cluster not valid/maximal: {c:?}");
     }
 }
+
+/// Why dropping range edges without same-pair support in another slice is
+/// not exact as it stands. On this 6 × 3 × 2 input the miner and the brute
+/// force agree on one cluster, `{g3, g5} × {s0, s1} × {t0, t1}`. t0 holds
+/// its region only in `{g1, g3, g5} × {s0, s1}`, and t1 in
+/// `{g1..g5} × {s0, s1}` and `{g3, g5} × {s0, s1, s2}`. Through the first
+/// t1 bicluster the time DFS meets `{g1, g3, g5} × {s0, s1}`, which is
+/// incoherent across the slices, and prunes it (the §4.3 corner), so the
+/// miner reaches the cluster only through the second. That one needs t1's
+/// edge on `(s1, s2)` with genes `{g3, g5}`, which shares fewer than `mx`
+/// genes with every t0 edge on `(s1, s2)`. A prune that keeps only edges
+/// with same-pair support drops it; what is left of the bicluster,
+/// `{g3, g5} × {s0, s1}`, is not maximal, and the corner loses the cluster.
+#[test]
+fn same_pair_support_is_not_enough_to_keep_an_edge() {
+    use tricluster::bitset::BitSet;
+    use tricluster::core::rangegraph::build_range_graph_observed;
+    use tricluster::core::validate::is_valid_cluster;
+    let rows = [
+        [
+            [3., 1., 3.],
+            [1., 1., 2.],
+            [3., 1., 3.],
+            [3., 3., 1.],
+            [2., 1., 1.],
+            [2., 3., 2.],
+        ],
+        [
+            [1., 3., 3.],
+            [2., 2., 1.],
+            [2., 2., 1.],
+            [1., 1., 2.],
+            [3., 3., 2.],
+            [1., 1., 3.],
+        ],
+    ];
+    let mut m = Matrix3::zeros(6, 3, 2);
+    for (t, slice) in rows.iter().enumerate() {
+        for (g, row) in slice.iter().enumerate() {
+            for (s, &v) in row.iter().enumerate() {
+                m.set(g, s, t, v);
+            }
+        }
+    }
+    let params = exact_params(0.5, 2, 2, 2);
+    let want = vec![(vec![3, 5], vec![0, 1], vec![0, 1])];
+    assert_eq!(view(&brute::mine_exhaustive(&m, &params)), want);
+    let result = mine(&m, &params).unwrap();
+    assert_eq!(view(&result.triclusters), want);
+
+    let covering = |t: usize| -> Vec<_> {
+        result.per_time_biclusters[t]
+            .iter()
+            .filter(|b| b.genes.contains(3) && b.genes.contains(5))
+            .filter(|b| b.samples.starts_with(&[0, 1]))
+            .map(|b| (b.genes.to_vec(), b.samples.clone()))
+            .collect()
+    };
+    assert_eq!(covering(0), vec![(vec![1, 3, 5], vec![0, 1])]);
+    assert_eq!(
+        covering(1),
+        vec![
+            (vec![1, 2, 3, 4, 5], vec![0, 1]),
+            (vec![3, 5], vec![0, 1, 2])
+        ]
+    );
+    let pruned = Tricluster::new(BitSet::from_indices(6, [1, 3, 5]), vec![0, 1], vec![0, 1]);
+    assert!(!is_valid_cluster(&m, &pruned, 0.5, 0.5, (2, 2, 2)));
+
+    let edges = |t| build_range_graph_observed(&m, t, &params, &NullSink).0;
+    let (t0, t1) = (edges(0), edges(1));
+    let needed: Vec<_> = t1
+        .ranges_between(1, 2)
+        .iter()
+        .filter(|r| r.genes.to_vec() == [3, 5])
+        .collect();
+    assert_eq!(needed.len(), 1);
+    for r in t0.ranges_between(1, 2) {
+        assert!(
+            r.genes.intersection_count(&needed[0].genes) < params.min_genes,
+            "t0 edge {:?} supports it",
+            r.genes
+        );
+    }
+}
