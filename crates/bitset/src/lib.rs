@@ -45,10 +45,8 @@
 #![warn(missing_docs)]
 
 mod iter;
-mod pool;
 
 pub use iter::Ones;
-pub use pool::BitSetPool;
 
 const BITS: usize = 64;
 
@@ -135,51 +133,24 @@ impl BitSet {
         indices: I,
     ) -> Self {
         let mut s = BitSet::new(nbits);
-        s.set_bits_unchecked(indices);
-        s
-    }
-
-    /// Sets every index yielded by `indices` in a set whose bits above
-    /// `nbits` are clear; all must be `< capacity`. Debug builds check each
-    /// index. Release builds panic on the block bound, and one check after
-    /// the loop catches an index in `[nbits, 64·blocks)`, which would
-    /// otherwise set a bit outside the universe that every popcount and
-    /// `==` then counts.
-    #[inline]
-    pub(crate) fn set_bits_unchecked<I: IntoIterator<Item = usize>>(&mut self, indices: I) {
         for i in indices {
             debug_assert!(
-                i < self.nbits,
-                "index {i} out of bounds for BitSet of capacity {}",
-                self.nbits
+                i < nbits,
+                "index {i} out of bounds for BitSet of capacity {nbits}"
             );
-            self.blocks[i / BITS] |= 1u64 << (i % BITS);
+            s.blocks[i / BITS] |= 1u64 << (i % BITS);
         }
-        let used = self.nbits % BITS;
+        // An index in `[nbits, 64·blocks)` passes the block bound, and
+        // would set a bit outside the universe that every popcount and `==`
+        // then counts.
+        let used = nbits % BITS;
         if used != 0 {
             assert!(
-                self.blocks[self.blocks.len() - 1] >> used == 0,
-                "index out of bounds for BitSet of capacity {}",
-                self.nbits
+                s.blocks[s.blocks.len() - 1] >> used == 0,
+                "index out of bounds for BitSet of capacity {nbits}"
             );
         }
-    }
-
-    /// Crate-internal: assembles a set directly from block storage. The
-    /// blocks must already be exactly `block_count(nbits)` long and hold no
-    /// bits above `nbits` — [`BitSetPool::alloc`] guarantees both by
-    /// clearing and zero-resizing the buffer it reuses.
-    #[inline]
-    pub(crate) fn from_raw_parts(blocks: Vec<u64>, nbits: usize) -> Self {
-        debug_assert_eq!(blocks.len(), block_count(nbits));
-        debug_assert!(blocks.iter().all(|&b| b == 0), "pool buffers start empty");
-        BitSet { blocks, nbits }
-    }
-
-    /// Crate-internal: surrenders the block storage for pooling.
-    #[inline]
-    pub(crate) fn into_raw_blocks(self) -> Vec<u64> {
-        self.blocks
+        s
     }
 
     /// Zeroes the bits above `nbits` in the last block so that popcounts and

@@ -154,13 +154,19 @@ impl Args {
         }
     }
 
-    /// A positive, finite number of seconds.
-    pub fn get_secs(&self, name: &str) -> Result<Option<Duration>, String> {
-        match self.get_f64(name)? {
-            Some(secs) if !secs.is_finite() || secs <= 0.0 => Err(format!(
-                "--{name} expects a positive number of seconds, got {secs}"
+    /// A number of seconds that a [`Duration`] holds, at least a
+    /// nanosecond unless `zero_ok`. Anything else (negative, not finite,
+    /// or past `Duration::MAX`, about 1.8e19 s) is an error, not a panic.
+    pub fn get_secs(&self, name: &str, zero_ok: bool) -> Result<Option<Duration>, String> {
+        let Some(secs) = self.get_f64(name)? else {
+            return Ok(None);
+        };
+        match Duration::try_from_secs_f64(secs) {
+            Ok(d) if zero_ok || !d.is_zero() => Ok(Some(d)),
+            _ => Err(format!(
+                "--{name} expects a number of seconds from {} to 1.8e19, got {secs}",
+                if zero_ok { "0" } else { "1e-9" }
             )),
-            secs => Ok(secs.map(Duration::from_secs_f64)),
         }
     }
 
@@ -294,5 +300,23 @@ mod tests {
     fn bad_number_rejected() {
         let a = parse(&argv(&["--eps", "abc"]), &[("eps", 1)], &[]).unwrap();
         assert!(a.get_f64("eps").is_err());
+    }
+
+    #[test]
+    fn seconds_must_fit_a_duration() {
+        let secs = |v: &str| parse(&argv(&["--s", v]), &[("s", 1)], &[]).unwrap();
+        for bad in ["1e30", "1.9e19", "inf", "nan", "-1"] {
+            let e = secs(bad).get_secs("s", false).unwrap_err();
+            assert!(e.contains("--s"), "{bad}: {e}");
+            assert!(secs(bad).get_secs("s", true).is_err(), "{bad}");
+        }
+        // Positive but under a nanosecond: a zero interval, not positive.
+        assert!(secs("1e-12").get_secs("s", false).is_err());
+        assert!(secs("0").get_secs("s", false).is_err());
+        assert_eq!(secs("0").get_secs("s", true).unwrap(), Some(Duration::ZERO));
+        assert_eq!(
+            secs("1e19").get_secs("s", false).unwrap(),
+            Some(Duration::from_secs(10_000_000_000_000_000_000))
+        );
     }
 }

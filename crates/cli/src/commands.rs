@@ -7,7 +7,6 @@ use crate::args;
 use std::fmt;
 use std::fs::File;
 use std::io::BufWriter;
-use std::time::Duration;
 use tricluster_core::obs::NullSink;
 use tricluster_core::{MergeParams, MineError, Params, Reported, Session, Tricluster};
 use tricluster_matrix::{io, Labels, Matrix3};
@@ -245,13 +244,8 @@ pub fn mine_params_from(a: &args::Args) -> Result<Params, String> {
     if let Some(n) = a.get_u64("max-candidates")? {
         b = b.max_candidates(n);
     }
-    if let Some(secs) = a.get_f64("deadline")? {
-        if !secs.is_finite() || secs < 0.0 {
-            return Err(format!(
-                "--deadline expects a non-negative number of seconds, got {secs}"
-            ));
-        }
-        b = b.deadline(Duration::from_secs_f64(secs));
+    if let Some(d) = a.get_secs("deadline", true)? {
+        b = b.deadline(d);
     }
     if let Some(s) = a.get_str("max-memory") {
         b = b.max_memory(parse_bytes("max-memory", s)?);
@@ -394,6 +388,7 @@ pub fn demo(argv: &[String]) -> Result<(), CliError> {
 pub(crate) mod tests {
     use super::*;
     use crate::mine::{MINE_FLAGS, MINE_SWITCHES};
+    use std::time::Duration;
 
     pub(crate) fn parse_mine(argv: &[&str]) -> args::Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -495,7 +490,7 @@ pub(crate) mod tests {
 
     #[test]
     fn bad_deadline_is_rejected() {
-        for bad in ["-1", "nan", "inf"] {
+        for bad in ["-1", "nan", "inf", "1e30", "1.9e19"] {
             let e = mine_params_from(&parse_mine(&["f.tsv", "--deadline", bad])).unwrap_err();
             assert!(e.contains("--deadline"), "{bad}: {e}");
         }

@@ -45,7 +45,7 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     // `--progress` alone means the default heartbeat; `--progress=SECS`
     // overrides the interval. Parse (and reject) up front so a bad value is
     // a usage error before any I/O.
-    let progress_interval = match a.get_secs("progress").map_err(CliError::Usage)? {
+    let progress_interval = match a.get_secs("progress", false).map_err(CliError::Usage)? {
         None if a.has("progress") => Some(Duration::from_secs(1)),
         secs => secs,
     };
@@ -615,13 +615,30 @@ mod tests {
 
     #[test]
     fn bad_progress_interval_is_rejected() {
-        for bad in ["--progress=0", "--progress=-1", "--progress=nan"] {
+        for bad in [
+            "--progress=0",
+            "--progress=-1",
+            "--progress=nan",
+            "--progress=1e30",
+        ] {
             let e = mine(&["f.tsv".to_string(), bad.to_string()]).unwrap_err();
             assert!(
                 matches!(&e, CliError::Usage(m) if m.contains("--progress")),
                 "{bad}: {e}"
             );
         }
+    }
+
+    /// A deadline no `Duration` holds is a usage error (exit 2), checked
+    /// before the input file is opened.
+    #[test]
+    fn deadline_past_duration_max_is_a_usage_error() {
+        let argv = ["f.tsv", "--deadline", "1e30"].map(String::from);
+        let e = mine(&argv).unwrap_err();
+        assert!(
+            matches!(&e, CliError::Usage(m) if m.contains("--deadline")),
+            "{e}"
+        );
     }
 
     /// A 6 x 5 x 3 matrix with one planted shifting cluster: genes 0..4 x

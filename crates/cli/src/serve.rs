@@ -727,7 +727,7 @@ fn serve_config(a: &args::Args, addr: &str) -> Result<ServeConfig, String> {
         queue_depth: a.get_usize("queue-depth")?.unwrap_or(default.queue_depth),
         memory_budget: bytes("memory-budget")?,
         caps: TenantCaps {
-            max_deadline: a.get_secs("cap-deadline")?,
+            max_deadline: a.get_secs("cap-deadline", false)?,
             max_memory: bytes("cap-memory")?,
             max_candidates: a.get_u64("cap-candidates")?,
             max_threads: a.get_usize("cap-threads")?,
@@ -1688,6 +1688,49 @@ mod tests {
             log.lines().count() >= 2,
             "status polls must be audited too:\n{log}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `--deadline` no `Duration` holds is a 400 `bad_params` with an
+    /// access-log record, not a panic on the connection thread; one past
+    /// the clock's range is admitted and runs as if unbounded.
+    #[test]
+    fn huge_deadlines_are_rejected_or_never_fire() {
+        let _scenario = failpoint::scenario();
+        let dir =
+            std::env::temp_dir().join(format!("tricluster-serve-deadline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let access = dir.join("access.jsonl");
+        let daemon = Daemon::start(ServeConfig {
+            access_log: Some(access.to_str().unwrap().to_string()),
+            ..test_cfg()
+        })
+        .unwrap();
+        let base = daemon.url();
+        let (status, body) = post_job(&base, &submit_body("huge", &["--deadline", "1e30"]));
+        assert_eq!(status, 400, "{}", body.render());
+        assert_eq!(body.get("error").and_then(Json::as_str), Some("bad_params"));
+
+        let (status, accepted) = post_job(&base, &submit_body("far", &["--deadline", "1e19"]));
+        assert_eq!(status, 202);
+        let doc = wait_finished(&base, accepted.get("id").unwrap().as_u64().unwrap());
+        assert_eq!(
+            doc.get_path(&["job", "state"]).and_then(Json::as_str),
+            Some("done"),
+            "{}",
+            doc.render()
+        );
+        assert!(doc.get_path(&["job", "truncation"]).is_none());
+        shut_down(daemon);
+
+        let log = std::fs::read_to_string(&access).unwrap();
+        let statuses: Vec<u64> = log
+            .lines()
+            .map(|l| Json::parse(l).expect("access log lines are JSON"))
+            .filter(|r| r.get("method").and_then(Json::as_str) == Some("POST"))
+            .filter_map(|r| r.get("status").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(statuses[..2], [400, 202], "{log}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

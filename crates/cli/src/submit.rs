@@ -133,7 +133,7 @@ pub fn submit(argv: &[String]) -> Result<(), CliError> {
         println!("{id}");
         return Ok(());
     }
-    let poll = a.get_secs("poll").map_err(CliError::Usage)?;
+    let poll = a.get_secs("poll", false).map_err(CliError::Usage)?;
     let doc = loop {
         let doc = get_json(&base, &format!("/jobs/{id}"))?;
         match doc.get_path(&["job", "state"]).and_then(Json::as_str) {

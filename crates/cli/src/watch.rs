@@ -32,7 +32,7 @@ pub fn watch(argv: &[String]) -> Result<(), CliError> {
         };
         return print_body(&format!("GET {path}"), http_get(&format!("{base}{path}")));
     }
-    let interval = a.get_secs("interval").map_err(CliError::Usage)?;
+    let interval = a.get_secs("interval", false).map_err(CliError::Usage)?;
     // `--jobs`: one formatted listing of a serve daemon's job table,
     // headed by the daemon's service counters and cache effectiveness.
     if a.has("jobs") {

@@ -282,9 +282,6 @@ pub(crate) fn mine_biclusters_ctrl(
     let branches = (0..n_samples)
         .take_while(|&i| reaches(0, n_samples - 1 - i, params.min_samples))
         .count();
-    if let Some(p) = &ctrl.progress {
-        p.add_branches_total(branches as u64);
-    }
     if let Some(h) = stats.hists.as_deref_mut() {
         h.fanout.record(branches as u64);
     }

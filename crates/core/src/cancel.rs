@@ -134,14 +134,15 @@ impl CancelToken {
 
     /// A token with the given budgets whose polls also observe an external
     /// [`CancelHandle`] (tripping the handle stops the run through the same
-    /// cooperative paths as a deadline).
+    /// cooperative paths as a deadline). A deadline past the clock's range
+    /// never fires.
     pub fn with_handle(
         deadline: Option<Duration>,
         max_memory: Option<u64>,
         handle: CancelHandle,
     ) -> Self {
         CancelToken {
-            deadline: deadline.map(|d| Instant::now() + d),
+            deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
             deadline_hit: AtomicBool::new(false),
             max_memory,
             charged: AtomicU64::new(0),
@@ -260,6 +261,13 @@ mod tests {
     #[test]
     fn generous_deadline_does_not_fire() {
         let t = CancelToken::new(Some(Duration::from_secs(3600)), None);
+        assert!(!t.deadline_exceeded());
+        assert!(!t.deadline_was_hit());
+    }
+
+    #[test]
+    fn deadline_past_the_clock_never_fires() {
+        let t = CancelToken::new(Some(Duration::MAX), None);
         assert!(!t.deadline_exceeded());
         assert!(!t.deadline_was_hit());
     }

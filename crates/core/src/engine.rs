@@ -252,11 +252,9 @@ impl Session {
         // The matrix itself is the first charge against the memory budget
         // (validate_input guarantees it fits).
         let (ng, ns, nt) = m.dims();
-        ctrl.token
-            .charge((ng * ns * nt * std::mem::size_of::<f64>()) as u64);
+        ctrl.charge((ng * ns * nt * std::mem::size_of::<f64>()) as u64);
         if let Some(p) = &ctrl.progress {
             p.set_budgets(params.deadline, params.max_memory, params.max_candidates);
-            p.set_logical_bytes(ctrl.token.charged_bytes());
         }
         // Last line of defense: a panic that escapes every isolation boundary
         // (or is raised on the coordinating thread itself) becomes a typed

@@ -181,6 +181,17 @@ impl RunCtrl {
             timeline: None,
         }
     }
+
+    /// Charges `bytes` of retained logical memory against the budget, as
+    /// [`CancelToken::charge`] does, and moves the progress gauge of
+    /// logical bytes to the new total.
+    pub fn charge(&self, bytes: u64) -> bool {
+        let fits = self.token.charge(bytes);
+        if let Some(p) = &self.progress {
+            p.set_logical_bytes(self.token.charged_bytes());
+        }
+        fits
+    }
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -234,6 +245,8 @@ pub(crate) struct Units {
     span_detail: bool,
     /// Timeline track of the spawned workers.
     track: &'static str,
+    /// Progress gauge that counts the units a fan-out schedules.
+    total: fn(&Progress, u64),
     /// Progress gauge bumped once per attempted unit.
     done: fn(&Progress),
 }
@@ -244,6 +257,7 @@ pub(crate) const SLICES: Units = Units {
     span: names::T_SLICE,
     span_detail: true,
     track: "slice",
+    total: Progress::add_slices_total,
     done: Progress::slice_done,
 };
 
@@ -253,6 +267,7 @@ pub(crate) const PAIRS: Units = Units {
     span: names::T_RG_PAIR,
     span_detail: false,
     track: "pair",
+    total: Progress::add_pairs_total,
     done: Progress::pair_done,
 };
 
@@ -262,17 +277,19 @@ pub(crate) const BRANCHES: Units = Units {
     span: names::T_BC_BRANCH,
     span_detail: false,
     track: "branch",
+    total: Progress::add_branches_total,
     done: Progress::branch_done,
 };
 
 /// Runs work units `0..n` on up to `workers` threads and hands each
 /// completed unit's output to `absorb`, in index order.
 ///
-/// Every unit takes the same steps at every worker count: a deadline poll
-/// (once it fires no further unit starts), the unit's timeline span,
-/// [`isolate`] under `units`' phase and `label(i)`, and one bump of the
-/// phase's progress gauge whether the unit completed or failed. A failed
-/// unit has no output, and its worker's scratch is rebuilt with `scratch`.
+/// The fan-out first adds `n` to the phase's progress total. Every unit
+/// then takes the same steps at every worker count: a deadline poll (once
+/// it fires no further unit starts), the unit's timeline span, [`isolate`]
+/// under `units`' phase and `label(i)`, and one bump of the phase's
+/// progress gauge whether the unit completed or failed. A failed unit has
+/// no output, and its worker's scratch is rebuilt with `scratch`.
 ///
 /// At one worker the units run inline on the calling thread, and each
 /// output reaches `absorb` before the next unit starts. Otherwise scoped
@@ -291,6 +308,9 @@ pub(crate) fn fan_out<S, T: Send>(
     work: impl Fn(&mut S, usize) -> T + Sync,
     mut absorb: impl FnMut(usize, T),
 ) {
+    if let Some(p) = &ctrl.progress {
+        (units.total)(p, n as u64);
+    }
     let run = |s: &mut S, i: usize| {
         let span = if units.span_detail {
             timeline::span_with(units.span, || label(i))

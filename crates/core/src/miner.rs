@@ -328,7 +328,6 @@ pub(crate) fn mine_pipeline(
     let _tl_main = ctrl.timeline.as_ref().map(|t| t.attach("main"));
     if let Some(p) = &ctrl.progress {
         p.set_phase(Phase::Slices);
-        p.add_slices_total(n_times as u64);
     }
 
     // Phase 1+2 per slice, fanned out across worker threads. Each worker
@@ -402,22 +401,14 @@ pub(crate) fn mine_pipeline(
                 // slice order, so which slices get dropped (this one and every
                 // later one, once the budget tips) is identical across thread
                 // counts and fan-out levels.
-                if !memory_truncated && ctrl.token.charge(biclusters_bytes(&out.biclusters)) {
+                if !memory_truncated && ctrl.charge(biclusters_bytes(&out.biclusters)) {
                     per_time_biclusters[t] = out.biclusters;
                 } else {
                     memory_truncated = true;
                 }
-                // Live monitoring reads the logical-bytes gauge mid-phase, so
-                // refresh it per merged slice, not just at the phase boundary.
-                if let Some(p) = &ctrl.progress {
-                    p.set_logical_bytes(ctrl.token.charged_bytes());
-                }
             },
         )
     });
-    if let Some(p) = &ctrl.progress {
-        p.set_logical_bytes(ctrl.token.charged_bytes());
-    }
     rg_total.publish(sink);
     bc_total.publish(sink);
     if let Some((edges, bcs)) = &slice_hists {
@@ -518,7 +509,6 @@ pub(crate) fn mine_pipeline(
         timeline::instant_with(names::T_TRUNCATED, || reason.as_str().to_owned());
     }
     if let Some(p) = &ctrl.progress {
-        p.set_logical_bytes(ctrl.token.charged_bytes());
         p.set_phase(Phase::Done);
     }
 

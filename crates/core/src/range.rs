@@ -25,7 +25,7 @@
 //! negative ratios with `(−,+)` values. Ranges never span groups.
 
 use crate::params::RangeExtension;
-use tricluster_bitset::{BitSet, BitSetPool};
+use tricluster_bitset::BitSet;
 
 /// How a range was produced (paper Figure 1(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,14 +64,6 @@ impl SignGroup {
             (true, false) => SignGroup::PosNeg,
             (false, true) => SignGroup::NegPos,
         })
-    }
-
-    /// Sign of the ratios in this group: `+1` or `-1`.
-    pub fn ratio_sign(self) -> i8 {
-        match self {
-            SignGroup::Positive => 1,
-            SignGroup::PosNeg | SignGroup::NegPos => -1,
-        }
     }
 }
 
@@ -156,8 +148,8 @@ impl RatioRange {
 // them). Maximality compares the windows' last members, chaining compares
 // a window's first member with the chain's last, and a chain's values —
 // all the split and patch fences read — are one contiguous run in both
-// orders. So windows, chains, split and patched blocks and the dedupe see
-// the same values and genes in the same order, and the emitted ranges are
+// orders. So windows, chains, and split and patched blocks see the same
+// values and genes in the same order, and the emitted ranges are
 // byte-identical to the unfiltered finder's (`oracle::find_ranges`).
 //
 // *Gate.* Counting costs a pass over the ratios plus a table of `nb`
@@ -165,6 +157,32 @@ impl RatioRange {
 // when `nb ≤ 4n` and `2n < mx · nb`, i.e. an average pair of adjacent
 // buckets holds fewer than `mx` keys. Otherwise it takes the unfiltered
 // path. Dense inputs, where nearly every key survives, stay there.
+//
+// ---------------------------------------------- distinct by construction --
+//
+// One call gets each gene at most once (`compute_pair` puts every gene in
+// exactly one sign group), so two emitted ranges share a gene set only if
+// they share an index interval of the sorted array. The construction
+// repeats an interval in one place only, so the finder needs no dedupe:
+//
+// * Windows strictly increase at both ends: `l` rises every step, and a
+//   window is kept only when its `r` passes the last kept window's.
+// * Chains are disjoint, and so are the split blocks within a chain. Each
+//   chain emits either itself (one Valid or Extended range) or its blocks.
+// * Patched blocks around different boundaries end at different indices.
+//   The split block that starts at boundary `j` ends at the next boundary
+//   `j′`, past every value `≤ fl(v_j · fl(1 + 2ε))`; the patched block
+//   around `j` ends past every value `≤ fl(v_j · fl(1 + ε))`, so no later,
+//   because `fl(1 + 2ε) ≥ fl(1 + ε)` and rounding is monotone. The patched
+//   block around `j′` contains `j′`, so it ends later.
+// * A patched block contains its centre (`fl(v / (1 + ε)) ≤ v ≤
+//   fl(v · (1 + ε))`), and no split block straddles a boundary. So the
+//   only split block a patched block can equal is the one that starts at
+//   its centre `j`. It does when `fl(v_j / (1 + ε))` rounds above the
+//   value before `j`: `split_and_patch` skips that patched block, and the
+//   oracle's gene-set dedupe drops it too (the split block comes first).
+//   When that split block is below `mx`, so is the equal patched block, and
+//   neither is emitted.
 
 #[inline]
 fn pack_key(ratio_bits: u64, gene: u32) -> u128 {
@@ -288,10 +306,9 @@ fn insertion_sort<K: Copy + Ord>(run: &mut [K]) {
 
 /// Reusable buffers for [`find_ranges_into`].
 ///
-/// Keep one per worker thread: the sort keys, window list, chain list, and
-/// dedupe scratch survive across calls, and the gene-set [`BitSetPool`]
-/// recycles block storage from deduped ranges, so the per-pair hot path
-/// stops round-tripping the global allocator.
+/// Keep one per worker thread: the sort keys, sorted values and genes,
+/// window list and chain list survive across calls. Each emitted range's
+/// gene set is a fresh [`BitSet`] that the range owns.
 #[derive(Debug, Default)]
 pub struct RangeScratch {
     /// `(ratio_bits, gene)` sort keys (see the module comment on the
@@ -309,9 +326,6 @@ pub struct RangeScratch {
     counts: Vec<u32>,
     windows: Vec<(usize, usize)>,
     chains: Vec<(usize, usize, usize)>,
-    dedupe: Vec<(u64, u32)>,
-    doomed: Vec<u32>,
-    pool: BitSetPool,
 }
 
 /// Finds all ranges for one sign group.
@@ -320,7 +334,13 @@ pub struct RangeScratch {
 /// not need to be pre-sorted. `n_genes` is the gene universe size for the
 /// produced bitsets.
 ///
+/// Each gene may appear in `ratios` at most once, as [`compute_pair`]
+/// guarantees; debug builds check it. The emitted ranges then have
+/// pairwise distinct gene sets (see the module comment).
+///
 /// Convenience wrapper over [`find_ranges_into`] with one-shot buffers.
+///
+/// [`compute_pair`]: crate::rangegraph::compute_pair
 pub fn find_ranges(
     ratios: &[(f64, usize)],
     sign: SignGroup,
@@ -350,8 +370,9 @@ pub fn find_ranges(
 /// when fewer than `mx` remain.
 ///
 /// Like [`find_ranges`], but reuses the caller's [`RangeScratch`] and output
-/// vector. Deduplication by gene-set applies to the ranges appended by this
-/// call only — earlier contents of `out` are never touched.
+/// vector; earlier contents of `out` are never touched. The same contract
+/// holds: each gene at most once per call, checked in debug builds, so
+/// the ranges one call appends have pairwise distinct gene sets.
 #[allow(clippy::too_many_arguments)]
 pub fn find_ranges_into(
     ratios: &[(f64, usize)],
@@ -365,6 +386,10 @@ pub fn find_ranges_into(
 ) -> usize {
     assert!(epsilon >= 0.0, "epsilon must be non-negative");
     assert!(mx >= 1, "mx must be >= 1");
+    debug_assert!(
+        genes_distinct(ratios),
+        "find_ranges: a gene appears more than once in one call"
+    );
     let RangeScratch {
         keys,
         vals,
@@ -373,9 +398,6 @@ pub fn find_ranges_into(
         counts,
         windows,
         chains,
-        dedupe,
-        doomed,
-        pool,
     } = scratch;
     // Pass 1: count the finite positive ratios and find their bit-pattern
     // extremes for the bucket map — cheap (no stores), and it returns
@@ -484,28 +506,23 @@ pub fn find_ranges_into(
 
     let genes_sorted: &[u32] = genes_sorted;
     let vals: &[f64] = vals;
-    let mut make_range = |lo_i: usize, hi_i: usize, kind: RangeKind| -> RatioRange {
-        // indices half-open [lo_i, hi_i); genes are in-universe by the
-        // caller's contract (debug-asserted in the pool fill).
-        let genes = pool.alloc_from_indices(
+    // Indices half-open [lo_i, hi_i); genes are in-universe by the
+    // caller's contract (checked when the set is built).
+    let make_range = |lo_i: usize, hi_i: usize, kind: RangeKind| RatioRange {
+        lo: vals[lo_i],
+        hi: vals[hi_i - 1],
+        sign,
+        kind,
+        genes: BitSet::from_sorted_range_indices(
             n_genes,
             genes_sorted[lo_i..hi_i].iter().map(|&g| g as usize),
-        );
-        RatioRange {
-            lo: vals[lo_i],
-            hi: vals[hi_i - 1],
-            sign,
-            kind,
-            genes,
-        }
+        ),
     };
 
-    let start = out.len();
     if extension == RangeExtension::Off {
         for &(l, r) in windows.iter() {
             out.push(make_range(l, r, RangeKind::Valid));
         }
-        dedupe_by_genes(out, start, dedupe, doomed, pool);
         return n;
     }
 
@@ -537,10 +554,16 @@ pub fn find_ranges_into(
         }
         // Wide extended range: cover with split blocks of width ≤ 2ε plus
         // patched blocks centered on the split boundaries.
-        split_and_patch(&vals[lo..hi], lo, epsilon, mx, &mut make_range, out);
+        split_and_patch(&vals[lo..hi], lo, epsilon, mx, &make_range, out);
     }
-    dedupe_by_genes(out, start, dedupe, doomed, pool);
     n
+}
+
+/// Whether no gene appears twice in `ratios` — the finder's input contract.
+fn genes_distinct(ratios: &[(f64, usize)]) -> bool {
+    let mut genes: Vec<usize> = ratios.iter().map(|&(_, g)| g).collect();
+    genes.sort_unstable();
+    genes.windows(2).all(|w| w[0] != w[1])
 }
 
 /// The window prefilter's bucket shift and bucket count for `n` usable
@@ -569,13 +592,14 @@ fn window_buckets(span: u64, n: usize, mx: usize, eps1: f64) -> Option<(u32, usi
 ///   other still co-occur in at least one range.
 ///
 /// Blocks spanning fewer than `mx` genes cannot seed a cluster and are not
-/// emitted.
+/// emitted, and neither is a patched block that repeats the split block
+/// starting at its centre (see the module comment).
 fn split_and_patch(
     segment: &[f64],
     base: usize,
     epsilon: f64,
     mx: usize,
-    make_range: &mut dyn FnMut(usize, usize, RangeKind) -> RatioRange,
+    make_range: &dyn Fn(usize, usize, RangeKind) -> RatioRange,
     out: &mut Vec<RatioRange>,
 ) {
     debug_assert!(epsilon > 0.0, "wide chains require a positive epsilon");
@@ -599,86 +623,18 @@ fn split_and_patch(
         }
         i = j;
     }
-    for &j in &boundaries {
+    for (k, &j) in boundaries.iter().enumerate() {
         let center = segment[j];
         let lo_v = center / (1.0 + epsilon);
         let hi_v = center * (1.0 + epsilon);
         let a = segment.partition_point(|&v| v < lo_v);
         let b = segment.partition_point(|&v| v <= hi_v);
-        if b - a >= mx {
+        // The split block at `j` ends at the next boundary.
+        let split = (j, boundaries.get(k + 1).map_or(segment.len(), |&e| e));
+        if b - a >= mx && (a, b) != split {
             out.push(make_range(base + a, base + b, RangeKind::Patched));
         }
     }
-}
-
-/// Removes ranges in `ranges[start..]` whose gene-set duplicates an earlier
-/// range's within that tail (the duplicate would generate identical clusters
-/// downstream). First occurrences survive in their original order; entries
-/// before `start` are never examined or removed.
-///
-/// Duplicate detection folds each gene-set's blocks through a 64-bit
-/// FNV-1a-style hash into the reused `hashes` scratch, sorts the
-/// `(hash, tail_index)` pairs, and exact-compares block slices only within
-/// equal-hash runs — no per-call `HashSet`, no SipHash, no allocation after
-/// warm-up. Doomed duplicates hand their block storage back to `pool`.
-fn dedupe_by_genes(
-    ranges: &mut Vec<RatioRange>,
-    start: usize,
-    hashes: &mut Vec<(u64, u32)>,
-    doomed: &mut Vec<u32>,
-    pool: &mut BitSetPool,
-) {
-    if ranges.len() - start < 2 {
-        return;
-    }
-    hashes.clear();
-    hashes.extend(
-        ranges[start..]
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (hash_blocks(r.genes.as_blocks()), i as u32)),
-    );
-    hashes.sort_unstable();
-    doomed.clear();
-    let mut run = 0usize;
-    for i in 1..hashes.len() {
-        if hashes[i].0 != hashes[run].0 {
-            run = i;
-            continue;
-        }
-        // Equal gene-sets hash equal, so every duplicate lands in one run;
-        // the exact compare guards against collisions. Any earlier equal
-        // entry dooms this one — even an already-doomed entry, which in
-        // turn equals a kept one (equality is transitive).
-        let genes = ranges[start + hashes[i].1 as usize].genes.as_blocks();
-        if hashes[run..i]
-            .iter()
-            .any(|&(_, j)| ranges[start + j as usize].genes.as_blocks() == genes)
-        {
-            doomed.push(hashes[i].1);
-        }
-    }
-    if doomed.is_empty() {
-        return;
-    }
-    doomed.sort_unstable();
-    for &t in doomed.iter().rev() {
-        let dup = ranges.remove(start + t as usize);
-        pool.recycle(dup.genes);
-    }
-}
-
-/// 64-bit FNV-1a folded a block at a time rather than a byte at a time —
-/// dedupe only needs a stable, well-mixed fingerprint (the exact compare
-/// above backs it), and one multiply per `u64` is 8× fewer than bytewise.
-#[inline]
-fn hash_blocks(blocks: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in blocks {
-        h ^= b;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The pre-packed-key range finder, kept verbatim as a differential oracle:
@@ -1001,70 +957,6 @@ mod tests {
         assert_eq!(rs.len(), 1);
     }
 
-    fn dummy_range(lo: f64, genes: &[usize]) -> RatioRange {
-        RatioRange {
-            lo,
-            hi: lo,
-            sign: SignGroup::Positive,
-            kind: RangeKind::Valid,
-            genes: BitSet::from_indices(16, genes.iter().copied()),
-        }
-    }
-
-    fn dedupe(rs: &mut Vec<RatioRange>, start: usize) {
-        let mut hashes = Vec::new();
-        let mut doomed = Vec::new();
-        let mut pool = BitSetPool::new();
-        dedupe_by_genes(rs, start, &mut hashes, &mut doomed, &mut pool);
-    }
-
-    #[test]
-    fn dedupe_keeps_first_occurrence_in_order() {
-        // Sets A, B, A, C, B, D -> survivors A, B, C, D; the surviving A/B
-        // are the *first* occurrences (identified by their lo values).
-        let mut rs = vec![
-            dummy_range(1.0, &[0, 1]), // A
-            dummy_range(2.0, &[2, 3]), // B
-            dummy_range(3.0, &[0, 1]), // A dup
-            dummy_range(4.0, &[4]),    // C
-            dummy_range(5.0, &[2, 3]), // B dup
-            dummy_range(6.0, &[5, 6]), // D
-        ];
-        dedupe(&mut rs, 0);
-        let los: Vec<f64> = rs.iter().map(|r| r.lo).collect();
-        assert_eq!(los, vec![1.0, 2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn dedupe_tail_only_never_touches_head() {
-        // Head entries (before `start`) are kept even when the tail repeats
-        // their gene-sets; dedup applies within the tail alone.
-        let mut rs = vec![
-            dummy_range(1.0, &[0, 1]), // head A
-            dummy_range(2.0, &[0, 1]), // tail A (first in tail -> kept)
-            dummy_range(3.0, &[0, 1]), // tail A dup -> removed
-            dummy_range(4.0, &[2]),    // tail C -> kept
-        ];
-        dedupe(&mut rs, 1);
-        let los: Vec<f64> = rs.iter().map(|r| r.lo).collect();
-        assert_eq!(los, vec![1.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn dedupe_recycles_doomed_genesets_into_pool() {
-        let mut rs = vec![
-            dummy_range(1.0, &[0, 1]),
-            dummy_range(2.0, &[0, 1]), // dup -> recycled
-            dummy_range(3.0, &[0, 1]), // dup -> recycled
-        ];
-        let mut hashes = Vec::new();
-        let mut doomed = Vec::new();
-        let mut pool = BitSetPool::new();
-        dedupe_by_genes(&mut rs, 0, &mut hashes, &mut doomed, &mut pool);
-        assert_eq!(rs.len(), 1);
-        assert_eq!(pool.free_len(), 2, "doomed block storage returns to pool");
-    }
-
     #[test]
     fn find_ranges_into_reuses_scratch_and_appends() {
         // Same results as find_ranges when the scratch and output vec are
@@ -1084,10 +976,8 @@ mod tests {
             &mut out,
         );
         let after_first = out.len();
-        assert_eq!(
-            out,
-            find_ranges(&data1, SignGroup::Positive, 0.1, 3, 64, RangeExtension::On)
-        );
+        let first = find_ranges(&data1, SignGroup::Positive, 0.1, 3, 64, RangeExtension::On);
+        assert_eq!(out, first);
         find_ranges_into(
             &data2,
             SignGroup::Positive,
@@ -1102,6 +992,9 @@ mod tests {
             out[after_first..],
             find_ranges(&data2, SignGroup::Positive, 0.0, 2, 64, RangeExtension::On)
         );
+        // The second call appends only: the first call's ranges stay as
+        // they were.
+        assert_eq!(out[..after_first], first);
     }
 
     #[test]
@@ -1123,32 +1016,43 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// One generated `(ratio, gene)` entry. The selector steers cases into
-    /// the shapes the packed-key transform must survive: plain positives,
-    /// exact ties, dense near-tie clusters, subnormals, huge/tiny normals,
-    /// and the filtered-out kinds (negatives, zero, inf, NaN).
-    fn ratio_entry() -> impl Strategy<Value = (f64, usize)> {
-        (0usize..12, 1.0f64..4.0, 0usize..48).prop_map(|(sel, v, g)| {
-            let r = match sel {
-                0..=2 => v,                       // plain positive
-                3 => 2.5,                         // exact tie value
-                4 => 1.0 + (g % 7) as f64 * 1e-3, // dense near-tie cluster
-                5 => f64::MIN_POSITIVE / 4.0,     // subnormal
-                6 => f64::MIN_POSITIVE,           // smallest normal
-                7 => v * 1e300,                   // huge (bound hits +inf)
-                8 => v * 1e-300,                  // tiny normal
-                9 => -v,                          // negative -> filtered
-                10 => 0.0,                        // zero -> filtered
-                _ => {
-                    if g % 2 == 0 {
-                        f64::INFINITY
-                    } else {
-                        f64::NAN
-                    }
-                } // non-finite -> filtered
-            };
-            (r, g)
+    /// One generated ratio. The selector steers cases into the shapes the
+    /// packed-key transform must survive: plain positives, exact ties,
+    /// dense near-tie clusters, subnormals, huge/tiny normals, and the
+    /// filtered-out kinds (negatives, zero, inf, NaN).
+    fn ratio_value() -> impl Strategy<Value = f64> {
+        (0usize..12, 1.0f64..4.0, 0usize..48).prop_map(|(sel, v, k)| match sel {
+            0..=2 => v,                            // plain positive
+            3 => 2.5,                              // exact tie value
+            4 => 1.0 + (k % 7) as f64 * 1e-3,      // dense near-tie cluster
+            5 => f64::MIN_POSITIVE / 4.0,          // subnormal
+            6 => f64::MIN_POSITIVE,                // smallest normal
+            7 => v * 1e300,                        // huge (bound hits +inf)
+            8 => v * 1e-300,                       // tiny normal
+            9 => -v,                               // negative -> filtered
+            10 => 0.0,                             // zero -> filtered
+            _ => [f64::INFINITY, f64::NAN][k % 2], // non-finite -> filtered
         })
+    }
+
+    /// The gene universe of the generated entries.
+    const GENES: usize = 48;
+
+    /// Up to `max_len` generated `(ratio, gene)` entries over distinct
+    /// genes in random order, as `compute_pair` hands them over: one call
+    /// never gets a gene twice.
+    fn ratio_entries(max_len: usize) -> impl Strategy<Value = Vec<(f64, usize)>> {
+        (
+            proptest::collection::vec(ratio_value(), 0..=max_len.min(GENES)),
+            proptest::collection::vec(0u64..u64::MAX, GENES),
+        )
+            .prop_map(|(ratios, draws)| {
+                let mut genes: Vec<usize> = (0..GENES).collect();
+                for i in (1..GENES).rev() {
+                    genes.swap(i, (draws[i] % (i as u64 + 1)) as usize);
+                }
+                ratios.into_iter().zip(genes).collect()
+            })
     }
 
     fn sign_strategy() -> impl Strategy<Value = SignGroup> {
@@ -1159,6 +1063,53 @@ mod tests {
         })
     }
 
+    /// Runs the finder and the oracle on one input and fails unless they
+    /// emit the same ranges bit for bit, with pairwise distinct gene sets.
+    /// Returns the oracle's ranges.
+    fn matches_oracle(
+        ratios: &[(f64, usize)],
+        sign: SignGroup,
+        eps: f64,
+        mx: usize,
+        n_genes: usize,
+        ext: RangeExtension,
+    ) -> Result<Vec<RatioRange>, TestCaseError> {
+        let new = find_ranges(ratios, sign, eps, mx, n_genes, ext);
+        let old = oracle::find_ranges(ratios, sign, eps, mx, n_genes, ext);
+        prop_assert_eq!(
+            new.len(),
+            old.len(),
+            "range count diverged: eps={} mx={} ext={:?}",
+            eps,
+            mx,
+            ext
+        );
+        for (i, (n, o)) in new.iter().zip(&old).enumerate() {
+            prop_assert!(
+                n.lo.to_bits() == o.lo.to_bits()
+                    && n.hi.to_bits() == o.hi.to_bits()
+                    && n.sign == o.sign
+                    && n.kind == o.kind
+                    && n.genes == o.genes,
+                "range {} diverged at eps={} mx={}:\n  new {:?}\n  old {:?}",
+                i,
+                eps,
+                mx,
+                n,
+                o
+            );
+        }
+        for (i, a) in new.iter().enumerate() {
+            prop_assert!(
+                new[..i].iter().all(|b| b.genes != a.genes),
+                "range {} repeats a gene set: {:?}",
+                i,
+                a
+            );
+        }
+        Ok(old)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -1167,7 +1118,7 @@ mod tests {
         /// gene-sets, and order — for arbitrary inputs in arbitrary order.
         #[test]
         fn packed_key_path_matches_totalcmp_oracle(
-            ratios in proptest::collection::vec(ratio_entry(), 0..60),
+            ratios in ratio_entries(GENES),
             sign in sign_strategy(),
             eps_sel in 0usize..5,
             mx in 1usize..4,
@@ -1176,51 +1127,142 @@ mod tests {
             let epsilon = [0.0, 0.005, 0.02, 0.1, 0.5][eps_sel];
             let extension = if ext { RangeExtension::On } else { RangeExtension::Off };
             // ε=0 exercises the exact-tie fast path (wide chains need ε>0).
-            let new = find_ranges(&ratios, sign, epsilon, mx, 48, extension);
-            let old = oracle::find_ranges(&ratios, sign, epsilon, mx, 48, extension);
-            prop_assert_eq!(
-                new.len(), old.len(),
-                "range count diverged: eps={} mx={} ext={:?}", epsilon, mx, extension
-            );
-            for (i, (n, o)) in new.iter().zip(&old).enumerate() {
-                prop_assert!(
-                    n.lo.to_bits() == o.lo.to_bits()
-                        && n.hi.to_bits() == o.hi.to_bits()
-                        && n.sign == o.sign
-                        && n.kind == o.kind
-                        && n.genes == o.genes,
-                    "range {} diverged:\n  new {:?}\n  old {:?}", i, n, o
-                );
-            }
+            matches_oracle(&ratios, sign, epsilon, mx, GENES, extension)?;
         }
 
         /// The scratch-reusing entry point stays equivalent to the one-shot
         /// wrapper when called repeatedly with dirty buffers.
         #[test]
         fn scratch_reuse_never_leaks_state_between_calls(
-            a in proptest::collection::vec(ratio_entry(), 0..40),
-            b in proptest::collection::vec(ratio_entry(), 0..40),
+            a in ratio_entries(39),
+            b in ratio_entries(39),
         ) {
             let mut scratch = RangeScratch::default();
             let mut out = Vec::new();
             find_ranges_into(
-                &a, SignGroup::Positive, 0.02, 2, 48, RangeExtension::On,
+                &a, SignGroup::Positive, 0.02, 2, GENES, RangeExtension::On,
                 &mut scratch, &mut out,
             );
             let first = out.len();
             find_ranges_into(
-                &b, SignGroup::NegPos, 0.1, 1, 48, RangeExtension::On,
+                &b, SignGroup::NegPos, 0.1, 1, GENES, RangeExtension::On,
                 &mut scratch, &mut out,
             );
             prop_assert_eq!(
                 &out[..first],
-                &find_ranges(&a, SignGroup::Positive, 0.02, 2, 48, RangeExtension::On)[..]
+                &find_ranges(&a, SignGroup::Positive, 0.02, 2, GENES, RangeExtension::On)[..]
             );
             prop_assert_eq!(
                 &out[first..],
-                &find_ranges(&b, SignGroup::NegPos, 0.1, 1, 48, RangeExtension::On)[..]
+                &find_ranges(&b, SignGroup::NegPos, 0.1, 1, GENES, RangeExtension::On)[..]
             );
         }
+    }
+
+    /// A ladder: up to 40 ratios at exact `(1 + ε)` steps from a random
+    /// base, `r(k + 1) = fl(r(k) · fl(1 + ε))` as the window walk computes
+    /// its bound, each nudged by −1, 0 or +1 ulp, over distinct genes in
+    /// random order. Windows, split and patched blocks all end within an
+    /// ulp of a rung, so this is what reaches split and patched blocks and
+    /// the one place a patched block repeats a split block. Returns the
+    /// ratios with an ε and an `mx`.
+    fn ladder(rng: &mut proptest::TestRng) -> (Vec<(f64, usize)>, f64, usize) {
+        let eps = [0.001, 0.01, 0.0225, 0.1, 0.135, 0.5][rng.below(6) as usize];
+        let eps1 = 1.0 + eps;
+        let mut rungs = vec![(rng.next_f64() * 8.0 - 4.0).exp()];
+        for _ in 0..1 + rng.below(12) {
+            rungs.push(rungs[rungs.len() - 1] * eps1);
+        }
+        let n = 1 + rng.below(40) as usize;
+        let mut genes: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            genes.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let ratios = genes
+            .into_iter()
+            .map(|g| {
+                let rung = rungs[rng.below(rungs.len() as u64) as usize].to_bits();
+                (f64::from_bits(rung + rng.below(3) - 1), g)
+            })
+            .collect();
+        (ratios, eps, 1 + rng.below(3) as usize)
+    }
+
+    /// Checks `cases` ladders against the oracle, three in four with range
+    /// extension on, and returns how many of them emitted a patched block.
+    fn ladders_match_oracle(name: &str, cases: u32) -> u32 {
+        let mut patched = 0u32;
+        proptest::run_cases(ProptestConfig::with_cases(cases), name, |rng| {
+            let (ratios, eps, mx) = ladder(rng);
+            let ext = [RangeExtension::On, RangeExtension::Off][usize::from(rng.below(4) == 0)];
+            let old = matches_oracle(&ratios, SignGroup::Positive, eps, mx, ratios.len(), ext)?;
+            patched += u32::from(old.iter().any(|r| r.kind == RangeKind::Patched));
+            Ok(())
+        });
+        patched
+    }
+
+    #[test]
+    fn ladders_match_oracle_with_distinct_gene_sets() {
+        const CASES: u32 = 2000;
+        let patched = ladders_match_oracle("ladders", CASES);
+        assert!(
+            patched * 4 >= CASES,
+            "{patched} of {CASES} ladders had patched blocks"
+        );
+    }
+
+    /// The ladder comparison at scale, in release (`scripts/check.sh`):
+    /// `cargo test --release -p tricluster-core --lib ladder_stress --
+    /// --ignored`. Fixed seeds, like every `run_cases` test.
+    #[test]
+    #[ignore = "stress run; scripts/check.sh runs it in release"]
+    fn ladder_stress_matches_oracle() {
+        const CASES: u32 = 600_000;
+        let patched = ladders_match_oracle("ladder_stress", CASES);
+        assert!(
+            patched * 4 >= CASES,
+            "{patched} of {CASES} ladders had patched blocks"
+        );
+    }
+
+    /// The one coincidence of the construction: `fl(v2 / 1.1)` rounds above
+    /// `v1` while `v2 ≤ fl(v1 · 1.1)`, so the patched block around gene 2
+    /// holds gene 2 alone, exactly the split block that starts there. The
+    /// oracle keeps the split block only, and so must the finder.
+    #[test]
+    fn patched_block_equal_to_its_split_block_is_skipped() {
+        let ratios: Vec<(f64, usize)> = [
+            4610825060783023861u64,
+            4611639684944061556,
+            4612110894974295463,
+        ]
+        .iter()
+        .enumerate()
+        .map(|(g, &bits)| (f64::from_bits(bits), g))
+        .collect();
+        let genes_and_kinds = |rs: &[RatioRange]| -> Vec<(Vec<usize>, RangeKind)> {
+            rs.iter().map(|r| (r.genes.to_vec(), r.kind)).collect()
+        };
+        let want = vec![(vec![0, 1], RangeKind::Split), (vec![2], RangeKind::Split)];
+        let old = oracle::find_ranges(&ratios, SignGroup::Positive, 0.1, 1, 3, RangeExtension::On);
+        assert_eq!(genes_and_kinds(&old), want);
+        let new = find_ranges(&ratios, SignGroup::Positive, 0.1, 1, 3, RangeExtension::On);
+        assert_eq!(new, old);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a gene appears more than once")]
+    fn repeated_gene_breaks_the_contract() {
+        find_ranges(
+            &[(1.0, 0), (1.5, 1), (2.0, 0)],
+            SignGroup::Positive,
+            0.1,
+            1,
+            2,
+            RangeExtension::On,
+        );
     }
 
     /// 48 to 400 keys shaped to engage the window prefilter: tight clusters
@@ -1369,7 +1411,5 @@ mod tests {
         assert_eq!(SignGroup::classify(-1.0, 2.0), Some(SignGroup::NegPos));
         assert_eq!(SignGroup::classify(0.0, 2.0), None);
         assert_eq!(SignGroup::classify(1.0, f64::NAN), None);
-        assert_eq!(SignGroup::Positive.ratio_sign(), 1);
-        assert_eq!(SignGroup::PosNeg.ratio_sign(), -1);
     }
 }

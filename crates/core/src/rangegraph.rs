@@ -225,9 +225,8 @@ impl SliceColumns {
 }
 
 /// Per-worker scratch for [`compute_pair`]: the three sign-group ratio
-/// buffers plus the range finder's sort/window/dedupe buffers and gene-set
-/// pool. One instance per worker thread; nothing in here escapes a pair
-/// computation.
+/// buffers plus the range finder's sort and window buffers. One instance
+/// per worker thread; nothing in here escapes a pair computation.
 #[derive(Debug, Default)]
 pub struct PairScratch {
     groups: [Vec<(f64, usize)>; 3],
@@ -239,7 +238,9 @@ pub struct PairScratch {
 /// Computes the ratio ranges of column pair `(a, b)` (with `a < b`) of one
 /// time slice, appending them to `out` grouped by sign. Returns the number
 /// of gene ratios classified into a sign group, and the number of them that
-/// reached the range finder's sort (see [`find_ranges_into`]).
+/// reached the range finder's sort (see [`find_ranges_into`]). Every gene
+/// lands in at most one sign group, so each finder call gets a gene at
+/// most once, as its contract asks.
 ///
 /// Pure function of the slice data and `params` — safe to run on any worker
 /// in any order; all bookkeeping happens later, in the build's absorb step.
@@ -346,9 +347,6 @@ pub(crate) fn build_range_graph_ctrl(
     let pairs: Vec<(usize, usize)> = (0..n_samples)
         .flat_map(|a| ((a + 1)..n_samples).map(move |b| (a, b)))
         .collect();
-    if let Some(p) = &ctrl.progress {
-        p.add_pairs_total(pairs.len() as u64);
-    }
     let mut slots: Vec<Vec<RatioRange>> = pairs.iter().map(|_| Vec::new()).collect();
     fan_out(
         ctrl,

@@ -35,7 +35,11 @@ proptest! {
         let n = ratios.len().max(1);
         for ext in [RangeExtension::On, RangeExtension::Off] {
             let ranges = find_ranges(&ratios, SignGroup::Positive, eps, mx, n, ext);
-            for r in &ranges {
+            for (i, r) in ranges.iter().enumerate() {
+                prop_assert!(
+                    ranges[..i].iter().all(|q| q.genes != r.genes),
+                    "gene set repeated: {r:?}"
+                );
                 prop_assert!(r.lo <= r.hi);
                 prop_assert!(r.genes.count() >= mx, "range below mx: {r:?}");
                 // a gene is in the range iff its ratio lies in [lo, hi]

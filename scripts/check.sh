@@ -21,6 +21,12 @@ if [[ $fast -eq 0 ]]; then
     run cargo build --workspace --release
 fi
 run cargo test --quiet --workspace
+# Range-finder stress gate: 600,000 fixed-seed ladder inputs (ratios at
+# exact (1+ε) steps, nudged by an ulp) must emit exactly the ranges of
+# range::oracle, with pairwise distinct gene sets, which the finder
+# guarantees by construction instead of a dedupe. About 5 s in release
+# on a 2-vCPU host.
+run cargo test --release --quiet -p tricluster-core --lib ladder_stress -- --ignored
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 # Doc gate: no broken or private intra-doc links (a deleted function must

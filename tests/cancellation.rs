@@ -335,3 +335,17 @@ fn generous_deadline_is_invisible() {
     assert_eq!(timed.truncation, None);
     assert_eq!(cluster_view(&plain), cluster_view(&timed));
 }
+
+/// A deadline past the clock's range never fires: `Session::run` returns
+/// the untruncated result instead of panicking on `Instant` overflow.
+#[test]
+fn deadline_past_the_clock_never_fires() {
+    let m = paper_table1();
+    let base = Params::builder().epsilon(0.01).min_size(3, 3, 2);
+    let plain = mine(&m, &base.clone().build().unwrap()).unwrap();
+    let far = base.deadline(std::time::Duration::MAX).build().unwrap();
+    let timed = Session::new(far).run(&m, &NullSink).unwrap();
+    assert!(!timed.truncated);
+    assert_eq!(timed.truncation, None);
+    assert_eq!(cluster_view(&plain), cluster_view(&timed));
+}

@@ -200,6 +200,15 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
                 && snapshot.contains("\"slices\":{\"done\":5,\"total\":5}"),
             "progress gauges never moved: {snapshot}"
         );
+        // The logical-bytes gauge ends at what the run charged: the matrix
+        // and every slice's retained biclusters.
+        use tricluster::core::obs::names;
+        assert!(!r.truncated);
+        assert_eq!(
+            progress.snapshot().logical_bytes,
+            r.report.counter(names::M_MATRIX_BYTES) + r.report.counter(names::M_BICLUSTER_BYTES),
+            "logical-bytes gauge at threads={threads}"
+        );
     }
 }
 
