@@ -25,7 +25,6 @@ use tricluster_core::obs::httpd::{scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::metrics::Registry;
-use tricluster_core::obs::progress::Progress;
 
 /// With `--features track-alloc`, measure heap usage so sweep points carry
 /// `peak_live_bytes`/`alloc_bytes`.
@@ -59,13 +58,12 @@ fn main() {
     }
 
     // One registry spans the whole sweep: counters and span histograms
-    // accumulate across points, and so do the progress gauges (one
-    // `Progress` is attached once, so its slice, pair and branch totals and
+    // accumulate across points, and so do the progress gauges (the
+    // registry is created once, so its slice, pair and branch totals and
     // `elapsed_secs` run over the whole sweep), and the server stays
     // scrapeable until the process exits.
     let metrics = metrics_addr.map(|addr| {
-        let registry = Arc::new(Registry::new());
-        registry.attach_progress(Arc::new(Progress::new()));
+        let registry = Arc::new(Registry::for_run());
         let server = match HttpServer::serve(&addr, 0, scrape_handler(registry.clone())) {
             Ok(server) => server,
             Err(e) => {

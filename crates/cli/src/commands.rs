@@ -99,7 +99,9 @@ address is printed on stderr; POST /shutdown drains the daemon):
                        queued + running matrices (K/M/G suffix allowed)
   --cap-deadline SECS, --cap-memory B, --cap-candidates N, --cap-threads N
                        server-wide ceilings clamped onto every job's
-                       requested per-job budgets
+                       requested per-job budgets; without --cap-threads a
+                       job's --threads is held to the machine's cores.
+                       Every count and byte limit must be at least 1
   --max-body B         largest accepted request body, and largest dataset
                        file read for a --by-path submission (default 64M)
   --ledger DIR         archive every finished job's v2 report (plus its

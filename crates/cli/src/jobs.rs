@@ -17,7 +17,6 @@ use tricluster_core::obs::httpd::Response;
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::metrics::Registry;
 use tricluster_core::obs::names;
-use tricluster_core::obs::progress::Progress;
 use tricluster_core::obs::timeline::{self, Timeline};
 use tricluster_core::obs::EventSink;
 use tricluster_core::{Dataset, Session};
@@ -91,7 +90,8 @@ pub(crate) struct Run {
     pub request_id: u64,
     /// The clamped run.
     pub session: Session,
-    pub progress: Arc<Progress>,
+    /// The run's live gauges; its worker feeds them through a `ProgressSink`.
+    pub progress: Arc<Registry>,
     /// Lifecycle instants plus the miner's own spans; archived as the
     /// job's Chrome trace.
     pub timeline: Timeline,
@@ -360,7 +360,7 @@ impl JobTable {
                 id,
                 request_id,
                 session,
-                progress: Arc::new(Progress::new()),
+                progress: Arc::new(Registry::for_run()),
                 timeline,
             }),
             label: if label.is_empty() {
@@ -483,11 +483,204 @@ impl JobTable {
         let job = state.jobs.get(&id)?;
         let mut body = Json::obj().with("job", job.summary_json());
         if job.state == JobState::Running {
-            body = body.with("progress", job.run.progress.snapshot_json());
+            body = body.maybe_with("progress", job.run.progress.progress_json());
         }
         if let Some(report) = job.outcome.as_ref().and_then(|o| o.report.as_ref()) {
             body = body.with("report", report.clone());
         }
         Some(body)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use tricluster_core::obs::progress::{Phase, ProgressSink, ProgressTicker};
+    use tricluster_core::obs::Gauge;
+    use tricluster_core::{Engine, Params, TenantCaps};
+
+    /// The one fixed sequence of live updates the golden views below show:
+    /// a phase, the three unit pairs, candidates, budget spent, logical
+    /// bytes, and all three budgets.
+    fn drive(sink: &dyn EventSink) {
+        let set = |name, v| sink.gauge(name, Gauge::Set(v));
+        let add = |name, n, times| (0..times).for_each(|_| sink.gauge(name, Gauge::Add(n)));
+        set(names::G_BUDGET_DEADLINE_NS, 90_500_000_000);
+        set(names::G_BUDGET_MEMORY, 4096);
+        set(names::G_BUDGET_CANDIDATES, 40);
+        set(names::G_PHASE, Phase::Tricluster as u64);
+        add(names::G_SLICES_TOTAL, 4, 1);
+        add(names::G_SLICES_DONE, 1, 3);
+        add(names::G_PAIRS_TOTAL, 66, 1);
+        add(names::G_PAIRS_DONE, 1, 65);
+        add(names::G_BRANCHES_TOTAL, 12, 1);
+        add(names::G_BRANCHES_DONE, 1, 7);
+        add(names::G_CANDIDATES, 1, 5);
+        add(names::G_BUDGET_SPENT, 13, 1);
+        set(names::G_LOGICAL_BYTES, 3000);
+    }
+
+    /// Replaces every value that moves with the clock (the elapsed time,
+    /// the deadline's use) with `"<clock>"`, keeping key order.
+    fn mask(j: &Json, parent: &str) -> Json {
+        match j {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .map(|(k, v)| {
+                        let clocked = matches!(k.as_str(), "elapsed_secs" | "used_secs")
+                            || (parent == "deadline" && k == "used_frac");
+                        let v = if clocked {
+                            Json::Str("<clock>".into())
+                        } else {
+                            mask(v, k)
+                        };
+                        (k.clone(), v)
+                    })
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    fn masked(text: &str) -> String {
+        mask(&Json::parse(text.trim()).expect("valid JSON"), "").render()
+    }
+
+    /// The exposition's progress and budget lines, clocked values masked.
+    fn progress_lines(exposition: &str) -> String {
+        exposition
+            .lines()
+            .filter(|l| l.contains("tricluster_progress_") || l.contains("tricluster_budget_"))
+            .map(|l| {
+                let clocked = !l.starts_with('#')
+                    && (l.starts_with("tricluster_progress_elapsed_seconds ")
+                        || l.contains("{budget=\"deadline\"}"));
+                match l.rsplit_once(' ') {
+                    Some((name, _)) if clocked => format!("{name} <clock>\n"),
+                    _ => format!("{l}\n"),
+                }
+            })
+            .collect()
+    }
+
+    /// A run registry's progress document before any update.
+    const INIT: &str = concat!(
+        r#"{"progress":{"elapsed_secs":"<clock>","phase":"init","#,
+        r#""slices":{"done":0,"total":0},"pairs":{"done":0,"total":0},"#,
+        r#""branches":{"done":0,"total":0},"candidates":0,"logical_bytes":0}}"#
+    );
+    /// The progress document after [`drive`].
+    const DRIVEN: &str = concat!(
+        r#"{"progress":{"elapsed_secs":"<clock>","phase":"tricluster","#,
+        r#""slices":{"done":3,"total":4},"pairs":{"done":65,"total":66},"#,
+        r#""branches":{"done":7,"total":12},"candidates":5,"logical_bytes":3000,"#,
+        r#""budgets":{"deadline":{"limit_secs":90.5,"used_secs":"<clock>","used_frac":"<clock>"},"#,
+        r#""memory":{"limit_bytes":4096,"used_bytes":3000,"used_frac":0.732421875},"#,
+        r#""candidates":{"limit":40,"spent":13,"used_frac":0.325}}}}"#
+    );
+    /// The exposition's progress and budget lines after [`drive`].
+    const DRIVEN_LINES: &str = concat!(
+        "# TYPE tricluster_progress_elapsed_seconds gauge\n",
+        "tricluster_progress_elapsed_seconds <clock>\n",
+        "# TYPE tricluster_progress_phase gauge\n",
+        "tricluster_progress_phase{phase=\"init\"} 0\n",
+        "tricluster_progress_phase{phase=\"slices\"} 0\n",
+        "tricluster_progress_phase{phase=\"tricluster\"} 1\n",
+        "tricluster_progress_phase{phase=\"prune\"} 0\n",
+        "tricluster_progress_phase{phase=\"done\"} 0\n",
+        "# TYPE tricluster_progress_slices_done gauge\n",
+        "tricluster_progress_slices_done 3\n",
+        "# TYPE tricluster_progress_slices_total gauge\n",
+        "tricluster_progress_slices_total 4\n",
+        "# TYPE tricluster_progress_pairs_done gauge\n",
+        "tricluster_progress_pairs_done 65\n",
+        "# TYPE tricluster_progress_pairs_total gauge\n",
+        "tricluster_progress_pairs_total 66\n",
+        "# TYPE tricluster_progress_branches_done gauge\n",
+        "tricluster_progress_branches_done 7\n",
+        "# TYPE tricluster_progress_branches_total gauge\n",
+        "tricluster_progress_branches_total 12\n",
+        "# TYPE tricluster_progress_candidates gauge\n",
+        "tricluster_progress_candidates 5\n",
+        "# TYPE tricluster_progress_logical_bytes gauge\n",
+        "tricluster_progress_logical_bytes 3000\n",
+        "# TYPE tricluster_budget_used_ratio gauge\n",
+        "tricluster_budget_used_ratio{budget=\"deadline\"} <clock>\n",
+        "tricluster_budget_used_ratio{budget=\"memory\"} 0.732421875\n",
+        "tricluster_budget_used_ratio{budget=\"candidates\"} 0.325\n",
+        "# TYPE tricluster_budget_headroom_ratio gauge\n",
+        "tricluster_budget_headroom_ratio{budget=\"deadline\"} <clock>\n",
+        "tricluster_budget_headroom_ratio{budget=\"memory\"} 0.267578125\n",
+        "tricluster_budget_headroom_ratio{budget=\"candidates\"} 0.675\n",
+    );
+
+    /// A running job, whose status `GET /jobs/<id>` serves.
+    fn running_job() -> (JobTable, Arc<Run>) {
+        let engine = Engine::new(TenantCaps::unlimited());
+        let m = tricluster_core::testdata::paper_table1();
+        let labels = tricluster_matrix::Labels::default_for(10, 7, 2);
+        let mut tsv = Vec::new();
+        tricluster_matrix::io::write_stacked_tsv(&mut tsv, &m, &labels).unwrap();
+        let dataset = engine.dataset_from_bytes(&tsv).unwrap();
+        let session = Session::new(Params::builder().epsilon(0.01).build().unwrap());
+        let table = JobTable::new(1, None);
+        let id = table
+            .admit(1, String::new(), dataset, false, session, Timeline::new())
+            .unwrap_or_else(|_| panic!("admitted"));
+        let (run, _, _) = table.dequeue().expect("queued");
+        assert_eq!(run.id, id);
+        (table, run)
+    }
+
+    /// The live views pinned byte for byte: the `/progress` document, the
+    /// progress and budget lines of a run registry's exposition, one
+    /// heartbeat line, and a running job's `progress` object. A run's
+    /// registry shows phase `init` and zero counts from its creation.
+    #[test]
+    fn live_views_render_pinned_bytes() {
+        let registry = Arc::new(Registry::for_run());
+        let (table, run) = running_job();
+        let job_progress = |table: &JobTable| {
+            let status = table.status(run.id).expect("retained");
+            masked(&status.get("progress").expect("running").render())
+        };
+
+        let doc = registry.progress_json().expect("a run's registry");
+        assert_eq!(masked(&doc.render()), INIT, "fresh /progress");
+        assert_eq!(job_progress(&table), INIT, "fresh job");
+
+        drive(&*registry);
+        drive(&ProgressSink(run.progress.clone()));
+        let doc = registry.progress_json().expect("a run's registry");
+        assert_eq!(masked(&doc.render()), DRIVEN, "/progress");
+        assert_eq!(job_progress(&table), DRIVEN, "job progress");
+        assert_eq!(
+            progress_lines(&registry.render_openmetrics(&[])),
+            DRIVEN_LINES,
+            "exposition"
+        );
+
+        struct Shared(Arc<Mutex<Vec<u8>>>);
+        impl Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let ticker = ProgressTicker::start(
+            registry.clone(),
+            Duration::from_secs(3600),
+            Box::new(Shared(out.clone())),
+        );
+        drop(ticker);
+        let line = String::from_utf8(out.lock().unwrap().clone()).unwrap();
+        assert_eq!(line.matches('\n').count(), 1, "one final line: {line:?}");
+        assert_eq!(masked(&line), DRIVEN, "heartbeat");
     }
 }

@@ -9,7 +9,7 @@ use tricluster_core::obs::httpd::{scrape_handler, HttpServer};
 use tricluster_core::obs::json::Json;
 use tricluster_core::obs::ledger::{content_hash, Ledger, NewEntry};
 use tricluster_core::obs::metrics::Registry;
-use tricluster_core::obs::progress::{Progress, ProgressSink, ProgressTicker};
+use tricluster_core::obs::progress::ProgressTicker;
 use tricluster_core::obs::timeline::Timeline;
 use tricluster_core::obs::{names, EventSink, Fanout, JsonLinesSink};
 use tricluster_core::{runreport, shift};
@@ -69,26 +69,17 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     let start = Instant::now();
     // Trace events stream to stderr as they happen (flushed per event so a
     // killed run keeps its tail); aggregate data comes out of the result's
-    // embedded report. The timeline and progress sinks are pure discovery
-    // vehicles: they record nothing through the event interface, the miner
-    // finds them via `EventSink::timeline`/`EventSink::progress`.
+    // embedded report. The timeline sink is a pure discovery vehicle: it
+    // records nothing through the event interface, the miner finds it via
+    // `EventSink::timeline`.
     let trace_sink = a.has("trace").then(JsonLinesSink::stderr);
     let timeline = (trace_out.is_some() || flame_out.is_some()).then(Timeline::new);
-    // `--metrics-addr` implies progress gauges even without `--progress`:
-    // the `/progress` endpoint and the gauge exposition serve them live.
-    let progress =
-        (progress_interval.is_some() || metrics_addr.is_some()).then(|| Arc::new(Progress::new()));
-    let progress_sink = progress.clone().map(ProgressSink);
-    // The metrics registry aggregates whatever the run publishes; the
-    // scrape server holds its own handle, so the registry keeps answering
-    // (with the completed run's totals) until the server shuts down.
-    let registry = metrics_addr.map(|_| {
-        let registry = Arc::new(Registry::new());
-        if let Some(p) = &progress {
-            registry.attach_progress(p.clone());
-        }
-        registry
-    });
+    // One registry serves `--progress` and `--metrics-addr`: it aggregates
+    // whatever the run publishes, gauges included. The scrape server holds
+    // its own handle, so the registry keeps answering (with the completed
+    // run's totals) until the server shuts down.
+    let registry = (progress_interval.is_some() || metrics_addr.is_some())
+        .then(|| Arc::new(Registry::for_run()));
     // Held for the rest of the run; dropping it (any exit path) stops the
     // serve thread, so the endpoint dies with the mine.
     let _metrics_server = match (metrics_addr, &registry) {
@@ -104,7 +95,6 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         [
             trace_sink.as_ref().map(|s| s as &dyn EventSink),
             timeline.as_ref().map(|t| t as &dyn EventSink),
-            progress_sink.as_ref().map(|p| p as &dyn EventSink),
             registry.as_deref().map(|r| r as &dyn EventSink),
         ]
         .into_iter()
@@ -113,9 +103,9 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
     );
     // The heartbeat lives exactly as long as the mining call: dropping it
     // stops the thread after one final snapshot.
-    let ticker = match (&progress, progress_interval) {
-        (Some(p), Some(interval)) => Some(ProgressTicker::start(
-            p.clone(),
+    let ticker = match (&registry, progress_interval) {
+        (Some(r), Some(interval)) => Some(ProgressTicker::start(
+            r.clone(),
             interval,
             Box::new(std::io::stderr()),
         )),

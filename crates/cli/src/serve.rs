@@ -714,23 +714,34 @@ pub fn serve(argv: &[String]) -> Result<(), CliError> {
 }
 
 /// The daemon's configuration from the `serve` command line.
+///
+/// A zero limit that would refuse or fail every job (no workers, no queue
+/// slot, no memory, no candidates, no threads, no body) is a usage error.
 fn serve_config(a: &args::Args, addr: &str) -> Result<ServeConfig, String> {
-    let default = ServeConfig::default();
-    let bytes = |flag| a.get_str(flag).map(|s| parse_bytes(flag, s)).transpose();
-    let workers = a.get_usize("workers")?.unwrap_or(default.workers);
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
+    fn nonzero<T: PartialEq + Default>(flag: &str, v: Option<T>) -> Result<Option<T>, String> {
+        match v {
+            Some(n) if n == T::default() => Err(format!("--{flag} must be at least 1")),
+            v => Ok(v),
+        }
     }
+    let default = ServeConfig::default();
+    let bytes = |flag| {
+        nonzero(
+            flag,
+            a.get_str(flag).map(|s| parse_bytes(flag, s)).transpose()?,
+        )
+    };
+    let count = |flag| nonzero(flag, a.get_usize(flag)?);
     Ok(ServeConfig {
         addr: addr.to_string(),
-        workers,
-        queue_depth: a.get_usize("queue-depth")?.unwrap_or(default.queue_depth),
+        workers: count("workers")?.unwrap_or(default.workers),
+        queue_depth: count("queue-depth")?.unwrap_or(default.queue_depth),
         memory_budget: bytes("memory-budget")?,
         caps: TenantCaps {
             max_deadline: a.get_secs("cap-deadline", false)?,
             max_memory: bytes("cap-memory")?,
-            max_candidates: a.get_u64("cap-candidates")?,
-            max_threads: a.get_usize("cap-threads")?,
+            max_candidates: nonzero("cap-candidates", a.get_u64("cap-candidates")?)?,
+            max_threads: count("cap-threads")?,
         },
         max_body: bytes("max-body")?.map_or(default.max_body, |b| b as usize),
         ledger_dir: a.get_str("ledger").map(str::to_string),
@@ -767,6 +778,56 @@ mod tests {
             mio::write_stacked_tsv(&mut w, &m, &labels).unwrap();
         }
         String::from_utf8(buf).unwrap()
+    }
+
+    /// `serve`'s configuration from `flags`, as the command line parses it.
+    fn config_of(flags: &[&str]) -> Result<ServeConfig, String> {
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        serve_config(&args::parse(&argv, SERVE_FLAGS, &[])?, "127.0.0.1:0")
+    }
+
+    /// A zero limit that would make the daemon refuse or fail every job is
+    /// a usage error; `--cache-entries 0` still means no cache.
+    #[test]
+    fn serve_config_rejects_zero_limits() {
+        for flag in [
+            "--workers",
+            "--queue-depth",
+            "--memory-budget",
+            "--cap-memory",
+            "--cap-candidates",
+            "--cap-threads",
+            "--max-body",
+        ] {
+            match config_of(&[flag, "0"]) {
+                Ok(_) => panic!("{flag} 0 was accepted"),
+                Err(e) => assert!(e.contains(flag), "{flag}: {e}"),
+            }
+            assert!(config_of(&[flag, "1"]).is_ok(), "{flag} 1");
+        }
+        let cfg = config_of(&["--cache-entries", "0"]).unwrap();
+        assert_eq!(cfg.cache_entries, 0);
+    }
+
+    /// Without `--cap-threads`, a job's explicit `--threads` is held to
+    /// the machine's cores and the job is flagged clamped; a job that names
+    /// no thread count keeps its params and stays unclamped. Sessions start
+    /// no threads.
+    #[test]
+    fn explicit_threads_are_held_to_the_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let engine = Engine::new(config_of(&[]).unwrap().caps);
+        let over = (cores + 7).to_string();
+        let session = engine.session(&job_params(&["--threads".into(), over]).unwrap());
+        assert_eq!(session.params().threads, Some(cores));
+        assert!(session.was_clamped());
+        let session =
+            engine.session(&job_params(&["--threads".into(), cores.to_string()]).unwrap());
+        assert!(!session.was_clamped());
+        let params = job_params(&[]).unwrap();
+        let session = engine.session(&params);
+        assert!(!session.was_clamped());
+        assert_eq!(session.params(), &params);
     }
 
     fn test_cfg() -> ServeConfig {
@@ -1925,6 +1986,15 @@ mod tests {
         wait_finished(&base, held);
         wait_metric(&base, "tricluster_serve_jobs_completed_total", 1.0);
         let (stats, jobs, metrics) = views();
+        // A job's live gauges stay in its own registry: the daemon's
+        // exposition has no progress, budget or heap family.
+        for family in [
+            "tricluster_progress_",
+            "tricluster_budget_",
+            "tricluster_alloc_",
+        ] {
+            assert!(!metrics.contains(family), "{family} in {metrics}");
+        }
         let keys = |doc: &Json, path: &[&str]| -> Vec<String> {
             let obj = if path.is_empty() {
                 Some(doc)

@@ -239,15 +239,12 @@ mod tests {
     use std::sync::Arc;
     use tricluster_core::obs::httpd::{scrape_handler, HttpServer};
     use tricluster_core::obs::metrics::Registry;
-    use tricluster_core::obs::progress::Progress;
 
     /// `watch` against a live endpoint: keeps polling until the server
     /// goes away, then exits 0 (that is what a finished run looks like).
     #[test]
     fn watch_polls_until_the_server_goes_away() {
-        let registry = Arc::new(Registry::new());
-        let progress = Arc::new(Progress::new());
-        registry.attach_progress(progress);
+        let registry = Arc::new(Registry::for_run());
         let server = HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry)).unwrap();
         let url = server.url();
         let handle = std::thread::spawn(move || watch(&[url, "--interval".into(), "0.02".into()]));

@@ -32,7 +32,7 @@ use crate::rangegraph::RangeGraph;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{names, EventSink, Histogram};
+use tricluster_obs::{names, EventSink, Gauge, Histogram};
 
 /// Value distributions of one DFS search (BICLUSTER's over sample sets,
 /// TRICLUSTER's over time sets), collected only on request (see
@@ -178,7 +178,7 @@ pub fn mine_biclusters_profiled(
     params: &Params,
     collect_hists: bool,
 ) -> (Vec<Bicluster>, bool, BiclusterStats) {
-    mine_biclusters_ctrl(m, rg, params, collect_hists, 1, &RunCtrl::unbounded())
+    mine_biclusters_ctrl(m, rg, params, 1, &RunCtrl::profiled(collect_hists))
 }
 
 /// Everything one top-level branch produced.
@@ -197,15 +197,14 @@ fn run_branch<'a>(
     m: &'a Matrix3,
     rg: &'a RangeGraph,
     params: &'a Params,
-    collect_hists: bool,
     all_genes: &BitSet,
     root: &Candidates<'a>,
     branch: usize,
     budget: Option<u64>,
-    ctrl: &'a RunCtrl,
+    ctrl: &'a RunCtrl<'a>,
 ) -> BranchOutput {
     fail_point_panic("core.bicluster.branch");
-    let mut miner = BranchMiner::new(m, rg, params, collect_hists, branch, budget, ctrl);
+    let mut miner = BranchMiner::new(m, rg, params, branch, budget, ctrl);
     miner.dfs(root, branch, all_genes, m.n_genes());
     let spent = miner.stats.budget_spent;
     BranchOutput {
@@ -218,7 +217,8 @@ fn run_branch<'a>(
 
 /// [`mine_biclusters_profiled`] with the top-level sample-seed branches of
 /// the set-enumeration tree fanned out over up to `workers` threads (through
-/// [`fan_out`]), under the run control of `ctrl`.
+/// [`fan_out`]), under the run control of `ctrl`. DFS shape histograms are
+/// collected when its sink [wants them](EventSink::wants_histograms).
 ///
 /// Every thread count — including 1 — runs the *same* algorithm: each branch
 /// mines into a branch-local [`MaximalStore`], and the branch stores are
@@ -247,14 +247,13 @@ pub(crate) fn mine_biclusters_ctrl(
     m: &Matrix3,
     rg: &RangeGraph,
     params: &Params,
-    collect_hists: bool,
     workers: usize,
     ctrl: &RunCtrl,
 ) -> (Vec<Bicluster>, bool, BiclusterStats) {
     let n_genes = m.n_genes();
     let n_samples = m.n_samples();
     let mut stats = BiclusterStats::default();
-    if collect_hists {
+    if ctrl.sink.wants_histograms() {
         stats.hists = Some(Box::default());
     }
     let mut truncated = false;
@@ -303,26 +302,15 @@ pub(crate) fn mine_biclusters_ctrl(
         || (),
         |_, branch| {
             let budget = budget.map(|_| left.load(Ordering::Relaxed));
-            run_branch(
-                m,
-                rg,
-                params,
-                collect_hists,
-                &all_genes,
-                &root,
-                branch,
-                budget,
-                ctrl,
-            )
+            run_branch(m, rg, params, &all_genes, &root, branch, budget, ctrl)
         },
         |_, out| {
             // A failed branch never gets here: it consumed an unknowable
             // slice of the budget, so it is charged nothing and the
             // surviving branches keep their shares.
             left.fetch_sub(out.spent, Ordering::Relaxed);
-            if let Some(p) = &ctrl.progress {
-                p.add_budget_spent(out.spent);
-            }
+            ctrl.sink
+                .gauge(names::G_BUDGET_SPENT, Gauge::Add(out.spent));
             truncated |= out.truncated;
             stats.absorb(&out.stats);
             for bc in out.results.into_vec() {
@@ -522,8 +510,9 @@ struct BranchMiner<'a> {
     truncated: bool,
     stats: BiclusterStats,
     scratch: DfsScratch<'a>,
-    /// Run control: only the deadline is polled here (per DFS node).
-    ctrl: &'a RunCtrl,
+    /// Run control: the deadline is polled per DFS node, and each recorded
+    /// candidate bumps its progress gauge.
+    ctrl: &'a RunCtrl<'a>,
 }
 
 impl<'a> BranchMiner<'a> {
@@ -532,13 +521,12 @@ impl<'a> BranchMiner<'a> {
         m: &'a Matrix3,
         rg: &'a RangeGraph,
         params: &'a Params,
-        collect_hists: bool,
         seed: usize,
         budget: Option<u64>,
-        ctrl: &'a RunCtrl,
+        ctrl: &'a RunCtrl<'a>,
     ) -> Self {
         let mut stats = BiclusterStats::default();
-        if collect_hists {
+        if ctrl.sink.wants_histograms() {
             stats.hists = Some(Box::default());
         }
         BranchMiner {
@@ -652,9 +640,7 @@ impl<'a> BranchMiner<'a> {
             InsertOutcome::Inserted { displaced } => {
                 self.stats.recorded += 1;
                 self.stats.replaced += displaced as u64;
-                if let Some(p) = &self.ctrl.progress {
-                    p.candidate_recorded();
-                }
+                self.ctrl.sink.gauge(names::G_CANDIDATES, Gauge::Add(1));
             }
         }
     }
@@ -728,7 +714,7 @@ mod oracle {
         collect_hists: bool,
         bounded: bool,
     ) -> (Vec<Bicluster>, bool, BiclusterStats) {
-        let ctrl = RunCtrl::unbounded();
+        let ctrl = RunCtrl::profiled(collect_hists);
         let n_samples = m.n_samples();
         let mut stats = BiclusterStats::default();
         if collect_hists {
@@ -756,7 +742,7 @@ mod oracle {
         let mut store = MaximalStore::default();
         let mut truncated = false;
         for branch in 0..branches {
-            let mut miner = BranchMiner::new(m, rg, params, collect_hists, branch, budget, &ctrl);
+            let mut miner = BranchMiner::new(m, rg, params, branch, budget, &ctrl);
             dfs(&mut miner, &all_genes, &order[branch + 1..], bounded);
             if let Some(b) = &mut budget {
                 *b -= miner.stats.budget_spent;
@@ -1067,11 +1053,10 @@ mod tests {
         // my=2 exercises cross-branch subsumption (C4 lives in branch s1)
         for p in [params(0.01, 3, 3), params(0.01, 3, 2)] {
             let rg = graph(&m, 0, &p);
-            let (bcs1, tr1, st1) =
-                mine_biclusters_ctrl(&m, &rg, &p, true, 1, &RunCtrl::unbounded());
+            let (bcs1, tr1, st1) = mine_biclusters_ctrl(&m, &rg, &p, 1, &RunCtrl::profiled(true));
             for workers in [2usize, 4, 8] {
                 let (bcs, tr, st) =
-                    mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
+                    mine_biclusters_ctrl(&m, &rg, &p, workers, &RunCtrl::profiled(true));
                 assert_eq!(bcs, bcs1, "clusters differ at workers={workers}");
                 assert_eq!(tr, tr1);
                 assert_eq!(st, st1, "stats differ at workers={workers}");
@@ -1168,7 +1153,7 @@ mod tests {
         let want = oracle::mine(&m, &rg, &p, true, true);
         assert!(want.2.dedup_hits > 0, "{:?}", want.2);
         for workers in [1, 2] {
-            let got = mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
+            let got = mine_biclusters_ctrl(&m, &rg, &p, workers, &RunCtrl::profiled(true));
             assert_eq!(got, want, "workers={workers}");
         }
     }
@@ -1245,7 +1230,7 @@ mod tests {
                 let oracle_tests = std::mem::take(&mut want.2.range_tests);
                 for workers in [1, 2] {
                     let mut got =
-                        mine_biclusters_ctrl(&m, &rg, &p, true, workers, &RunCtrl::unbounded());
+                        mine_biclusters_ctrl(&m, &rg, &p, workers, &RunCtrl::profiled(true));
                     let tests = std::mem::take(&mut got.2.range_tests);
                     prop_assert!(
                         tests <= oracle_tests,
@@ -1286,7 +1271,7 @@ mod tests {
                 let (want, want_cut, w) = oracle::mine(&m, &rg, &p, false, false);
                 for workers in [1, 2] {
                     let (got, got_cut, g) =
-                        mine_biclusters_ctrl(&m, &rg, &p, false, workers, &RunCtrl::unbounded());
+                        mine_biclusters_ctrl(&m, &rg, &p, workers, &RunCtrl::profiled(false));
                     prop_assert_eq!(&got, &want);
                     prop_assert_eq!(got_cut, want_cut);
                     prop_assert_eq!(outcome(&g), outcome(&w));

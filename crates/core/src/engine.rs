@@ -29,7 +29,7 @@ use tricluster_matrix::{preprocess, Axis, Labels, Matrix3};
 use tricluster_obs::json::Json;
 use tricluster_obs::ledger::content_hash;
 use tricluster_obs::metrics::Registry;
-use tricluster_obs::{EventSink, Fanout, HistogramTap};
+use tricluster_obs::{names, EventSink, Fanout, Gauge, HistogramTap};
 
 /// Server-wide ceilings on what any single job may request.
 ///
@@ -37,7 +37,9 @@ use tricluster_obs::{EventSink, Fanout, HistogramTap};
 /// requesting more than a cap silently lowers the request to the cap (and
 /// flags the session [`clamped`](Session::was_clamped)); requesting
 /// nothing where a cap exists applies the cap. `None` caps leave the
-/// tenant's value untouched.
+/// tenant's value untouched, but for threads: every fan-out of a run may
+/// start as many as it asks for, so without a thread cap an explicit count
+/// is held to the machine's cores, the count a job naming none runs at.
 #[derive(Debug, Clone, Default)]
 pub struct TenantCaps {
     /// Longest wall-clock deadline a job may run with.
@@ -51,7 +53,8 @@ pub struct TenantCaps {
 }
 
 impl TenantCaps {
-    /// No ceilings: every tenant request passes through unchanged.
+    /// No ceilings: every tenant request but a thread count above the cores
+    /// passes through unchanged.
     pub fn unlimited() -> Self {
         TenantCaps::default()
     }
@@ -76,6 +79,10 @@ impl TenantCaps {
         cap(&mut p.max_memory, self.max_memory, &mut changed);
         cap(&mut p.max_candidates, self.max_candidates, &mut changed);
         cap(&mut p.threads, self.max_threads, &mut changed);
+        if self.max_threads.is_none() && p.threads.is_some() {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            cap(&mut p.threads, Some(cores), &mut changed);
+        }
         (p, changed)
     }
 }
@@ -246,16 +253,28 @@ impl Session {
     fn run_as_is(&self, m: &Matrix3, sink: &dyn EventSink) -> Result<MiningResult, MineError> {
         let params = &self.params;
         validate_input(m, params)?;
-        let mut ctrl = RunCtrl::for_params_with_handle(params, self.handle.clone());
-        ctrl.progress = sink.progress();
-        ctrl.timeline = sink.timeline().cloned();
+        // Every signal reaches the caller's sink once and the run's own
+        // registry once; the registry's snapshot is the run report.
+        let registry = Registry::new();
+        let run_sink = Fanout(vec![&registry, sink]);
+        let ctrl = RunCtrl::for_params(params, self.handle.clone(), &run_sink);
+        // The run's budgets, for the live views' proximity gauges.
+        let deadline_ns = params
+            .deadline
+            .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        for (name, limit) in [
+            (names::G_BUDGET_DEADLINE_NS, deadline_ns),
+            (names::G_BUDGET_MEMORY, params.max_memory),
+            (names::G_BUDGET_CANDIDATES, params.max_candidates),
+        ] {
+            if let Some(limit) = limit {
+                ctrl.sink.gauge(name, Gauge::Set(limit));
+            }
+        }
         // The matrix itself is the first charge against the memory budget
         // (validate_input guarantees it fits).
         let (ng, ns, nt) = m.dims();
         ctrl.charge((ng * ns * nt * std::mem::size_of::<f64>()) as u64);
-        if let Some(p) = &ctrl.progress {
-            p.set_budgets(params.deadline, params.max_memory, params.max_candidates);
-        }
         // Last line of defense: a panic that escapes every isolation boundary
         // (or is raised on the coordinating thread itself) becomes a typed
         // error instead of a process abort.
@@ -266,7 +285,7 @@ impl Session {
                     message,
                 });
             }
-            Ok(mine_pipeline(m, params, sink, &ctrl))
+            Ok(mine_pipeline(m, params, &ctrl, &registry))
         })) {
             Ok(result) => result,
             Err(payload) => Err(MineError::Panic {
@@ -449,6 +468,37 @@ mod tests {
         let (same, clamped) = TenantCaps::unlimited().clamp(&requested);
         assert!(!clamped);
         assert_eq!(same, requested);
+    }
+
+    /// A run publishes its budgets as gauges: the deadline in nanoseconds,
+    /// saturating at `u64::MAX`, and the memory and candidate limits as
+    /// given.
+    #[test]
+    fn budgets_reach_the_live_gauges() -> Result<(), Box<dyn std::error::Error>> {
+        use tricluster_obs::progress::ProgressSink;
+        let p = Params::builder()
+            .epsilon(0.01)
+            .min_size(3, 3, 2)
+            .deadline(Duration::MAX)
+            .max_memory(1 << 20)
+            .max_candidates(1_000_000)
+            .build()?;
+        let live = Arc::new(Registry::for_run());
+        let result = Session::new(p).run(&paper_table1(), &ProgressSink(live.clone()))?;
+        assert!(!result.truncated);
+        assert_eq!(live.gauge_value(names::G_BUDGET_DEADLINE_NS), u64::MAX);
+        assert_eq!(live.gauge_value(names::G_BUDGET_MEMORY), 1 << 20);
+        assert_eq!(live.gauge_value(names::G_BUDGET_CANDIDATES), 1_000_000);
+        let doc = live
+            .progress_json()
+            .ok_or("a run's registry serves progress")?;
+        let at = |path: &[&str]| doc.get_path(path).cloned();
+        assert_eq!(
+            at(&["progress", "budgets", "deadline", "limit_secs"]),
+            Some(Json::F64(Duration::from_nanos(u64::MAX).as_secs_f64()))
+        );
+        assert_eq!(at(&["progress", "phase"]), Some(Json::Str("done".into())));
+        Ok(())
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //! The named injection sites listed in [`FAILPOINTS`] compile to no-ops
 //! unless the `failpoints` cargo feature is on (test builds only).
 
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelHandle, CancelToken};
 use crate::params::Params;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use tricluster_obs::progress::Progress;
-use tricluster_obs::timeline::Timeline;
-use tricluster_obs::{alloc, names, timeline, EventSink};
+use tricluster_obs::progress::Phase;
+use tricluster_obs::{alloc, names, timeline, EventSink, Gauge, HistogramTap, NullSink};
 
 /// Every fault-injection site compiled into this crate, in pipeline order.
 ///
@@ -139,46 +138,49 @@ impl FaultLog {
     }
 }
 
-/// Shared run control: the cancellation token plus the fault log. One per
-/// mining run, threaded by reference into every phase.
-#[derive(Debug)]
-pub(crate) struct RunCtrl {
+/// Shared run control: the cancellation token, the fault log and the run's
+/// sink. One per mining run, threaded by reference into every phase.
+pub(crate) struct RunCtrl<'a> {
     /// Budgets and cooperative cancellation.
     pub token: CancelToken,
     /// Worker-failure collector.
     pub faults: FaultLog,
-    /// Live-progress gauges, when the run's sink asked for them (see
-    /// [`EventSink::progress`](tricluster_obs::EventSink::progress)).
-    /// `None` keeps every update site a branch-and-skip.
-    pub progress: Option<Arc<Progress>>,
-    /// The run's timeline, when its sink asked for one — carried here so
-    /// phases without a sink parameter can still attach the worker threads
-    /// they spawn. Cloning shares the journal set (`Arc` inside).
-    pub timeline: Option<Timeline>,
+    /// Where every phase publishes its spans, counters, events, histograms
+    /// and progress gauges. Phases ask it whether to collect histograms,
+    /// and for the timeline their worker threads attach to.
+    pub sink: &'a dyn EventSink,
 }
 
-impl RunCtrl {
+impl<'a> RunCtrl<'a> {
     /// No budgets, panics propagate — the behavior of the standalone phase
     /// entry points
     /// ([`build_range_graph_observed`](crate::rangegraph::build_range_graph_observed)
     /// and friends).
-    pub fn unbounded() -> Self {
+    pub fn unbounded(sink: &'a dyn EventSink) -> Self {
         RunCtrl {
             token: CancelToken::unbounded(),
             faults: FaultLog::propagating(),
-            progress: None,
-            timeline: None,
+            sink,
         }
+    }
+
+    /// [`RunCtrl::unbounded`] over a sink that only says whether to collect
+    /// histograms: the run control of the `*_profiled` entry points.
+    pub fn profiled(collect_hists: bool) -> Self {
+        RunCtrl::unbounded(if collect_hists {
+            &HistogramTap
+        } else {
+            &NullSink
+        })
     }
 
     /// Budgets from `params`, failures collected, polling `handle` for
     /// cancellation — the behavior of [`Session::run`](crate::Session::run).
-    pub fn for_params_with_handle(params: &Params, handle: crate::cancel::CancelHandle) -> Self {
+    pub fn for_params(params: &Params, handle: CancelHandle, sink: &'a dyn EventSink) -> Self {
         RunCtrl {
             token: CancelToken::with_handle(params.deadline, params.max_memory, handle),
             faults: FaultLog::collecting(),
-            progress: None,
-            timeline: None,
+            sink,
         }
     }
 
@@ -187,10 +189,14 @@ impl RunCtrl {
     /// logical bytes to the new total.
     pub fn charge(&self, bytes: u64) -> bool {
         let fits = self.token.charge(bytes);
-        if let Some(p) = &self.progress {
-            p.set_logical_bytes(self.token.charged_bytes());
-        }
+        let charged = Gauge::Set(self.token.charged_bytes());
+        self.sink.gauge(names::G_LOGICAL_BYTES, charged);
         fits
+    }
+
+    /// Enters pipeline phase `phase` on the progress gauge.
+    pub fn set_phase(&self, phase: Phase) {
+        self.sink.gauge(names::G_PHASE, Gauge::Set(phase as u64));
     }
 }
 
@@ -246,9 +252,9 @@ pub(crate) struct Units {
     /// Timeline track of the spawned workers.
     track: &'static str,
     /// Progress gauge that counts the units a fan-out schedules.
-    total: fn(&Progress, u64),
+    total: &'static str,
     /// Progress gauge bumped once per attempted unit.
-    done: fn(&Progress),
+    done: &'static str,
 }
 
 /// Whole time slices (phases 1+2 of one slice each).
@@ -257,8 +263,8 @@ pub(crate) const SLICES: Units = Units {
     span: names::T_SLICE,
     span_detail: true,
     track: "slice",
-    total: Progress::add_slices_total,
-    done: Progress::slice_done,
+    total: names::G_SLICES_TOTAL,
+    done: names::G_SLICES_DONE,
 };
 
 /// Column pairs of one slice's range multigraph.
@@ -267,8 +273,8 @@ pub(crate) const PAIRS: Units = Units {
     span: names::T_RG_PAIR,
     span_detail: false,
     track: "pair",
-    total: Progress::add_pairs_total,
-    done: Progress::pair_done,
+    total: names::G_PAIRS_TOTAL,
+    done: names::G_PAIRS_DONE,
 };
 
 /// Top-level sample-seed branches of one slice's bicluster DFS.
@@ -277,18 +283,18 @@ pub(crate) const BRANCHES: Units = Units {
     span: names::T_BC_BRANCH,
     span_detail: false,
     track: "branch",
-    total: Progress::add_branches_total,
-    done: Progress::branch_done,
+    total: names::G_BRANCHES_TOTAL,
+    done: names::G_BRANCHES_DONE,
 };
 
 /// Runs work units `0..n` on up to `workers` threads and hands each
 /// completed unit's output to `absorb`, in index order.
 ///
-/// The fan-out first adds `n` to the phase's progress total. Every unit
-/// then takes the same steps at every worker count: a deadline poll (once
-/// it fires no further unit starts), the unit's timeline span, [`isolate`]
-/// under `units`' phase and `label(i)`, and one bump of the phase's
-/// progress gauge whether the unit completed or failed. A failed unit has
+/// The fan-out first adds `n` to the units' total gauge on the run's sink.
+/// Every unit then takes the same steps at every worker count: a deadline
+/// poll (once it fires no further unit starts), the unit's timeline span,
+/// [`isolate`] under `units`' phase and `label(i)`, and one bump of the
+/// units' done gauge whether the unit completed or failed. A failed unit has
 /// no output, and its worker's scratch is rebuilt with `scratch`.
 ///
 /// At one worker the units run inline on the calling thread, and each
@@ -308,9 +314,7 @@ pub(crate) fn fan_out<S, T: Send>(
     work: impl Fn(&mut S, usize) -> T + Sync,
     mut absorb: impl FnMut(usize, T),
 ) {
-    if let Some(p) = &ctrl.progress {
-        (units.total)(p, n as u64);
-    }
+    ctrl.sink.gauge(units.total, Gauge::Add(n as u64));
     let run = |s: &mut S, i: usize| {
         let span = if units.span_detail {
             timeline::span_with(units.span, || label(i))
@@ -319,9 +323,7 @@ pub(crate) fn fan_out<S, T: Send>(
         };
         let out = isolate(&ctrl.faults, units.phase, || label(i), || work(s, i));
         drop(span);
-        if let Some(p) = &ctrl.progress {
-            (units.done)(p);
-        }
+        ctrl.sink.gauge(units.done, Gauge::Add(1));
         if out.is_none() {
             // The panicked unit may have left partial state behind.
             *s = scratch();
@@ -346,7 +348,7 @@ pub(crate) fn fan_out<S, T: Send>(
         let handles: Vec<_> = (0..workers.min(n))
             .map(|_| {
                 scope.spawn(|| {
-                    let _tl = ctrl.timeline.as_ref().map(|t| t.attach(units.track));
+                    let _tl = ctrl.sink.timeline().map(|t| t.attach(units.track));
                     let mut s = scratch();
                     let mut done = Vec::new();
                     loop {

@@ -25,9 +25,7 @@ use tricluster_bitset::BitSet;
 use tricluster_matrix::{Axis, Matrix3};
 use tricluster_obs::metrics::Registry;
 use tricluster_obs::progress::Phase;
-use tricluster_obs::{
-    alloc, emit, names, timeline, Event, EventSink, Fanout, Histogram, NullSink, RunReport,
-};
+use tricluster_obs::{alloc, emit, names, timeline, Event, Histogram, NullSink, RunReport};
 
 /// Granularity one phase actually fanned out at: slice-level while a run
 /// has at least as many time slices as worker threads, intra-slice (pair
@@ -200,9 +198,9 @@ struct SliceOutput {
 
 /// Runs phases 1+2 for one slice, each as a stage on the worker (this is
 /// what makes the summed-CPU `Timings::range_graphs` view possible): their
-/// spans and trace events go straight to `sink`; counters are accumulated
-/// locally and merged by the caller in slice order, keeping them
-/// deterministic under any thread schedule.
+/// spans and trace events go straight to the run's sink; counters are
+/// accumulated locally and merged by the caller in slice order, keeping
+/// them deterministic under any thread schedule.
 ///
 /// `workers` is how many threads the slice fans its column pairs and DFS
 /// branches out over: `1` under slice-level fan-out (this slice shares the
@@ -211,21 +209,19 @@ fn mine_slice(
     m: &Matrix3,
     t: usize,
     params: &Params,
-    sink: &dyn EventSink,
     workers: usize,
     ctrl: &RunCtrl,
 ) -> SliceOutput {
     fail_point_panic("core.slice");
-    let collect_hists = sink.wants_histograms();
-    let ((rg, rg_stats), rg_time) = stage(sink, &Stage::RANGE_GRAPH, || {
-        build_range_graph_ctrl(m, t, params, sink, workers, ctrl)
+    let ((rg, rg_stats), rg_time) = stage(ctrl.sink, &Stage::RANGE_GRAPH, || {
+        build_range_graph_ctrl(m, t, params, workers, ctrl)
     });
     let n_ranges = rg.n_ranges();
     let rg_bytes = range_graph_bytes(&rg);
-    let ((biclusters, truncated, bc_stats), bc_time) = stage(sink, &Stage::BICLUSTER, || {
-        mine_biclusters_ctrl(m, &rg, params, collect_hists, workers, ctrl)
+    let ((biclusters, truncated, bc_stats), bc_time) = stage(ctrl.sink, &Stage::BICLUSTER, || {
+        mine_biclusters_ctrl(m, &rg, params, workers, ctrl)
     });
-    emit(sink, || {
+    emit(ctrl.sink, || {
         Event::new("miner.slice")
             .field("time", t)
             .field("ranges", n_ranges)
@@ -306,29 +302,24 @@ pub(crate) fn validate_input(m: &Matrix3, params: &Params) -> Result<(), MineErr
 }
 
 /// The pipeline body: phases 1–4 plus report assembly, under `ctrl`'s
-/// budgets and fault collection.
+/// budgets and fault collection. Every signal goes to `ctrl`'s sink, which
+/// holds `registry`; the registry's snapshot is the run report.
 pub(crate) fn mine_pipeline(
     m: &Matrix3,
     params: &Params,
-    sink: &dyn EventSink,
     ctrl: &RunCtrl,
+    registry: &Registry,
 ) -> MiningResult {
     let n_times = m.n_times();
-    // Every signal reaches the caller's sink once and the run's own
-    // registry once; the registry's snapshot is the run report.
-    let registry = Registry::new();
-    let fanout = Fanout(vec![&registry, sink]);
-    let sink: &dyn EventSink = &fanout;
+    let sink = ctrl.sink;
     // `None` unless the binary installed obs' tracking allocator; the
     // sequential stages attribute their own allocator deltas.
     let alloc_start = alloc::snapshot();
     // Timeline journaling for the coordinating thread (worker threads
     // attach inside their spawn closures); a `None` timeline keeps every
     // ambient record call a thread-local check.
-    let _tl_main = ctrl.timeline.as_ref().map(|t| t.attach("main"));
-    if let Some(p) = &ctrl.progress {
-        p.set_phase(Phase::Slices);
-    }
+    let _tl_main = sink.timeline().map(|t| t.attach("main"));
+    ctrl.set_phase(Phase::Slices);
 
     // Phase 1+2 per slice, fanned out across worker threads. Each worker
     // runs its slice's phases as stages of their own, so range-graph vs
@@ -371,8 +362,9 @@ pub(crate) fn mine_pipeline(
     });
     let mut rg_total = RangeGraphStats::default();
     let mut bc_total = BiclusterStats::default();
-    let collect_hists = sink.wants_histograms();
-    let mut slice_hists = collect_hists.then(|| (Histogram::default(), Histogram::default()));
+    let mut slice_hists = sink
+        .wants_histograms()
+        .then(|| (Histogram::default(), Histogram::default()));
     let mut rg_peak_bytes = 0u64;
     let mut memory_truncated = false;
     // Slice outputs are absorbed in slice order: every counter below is
@@ -386,7 +378,7 @@ pub(crate) fn mine_pipeline(
             slice_workers,
             |t| format!("t={t}"),
             || (),
-            |_, t| mine_slice(m, t, params, sink, unit_workers, ctrl),
+            |_, t| mine_slice(m, t, params, unit_workers, ctrl),
             |t, out| {
                 ranges_per_time[t] = out.n_ranges;
                 truncated |= out.truncated;
@@ -416,9 +408,7 @@ pub(crate) fn mine_pipeline(
         sink.histogram(names::H_SLICE_BICLUSTERS, bcs);
     }
 
-    if let Some(p) = &ctrl.progress {
-        p.set_phase(Phase::Tricluster);
-    }
+    ctrl.set_phase(Phase::Tricluster);
     // The tricluster DFS has no intra-phase fan-out, so it is isolated at
     // phase granularity: a panic costs the whole phase (no triclusters) but
     // the per-slice biclusters and the report survive.
@@ -429,7 +419,7 @@ pub(crate) fn mine_pipeline(
             || "phase".to_owned(),
             || {
                 fail_point_panic("core.tricluster.phase");
-                mine_triclusters_ctrl(m, &per_time_biclusters, params, collect_hists, ctrl, sink)
+                mine_triclusters_ctrl(m, &per_time_biclusters, params, ctrl)
             },
         )
         .unwrap_or_default()
@@ -437,9 +427,7 @@ pub(crate) fn mine_pipeline(
     truncated |= tri_cut;
     tri_stats.publish(sink);
 
-    if let Some(p) = &ctrl.progress {
-        p.set_phase(Phase::Prune);
-    }
+    ctrl.set_phase(Phase::Prune);
     let ((mut triclusters, prune_stats), _) = stage(sink, &Stage::PRUNE, || match &params.merge {
         // merge_and_prune_observed publishes the prune counters itself. It
         // consumes the triclusters, so a panic mid-phase loses them — the
@@ -508,9 +496,7 @@ pub(crate) fn mine_pipeline(
     if let Some(reason) = truncation {
         timeline::instant_with(names::T_TRUNCATED, || reason.as_str().to_owned());
     }
-    if let Some(p) = &ctrl.progress {
-        p.set_phase(Phase::Done);
-    }
+    ctrl.set_phase(Phase::Done);
 
     let report = registry.snapshot();
     MiningResult {
@@ -575,6 +561,7 @@ mod tests {
     use super::*;
     use crate::params::MergeParams;
     use crate::testdata::{paper_table1, paper_table1_expected};
+    use tricluster_obs::EventSink;
 
     fn params() -> Params {
         Params::builder()

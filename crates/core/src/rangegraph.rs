@@ -176,11 +176,7 @@ pub fn build_range_graph_observed(
     params: &Params,
     sink: &dyn EventSink,
 ) -> (RangeGraph, RangeGraphStats) {
-    let ctrl = RunCtrl {
-        timeline: sink.timeline().cloned(),
-        ..RunCtrl::unbounded()
-    };
-    build_range_graph_ctrl(m, t, params, sink, 1, &ctrl)
+    build_range_graph_ctrl(m, t, params, 1, &RunCtrl::unbounded(sink))
 }
 
 /// Column-major copy of one time slice: [`SliceColumns::col`]`(c)[g]` is
@@ -311,7 +307,7 @@ pub fn compute_pair(
 }
 
 /// [`build_range_graph_observed`] over up to `workers` threads, under the
-/// run control of `ctrl`.
+/// run control of `ctrl`, publishing to its sink.
 ///
 /// Work units are single `(a, b)` pairs, run through [`fan_out`]; each
 /// worker owns a [`PairScratch`] so the hot path does no per-pair scratch
@@ -331,7 +327,6 @@ pub(crate) fn build_range_graph_ctrl(
     m: &Matrix3,
     t: usize,
     params: &Params,
-    sink: &dyn EventSink,
     workers: usize,
     ctrl: &RunCtrl,
 ) -> (RangeGraph, RangeGraphStats) {
@@ -340,7 +335,7 @@ pub(crate) fn build_range_graph_ctrl(
     // One column-major copy, shared read-only by every pair worker.
     let cols = SliceColumns::from_slice(m.time_slice_raw(t), n_genes, n_samples);
     let mut stats = RangeGraphStats::default();
-    if sink.wants_histograms() {
+    if ctrl.sink.wants_histograms() {
         stats.hists = Some(Box::default());
     }
 
@@ -368,7 +363,7 @@ pub(crate) fn build_range_graph_ctrl(
             stats.count_pair(counts, &ranges);
             if !ranges.is_empty() {
                 let (a, b) = pairs[i];
-                emit(sink, || {
+                emit(ctrl.sink, || {
                     Event::new("rangegraph.pair")
                         .field("time", t)
                         .field("a", a)
@@ -521,7 +516,7 @@ mod tests {
         let m = paper_table1();
         let p = default_params(0.1, 3);
         let rec1 = tricluster_obs::Recorder::new();
-        let (rg1, st1) = build_range_graph_ctrl(&m, 0, &p, &rec1, 1, &RunCtrl::unbounded());
+        let (rg1, st1) = build_range_graph_ctrl(&m, 0, &p, 1, &RunCtrl::unbounded(&rec1));
         let ev1: Vec<String> = rec1
             .take_events()
             .iter()
@@ -529,7 +524,7 @@ mod tests {
             .collect();
         for workers in [2usize, 4, 8] {
             let rec = tricluster_obs::Recorder::new();
-            let (rg, st) = build_range_graph_ctrl(&m, 0, &p, &rec, workers, &RunCtrl::unbounded());
+            let (rg, st) = build_range_graph_ctrl(&m, 0, &p, workers, &RunCtrl::unbounded(&rec));
             assert_eq!(st, st1, "stats differ at workers={workers}");
             assert_eq!(rg.n_ranges(), rg1.n_ranges());
             for a in 0..rg1.n_samples() {

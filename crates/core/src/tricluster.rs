@@ -27,7 +27,7 @@ use crate::params::Params;
 use std::collections::{HashMap, HashSet};
 use tricluster_bitset::BitSet;
 use tricluster_matrix::Matrix3;
-use tricluster_obs::{emit, names, Event, EventSink, NullSink};
+use tricluster_obs::{emit, names, Event, EventSink, Gauge};
 
 /// Statistics of one tricluster search. Input-determined: identical across
 /// runs and thread counts.
@@ -107,38 +107,29 @@ pub fn mine_triclusters_profiled(
     params: &Params,
     collect_hists: bool,
 ) -> (Vec<Tricluster>, bool, TriclusterStats) {
-    mine_triclusters_ctrl(
-        m,
-        per_time,
-        params,
-        collect_hists,
-        &RunCtrl::unbounded(),
-        &NullSink,
-    )
+    mine_triclusters_ctrl(m, per_time, params, &RunCtrl::profiled(collect_hists))
 }
 
 /// Like [`mine_triclusters_profiled`], under the run control of `ctrl`: the
 /// deadline is polled at every DFS node, truncating the search exactly like
-/// an exhausted candidate budget. Ends with one `tricluster.coherence` trace
-/// event on `sink` reporting the memo's logical checks, computed checks and
-/// interned regions.
+/// an exhausted candidate budget, and DFS shape histograms are collected
+/// when its sink [wants them](EventSink::wants_histograms). Ends with one
+/// `tricluster.coherence` trace event on that sink reporting the memo's
+/// logical checks, computed checks and interned regions.
 pub(crate) fn mine_triclusters_ctrl(
     m: &Matrix3,
     per_time: &[Vec<Bicluster>],
     params: &Params,
-    collect_hists: bool,
     ctrl: &RunCtrl,
-    sink: &dyn EventSink,
 ) -> (Vec<Tricluster>, bool, TriclusterStats) {
-    let mut miner = TriMiner::new(m, per_time, params, collect_hists, ctrl);
+    let mut miner = TriMiner::new(m, per_time, params, ctrl);
     let order: Vec<usize> = (0..m.n_times()).collect();
     let all_genes = BitSet::full(m.n_genes());
     let all_samples: Vec<usize> = (0..m.n_samples()).collect();
     miner.dfs(&all_genes, &all_samples, &order);
-    if let Some(p) = &ctrl.progress {
-        p.add_budget_spent(miner.stats.budget_spent);
-    }
-    emit(sink, || {
+    ctrl.sink
+        .gauge(names::G_BUDGET_SPENT, Gauge::Add(miner.stats.budget_spent));
+    emit(ctrl.sink, || {
         Event::new("tricluster.coherence")
             .field("checks", miner.stats.coherence_checks)
             .field("computed", miner.stats.coherence_computed)
@@ -196,8 +187,9 @@ struct TriMiner<'a> {
     truncated: bool,
     stats: TriclusterStats,
     memo: CoherenceMemo,
-    /// Run control: only the deadline is polled here (per DFS node).
-    ctrl: &'a RunCtrl,
+    /// Run control: the deadline is polled per DFS node, and each recorded
+    /// candidate bumps its progress gauge.
+    ctrl: &'a RunCtrl<'a>,
 }
 
 impl<'a> TriMiner<'a> {
@@ -205,8 +197,7 @@ impl<'a> TriMiner<'a> {
         m: &'a Matrix3,
         per_time: &'a [Vec<Bicluster>],
         params: &'a Params,
-        collect_hists: bool,
-        ctrl: &'a RunCtrl,
+        ctrl: &'a RunCtrl<'a>,
     ) -> Self {
         assert_eq!(
             per_time.len(),
@@ -214,7 +205,7 @@ impl<'a> TriMiner<'a> {
             "need one bicluster set per time slice"
         );
         let mut stats = TriclusterStats::default();
-        if collect_hists {
+        if ctrl.sink.wants_histograms() {
             stats.hists = Some(Box::default());
         }
         let sample_sets = per_time
@@ -352,9 +343,7 @@ impl<'a> TriMiner<'a> {
             InsertOutcome::Inserted { displaced } => {
                 self.stats.recorded += 1;
                 self.stats.replaced += displaced as u64;
-                if let Some(p) = &self.ctrl.progress {
-                    p.candidate_recorded();
-                }
+                self.ctrl.sink.gauge(names::G_CANDIDATES, Gauge::Add(1));
             }
         }
     }
@@ -377,8 +366,8 @@ mod oracle {
         collect_hists: bool,
         bounded: bool,
     ) -> (Vec<Tricluster>, bool, TriclusterStats) {
-        let ctrl = RunCtrl::unbounded();
-        let mut miner = TriMiner::new(m, per_time, params, collect_hists, &ctrl);
+        let ctrl = RunCtrl::profiled(collect_hists);
+        let mut miner = TriMiner::new(m, per_time, params, &ctrl);
         let order: Vec<usize> = (0..m.n_times()).collect();
         let all_genes = BitSet::full(m.n_genes());
         let all_samples: Vec<usize> = (0..m.n_samples()).collect();
@@ -479,7 +468,7 @@ mod tests {
     use crate::rangegraph::build_range_graph_observed;
     use crate::testdata::{paper_table1, paper_table1_expected};
     use proptest::prelude::*;
-    use tricluster_obs::{Recorder, Value};
+    use tricluster_obs::{NullSink, Recorder, Value};
 
     fn params() -> Params {
         Params::builder()

@@ -205,9 +205,9 @@ fn connect_back(mut dial: SocketAddr) -> std::io::Result<TcpStream> {
 }
 
 /// The read-only scrape endpoint of one run's `registry`: `GET /metrics`
-/// (OpenMetrics text), `GET /progress` (JSON gauge snapshot, 404 without
-/// attached gauges), and `GET /healthz`. Serve it with `max_body` 0 — the
-/// routes take no body.
+/// (OpenMetrics text), `GET /progress` (the run's progress document, 404
+/// while the registry holds no progress gauges), and `GET /healthz`. Serve
+/// it with `max_body` 0 — the routes take no body.
 pub fn scrape_handler(registry: Arc<Registry>) -> Handler {
     Arc::new(move |request: Request| {
         if request.method != "GET" {
@@ -220,7 +220,7 @@ pub fn scrape_handler(registry: Arc<Registry>) -> Handler {
                 body: registry.render_openmetrics(&[]),
             },
             "/progress" => match registry.progress_json() {
-                Some(json) => Response::json(200, json + "\n"),
+                Some(doc) => Response::json(200, doc.render() + "\n"),
                 None => Response::text(404, "no progress gauges attached\n"),
             },
             "/healthz" => Response::text(200, "ok\n"),
@@ -473,8 +473,8 @@ fn http_request(
 mod tests {
     use super::*;
     use crate::names;
-    use crate::progress::{Phase, Progress};
-    use crate::EventSink;
+    use crate::progress::Phase;
+    use crate::{EventSink, Gauge};
     use std::sync::Mutex;
 
     /// Client calls trip the process-global `httpd.client.connect`
@@ -490,22 +490,20 @@ mod tests {
         HttpServer::serve(addr, 0, scrape_handler(registry))
     }
 
-    fn served_registry() -> (HttpServer, Arc<Registry>, Arc<Progress>) {
-        let registry = Arc::new(Registry::new());
-        let progress = Arc::new(Progress::new());
-        registry.attach_progress(progress.clone());
+    fn served_registry() -> (HttpServer, Arc<Registry>) {
+        let registry = Arc::new(Registry::for_run());
         let server =
             scrape_server("127.0.0.1:0", registry.clone()).expect("bind an ephemeral port");
-        (server, registry, progress)
+        (server, registry)
     }
 
     #[test]
     fn serves_metrics_progress_and_healthz() {
         let _serial = serial();
-        let (server, registry, progress) = served_registry();
+        let (server, registry) = served_registry();
         let sink: &dyn EventSink = &*registry;
         sink.counter(names::TC_RECORDED, 7);
-        progress.set_phase(Phase::Prune);
+        sink.gauge(names::G_PHASE, Gauge::Set(Phase::Prune as u64));
 
         let (status, body) = http_get(&format!("{}/healthz", server.url())).unwrap();
         assert_eq!((status, body.as_str()), (200, "ok\n"));
@@ -531,7 +529,7 @@ mod tests {
     #[test]
     fn unknown_paths_404_and_non_get_405() {
         let _serial = serial();
-        let (server, _registry, _progress) = served_registry();
+        let (server, _registry) = served_registry();
         let (status, _) = http_get(&format!("{}/nope", server.url())).unwrap();
         assert_eq!(status, 404);
         // Query strings are routed on the path alone.
@@ -548,7 +546,7 @@ mod tests {
     #[test]
     fn oversize_request_head_is_rejected_431() {
         let _serial = serial();
-        let (server, _registry, _progress) = served_registry();
+        let (server, _registry) = served_registry();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"GET /healthz HTTP/1.0\r\n").unwrap();
         let filler = format!("X-Filler: {}\r\n", "y".repeat(1000));
@@ -567,7 +565,7 @@ mod tests {
     #[test]
     fn unknown_method_is_rejected_405() {
         let _serial = serial();
-        let (server, _registry, _progress) = served_registry();
+        let (server, _registry) = served_registry();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.write_all(b"BREW /coffee HTTP/1.0\r\n\r\n").unwrap();
         let mut response = String::new();
@@ -586,7 +584,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_the_listener_down() {
-        let (server, _registry, _progress) = served_registry();
+        let (server, _registry) = served_registry();
         let addr = server.local_addr();
         drop(server);
         // The port is released: a fresh connect must fail (or be refused
@@ -729,7 +727,7 @@ mod tests {
         let _serial = serial();
         use tricluster_failpoint::{configure, configure_times, scenario, Action};
         let _guard = scenario();
-        let (server, _registry, _progress) = served_registry();
+        let (server, _registry) = served_registry();
 
         // Two injected refusals, then the real server answers: exactly
         // three attempts, backoff 5+10 ms.

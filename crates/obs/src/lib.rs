@@ -169,17 +169,27 @@ pub trait EventSink: Sync {
     }
 
     /// The timeline this sink wants worker threads to journal into, if
-    /// any. The miner asks once at run start; `None` (the default) keeps
-    /// timeline recording fully disabled.
+    /// any. The miner asks wherever it starts a thread; `None` (the
+    /// default) keeps timeline recording fully disabled.
     fn timeline(&self) -> Option<&timeline::Timeline> {
         None
     }
 
-    /// The progress gauges this sink wants the pipeline to update, if
-    /// any. `None` (the default) keeps every update site a no-op branch.
-    fn progress(&self) -> Option<std::sync::Arc<progress::Progress>> {
-        None
+    /// A live gauge moved. Gauges feed the live views (`/progress`, the
+    /// heartbeat, the exposition's progress and budget families); unlike
+    /// counters they never reach a run report.
+    fn gauge(&self, name: &'static str, update: Gauge) {
+        let _ = (name, update);
     }
+}
+
+/// One update of a live gauge (see [`EventSink::gauge`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gauge {
+    /// Raise the gauge by `n`.
+    Add(u64),
+    /// Move the gauge to `v`.
+    Set(u64),
 }
 
 /// Build an event lazily and deliver it only if the sink wants events.
@@ -204,8 +214,8 @@ impl EventSink for NullSink {
 
 /// Fan a signal out to any number of sinks (e.g. a [`Recorder`] plus a
 /// trace writer, or a variable set of trace stream + histogram tap +
-/// timeline + progress, each independently optional); an empty fan-out
-/// behaves exactly like [`NullSink`].
+/// timeline + metrics registry, each independently optional); an empty
+/// fan-out behaves exactly like [`NullSink`].
 pub struct Fanout<'a>(pub Vec<&'a dyn EventSink>);
 
 impl EventSink for Fanout<'_> {
@@ -244,8 +254,10 @@ impl EventSink for Fanout<'_> {
     fn timeline(&self) -> Option<&timeline::Timeline> {
         self.0.iter().find_map(|s| s.timeline())
     }
-    fn progress(&self) -> Option<std::sync::Arc<progress::Progress>> {
-        self.0.iter().find_map(|s| s.progress())
+    fn gauge(&self, name: &'static str, update: Gauge) {
+        for s in &self.0 {
+            s.gauge(name, update);
+        }
     }
 }
 
@@ -915,8 +927,8 @@ mod tests {
         let a = Recorder::new();
         let b = Recorder::new();
         let tl = timeline::Timeline::new();
-        let ps = progress::ProgressSink(std::sync::Arc::new(progress::Progress::new()));
-        let fan = Fanout(vec![&a, &tl, &ps, &b]);
+        let reg = metrics::Registry::new();
+        let fan = Fanout(vec![&a, &tl, &reg, &b]);
         assert!(fan.enabled());
         assert!(fan.wants_histograms());
         fan.counter("c", 2);
@@ -930,13 +942,17 @@ mod tests {
             assert!(rec.snapshot().histogram("h").is_some());
         }
         assert!(fan.timeline().is_some());
-        assert!(fan.progress().is_some());
+        fan.gauge(names::G_CANDIDATES, Gauge::Add(3));
+        fan.gauge(names::G_CANDIDATES, Gauge::Add(2));
+        assert_eq!(reg.gauge_value(names::G_CANDIDATES), 5);
+        fan.gauge(names::G_LOGICAL_BYTES, Gauge::Set(7));
+        fan.gauge(names::G_LOGICAL_BYTES, Gauge::Set(4));
+        assert_eq!(reg.gauge_value(names::G_LOGICAL_BYTES), 4);
 
         let empty = Fanout(Vec::new());
         assert!(!empty.enabled());
         assert!(!empty.wants_histograms());
         assert!(empty.timeline().is_none());
-        assert!(empty.progress().is_none());
     }
 
     #[test]

@@ -1,38 +1,52 @@
 //! The one metrics aggregator, with OpenMetrics text exposition.
 //!
-//! A [`Registry`] is an [`EventSink`] that aggregates a counter, span, and
-//! histogram stream into shared state, at one of two lifetimes:
+//! A [`Registry`] is an [`EventSink`] that aggregates a counter, span,
+//! histogram and gauge stream into shared state, at one of two lifetimes:
 //!
 //! * **per run** — the miner publishes every phase into a private registry
 //!   and takes the run's [`RunReport`] from [`Registry::snapshot`]; a
-//!   `--metrics-addr` registry sits in the run's sink fan-out with the
-//!   run's [`Progress`] gauges attached;
+//!   [`Registry::for_run`] registry in the run's sink fan-out serves its
+//!   live views (`--metrics-addr`, `--progress`, a served job);
 //! * **per process** — `tricluster serve` keeps one for the daemon's life
 //!   and bumps job-lifecycle counters and latency spans on it directly.
 //!
 //! [`Registry::render_openmetrics`] serializes it as OpenMetrics/Prometheus
 //! text exposition, hand-rolled in the same no-dependency spirit as
-//! [`crate::json`].
+//! [`crate::json`]; [`Registry::progress_json`] renders a run's progress
+//! document from its gauges.
 //!
 //! Like every other observability layer, the registry only observes:
-//! counter updates are relaxed atomics behind a read lock, span and
-//! histogram merges take a mutex off the DFS hot paths (they arrive from
-//! the single merge thread), and nothing feeds back into mining decisions
-//! — so serving metrics cannot perturb the byte-deterministic report
-//! sections.
+//! counter and gauge updates are relaxed atomics behind a read lock, span
+//! and histogram merges take a mutex off the DFS hot paths (they arrive
+//! from the single merge thread), and nothing feeds back into mining
+//! decisions — so serving metrics cannot perturb the byte-deterministic
+//! report sections.
 
 use crate::hist::Histogram;
-use crate::progress::{Phase, Progress, ProgressSnapshot};
-use crate::{alloc, EventSink, RunReport, SpanStats};
+use crate::json::Json;
+use crate::progress::Phase;
+use crate::{alloc, names, EventSink, Gauge, RunReport, SpanStats};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// Every exposed metric family is prefixed so scrapes from several jobs
 /// can share a Prometheus instance without name clashes.
 const PREFIX: &str = "tricluster_";
+
+/// A run's progress counts, in the order the live views list them.
+const PROGRESS_COUNTS: [&str; 8] = [
+    names::G_SLICES_DONE,
+    names::G_SLICES_TOTAL,
+    names::G_PAIRS_DONE,
+    names::G_PAIRS_TOTAL,
+    names::G_BRANCHES_DONE,
+    names::G_BRANCHES_TOTAL,
+    names::G_CANDIDATES,
+    names::G_LOGICAL_BYTES,
+];
 
 /// Shared metrics state for one run or one process.
 ///
@@ -40,12 +54,25 @@ const PREFIX: &str = "tricluster_";
 /// clone to [`crate::httpd::scrape_handler`]; scrapes then see counters and
 /// spans as the merge thread publishes them, and gauges at their
 /// scrape-instant values.
-#[derive(Default)]
 pub struct Registry {
+    /// Creation instant: a run's elapsed time, and its deadline's use.
+    started: Instant,
     counters: RwLock<BTreeMap<&'static str, AtomicU64>>,
+    gauges: RwLock<BTreeMap<&'static str, AtomicU64>>,
     spans: Mutex<BTreeMap<&'static str, SpanStats>>,
     hists: Mutex<BTreeMap<&'static str, Histogram>>,
-    progress: RwLock<Option<Arc<Progress>>>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            started: Instant::now(),
+            counters: RwLock::default(),
+            gauges: RwLock::default(),
+            spans: Mutex::default(),
+            hists: Mutex::default(),
+        }
+    }
 }
 
 impl Registry {
@@ -53,32 +80,104 @@ impl Registry {
         Self::default()
     }
 
-    /// Attaches a run's progress gauges; scrapes render them (and the
-    /// tracking allocator's heap bytes) live, and `/progress` serves their
-    /// JSON snapshot.
-    pub fn attach_progress(&self, progress: Arc<Progress>) {
-        *write_lock(&self.progress) = Some(progress);
+    /// A registry that serves one run's live views. Its progress gauges
+    /// exist from creation, at phase `init` and zero counts, so the
+    /// progress document, the exposition and a heartbeat show the run
+    /// before its first update. A [`Registry::new`] registry (the daemon's,
+    /// a run's report) renders no progress until the phase gauge reaches
+    /// it.
+    pub fn for_run() -> Self {
+        let registry = Registry::new();
+        for name in [names::G_PHASE].iter().chain(&PROGRESS_COUNTS) {
+            registry.gauge(name, Gauge::Set(0));
+        }
+        registry
     }
 
     /// Current value of one counter (0 if never published).
     pub fn counter_value(&self, name: &str) -> u64 {
-        read_lock(&self.counters)
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        value_of(&self.counters, name).unwrap_or(0)
     }
 
-    /// JSON snapshot of the attached progress gauges, if any (the
-    /// `/progress` endpoint body).
-    pub fn progress_json(&self) -> Option<String> {
-        read_lock(&self.progress)
-            .as_ref()
-            .map(|p| p.snapshot_json().render())
+    /// Current value of one gauge (0 if never published).
+    pub fn gauge_value(&self, name: &str) -> u64 {
+        value_of(&self.gauges, name).unwrap_or(0)
+    }
+
+    /// A copy of the stored gauges, or `None` before the phase gauge
+    /// exists. Each gauge is read once, relaxed: values from a racing
+    /// update may be one bump apart, which is fine for telemetry.
+    fn live_gauges(&self) -> Option<BTreeMap<&'static str, u64>> {
+        let gauges = read_lock(&self.gauges);
+        gauges.contains_key(names::G_PHASE).then(|| {
+            gauges
+                .iter()
+                .map(|(&name, g)| (name, g.load(Ordering::Relaxed)))
+                .collect()
+        })
+    }
+
+    /// The run's progress document, from its gauges (the body of
+    /// `/progress`, a heartbeat line, a served job's `progress` object):
+    ///
+    /// ```json
+    /// {"progress":{"elapsed_secs":…,"phase":"slices",
+    ///   "slices":{"done":…,"total":…},"pairs":{…},"branches":{…},
+    ///   "candidates":…,"logical_bytes":…,
+    ///   "budgets":{"deadline":{"limit_secs":…,"used_secs":…,"used_frac":…},…}}}
+    /// ```
+    ///
+    /// Budget entries appear only for budgets the run configured; the
+    /// `budgets` key is omitted when the run is unbounded. `None` before
+    /// the phase gauge exists (see [`Registry::for_run`]).
+    pub fn progress_json(&self) -> Option<Json> {
+        let g = self.live_gauges()?;
+        let elapsed_secs = self.started.elapsed().as_secs_f64();
+        let value = |name| Json::U64(g.get(name).copied().unwrap_or(0));
+        let pair = |done, total| {
+            Json::obj()
+                .with("done", value(done))
+                .with("total", value(total))
+        };
+        let mut body = Json::obj()
+            .with("elapsed_secs", Json::F64(elapsed_secs))
+            .with("phase", Json::Str(phase_of(&g).as_str().into()))
+            .with("slices", pair(names::G_SLICES_DONE, names::G_SLICES_TOTAL))
+            .with("pairs", pair(names::G_PAIRS_DONE, names::G_PAIRS_TOTAL))
+            .with(
+                "branches",
+                pair(names::G_BRANCHES_DONE, names::G_BRANCHES_TOTAL),
+            )
+            .with("candidates", value(names::G_CANDIDATES))
+            .with("logical_bytes", value(names::G_LOGICAL_BYTES));
+        let budgets = budgets(&g, elapsed_secs);
+        if !budgets.is_empty() {
+            let mut obj = Json::obj();
+            for (name, limit, used, frac) in budgets {
+                // Budget kinds keep their historical key spellings (secs vs
+                // bytes vs raw counts) so heartbeat consumers see no change.
+                let entry = match name {
+                    "deadline" => Json::obj()
+                        .with("limit_secs", Json::F64(limit))
+                        .with("used_secs", Json::F64(used)),
+                    "memory" => Json::obj()
+                        .with("limit_bytes", Json::U64(limit as u64))
+                        .with("used_bytes", Json::U64(used as u64)),
+                    _ => Json::obj()
+                        .with("limit", Json::U64(limit as u64))
+                        .with("spent", Json::U64(used as u64)),
+                };
+                obj = obj.with(name, entry.with("used_frac", Json::F64(frac)));
+            }
+            body = body.with("budgets", obj);
+        }
+        Some(Json::obj().with("progress", body))
     }
 
     /// The aggregate so far as a [`RunReport`]. Zero counters and empty
     /// histograms stay out of it, as [`RunReport::add_counter`] and
     /// [`RunReport::add_histogram`] drop them; the exposition keeps them.
+    /// Gauges stay out too: they are live views, not results.
     pub fn snapshot(&self) -> RunReport {
         RunReport {
             counters: read_lock(&self.counters)
@@ -98,9 +197,10 @@ impl Registry {
     /// Renders the OpenMetrics text exposition: counters, span latency
     /// histograms (seconds), value histograms, then the caller-sampled
     /// `gauges` (dotted names from [`crate::names`], instantaneous values).
-    /// With a [`Progress`] attached, the run's progress/budget gauges follow
-    /// and — when the tracking allocator is installed — live and peak heap
-    /// bytes. Terminated by `# EOF` per the OpenMetrics spec.
+    /// A registry serving a run (see [`Registry::for_run`]) follows with
+    /// its progress and budget gauges and — when the tracking allocator is
+    /// installed — live and peak heap bytes. Terminated by `# EOF` per the
+    /// OpenMetrics spec.
     pub fn render_openmetrics(&self, gauges: &[(&'static str, f64)]) -> String {
         let mut out = String::new();
         for (name, value) in read_lock(&self.counters).iter() {
@@ -131,8 +231,8 @@ impl Registry {
         for (name, value) in gauges {
             gauge(&mut out, &name.replace('.', "_"), *value);
         }
-        if let Some(progress) = read_lock(&self.progress).as_ref() {
-            render_progress(&mut out, &progress.snapshot());
+        if let Some(g) = self.live_gauges() {
+            render_progress(&mut out, &g, self.started.elapsed().as_secs_f64());
             if let Some(mem) = alloc::snapshot() {
                 gauge(&mut out, "alloc_live_bytes", mem.live_bytes as f64);
                 gauge(
@@ -155,23 +255,15 @@ impl Registry {
 
 impl EventSink for Registry {
     /// The registry never asks for events to be built; it aggregates the
-    /// counter/span/histogram stream other layers already publish.
+    /// counter/span/histogram/gauge stream other layers already publish.
     fn enabled(&self) -> bool {
         false
     }
 
     fn counter(&self, name: &'static str, delta: u64) {
-        {
-            let counters = read_lock(&self.counters);
-            if let Some(c) = counters.get(name) {
-                c.fetch_add(delta, Ordering::Relaxed);
-                return;
-            }
-        }
-        write_lock(&self.counters)
-            .entry(name)
-            .or_insert_with(|| AtomicU64::new(0))
-            .fetch_add(delta, Ordering::Relaxed);
+        update(&self.counters, name, |c| {
+            c.fetch_add(delta, Ordering::Relaxed);
+        });
     }
 
     fn span(&self, name: &'static str, elapsed: Duration) {
@@ -190,9 +282,74 @@ impl EventSink for Registry {
         lock(&self.hists).entry(name).or_default().merge(hist);
     }
 
-    fn progress(&self) -> Option<Arc<Progress>> {
-        read_lock(&self.progress).clone()
+    fn gauge(&self, name: &'static str, g: Gauge) {
+        update(&self.gauges, name, |v| match g {
+            Gauge::Add(n) => {
+                v.fetch_add(n, Ordering::Relaxed);
+            }
+            Gauge::Set(n) => v.store(n, Ordering::Relaxed),
+        });
     }
+}
+
+/// Applies `f` to the named value, creating it at zero on first sight;
+/// only that first sight takes the write lock.
+fn update(
+    map: &RwLock<BTreeMap<&'static str, AtomicU64>>,
+    name: &'static str,
+    f: impl Fn(&AtomicU64),
+) {
+    if let Some(v) = read_lock(map).get(name) {
+        return f(v);
+    }
+    f(write_lock(map).entry(name).or_default());
+}
+
+fn value_of(map: &RwLock<BTreeMap<&'static str, AtomicU64>>, name: &str) -> Option<u64> {
+    read_lock(map).get(name).map(|v| v.load(Ordering::Relaxed))
+}
+
+/// The phase of a run's live gauges (which always hold the phase gauge).
+fn phase_of(g: &BTreeMap<&'static str, u64>) -> Phase {
+    Phase::ALL
+        .get(g[names::G_PHASE] as usize)
+        .copied()
+        .unwrap_or(Phase::Done)
+}
+
+/// Each configured budget, in the order the live views list them: its
+/// name, its limit and its use (seconds for `deadline`, bytes for
+/// `memory`, units for `candidates`), and the use as a fraction of the
+/// limit, saturating at 1.
+fn budgets(
+    g: &BTreeMap<&'static str, u64>,
+    elapsed_secs: f64,
+) -> Vec<(&'static str, f64, f64, f64)> {
+    let value = |name| g.get(name).map(|&v| v as f64);
+    let deadline = g.get(names::G_BUDGET_DEADLINE_NS);
+    let kinds = [
+        (
+            "deadline",
+            deadline.map(|&ns| Duration::from_nanos(ns).as_secs_f64()),
+            elapsed_secs,
+        ),
+        (
+            "memory",
+            value(names::G_BUDGET_MEMORY),
+            value(names::G_LOGICAL_BYTES).unwrap_or(0.0),
+        ),
+        (
+            "candidates",
+            value(names::G_BUDGET_CANDIDATES),
+            value(names::G_BUDGET_SPENT).unwrap_or(0.0),
+        ),
+    ];
+    // A zero limit reads as fully used: `used / 0.0` is infinite or NaN,
+    // and `min` returns 1 for both.
+    kinds
+        .into_iter()
+        .filter_map(|(name, limit, used)| limit.map(|l| (name, l, used, (used / l).min(1.0))))
+        .collect()
 }
 
 /// Maps a dotted internal name (see [`crate::names`]) to its exposition
@@ -219,47 +376,28 @@ fn render_histogram(
     let _ = writeln!(out, "{fam}_count {count}");
 }
 
-fn render_progress(out: &mut String, snap: &ProgressSnapshot) {
-    gauge(out, "progress_elapsed_seconds", snap.elapsed_secs);
+fn render_progress(out: &mut String, g: &BTreeMap<&'static str, u64>, elapsed_secs: f64) {
+    gauge(out, "progress_elapsed_seconds", elapsed_secs);
     let fam = format!("{PREFIX}progress_phase");
     let _ = writeln!(out, "# TYPE {fam} gauge");
+    let live = phase_of(g);
     for phase in Phase::ALL {
-        let hot = if phase == snap.phase { 1 } else { 0 };
+        let hot = if phase == live { 1 } else { 0 };
         let _ = writeln!(out, "{fam}{{phase=\"{}\"}} {hot}", phase.as_str());
     }
-    let pairs: [(&str, u64); 8] = [
-        ("progress_slices_done", snap.slices_done),
-        ("progress_slices_total", snap.slices_total),
-        ("progress_pairs_done", snap.pairs_done),
-        ("progress_pairs_total", snap.pairs_total),
-        ("progress_branches_done", snap.branches_done),
-        ("progress_branches_total", snap.branches_total),
-        ("progress_candidates", snap.candidates),
-        ("progress_logical_bytes", snap.logical_bytes),
-    ];
-    for (name, v) in pairs {
-        gauge(out, name, v as f64);
+    for name in PROGRESS_COUNTS {
+        let v = g.get(name).copied().unwrap_or(0);
+        gauge(out, &name.replace('.', "_"), v as f64);
     }
-    if !snap.budgets.is_empty() {
-        let used = format!("{PREFIX}budget_used_ratio");
-        let headroom = format!("{PREFIX}budget_headroom_ratio");
-        let _ = writeln!(out, "# TYPE {used} gauge");
-        for b in &snap.budgets {
-            let _ = writeln!(
-                out,
-                "{used}{{budget=\"{}\"}} {}",
-                b.name,
-                format_f64(b.used_frac)
-            );
-        }
-        let _ = writeln!(out, "# TYPE {headroom} gauge");
-        for b in &snap.budgets {
-            let _ = writeln!(
-                out,
-                "{headroom}{{budget=\"{}\"}} {}",
-                b.name,
-                format_f64(1.0 - b.used_frac)
-            );
+    let budgets = budgets(g, elapsed_secs);
+    if !budgets.is_empty() {
+        for (kind, headroom) in [("used", false), ("headroom", true)] {
+            let fam = format!("{PREFIX}budget_{kind}_ratio");
+            let _ = writeln!(out, "# TYPE {fam} gauge");
+            for &(name, _, _, frac) in &budgets {
+                let v = if headroom { 1.0 - frac } else { frac };
+                let _ = writeln!(out, "{fam}{{budget=\"{name}\"}} {}", format_f64(v));
+            }
         }
     }
 }
@@ -477,15 +615,18 @@ mod tests {
 
     #[test]
     fn registry_renders_progress_and_budget_gauges() {
-        let reg = Registry::new();
-        let p = Arc::new(Progress::new());
-        p.set_budgets(None, Some(1000), Some(50));
-        p.set_phase(Phase::Tricluster);
-        p.add_slices_total(4);
-        p.slice_done();
-        p.set_logical_bytes(250);
-        p.add_budget_spent(25);
-        reg.attach_progress(p);
+        let reg = Registry::for_run();
+        for (name, g) in [
+            (names::G_BUDGET_MEMORY, Gauge::Set(1000)),
+            (names::G_BUDGET_CANDIDATES, Gauge::Set(50)),
+            (names::G_PHASE, Gauge::Set(Phase::Tricluster as u64)),
+            (names::G_SLICES_TOTAL, Gauge::Add(4)),
+            (names::G_SLICES_DONE, Gauge::Add(1)),
+            (names::G_LOGICAL_BYTES, Gauge::Set(250)),
+            (names::G_BUDGET_SPENT, Gauge::Add(25)),
+        ] {
+            reg.gauge(name, g);
+        }
         let text = reg.render_openmetrics(&[]);
         assert!(text.contains("tricluster_progress_slices_done 1"), "{text}");
         assert!(
@@ -508,19 +649,30 @@ mod tests {
             text.contains("tricluster_budget_headroom_ratio{budget=\"candidates\"} 0.5"),
             "{text}"
         );
-        let json = reg.progress_json().expect("progress attached");
+        let json = reg.progress_json().expect("a run's registry").render();
         assert!(json.contains("\"progress\""), "{json}");
+        // Gauges never reach the run report.
+        assert_eq!(reg.snapshot(), RunReport::default());
     }
 
     #[test]
-    fn registry_is_discoverable_as_progress_provider() {
+    fn registry_serves_progress_once_it_holds_the_phase_gauge() {
         let reg = Registry::new();
-        assert!(reg.progress().is_none());
-        let p = Arc::new(Progress::new());
-        reg.attach_progress(p.clone());
-        let found = EventSink::progress(&reg).expect("attached");
-        found.candidate_recorded();
-        assert_eq!(p.candidates(), 1);
+        assert!(reg.progress_json().is_none());
+        reg.gauge(names::G_CANDIDATES, Gauge::Add(1));
+        assert!(reg.progress_json().is_none(), "no phase gauge yet");
+        assert_eq!(reg.gauge_value(names::G_CANDIDATES), 1);
+        reg.gauge(names::G_PHASE, Gauge::Set(Phase::Prune as u64));
+        let doc = reg.progress_json().expect("phase gauge stored");
+        assert_eq!(
+            doc.get_path(&["progress", "phase"]).and_then(Json::as_str),
+            Some("prune")
+        );
+        assert_eq!(
+            doc.get_path(&["progress", "candidates"])
+                .and_then(Json::as_u64),
+            Some(1)
+        );
     }
 
     #[test]
@@ -567,10 +719,9 @@ mod tests {
             h.record(v);
         }
         sink.histogram(names::H_TC_DEPTH, &h);
-        let p = Arc::new(Progress::new());
-        p.set_budgets(Some(Duration::from_secs(60)), Some(1 << 20), None);
-        p.set_phase(Phase::Done);
-        reg.attach_progress(p);
+        sink.gauge(names::G_BUDGET_DEADLINE_NS, Gauge::Set(60_000_000_000));
+        sink.gauge(names::G_BUDGET_MEMORY, Gauge::Set(1 << 20));
+        sink.gauge(names::G_PHASE, Gauge::Set(Phase::Done as u64));
 
         let doc = exposition::check(&reg.render_openmetrics(&[]));
         // Every published counter appears with its exact value.
@@ -592,7 +743,7 @@ mod tests {
 
     /// The daemon's process-lifetime exposition: lifecycle counters through
     /// `counter`, latency families through `span`, gauges sampled by the
-    /// caller, and no progress attached.
+    /// caller, and no progress gauges.
     #[test]
     fn serve_exposition_is_valid_openmetrics() {
         let reg = Registry::new();
@@ -673,8 +824,8 @@ mod tests {
     }
 
     /// Heap families belong to a run's live gauges: once the tracking
-    /// counters have moved, a registry renders them only with a
-    /// [`Progress`] attached, so the daemon's exposition never does.
+    /// counters have moved, a registry renders them only while it serves
+    /// a run's progress, so the daemon's exposition never does.
     #[test]
     fn heap_families_render_only_with_progress() {
         use std::alloc::{GlobalAlloc, Layout};
@@ -696,8 +847,10 @@ mod tests {
         let daemon = reg.render_openmetrics(&[(names::SV_QUEUE_DEPTH, 0.0)]);
         assert!(!daemon.contains("tricluster_alloc_"), "{daemon}");
 
-        reg.attach_progress(Arc::new(Progress::new()));
-        let doc = exposition::check(&reg.render_openmetrics(&[]));
+        assert!(!daemon.contains("tricluster_progress_"), "{daemon}");
+        assert!(!daemon.contains("tricluster_budget_"), "{daemon}");
+
+        let doc = exposition::check(&Registry::for_run().render_openmetrics(&[]));
         for fam in [
             "tricluster_alloc_live_bytes",
             "tricluster_alloc_peak_live_bytes",

@@ -1,4 +1,4 @@
-//! The counter and span taxonomy used across the pipeline.
+//! The counter, span and gauge taxonomy used across the pipeline.
 //!
 //! Names are dotted paths, grouped by phase. Keeping them in one place
 //! makes the `--report-json` schema discoverable and greppable; the same
@@ -240,6 +240,42 @@ pub const T_SV_FINISHED: &str = "serve.job.finished";
 /// Cancellation observed for the job (instant).
 pub const T_SV_CANCELLED: &str = "serve.job.cancelled";
 
+// ---- live gauges (a run's progress and budgets; never in reports) --------
+//
+// Published through `EventSink::gauge`. A `Registry` stores them beside its
+// counters, but its `snapshot()` leaves them out, so no gauge reaches a run
+// report. They feed the live views only: `/progress`, the heartbeat, a
+// served job's `progress` object, and the exposition's progress and budget
+// families.
+
+/// The pipeline phase, as a `progress::Phase` index (`init` is 0).
+pub const G_PHASE: &str = "progress.phase";
+/// Time slices the slice fan-out attempted.
+pub const G_SLICES_DONE: &str = "progress.slices.done";
+/// Time slices the slice fan-out scheduled.
+pub const G_SLICES_TOTAL: &str = "progress.slices.total";
+/// Range-graph column pairs attempted.
+pub const G_PAIRS_DONE: &str = "progress.pairs.done";
+/// Range-graph column pairs scheduled.
+pub const G_PAIRS_TOTAL: &str = "progress.pairs.total";
+/// BICLUSTER sample-seed branches attempted.
+pub const G_BRANCHES_DONE: &str = "progress.branches.done";
+/// BICLUSTER sample-seed branches scheduled.
+pub const G_BRANCHES_TOTAL: &str = "progress.branches.total";
+/// Candidates recorded into a maximal store, by both DFS phases.
+pub const G_CANDIDATES: &str = "progress.candidates";
+/// Logical bytes charged against the memory budget so far.
+pub const G_LOGICAL_BYTES: &str = "progress.logical_bytes";
+/// Candidate-budget units spent so far.
+pub const G_BUDGET_SPENT: &str = "budget.candidates.spent";
+/// The run's deadline in nanoseconds. It saturates at `u64::MAX`, about
+/// 584 years; a longer deadline shows as that.
+pub const G_BUDGET_DEADLINE_NS: &str = "budget.deadline.limit_ns";
+/// The run's logical-memory budget in bytes.
+pub const G_BUDGET_MEMORY: &str = "budget.memory.limit_bytes";
+/// The run's candidate budget.
+pub const G_BUDGET_CANDIDATES: &str = "budget.candidates.limit";
+
 // ---- fault accounting (only emitted when a run degrades) ----------------
 
 /// Isolated worker units (slices, column pairs, DFS branches, phases) that
@@ -351,6 +387,19 @@ pub const ALL: &[&str] = &[
     T_SV_STARTED,
     T_SV_FINISHED,
     T_SV_CANCELLED,
+    G_PHASE,
+    G_SLICES_DONE,
+    G_SLICES_TOTAL,
+    G_PAIRS_DONE,
+    G_PAIRS_TOTAL,
+    G_BRANCHES_DONE,
+    G_BRANCHES_TOTAL,
+    G_CANDIDATES,
+    G_LOGICAL_BYTES,
+    G_BUDGET_SPENT,
+    G_BUDGET_DEADLINE_NS,
+    G_BUDGET_MEMORY,
+    G_BUDGET_CANDIDATES,
     F_WORKER_FAILURES,
 ];
 

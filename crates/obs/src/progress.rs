@@ -1,33 +1,29 @@
 //! Live progress telemetry for long mining runs.
 //!
-//! A [`Progress`] is a bag of relaxed atomic gauges the pipeline bumps as
-//! it discovers and completes work (slices, range-graph pairs, DFS
-//! branches, recorded candidates, charged logical bytes). Nothing ever
-//! reads the gauges on the mining path, and bumping a relaxed atomic
-//! cannot influence scheduling-visible state — so progress reporting can
+//! The pipeline publishes its progress as gauges through the run's sink
+//! ([`EventSink::gauge`], names `progress.*` and `budget.*` in
+//! [`crate::names`]): slices, range-graph pairs and DFS branches as they
+//! are scheduled and attempted, recorded candidates, charged logical
+//! bytes, the phase, and the run's budgets. A [`Registry`] stores them;
+//! nothing on the mining path reads them, and a relaxed atomic update
+//! cannot influence scheduling-visible state, so progress reporting can
 //! never perturb the byte-deterministic report sections.
 //!
-//! A [`ProgressTicker`] owns a background thread that snapshots the gauges
-//! every `interval` and writes one JSON line per tick (plus a final line
-//! when stopped), giving `tricluster mine --progress` its heartbeat
-//! without any coordination with the mining threads.
-//!
-//! Discovery: the miner asks its sink for [`EventSink::progress`]; wrap a
-//! `Progress` in a [`ProgressSink`] and compose it into the run's sink
-//! (e.g. via [`Fanout`](crate::Fanout)) to opt a run in. When no sink
-//! answers, the pipeline's `Option<Arc<Progress>>` stays `None` and every
-//! update site is a branch on a `None` — the feature costs nothing when
-//! disabled.
+//! A [`ProgressTicker`] owns a background thread that renders a registry's
+//! progress document every `interval` and writes it as one JSON line per
+//! tick (plus a final line when stopped), giving `tricluster mine
+//! --progress` its heartbeat without any coordination with the mining
+//! threads.
 
-use crate::json::Json;
-use crate::EventSink;
+use crate::metrics::Registry;
+use crate::{EventSink, Gauge};
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Coarse pipeline phase, for the `"phase"` field of a snapshot.
+/// Coarse pipeline phase, for the `"phase"` field of a progress document.
+/// The `progress.phase` gauge holds its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Before the slice fan-out starts.
@@ -63,312 +59,31 @@ impl Phase {
             Phase::Done => "done",
         }
     }
-
-    fn from_index(i: usize) -> Phase {
-        match i {
-            0 => Phase::Init,
-            1 => Phase::Slices,
-            2 => Phase::Tricluster,
-            3 => Phase::Prune,
-            _ => Phase::Done,
-        }
-    }
 }
 
-/// Budget limits mirrored from the run's `CancelToken` configuration, so
-/// snapshots can report proximity to each ceiling.
-#[derive(Debug, Clone, Copy, Default)]
-struct Budgets {
-    deadline: Option<Duration>,
-    max_memory: Option<u64>,
-    max_candidates: Option<u64>,
-}
+/// The registry's old name, kept only so the benchmark's layer pass, which
+/// builds `ProgressSink(Arc::new(Progress::new()))`, still compiles.
+/// ROADMAP item 1 (the pending benchmark change) deletes it; code in this
+/// workspace names [`Registry`].
+pub type Progress = Registry;
 
-/// Shared, lock-free-on-the-update-path progress gauges for one run.
-///
-/// All counters are monotone except [`set_logical_bytes`]
-/// (a high-water gauge) and [`set_phase`]. Updates use relaxed atomics;
-/// readers (the ticker thread) only ever observe, never steer.
-///
-/// [`set_logical_bytes`]: Progress::set_logical_bytes
-/// [`set_phase`]: Progress::set_phase
-#[derive(Debug)]
-pub struct Progress {
-    started: Instant,
-    phase: AtomicUsize,
-    slices_total: AtomicU64,
-    slices_done: AtomicU64,
-    pairs_total: AtomicU64,
-    pairs_done: AtomicU64,
-    branches_total: AtomicU64,
-    branches_done: AtomicU64,
-    candidates: AtomicU64,
-    budget_spent: AtomicU64,
-    logical_bytes: AtomicU64,
-    budgets: Mutex<Budgets>,
-}
-
-impl Default for Progress {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Progress {
-    pub fn new() -> Self {
-        Progress {
-            started: Instant::now(),
-            phase: AtomicUsize::new(0),
-            slices_total: AtomicU64::new(0),
-            slices_done: AtomicU64::new(0),
-            pairs_total: AtomicU64::new(0),
-            pairs_done: AtomicU64::new(0),
-            branches_total: AtomicU64::new(0),
-            branches_done: AtomicU64::new(0),
-            candidates: AtomicU64::new(0),
-            budget_spent: AtomicU64::new(0),
-            logical_bytes: AtomicU64::new(0),
-            budgets: Mutex::new(Budgets::default()),
-        }
-    }
-
-    /// Mirrors the run's budget configuration into snapshots (called once
-    /// by the miner before work starts).
-    pub fn set_budgets(
-        &self,
-        deadline: Option<Duration>,
-        max_memory: Option<u64>,
-        max_candidates: Option<u64>,
-    ) {
-        *self
-            .budgets
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Budgets {
-            deadline,
-            max_memory,
-            max_candidates,
-        };
-    }
-
-    /// Enters a pipeline phase.
-    pub fn set_phase(&self, phase: Phase) {
-        self.phase.store(phase as usize, Ordering::Relaxed);
-    }
-
-    /// Current phase (as last set).
-    pub fn phase(&self) -> Phase {
-        Phase::from_index(self.phase.load(Ordering::Relaxed))
-    }
-
-    /// `n` more time slices were discovered.
-    pub fn add_slices_total(&self, n: u64) {
-        self.slices_total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One time slice finished (range graph + biclusters).
-    pub fn slice_done(&self) {
-        self.slices_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` more range-graph sample pairs were discovered.
-    pub fn add_pairs_total(&self, n: u64) {
-        self.pairs_total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One range-graph pair was computed.
-    pub fn pair_done(&self) {
-        self.pairs_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` more DFS root branches were discovered.
-    pub fn add_branches_total(&self, n: u64) {
-        self.branches_total.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One DFS root branch completed.
-    pub fn branch_done(&self) {
-        self.branches_done.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A candidate cluster was recorded into a maximal store.
-    pub fn candidate_recorded(&self) {
-        self.candidates.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` units of the candidate budget were consumed.
-    pub fn add_budget_spent(&self, n: u64) {
-        self.budget_spent.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Updates the logical-bytes gauge to the latest charged total.
-    pub fn set_logical_bytes(&self, bytes: u64) {
-        self.logical_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Candidates recorded so far (test hook).
-    pub fn candidates(&self) -> u64 {
-        self.candidates.load(Ordering::Relaxed)
-    }
-
-    /// One coherent-enough point-in-time read of every gauge (each gauge
-    /// is read once, relaxed — values from a racing update may be one
-    /// bump apart, which is fine for telemetry). Both the JSON heartbeat
-    /// and the OpenMetrics exposition render from this.
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let elapsed_secs = self.started.elapsed().as_secs_f64();
-        let logical_bytes = load(&self.logical_bytes);
-        let budget_spent = load(&self.budget_spent);
-        let budgets = *self
-            .budgets
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let frac = |used: f64, limit: f64| {
-            if limit > 0.0 {
-                (used / limit).min(1.0)
-            } else {
-                1.0
-            }
-        };
-        let mut gauges = Vec::new();
-        if let Some(deadline) = budgets.deadline {
-            let limit = deadline.as_secs_f64();
-            gauges.push(BudgetGauge {
-                name: "deadline",
-                limit,
-                used: elapsed_secs,
-                used_frac: frac(elapsed_secs, limit),
-            });
-        }
-        if let Some(limit) = budgets.max_memory {
-            gauges.push(BudgetGauge {
-                name: "memory",
-                limit: limit as f64,
-                used: logical_bytes as f64,
-                used_frac: frac(logical_bytes as f64, limit as f64),
-            });
-        }
-        if let Some(limit) = budgets.max_candidates {
-            gauges.push(BudgetGauge {
-                name: "candidates",
-                limit: limit as f64,
-                used: budget_spent as f64,
-                used_frac: frac(budget_spent as f64, limit as f64),
-            });
-        }
-        ProgressSnapshot {
-            elapsed_secs,
-            phase: self.phase(),
-            slices_done: load(&self.slices_done),
-            slices_total: load(&self.slices_total),
-            pairs_done: load(&self.pairs_done),
-            pairs_total: load(&self.pairs_total),
-            branches_done: load(&self.branches_done),
-            branches_total: load(&self.branches_total),
-            candidates: load(&self.candidates),
-            budget_spent,
-            logical_bytes,
-            budgets: gauges,
-        }
-    }
-
-    /// One progress snapshot as a JSON object:
-    ///
-    /// ```json
-    /// {"progress":{"elapsed_secs":…,"phase":"slices",
-    ///   "slices":{"done":…,"total":…},"pairs":{…},"branches":{…},
-    ///   "candidates":…,"logical_bytes":…,
-    ///   "budgets":{"deadline":{"limit_secs":…,"used_secs":…,"used_frac":…},…}}}
-    /// ```
-    ///
-    /// Budget entries appear only for budgets the run configured; the
-    /// `budgets` key is omitted when the run is unbounded.
-    pub fn snapshot_json(&self) -> Json {
-        let snap = self.snapshot();
-        let pair = |done: u64, total: u64| {
-            Json::obj()
-                .with("done", Json::U64(done))
-                .with("total", Json::U64(total))
-        };
-        let mut body = Json::obj()
-            .with("elapsed_secs", Json::F64(snap.elapsed_secs))
-            .with("phase", Json::Str(snap.phase.as_str().into()))
-            .with("slices", pair(snap.slices_done, snap.slices_total))
-            .with("pairs", pair(snap.pairs_done, snap.pairs_total))
-            .with("branches", pair(snap.branches_done, snap.branches_total))
-            .with("candidates", Json::U64(snap.candidates))
-            .with("logical_bytes", Json::U64(snap.logical_bytes));
-
-        let mut budget_obj = Json::obj();
-        for b in &snap.budgets {
-            // Budget kinds keep their historical key spellings (secs vs
-            // bytes vs raw counts) so heartbeat consumers see no change.
-            let entry = match b.name {
-                "deadline" => Json::obj()
-                    .with("limit_secs", Json::F64(b.limit))
-                    .with("used_secs", Json::F64(b.used)),
-                "memory" => Json::obj()
-                    .with("limit_bytes", Json::U64(b.limit as u64))
-                    .with("used_bytes", Json::U64(b.used as u64)),
-                _ => Json::obj()
-                    .with("limit", Json::U64(b.limit as u64))
-                    .with("spent", Json::U64(b.used as u64)),
-            };
-            budget_obj = budget_obj.with(b.name, entry.with("used_frac", Json::F64(b.used_frac)));
-        }
-        if !snap.budgets.is_empty() {
-            body = body.with("budgets", budget_obj);
-        }
-        Json::obj().with("progress", body)
-    }
-}
-
-/// Point-in-time values of every [`Progress`] gauge, plus one
-/// [`BudgetGauge`] per configured budget.
-#[derive(Debug, Clone)]
-pub struct ProgressSnapshot {
-    pub elapsed_secs: f64,
-    pub phase: Phase,
-    pub slices_done: u64,
-    pub slices_total: u64,
-    pub pairs_done: u64,
-    pub pairs_total: u64,
-    pub branches_done: u64,
-    pub branches_total: u64,
-    pub candidates: u64,
-    pub budget_spent: u64,
-    pub logical_bytes: u64,
-    pub budgets: Vec<BudgetGauge>,
-}
-
-/// Proximity to one configured budget ceiling. Units depend on the budget
-/// (`deadline` in seconds, `memory` in bytes, `candidates` in budget
-/// units); `used_frac` is always the saturating ratio in `[0, 1]`.
-#[derive(Debug, Clone, Copy)]
-pub struct BudgetGauge {
-    pub name: &'static str,
-    pub limit: f64,
-    pub used: f64,
-    pub used_frac: f64,
-}
-
-/// Sink wrapper that opts a run into progress telemetry: contributes
-/// nothing to events/counters (`enabled` stays `false`) but answers
-/// [`EventSink::progress`] with its gauges.
-pub struct ProgressSink(pub Arc<Progress>);
+/// Sink wrapper that feeds a run's gauges, and nothing else, into a
+/// registry: it contributes nothing to events, counters, spans or
+/// histograms (`enabled` stays `false`).
+pub struct ProgressSink(pub Arc<Registry>);
 
 impl EventSink for ProgressSink {
     fn enabled(&self) -> bool {
         false
     }
-    fn progress(&self) -> Option<Arc<Progress>> {
-        Some(self.0.clone())
+    fn gauge(&self, name: &'static str, update: Gauge) {
+        self.0.gauge(name, update);
     }
 }
 
-/// Background heartbeat: snapshots a [`Progress`] every `interval` and
-/// writes one JSON line per tick, plus exactly one final line when
-/// dropped.
+/// Background heartbeat: renders a registry's progress document every
+/// `interval` and writes it as one JSON line per tick, plus exactly one
+/// final line when dropped.
 ///
 /// The final line is emitted by the *dropping* thread, after the tick
 /// thread has been stopped and joined — so it is ordered after every
@@ -377,15 +92,19 @@ impl EventSink for ProgressSink {
 /// still attempted when the tick thread died early on a transient write
 /// failure.
 pub struct ProgressTicker {
-    progress: Arc<Progress>,
+    progress: Arc<Registry>,
     out: Arc<Mutex<Box<dyn Write + Send>>>,
     stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// One snapshot line: rendered in full, written atomically, flushed.
-fn emit_snapshot(progress: &Progress, out: &Mutex<Box<dyn Write + Send>>) -> bool {
-    let mut line = progress.snapshot_json().render();
+/// One progress line: rendered in full, written atomically, flushed. A
+/// registry without progress gauges writes nothing.
+fn emit_snapshot(progress: &Registry, out: &Mutex<Box<dyn Write + Send>>) -> bool {
+    let Some(doc) = progress.progress_json() else {
+        return true;
+    };
+    let mut line = doc.render();
     line.push('\n');
     let mut out = out.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     out.write_all(line.as_bytes()).is_ok() && out.flush().is_ok()
@@ -393,10 +112,10 @@ fn emit_snapshot(progress: &Progress, out: &Mutex<Box<dyn Write + Send>>) -> boo
 
 impl ProgressTicker {
     /// Starts the heartbeat thread. Lines go to `out` as
-    /// `snapshot_json().render()` + `'\n'`, written atomically per line
+    /// `progress_json()` rendered + `'\n'`, written atomically per line
     /// and flushed; the tick thread stops on write failure (e.g. closed
     /// pipe) but the final drop-time snapshot is attempted regardless.
-    pub fn start(progress: Arc<Progress>, interval: Duration, out: Box<dyn Write + Send>) -> Self {
+    pub fn start(progress: Arc<Registry>, interval: Duration, out: Box<dyn Write + Send>) -> Self {
         let out = Arc::new(Mutex::new(out));
         let (stop, ticks) = mpsc::channel::<()>();
         let handle = {
@@ -439,21 +158,32 @@ impl Drop for ProgressTicker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::names;
+    use std::sync::atomic::Ordering;
+
+    fn add(reg: &Registry, name: &'static str, n: u64) {
+        reg.gauge(name, Gauge::Add(n));
+    }
+
+    fn set(reg: &Registry, name: &'static str, v: u64) {
+        reg.gauge(name, Gauge::Set(v));
+    }
 
     #[test]
     fn snapshot_reports_phase_and_gauges() {
-        let p = Progress::new();
-        p.set_phase(Phase::Slices);
-        p.add_slices_total(7);
-        p.slice_done();
-        p.slice_done();
-        p.add_pairs_total(45);
-        p.pair_done();
-        p.add_branches_total(10);
-        p.branch_done();
-        p.candidate_recorded();
-        p.set_logical_bytes(1234);
-        let snap = p.snapshot_json();
+        let p = Registry::for_run();
+        set(&p, names::G_PHASE, Phase::Slices as u64);
+        add(&p, names::G_SLICES_TOTAL, 7);
+        add(&p, names::G_SLICES_DONE, 1);
+        add(&p, names::G_SLICES_DONE, 1);
+        add(&p, names::G_PAIRS_TOTAL, 45);
+        add(&p, names::G_PAIRS_DONE, 1);
+        add(&p, names::G_BRANCHES_TOTAL, 10);
+        add(&p, names::G_BRANCHES_DONE, 1);
+        add(&p, names::G_CANDIDATES, 1);
+        set(&p, names::G_LOGICAL_BYTES, 1234);
+        let snap = p.progress_json().expect("a run's registry");
         let body = snap.get("progress").expect("progress key");
         assert_eq!(body.get("phase").and_then(|v| v.as_str()), Some("slices"));
         assert_eq!(
@@ -482,11 +212,13 @@ mod tests {
 
     #[test]
     fn snapshot_reports_budget_proximity() {
-        let p = Progress::new();
-        p.set_budgets(Some(Duration::from_secs(100)), Some(1000), Some(50));
-        p.set_logical_bytes(250);
-        p.add_budget_spent(25);
-        let snap = p.snapshot_json();
+        let p = Registry::for_run();
+        set(&p, names::G_BUDGET_DEADLINE_NS, 100_000_000_000);
+        set(&p, names::G_BUDGET_MEMORY, 1000);
+        set(&p, names::G_BUDGET_CANDIDATES, 50);
+        set(&p, names::G_LOGICAL_BYTES, 250);
+        add(&p, names::G_BUDGET_SPENT, 25);
+        let snap = p.progress_json().unwrap();
         let body = snap.get("progress").unwrap();
         let mem_frac = body
             .get_path(&["budgets", "memory", "used_frac"])
@@ -505,11 +237,12 @@ mod tests {
 
     #[test]
     fn used_frac_saturates_at_one() {
-        let p = Progress::new();
-        p.set_budgets(None, Some(100), None);
-        p.set_logical_bytes(5000);
+        let p = Registry::for_run();
+        set(&p, names::G_BUDGET_MEMORY, 100);
+        set(&p, names::G_LOGICAL_BYTES, 5000);
         let frac = p
-            .snapshot_json()
+            .progress_json()
+            .unwrap()
             .get_path(&["progress", "budgets", "memory", "used_frac"])
             .and_then(|v| v.as_f64())
             .unwrap();
@@ -517,15 +250,16 @@ mod tests {
     }
 
     #[test]
-    fn progress_sink_is_discoverable_and_silent() {
-        let p = Arc::new(Progress::new());
+    fn progress_sink_forwards_only_gauges() {
+        let p = Arc::new(Registry::new());
         let sink = ProgressSink(p.clone());
         let dyn_sink: &dyn EventSink = &sink;
         assert!(!dyn_sink.enabled());
-        let found = dyn_sink.progress().expect("discoverable");
-        found.candidate_recorded();
-        assert_eq!(p.candidates(), 1);
-        assert!(crate::NullSink.progress().is_none());
+        dyn_sink.gauge(names::G_CANDIDATES, Gauge::Add(1));
+        assert_eq!(p.gauge_value(names::G_CANDIDATES), 1);
+        dyn_sink.counter(names::BC_NODES, 4);
+        dyn_sink.span(names::SPAN_PRUNE, Duration::from_millis(1));
+        assert_eq!(p.snapshot(), crate::RunReport::default());
     }
 
     #[test]
@@ -544,14 +278,14 @@ mod tests {
             }
         }
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let p = Arc::new(Progress::new());
+        let p = Arc::new(Registry::for_run());
         {
             let ticker = ProgressTicker::start(
                 p.clone(),
                 Duration::from_secs(3600), // never ticks on its own
                 Box::new(Shared(buf.clone())),
             );
-            p.set_phase(Phase::Done);
+            set(&p, names::G_PHASE, Phase::Done as u64);
             drop(ticker);
         }
         let text = String::from_utf8(
@@ -587,7 +321,7 @@ mod tests {
             }
         }
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let p = Arc::new(Progress::new());
+        let p = Arc::new(Registry::for_run());
         let ticker = ProgressTicker::start(
             p.clone(),
             Duration::from_millis(5),
@@ -624,7 +358,7 @@ mod tests {
             }
         }
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let p = Arc::new(Progress::new());
+        let p = Arc::new(Registry::for_run());
         let ticker = ProgressTicker::start(
             p.clone(),
             Duration::from_secs(3600), // never ticks on its own
@@ -632,12 +366,12 @@ mod tests {
         );
         // Every update lands before the drop — the final line must carry
         // all of them, not a snapshot from an earlier tick.
-        p.add_slices_total(3);
-        p.slice_done();
-        p.slice_done();
-        p.slice_done();
-        p.candidate_recorded();
-        p.set_phase(Phase::Done);
+        add(&p, names::G_SLICES_TOTAL, 3);
+        add(&p, names::G_SLICES_DONE, 1);
+        add(&p, names::G_SLICES_DONE, 1);
+        add(&p, names::G_SLICES_DONE, 1);
+        add(&p, names::G_CANDIDATES, 1);
+        set(&p, names::G_PHASE, Phase::Done as u64);
         drop(ticker);
         let text = String::from_utf8(
             buf.lock()
@@ -684,7 +418,7 @@ mod tests {
         }
         let failing = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let p = Arc::new(Progress::new());
+        let p = Arc::new(Registry::for_run());
         let ticker = ProgressTicker::start(
             p.clone(),
             Duration::from_millis(2),
@@ -696,7 +430,7 @@ mod tests {
         // Give the tick thread time to attempt a write and die on it.
         std::thread::sleep(Duration::from_millis(40));
         failing.store(false, Ordering::SeqCst);
-        p.set_phase(Phase::Done);
+        set(&p, names::G_PHASE, Phase::Done as u64);
         drop(ticker);
         let text = String::from_utf8(
             buf.lock()

@@ -36,9 +36,21 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Benchmark-build gate: e2ebench/ is its own cargo workspace that imports
 # the library crates by path, so the workspace build above never compiles
 # it. Build it and run its unit tests, in the same gitignored target dir
-# e2ebench/run.sh uses, so a change to an API it imports fails here.
+# e2ebench/run.sh uses, so a change to an API it imports fails here. The
+# build must leave every file under e2ebench/ as it found it: without
+# --locked, cargo rewrites e2ebench/Cargo.lock silently after a dependency
+# edit to a crate e2ebench imports, and the benchmark may not change.
+bench_files() {
+    find e2ebench -path e2ebench/target -prune -o -type f -print0 | sort -z | xargs -0 sha256sum
+}
+bench_before=$(bench_files)
 run env CARGO_TARGET_DIR=.bench_build \
     cargo test --quiet --offline --manifest-path e2ebench/Cargo.toml
+if ! bench_diff=$(diff <(echo "$bench_before") <(bench_files)); then
+    echo "error: building e2ebench changed files under e2ebench/:" >&2
+    echo "$bench_diff" >&2
+    exit 1
+fi
 
 # Schema gate: a real `mine --report-json` run must emit a valid
 # tricluster.report/v2 document (validated in-process, no external tools).

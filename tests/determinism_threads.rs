@@ -147,7 +147,8 @@ fn paper_table1_is_thread_and_fanout_invariant() {
 fn tracing_and_progress_do_not_perturb_deterministic_sections() {
     use std::sync::Arc;
     use std::time::Duration;
-    use tricluster::core::obs::progress::{Progress, ProgressSink, ProgressTicker};
+    use tricluster::core::obs::metrics::Registry;
+    use tricluster::core::obs::progress::{ProgressSink, ProgressTicker};
     use tricluster::core::obs::timeline::Timeline;
     use tricluster::core::obs::Fanout;
 
@@ -159,7 +160,7 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
     for threads in THREADS {
         let recorder = Recorder::new();
         let timeline = Timeline::new();
-        let progress = Arc::new(Progress::new());
+        let progress = Arc::new(Registry::for_run());
         let progress_sink = ProgressSink(progress.clone());
         let sink = Fanout(vec![&recorder, &timeline, &progress_sink]);
         // An aggressive heartbeat (1 ms) maximises the chance of racing
@@ -194,7 +195,7 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
             journals.iter().any(|j| !j.events.is_empty()),
             "timeline recorded nothing at threads={threads}"
         );
-        let snapshot = progress.snapshot_json().render();
+        let snapshot = progress.progress_json().expect("a run's registry").render();
         assert!(
             snapshot.contains("\"phase\":\"done\"")
                 && snapshot.contains("\"slices\":{\"done\":5,\"total\":5}"),
@@ -205,7 +206,7 @@ fn tracing_and_progress_do_not_perturb_deterministic_sections() {
         use tricluster::core::obs::names;
         assert!(!r.truncated);
         assert_eq!(
-            progress.snapshot().logical_bytes,
+            progress.gauge_value(names::G_LOGICAL_BYTES),
             r.report.counter(names::M_MATRIX_BYTES) + r.report.counter(names::M_BICLUSTER_BYTES),
             "logical-bytes gauge at threads={threads}"
         );
@@ -224,7 +225,6 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
     use tricluster::core::obs::httpd::{http_get, scrape_handler, HttpServer};
     use tricluster::core::obs::metrics::Registry;
     use tricluster::core::obs::names;
-    use tricluster::core::obs::progress::Progress;
     use tricluster::core::obs::Fanout;
 
     let m = smoke_matrix();
@@ -234,8 +234,7 @@ fn metrics_registry_and_server_do_not_perturb_deterministic_sections() {
     let base_doc = report_doc(&m, &baseline);
     for threads in THREADS {
         let recorder = Recorder::new();
-        let registry = Arc::new(Registry::new());
-        registry.attach_progress(Arc::new(Progress::new()));
+        let registry = Arc::new(Registry::for_run());
         let server = HttpServer::serve("127.0.0.1:0", 0, scrape_handler(registry.clone())).unwrap();
         let sink = Fanout(vec![&recorder, &*registry]);
         let r = Session::new(smoke_params(threads)).run(&m, &sink).unwrap();

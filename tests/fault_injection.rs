@@ -205,7 +205,9 @@ fn worker_thread_panics_are_isolated() {
 #[test]
 fn progress_gauges_reach_their_totals() {
     use std::sync::Arc;
-    use tricluster::core::obs::progress::{Progress, ProgressSink};
+    use tricluster::core::obs::metrics::Registry;
+    use tricluster::core::obs::names;
+    use tricluster::core::obs::progress::ProgressSink;
 
     let m = smoke_matrix();
     for (threads, range_graph, bicluster) in [
@@ -223,7 +225,7 @@ fn progress_gauges_reach_their_totals() {
             if let Some(site) = site {
                 failpoint::configure_once(site, Action::Panic);
             }
-            let progress = Arc::new(Progress::new());
+            let progress = Arc::new(Registry::for_run());
             let r = Session::new(params(threads))
                 .run(&m, &ProgressSink(progress.clone()))
                 .unwrap();
@@ -235,13 +237,16 @@ fn progress_gauges_reach_their_totals() {
                 usize::from(site.is_some()),
                 "{ctx}"
             );
-            let snap = progress.snapshot();
-            assert_eq!(snap.slices_total, m.n_times() as u64, "{ctx}");
-            assert_eq!(snap.slices_done, snap.slices_total, "{ctx}");
-            assert!(snap.pairs_total > 0, "{ctx}");
-            assert_eq!(snap.pairs_done, snap.pairs_total, "{ctx}");
-            assert!(snap.branches_total > 0, "{ctx}");
-            assert_eq!(snap.branches_done, snap.branches_total, "{ctx}");
+            let gauge = |name| progress.gauge_value(name);
+            let slices_total = gauge(names::G_SLICES_TOTAL);
+            assert_eq!(slices_total, m.n_times() as u64, "{ctx}");
+            assert_eq!(gauge(names::G_SLICES_DONE), slices_total, "{ctx}");
+            let pairs_total = gauge(names::G_PAIRS_TOTAL);
+            assert!(pairs_total > 0, "{ctx}");
+            assert_eq!(gauge(names::G_PAIRS_DONE), pairs_total, "{ctx}");
+            let branches_total = gauge(names::G_BRANCHES_TOTAL);
+            assert!(branches_total > 0, "{ctx}");
+            assert_eq!(gauge(names::G_BRANCHES_DONE), branches_total, "{ctx}");
         }
     }
 }
