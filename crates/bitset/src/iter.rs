@@ -6,6 +6,7 @@
 /// Produced by [`BitSet::iter`](crate::BitSet::iter). Internally walks the
 /// `u64` blocks, peeling the lowest set bit of the current block with
 /// `trailing_zeros` — O(population + blocks) total.
+#[derive(Clone)]
 pub struct Ones<'a> {
     blocks: &'a [u64],
     /// Remaining bits of the block currently being drained.

@@ -50,12 +50,16 @@ pub fn mine(argv: &[String]) -> Result<(), CliError> {
         secs => secs,
     };
 
-    // The bytes are read once and parsed in one pass. The content hash is a
-    // full pass of its own that only the ledger reads, so only an archived
-    // run pays for it; the bytes are dropped before mining either way.
+    // The bytes are read once and parsed on the run's threads. The content
+    // hash is a full pass of its own that only the ledger reads, so only an
+    // archived run pays for it; the bytes are dropped before mining either
+    // way.
     let bytes =
         std::fs::read(path).map_err(|e| CliError::Run(format!("cannot open {path}: {e}")))?;
-    let (matrix, labels) = io::read_stacked_tsv(bytes.as_slice())
+    let workers = params
+        .threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    let (matrix, labels) = io::parse_stacked_tsv(&bytes, workers)
         .map_err(|e| CliError::Run(format!("{path}: {e}")))?;
     let dataset_hash = ledger_dir.map(|_| content_hash(&bytes));
     drop(bytes);

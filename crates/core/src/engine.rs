@@ -348,7 +348,8 @@ impl Engine {
     /// The dataset of `bytes`: the cached parse when the FNV-1a content
     /// hash matches a retained one, else a fresh parse. A cache hit skips
     /// parse and normalization entirely — the returned `Arc` is shared with
-    /// every other job mining the same upload. Nothing is cached here:
+    /// every other job mining the same upload. A fresh parse runs on the
+    /// host's cores. Nothing is cached here:
     /// [`Engine::retain`] caches a dataset once its job is admitted, so a
     /// rejected submission leaves the cache as it found it.
     ///
@@ -362,7 +363,8 @@ impl Engine {
             return Ok(hit.clone());
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let (matrix, labels) = io::read_stacked_tsv(bytes)?;
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (matrix, labels) = io::parse_stacked_tsv(bytes, cores)?;
         Ok(Arc::new(Dataset {
             matrix,
             labels,

@@ -66,21 +66,18 @@ fn metrics_of(m: &Matrix3, clusters: &[Tricluster], sink: &dyn EventSink) -> Met
     let cluster_count = clusters.len();
     let element_sum: usize = clusters.iter().map(Tricluster::span_size).sum();
 
-    // Coverage = distinct cells. Cells are packed into their linear matrix
-    // index and sorted + deduped; for the dense cell lists clusters produce
-    // this beats hashing each (g, s, t) triple (no per-cell hashing, one
-    // cache-friendly sort) and is deterministic.
-    let stride_t = m.n_times() as u64;
-    let stride_s = m.n_samples() as u64 * stride_t;
-    let mut covered: Vec<u64> = Vec::with_capacity(element_sum);
+    // Coverage = distinct cells: one bit per matrix cell, 1/64 of the
+    // matrix's own bytes, set at each cluster cell's linear index.
+    let stride_t = m.n_times();
+    let stride_s = m.n_samples() * stride_t;
+    let mut covered = vec![0u64; m.len().div_ceil(64)];
     for c in clusters {
         for (g, s, t) in c.cells() {
-            covered.push(g as u64 * stride_s + s as u64 * stride_t + t as u64);
+            let cell = g * stride_s + s * stride_t + t;
+            covered[cell / 64] |= 1 << (cell % 64);
         }
     }
-    covered.sort_unstable();
-    covered.dedup();
-    let coverage = covered.len();
+    let coverage = covered.iter().map(|w| w.count_ones() as usize).sum();
     sink.counter(names::MX_CELLS, element_sum as u64);
     sink.counter(names::MX_COVERED, coverage as u64);
     let overlap = if coverage == 0 {
@@ -112,14 +109,16 @@ enum Fiber {
 }
 
 /// Population variance of an iterator of values; `None` for empty input.
-fn variance(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let vals: Vec<f64> = values.collect();
-    if vals.is_empty() {
+/// Two passes over the iterator, the mean's and the squared deviations'.
+fn variance(values: impl Iterator<Item = f64> + Clone) -> Option<f64> {
+    let mut n = 0;
+    let sum = values.clone().inspect(|_| n += 1).sum::<f64>();
+    if n == 0 {
         return None;
     }
-    let n = vals.len() as f64;
-    let mean = vals.iter().sum::<f64>() / n;
-    Some(vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n)
+    let n = n as f64;
+    let mean = sum / n;
+    Some(values.map(|v| (v - mean) * (v - mean)).sum::<f64>() / n)
 }
 
 fn average_fiber_variance(m: &Matrix3, clusters: &[Tricluster], dim: Fiber) -> f64 {
@@ -127,8 +126,9 @@ fn average_fiber_variance(m: &Matrix3, clusters: &[Tricluster], dim: Fiber) -> f
         return 0.0;
     }
     let mut per_cluster = Vec::with_capacity(clusters.len());
+    let mut fiber_vars: Vec<f64> = Vec::new();
     for c in clusters {
-        let mut fiber_vars: Vec<f64> = Vec::new();
+        fiber_vars.clear();
         match dim {
             Fiber::Gene => {
                 for &s in &c.samples {

@@ -18,9 +18,14 @@
 //!
 //! # Reading contract
 //!
-//! Both readers make one pass over their input, a line at a time, and
-//! parse each cell straight into the matrix buffer.
+//! Both readers take the whole input as bytes and parse each cell straight
+//! into the matrix buffer. [`parse_stacked_tsv`] gives contiguous runs of a
+//! stacked file's `# time` sections to up to `workers` threads;
+//! [`read_stacked_tsv`] and [`read_slice_tsv`] read their input to the end
+//! and parse it on one. The worker count changes nothing below: not the
+//! matrix, not the labels, not which error is returned or its fields.
 //!
+//! * One leading UTF-8 byte-order mark (`EF BB BF`) is skipped.
 //! * Lines split as [`BufRead::lines`] splits them: at `\n`, dropping one
 //!   `\r` before it, so LF and CRLF files read alike. A line that is not
 //!   UTF-8 is an [`IoError::Io`] of kind `InvalidData`.
@@ -43,7 +48,8 @@
 //! [`read_slice_tsv`] returns the first error in line order. The stacked
 //! reader adds sections:
 //!
-//! * Lines before the first `# time` line are a preamble and ignored.
+//! * Lines before the first `# time` line are a preamble and ignored,
+//!   except that one that is not UTF-8 fails the read.
 //! * `# time` matches as a raw prefix, and the rest of the line, trimmed,
 //!   names the slice: `# timestamp 5` starts a slice named `stamp 5`. An
 //!   unnamed slice is `t<k>`, where `k` counts the slices kept before it.
@@ -52,13 +58,15 @@
 //!   blank one, must hold a slice.
 //! * A section's errors are reported when it ends, at the next `# time`
 //!   line or the end of input. An invalid UTF-8 line up to there therefore
-//!   beats an earlier bad cell in the same slice. Within the slice, the
-//!   first ragged row or bad cell wins, then [`IoError::Empty`]. Only a
-//!   slice whose own rows read cleanly is compared with the first kept
-//!   slice: gene names first, then sample names (names and order), either
-//!   mismatch is an [`IoError::InconsistentSlices`]. Last, its name (the
-//!   `t<k>` default included) must differ from every kept slice's, or it
-//!   is an [`IoError::InconsistentSlices`] that names the repeated label.
+//!   beats an earlier bad cell in the same slice; a `# time` line that is
+//!   not UTF-8 ends no section, so it beats the previous one's errors.
+//!   Within the slice, the first ragged row or bad cell wins, then
+//!   [`IoError::Empty`]. Only a slice whose own rows read cleanly is
+//!   compared with the first kept slice: gene names first, then sample
+//!   names (names and order), either mismatch is an
+//!   [`IoError::InconsistentSlices`]. Last, its name (the `t<k>` default
+//!   included) must differ from every kept slice's, or it is an
+//!   [`IoError::InconsistentSlices`] that names the repeated label.
 
 use crate::{Labels, Matrix2, Matrix3};
 use std::collections::HashSet;
@@ -177,92 +185,184 @@ fn parse_cell(tok: &str, line: usize, col: usize) -> Result<f64, IoError> {
     Ok(v)
 }
 
-/// An input's lines as [`BufRead::lines`] splits them, read into one
-/// reused buffer instead of a `String` each.
-struct Lines<R> {
-    reader: R,
-    buf: Vec<u8>,
-    number: usize,
+/// A UTF-8 byte-order mark; both readers skip one at the start of input.
+const BOM: &[u8] = b"\xef\xbb\xbf";
+
+/// The error [`BufRead::lines`] gives for a line that is not UTF-8.
+fn invalid_utf8() -> IoError {
+    IoError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    ))
 }
 
-impl<R: BufRead> Lines<R> {
-    fn new(reader: R) -> Self {
-        Lines {
-            reader,
-            buf: Vec::new(),
-            number: 0,
+/// The input after one leading [`BOM`], as text: its lines up to the
+/// first one that is not UTF-8, and whether such a line follows.
+fn text_of(bytes: &[u8]) -> (&str, bool) {
+    let bytes = bytes.strip_prefix(BOM).unwrap_or(bytes);
+    match std::str::from_utf8(bytes) {
+        Ok(text) => (text, false),
+        Err(e) => {
+            // A `\n` is never part of a multi-byte character, so the lines
+            // before the one holding the first bad byte are UTF-8 and that
+            // line is not. The prefix always converts: `valid_up_to` bounds
+            // a UTF-8 prefix.
+            let valid = &bytes[..e.valid_up_to()];
+            let cut = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            (std::str::from_utf8(&valid[..cut]).unwrap_or_default(), true)
+        }
+    }
+}
+
+/// The lines of `text` as [`BufRead::lines`] splits them: at `\n`,
+/// dropping one `\r` before it.
+fn lines(text: &str) -> impl Iterator<Item = &str> {
+    text.split_inclusive('\n')
+        .map(|line| match line.strip_suffix('\n') {
+            Some(line) => line.strip_suffix('\r').unwrap_or(line),
+            None => line,
+        })
+}
+
+/// The index of the first tab in `bytes`, searched a word at a time: a
+/// cell is a few words long, too short for a `memchr` call to pay off.
+fn find_tab(bytes: &[u8]) -> Option<usize> {
+    const TABS: u64 = u64::from_ne_bytes([b'\t'; 8]);
+    const LOW: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut at = 0;
+    while let Some(word) = bytes[at..].first_chunk::<8>() {
+        // The lowest high bit of `zero` marks the first byte of `word`
+        // that equals a tab; bits above it may be false positives.
+        let x = u64::from_le_bytes(*word) ^ TABS;
+        let zero = x.wrapping_sub(LOW) & !x & HIGH;
+        if zero != 0 {
+            return Some(at + zero.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    bytes[at..].iter().position(|&b| b == b'\t').map(|i| at + i)
+}
+
+/// The tab-separated fields of `line`, as `line.split('\t')` gives them.
+fn fields(line: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(line);
+    std::iter::from_fn(move || {
+        let field = rest?;
+        match find_tab(field.as_bytes()) {
+            Some(tab) => {
+                rest = Some(&field[tab + 1..]);
+                Some(&field[..tab])
+            }
+            None => {
+                rest = None;
+                Some(field)
+            }
+        }
+    })
+}
+
+/// Whether a slice skips `line`: a `#` line, or a blank one (Unicode
+/// whitespace only).
+fn skipped(line: &str) -> bool {
+    line.starts_with('#') || line.trim().is_empty()
+}
+
+/// The first kept slice's names, which every slice must repeat. They are
+/// scanned from its lines before any cell is parsed, so they also size the
+/// matrix buffer.
+#[derive(Default)]
+struct Shape<'a> {
+    genes: Vec<&'a str>,
+    samples: Vec<&'a str>,
+}
+
+impl<'a> Shape<'a> {
+    fn of(slice: &'a str) -> Self {
+        let mut lines = lines(slice).filter(|line| !skipped(line));
+        let Some(header) = lines.next() else {
+            return Shape::default();
+        };
+        Shape {
+            samples: fields(header).skip(1).map(str::trim).collect(),
+            genes: lines
+                .map(|row| fields(row).next().unwrap_or_default().trim())
+                .collect(),
         }
     }
 
-    /// The next line and its 1-based number, or `None` at the end of input.
-    fn next_line(&mut self) -> Result<Option<(usize, &str)>, IoError> {
-        self.buf.clear();
-        if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
-            return Ok(None);
-        }
-        self.number += 1;
-        let mut line = self.buf.as_slice();
-        if let Some(rest) = line.strip_suffix(b"\n") {
-            line = rest.strip_suffix(b"\r").unwrap_or(rest);
-        }
-        // The error `BufRead::lines` gives for the same line.
-        let line = std::str::from_utf8(line).map_err(|_| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            )
-        })?;
-        Ok(Some((self.number, line)))
+    /// The buffer length for `slices` slices of this shape, or 0 when that
+    /// exceeds `input_len`. A clean read never does, since each cell it
+    /// keeps follows a tab of its own, so a hostile header cannot make the
+    /// reader allocate more cells than the input has bytes. Sized at 0,
+    /// every slot is empty and the read only validates: it must fail.
+    fn buffer_len(&self, slices: usize, input_len: usize) -> usize {
+        self.genes
+            .len()
+            .checked_mul(self.samples.len())
+            .and_then(|cells| cells.checked_mul(slices))
+            .filter(|&cells| cells <= input_len)
+            .unwrap_or(0)
     }
 }
 
-/// The slices read so far: the first one's names, which every later slice
-/// must repeat, and every cell in file order — slice by slice, row by row,
-/// which is [`Matrix3`]'s time-major layout.
-#[derive(Default)]
-struct Cells {
-    genes: Vec<String>,
-    samples: Vec<String>,
-    data: Vec<f64>,
-    /// Slices completed.
-    slices: usize,
-}
-
-/// The slice whose lines are streaming past. A later slice's names are
-/// compared with the first slice's as they arrive, never collected.
-#[derive(Default)]
-struct Slice {
-    /// Data columns, once the header has been read.
-    ncols: Option<usize>,
-    rows: usize,
+/// A slice whose lines read without a ragged row or bad cell.
+struct Rows {
+    count: usize,
     genes_differ: bool,
     samples_differ: bool,
 }
 
-impl Cells {
-    /// Takes line `number` of the current slice: a blank or `#` line, its
-    /// header, or a row whose cells go straight onto `data`.
-    fn line(&mut self, slice: &mut Slice, line: &str, number: usize) -> Result<(), IoError> {
-        if line.trim().is_empty() || line.starts_with('#') {
-            return Ok(());
+impl Rows {
+    /// Completes the slice: it needs a header and a row, and must repeat
+    /// `shape`'s gene names (checked first) and sample names.
+    fn end(&self, shape: &Shape) -> Result<(), IoError> {
+        if self.count == 0 {
+            return Err(IoError::Empty);
         }
-        let first = self.slices == 0;
-        let Some(ncols) = slice.ncols else {
-            let fields = line.bytes().filter(|&b| b == b'\t').count();
-            let names = line.split('\t').skip(1).map(str::trim);
-            if first {
-                self.samples = names.map(str::to_string).collect();
-            } else {
-                slice.samples_differ = fields != self.samples.len()
-                    || names.zip(&self.samples).any(|(name, prev)| name != prev);
-            }
-            slice.ncols = Some(fields);
-            return Ok(());
+        if self.genes_differ || self.count != shape.genes.len() {
+            return Err(IoError::InconsistentSlices(
+                "gene names differ between slices".into(),
+            ));
+        }
+        if self.samples_differ {
+            return Err(IoError::InconsistentSlices(
+                "sample names differ between slices".into(),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Reads the lines of one slice: blank and `#` lines, then its header,
+/// then rows whose cells go in order into `slot`. A cell past the slot's
+/// end is parsed but not stored, since its slice fails [`Rows::end`]; its
+/// later rows are still checked, so their own errors come first. Returns
+/// the first ragged row or bad cell, at its line of `slice`.
+fn read_rows(slice: &str, shape: &Shape, slot: &mut [f64]) -> Result<Rows, IoError> {
+    let mut slot = slot.iter_mut();
+    let mut ncols = None;
+    let mut rows = Rows {
+        count: 0,
+        genes_differ: false,
+        samples_differ: false,
+    };
+    for (number, line) in (1..).zip(lines(slice)) {
+        if skipped(line) {
+            continue;
+        }
+        let Some(ncols) = ncols else {
+            let got = line.bytes().filter(|&b| b == b'\t').count();
+            let names = fields(line).skip(1).map(str::trim);
+            rows.samples_differ = got != shape.samples.len()
+                || names.zip(&shape.samples).any(|(name, want)| name != *want);
+            ncols = Some(got);
+            continue;
         };
         // Cells are parsed as they are split, up to the first bad cell or
         // extra field; the field count is then completed, and a ragged row
         // wins over its own bad cell.
-        let mut tokens = line.split('\t');
+        let mut tokens = fields(line);
         let name = tokens.next().unwrap_or_default().trim();
         let mut got = 0;
         let mut bad = None;
@@ -272,7 +372,11 @@ impl Cells {
                 break;
             }
             match parse_cell(tok, number, got) {
-                Ok(v) => self.data.push(v),
+                Ok(v) => {
+                    if let Some(cell) = slot.next() {
+                        *cell = v;
+                    }
+                }
                 Err(e) => {
                     bad = Some(e);
                     break;
@@ -290,37 +394,10 @@ impl Cells {
         if let Some(e) = bad {
             return Err(e);
         }
-        if first {
-            self.genes.push(name.to_string());
-        } else if self.genes.get(slice.rows).map(String::as_str) != Some(name) {
-            slice.genes_differ = true;
-        }
-        slice.rows += 1;
-        Ok(())
+        rows.genes_differ |= shape.genes.get(rows.count) != Some(&name);
+        rows.count += 1;
     }
-
-    /// Completes the current slice: it needs a header and a row, and a
-    /// later slice must repeat the first one's gene names (checked first)
-    /// and sample names.
-    fn end_slice(&mut self, slice: Slice) -> Result<(), IoError> {
-        if slice.rows == 0 {
-            return Err(IoError::Empty);
-        }
-        if self.slices > 0 {
-            if slice.genes_differ || slice.rows != self.genes.len() {
-                return Err(IoError::InconsistentSlices(
-                    "gene names differ between slices".into(),
-                ));
-            }
-            if slice.samples_differ {
-                return Err(IoError::InconsistentSlices(
-                    "sample names differ between slices".into(),
-                ));
-            }
-        }
-        self.slices += 1;
-        Ok(())
-    }
+    Ok(rows)
 }
 
 /// Reads a single 2D slice (gene × sample) in the header+rows TSV format.
@@ -328,61 +405,87 @@ impl Cells {
 /// Returns the matrix plus the gene and sample names. The first error in
 /// line order is returned (see the [module docs](self)).
 pub fn read_slice_tsv<R: BufRead>(
-    reader: R,
+    mut reader: R,
 ) -> Result<(Matrix2, Vec<String>, Vec<String>), IoError> {
-    let mut lines = Lines::new(reader);
-    let mut cells = Cells::default();
-    let mut slice = Slice::default();
-    while let Some((number, line)) = lines.next_line()? {
-        cells.line(&mut slice, line, number)?;
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    let (text, invalid) = text_of(&bytes);
+    let shape = Shape::of(text);
+    let mut data = vec![0.0; shape.buffer_len(1, text.len())];
+    let rows = read_rows(text, &shape, &mut data)?;
+    if invalid {
+        return Err(invalid_utf8());
     }
-    cells.end_slice(slice)?;
-    let Cells {
-        genes,
-        samples,
-        data,
-        ..
-    } = cells;
+    rows.end(&shape)?;
+    let (genes, samples) = (shape.genes.len(), shape.samples.len());
     Ok((
-        Matrix2::from_vec(genes.len(), samples.len(), data),
-        genes,
-        samples,
+        Matrix2::from_vec(genes, samples, data),
+        owned(&shape.genes),
+        owned(&shape.samples),
     ))
 }
 
-/// A `# time` section of a stacked file while its lines stream past.
-struct Section {
-    time: String,
-    /// Whether any line followed the `# time` line.
-    has_lines: bool,
-    slice: Slice,
-    /// The slice's first error, reported when the section ends.
-    error: Option<IoError>,
+fn owned(names: &[&str]) -> Vec<String> {
+    names.iter().map(|name| name.to_string()).collect()
 }
 
-impl Section {
-    /// Ends the section: skipped if it has no lines, else its slice is
-    /// kept or its first error returned. `kept` holds the kept slices'
-    /// names, in `times` order.
-    fn end(
-        self,
-        cells: &mut Cells,
-        times: &mut Vec<String>,
-        kept: &mut HashSet<String>,
-    ) -> Result<(), IoError> {
-        if !self.has_lines {
-            return Ok(());
+/// A `# time` section of a stacked file.
+struct Section<'a> {
+    /// The rest of the `# time` line, trimmed.
+    name: &'a str,
+    /// The lines after the `# time` line, up to the next one.
+    body: &'a str,
+    /// The body's byte offset in the input.
+    start: usize,
+}
+
+impl Section<'_> {
+    /// Moves an error found in the body to its line of `text`, the input
+    /// the section was cut from. Lines are counted only here, on failure.
+    fn place(&self, text: &str, mut e: IoError) -> IoError {
+        if let IoError::BadNumber { line, .. }
+        | IoError::NonFinite { line, .. }
+        | IoError::RaggedRow { line, .. } = &mut e
+        {
+            *line += text.as_bytes()[..self.start]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
         }
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        cells.end_slice(self.slice)?;
-        if !kept.insert(self.time.clone()) {
-            return Err(repeated_time(&self.time));
-        }
-        times.push(self.time);
-        Ok(())
+        e
     }
+}
+
+/// The `# time` sections of `text` in order. Lines before the first one
+/// are a preamble and dropped.
+fn sections(text: &str) -> Vec<Section<'_>> {
+    const HEAD: &str = "# time";
+    // Found by their `#`, which rows rarely hold: one `memchr` per `#`
+    // instead of one per line.
+    let mut starts = Vec::new();
+    let mut from = 0;
+    while let Some(i) = text[from..].find('#') {
+        let at = from + i;
+        if (at == 0 || text.as_bytes()[at - 1] == b'\n') && text[at..].starts_with(HEAD) {
+            starts.push(at);
+        }
+        from = at + 1;
+    }
+    let ends = starts.iter().skip(1).copied().chain([text.len()]);
+    starts
+        .iter()
+        .zip(ends)
+        .map(|(&at, end)| {
+            let (head, body) = text[at..end]
+                .split_once('\n')
+                .unwrap_or((&text[at..end], ""));
+            Section {
+                name: head[HEAD.len()..].trim(),
+                body,
+                start: end - body.len(),
+            }
+        })
+        .collect()
 }
 
 /// The error for a kept slice named like an earlier one.
@@ -394,56 +497,127 @@ fn repeated_time(name: &str) -> IoError {
 /// by a 2D slice in the slice format. All slices must agree on genes and
 /// samples (names and order), and no two may share a name.
 ///
-/// One pass over the input: cells are parsed straight into the
-/// [`Matrix3`] buffer, which is handed over without a copy. Errors follow
-/// the order set out in the [module docs](self).
-pub fn read_stacked_tsv<R: BufRead>(reader: R) -> Result<(Matrix3, Labels), IoError> {
-    let mut lines = Lines::new(reader);
-    let mut cells = Cells::default();
-    let mut times: Vec<String> = Vec::new();
-    let mut kept = HashSet::new();
-    let mut section: Option<Section> = None;
-    while let Some((number, line)) = lines.next_line()? {
-        if let Some(rest) = line.strip_prefix("# time") {
-            if let Some(done) = section.take() {
-                done.end(&mut cells, &mut times, &mut kept)?;
-            }
-            let name = rest.trim();
-            section = Some(Section {
-                time: if name.is_empty() {
-                    format!("t{}", times.len())
-                } else {
-                    name.to_string()
-                },
-                has_lines: false,
-                slice: Slice::default(),
-                error: None,
-            });
-        } else if let Some(open) = &mut section {
-            open.has_lines = true;
-            if open.error.is_none() {
-                open.error = cells.line(&mut open.slice, line, number).err();
-            }
-        }
+/// A one-worker [`parse_stacked_tsv`] of the whole input.
+pub fn read_stacked_tsv<R: BufRead>(mut reader: R) -> Result<(Matrix3, Labels), IoError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    parse_stacked_tsv(&bytes, 1)
+}
+
+/// Parses a stacked 3D matrix (the format [`read_stacked_tsv`] reads) from
+/// its bytes, on up to `workers` threads (0 counts as 1).
+///
+/// Each worker takes a contiguous run of the `# time` sections and parses
+/// their cells straight into their slots of the one [`Matrix3`] buffer,
+/// sized from the first kept section. The sections' outcomes are then
+/// taken in file order, so the matrix, the labels and the error, which
+/// follows the order set out in the [module docs](self), do not depend on
+/// `workers`. A worker's panic reaches the caller.
+pub fn parse_stacked_tsv(bytes: &[u8], workers: usize) -> Result<(Matrix3, Labels), IoError> {
+    let (text, invalid) = text_of(bytes);
+    let mut sections = sections(text);
+    if invalid {
+        // The line that is not UTF-8 cuts the last section short, and the
+        // error it raises comes before that section's own at its end.
+        sections.pop();
     }
-    if let Some(done) = section {
-        done.end(&mut cells, &mut times, &mut kept)?;
+    // Sections with no lines at all are skipped; every other one must
+    // hold a slice.
+    sections.retain(|section| !section.body.is_empty());
+    let shape = sections
+        .first()
+        .map_or_else(Shape::default, |first| Shape::of(first.body));
+    let mut data = vec![0.0; shape.buffer_len(sections.len(), text.len())];
+    let (clean, failure) = read_slices(&sections, &shape, &mut data, workers);
+    let mut times: Vec<String> = Vec::with_capacity(clean);
+    let mut kept = HashSet::new();
+    for section in &sections[..clean] {
+        let time = if section.name.is_empty() {
+            format!("t{}", times.len())
+        } else {
+            section.name.to_string()
+        };
+        if !kept.insert(time.clone()) {
+            return Err(repeated_time(&time));
+        }
+        times.push(time);
+    }
+    if let Some(e) = failure {
+        return Err(sections[clean].place(text, e));
+    }
+    if invalid {
+        return Err(invalid_utf8());
     }
     if times.is_empty() {
         return Err(IoError::Empty);
     }
-    let Cells {
-        genes,
-        samples,
-        mut data,
-        ..
-    } = cells;
-    // Growth by doubling can leave up to half the buffer spare. Give it
-    // back, so a matrix (which a daemon may cache) holds only the cells its
-    // memory accounting counts.
-    data.shrink_to_fit();
-    let matrix = Matrix3::from_time_major(genes.len(), samples.len(), times.len(), data);
-    Ok((matrix, Labels::new(genes, samples, times)))
+    let (genes, samples) = (shape.genes.len(), shape.samples.len());
+    let matrix = Matrix3::from_time_major(genes, samples, times.len(), data);
+    Ok((
+        matrix,
+        Labels::new(owned(&shape.genes), owned(&shape.samples), times),
+    ))
+}
+
+/// Reads every section's slice into its slot of `data`. The sections are
+/// cut into up to `workers` contiguous runs of equal count; this thread
+/// reads the first run and a scoped thread each other one. Returns how
+/// many sections read cleanly before the first that failed, and its error;
+/// a run stops at its own first failure.
+fn read_slices(
+    sections: &[Section],
+    shape: &Shape,
+    data: &mut [f64],
+    workers: usize,
+) -> (usize, Option<IoError>) {
+    if sections.is_empty() {
+        return (0, None);
+    }
+    // `data` holds one slot per section, or none when the read can only fail.
+    let slot_len = data.len() / sections.len();
+    let mut rest = data;
+    let mut jobs: Vec<(&Section, &mut [f64])> = sections
+        .iter()
+        .map(|section| {
+            let (slot, tail) = std::mem::take(&mut rest).split_at_mut(slot_len);
+            rest = tail;
+            (section, slot)
+        })
+        .collect();
+    let mut runs = jobs.chunks_mut(sections.len().div_ceil(workers.max(1)));
+    let outcomes: Vec<(usize, Option<IoError>)> = std::thread::scope(|scope| {
+        let first = runs.next();
+        let spawned: Vec<_> = runs
+            .map(|run| scope.spawn(move || read_run(run, shape)))
+            .collect();
+        let mut outcomes = vec![first.map_or((0, None), |run| read_run(run, shape))];
+        for worker in spawned {
+            let outcome = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            outcomes.push(outcome);
+        }
+        outcomes
+    });
+    let mut clean = 0;
+    for (read, failure) in outcomes {
+        clean += read;
+        if failure.is_some() {
+            return (clean, failure);
+        }
+    }
+    (clean, None)
+}
+
+/// Reads one worker's run of sections, stopping at the first that fails.
+fn read_run(run: &mut [(&Section, &mut [f64])], shape: &Shape) -> (usize, Option<IoError>) {
+    for (k, (section, slot)) in run.iter_mut().enumerate() {
+        let read = read_rows(section.body, shape, slot);
+        if let Err(e) = read.and_then(|rows| rows.end(shape)) {
+            return (k, Some(e));
+        }
+    }
+    (run.len(), None)
 }
 
 /// Writes a single 2D slice in the slice TSV format.
@@ -482,19 +656,32 @@ pub fn write_stacked_tsv<W: Write>(w: &mut W, m: &Matrix3, labels: &Labels) -> s
     Ok(())
 }
 
-/// The two-pass reader this module used before it streamed: the reference
-/// the differential tests compare [`read_stacked_tsv`] and
-/// [`read_slice_tsv`] against.
+/// A two-pass reader over [`BufRead::lines`]: the reference the
+/// differential tests compare [`parse_stacked_tsv`] and [`read_slice_tsv`]
+/// against.
 #[cfg(test)]
 mod oracle {
-    use super::{parse_cell, IoError};
+    use super::{parse_cell, IoError, BOM};
     use crate::{Labels, Matrix2, Matrix3};
     use std::io::BufRead;
+
+    /// `input` after one leading byte-order mark.
+    fn unmarked(input: &[u8]) -> &[u8] {
+        input.strip_prefix(BOM).unwrap_or(input)
+    }
+
+    /// The slice reader.
+    #[allow(clippy::type_complexity)]
+    pub(super) fn read_slice_tsv(
+        input: &[u8],
+    ) -> Result<(Matrix2, Vec<String>, Vec<String>), IoError> {
+        read_slice_tsv_from(unmarked(input), 0)
+    }
 
     /// The slice reader, with reported line numbers offset by `first_line`
     /// (0-based); lets the stacked reader report file-global positions for
     /// errors inside embedded slices.
-    pub(super) fn read_slice_tsv_from<R: BufRead>(
+    fn read_slice_tsv_from<R: BufRead>(
         reader: R,
         first_line: usize,
     ) -> Result<(Matrix2, Vec<String>, Vec<String>), IoError> {
@@ -549,7 +736,8 @@ mod oracle {
     /// The stacked reader: buffers each slice's lines, then re-reads them
     /// joined through a `Cursor` into a `Matrix2` per slice.
     #[allow(clippy::type_complexity)]
-    pub(super) fn read_stacked_tsv<R: BufRead>(reader: R) -> Result<(Matrix3, Labels), IoError> {
+    pub(super) fn read_stacked_tsv(input: &[u8]) -> Result<(Matrix3, Labels), IoError> {
+        let reader = unmarked(input);
         let mut slices: Vec<Matrix2> = Vec::new();
         let mut times: Vec<String> = Vec::new();
         let mut genes: Option<Vec<String>> = None;
@@ -981,7 +1169,8 @@ mod tests {
 
         /// One stacked TSV: a preamble, 1–5 slices (some after an empty
         /// section), names with Unicode whitespace, missing-value spellings,
-        /// comments, blank lines and mixed LF/CRLF endings. Never a doubled
+        /// comments, blank lines, mixed LF/CRLF endings and sometimes a
+        /// leading byte-order mark. Never a doubled
         /// `\r\r\n`: the two-pass reader's second split strips it to `\n`,
         /// the one known divergence (it shows only in an error's token).
         pub fn stacked(rng: &mut TestRng) -> Vec<u8> {
@@ -1068,6 +1257,9 @@ mod tests {
                     _ => b"\n",
                 });
             }
+            if chance(rng, 1, 10) {
+                out.splice(0..0, super::BOM.iter().copied());
+            }
             out
         }
 
@@ -1135,23 +1327,33 @@ mod tests {
         }
     }
 
-    /// The streaming readers against the two-pass oracle on generated
-    /// hostile inputs: the same matrix bits and labels, or the same error
-    /// variant with the same fields, and no panic. The tally checks that
-    /// the generator reaches every outcome.
+    /// Worker counts the parallel reader is pinned to the oracle at: one,
+    /// two, an uneven split, and more workers than most inputs have
+    /// sections.
+    const WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+    /// The readers against the two-pass oracle on generated hostile
+    /// inputs, the stacked one at every count in [`WORKERS`]: the same
+    /// matrix bits and labels, or the same error variant with the same
+    /// fields, and no panic. The tally checks that the generator reaches
+    /// every outcome.
     #[test]
-    fn streaming_readers_match_the_two_pass_oracle() {
+    fn readers_match_the_two_pass_oracle() {
         use proptest::prelude::*;
         let mut seen = std::collections::BTreeSet::new();
         proptest::run_cases(
             ProptestConfig::with_cases(4000),
-            "streaming_readers_match_the_two_pass_oracle",
+            "readers_match_the_two_pass_oracle",
             |rng| {
                 let input = gen::stacked(rng);
                 let text = String::from_utf8_lossy(&input);
+                let want = stacked_outcome(oracle::read_stacked_tsv(&input));
                 let got = stacked_outcome(read_stacked_tsv(input.as_slice()));
-                let want = stacked_outcome(oracle::read_stacked_tsv(input.as_slice()));
                 prop_assert_eq!(&got, &want, "read_stacked_tsv on {:?}", text);
+                for workers in WORKERS {
+                    let parsed = stacked_outcome(parse_stacked_tsv(&input, workers));
+                    prop_assert_eq!(&parsed, &want, "{} workers on {:?}", workers, text);
+                }
                 let kind = match &got {
                     Ok(_) => "Ok".to_string(),
                     Err(e) if e.contains("names two slices") => "repeated time label".to_string(),
@@ -1160,7 +1362,7 @@ mod tests {
                 };
                 seen.insert(kind);
                 let got = slice_outcome(read_slice_tsv(input.as_slice()));
-                let want = slice_outcome(oracle::read_slice_tsv_from(input.as_slice(), 0));
+                let want = slice_outcome(oracle::read_slice_tsv(&input));
                 prop_assert_eq!(&got, &want, "read_slice_tsv on {:?}", text);
                 Ok(())
             },
@@ -1268,6 +1470,51 @@ mod tests {
                 b"# time a\n# time a\ngene\ts0\nga\t1\n# time b\n",
                 "1x1x1 [ga] [s0] [a]",
             ),
+            (
+                "one leading byte-order mark is skipped",
+                b"\xef\xbb\xbf# time a\ngene\ts0\nga\t1\n",
+                "1x1x1 [ga] [s0] [a]",
+            ),
+            (
+                "an invalid UTF-8 # time line beats the previous section's bad cell",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\ts0\nga\toops\n# time \xff\ngene\ts0\nga\t2\n",
+                "Io(InvalidData, stream did not contain valid UTF-8)",
+            ),
+            (
+                "invalid UTF-8 in the preamble fails the read",
+                b"pre\xff\n# time a\ngene\ts0\nga\t1\n",
+                "Io(InvalidData, stream did not contain valid UTF-8)",
+            ),
+            (
+                "a label may not repeat one from another worker's share",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\ts0\nga\t2\n# time a\ngene\ts0\nga\t3\n",
+                "InconsistentSlices(\"time label \\\"a\\\" names two slices\")",
+            ),
+            (
+                "empty sections on share edges are skipped",
+                b"# time a\ngene\ts0\nga\t1\n# time e\n# time\ngene\ts0\nga\t2\n# time e\n# time\ngene\ts0\nga\t3\n# time e\n",
+                "1x1x3 [ga] [s0] [a, t1, t2]",
+            ),
+            (
+                "CRLF lines keep file-global positions in a later share",
+                b"pre\r\n# time a\r\ngene\ts0\ts1\r\nga\t1\t2\r\n\r\n# time b\r\ngene\ts0\ts1\r\nga\t3\t inf \r\n",
+                "NonFinite { line: 8, col: 2, token: \" inf \" }",
+            ),
+            (
+                "a later section with an extra row differs in its genes",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\ts0\nga\t1\ngx\t2\n",
+                "InconsistentSlices(\"gene names differ between slices\")",
+            ),
+            (
+                "a header wider than the input has cells sizes no buffer",
+                b"# time a\ngene\ta\tb\tc\td\te\tf\tg\th\nx\nx\nx\nx\nx\nx\nx\nx\nx\nx\n",
+                "RaggedRow { line: 3, expected: 8, got: 0 }",
+            ),
+            (
+                "rows past a section's slot are still checked",
+                b"# time a\ngene\ts0\nga\t1\n# time b\ngene\ts0\nga\t1\ngx\t2\ngy\toops\n",
+                "BadNumber { line: 8, col: 1, token: \"oops\" }",
+            ),
         ];
         for (clause, input, want) in cases {
             let summary = |r: Result<(Matrix3, Labels), IoError>| match r {
@@ -1283,7 +1530,11 @@ mod tests {
                 Err(e) => describe(&e),
             };
             assert_eq!(summary(read_stacked_tsv(*input)), *want, "{clause}");
-            assert_eq!(summary(oracle::read_stacked_tsv(*input)), *want, "{clause}");
+            for workers in WORKERS {
+                let got = summary(parse_stacked_tsv(input, workers));
+                assert_eq!(got, *want, "{clause} at {workers} workers");
+            }
+            assert_eq!(summary(oracle::read_stacked_tsv(input)), *want, "{clause}");
         }
     }
 }

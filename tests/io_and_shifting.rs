@@ -42,6 +42,20 @@ fn tsv_roundtrip_preserves_mining_results() {
     );
 }
 
+/// A UTF-8 byte-order mark before the first `# time` line is skipped, so
+/// Table 1 with one reads as Table 1 without: both slices, same labels.
+#[test]
+fn byte_order_mark_keeps_the_first_slice() {
+    let m = paper_table1();
+    let labels = Labels::default_for(10, 7, 2);
+    let mut plain = Vec::new();
+    io::write_stacked_tsv(&mut plain, &m, &labels).unwrap();
+    let marked = [b"\xef\xbb\xbf".as_slice(), &plain].concat();
+    let (back, back_labels) = io::read_stacked_tsv(marked.as_slice()).unwrap();
+    assert_eq!(back, m);
+    assert_eq!(back_labels, labels);
+}
+
 /// Zeros in the raw file are replaced by preprocessing and the matrix
 /// becomes minable (ratios defined everywhere).
 #[test]
